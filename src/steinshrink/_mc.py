@@ -127,23 +127,6 @@ class RiskReport:
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
 
-    def scaled(self, factor: float, label: str | None = None) -> "RiskReport":
-        return RiskReport(
-            mean=factor * self.mean,
-            stderr=abs(factor) * self.stderr,
-            n=self.n,
-            seed=self.seed,
-            label=self.label if label is None else label,
-        )
-
 
 def report_from(acc: Accumulator, seed: int, label: str = "") -> RiskReport:
     return RiskReport(mean=acc.mean, stderr=acc.stderr, n=acc.n, seed=seed, label=label)
-
-
-def mc_report(chunks, fn, seed: int, label: str = "") -> RiskReport:
-    """Accumulate fn(chunk) -> per-row scalars over an iterable of chunks."""
-    acc = Accumulator()
-    for chunk in chunks:
-        acc.add(fn(chunk))
-    return report_from(acc, seed, label)

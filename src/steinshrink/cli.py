@@ -5,7 +5,8 @@ student-demo.  Every run writes CSV with a '#'-prefixed metadata header
 carrying the artifact version, the fully resolved configuration, and the
 seed, so a rerun with the same seed is byte-identical.
 
-Exit codes: 0 success, 2 usage error, 3 numerical-guard abort.
+Exit codes: 0 success; 2 usage error, bad parameters or an unavailable
+moment; 3 numerical-guard abort or an evaluation outside the domain.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GuardAbort, ParameterError
+from .errors import EvaluationError, GuardAbort, MomentUnavailableError, ParameterError
 from .estimation import JamesStein, SoftThreshold, make_estimator, select_lambda
 from .laws1d import Laplace1D, SmoothedRademacher1D, Uniform1D
 from .noise_models import (
@@ -530,9 +531,12 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         writer = _COMMANDS[args.command](cfg)
         writer.finish()
-    except (ParameterError, OSError) as exc:
+    except (ParameterError, MomentUnavailableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except GuardAbort as exc:
         print(f"numerical guard: {exc} {exc.diagnostics}", file=sys.stderr)
         return 3

@@ -26,9 +26,8 @@ from ._mc import Accumulator, RiskReport, report_from
 from .errors import EvaluationError, ParameterError
 from .noise_models import NoiseModel
 from .stein_kernels import SteinKernel
+from .testfns import _SINGULARITY_EPS, FixedWeights, Weights, g0_contract
 from .zero_bias import ZeroBiasCoupling
-
-_SINGULARITY_EPS = 1e-12
 
 
 def james_stein(x, lam: float, define_zero: bool = False) -> np.ndarray:
@@ -62,7 +61,11 @@ def soft_threshold(x, lam: float) -> np.ndarray:
 
 
 class EstimatorSpec:
-    """S(x) = x + f(x) with Jacobian access for the perturbation f."""
+    """S(x) = x + f(x) with derivative access for the perturbation f.
+
+    `contract(X, W)` is the rowwise <W, grad f(x)> in closed form; the dense
+    `jacobian` is kept as a test oracle.
+    """
 
     kind = "abstract"
 
@@ -83,12 +86,12 @@ class EstimatorSpec:
     def partial(self, X: np.ndarray, i: int, j: int) -> np.ndarray:
         return self.jacobian(X)[:, i, j]
 
-    def divergence(self, X: np.ndarray) -> np.ndarray:
-        return np.trace(self.jacobian(X), axis1=1, axis2=2)
+    def contract(self, X: np.ndarray, W: Weights) -> np.ndarray:
+        raise NotImplementedError
 
     def cross_term(self, X: np.ndarray, cov: np.ndarray) -> np.ndarray:
         """sum_ij sigma_ij d_j f_i(x), rowwise."""
-        return np.einsum("ij,mij->m", cov, self.jacobian(X))
+        return self.contract(X, FixedWeights(cov))
 
     def singular_rows(self, X: np.ndarray) -> np.ndarray:
         return np.zeros(X.shape[0], dtype=bool)
@@ -107,7 +110,10 @@ class Identity(EstimatorSpec):
         m, d = X.shape
         return np.zeros((m, d, d))
 
-    def cross_term(self, X, cov):
+    def partial(self, X, i, j):
+        return np.zeros(X.shape[0])
+
+    def contract(self, X, W):
         return np.zeros(X.shape[0])
 
 
@@ -145,15 +151,8 @@ class JamesStein(EstimatorSpec):
             val = val - self.lam / sq
         return val
 
-    def divergence(self, X):
-        d = X.shape[1]
-        sq = np.einsum("ij,ij->i", X, X)
-        return -self.lam * (d - 2.0) / sq
-
-    def cross_term(self, X, cov):
-        sq = np.einsum("ij,ij->i", X, X)
-        quad = np.einsum("mi,ij,mj->m", X, cov, X)
-        return -self.lam * np.trace(cov) / sq + 2.0 * self.lam * quad / sq**2
+    def contract(self, X, W):
+        return -self.lam * g0_contract(X, W)
 
     def singular_rows(self, X):
         if self.lam == 0:
@@ -184,11 +183,8 @@ class SoftThreshold(EstimatorSpec):
             return np.zeros(X.shape[0])
         return np.where(self.active(X)[:, i], -1.0, 0.0)
 
-    def divergence(self, X):
-        return -self.active(X).sum(axis=1).astype(float)
-
-    def cross_term(self, X, cov):
-        return -(self.active(X) * np.diag(cov)).sum(axis=1)
+    def contract(self, X, W):
+        return -(self.active(X) * W.diagonal()).sum(axis=1)
 
 
 def make_estimator(kind: str, lam: float = 0.0) -> EstimatorSpec:
@@ -239,7 +235,7 @@ def sure_kernel(x, estimator: EstimatorSpec, kernel: SteinKernel, theta) -> floa
     if np.any(estimator.singular_rows(X)):
         raise EvaluationError("SURE evaluated at a shrinkage singularity")
     fx = estimator.f(X)
-    cross = kernel.contract(X - theta, estimator.jacobian(X))
+    cross = kernel.contract(X - theta, estimator, X)
     vals = np.trace(kernel.sigma) + np.einsum("mi,mi->m", fx, fx) + 2.0 * cross
     return float(vals[0]) if single else vals
 
@@ -253,6 +249,7 @@ def sure_zero_bias_mean(
     (which is unbiased for the risk) is available.
     """
     trace_sigma = float(np.trace(coupling.sigma))
+    weights = FixedWeights(coupling.sigma)
     acc = Accumulator()
     for chunk in coupling.joint_chunks(n, seed):
         X = chunk.X
@@ -260,7 +257,7 @@ def sure_zero_bias_mean(
         vals = trace_sigma + np.einsum("mi,mi->m", fx, fx)
         if chunk.shared:
             xs = chunk.star
-            vals = vals + 2.0 * estimator.cross_term(xs, coupling.sigma)
+            vals = vals + 2.0 * estimator.contract(xs, weights)
         else:
             for i, j, w, xij in chunk.iter_stars():
                 vals = vals + 2.0 * w * estimator.partial(xij, i, j)

@@ -18,10 +18,9 @@ from .errors import GuardAbort, ParameterError
 from .estimation import EstimatorSpec, JamesStein, sure
 from .noise_models import NoiseModel
 from .stein_kernels import DiscrepancyStats
-from .testfns import shrink_direction
+from .testfns import FixedWeights, shrink_direction
 from .zero_bias import ZeroBiasCoupling
 
-_SINGULARITY_EPS = 1e-12
 _GUARD_RATE = 1e-4  # abort when more than 0.01% of draws hit the singularity
 
 
@@ -186,13 +185,6 @@ def jensen_lower(theta, trace_sigma: float) -> float:
     return 1.0 / (float(np.dot(theta, theta)) + trace_sigma)
 
 
-def _g0_weighted_div(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """<W, grad g0(x)> = Tr(W)/||x||^2 - 2 x'Wx/||x||^4, rowwise."""
-    sq = np.einsum("ij,ij->i", X, X)
-    quad_form = np.einsum("mi,ij,mj->m", X, weights, X)
-    return np.trace(weights) / sq - 2.0 * quad_form / sq**2
-
-
 def bound_b_star(
     coupling: ZeroBiasCoupling, lam: float, n: int, seed: int, sigma2: float | None = None
 ) -> RiskReport:
@@ -205,7 +197,7 @@ def bound_b_star(
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
     g0 = shrink_direction()
-    weights = coupling.sigma if sigma2 is None else sigma2 * np.eye(coupling.d)
+    weights = FixedWeights(coupling.sigma if sigma2 is None else sigma2 * np.eye(coupling.d))
     acc = Accumulator()
     for chunk in coupling.joint_chunks(n, seed):
         X = chunk.X
@@ -213,7 +205,7 @@ def bound_b_star(
         if chunk.shared:
             xs = chunk.star
             g0.guard(xs)
-            vals = _g0_weighted_div(xs, weights) - _g0_weighted_div(X, weights)
+            vals = g0.contract(xs, weights) - g0.contract(X, weights)
         else:
             vals = np.zeros(X.shape[0])
             for i, j, w, xij in chunk.iter_stars():

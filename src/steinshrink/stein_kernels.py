@@ -1,7 +1,10 @@
 """Stein kernels: matrix fields T with E<X-theta, f(X)> = E<T, grad f(X)>.
 
 Kernels come in structured representations (constant, scalar profile times a
-fixed matrix, diagonal, dense) so Monte Carlo contractions stay cheap.
+fixed matrix, diagonal, linear images of these) and hand them to the test
+functions as `Weights`, so a contraction <T, grad f> costs O(rows * d) and
+no per-row (d, d) matrix is built.  Only the mixture and average kernels,
+which have no such structure, keep per-row dense matrices.
 `discrepancy_stats` measures how far a kernel sits from its covariance, the
 quantity that drives the non-Gaussian risk and SURE-bias bounds.
 """
@@ -17,7 +20,7 @@ from ._mc import Accumulator, RiskReport, chunk_plan, report_from, substream
 from .errors import EvaluationError, ParameterError
 from .noise_models import NoiseModel
 from .quadrature import RadialProfile
-from .testfns import TestFn
+from .testfns import DenseWeights, DiagonalWeights, FixedWeights, TestFn, Weights, _per_row
 
 
 class SteinKernel:
@@ -46,18 +49,29 @@ class SteinKernel:
 
     # -- batched API --------------------------------------------------------
     def matrices(self, Y: np.ndarray) -> np.ndarray:
+        """Dense T(y) per row, (m, d, d); a test oracle, not a hot path."""
         raise NotImplementedError
 
+    def as_weights(self, Y: np.ndarray) -> Weights:
+        """T(y) per row in structured form; subclasses with structure override
+        this dense fallback."""
+        return DenseWeights(self.matrices(Y))
+
     def trace_values(self, Y: np.ndarray) -> np.ndarray:
-        return np.trace(self.matrices(Y), axis1=1, axis2=2)
+        return _per_row(self.as_weights(Y).trace(), Y.shape[0])
 
     def frob_dev_values(self, Y: np.ndarray) -> np.ndarray:
-        dev = self.matrices(Y) - self.sigma
-        return np.einsum("mij,mij->m", dev, dev)
+        return _per_row(_frob_dev(self.as_weights(Y), self.sigma), Y.shape[0])
 
-    def contract(self, Y: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """<T(y), J> rowwise for per-row matrices J of shape (m, d, d)."""
-        return np.einsum("mij,mij->m", self.matrices(Y), J)
+    def contract(self, Y: np.ndarray, field, X: np.ndarray) -> np.ndarray:
+        """<T(y), grad field(x)> rowwise, for a field with a `contract(X, W)`
+        closed form (a TestFn or an estimator perturbation)."""
+        return field.contract(X, self.as_weights(Y))
+
+
+def _frob_dev(W: Weights, sigma: np.ndarray):
+    """||W - Sigma||_F^2 = ||W||^2 - 2 <W, Sigma> + ||Sigma||^2, rowwise."""
+    return W.frob_sq() - 2.0 * W.inner(sigma) + float(np.vdot(sigma, sigma))
 
 
 class ConstantKernel(SteinKernel):
@@ -66,14 +80,8 @@ class ConstantKernel(SteinKernel):
     def matrices(self, Y):
         return np.broadcast_to(self.sigma, (Y.shape[0],) + self.sigma.shape).copy()
 
-    def trace_values(self, Y):
-        return np.full(Y.shape[0], np.trace(self.sigma))
-
-    def frob_dev_values(self, Y):
-        return np.zeros(Y.shape[0])
-
-    def contract(self, Y, J):
-        return np.einsum("ij,mij->m", self.sigma, J)
+    def as_weights(self, Y):
+        return FixedWeights(self.sigma)
 
 
 class ScalarProfileKernel(SteinKernel):
@@ -84,8 +92,6 @@ class ScalarProfileKernel(SteinKernel):
         self.matrix = np.asarray(matrix, dtype=float)
         self.scale_fn = scale_fn
         self.construction = construction
-        # mean scale: sigma = mean_scale * matrix must be consistent
-        self._trace_m = float(np.trace(self.matrix))
 
     def scales(self, Y: np.ndarray) -> np.ndarray:
         return self.scale_fn(Y)
@@ -93,16 +99,9 @@ class ScalarProfileKernel(SteinKernel):
     def matrices(self, Y):
         return self.scales(Y)[:, None, None] * self.matrix
 
-    def trace_values(self, Y):
-        return self.scales(Y) * self._trace_m
-
-    def frob_dev_values(self, Y):
-        # ||s M - Sigma||^2; exact when Sigma = s0 M for the mean scale s0
-        dev_scale = self.scales(Y)[:, None, None] * self.matrix - self.sigma
-        return np.einsum("mij,mij->m", dev_scale, dev_scale)
-
-    def contract(self, Y, J):
-        return self.scales(Y) * np.einsum("ij,mij->m", self.matrix, J)
+    def as_weights(self, Y):
+        # so the discrepancy ||s M - Sigma||^2 is s^2 ||M||^2 - 2 s <M, Sigma> + ||Sigma||^2
+        return FixedWeights(self.matrix, self.scales(Y))
 
 
 class DiagonalKernel(SteinKernel):
@@ -127,20 +126,20 @@ class DiagonalKernel(SteinKernel):
         out[:, idx, idx] = self.diagonals(Y)
         return out
 
-    def trace_values(self, Y):
-        return self.diagonals(Y).sum(axis=1)
+    def as_weights(self, Y):
+        return DiagonalWeights(self.diagonals(Y))
 
     def frob_dev_values(self, Y):
         dev = self.diagonals(Y) - self.sigma_diag
         return np.einsum("mi,mi->m", dev, dev)
 
-    def contract(self, Y, J):
-        idx = np.arange(self.d)
-        return np.einsum("mi,mi->m", self.diagonals(Y), J[:, idx, idx])
-
 
 class TransformedKernel(SteinKernel):
-    """Kernel of A Y from a kernel of Y: y -> A T(A^-1 y) A'."""
+    """Kernel of A Y from a kernel of Y: y -> A T(A^-1 y) A'.
+
+    Contractions move A onto the test-function side,
+    <A T A', J> = <T, A' J A>, inside the base kernel's weights.
+    """
 
     construction = "transformed"
 
@@ -160,16 +159,8 @@ class TransformedKernel(SteinKernel):
         inner = self.base.matrices(Y @ self._Ainv.T)
         return np.einsum("ij,mjk,lk->mil", self.A, inner, self.A)
 
-
-class DenseKernel(SteinKernel):
-    construction = "dense"
-
-    def __init__(self, sigma, matrix_fn):
-        super().__init__(sigma)
-        self._fn = matrix_fn
-
-    def matrices(self, Y):
-        return self._fn(Y)
+    def as_weights(self, Y):
+        return self.base.as_weights(Y @ self._Ainv.T).transformed(self.A)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +274,7 @@ class AverageKernel(SteinKernel):
 
     def paired_chunks(self, model: NoiseModel, n: int, seed: int):
         ncopies = len(self.kernels)
-        for idx, rows in chunk_plan(n, model.d * ncopies):
+        for idx, rows in _dense_chunk_plan(n, model.d, ncopies):
             rng = substream(seed, idx)
             draws = [model._draw(rng, rows) for _ in range(ncopies)]
             scaled_mean = sum(draws) / math.sqrt(ncopies)
@@ -315,7 +306,7 @@ class MixtureKernel(SteinKernel):
 
     def paired_chunks(self, model: NoiseModel, n: int, seed: int):
         d = self.pairs[0][0].d
-        for idx, rows in chunk_plan(n, d):
+        for idx, rows in _dense_chunk_plan(n, d):
             rng = substream(seed, idx)
             pick = rng.choice(len(self.pairs), size=rows, p=self.weights)
             Y = np.empty((rows, d))
@@ -329,22 +320,27 @@ class MixtureKernel(SteinKernel):
             yield model.theta + Y, _DenseChunk(mats, self.sigma)
 
 
+def _dense_chunk_plan(n: int, d: int, copies: int = 1):
+    """Chunks sized by what a dense chunk allocates: `copies` draws of
+    (rows, d) and per-row (rows, d, d) kernel matrices."""
+    return chunk_plan(n, d * max(d, copies))
+
+
 class _DenseChunk:
-    """Per-chunk dense kernel values with the SteinKernel contraction API."""
+    """Per-chunk dense kernel values with the chunk contraction API."""
 
     def __init__(self, mats, sigma):
-        self.mats = mats
+        self.weights = DenseWeights(mats)
         self.sigma = sigma
 
     def trace_values(self):
-        return np.trace(self.mats, axis1=1, axis2=2)
+        return self.weights.trace()
 
     def frob_dev_values(self):
-        dev = self.mats - self.sigma
-        return np.einsum("mij,mij->m", dev, dev)
+        return _frob_dev(self.weights, self.sigma)
 
-    def contract(self, J):
-        return np.einsum("mij,mij->m", self.mats, J)
+    def contract(self, field, X):
+        return field.contract(X, self.weights)
 
 
 def average_kernel(kernels) -> AverageKernel:
@@ -398,8 +394,8 @@ class _BoundChunk:
     def frob_dev_values(self):
         return self.kernel.frob_dev_values(self.Y)
 
-    def contract(self, J):
-        return self.kernel.contract(self.Y, J)
+    def contract(self, field, X):
+        return self.kernel.contract(self.Y, field, X)
 
 
 def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int) -> DiscrepancyStats:
@@ -430,6 +426,5 @@ def stein_identity_residual(
     for X, K in _paired_chunks(model, kernel, n, seed):
         test_fn.guard(X)
         lhs = np.einsum("mi,mi->m", X - model.theta, test_fn.f(X))
-        rhs = K.contract(test_fn.jac(X))
-        acc.add(lhs - rhs)
+        acc.add(lhs - K.contract(test_fn, X))
     return report_from(acc, seed, label=f"stein-residual:{test_fn.name}")

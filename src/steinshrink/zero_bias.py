@@ -32,7 +32,7 @@ from .noise_models import (
     SphereUniform,
     StudentT,
 )
-from .testfns import TestFn
+from .testfns import FixedWeights, TestFn
 
 
 class JointChunk:
@@ -643,6 +643,7 @@ def zb_identity_residual(
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - sum_ij sigma_ij E d_j f_i(X^{ij})."""
     theta = model.theta
+    weights = FixedWeights(coupling.sigma)
     acc = Accumulator()
     for chunk in coupling.joint_chunks(n, seed):
         X = chunk.X
@@ -651,7 +652,7 @@ def zb_identity_residual(
         if chunk.shared:
             xs = chunk.star
             test_fn.guard(xs)
-            vals = vals - np.einsum("ij,mij->m", coupling.sigma, test_fn.jac(xs))
+            vals = vals - test_fn.contract(xs, weights)
         else:
             for i, j, w, xij in chunk.iter_stars():
                 test_fn.guard(xij)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from steinshrink.cli import main
+from steinshrink.errors import MomentUnavailableError
 
 
 def _run(tmp_path, name, *args):
@@ -175,6 +176,31 @@ def test_guard_abort_exits_three(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_evaluation_error_exits_three(tmp_path, capsys):
+    # sigma = 0 puts every draw at the shrinkage singularity, where SURE is undefined
+    code = main(
+        [
+            "sure", "--model", "gaussian", "--sigma", "0", "--lambda", "1", "--d", "5",
+            "--reps", "100", "--out", str(tmp_path / "e.csv"),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_moment_unavailable_exits_two(tmp_path, capsys, monkeypatch):
+    import steinshrink.cli as cli
+
+    def unavailable(cfg):
+        raise MomentUnavailableError("moment of order 8 unavailable")
+
+    monkeypatch.setitem(cli._COMMANDS, "risk", unavailable)
+    assert main(["risk", "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: moment of order 8 unavailable"]
 
 
 def test_config_file_precedence(tmp_path):

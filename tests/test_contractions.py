@@ -1,0 +1,159 @@
+"""Closed-form contractions against the dense Jacobian and kernel-matrix oracles.
+
+Every structured value must match the dense `(rows, d, d)` evaluation row by
+row at d = 6, to a relative 1e-10; a last test checks that the structured
+path keeps memory at O(n d).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import steinshrink as ss
+from steinshrink.stein_kernels import _paired_chunks
+from steinshrink.testfns import FixedWeights, coordinate_quadratic, linear_map, shrink_direction
+
+D = 6
+ROWS = 64
+
+
+def assert_rows_close(structured, dense):
+    structured = np.broadcast_to(structured, dense.shape)
+    scale = np.abs(dense).max()
+    np.testing.assert_allclose(structured, dense, rtol=1e-10, atol=1e-13 * scale)
+
+
+def _test_fns():
+    A = np.random.default_rng(20240517).normal(size=(D, D))
+    return [shrink_direction(), linear_map(A), coordinate_quadratic(2)]
+
+
+def _models_and_kernels():
+    """(name, model, kernel) for every kernel construction."""
+    k = 6
+    s2 = k / (k - 2.0)
+    student = ss.StudentT(D, k, "scaled:1")
+    laplace = ss.ProductIID(D, ss.Laplace1D(0.9), "scaled:1")
+    gauss = ss.GaussianIso(D, 1.3, "scaled:1")
+    A = np.random.default_rng(3).normal(size=(D, D)) + 3.0 * np.eye(D)
+    B = np.random.default_rng(4).normal(size=(D, D)) + 3.0 * np.eye(D)
+    base = ss.ProductIID(D, ss.Laplace1D(1.0))
+    product = ss.product_kernel([base.law] * D)
+    mix_gauss = ss.GaussianIso(D, student.sigma2)
+    return [
+        ("constant", gauss, ss.gaussian_kernel(gauss.cov())),
+        ("student", student, ss.student_kernel(k, D)),
+        (
+            "elliptical",
+            student,
+            ss.elliptical_kernel(lambda v: (1.0 + 2.0 * v / k) ** (-(k + D) / 2.0), s2 * np.eye(D)),
+        ),
+        ("product", laplace, ss.product_kernel([laplace.law] * D)),
+        ("transformed-product", ss.LinearTransform(A, base, "scaled:1"),
+         ss.transform_kernel(product, A)),
+        ("transformed-twice", ss.LinearTransform(B @ A, base, "scaled:1"),
+         ss.transform_kernel(ss.transform_kernel(product, A), B)),
+        ("transformed-student", ss.LinearTransform(A, ss.StudentT(D, k), "scaled:1"),
+         ss.transform_kernel(ss.student_kernel(k, D), A)),
+        ("mixture", ss.MixingCorruption(0.3, ss.StudentT(D, k)),
+         ss.mixture_kernel([(mix_gauss, ss.gaussian_kernel(mix_gauss.cov())),
+                            (ss.StudentT(D, k), ss.student_kernel(k, D))], [0.7, 0.3])),
+        ("average", student, ss.average_kernel([ss.student_kernel(k, D)] * 3)),
+    ]
+
+
+CASES = _models_and_kernels()
+
+
+def _chunk(model, kernel):
+    """One chunk of draws X with the kernel's values there, and the dense
+    kernel matrices as the oracle."""
+    X, K = next(_paired_chunks(model, kernel, ROWS, 5))
+    if hasattr(K, "kernel"):
+        mats = kernel.matrices(X - model.theta)
+    else:  # mixture and average chunks carry their per-row matrices
+        mats = K.weights.mats
+    return X, K, mats
+
+
+@pytest.mark.parametrize("name,model,kernel", CASES, ids=[c[0] for c in CASES])
+def test_kernel_contraction_matches_dense(name, model, kernel):
+    X, K, mats = _chunk(model, kernel)
+    for fn in _test_fns():
+        dense = np.einsum("mij,mij->m", mats, fn.jac(X))
+        assert_rows_close(K.contract(fn, X), dense)
+
+
+@pytest.mark.parametrize("name,model,kernel", CASES, ids=[c[0] for c in CASES])
+def test_trace_and_frob_dev_match_dense(name, model, kernel):
+    X, K, mats = _chunk(model, kernel)
+    assert_rows_close(K.trace_values(), np.trace(mats, axis1=1, axis2=2))
+    dev = mats - kernel.sigma
+    assert_rows_close(K.frob_dev_values(), np.einsum("mij,mij->m", dev, dev))
+
+
+@pytest.mark.parametrize("name,model,kernel", CASES[:7], ids=[c[0] for c in CASES[:7]])
+def test_sure_kernel_matches_dense(name, model, kernel):
+    X = model.sample(ROWS, 6)
+    Y = X - model.theta
+    for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8)):
+        fx = est.f(X)
+        cross = np.einsum("mij,mij->m", kernel.matrices(Y), est.jacobian(X))
+        dense = np.trace(kernel.sigma) + np.einsum("mi,mi->m", fx, fx) + 2.0 * cross
+        assert_rows_close(ss.sure_kernel(X, est, kernel, model.theta), dense)
+
+
+def _linear_student_coupling():
+    # nonnegative A keeps every sigma_ij >= 0, as the linear-map coupling needs
+    A = np.random.default_rng(8).uniform(0.0, 1.0, (D, D)) + 2.0 * np.eye(D)
+    model = ss.LinearTransform(A, ss.StudentT(D, 6), "scaled:1")
+    return ss.zb_linear(A, ss.couple_student(6, D), model)
+
+
+@pytest.mark.parametrize(
+    "make_coupling",
+    [
+        lambda: ss.coupling_for(ss.StudentT(D, 6, "scaled:1")),
+        lambda: ss.coupling_for(ss.SphereUniform(D, 1.0, "scaled:3")),
+        _linear_student_coupling,
+    ],
+    ids=["student", "sphere", "linear-student"],
+)
+def test_zb_shared_branch_matches_dense(make_coupling):
+    coupling = make_coupling()
+    chunk = next(coupling.joint_chunks(ROWS, 9))
+    assert chunk.shared
+    weights = FixedWeights(coupling.sigma)
+    for fn in _test_fns():
+        dense = np.einsum("ij,mij->m", coupling.sigma, fn.jac(chunk.star))
+        assert_rows_close(fn.contract(chunk.star, weights), dense)
+
+
+def test_zb_residual_shared_branch_matches_dense_mean():
+    model = ss.StudentT(D, 6, "scaled:1")
+    coupling = ss.coupling_for(model)
+    for fn in _test_fns():
+        rows = []
+        for chunk in coupling.joint_chunks(2000, 10):
+            lhs = np.einsum("mi,mi->m", chunk.X - model.theta, fn.f(chunk.X))
+            rows.append(lhs - np.einsum("ij,mij->m", coupling.sigma, fn.jac(chunk.star)))
+        rows = np.concatenate(rows)
+        rep = ss.zb_identity_residual(model, coupling, fn, 2000, 10)
+        assert rep.mean == pytest.approx(rows.mean(), rel=1e-10, abs=1e-12 * np.abs(rows).max())
+
+
+def test_student_residual_memory_is_linear_in_d():
+    # the dense path needs at least 3 n d^2 doubles (Jacobian, kernel
+    # matrices, their product): about 226 MB here
+    d, n = 48, 4096
+    model = ss.StudentT(d, 6)
+    kernel = ss.student_kernel(6, d)
+    fn = shrink_direction()
+    tracemalloc.start()
+    try:
+        ss.stein_identity_residual(model, kernel, fn, n, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * d * 8

@@ -84,10 +84,16 @@ def test_sure_closed_form_matches_general_formula(rng):
     d = 6
     cov = np.diag(rng.uniform(0.5, 2.0, d))
     X = rng.normal(0, 2, (64, d))
-    for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8)):
-        fast = est.cross_term(X, cov)
-        dense = np.einsum("ij,mij->m", cov, est.jacobian(X))
-        assert np.allclose(fast, dense, atol=1e-12)
+    B = rng.normal(size=(d, d))
+    for cov in (cov, B @ B.T + np.eye(d)):
+        for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8), ss.Identity()):
+            fast = est.cross_term(X, cov)
+            dense = np.einsum("ij,mij->m", cov, est.jacobian(X))
+            assert np.allclose(fast, dense, rtol=1e-10, atol=1e-12)
+    for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8), ss.Identity()):
+        jac = est.jacobian(X)
+        for i, j in ((0, 0), (1, 4)):
+            assert np.allclose(est.partial(X, i, j), jac[:, i, j], rtol=1e-10, atol=1e-12)
 
 
 def test_sure_lambda_zero_reduces_to_trace():
