@@ -4,6 +4,9 @@ Replicate randomness is derived from (seed, chunk index) through numpy's
 SeedSequence spawn keys, so a run sharded across workers and a serial run
 produce bit-identical draws as long as the chunk partition is the same.
 The partition depends only on (n, d), never on worker count.
+
+`run` is the one streaming engine: every Monte Carlo estimate in the
+package is a mean of per-row statistics accumulated over one chunk stream.
 """
 
 from __future__ import annotations
@@ -126,6 +129,20 @@ class RiskReport:
     def __post_init__(self):
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
+
+
+def run(chunks, stats: dict) -> dict:
+    """One pass over `chunks`: each `stats[name](chunk)` returns one value per
+    row, accumulated under `name`.  Returns the accumulators by name.
+
+    All statistics see the same chunk, so paired estimates share their
+    random numbers and the stream is drawn once.
+    """
+    accs = {name: Accumulator() for name in stats}
+    for chunk in chunks:
+        for name, stat in stats.items():
+            accs[name].add(stat(chunk))
+    return accs
 
 
 def report_from(acc: Accumulator, seed: int, label: str = "") -> RiskReport:

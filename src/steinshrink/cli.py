@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
+from ._mc import chunk_rows, run
 from .errors import EvaluationError, GuardAbort, MomentUnavailableError, ParameterError
-from .estimation import JamesStein, SoftThreshold, make_estimator, select_lambda
+from .estimation import JamesStein, make_estimator, select_lambda, soft_threshold, sure
 from .laws1d import Laplace1D, SmoothedRademacher1D, Uniform1D
 from .noise_models import (
     AdditiveCorruption,
@@ -43,8 +45,8 @@ from .risk_lab import (
     mc_excess_risk,
     mc_risk,
     pinsker_limit,
+    squared_loss,
     student_constants,
-    sure_bias,
 )
 from .stein_kernels import (
     discrepancy_stats,
@@ -353,36 +355,31 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     w = CsvWriter(cfg["out"], cfg, seed)
     w.header(["model", "estimator", "lambda", "sure_mean", "risk_mean", "bias", "bias_bound"])
     cov = model.cov()
+    chunks = model.iter_chunks(n, seed)
     if cfg["select_lambda"]:
         grid = _parse_grid(cfg["lambda_grid"])
         sigma2 = float(cov[0, 0])
-        lam_sum = sure_sum = risk_sum = 0.0
-        count = 0
-        for X in model.iter_chunks(n, seed):
-            for row in X:
-                lam_hat, val = select_lambda(row, sigma2, grid, "soft-threshold")
-                est_row = SoftThreshold(lam_hat)
-                dev = est_row.apply(row[None, :])[0] - model.theta
-                lam_sum += lam_hat
-                sure_sum += val
-                risk_sum += float(np.dot(dev, dev))
-                count += 1
-        w.row(
-            [
-                model.family,
-                "soft-threshold:lambda-hat",
-                lam_sum / count,
-                sure_sum / count,
-                risk_sum / count,
-                sure_sum / count - risk_sum / count,
-                None,
-            ]
-        )
+
+        def selected(X):
+            lam_hat, value = select_lambda(X, sigma2, grid, "soft-threshold")
+            dev = soft_threshold(X, lam_hat[:, None]) - model.theta
+            return lam_hat, value, np.einsum("ij,ij->i", dev, dev)
+
+        # about eight (rows, d) temporaries per block: split chunks to keep
+        # them within one chunk's memory budget
+        rows = chunk_rows(8 * model.d)
+        blocks = (X[i : i + rows] for X in chunks for i in range(0, X.shape[0], rows))
+        stats = {"lambda": itemgetter(0), "sure": itemgetter(1), "risk": itemgetter(2)}
+        lam_hat, sure_val, risk = (acc.mean for acc in run(map(selected, blocks), stats).values())
+        estimator = "soft-threshold:lambda-hat"
+        w.row([model.family, estimator, lam_hat, sure_val, risk, sure_val - risk, None])
         return w
     lam = cfg["lam"] if cfg["lam"] is not None else 0.0
     est = make_estimator(cfg["estimator"], lam)
-    bias = sure_bias(model, est, n, seed)
-    risk = mc_risk(model, est, n, seed)
+    # one pass, common random numbers: the loss and SURE see the same draws
+    losses = ((X, squared_loss(model, est, X)) for X in chunks)
+    stats = {"risk": itemgetter(1), "bias": lambda c: sure(c[0], est, cov) - c[1]}
+    risk, bias = (acc.mean for acc in run(losses, stats).values())
     bound = None
     if est.kind == "james_stein":
         try:
@@ -390,7 +387,7 @@ def cmd_sure(cfg: dict) -> CsvWriter:
             bound = 2.0 * bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR).mean
         except ParameterError:
             bound = None
-    w.row([model.family, est.kind, lam, risk.mean + bias.mean, risk.mean, bias.mean, bound])
+    w.row([model.family, est.kind, lam, risk + bias, risk, bias, bound])
     return w
 
 

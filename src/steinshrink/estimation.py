@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._mc import Accumulator, RiskReport, report_from
+from ._mc import RiskReport, report_from, run
 from .errors import EvaluationError, ParameterError
 from .noise_models import NoiseModel
 from .stein_kernels import SteinKernel
@@ -32,29 +32,15 @@ from .zero_bias import ZeroBiasCoupling
 
 def james_stein(x, lam: float, define_zero: bool = False) -> np.ndarray:
     """S_lam(x) = x (1 - lam / ||x||^2), rowwise on (m, d) input."""
-    if lam < 0:
-        raise ParameterError("lambda must be nonnegative")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    sq = np.einsum("ij,ij->i", X, X)
-    if lam == 0:
-        out = X.copy()
-    else:
-        bad = sq <= _SINGULARITY_EPS
-        if np.any(bad):
-            if not define_zero:
-                raise EvaluationError("james_stein at ||x||^2 <= 1e-12; pass define_zero to map to 0")
-            sq = np.where(bad, 1.0, sq)
-            out = X * (1.0 - lam / sq)[:, None]
-            out[bad] = 0.0
-        else:
-            out = X * (1.0 - lam / sq)[:, None]
-    return out[0] if single else out
+    out = JamesStein(lam).apply(np.atleast_2d(x), define_zero=define_zero)
+    return out[0] if x.ndim == 1 else out
 
 
-def soft_threshold(x, lam: float) -> np.ndarray:
-    if lam < 0:
+def soft_threshold(x, lam) -> np.ndarray:
+    """sgn(x)(|x| - lam)_+ for a scalar lam or one that broadcasts against x,
+    such as a (rows, 1) column of per-row thresholds."""
+    if np.any(np.asarray(lam) < 0):
         raise ParameterError("lambda must be nonnegative")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
@@ -88,6 +74,9 @@ class EstimatorSpec:
 
     def contract(self, X: np.ndarray, W: Weights) -> np.ndarray:
         raise NotImplementedError
+
+    def guard(self, X: np.ndarray) -> None:
+        """Nothing to guard: `f` is defined everywhere (see `define_zero`)."""
 
     def cross_term(self, X: np.ndarray, cov: np.ndarray) -> np.ndarray:
         """sum_ij sigma_ij d_j f_i(x), rowwise."""
@@ -210,17 +199,21 @@ def _cov_matrix(cov_or_sigma2, d: int) -> np.ndarray:
     return cov
 
 
-def sure(x, estimator: EstimatorSpec, cov) -> float | np.ndarray:
-    """Tr Sigma + ||f(x)||^2 + 2 sum_ij sigma_ij d_j f_i(x)."""
+def _sure_form(x, estimator: EstimatorSpec, trace: float, cross) -> float | np.ndarray:
+    """trace + ||f(x)||^2 + 2 cross(X), rowwise; a float for one observation."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    covm = _cov_matrix(cov, X.shape[1])
+    X = np.atleast_2d(x)
     if np.any(estimator.singular_rows(X)):
         raise EvaluationError("SURE evaluated at a shrinkage singularity")
     fx = estimator.f(X)
-    vals = np.trace(covm) + np.einsum("mi,mi->m", fx, fx) + 2.0 * estimator.cross_term(X, covm)
-    return float(vals[0]) if single else vals
+    vals = trace + np.einsum("mi,mi->m", fx, fx) + 2.0 * cross(X)
+    return float(vals[0]) if x.ndim == 1 else vals
+
+
+def sure(x, estimator: EstimatorSpec, cov) -> float | np.ndarray:
+    """Tr Sigma + ||f(x)||^2 + 2 sum_ij sigma_ij d_j f_i(x)."""
+    covm = _cov_matrix(cov, np.shape(x)[-1])
+    return _sure_form(x, estimator, np.trace(covm), lambda X: estimator.cross_term(X, covm))
 
 
 def sure_kernel(x, estimator: EstimatorSpec, kernel: SteinKernel, theta) -> float | np.ndarray:
@@ -228,16 +221,10 @@ def sure_kernel(x, estimator: EstimatorSpec, kernel: SteinKernel, theta) -> floa
 
     Needs theta, so it is only usable inside Monte Carlo validation.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
     theta = np.asarray(theta, dtype=float)
-    if np.any(estimator.singular_rows(X)):
-        raise EvaluationError("SURE evaluated at a shrinkage singularity")
-    fx = estimator.f(X)
-    cross = kernel.contract(X - theta, estimator, X)
-    vals = np.trace(kernel.sigma) + np.einsum("mi,mi->m", fx, fx) + 2.0 * cross
-    return float(vals[0]) if single else vals
+    return _sure_form(
+        x, estimator, np.trace(kernel.sigma), lambda X: kernel.contract(X - theta, estimator, X)
+    )
 
 
 def sure_zero_bias_mean(
@@ -250,18 +237,13 @@ def sure_zero_bias_mean(
     """
     trace_sigma = float(np.trace(coupling.sigma))
     weights = FixedWeights(coupling.sigma)
-    acc = Accumulator()
-    for chunk in coupling.joint_chunks(n, seed):
-        X = chunk.X
-        fx = estimator.f(X, define_zero=True)
+
+    def risk(chunk):
+        fx = estimator.f(chunk.X, define_zero=True)
         vals = trace_sigma + np.einsum("mi,mi->m", fx, fx)
-        if chunk.shared:
-            xs = chunk.star
-            vals = vals + 2.0 * estimator.contract(xs, weights)
-        else:
-            for i, j, w, xij in chunk.iter_stars():
-                vals = vals + 2.0 * w * estimator.partial(xij, i, j)
-        acc.add(vals)
+        return vals + 2.0 * chunk.weighted_partials(estimator, weights)
+
+    acc = run(coupling.joint_chunks(n, seed), {"risk": risk})["risk"]
     return report_from(acc, seed, label=f"sure-zb:{estimator.kind}")
 
 
@@ -270,17 +252,28 @@ def sure_zero_bias_mean(
 
 
 def sure_soft_threshold_grid(x: np.ndarray, sigma2: float, grid: np.ndarray) -> np.ndarray:
-    """SURE(lambda) over a sorted grid for one observation vector.
+    """SURE(lambda) over a sorted grid: (G,) values for one observation (d,),
+    (rows, G) for a block (rows, d), each row as if passed alone.
 
-    Uses order statistics of |x| so a full grid costs O((d + G) log d).
+    Uses order statistics of |x|, so a full grid costs O((d + G) log d) per row.
     """
-    ax = np.sort(np.abs(np.asarray(x, dtype=float)))
-    d = ax.size
-    csq = np.concatenate([[0.0], np.cumsum(ax**2)])
-    # strict count: |x_i| < lam
-    below = np.searchsorted(ax, grid, side="left")
-    sum_min = csq[below] + grid**2 * (d - below)
-    return d * sigma2 + sum_min - 2.0 * sigma2 * below
+    ax = np.abs(np.asarray(x, dtype=float))
+    ax.sort(axis=-1)
+    block = ax.reshape(-1, ax.shape[-1])
+    rows, d = block.shape
+    csq = np.zeros((rows, d + 1))
+    np.cumsum(block**2, axis=1, out=csq[:, 1:])
+    # strict count Card{i : |x_i| < grid[g]}, exact in integers: |x_i| < grid[g]
+    # iff g >= searchsorted(grid, |x_i|, "right"), so it is a cumulative
+    # histogram of those ranks per row
+    size = grid.size + 1
+    ranks = np.searchsorted(grid, block, side="right")
+    ranks += size * np.arange(rows)[:, None]
+    hist = np.bincount(ranks.ravel(), minlength=rows * size).reshape(rows, size)
+    below = np.cumsum(hist[:, :-1], axis=1)
+    sum_min = np.take_along_axis(csq, below, axis=1) + grid**2 * (d - below)
+    values = d * sigma2 + sum_min - 2.0 * sigma2 * below
+    return values.reshape(ax.shape[:-1] + grid.shape)
 
 
 def lambda_grid(d: int, c_grid: float = 2.0, size: int = 512) -> np.ndarray:
@@ -292,20 +285,24 @@ def lambda_grid(d: int, c_grid: float = 2.0, size: int = 512) -> np.ndarray:
 def select_lambda(x, sigma2: float, grid_spec=(2.0, 512), estimator_kind: str = "soft-threshold"):
     """Smallest SURE minimizer over a uniform grid on [0, sqrt(C log d)].
 
-    Returns (lambda_hat, sure_value).
+    Returns (lambda_hat, sure_value): floats for one observation (d,), one
+    value per row for a block (rows, d).
     """
     x = np.asarray(x, dtype=float)
-    d = x.size
+    d = x.shape[-1]
     c_grid, size = grid_spec
     grid = lambda_grid(d, c_grid, size)
     if estimator_kind in ("soft-threshold", "soft_threshold", "st"):
         values = sure_soft_threshold_grid(x, sigma2, grid)
     elif estimator_kind in ("james-stein", "james_stein", "js"):
-        sq = float(np.dot(x, x))
-        if sq <= _SINGULARITY_EPS:
+        sq = np.einsum("...i,...i->...", x, x)[..., None]
+        if np.any(sq <= _SINGULARITY_EPS):
             raise EvaluationError("cannot tune shrinkage at x = 0")
         values = d * sigma2 + grid * (grid - 2.0 * sigma2 * (d - 2.0)) / sq
     else:
         raise ParameterError(f"unsupported estimator kind {estimator_kind!r}")
-    best = int(np.argmin(values))  # argmin returns the first, i.e. smallest lambda
-    return float(grid[best]), float(values[best])
+    best = np.argmin(values, axis=-1)  # the first minimizer, i.e. the smallest lambda
+    value = np.take_along_axis(values, best[..., None], axis=-1)[..., 0]
+    if x.ndim == 1:
+        return float(grid[best]), float(value)
+    return grid[best], value

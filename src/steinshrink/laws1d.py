@@ -12,9 +12,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import EvaluationError
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
+
+
+# N(loc, scale^2) density, log density and upper tail, evaluated as
+# scipy.stats.norm does, without importing scipy.stats
+def _normal_logpdf(y, loc, scale):
+    z = (np.asarray(y, dtype=float) - loc) / scale
+    return -(z**2) / 2.0 - _LOG_SQRT_2PI - math.log(scale)
+
+
+def _normal_pdf(y, loc, scale):
+    z = (np.asarray(y, dtype=float) - loc) / scale
+    return np.exp(-(z**2) / 2.0) / _SQRT_2PI / scale
+
+
+def _normal_sf(y, loc, scale):
+    return ndtr(-(np.asarray(y, dtype=float) - loc) / scale)
 
 
 class Law1D:
@@ -241,27 +260,15 @@ class SmoothedRademacher1D(Law1D):
         return self.c * signs + rng.normal(0.0, self.h, size)
 
     def log_pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        lp = norm.logpdf(y, loc=self.c, scale=self.h)
-        lm = norm.logpdf(y, loc=-self.c, scale=self.h)
+        lp = _normal_logpdf(y, self.c, self.h)
+        lm = _normal_logpdf(y, -self.c, self.h)
         return np.logaddexp(lp, lm) - math.log(2.0)
 
     def tail_first_moment(self, y):
-        y = np.asarray(y, dtype=float)
         h2 = self.h**2
-        up = self.c * norm.sf(y, loc=self.c, scale=self.h) + h2 * norm.pdf(y, loc=self.c, scale=self.h)
-        dn = -self.c * norm.sf(y, loc=-self.c, scale=self.h) + h2 * norm.pdf(y, loc=-self.c, scale=self.h)
+        up = self.c * _normal_sf(y, self.c, self.h) + h2 * _normal_pdf(y, self.c, self.h)
+        dn = -self.c * _normal_sf(y, -self.c, self.h) + h2 * _normal_pdf(y, -self.c, self.h)
         return 0.5 * (up + dn)
-
-    def square_bias_sample(self, rng, size):
-        # fall back to sampling-importance-resampling on the own law
-        pool = 64
-        size = int(np.prod(size)) if not np.isscalar(size) else int(size)
-        cand = self.sample(rng, size * pool)
-        w = cand**2
-        w = w / w.sum()
-        idx = rng.choice(cand.size, size=size, p=w)
-        return cand[idx]
 
     def zb_sample(self, rng, size):
         # zero-bias of a sum: resample the coin summand with probability

@@ -93,7 +93,8 @@ class NoiseModel:
         return value
 
     def cov(self) -> np.ndarray:
-        raise NotImplementedError
+        """sigma2 * Id for the isotropic families; the others override it."""
+        return self.sigma2 * np.eye(self.d)
 
     def moments(self) -> MomentSummary:
         cov = self.cov()
@@ -111,9 +112,6 @@ class NoiseModel:
     def log_density(self, x) -> float | None:
         """Log density at a point, or None when unavailable for the family."""
         return None
-
-    def _centered_log_density(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     # -- validity ---------------------------------------------------------
     def has_density(self) -> bool:
@@ -197,9 +195,6 @@ class GaussianIso(NoiseModel):
             return np.zeros((m, self.d))
         return rng.normal(0.0, math.sqrt(self.sigma2), (m, self.d))
 
-    def cov(self):
-        return self.sigma2 * np.eye(self.d)
-
     def coordinate_moment(self, p):
         return _DOUBLE_FACT[p] * self.sigma2 ** (p // 2)
 
@@ -233,9 +228,6 @@ class StudentT(NoiseModel):
         g = rng.gamma(self.k / 2.0, 2.0 / self.k, m)
         n = rng.standard_normal((m, self.d))
         return math.sqrt(self.scale2) * n / np.sqrt(g)[:, None]
-
-    def cov(self):
-        return self.sigma2 * np.eye(self.d)
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -282,9 +274,6 @@ class SphereUniform(NoiseModel):
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         return self.radius * g
 
-    def cov(self):
-        return self.sigma2 * np.eye(self.d)
-
     def coordinate_moment(self, p):
         if p == 0:
             return 1.0
@@ -324,9 +313,6 @@ class BallUniform(NoiseModel):
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         r = rng.uniform(0.0, 1.0, m) ** (1.0 / self.d)
         return self.radius * r[:, None] * g
-
-    def cov(self):
-        return self.sigma2 * np.eye(self.d)
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -375,9 +361,6 @@ class ProductIID(NoiseModel):
 
     def _draw(self, rng, m):
         return self.law.sample(rng, (m, self.d))
-
-    def cov(self):
-        return self.sigma2 * np.eye(self.d)
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -638,9 +621,6 @@ class AdditiveCorruption(NoiseModel):
         y1 = self.outlier._draw(rng, m)
         return math.sqrt(1.0 - self.eps) * y0 + math.sqrt(self.eps) * y1
 
-    def cov(self):
-        return self.sigma2 * np.eye(self.d)
-
     def coordinate_moment(self, p):
         if p == 0:
             return 1.0
@@ -756,9 +736,6 @@ class FourPointDegenerate(NoiseModel):
 
     def _draw(self, rng, m):
         return self._POINTS[rng.integers(0, 4, m)]
-
-    def cov(self):
-        return 0.5 * np.eye(2)
 
     def coordinate_moment(self, p):
         return 0.5

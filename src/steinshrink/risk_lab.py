@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._mc import Accumulator, RiskReport, report_from
+from ._mc import RiskReport, report_from, run
 from .errors import GuardAbort, ParameterError
 from .estimation import EstimatorSpec, JamesStein, sure
 from .noise_models import NoiseModel
@@ -64,61 +65,67 @@ class BoundInputs:
 # Monte Carlo estimates
 
 
-def mc_risk(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:
-    """Mean squared error E||S(X) - theta||^2 with a singularity guard."""
-    acc = Accumulator()
+def squared_loss(model: NoiseModel, estimator: EstimatorSpec, X: np.ndarray) -> np.ndarray:
+    """||S(x) - theta||^2 rowwise, with S mapped to 0 at the singularity."""
+    dev = estimator.apply(X, define_zero=True) - model.theta
+    return np.einsum("ij,ij->i", dev, dev)
+
+
+def _guarded_mean(model, estimator, loss, n: int, seed: int, label: str) -> RiskReport:
+    """Mean of `loss(X)` over the model's draws; aborts when more than
+    _GUARD_RATE of them sit at the estimator's singularity."""
     singular = 0
-    for X in model.iter_chunks(n, seed):
-        bad = estimator.singular_rows(X)
-        singular += int(bad.sum())
-        S = estimator.apply(X, define_zero=True)
-        dev = S - model.theta
-        acc.add(np.einsum("ij,ij->i", dev, dev))
+
+    def stat(X):
+        nonlocal singular
+        singular += int(estimator.singular_rows(X).sum())
+        return loss(X)
+
+    acc = run(model.iter_chunks(n, seed), {label: stat})[label]
     if singular > _GUARD_RATE * n:
         raise GuardAbort(
             f"{singular} of {n} draws within 1e-12 of the shrinkage singularity",
             diagnostics={"singular": singular, "n": n, "estimator": estimator.kind},
         )
-    return report_from(acc, seed, label=f"risk:{estimator.kind}")
+    return report_from(acc, seed, label=label)
+
+
+def mc_risk(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:
+    """Mean squared error E||S(X) - theta||^2 with a singularity guard."""
+    loss = partial(squared_loss, model, estimator)
+    return _guarded_mean(model, estimator, loss, n, seed, f"risk:{estimator.kind}")
 
 
 def mc_excess_risk(model: NoiseModel, lam: float, n: int, seed: int) -> RiskReport:
     """Paired estimate of E||S_lam(X) - theta||^2 - E||X - theta||^2."""
     est = JamesStein(lam)
-    acc = Accumulator()
-    singular = 0
-    for X in model.iter_chunks(n, seed):
-        bad = est.singular_rows(X)
-        singular += int(bad.sum())
-        S = est.apply(X, define_zero=True)
-        dev = S - model.theta
+
+    def excess(X):
         base = X - model.theta
-        acc.add(np.einsum("ij,ij->i", dev, dev) - np.einsum("ij,ij->i", base, base))
-    if singular > _GUARD_RATE * n:
-        raise GuardAbort(f"{singular} of {n} draws at the singularity", {"singular": singular})
-    return report_from(acc, seed, label=f"excess:lam={lam:g}")
+        return squared_loss(model, est, X) - np.einsum("ij,ij->i", base, base)
+
+    return _guarded_mean(model, est, excess, n, seed, f"excess:lam={lam:g}")
 
 
 def sure_bias(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:
     """Common-random-number estimate of E[SURE(X)] - E||S(X) - theta||^2."""
     cov = model.cov()
-    acc = Accumulator()
-    for X in model.iter_chunks(n, seed):
-        vals = sure(X, estimator, cov)
-        S = estimator.apply(X, define_zero=True)
-        dev = S - model.theta
-        acc.add(vals - np.einsum("ij,ij->i", dev, dev))
+
+    def bias(X):
+        return sure(X, estimator, cov) - squared_loss(model, estimator, X)
+
+    acc = run(model.iter_chunks(n, seed), {"bias": bias})["bias"]
     return report_from(acc, seed, label=f"sure-bias:{estimator.kind}")
 
 
 def _inverse_power(model: NoiseModel, power: float, n: int, seed: int, scale: float, label: str):
-    acc = Accumulator()
-    for X in model.iter_chunks(n, seed):
+    def stat(X):
         sq = np.einsum("ij,ij->i", X, X)
         if np.any(sq <= 0):
             raise GuardAbort("a draw landed exactly at the origin")
-        acc.add(scale * sq ** (-power))
-    return report_from(acc, seed, label=label)
+        return scale * sq ** (-power)
+
+    return report_from(run(model.iter_chunks(n, seed), {label: stat})[label], seed, label=label)
 
 
 def mc_e_inv2(model: NoiseModel, n: int, seed: int) -> RiskReport:
@@ -198,24 +205,12 @@ def bound_b_star(
         raise ParameterError("lambda must be nonnegative")
     g0 = shrink_direction()
     weights = FixedWeights(coupling.sigma if sigma2 is None else sigma2 * np.eye(coupling.d))
-    acc = Accumulator()
-    for chunk in coupling.joint_chunks(n, seed):
-        X = chunk.X
-        g0.guard(X)
-        if chunk.shared:
-            xs = chunk.star
-            g0.guard(xs)
-            vals = g0.contract(xs, weights) - g0.contract(X, weights)
-        else:
-            vals = np.zeros(X.shape[0])
-            for i, j, w, xij in chunk.iter_stars():
-                if sigma2 is not None:
-                    w = sigma2 if i == j else 0.0
-                    if w == 0.0:
-                        continue
-                g0.guard(xij)
-                vals += w * (g0.partial(xij, i, j) - g0.partial(X, i, j))
-        acc.add(vals)
+
+    def difference(chunk):
+        g0.guard(chunk.X)
+        return chunk.weighted_partials(g0, weights) - g0.contract(chunk.X, weights)
+
+    acc = run(coupling.joint_chunks(n, seed), {"b_star": difference})["b_star"]
     rep = report_from(acc, seed, label=f"b_star:lam={lam:g}")
     return RiskReport(
         mean=lam * abs(rep.mean), stderr=lam * rep.stderr, n=rep.n, seed=seed, label=rep.label

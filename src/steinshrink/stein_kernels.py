@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import Accumulator, RiskReport, chunk_plan, report_from, substream
+from ._mc import RiskReport, chunk_plan, report_from, run, substream
 from .errors import EvaluationError, ParameterError
 from .noise_models import NoiseModel
 from .quadrature import RadialProfile
@@ -36,11 +36,6 @@ class SteinKernel:
             raise ParameterError("kernel mean matrix must be symmetric")
         self.sigma = sigma
         self.d = sigma.shape[0]
-
-    # mean_T: the matrix the kernel is unbiased for (the covariance)
-    @property
-    def mean_T(self) -> np.ndarray:
-        return self.sigma
 
     # -- single-point API ---------------------------------------------------
     def evaluate(self, y: np.ndarray) -> np.ndarray:
@@ -401,11 +396,11 @@ class _BoundChunk:
 def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int) -> DiscrepancyStats:
     if n < 2:
         raise ParameterError("discrepancy statistics need n >= 2")
-    tr = Accumulator()
-    fb = Accumulator()
-    for _, K in _paired_chunks(model, kernel, n, seed):
-        tr.add(K.trace_values())
-        fb.add(K.frob_dev_values())
+    accs = run(
+        _paired_chunks(model, kernel, n, seed),
+        {"trace": lambda c: c[1].trace_values(), "frob": lambda c: c[1].frob_dev_values()},
+    )
+    tr, fb = accs["trace"], accs["frob"]
     return DiscrepancyStats(
         e_trace_T=tr.mean,
         e_trace_T_stderr=tr.stderr,
@@ -422,9 +417,12 @@ def stein_identity_residual(
     model: NoiseModel, kernel: SteinKernel, test_fn: TestFn, n: int, seed: int
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - E<T, grad f(X)>; 0 for a true kernel."""
-    acc = Accumulator()
-    for X, K in _paired_chunks(model, kernel, n, seed):
+
+    def residual(paired):
+        X, K = paired
         test_fn.guard(X)
         lhs = np.einsum("mi,mi->m", X - model.theta, test_fn.f(X))
-        acc.add(lhs - K.contract(test_fn, X))
+        return lhs - K.contract(test_fn, X)
+
+    acc = run(_paired_chunks(model, kernel, n, seed), {"residual": residual})["residual"]
     return report_from(acc, seed, label=f"stein-residual:{test_fn.name}")

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from ._mc import Accumulator, RiskReport, chunk_plan, report_from, substream
+from ._mc import RiskReport, chunk_plan, report_from, run, substream
 from .errors import ParameterError
 from .laws1d import Gaussian1D, Law1D
 from .noise_models import (
@@ -55,14 +55,35 @@ class JointChunk:
     def shared(self) -> bool:
         return self._star is not None
 
+    def _centered_star(self, i: int, j: int) -> np.ndarray:
+        return self._star if self.shared else self._star_fn(i, j)
+
+    def companion(self, i: int, j: int) -> np.ndarray:
+        """X^{ij}; one array serves every pair when the companion is shared."""
+        return self._theta + self._centered_star(i, j)
+
     def iter_stars(self):
-        if self._star is not None:
-            xs = self._theta + self._star
-            for (i, j), w in self.pairs:
-                yield i, j, w, xs
-        else:
-            for (i, j), w in self.pairs:
-                yield i, j, w, self._theta + self._star_fn(i, j)
+        for (i, j), w in self.pairs:
+            yield i, j, w, self.companion(i, j)
+
+    def weighted_partials(self, field, weights: FixedWeights) -> np.ndarray:
+        """sum_ij w_ij d_j f_i(X^{ij}) rowwise, for a field with `guard`,
+        `contract` and `partial` (a TestFn or an estimator perturbation).
+
+        A shared companion takes one closed-form contraction; otherwise the
+        sum runs over the coupling's index pairs with nonzero weight.
+        """
+        if self.shared:
+            xs = self.star
+            field.guard(xs)
+            return field.contract(xs, weights)
+        vals = np.zeros(self.X.shape[0])
+        for i, j, _, xij in self.iter_stars():
+            w = weights.matrix[i, j]
+            if w != 0.0:
+                field.guard(xij)
+                vals += w * field.partial(xij, i, j)
+        return vals
 
 
 class ZeroBiasCoupling:
@@ -119,10 +140,7 @@ class ZeroBiasCoupling:
         xs, stars = [], []
         for chunk in self.joint_chunks(n, seed):
             xs.append(chunk.X)
-            if chunk.shared:
-                stars.append(chunk.star)
-            else:
-                stars.append(chunk._theta + chunk._star_fn(i, j))
+            stars.append(chunk.companion(i, j))
         return np.concatenate(xs), np.concatenate(stars)
 
 
@@ -225,16 +243,18 @@ class ScaledCoupling(ZeroBiasCoupling):
 
 
 class GaussianFixedPointCoupling(ZeroBiasCoupling):
-    """X^i = X exactly: the Gaussian is the fixed point of the transform."""
+    """X^i = X exactly: the Gaussian is the fixed point of the transform, so
+    one shared companion serves every index."""
 
     construction = "gaussian_fixed_point"
+    same_for_all = True
 
     def __init__(self, model: GaussianIso):
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
     def _centered(self, rng, rows):
         Y = self.base._draw(rng, rows)
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star_fn=lambda i, j: Y)
+        return JointChunk(self.theta + Y, self.theta, self.pairs, star=Y)
 
 
 class SumCoupling(ZeroBiasCoupling):
@@ -281,11 +301,7 @@ class SumCoupling(ZeroBiasCoupling):
             for jdx, (chunk, Yj) in enumerate(zip(chunks, Ys)):
                 sel = np.flatnonzero(picks[i] == jdx)
                 if sel.size:
-                    if chunk.shared:
-                        repl = chunk._star
-                    else:
-                        repl = chunk._star_fn(i, i)
-                    out[sel] += repl[sel] - Yj[sel]
+                    out[sel] += chunk._centered_star(i, i)[sel] - Yj[sel]
             return out
 
         return JointChunk(self.theta + total, self.theta, self.pairs, star_fn=star)
@@ -333,34 +349,21 @@ class MixtureCoupling(ZeroBiasCoupling):
             if sel.size:
                 Y[sel] = chunk.X[sel] - self.components[s].theta
 
-        if self.equal_variance:
-            # nu^i = mu: share the component pick between X and X^i
-            def star(i, j):
-                out = np.empty((rows, self.d))
-                for s, chunk in enumerate(subchunks):
-                    sel = np.flatnonzero(pick == s)
-                    if sel.size:
-                        if chunk.shared:
-                            out[sel] = chunk._star[sel]
-                        else:
-                            out[sel] = chunk._star_fn(i, i)[sel]
-                return out
-
-        else:
+        # nu^i = mu under equal variances: X^i shares the component pick of X
+        tilted = None
+        if not self.equal_variance:
             tilted = {
                 i: rng.choice(ncomp, size=rows, p=self.tilts[:, i]) for i in range(self.d)
             }
 
-            def star(i, j):
-                out = np.empty((rows, self.d))
-                for s, chunk in enumerate(subchunks):
-                    sel = np.flatnonzero(tilted[i] == s)
-                    if sel.size:
-                        if chunk.shared:
-                            out[sel] = chunk._star[sel]
-                        else:
-                            out[sel] = chunk._star_fn(i, i)[sel]
-                return out
+        def star(i, j):
+            labels = pick if tilted is None else tilted[i]
+            out = np.empty((rows, self.d))
+            for s, chunk in enumerate(subchunks):
+                sel = np.flatnonzero(labels == s)
+                if sel.size:
+                    out[sel] = chunk._centered_star(i, i)[sel]
+            return out
 
         return JointChunk(self.theta + Y, self.theta, self.pairs, star_fn=star)
 
@@ -644,20 +647,14 @@ def zb_identity_residual(
     """MC estimate of E<X-theta, f(X)> - sum_ij sigma_ij E d_j f_i(X^{ij})."""
     theta = model.theta
     weights = FixedWeights(coupling.sigma)
-    acc = Accumulator()
-    for chunk in coupling.joint_chunks(n, seed):
+
+    def residual(chunk):
         X = chunk.X
         test_fn.guard(X)
-        vals = np.einsum("mi,mi->m", X - theta, test_fn.f(X))
-        if chunk.shared:
-            xs = chunk.star
-            test_fn.guard(xs)
-            vals = vals - test_fn.contract(xs, weights)
-        else:
-            for i, j, w, xij in chunk.iter_stars():
-                test_fn.guard(xij)
-                vals = vals - w * test_fn.partial(xij, i, j)
-        acc.add(vals)
+        lhs = np.einsum("mi,mi->m", X - theta, test_fn.f(X))
+        return lhs - chunk.weighted_partials(test_fn, weights)
+
+    acc = run(coupling.joint_chunks(n, seed), {"residual": residual})["residual"]
     return report_from(acc, seed, label=f"zb-residual:{test_fn.name}")
 
 
@@ -673,22 +670,21 @@ def coordinate_sum_residual(
     sigma2 = float(coupling.sigma.sum())
     d = coupling.d
     theta_sum = float(coupling.theta.sum())
-    acc = Accumulator()
-    for cidx, chunk in enumerate(coupling.joint_chunks(n, seed)):
-        rows = chunk.X.shape[0]
-        rng = substream(seed ^ 0x5EED, cidx)
-        picks = nz[rng.choice(nz.size, size=rows, p=probs)]
+
+    def residual(indexed):
+        cidx, chunk = indexed
         W = chunk.X.sum(axis=1) - theta_sum
         vals = W * f(W)
         if chunk.shared:
-            Wstar = chunk.star.sum(axis=1) - theta_sum
-            vals = vals - sigma2 * fprime(Wstar)
-        else:
-            for flat_idx in np.unique(picks):
-                i, j = divmod(int(flat_idx), d)
-                sel = np.flatnonzero(picks == flat_idx)
-                wij = chunk._theta + chunk._star_fn(i, j)
-                Wij = wij[sel].sum(axis=1) - theta_sum
-                vals[sel] = W[sel] * f(W[sel]) - sigma2 * fprime(Wij)
-        acc.add(vals)
+            return vals - sigma2 * fprime(chunk.star.sum(axis=1) - theta_sum)
+        rng = substream(seed ^ 0x5EED, cidx)
+        picks = nz[rng.choice(nz.size, size=W.size, p=probs)]
+        for flat_idx in np.unique(picks):
+            i, j = divmod(int(flat_idx), d)
+            sel = np.flatnonzero(picks == flat_idx)
+            Wij = chunk.companion(i, j)[sel].sum(axis=1) - theta_sum
+            vals[sel] -= sigma2 * fprime(Wij)
+        return vals
+
+    acc = run(enumerate(coupling.joint_chunks(n, seed)), {"residual": residual})["residual"]
     return report_from(acc, seed, label="zb-residual:coordinate-sum")

@@ -208,6 +208,57 @@ def test_sure_grid_matches_direct_evaluation(rng):
     assert np.allclose(fast, direct, atol=1e-9)
 
 
+def _sure_grid_one_row(x, sigma2, grid):
+    """The per-row reference: order statistics and a strict searchsorted count."""
+    ax = np.sort(np.abs(x))
+    csq = np.concatenate([[0.0], np.cumsum(ax**2)])
+    below = np.searchsorted(ax, grid, side="left")
+    return ax.size * sigma2 + (csq[below] + grid**2 * (ax.size - below)) - 2.0 * sigma2 * below
+
+
+def test_select_lambda_block_equals_row_by_row_with_ties():
+    # entries snapped onto grid points and repeated within rows, so the strict
+    # count |x_i| < lambda meets exact ties; the block call must not move them
+    rng = np.random.default_rng(2024)
+    rows, d, size = 300, 40, 64
+    grid = lambda_grid(d, 2.0, size)
+    X = rng.normal(0.0, 1.5, (rows, d))
+    snap = rng.random((rows, d)) < 0.5
+    X[snap] = rng.choice([-1.0, 1.0], snap.sum()) * grid[rng.integers(0, size, snap.sum())]
+    X[:, 1] = -X[:, 0]
+    X[7] = 0.0
+    X[8] = grid[5]
+    lam_hat, value = ss.select_lambda(X, 1.7, (2.0, size))
+    block = sure_soft_threshold_grid(X, 1.7, grid)
+    assert lam_hat.shape == value.shape == (rows,)
+    for r in range(rows):
+        reference = _sure_grid_one_row(X[r], 1.7, grid)
+        assert np.array_equal(block[r], reference)
+        assert np.array_equal(sure_soft_threshold_grid(X[r], 1.7, grid), reference)
+        best = int(np.argmin(reference))
+        assert (lam_hat[r], value[r]) == (grid[best], reference[best])
+        assert ss.select_lambda(X[r], 1.7, (2.0, size)) == (lam_hat[r], value[r])
+
+
+def test_select_lambda_block_james_stein_matches_rows():
+    X = np.random.default_rng(5).normal(3.0, 1.0, (20, 5))
+    lam_hat, value = ss.select_lambda(X, 1.0, (8.0, 512), "james-stein")
+    for r in range(20):
+        lam_r, value_r = ss.select_lambda(X[r], 1.0, (8.0, 512), "james-stein")
+        assert lam_hat[r] == lam_r
+        assert value[r] == pytest.approx(value_r, rel=1e-12)
+
+
+def test_soft_threshold_per_row_lambda_column():
+    X = np.random.default_rng(6).normal(0.0, 2.0, (10, 7))
+    lam = np.linspace(0.0, 3.0, 10)
+    out = ss.soft_threshold(X, lam[:, None])
+    for r in range(10):
+        assert np.array_equal(out[r], ss.soft_threshold(X[r], lam[r]))
+    with pytest.raises(ParameterError):
+        ss.soft_threshold(X, -lam[:, None])
+
+
 def test_select_lambda_grid_refinement_modulus():
     # doubling the grid moves the achieved minimum by at most 2 sigma^2 + 2 lam delta
     rng = np.random.default_rng(71)

@@ -1,7 +1,20 @@
 import numpy as np
+import pytest
 
-from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, substream
-from steinshrink import GaussianIso, Identity, mc_risk
+from steinshrink import (
+    GaussianIso,
+    GuardAbort,
+    Identity,
+    JamesStein,
+    StudentT,
+    bound_b_star,
+    coupling_for,
+    mc_excess_risk,
+    mc_risk,
+    sure_bias,
+)
+from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, run, substream
+from steinshrink.cli import _SEED_BSTAR, _fmt, main
 
 
 def test_accumulator_matches_numpy(rng):
@@ -59,3 +72,56 @@ def test_stderr_scales_with_replicates():
     large = mc_risk(model, Identity(), 80000, 5)
     ratio = small.stderr / large.stderr
     assert 1.5 < ratio < 2.5
+
+
+# -- the streaming engine -----------------------------------------------------------
+
+
+def _fields(acc):
+    return (acc.n, acc.mean, acc.m2, acc.m3, acc.m4)
+
+
+def test_run_fused_stats_equal_separate_runs():
+    model = StudentT(5, 6, "scaled:1")
+    n, seed = 2 * chunk_rows(5) + 321, 17  # three chunks, the last one short
+
+    def norm2(X):
+        return np.einsum("ij,ij->i", X, X)
+
+    def first(X):
+        return X[:, 0] ** 3
+
+    fused = run(model.iter_chunks(n, seed), {"norm2": norm2, "first": first})
+    for name, stat in (("norm2", norm2), ("first", first)):
+        alone = run(model.iter_chunks(n, seed), {name: stat})[name]
+        assert _fields(fused[name]) == _fields(alone)
+        assert fused[name].n == n
+
+
+@pytest.mark.parametrize("estimate", ["risk", "excess"])
+def test_singularity_guard_aborts(estimate):
+    # every draw sits at the origin, the James-Stein singularity
+    model = GaussianIso(4, 0.0)
+    with pytest.raises(GuardAbort) as info:
+        if estimate == "risk":
+            mc_risk(model, JamesStein(2.0), 1000, 3)
+        else:
+            mc_excess_risk(model, 2.0, 1000, 3)
+    assert info.value.diagnostics["singular"] == 1000
+
+
+def test_fused_sure_csv_matches_separate_passes(tmp_path):
+    args = ["sure", "--model", "student", "--d", "6", "--k", "6", "--lambda", "4",
+            "--reps", "30000", "--seed", "8"]
+    out = tmp_path / "sure.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    fused = out.read_bytes()
+
+    model, est = StudentT(6, 6), JamesStein(4.0)
+    bias = sure_bias(model, est, 30000, 8)
+    risk = mc_risk(model, est, 30000, 8)
+    bound = 2.0 * bound_b_star(coupling_for(model), 4.0, 30000, 8 + _SEED_BSTAR).mean
+    row = [model.family, est.kind, 4.0, risk.mean + bias.mean, risk.mean, bias.mean, bound]
+    lines = fused.decode().splitlines()
+    expected = "\n".join(lines[:-1] + [",".join(_fmt(v) for v in row)]) + "\n"
+    assert fused == expected.encode()

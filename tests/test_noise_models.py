@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,3 +268,32 @@ def test_parse_theta_forms(tmp_path):
         ss.parse_theta(str(path), 4)
     with pytest.raises(ParameterError):
         ss.parse_theta("scaled:x", 3)
+
+
+# -- the smoothed coin without scipy.stats ------------------------------------------
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, steinshrink; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_smoothed_rademacher_matches_scipy_norm():
+    from scipy.stats import norm
+
+    law = ss.SmoothedRademacher1D(0.8, 0.15)
+    c, h = law.c, law.h
+    y = np.linspace(-9.0, 9.0, 3601)  # reaches 50 h past both atoms
+    log_pdf = np.logaddexp(norm.logpdf(y, c, h), norm.logpdf(y, -c, h)) - math.log(2.0)
+    up = c * norm.sf(y, c, h) + h**2 * norm.pdf(y, c, h)
+    dn = -c * norm.sf(y, -c, h) + h**2 * norm.pdf(y, -c, h)
+    tail = 0.5 * (up + dn)
+    np.testing.assert_allclose(law.log_pdf(y), log_pdf, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(law.tail_first_moment(y), tail, rtol=1e-13, atol=0)
+    inner = np.abs(y) < 3.0  # where the density stays positive in floating point
+    np.testing.assert_allclose(
+        law.kernel(y[inner]), tail[inner] / np.exp(log_pdf[inner]), rtol=1e-13, atol=0
+    )
