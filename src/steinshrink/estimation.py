@@ -26,7 +26,7 @@ from ._mc import RiskReport, report_from, run
 from .errors import EvaluationError, ParameterError
 from .noise_models import NoiseModel
 from .stein_kernels import SteinKernel
-from .testfns import _SINGULARITY_EPS, FixedWeights, Weights, g0_contract
+from .testfns import _SINGULARITY_EPS, FixedWeights, Weights, g0_contract, g0_replaced
 from .zero_bias import ZeroBiasCoupling
 
 
@@ -49,8 +49,9 @@ def soft_threshold(x, lam) -> np.ndarray:
 class EstimatorSpec:
     """S(x) = x + f(x) with derivative access for the perturbation f.
 
-    `contract(X, W)` is the rowwise <W, grad f(x)> in closed form; the dense
-    `jacobian` is kept as a test oracle.
+    `contract(X, W)` is the rowwise <W, grad f(x)> in closed form, and
+    `contract_replaced(X, R, w)` the rowwise sum_i w_i d_i f_i(X^i) with X^i
+    = X except x_i := R_i; the dense `jacobian` is kept as a test oracle.
     """
 
     kind = "abstract"
@@ -73,6 +74,9 @@ class EstimatorSpec:
         return self.jacobian(X)[:, i, j]
 
     def contract(self, X: np.ndarray, W: Weights) -> np.ndarray:
+        raise NotImplementedError
+
+    def contract_replaced(self, X: np.ndarray, R: np.ndarray, w: np.ndarray):
         raise NotImplementedError
 
     def guard(self, X: np.ndarray) -> None:
@@ -104,6 +108,9 @@ class Identity(EstimatorSpec):
 
     def contract(self, X, W):
         return np.zeros(X.shape[0])
+
+    def contract_replaced(self, X, R, w):
+        return 0.0
 
 
 class JamesStein(EstimatorSpec):
@@ -143,6 +150,9 @@ class JamesStein(EstimatorSpec):
     def contract(self, X, W):
         return -self.lam * g0_contract(X, W)
 
+    def contract_replaced(self, X, R, w):
+        return -self.lam * (g0_replaced(X, R) @ w)
+
     def singular_rows(self, X):
         if self.lam == 0:
             return np.zeros(X.shape[0], dtype=bool)
@@ -174,6 +184,9 @@ class SoftThreshold(EstimatorSpec):
 
     def contract(self, X, W):
         return -(self.active(X) * W.diagonal()).sum(axis=1)
+
+    def contract_replaced(self, X, R, w):
+        return -(self.active(R) @ w)
 
 
 def make_estimator(kind: str, lam: float = 0.0) -> EstimatorSpec:

@@ -4,6 +4,10 @@ All tail integrals run through scipy's QUADPACK (adaptive Gauss-Kronrod)
 with a relative tolerance of 1e-10 and an upper cutoff where the generator
 has decayed below 1e-300, so quadrature error stays far below Monte Carlo
 noise everywhere these values are consumed.
+
+`quad` imports scipy.integrate on its first call, not with the package:
+the import (with scipy.optimize) takes about 0.4 s, and only the elliptical
+kernels and the zero-bias tail densities integrate.
 """
 
 from __future__ import annotations
@@ -11,10 +15,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 RTOL = 1e-10
 _FLOOR = 1e-300
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use."""
+    from scipy.integrate import quad as _quad
+
+    return _quad(func, a, b, **kwargs)
 
 
 def generator_cutoff(phi, lo: float):

@@ -5,7 +5,10 @@ contraction <W(x), grad f(x)> = sum_ij W_ij d_j f_i(x) against a weight
 matrix W (a Stein kernel, a covariance).  `Weights` holds W in structured
 form and exposes the few reductions the closed forms need, each in
 O(rows * d) memory; `TestFn.contract` evaluates the contraction from them.
-The dense `TestFn.jac` is kept as a test oracle.
+`TestFn.contract_replaced` is the zero-bias analogue for coordinate
+replacement, sum_i w_i d_i f_i(X^i) with X^i = X except x_i := R_i.
+The dense `TestFn.jac` and the single `TestFn.partial` are kept as test
+oracles and for couplings without structure.
 """
 
 from __future__ import annotations
@@ -163,6 +166,8 @@ class TestFn:
     jac: Callable[[np.ndarray], np.ndarray]  # (m, d) -> (m, d, d), the dense oracle
     partial: Callable[[np.ndarray, int, int], np.ndarray]  # d_j f_i, (m,)
     contract: Callable[[np.ndarray, Weights], np.ndarray]  # <W, grad f(x)>, (m,)
+    # sum_i w_i d_i f_i(X^i), X^i = X with x_i := R_i; (m,) or a scalar
+    contract_replaced: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     needs_origin_guard: bool = False
 
     def guard(self, X: np.ndarray) -> None:
@@ -187,7 +192,17 @@ def linear_map(A: np.ndarray) -> TestFn:
     def contract(X, W):
         return _per_row(W.inner(A), X.shape[0])
 
-    return TestFn(name="linear", f=f, jac=jac, partial=partial, contract=contract)
+    def contract_replaced(X, R, w):
+        return float(np.diagonal(A) @ w)
+
+    return TestFn(
+        name="linear",
+        f=f,
+        jac=jac,
+        partial=partial,
+        contract=contract,
+        contract_replaced=contract_replaced,
+    )
 
 
 def coordinate_quadratic(i: int) -> TestFn:
@@ -212,8 +227,16 @@ def coordinate_quadratic(i: int) -> TestFn:
     def contract(X, W):
         return 2.0 * X[:, i] * W.diagonal()[..., i]
 
+    def contract_replaced(X, R, w):
+        return 2.0 * R[:, i] * w[i]
+
     return TestFn(
-        name=f"coordinate_quadratic_{i}", f=f, jac=jac, partial=partial, contract=contract
+        name=f"coordinate_quadratic_{i}",
+        f=f,
+        jac=jac,
+        partial=partial,
+        contract=contract,
+        contract_replaced=contract_replaced,
     )
 
 
@@ -221,6 +244,27 @@ def g0_contract(X: np.ndarray, W: Weights) -> np.ndarray:
     """<W, grad g0(x)> = Tr W / ||x||^2 - 2 x'Wx / ||x||^4, rowwise."""
     sq = np.einsum("ij,ij->i", X, X)
     return W.trace() / sq - 2.0 * W.quad(X) / sq**2
+
+
+def g0_replaced(X: np.ndarray, R: np.ndarray, guard: bool = False) -> np.ndarray:
+    """d_i g0_i(X^i) in column i, X^i = X with x_i := R_i: (rows, d).
+
+    The value is 1/s_i - 2 R_i^2 / s_i^2 with s_i = ||X^i||^2, and
+    s_i = ||x||^2 - x_i^2 + R_i^2, so no X^i is built.  The whole form lives
+    in two (rows, d) arrays, updated in place.  With `guard`, raises when
+    some X^i lies within 1e-12 of the origin, as `TestFn.guard` would.
+    """
+    out = np.square(R)
+    s = np.square(X)
+    np.subtract(np.einsum("ij,ij->i", X, X)[:, None], s, out=s)
+    s += out
+    if guard and np.any(s < _SINGULARITY_EPS):
+        raise EvaluationError("g0 evaluated within 1e-12 of the origin")
+    out /= s
+    out /= s
+    out *= -2.0
+    out += np.reciprocal(s, out=s)
+    return out
 
 
 def shrink_direction() -> TestFn:
@@ -246,6 +290,15 @@ def shrink_direction() -> TestFn:
             val = val + 1.0 / sq
         return val
 
+    def contract_replaced(X, R, w):
+        return g0_replaced(X, R, guard=True) @ w
+
     return TestFn(
-        name="g0", f=f, jac=jac, partial=partial, contract=g0_contract, needs_origin_guard=True
+        name="g0",
+        f=f,
+        jac=jac,
+        partial=partial,
+        contract=g0_contract,
+        contract_replaced=contract_replaced,
+        needs_origin_guard=True,
     )

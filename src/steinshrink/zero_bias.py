@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._mc import RiskReport, chunk_plan, report_from, run, substream
 from .errors import ParameterError
@@ -32,14 +31,21 @@ from .noise_models import (
     SphereUniform,
     StudentT,
 )
-from .testfns import FixedWeights, TestFn
+from .quadrature import quad
+from .testfns import FixedWeights, TestFn, _per_row
 
 
 class JointChunk:
-    """One chunk of joint draws: X plus its zero-bias companions."""
+    """One chunk of joint draws: X plus its zero-bias companions.
 
-    def __init__(self, X, theta, pairs, star=None, star_fn=None):
+    Companions come in one of three forms: shared (`star`, one array serves
+    every index), coordinate replacement (`R`: X^i is X with x_i := R_i,
+    so no X^i is ever built) or per index (`star_fn(i, j)`).
+    """
+
+    def __init__(self, X, theta, pairs, star=None, star_fn=None, R=None):
         self.X = X
+        self.R = R  # replacement values, uncentered like X
         self._theta = theta
         self.pairs = pairs  # list of ((i, j), weight)
         self._star = star  # shared companion, when one serves every index
@@ -56,10 +62,18 @@ class JointChunk:
         return self._star is not None
 
     def _centered_star(self, i: int, j: int) -> np.ndarray:
-        return self._star if self.shared else self._star_fn(i, j)
+        if self.shared:
+            return self._star
+        if self.R is not None:
+            return self.companion(i, j) - self._theta
+        return self._star_fn(i, j)
 
     def companion(self, i: int, j: int) -> np.ndarray:
         """X^{ij}; one array serves every pair when the companion is shared."""
+        if self.R is not None and not self.shared:
+            out = self.X.copy()
+            out[:, i] = self.R[:, i]
+            return out
         return self._theta + self._centered_star(i, j)
 
     def iter_stars(self):
@@ -68,16 +82,24 @@ class JointChunk:
 
     def weighted_partials(self, field, weights: FixedWeights) -> np.ndarray:
         """sum_ij w_ij d_j f_i(X^{ij}) rowwise, for a field with `guard`,
-        `contract` and `partial` (a TestFn or an estimator perturbation).
+        `contract`, `contract_replaced` and `partial` (a TestFn or an
+        estimator perturbation).
 
-        A shared companion takes one closed-form contraction; otherwise the
-        sum runs over the coupling's index pairs with nonzero weight.
+        A shared companion takes one closed-form contraction, and so does a
+        replacement chunk, whose pairs are all (i, i); otherwise the sum runs
+        over the coupling's index pairs with nonzero weight.
         """
+        rows = self.X.shape[0]
         if self.shared:
             xs = self.star
             field.guard(xs)
             return field.contract(xs, weights)
-        vals = np.zeros(self.X.shape[0])
+        if self.R is not None:
+            idx = [i for (i, _), _ in self.pairs]
+            w = np.zeros(self.X.shape[1])
+            w[idx] = np.diagonal(weights.matrix)[idx]
+            return _per_row(field.contract_replaced(self.X, self.R, w), rows)
+        vals = np.zeros(rows)
         for i, j, _, xij in self.iter_stars():
             w = weights.matrix[i, j]
             if w != 0.0:
@@ -156,15 +178,11 @@ class IndependentReplaceCoupling(ZeroBiasCoupling):
         self.law = law
 
     def _centered(self, rng, rows):
-        Y = self.law.sample(rng, (rows, self.d))
-        Z = self.law.zb_sample(rng, (rows, self.d))
-
-        def star(i, j):
-            out = Y.copy()
-            out[:, i] = Z[:, i]
-            return out
-
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star_fn=star)
+        X = self.law.sample(rng, (rows, self.d))
+        X += self.theta
+        R = self.law.zb_sample(rng, (rows, self.d))
+        R += self.theta
+        return JointChunk(X, self.theta, self.pairs, R=R)
 
 
 def _coordinate_law(model: NoiseModel) -> Law1D:
@@ -232,19 +250,22 @@ class ScaledCoupling(ZeroBiasCoupling):
 
     def _centered(self, rng, rows):
         chunk = self.inner._centered(rng, rows)
-        Y = (chunk.X - self.inner.theta) * self.c
-        if chunk.shared:
-            return JointChunk(self.theta + Y, self.theta, self.pairs, star=chunk._star * self.c)
+        X = self.theta + (chunk.X - self.inner.theta) * self.c
+        star = chunk._star * self.c if chunk.shared else None
+        R = None if chunk.R is None else self.theta + (chunk.R - self.inner.theta) * self.c
+        star_fn = None
+        if star is None and R is None:
 
-        def star(i, j):
-            return chunk._star_fn(i, j) * self.c
+            def star_fn(i, j):
+                return chunk._star_fn(i, j) * self.c
 
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star_fn=star)
+        return JointChunk(X, self.theta, self.pairs, star=star, star_fn=star_fn, R=R)
 
 
 class GaussianFixedPointCoupling(ZeroBiasCoupling):
     """X^i = X exactly: the Gaussian is the fixed point of the transform, so
-    one shared companion serves every index."""
+    one shared companion serves every index.  It is also a replacement
+    companion with R = X, which sums and mixtures of replacements use."""
 
     construction = "gaussian_fixed_point"
     same_for_all = True
@@ -254,13 +275,15 @@ class GaussianFixedPointCoupling(ZeroBiasCoupling):
 
     def _centered(self, rng, rows):
         Y = self.base._draw(rng, rows)
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star=Y)
+        X = self.theta + Y
+        return JointChunk(X, self.theta, self.pairs, star=Y, R=X)
 
 
 class SumCoupling(ZeroBiasCoupling):
     """Zero-bias of a sum of independent centered terms: one term, chosen
     with probability sigma_{j,i}^2 / sigma_i^2, is replaced by its
-    zero-biased version; the others ride along."""
+    zero-biased version; the others ride along.  When every term is a
+    coordinate replacement, so is the sum: R_i = X_i - Y_pick,i + Z_pick,i."""
 
     construction = "sum"
 
@@ -295,6 +318,14 @@ class SumCoupling(ZeroBiasCoupling):
             i: rng.choice(len(self.components), size=rows, p=self.pick_probs[:, i])
             for i in range(self.d)
         }
+        if all(chunk.R is not None for chunk in chunks):
+            R = total.copy()
+            labels = np.stack([picks[i] for i in range(self.d)], axis=1)
+            for jdx, (chunk, Yj) in enumerate(zip(chunks, Ys)):
+                mask = labels == jdx
+                R[mask] += chunk.R[mask] - Yj[mask]  # components are centered
+            R += self.theta
+            return JointChunk(self.theta + total, self.theta, self.pairs, R=R)
 
         def star(i, j):
             out = total.copy()
@@ -310,7 +341,8 @@ class SumCoupling(ZeroBiasCoupling):
 class MixtureCoupling(ZeroBiasCoupling):
     """Zero-bias of a mixture: companions are drawn from the variance-tilted
     mixing law; with constant component variances the tilt is the mixture
-    itself and the pair shares the component pick."""
+    itself and the pair shares the component pick, so a mixture of
+    coordinate replacements is one too: R takes each row from its pick."""
 
     construction = "mixture"
 
@@ -355,6 +387,14 @@ class MixtureCoupling(ZeroBiasCoupling):
             tilted = {
                 i: rng.choice(ncomp, size=rows, p=self.tilts[:, i]) for i in range(self.d)
             }
+        elif all(chunk.R is not None for chunk in subchunks):
+            R = np.empty((rows, self.d))
+            for s, chunk in enumerate(subchunks):
+                sel = np.flatnonzero(pick == s)
+                if sel.size:
+                    R[sel] = chunk.R[sel] - self.components[s].theta
+            R += self.theta
+            return JointChunk(self.theta + Y, self.theta, self.pairs, R=R)
 
         def star(i, j):
             labels = pick if tilted is None else tilted[i]
@@ -428,7 +468,7 @@ class LinearMapCoupling(ZeroBiasCoupling):
             out = np.empty((rows, self.d))
             for k in np.unique(ks):
                 sel = np.flatnonzero(ks == k)
-                out[sel] = chunk._star_fn(k, k)[sel] @ self.A.T
+                out[sel] = chunk._centered_star(k, k)[sel] @ self.A.T
             return out
 
         return JointChunk(self.theta + Y, self.theta, self.pairs, star_fn=star)
@@ -682,7 +722,10 @@ def coordinate_sum_residual(
         for flat_idx in np.unique(picks):
             i, j = divmod(int(flat_idx), d)
             sel = np.flatnonzero(picks == flat_idx)
-            Wij = chunk.companion(i, j)[sel].sum(axis=1) - theta_sum
+            if chunk.R is not None:  # X^{ij} differs from X only in x_i
+                Wij = W[sel] - chunk.X[sel, i] + chunk.R[sel, i]
+            else:
+                Wij = chunk.companion(i, j)[sel].sum(axis=1) - theta_sum
             vals[sel] -= sigma2 * fprime(Wij)
         return vals
 

@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2, ks_2samp
 
 import steinshrink as ss
+from steinshrink._mc import chunk_rows
 from steinshrink.cli import main
 from steinshrink.estimation import lambda_grid, sure_soft_threshold_grid
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
@@ -287,14 +288,16 @@ def test_criterion_11_soft_threshold_calibration():
 
     hat_risks = []
     null_pool, spike_pool = [], []
+    rows = chunk_rows(8 * d)  # the grid search holds about eight (rows, d) arrays
     for X in model.iter_chunks(n, 2024):
-        for row in X:
-            lam_hat = grid[int(np.argmin(sure_soft_threshold_grid(row, sigma2, grid)))]
-            dev = ss.soft_threshold(row, lam_hat) - theta
-            hat_risks.append(float(dev @ dev))
+        for start in range(0, X.shape[0], rows):
+            block = X[start : start + rows]
+            lam_hat = grid[np.argmin(sure_soft_threshold_grid(block, sigma2, grid), axis=-1)]
+            dev = ss.soft_threshold(block, lam_hat[:, None]) - theta
+            hat_risks.append(np.einsum("ij,ij->i", dev, dev))
         spike_pool.append(X[:, :spikes].ravel())
         null_pool.append(X[:, spikes:].ravel())
-    hat_risks = np.asarray(hat_risks)
+    hat_risks = np.concatenate(hat_risks)
     risk_hat = hat_risks.mean()
     se_hat = hat_risks.std(ddof=1) / math.sqrt(n)
 

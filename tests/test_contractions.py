@@ -1,18 +1,22 @@
 """Closed-form contractions against the dense Jacobian and kernel-matrix oracles.
 
 Every structured value must match the dense `(rows, d, d)` evaluation row by
-row at d = 6, to a relative 1e-10; a last test checks that the structured
-path keeps memory at O(n d).
+row at d = 6, to a relative 1e-10; the coordinate-replacement closed forms
+must match the per-index `partial` loop over built companions the same way.
+The memory tests check that the structured paths keep memory at O(n d).
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import steinshrink as ss
+from steinshrink.errors import EvaluationError
 from steinshrink.stein_kernels import _paired_chunks
 from steinshrink.testfns import FixedWeights, coordinate_quadratic, linear_map, shrink_direction
+from steinshrink.zero_bias import JointChunk, ScaledCoupling
 
 D = 6
 ROWS = 64
@@ -157,3 +161,84 @@ def test_student_residual_memory_is_linear_in_d():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n * d * 8
+
+
+# -- coordinate-replacement companions ----------------------------------------
+
+
+def _replacement_couplings():
+    """(name, coupling) for every coupling that emits the replacement form,
+    each with a nonzero theta."""
+    laplace = ss.ProductIID(D, ss.Laplace1D(1 / math.sqrt(2)))
+    eps = 0.3
+    return [
+        ("laplace", ss.couple_independent(ss.ProductIID(D, ss.Laplace1D(0.9), "scaled:1"))),
+        ("gaussian", ss.couple_independent(ss.GaussianIso(D, 1.3, "scaled:1"))),
+        (
+            "scaled",
+            ScaledCoupling(
+                ss.couple_independent(ss.ProductIID(D, ss.Uniform1D(1.0), "scaled:1")), 1.7
+            ),
+        ),
+        (
+            "sum",
+            ss.zb_sum(
+                ss.AdditiveCorruption(eps, laplace, "scaled:1"),
+                [
+                    ScaledCoupling(ss.couple_gaussian(ss.GaussianIso(D, 1.0)), math.sqrt(1 - eps)),
+                    ScaledCoupling(ss.couple_independent(laplace), math.sqrt(eps)),
+                ],
+            ),
+        ),
+        ("mixture", ss.coupling_for(ss.MixingCorruption(0.25, laplace, "scaled:1"))),
+    ]
+
+
+REPLACEMENT = _replacement_couplings()
+
+
+def _fields():
+    return _test_fns() + [ss.JamesStein(2.5), ss.SoftThreshold(0.8), ss.Identity()]
+
+
+@pytest.mark.parametrize("name,coupling", REPLACEMENT, ids=[c[0] for c in REPLACEMENT])
+def test_replacement_closed_form_matches_partial_loop(name, coupling):
+    chunk = next(coupling.joint_chunks(ROWS, 9))
+    assert chunk.R is not None and not chunk.shared
+    assert np.any(coupling.theta != 0.0)
+    weights = FixedWeights(coupling.sigma)
+    for field in _fields():
+        loop = np.zeros(ROWS)
+        for (i, j), w in coupling.pairs:
+            loop += w * field.partial(chunk.companion(i, j), i, j)
+        assert_rows_close(chunk.weighted_partials(field, weights), loop)
+
+
+def test_replacement_guard_raises_near_the_origin():
+    # row 0: X^0 = (1e-8, 0, ..., 0), within 1e-12 of the origin, though X is not
+    X = np.zeros((2, D))
+    X[:, 0] = 1.0
+    R = np.ones((2, D))
+    R[0, 0] = 1e-8
+    pairs = [((i, i), 1.0) for i in range(D)]
+    chunk = JointChunk(X, np.zeros(D), pairs, R=R)
+    weights = FixedWeights(np.eye(D))
+    with pytest.raises(EvaluationError, match="origin"):
+        chunk.weighted_partials(shrink_direction(), weights)
+    R[0, 0] = 1e-3
+    assert np.all(np.isfinite(chunk.weighted_partials(shrink_direction(), weights)))
+
+
+def test_b_star_memory_is_linear_in_d():
+    # one chunk: X, R and the closed form's two temporaries fit well inside
+    # the bound; anything that grows with d (a (rows, d, d) array, companions
+    # kept alive across indices) does not
+    d, rows = 400, 4096
+    coupling = ss.couple_independent(ss.ProductIID(d, ss.Laplace1D(1 / math.sqrt(2))))
+    tracemalloc.start()
+    try:
+        ss.bound_b_star(coupling, d - 2.0, rows, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * rows * d * 8

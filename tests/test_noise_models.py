@@ -281,6 +281,15 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # quadrature.quad imports it on first use; Monte Carlo runs never integrate
+    code = "import sys, steinshrink; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_smoothed_rademacher_matches_scipy_norm():
     from scipy.stats import norm
 
