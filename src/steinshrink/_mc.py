@@ -136,12 +136,14 @@ def run(chunks, stats: dict) -> dict:
     row, accumulated under `name`.  Returns the accumulators by name.
 
     All statistics see the same chunk, so paired estimates share their
-    random numbers and the stream is drawn once.
+    random numbers and the stream is drawn once.  One chunk is live at a
+    time: the loop lets go of it before the next one is drawn.
     """
     accs = {name: Accumulator() for name in stats}
     for chunk in chunks:
         for name, stat in stats.items():
             accs[name].add(stat(chunk))
+        del chunk
     return accs
 
 

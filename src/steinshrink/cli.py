@@ -45,7 +45,6 @@ from .risk_lab import (
     mc_excess_risk,
     mc_risk,
     pinsker_limit,
-    squared_loss,
     student_constants,
 )
 from .stein_kernels import (
@@ -55,7 +54,7 @@ from .stein_kernels import (
     stein_identity_residual,
     student_kernel,
 )
-from .testfns import coordinate_quadratic, linear_map, shrink_direction
+from .testfns import coordinate_quadratic, linear_map, shrink_direction, sq_norms
 from .theta import parse_theta
 from .zero_bias import FourPointCoupling, coupling_for, zb_identity_residual
 
@@ -349,6 +348,14 @@ def cmd_identity_check(cfg: dict) -> CsvWriter:
     return w
 
 
+def _row_blocks(chunks, rows: int):
+    """Blocks of at most `rows` rows, holding one chunk at a time."""
+    for X in chunks:
+        for i in range(0, X.shape[0], rows):
+            yield X[i : i + rows]
+        del X
+
+
 def cmd_sure(cfg: dict) -> CsvWriter:
     model = build_model(cfg)
     n, seed = cfg["reps"], cfg["seed"]
@@ -367,8 +374,7 @@ def cmd_sure(cfg: dict) -> CsvWriter:
 
         # about eight (rows, d) temporaries per block: split chunks to keep
         # them within one chunk's memory budget
-        rows = chunk_rows(8 * model.d)
-        blocks = (X[i : i + rows] for X in chunks for i in range(0, X.shape[0], rows))
+        blocks = _row_blocks(chunks, chunk_rows(8 * model.d))
         stats = {"lambda": itemgetter(0), "sure": itemgetter(1), "risk": itemgetter(2)}
         lam_hat, sure_val, risk = (acc.mean for acc in run(map(selected, blocks), stats).values())
         estimator = "soft-threshold:lambda-hat"
@@ -377,9 +383,14 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     lam = cfg["lam"] if cfg["lam"] is not None else 0.0
     est = make_estimator(cfg["estimator"], lam)
     # one pass, common random numbers: the loss and SURE see the same draws
-    losses = ((X, squared_loss(model, est, X)) for X in chunks)
-    stats = {"risk": itemgetter(1), "bias": lambda c: sure(c[0], est, cov) - c[1]}
-    risk, bias = (acc.mean for acc in run(losses, stats).values())
+    # and share one ||x||^2 per row
+    def loss_and_bias(X):
+        sq = sq_norms(X)
+        loss = est.loss(X, model.theta, sq)
+        return loss, sure(X, est, cov, sq) - loss
+
+    stats = {"risk": itemgetter(0), "bias": itemgetter(1)}
+    risk, bias = (acc.mean for acc in run(map(loss_and_bias, chunks), stats).values())
     bound = None
     if est.kind == "james_stein":
         try:

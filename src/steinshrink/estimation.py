@@ -26,7 +26,14 @@ from ._mc import RiskReport, report_from, run
 from .errors import EvaluationError, ParameterError
 from .noise_models import NoiseModel
 from .stein_kernels import SteinKernel
-from .testfns import _SINGULARITY_EPS, FixedWeights, Weights, g0_contract, g0_replaced
+from .testfns import (
+    _SINGULARITY_EPS,
+    FixedWeights,
+    Weights,
+    g0_contract,
+    g0_replaced,
+    sq_norms,
+)
 from .zero_bias import ZeroBiasCoupling
 
 
@@ -52,6 +59,11 @@ class EstimatorSpec:
     `contract(X, W)` is the rowwise <W, grad f(x)> in closed form, and
     `contract_replaced(X, R, w)` the rowwise sum_i w_i d_i f_i(X^i) with X^i
     = X except x_i := R_i; the dense `jacobian` is kept as a test oracle.
+
+    The row statistics (`loss`, `f_sq`, `cross_term`, `singular_rows`) take
+    an optional `sq`, the rowwise ||x||^2, so that a caller computes it once
+    per row and shares it.  Here they build S(x) or f(x); an estimator with
+    a row form reads them off row sums instead.
     """
 
     kind = "abstract"
@@ -82,12 +94,23 @@ class EstimatorSpec:
     def guard(self, X: np.ndarray) -> None:
         """Nothing to guard: `f` is defined everywhere (see `define_zero`)."""
 
-    def cross_term(self, X: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    def cross_term(self, X: np.ndarray, cov: np.ndarray, sq=None) -> np.ndarray:
         """sum_ij sigma_ij d_j f_i(x), rowwise."""
         return self.contract(X, FixedWeights(cov))
 
-    def singular_rows(self, X: np.ndarray) -> np.ndarray:
+    def singular_rows(self, X: np.ndarray, sq=None) -> np.ndarray:
+        """Rows where f is singular (S is mapped to 0 there under `define_zero`)."""
         return np.zeros(X.shape[0], dtype=bool)
+
+    def loss(self, X: np.ndarray, theta: np.ndarray, sq=None) -> np.ndarray:
+        """||S(x) - theta||^2 rowwise, with S mapped to 0 at the singularity."""
+        dev = self.apply(X, define_zero=True) - theta
+        return np.einsum("ij,ij->i", dev, dev)
+
+    def f_sq(self, X: np.ndarray, sq=None) -> np.ndarray:
+        """||f(x)||^2 rowwise."""
+        fx = self.f(X)
+        return np.einsum("mi,mi->m", fx, fx)
 
 
 class Identity(EstimatorSpec):
@@ -112,9 +135,19 @@ class Identity(EstimatorSpec):
     def contract_replaced(self, X, R, w):
         return 0.0
 
+    def loss(self, X, theta, sq=None):
+        dev = X - theta
+        return np.einsum("ij,ij->i", dev, dev)
+
 
 class JamesStein(EstimatorSpec):
-    """f(x) = -lam x / ||x||^2."""
+    """f(x) = -lam x / ||x||^2.
+
+    S(x) = (1 - lam / s) x with s = ||x||^2, so every row statistic is read
+    off two row sums, s and t = <x, theta>: the loss is ||x - theta||^2 +
+    lam (lam - 2 (s - t)) / s and ||f(x)||^2 is lam^2 / s.  None of them
+    builds a (rows, d) array.
+    """
 
     kind = "james_stein"
 
@@ -153,10 +186,38 @@ class JamesStein(EstimatorSpec):
     def contract_replaced(self, X, R, w):
         return -self.lam * (g0_replaced(X, R) @ w)
 
-    def singular_rows(self, X):
+    def cross_term(self, X, cov, sq=None):
+        return -self.lam * g0_contract(X, FixedWeights(cov), sq)
+
+    def singular_rows(self, X, sq=None):
         if self.lam == 0:
             return np.zeros(X.shape[0], dtype=bool)
-        return np.einsum("ij,ij->i", X, X) <= _SINGULARITY_EPS
+        return (sq_norms(X) if sq is None else sq) <= _SINGULARITY_EPS
+
+    def _row_sums(self, X, theta, sq):
+        """(s, t, singular rows, lam (lam - 2 (s - t)) / s off those rows)."""
+        s = sq_norms(X) if sq is None else sq
+        t = np.einsum("ij,j->i", X, theta)
+        bad = self.singular_rows(X, s)
+        if self.lam == 0:
+            return s, t, bad, 0.0
+        return s, t, bad, self.lam * (self.lam - 2.0 * (s - t)) / np.where(bad, 1.0, s)
+
+    def loss(self, X, theta, sq=None):
+        s, t, bad, gain = self._row_sums(X, theta, sq)
+        theta_sq = float(np.dot(theta, theta))
+        return np.where(bad, theta_sq, s - 2.0 * t + theta_sq + gain)
+
+    def excess(self, X, theta, sq=None):
+        """||S(x) - theta||^2 - ||x - theta||^2 rowwise: lam (lam - 2 (s - t)) / s,
+        and ||theta||^2 - ||x - theta||^2 = 2t - s on the singular rows."""
+        s, t, bad, gain = self._row_sums(X, theta, sq)
+        return np.where(bad, 2.0 * t - s, gain)
+
+    def f_sq(self, X, sq=None):
+        if self.lam == 0:
+            return np.zeros(X.shape[0])
+        return self.lam**2 / (sq_norms(X) if sq is None else sq)
 
 
 class SoftThreshold(EstimatorSpec):
@@ -212,21 +273,27 @@ def _cov_matrix(cov_or_sigma2, d: int) -> np.ndarray:
     return cov
 
 
-def _sure_form(x, estimator: EstimatorSpec, trace: float, cross) -> float | np.ndarray:
-    """trace + ||f(x)||^2 + 2 cross(X), rowwise; a float for one observation."""
+def _sure_form(x, estimator: EstimatorSpec, trace: float, cross, sq=None) -> float | np.ndarray:
+    """trace + ||f(x)||^2 + 2 cross(X, sq), rowwise; a float for one observation.
+
+    `sq` is the rowwise ||x||^2 of a block, when the caller has it.
+    """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    if np.any(estimator.singular_rows(X)):
+    if sq is None:
+        sq = sq_norms(X)
+    if np.any(estimator.singular_rows(X, sq)):
         raise EvaluationError("SURE evaluated at a shrinkage singularity")
-    fx = estimator.f(X)
-    vals = trace + np.einsum("mi,mi->m", fx, fx) + 2.0 * cross(X)
+    vals = trace + estimator.f_sq(X, sq) + 2.0 * cross(X, sq)
     return float(vals[0]) if x.ndim == 1 else vals
 
 
-def sure(x, estimator: EstimatorSpec, cov) -> float | np.ndarray:
-    """Tr Sigma + ||f(x)||^2 + 2 sum_ij sigma_ij d_j f_i(x)."""
+def sure(x, estimator: EstimatorSpec, cov, sq=None) -> float | np.ndarray:
+    """Tr Sigma + ||f(x)||^2 + 2 sum_ij sigma_ij d_j f_i(x); `sq` as in `_sure_form`."""
     covm = _cov_matrix(cov, np.shape(x)[-1])
-    return _sure_form(x, estimator, np.trace(covm), lambda X: estimator.cross_term(X, covm))
+    return _sure_form(
+        x, estimator, np.trace(covm), lambda X, sq: estimator.cross_term(X, covm, sq), sq
+    )
 
 
 def sure_kernel(x, estimator: EstimatorSpec, kernel: SteinKernel, theta) -> float | np.ndarray:
@@ -236,7 +303,10 @@ def sure_kernel(x, estimator: EstimatorSpec, kernel: SteinKernel, theta) -> floa
     """
     theta = np.asarray(theta, dtype=float)
     return _sure_form(
-        x, estimator, np.trace(kernel.sigma), lambda X: kernel.contract(X - theta, estimator, X)
+        x,
+        estimator,
+        np.trace(kernel.sigma),
+        lambda X, sq: kernel.contract(X - theta, estimator, X),
     )
 
 
@@ -264,29 +334,38 @@ def sure_zero_bias_mean(
 # SURE-driven threshold selection
 
 
+def _count_below(sorted_abs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Card{i : |x_i| < grid[g]} per row, (rows, G), exact in integers.
+
+    |x_i| < grid[g] iff g >= searchsorted(grid, |x_i|, "right"), so it is a
+    cumulative histogram of those ranks per row.
+    """
+    rows = sorted_abs.shape[0]
+    size = grid.size + 1
+    ranks = np.searchsorted(grid, sorted_abs, side="right")
+    ranks += size * np.arange(rows)[:, None]
+    hist = np.bincount(ranks.ravel(), minlength=rows * size).reshape(rows, size)
+    return np.cumsum(hist[:, :-1], axis=1)
+
+
 def sure_soft_threshold_grid(x: np.ndarray, sigma2: float, grid: np.ndarray) -> np.ndarray:
     """SURE(lambda) over a sorted grid: (G,) values for one observation (d,),
     (rows, G) for a block (rows, d), each row as if passed alone.
 
     Uses order statistics of |x|, so a full grid costs O((d + G) log d) per row.
     """
-    ax = np.abs(np.asarray(x, dtype=float))
-    ax.sort(axis=-1)
-    block = ax.reshape(-1, ax.shape[-1])
+    x = np.asarray(x, dtype=float)
+    block = np.abs(x.reshape(-1, x.shape[-1]))
+    block.sort(axis=1)
     rows, d = block.shape
+    below = _count_below(block, grid)
+    # |x| is not needed past the counts, so it is squared in place and let go
     csq = np.zeros((rows, d + 1))
-    np.cumsum(block**2, axis=1, out=csq[:, 1:])
-    # strict count Card{i : |x_i| < grid[g]}, exact in integers: |x_i| < grid[g]
-    # iff g >= searchsorted(grid, |x_i|, "right"), so it is a cumulative
-    # histogram of those ranks per row
-    size = grid.size + 1
-    ranks = np.searchsorted(grid, block, side="right")
-    ranks += size * np.arange(rows)[:, None]
-    hist = np.bincount(ranks.ravel(), minlength=rows * size).reshape(rows, size)
-    below = np.cumsum(hist[:, :-1], axis=1)
+    np.cumsum(np.square(block, out=block), axis=1, out=csq[:, 1:])
+    del block
     sum_min = np.take_along_axis(csq, below, axis=1) + grid**2 * (d - below)
     values = d * sigma2 + sum_min - 2.0 * sigma2 * below
-    return values.reshape(ax.shape[:-1] + grid.shape)
+    return values.reshape(x.shape[:-1] + grid.shape)
 
 
 def lambda_grid(d: int, c_grid: float = 2.0, size: int = 512) -> np.ndarray:

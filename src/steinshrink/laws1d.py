@@ -36,6 +36,23 @@ def _normal_sf(y, loc, scale):
     return ndtr(-(np.asarray(y, dtype=float) - loc) / scale)
 
 
+def _random_sign(rng: np.random.Generator, mag: np.ndarray) -> np.ndarray:
+    """Negate each entry of `mag` in place with probability 1/2.
+
+    The stream and the bits are those of mag * rng.choice([-1.0, 1.0], size):
+    `choice` draws the same integers and indexes [-1, 1] with them.  Where
+    the draw is 0 the sign bit is flipped, which is exactly a product with
+    -1.0; an integer xor does it in one pass, where a masked `np.negative`
+    runs slower than the `choice` product it replaces.
+    """
+    flip = rng.integers(0, 2, mag.shape)
+    flip ^= 1
+    flip <<= 63  # the sign bit of a float64
+    bits = mag.view(np.int64)
+    bits ^= flip
+    return mag
+
+
 class Law1D:
     """Mean-zero symmetric 1-D law with closed-form Stein/zero-bias data."""
 
@@ -82,7 +99,10 @@ class Law1D:
 
     def zb_sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw from the zero-bias law via U * (square-biased draw)."""
-        return rng.uniform(0.0, 1.0, size) * self.square_bias_sample(rng, size)
+        u = rng.uniform(0.0, 1.0, size)
+        out = self.square_bias_sample(rng, size)
+        out *= u
+        return out
 
     def square_bias_sample(self, rng: np.random.Generator, size) -> np.ndarray:
         raise NotImplementedError
@@ -131,8 +151,9 @@ class Gaussian1D(Law1D):
 
     def square_bias_sample(self, rng, size):
         # |Y|^2-biased normal: chi distribution with 3 dof, random sign
-        mag = self.sigma * np.sqrt(rng.chisquare(3.0, size))
-        return mag * rng.choice([-1.0, 1.0], size)
+        mag = np.sqrt(rng.chisquare(3.0, size))
+        mag *= self.sigma
+        return _random_sign(rng, mag)
 
 
 @dataclass(frozen=True)
@@ -176,8 +197,7 @@ class Laplace1D(Law1D):
         return self.b * (np.abs(y) + self.b)
 
     def square_bias_sample(self, rng, size):
-        mag = rng.gamma(3.0, self.b, size)
-        return mag * rng.choice([-1.0, 1.0], size)
+        return _random_sign(rng, rng.gamma(3.0, self.b, size))
 
 
 @dataclass(frozen=True)
@@ -225,8 +245,10 @@ class Uniform1D(Law1D):
         return (self.a**2 - y**2) / 2.0
 
     def square_bias_sample(self, rng, size):
-        mag = self.a * rng.uniform(0.0, 1.0, size) ** (1.0 / 3.0)
-        return mag * rng.choice([-1.0, 1.0], size)
+        mag = rng.uniform(0.0, 1.0, size)
+        mag **= 1.0 / 3.0
+        mag *= self.a
+        return _random_sign(rng, mag)
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,13 @@ class NoiseModel:
         raise NotImplementedError
 
     def iter_chunks(self, n: int, seed: int):
+        """Chunks theta + Y, each a fresh draw shifted in place; the generator
+        lets go of a chunk before drawing the next."""
         for idx, rows in chunk_plan(n, self.d):
-            rng = substream(seed, idx)
-            yield self.theta + self._draw(rng, rows)
+            X = self._draw(substream(seed, idx), rows)
+            X += self.theta
+            yield X
+            del X
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         return np.concatenate(list(self.iter_chunks(n, seed)), axis=0)
@@ -227,7 +231,9 @@ class StudentT(NoiseModel):
     def _draw(self, rng, m):
         g = rng.gamma(self.k / 2.0, 2.0 / self.k, m)
         n = rng.standard_normal((m, self.d))
-        return math.sqrt(self.scale2) * n / np.sqrt(g)[:, None]
+        n *= math.sqrt(self.scale2)
+        n /= np.sqrt(g)[:, None]
+        return n
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -272,7 +278,8 @@ class SphereUniform(NoiseModel):
     def _draw(self, rng, m):
         g = rng.standard_normal((m, self.d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return self.radius * g
+        g *= self.radius
+        return g
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -312,7 +319,8 @@ class BallUniform(NoiseModel):
         g = rng.standard_normal((m, self.d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         r = rng.uniform(0.0, 1.0, m) ** (1.0 / self.d)
-        return self.radius * r[:, None] * g
+        g *= (self.radius * r)[:, None]
+        return g
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -529,7 +537,8 @@ class Elliptical(NoiseModel):
         r = np.interp(rng.uniform(0.0, 1.0, m), cdf, grid)
         g = rng.standard_normal((m, self.d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return (r[:, None] * g) @ self._chol.T
+        g *= r[:, None]
+        return g @ self._chol.T
 
 
 class Mixture(NoiseModel):
@@ -619,7 +628,10 @@ class AdditiveCorruption(NoiseModel):
     def _draw(self, rng, m):
         y0 = rng.normal(0.0, math.sqrt(self.sigma2), (m, self.d))
         y1 = self.outlier._draw(rng, m)
-        return math.sqrt(1.0 - self.eps) * y0 + math.sqrt(self.eps) * y1
+        y0 *= math.sqrt(1.0 - self.eps)
+        y1 *= math.sqrt(self.eps)
+        y0 += y1
+        return y0
 
     def coordinate_moment(self, p):
         if p == 0:

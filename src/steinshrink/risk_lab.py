@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import GuardAbort, ParameterError
 from .estimation import EstimatorSpec, JamesStein, sure
 from .noise_models import NoiseModel
 from .stein_kernels import DiscrepancyStats
-from .testfns import FixedWeights, shrink_direction
+from .testfns import FixedWeights, shrink_direction, sq_norms
 from .zero_bias import ZeroBiasCoupling
 
 _GUARD_RATE = 1e-4  # abort when more than 0.01% of draws hit the singularity
@@ -65,21 +64,17 @@ class BoundInputs:
 # Monte Carlo estimates
 
 
-def squared_loss(model: NoiseModel, estimator: EstimatorSpec, X: np.ndarray) -> np.ndarray:
-    """||S(x) - theta||^2 rowwise, with S mapped to 0 at the singularity."""
-    dev = estimator.apply(X, define_zero=True) - model.theta
-    return np.einsum("ij,ij->i", dev, dev)
-
-
 def _guarded_mean(model, estimator, loss, n: int, seed: int, label: str) -> RiskReport:
-    """Mean of `loss(X)` over the model's draws; aborts when more than
-    _GUARD_RATE of them sit at the estimator's singularity."""
+    """Mean of `loss(X, theta, sq)` over the model's draws, with sq = ||x||^2
+    computed once per row and shared with the guard; aborts when more than
+    _GUARD_RATE of the draws sit at the estimator's singularity."""
     singular = 0
 
     def stat(X):
         nonlocal singular
-        singular += int(estimator.singular_rows(X).sum())
-        return loss(X)
+        sq = sq_norms(X)
+        singular += int(estimator.singular_rows(X, sq).sum())
+        return loss(X, model.theta, sq)
 
     acc = run(model.iter_chunks(n, seed), {label: stat})[label]
     if singular > _GUARD_RATE * n:
@@ -92,19 +87,13 @@ def _guarded_mean(model, estimator, loss, n: int, seed: int, label: str) -> Risk
 
 def mc_risk(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:
     """Mean squared error E||S(X) - theta||^2 with a singularity guard."""
-    loss = partial(squared_loss, model, estimator)
-    return _guarded_mean(model, estimator, loss, n, seed, f"risk:{estimator.kind}")
+    return _guarded_mean(model, estimator, estimator.loss, n, seed, f"risk:{estimator.kind}")
 
 
 def mc_excess_risk(model: NoiseModel, lam: float, n: int, seed: int) -> RiskReport:
     """Paired estimate of E||S_lam(X) - theta||^2 - E||X - theta||^2."""
     est = JamesStein(lam)
-
-    def excess(X):
-        base = X - model.theta
-        return squared_loss(model, est, X) - np.einsum("ij,ij->i", base, base)
-
-    return _guarded_mean(model, est, excess, n, seed, f"excess:lam={lam:g}")
+    return _guarded_mean(model, est, est.excess, n, seed, f"excess:lam={lam:g}")
 
 
 def sure_bias(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:
@@ -112,7 +101,8 @@ def sure_bias(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) ->
     cov = model.cov()
 
     def bias(X):
-        return sure(X, estimator, cov) - squared_loss(model, estimator, X)
+        sq = sq_norms(X)
+        return sure(X, estimator, cov, sq) - estimator.loss(X, model.theta, sq)
 
     acc = run(model.iter_chunks(n, seed), {"bias": bias})["bias"]
     return report_from(acc, seed, label=f"sure-bias:{estimator.kind}")
@@ -120,7 +110,7 @@ def sure_bias(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) ->
 
 def _inverse_power(model: NoiseModel, power: float, n: int, seed: int, scale: float, label: str):
     def stat(X):
-        sq = np.einsum("ij,ij->i", X, X)
+        sq = sq_norms(X)
         if np.any(sq <= 0):
             raise GuardAbort("a draw landed exactly at the origin")
         return scale * sq ** (-power)

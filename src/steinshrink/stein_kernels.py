@@ -268,13 +268,16 @@ class AverageKernel(SteinKernel):
         raise ParameterError("average kernel is defined on joint samples only")
 
     def paired_chunks(self, model: NoiseModel, n: int, seed: int):
+        for idx, rows in _dense_chunk_plan(n, model.d, len(self.kernels)):
+            yield self._paired_chunk(model, substream(seed, idx), rows)
+
+    def _paired_chunk(self, model, rng, rows):
         ncopies = len(self.kernels)
-        for idx, rows in _dense_chunk_plan(n, model.d, ncopies):
-            rng = substream(seed, idx)
-            draws = [model._draw(rng, rows) for _ in range(ncopies)]
-            scaled_mean = sum(draws) / math.sqrt(ncopies)
-            mats = sum(k.matrices(y) for k, y in zip(self.kernels, draws)) / ncopies
-            yield model.theta + scaled_mean, _DenseChunk(mats, self.sigma)
+        draws = [model._draw(rng, rows) for _ in range(ncopies)]
+        X = sum(draws) / math.sqrt(ncopies)
+        X += model.theta
+        mats = sum(k.matrices(y) for k, y in zip(self.kernels, draws)) / ncopies
+        return X, _DenseChunk(mats, self.sigma)
 
 
 class MixtureKernel(SteinKernel):
@@ -300,19 +303,22 @@ class MixtureKernel(SteinKernel):
         raise ParameterError("mixture kernel is defined on joint samples only")
 
     def paired_chunks(self, model: NoiseModel, n: int, seed: int):
+        for idx, rows in _dense_chunk_plan(n, self.pairs[0][0].d):
+            yield self._paired_chunk(model, substream(seed, idx), rows)
+
+    def _paired_chunk(self, model, rng, rows):
         d = self.pairs[0][0].d
-        for idx, rows in _dense_chunk_plan(n, d):
-            rng = substream(seed, idx)
-            pick = rng.choice(len(self.pairs), size=rows, p=self.weights)
-            Y = np.empty((rows, d))
-            mats = np.empty((rows, d, d))
-            for s, (comp, kern) in enumerate(self.pairs):
-                sel = np.flatnonzero(pick == s)
-                if sel.size:
-                    ys = comp._draw(rng, sel.size)
-                    Y[sel] = ys
-                    mats[sel] = kern.matrices(ys)
-            yield model.theta + Y, _DenseChunk(mats, self.sigma)
+        pick = rng.choice(len(self.pairs), size=rows, p=self.weights)
+        X = np.empty((rows, d))
+        mats = np.empty((rows, d, d))
+        for s, (comp, kern) in enumerate(self.pairs):
+            sel = np.flatnonzero(pick == s)
+            if sel.size:
+                ys = comp._draw(rng, sel.size)
+                X[sel] = ys
+                mats[sel] = kern.matrices(ys)
+        X += model.theta
+        return X, _DenseChunk(mats, self.sigma)
 
 
 def _dense_chunk_plan(n: int, d: int, copies: int = 1):
@@ -371,11 +377,13 @@ class DiscrepancyStats:
 
 
 def _paired_chunks(model: NoiseModel, kernel: SteinKernel, n: int, seed: int):
+    """(X, kernel chunk) pairs, holding one pair at a time."""
     if hasattr(kernel, "paired_chunks"):
         yield from kernel.paired_chunks(model, n, seed)
         return
     for X in model.iter_chunks(n, seed):
         yield X, _BoundChunk(kernel, X - model.theta)
+        del X
 
 
 class _BoundChunk:

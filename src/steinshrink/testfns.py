@@ -23,6 +23,11 @@ from .errors import EvaluationError
 _SINGULARITY_EPS = 1e-12
 
 
+def sq_norms(X: np.ndarray) -> np.ndarray:
+    """||x||^2 rowwise, with no (rows, d) temporary."""
+    return np.einsum("ij,ij->i", X, X)
+
+
 def _per_row(value, rows: int) -> np.ndarray:
     """A per-row (rows,) array from a scalar or an array that already is one."""
     return np.broadcast_to(np.asarray(value, dtype=float), (rows,))
@@ -240,9 +245,11 @@ def coordinate_quadratic(i: int) -> TestFn:
     )
 
 
-def g0_contract(X: np.ndarray, W: Weights) -> np.ndarray:
-    """<W, grad g0(x)> = Tr W / ||x||^2 - 2 x'Wx / ||x||^4, rowwise."""
-    sq = np.einsum("ij,ij->i", X, X)
+def g0_contract(X: np.ndarray, W: Weights, sq: np.ndarray | None = None) -> np.ndarray:
+    """<W, grad g0(x)> = Tr W / ||x||^2 - 2 x'Wx / ||x||^4, rowwise; `sq` is
+    ||x||^2 when the caller has it."""
+    if sq is None:
+        sq = sq_norms(X)
     return W.trace() / sq - 2.0 * W.quad(X) / sq**2
 
 

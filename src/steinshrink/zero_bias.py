@@ -14,6 +14,7 @@ also provided for laws without a special structure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -711,8 +712,12 @@ def coordinate_sum_residual(
     d = coupling.d
     theta_sum = float(coupling.theta.sum())
 
-    def residual(indexed):
-        cidx, chunk = indexed
+    # chunks are numbered here, not by enumerate, whose reused result tuple
+    # would keep the previous chunk alive while the next one is drawn
+    chunk_index = itertools.count()
+
+    def residual(chunk):
+        cidx = next(chunk_index)
         W = chunk.X.sum(axis=1) - theta_sum
         vals = W * f(W)
         if chunk.shared:
@@ -729,5 +734,5 @@ def coordinate_sum_residual(
             vals[sel] -= sigma2 * fprime(Wij)
         return vals
 
-    acc = run(enumerate(coupling.joint_chunks(n, seed)), {"residual": residual})["residual"]
+    acc = run(coupling.joint_chunks(n, seed), {"residual": residual})["residual"]
     return report_from(acc, seed, label="zb-residual:coordinate-sum")

@@ -63,6 +63,75 @@ def test_mse_expansion_identity(seed, lam):
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
+# -- row forms: James-Stein statistics from ||x||^2 and <x, theta> -----------------
+
+_D = 6
+_ROW_ESTIMATORS = [ss.Identity(), ss.JamesStein(0.0), ss.JamesStein(_D - 2.0)]
+
+
+def _rows_with_singular(seed):
+    """Rows at three scales, then two within 1e-12 of the origin."""
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([rng.normal(0.0, s, (40, _D)) for s in (0.05, 1.0, 30.0)])
+    X[-2] = 0.0
+    X[-1] = 1e-7
+    return X
+
+
+def _generic_loss(est, X, theta):
+    """||S(x) - theta||^2 through S = apply(X), the base-class path."""
+    return ss.EstimatorSpec.loss(est, X, theta)
+
+
+@pytest.mark.parametrize("theta_spec", ["zero", "scaled:1", "scaled:100"])
+@pytest.mark.parametrize("est", _ROW_ESTIMATORS, ids=lambda e: f"{e.kind}:{e.lam:g}")
+def test_row_form_matches_generic_apply_row_by_row(theta_spec, est):
+    theta = ss.parse_theta(theta_spec, _D)
+    X = _rows_with_singular(31)
+    sq = np.einsum("ij,ij->i", X, X)
+    bad = est.singular_rows(X, sq)
+    assert list(bad) == [False] * (X.shape[0] - 2) + [est.lam > 0] * 2
+    theta_sq = float(theta @ theta)
+    lam_term = np.divide(est.lam**2, sq, out=np.zeros_like(sq), where=~bad & (sq > 0))
+    tol = 1e-12 * (sq + theta_sq + lam_term)
+    row = est.loss(X, theta, sq)
+    assert np.all(np.abs(row - _generic_loss(est, X, theta)) <= tol)
+    assert np.array_equal(est.loss(X, theta), row)  # the same without a shared sq
+    if est.lam > 0:  # S := 0 at the singularity, so the loss is ||theta||^2
+        assert np.all(row[bad] == theta_sq)
+    if est.kind == "james_stein":
+        base = np.einsum("ij,ij->i", X - theta, X - theta)
+        excess = est.excess(X, theta, sq)
+        assert np.all(np.abs(excess - (_generic_loss(est, X, theta) - base)) <= tol)
+    ok = ~bad
+    fx = est.f(X[ok])
+    f_sq = np.einsum("ij,ij->i", fx, fx)
+    assert np.all(np.abs(est.f_sq(X[ok], sq[ok]) - f_sq) <= 1e-12 * lam_term[ok])
+
+
+@pytest.mark.parametrize("theta", [np.zeros(_D), np.array([1.0, -2.0, 0.0, 3.0, 1.0, -1.0])])
+def test_row_form_is_exact_on_dyadic_rows(theta):
+    # small integers with ||x||^2 a power of two and an integer theta: every
+    # step of both forms is exact in binary floating point, so they agree to
+    # the bit and a one-ulp change in any term shows
+    X = np.array(
+        [
+            [1.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+            [2.0, 2.0, 2.0, 2.0, 0.0, 0.0],
+            [4.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-4.0, 4.0, -4.0, 4.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [2.0, -2.0, 0.0, 0.0, 2.0, 2.0],
+        ]
+    )
+    for est in _ROW_ESTIMATORS:
+        generic = _generic_loss(est, X, theta)
+        assert np.array_equal(est.loss(X, theta), generic), est.lam
+        if est.kind == "james_stein":
+            base = np.einsum("ij,ij->i", X - theta, X - theta)
+            assert np.array_equal(est.excess(X, theta), generic - base), est.lam
+
+
 # -- SURE ------------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from steinshrink import (
     GuardAbort,
     Identity,
     JamesStein,
+    Laplace1D,
+    ProductIID,
     StudentT,
     bound_b_star,
+    coordinate_sum_residual,
     coupling_for,
     mc_excess_risk,
     mc_risk,
@@ -96,6 +101,37 @@ def test_run_fused_stats_equal_separate_runs():
         alone = run(model.iter_chunks(n, seed), {name: stat})[name]
         assert _fields(fused[name]) == _fields(alone)
         assert fused[name].n == n
+
+
+def test_mc_risk_holds_one_chunk():
+    # the draw is shifted in place, James-Stein reads its loss off row sums,
+    # and neither the engine nor the sampler keeps a chunk while the next is
+    # drawn: the peak stays one chunk plus per-row vectors
+    d = 1600
+    rows = chunk_rows(d)
+    model = ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0 * d)))
+    tracemalloc.start()
+    try:
+        mc_risk(model, JamesStein((d - 2) / d), 3 * rows + 7, 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rows * d * 8
+
+
+def test_coordinate_sum_residual_holds_one_joint_chunk():
+    # a joint chunk is X and the replacement array R; the pass itself adds
+    # a few per-row vectors, so the peak stays well under two chunks' worth
+    d = 400
+    rows = chunk_rows(4 * d)
+    coupling = coupling_for(ProductIID(d, Laplace1D(1.0)))
+    tracemalloc.start()
+    try:
+        coordinate_sum_residual(coupling, np.sin, np.cos, 3 * rows + 7, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (2 * rows * d * 8)
 
 
 @pytest.mark.parametrize("estimate", ["risk", "excess"])

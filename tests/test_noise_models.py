@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 import steinshrink as ss
+from steinshrink._mc import substream
 from steinshrink.errors import MomentUnavailableError, ParameterError
 from steinshrink.quadrature import unit_sphere_area
 
@@ -77,6 +78,34 @@ def test_mixing_corruption_at_zero_eps_is_gaussian():
     b = gauss.sample(100_000, 5)
     for i in range(5):
         assert ks_2samp(a[:, i], b[:, i]).pvalue > 0.001
+
+
+def _out_of_place_draw(model, rng, m):
+    """The centered draw as first written, each scaling making a new array."""
+    d = model.d
+    if isinstance(model, ss.StudentT):
+        g = rng.gamma(model.k / 2.0, 2.0 / model.k, m)
+        return math.sqrt(model.scale2) * rng.standard_normal((m, d)) / np.sqrt(g)[:, None]
+    if isinstance(model, ss.AdditiveCorruption):
+        y0 = rng.normal(0.0, math.sqrt(model.sigma2), (m, d))
+        y1 = _out_of_place_draw(model.outlier, rng, m)
+        return math.sqrt(1.0 - model.eps) * y0 + math.sqrt(model.eps) * y1
+    g = rng.standard_normal((m, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    if isinstance(model, ss.SphereUniform):
+        return model.radius * g
+    r = rng.uniform(0.0, 1.0, m) ** (1.0 / d)
+    return model.radius * r[:, None] * g
+
+
+@pytest.mark.parametrize("name", ["student", "sphere", "ball", "corrupt-add"])
+def test_in_place_draws_keep_the_bits(name):
+    # iter_chunks shifts the draw in place and _draw scales it in place; the
+    # float operations and their order are those of the out-of-place form
+    model = _family_zoo(7)[name]
+    X = next(model.iter_chunks(500, 29))
+    want = model.theta + _out_of_place_draw(model, substream(29, 0), 500)
+    assert np.array_equal(X.view(np.uint64), want.view(np.uint64))
 
 
 def test_pinsker_scaling_divides_variance_by_d():

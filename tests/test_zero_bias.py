@@ -69,6 +69,32 @@ def test_zb1d_samplers_match_densities():
         assert np.max(np.abs(emp - cdf)) < 0.01, law.name
 
 
+def _choice_square_bias(law, rng, size):
+    """The square-biased draw with its sign from rng.choice, as first written."""
+    if isinstance(law, ss.Gaussian1D):
+        mag = law.sigma * np.sqrt(rng.chisquare(3.0, size))
+    elif isinstance(law, ss.Laplace1D):
+        mag = rng.gamma(3.0, law.b, size)
+    else:
+        mag = law.a * rng.uniform(0.0, 1.0, size) ** (1.0 / 3.0)
+    return mag * rng.choice([-1.0, 1.0], size)
+
+
+@pytest.mark.parametrize("law", [ss.Gaussian1D(0.7), ss.Laplace1D(1.3), ss.Uniform1D(2.1)],
+                         ids=lambda law: law.name)
+def test_sign_draws_match_choice_form_bit_for_bit(law):
+    for size in (5, (300, 17)):
+        old, new = np.random.default_rng(23), np.random.default_rng(23)
+        want = _choice_square_bias(law, old, size)
+        got = law.square_bias_sample(new, size)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if not isinstance(law, ss.Gaussian1D):  # the Gaussian is its own zero-bias law
+            want = old.uniform(0.0, 1.0, size) * _choice_square_bias(law, old, size)
+            got = law.zb_sample(new, size)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert old.random() == new.random()  # the streams stay in step
+
+
 # -- couplings: characterization residuals ------------------------------------
 
 
