@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy 2 loads numpy.random lazily (with `secrets` and about 20 modules);
+# load it with the package, so that cost is not paid inside the first draw
+import numpy.random  # noqa: F401
+
 # Rows per chunk are capped so a chunk of d-vectors stays around 64 MB.
 _MAX_CHUNK_ROWS = 1 << 16
 _CHUNK_BUDGET = 1 << 23  # total doubles per chunk

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import EvaluationError
 
@@ -21,7 +20,8 @@ _LOG_SQRT_2PI = math.log(_SQRT_2PI)
 
 
 # N(loc, scale^2) density, log density and upper tail, evaluated as
-# scipy.stats.norm does, without importing scipy.stats
+# scipy.stats.norm does, without importing scipy.stats; the tail imports
+# scipy.special's ndtr on its first call, not with the package
 def _normal_logpdf(y, loc, scale):
     z = (np.asarray(y, dtype=float) - loc) / scale
     return -(z**2) / 2.0 - _LOG_SQRT_2PI - math.log(scale)
@@ -33,6 +33,8 @@ def _normal_pdf(y, loc, scale):
 
 
 def _normal_sf(y, loc, scale):
+    from scipy.special import ndtr
+
     return ndtr(-(np.asarray(y, dtype=float) - loc) / scale)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from ._mc import RiskReport, chunk_plan, report_from, run, substream
 from .errors import EvaluationError, ParameterError
+from .laws1d import Law1D
 from .noise_models import NoiseModel
 from .quadrature import RadialProfile
 from .testfns import DenseWeights, DiagonalWeights, FixedWeights, TestFn, Weights, _per_row
@@ -104,13 +105,17 @@ class DiagonalKernel(SteinKernel):
 
     construction = "product_diagonal"
 
-    def __init__(self, sigma_diag, coordinate_kernels):
+    def __init__(self, sigma_diag, coordinate_kernels, shared_kernel=None):
         sigma_diag = np.asarray(sigma_diag, dtype=float)
         super().__init__(np.diag(sigma_diag))
         self.sigma_diag = sigma_diag
         self.coordinate_kernels = coordinate_kernels  # list of vectorized T_i
+        # elementwise T shared by every coordinate: one call on the block
+        self.shared_kernel = shared_kernel
 
     def diagonals(self, Y: np.ndarray) -> np.ndarray:
+        if self.shared_kernel is not None:
+            return self.shared_kernel(Y)
         cols = [k(Y[:, i]) for i, k in enumerate(self.coordinate_kernels)]
         return np.stack(cols, axis=1)
 
@@ -222,8 +227,12 @@ def product_kernel(laws_or_fns, variances=None) -> DiagonalKernel:
     """Diagonal kernel from per-coordinate 1-D kernels.
 
     Accepts laws1d.Law1D instances (using their closed forms) or raw
-    callables paired with `variances`.
+    callables paired with `variances`.  When every coordinate has the same
+    law, its kernel is evaluated once on the whole (rows, d) block.
     """
+    laws_or_fns = list(laws_or_fns)
+    first = laws_or_fns[0] if laws_or_fns else None
+    shared = isinstance(first, Law1D) and all(item == first for item in laws_or_fns)
     kernels, sig = [], []
     for i, item in enumerate(laws_or_fns):
         if hasattr(item, "kernel") and hasattr(item, "variance"):
@@ -234,7 +243,7 @@ def product_kernel(laws_or_fns, variances=None) -> DiagonalKernel:
                 raise ParameterError("raw kernel callables need explicit variances")
             kernels.append(item)
             sig.append(variances[i])
-    return DiagonalKernel(np.asarray(sig, dtype=float), kernels)
+    return DiagonalKernel(np.asarray(sig, dtype=float), kernels, first.kernel if shared else None)
 
 
 def transform_kernel(kernel: SteinKernel, A) -> TransformedKernel:

@@ -121,12 +121,8 @@ class ZeroBiasCoupling:
         if sigma_w.shape != (base.d, base.d):
             raise ParameterError("weight matrix must be d x d")
         self.sigma = sigma_w
-        pairs = []
-        for i in range(base.d):
-            for j in range(base.d):
-                if sigma_w[i, j] != 0.0:
-                    pairs.append(((i, j), float(sigma_w[i, j])))
-        self.pairs = pairs
+        rows, cols = np.nonzero(sigma_w)  # row-major, as a double loop over (i, j)
+        self.pairs = list(zip(zip(rows.tolist(), cols.tolist()), sigma_w[rows, cols].tolist()))
 
     @property
     def d(self):

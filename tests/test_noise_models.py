@@ -299,24 +299,94 @@ def test_parse_theta_forms(tmp_path):
         ss.parse_theta("scaled:x", 3)
 
 
-# -- the smoothed coin without scipy.stats ------------------------------------------
+# -- start-up on numpy alone: scipy is imported on first use -----------------------
+
+
+def _python(code, *args):
+    """stdout of `code` run in a fresh interpreter on this test's sys.path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, steinshrink; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert _python("import sys, steinshrink; print('scipy.stats' in sys.modules)") == "False"
 
 
 def test_import_leaves_scipy_integrate_unloaded():
     # quadrature.quad imports it on first use; Monte Carlo runs never integrate
-    code = "import sys, steinshrink; print('scipy.integrate' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert _python("import sys, steinshrink; print('scipy.integrate' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_numpy_random_and_no_scipy():
+    code = (
+        "import sys\n"
+        "from steinshrink import cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules)"
+    )
+    assert _python(code) == "[] True"
+
+
+_EVERY_BENCHMARK_KIND = """
+import sys
+import numpy as np
+import steinshrink as ss
+from steinshrink import cli
+
+out = sys.argv[1]
+for argv in (
+    ["risk", "--bounds", "--model", "laplace", "--d", "12", "--lambda", "10", "--reps", "200"],
+    ["risk", "--bounds", "--model", "gaussian", "--d", "12", "--lambda", "10", "--reps", "200"],
+    ["sure", "--model", "student", "--d", "8", "--k", "6", "--lambda", "6", "--reps", "300"],
+    ["sure", "--model", "gaussian", "--d", "32", "--select-lambda", "--reps", "100"],
+    ["adaptivity", "--model", "laplace", "--c", "1", "--d-list", "10,20", "--reps", "200"],
+):
+    assert cli.main(argv + ["--seed", "3", "--out", out]) == 0, argv
+d, n = 8, 300
+student = ss.StudentT(d, 6, "scaled:1")
+laplace = ss.ProductIID(d, ss.Laplace1D(0.7), "scaled:1")
+fns = (ss.shrink_direction(), ss.linear_map(np.random.default_rng(0).normal(size=(d, d))))
+for model, kernel in ((student, ss.student_kernel(6, d)), (laplace, ss.product_kernel([laplace.law] * d))):
+    coupling = ss.coupling_for(model)
+    for fn in fns:
+        ss.stein_identity_residual(model, kernel, fn, n, 4)
+        ss.zb_identity_residual(model, coupling, fn, n, 5)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_benchmark_operation_kinds_load_no_scipy(tmp_path):
+    # a scipy import inside a timed operation would add about 0.3 s to it
+    assert _python(_EVERY_BENCHMARK_KIND, str(tmp_path / "out.csv")) == "[]"
+
+
+def test_deferred_scipy_special_callers_keep_the_bits():
+    from scipy.special import gammaln, logsumexp, ndtr
+
+    from steinshrink.laws1d import _normal_sf
+
+    d, k = 7, 6
+    x = np.linspace(-2.0, 3.0, d)
+    student = ss.StudentT(d, k)
+    logc = gammaln((k + d) / 2.0) - gammaln(k / 2.0) - 0.5 * d * math.log(k * math.pi)
+    y = x / math.sqrt(student.scale2)
+    q = float(np.dot(y, y))
+    expect = float(logc - 0.5 * d * math.log(student.scale2) - 0.5 * (k + d) * math.log1p(q / k))
+    assert student.log_density(x) == expect
+    assert ss.Elliptical.student(d, k)._log_norm == float(logc)
+
+    ball = ss.BallUniform(d, 1.3)
+    expect = 0.5 * d * math.log(math.pi) + d * math.log(ball.radius) - gammaln(d / 2.0 + 1.0)
+    assert ball.log_volume() == expect
+
+    comps = (ss.StudentT(d, 7), ss.GaussianIso(d, 2.0))
+    mix = ss.Mixture(comps, [0.3, 0.7], "scaled:1")
+    logs = [math.log(w) + c.log_density(x - mix.theta) for w, c in zip(mix.weights, comps)]
+    assert mix.log_density(x) == float(logsumexp(logs))
+
+    y = np.linspace(-9.0, 9.0, 3601)
+    assert np.array_equal(_normal_sf(y, 0.8, 0.15), ndtr(-(y - 0.8) / 0.15))
 
 
 def test_smoothed_rademacher_matches_scipy_norm():

@@ -167,6 +167,33 @@ def test_uniform_kernel_closed_form():
     assert np.allclose(law.kernel(y), (4.0 - y**2) / 2.0)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [ss.Laplace1D(0.8), ss.Gaussian1D(1.3), ss.Uniform1D(1.2), ss.SmoothedRademacher1D(1.0, 0.3)],
+    ids=lambda law: law.name,
+)
+def test_shared_law_block_kernel_matches_column_stack_bit_for_bit(law):
+    for rows, d in ((4000, 33), (1, 5)):
+        Y = law.sample(np.random.default_rng(rows + d), (rows, d))  # inside the support
+        kern = ss.product_kernel([law] * d)
+        assert kern.shared_kernel is not None
+        want = np.stack([law.kernel(Y[:, i]) for i in range(d)], axis=1)
+        assert np.array_equal(kern.diagonals(Y).view(np.uint64), want.view(np.uint64))
+    equal_copies = ss.product_kernel([ss.Laplace1D(0.8), ss.Laplace1D(0.8)])
+    assert equal_copies.shared_kernel is not None
+
+
+def test_mixed_laws_keep_the_column_path():
+    laws = [ss.Laplace1D(0.8), ss.Gaussian1D(1.3), ss.Laplace1D(0.9)]
+    kern = ss.product_kernel(laws)
+    assert kern.shared_kernel is None
+    Y = np.random.default_rng(5).normal(size=(50, 3))
+    want = np.stack([law.kernel(Y[:, i]) for i, law in enumerate(laws)], axis=1)
+    assert np.array_equal(kern.diagonals(Y), want)
+    raw = ss.product_kernel([laws[0].kernel] * 3, variances=[1.28] * 3)
+    assert raw.shared_kernel is None
+
+
 # -- identity residuals -------------------------------------------------------
 
 
