@@ -319,12 +319,11 @@ def sure_zero_bias_mean(
     (which is unbiased for the risk) is available.
     """
     trace_sigma = float(np.trace(coupling.sigma))
-    weights = FixedWeights(coupling.sigma)
 
     def risk(chunk):
         fx = estimator.f(chunk.X, define_zero=True)
         vals = trace_sigma + np.einsum("mi,mi->m", fx, fx)
-        return vals + 2.0 * chunk.weighted_partials(estimator, weights)
+        return vals + 2.0 * chunk.weighted_partials(estimator)
 
     acc = run(coupling.joint_chunks(n, seed), {"risk": risk})["risk"]
     return report_from(acc, seed, label=f"sure-zb:{estimator.kind}")

@@ -182,23 +182,20 @@ def jensen_lower(theta, trace_sigma: float) -> float:
     return 1.0 / (float(np.dot(theta, theta)) + trace_sigma)
 
 
-def bound_b_star(
-    coupling: ZeroBiasCoupling, lam: float, n: int, seed: int, sigma2: float | None = None
-) -> RiskReport:
-    """MC estimate of B*_lam = lam |sum_ij sigma_ij E[d_j g0_i(X^ij) - d_j g0_i(X)]|.
+def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> RiskReport:
+    """MC estimate of B*_lam = lam |sum_ij sigma_ij E[d_j g0_i(X^ij) - d_j g0_i(X)]|,
+    with the weights sigma_ij of the coupling.
 
-    Weights default to the coupling's covariance entries; `sigma2` overrides
-    them with an isotropic value (the reported mean scales accordingly).
     The standard error is the delta-method image of the inner mean.
     """
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
     g0 = shrink_direction()
-    weights = FixedWeights(coupling.sigma if sigma2 is None else sigma2 * np.eye(coupling.d))
+    weights = FixedWeights(coupling.sigma)
 
     def difference(chunk):
         g0.guard(chunk.X)
-        return chunk.weighted_partials(g0, weights) - g0.contract(chunk.X, weights)
+        return chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)
 
     acc = run(coupling.joint_chunks(n, seed), {"b_star": difference})["b_star"]
     rep = report_from(acc, seed, label=f"b_star:lam={lam:g}")

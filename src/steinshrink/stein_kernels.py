@@ -33,8 +33,6 @@ class SteinKernel:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ParameterError("kernel mean matrix must be square")
-        if not np.allclose(sigma, sigma.T):
-            raise ParameterError("kernel mean matrix must be symmetric")
         self.sigma = sigma
         self.d = sigma.shape[0]
 
@@ -63,6 +61,14 @@ class SteinKernel:
         """<T(y), grad field(x)> rowwise, for a field with a `contract(X, W)`
         closed form (a TestFn or an estimator perturbation)."""
         return field.contract(X, self.as_weights(Y))
+
+
+def _symmetric(matrix) -> np.ndarray:
+    """A caller's matrix, checked for symmetry (built-in kernels skip the O(d^2) check)."""
+    matrix = np.asarray(matrix, dtype=float)
+    if not np.allclose(matrix, matrix.T):
+        raise ParameterError("kernel mean matrix must be symmetric")
+    return matrix
 
 
 def _frob_dev(W: Weights, sigma: np.ndarray):
@@ -168,7 +174,7 @@ class TransformedKernel(SteinKernel):
 
 
 def gaussian_kernel(sigma: np.ndarray) -> ConstantKernel:
-    return ConstantKernel(np.asarray(sigma, dtype=float))
+    return ConstantKernel(_symmetric(sigma))
 
 
 def student_kernel(k: int, d: int) -> ScalarProfileKernel:
@@ -198,7 +204,7 @@ def elliptical_kernel(generator, dispersion, theta=None, *, exact: bool = False,
     exact=False a dense tabulation of the radial profile is used so that
     Monte Carlo sweeps stay cheap (tabulation error is far below MC noise).
     """
-    disp = np.asarray(dispersion, dtype=float)
+    disp = _symmetric(dispersion)
     d = disp.shape[0]
     eig = np.linalg.eigvalsh(disp)
     if eig[0] <= 0:
@@ -270,7 +276,7 @@ class AverageKernel(SteinKernel):
         for k in kernels[1:]:
             if not np.allclose(k.sigma, sigma):
                 raise ParameterError("averaged kernels must share the covariance")
-        super().__init__(sigma)
+        super().__init__(_symmetric(sigma))
         self.kernels = list(kernels)
 
     def matrices(self, Y):
@@ -304,7 +310,7 @@ class MixtureKernel(SteinKernel):
             if np.any(model.theta != 0.0):
                 raise ParameterError("mixture kernel components must be centered")
         sigma = sum(wi * k.sigma for wi, (_, k) in zip(w, pairs))
-        super().__init__(sigma)
+        super().__init__(_symmetric(sigma))
         self.pairs = list(pairs)
         self.weights = w
 

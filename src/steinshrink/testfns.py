@@ -8,7 +8,7 @@ O(rows * d) memory; `TestFn.contract` evaluates the contraction from them.
 `TestFn.contract_replaced` is the zero-bias analogue for coordinate
 replacement, sum_i w_i d_i f_i(X^i) with X^i = X except x_i := R_i.
 The dense `TestFn.jac` and the single `TestFn.partial` are kept as test
-oracles and for couplings without structure.
+oracles only.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ class Weights:
         """The weights A W_m A'."""
         raise NotImplementedError
 
+    def scaled(self, a: float) -> "Weights":
+        """The weights a W_m."""
+        raise NotImplementedError
+
 
 class FixedWeights(Weights):
     """W_m = scale_m M for a fixed (d, d) matrix M; scale None means 1."""
@@ -100,9 +104,12 @@ class FixedWeights(Weights):
     def transformed(self, A):
         return FixedWeights(A @ self.matrix @ A.T, self.scale)
 
+    def scaled(self, a):
+        return FixedWeights(a * self.matrix, self.scale)
+
 
 class DiagonalWeights(Weights):
-    """W_m = B diag(D_m) B' for per-row diagonals D (rows, d); B None means I."""
+    """W_m = B diag(D_m) B' for per-row diagonals D (rows, k) or (1, k); B None means I."""
 
     def __init__(self, diag, basis=None):
         self.diag = np.asarray(diag, dtype=float)
@@ -136,6 +143,9 @@ class DiagonalWeights(Weights):
     def transformed(self, A):
         basis = A if self.basis is None else A @ self.basis
         return DiagonalWeights(self.diag, basis)
+
+    def scaled(self, a):
+        return DiagonalWeights(a * self.diag, self.basis)
 
 
 class DenseWeights(Weights):

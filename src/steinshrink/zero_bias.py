@@ -8,16 +8,18 @@ with the weights sigma_ij taken from the covariance of the centered law.
 Whenever the source law admits an explicit coupling (coordinate replacement
 for independent coordinates, the radial coupling on the sphere, the shared
 Gamma-mixture coupling for the Student family, sums, mixtures and linear
-images), the joint draw is exact.  A generic square-bias construction is
-also provided for laws without a special structure.
+images), the joint draw is exact, and the right-hand side is a sum of
+shared and coordinate-replacement terms contracted in closed form.  A
+generic square-bias construction is also provided for laws without a
+special structure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,87 +35,119 @@ from .noise_models import (
     StudentT,
 )
 from .quadrature import quad
-from .testfns import FixedWeights, TestFn, _per_row
+from .testfns import DiagonalWeights, FixedWeights, TestFn, Weights, _per_row
+
+
+class Shared(NamedTuple):
+    """Every companion X^{ij} is P: the term is <W, grad f(P)>."""
+
+    P: np.ndarray
+    W: Weights
+
+
+class Replaced(NamedTuple):
+    """X^i is B with b_i := R_i: the term is sum_i w_i d_i f_i(X^i)."""
+
+    B: np.ndarray
+    R: np.ndarray
+    w: np.ndarray
+
+
+def _moved(term, move, weights):
+    """The term with its points mapped by `move`, and new weights."""
+    return type(term)(*map(move, term[:-1]), weights)
+
+
+class _Lazy:
+    """Terms made afresh on each pass, one at a time, so no chunk holds d of them."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return self._make()
 
 
 class JointChunk:
-    """One chunk of joint draws: X plus its zero-bias companions.
+    """One chunk of joint draws: X and the terms of its zero-bias sum."""
 
-    Companions come in one of three forms: shared (`star`, one array serves
-    every index), coordinate replacement (`R`: X^i is X with x_i := R_i,
-    so no X^i is ever built) or per index (`star_fn(i, j)`).
-    """
-
-    def __init__(self, X, theta, pairs, star=None, star_fn=None, R=None):
+    def __init__(self, X, terms):
         self.X = X
-        self.R = R  # replacement values, uncentered like X
-        self._theta = theta
-        self.pairs = pairs  # list of ((i, j), weight)
-        self._star = star  # shared companion, when one serves every index
-        self._star_fn = star_fn  # (i, j) -> centered companion draw
+        self.terms = terms
 
-    @property
-    def star(self):
-        if self._star is None:
-            raise ParameterError("this coupling has per-index companions")
-        return self._theta + self._star
+    def weighted_partials(self, field) -> np.ndarray:
+        """sum_ij sigma_ij d_j f_i(X^{ij}) rowwise, for a field with `guard`,
+        `contract` and `contract_replaced` (a TestFn or an estimator)."""
+        total = None
+        for term in self.terms:
+            if isinstance(term, Shared):
+                field.guard(term.P)
+                value = field.contract(*term)
+            else:
+                value = field.contract_replaced(*term)
+            total = value if total is None else total + value
+        return _per_row(total, self.X.shape[0])
 
-    @property
-    def shared(self) -> bool:
-        return self._star is not None
-
-    def _centered_star(self, i: int, j: int) -> np.ndarray:
-        if self.shared:
-            return self._star
-        if self.R is not None:
-            return self.companion(i, j) - self._theta
-        return self._star_fn(i, j)
+    def _single(self):
+        terms = iter(self.terms)
+        term = next(terms)
+        if next(terms, None) is not None:
+            raise ParameterError("this coupling averages its companions; none is drawn")
+        return term
 
     def companion(self, i: int, j: int) -> np.ndarray:
-        """X^{ij}; one array serves every pair when the companion is shared."""
-        if self.R is not None and not self.shared:
-            out = self.X.copy()
-            out[:, i] = self.R[:, i]
-            return out
-        return self._theta + self._centered_star(i, j)
+        """X^{ij}, for a chunk with a single term."""
+        term = self._single()
+        if isinstance(term, Shared):
+            return term.P
+        out = term.B.copy()
+        out[:, i] = term.R[:, i]
+        return out
 
     def iter_stars(self):
-        for (i, j), w in self.pairs:
-            yield i, j, w, self.companion(i, j)
+        term = self._single()
+        M = term.W.matrix if isinstance(term, Shared) else np.diag(term.w)
+        for i, j in zip(*np.nonzero(M)):
+            yield int(i), int(j), float(M[i, j]), self.companion(i, j)
 
-    def weighted_partials(self, field, weights: FixedWeights) -> np.ndarray:
-        """sum_ij w_ij d_j f_i(X^{ij}) rowwise, for a field with `guard`,
-        `contract`, `contract_replaced` and `partial` (a TestFn or an
-        estimator perturbation).
 
-        A shared companion takes one closed-form contraction, and so does a
-        replacement chunk, whose pairs are all (i, i); otherwise the sum runs
-        over the coupling's index pairs with nonzero weight.
-        """
-        rows = self.X.shape[0]
-        if self.shared:
-            xs = self.star
-            field.guard(xs)
-            return field.contract(xs, weights)
-        if self.R is not None:
-            idx = [i for (i, _), _ in self.pairs]
-            w = np.zeros(self.X.shape[1])
-            w[idx] = np.diagonal(weights.matrix)[idx]
-            return _per_row(field.contract_replaced(self.X, self.R, w), rows)
-        vals = np.zeros(rows)
-        for i, j, _, xij in self.iter_stars():
-            w = weights.matrix[i, j]
-            if w != 0.0:
-                field.guard(xij)
-                vals += w * field.partial(xij, i, j)
-        return vals
+def _values(chunk) -> np.ndarray:
+    """R of a one-term chunk, or its shared point (R = X: Gaussian)."""
+    term = chunk._single()
+    return term.R if isinstance(term, Replaced) else term.P
+
+
+def _scaled(weights, a):
+    """Term weights times a: a vector for a replacement term, else `Weights`."""
+    return a * weights if isinstance(weights, np.ndarray) else weights.scaled(a)
+
+
+def _variances(components, kind: str) -> np.ndarray:
+    """(ncomp, d) coordinate variances of components with diagonal covariances."""
+    for comp in components:
+        if not np.allclose(comp.sigma, np.diag(np.diag(comp.sigma))):
+            raise ParameterError(f"{kind} coupling needs diagonal component covariances")
+    return np.stack([np.diag(comp.sigma) for comp in components])
+
+
+def _merged(pick, arrays) -> np.ndarray:
+    """Row m of arrays[pick[m]]."""
+    out = np.empty_like(arrays[0])
+    for s, arr in enumerate(arrays):
+        sel = np.flatnonzero(pick == s)
+        if sel.size:
+            out[sel] = arr[sel]
+    return out
 
 
 class ZeroBiasCoupling:
-    """Base class; subclasses implement `_centered(rng, rows)`."""
+    """Base class; subclasses implement `_centered(rng, rows)`.  `term_weights`
+    are the weights of a chunk's terms, built once: by default sigma for one
+    `Shared` term if `same_for_all`, else diag(sigma) for one `Replaced`."""
 
     construction = "abstract"
     same_for_all = False
+    replaces = False  # X^i is X with x_i := R_i (see `_values`)
 
     def __init__(self, base: NoiseModel, sigma_w: np.ndarray):
         self.base = base
@@ -123,6 +157,8 @@ class ZeroBiasCoupling:
         self.sigma = sigma_w
         rows, cols = np.nonzero(sigma_w)  # row-major, as a double loop over (i, j)
         self.pairs = list(zip(zip(rows.tolist(), cols.tolist()), sigma_w[rows, cols].tolist()))
+        w = FixedWeights(sigma_w) if self.same_for_all else np.diagonal(sigma_w).copy()
+        self.term_weights = (w,)
 
     @property
     def d(self):
@@ -131,15 +167,6 @@ class ZeroBiasCoupling:
     @property
     def theta(self):
         return self.base.theta
-
-    def index_law(self) -> np.ndarray:
-        """P(I=i, J=j) = sigma_ij / sum sigma_ij; needs nonnegative weights."""
-        if np.any(self.sigma < 0):
-            raise ParameterError("index law requires nonnegative covariance entries")
-        total = float(self.sigma.sum())
-        if total <= 0:
-            raise ParameterError("index law requires a positive total weight")
-        return self.sigma / total
 
     def _centered(self, rng: np.random.Generator, rows: int) -> JointChunk:
         raise NotImplementedError
@@ -168,6 +195,7 @@ class IndependentReplaceCoupling(ZeroBiasCoupling):
     zero-bias draw, keeping the others."""
 
     construction = "independent_replace"
+    replaces = True
 
     def __init__(self, model: NoiseModel):
         law = _coordinate_law(model)
@@ -179,7 +207,7 @@ class IndependentReplaceCoupling(ZeroBiasCoupling):
         X += self.theta
         R = self.law.zb_sample(rng, (rows, self.d))
         R += self.theta
-        return JointChunk(X, self.theta, self.pairs, R=R)
+        return JointChunk(X, (Replaced(X, R, self.term_weights[0]),))
 
 
 def _coordinate_law(model: NoiseModel) -> Law1D:
@@ -207,7 +235,8 @@ class SphereCoupling(ZeroBiasCoupling):
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         Y = self.base.radius * g
         r = rng.uniform(0.0, 1.0, rows) ** (1.0 / self.d)
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star=r[:, None] * Y)
+        P = self.theta + r[:, None] * Y
+        return JointChunk(self.theta + Y, (Shared(P, self.term_weights[0]),))
 
 
 class StudentGammaCoupling(ZeroBiasCoupling):
@@ -231,8 +260,8 @@ class StudentGammaCoupling(ZeroBiasCoupling):
         eps = rng.gamma(1.0, 2.0 / k, rows)
         N = rng.standard_normal((rows, self.d))
         Y = self.scale * N / np.sqrt(delta + eps)[:, None]
-        Ystar = self.scale * N / np.sqrt(delta)[:, None]
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star=Ystar)
+        P = self.theta + self.scale * N / np.sqrt(delta)[:, None]
+        return JointChunk(self.theta + Y, (Shared(P, self.term_weights[0]),))
 
 
 class ScaledCoupling(ZeroBiasCoupling):
@@ -244,19 +273,17 @@ class ScaledCoupling(ZeroBiasCoupling):
         self.c = float(c)
         self.construction = inner.construction
         self.same_for_all = inner.same_for_all
+        self.replaces = inner.replaces
+        self.term_weights = tuple(_scaled(w, c * c) for w in inner.term_weights)
 
     def _centered(self, rng, rows):
         chunk = self.inner._centered(rng, rows)
-        X = self.theta + (chunk.X - self.inner.theta) * self.c
-        star = chunk._star * self.c if chunk.shared else None
-        R = None if chunk.R is None else self.theta + (chunk.R - self.inner.theta) * self.c
-        star_fn = None
-        if star is None and R is None:
 
-            def star_fn(i, j):
-                return chunk._star_fn(i, j) * self.c
+        def move(P):
+            return self.theta + (P - self.inner.theta) * self.c
 
-        return JointChunk(X, self.theta, self.pairs, star=star, star_fn=star_fn, R=R)
+        terms = _Lazy(lambda: (_moved(t, move, w) for t, w in zip(chunk.terms, self.term_weights)))
+        return JointChunk(move(chunk.X), terms)
 
 
 class GaussianFixedPointCoupling(ZeroBiasCoupling):
@@ -266,21 +293,21 @@ class GaussianFixedPointCoupling(ZeroBiasCoupling):
 
     construction = "gaussian_fixed_point"
     same_for_all = True
+    replaces = True
 
     def __init__(self, model: GaussianIso):
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
     def _centered(self, rng, rows):
-        Y = self.base._draw(rng, rows)
-        X = self.theta + Y
-        return JointChunk(X, self.theta, self.pairs, star=Y, R=X)
+        X = self.theta + self.base._draw(rng, rows)
+        return JointChunk(X, (Shared(X, self.term_weights[0]),))
 
 
 class SumCoupling(ZeroBiasCoupling):
     """Zero-bias of a sum of independent centered terms: one term, chosen
     with probability sigma_{j,i}^2 / sigma_i^2, is replaced by its
-    zero-biased version; the others ride along.  When every term is a
-    coordinate replacement, so is the sum: R_i = X_i - Y_pick,i + Z_pick,i."""
+    zero-biased version; the others ride along.  A sum of replacements is one:
+    R_i = X_i - Y_pick,i + Z_pick,i; otherwise the pick is averaged out."""
 
     construction = "sum"
 
@@ -288,58 +315,55 @@ class SumCoupling(ZeroBiasCoupling):
         if not components:
             raise ParameterError("sum coupling needs components")
         d = components[0].d
-        diags = []
         for comp in components:
             if comp.d != d:
                 raise ParameterError("sum components must share the dimension")
-            if not np.allclose(comp.sigma, np.diag(np.diag(comp.sigma))):
-                raise ParameterError("sum coupling needs diagonal component covariances")
             if np.any(comp.theta != 0.0):
                 raise ParameterError("sum components must be centered")
-            diags.append(np.diag(comp.sigma))
+        diags = _variances(components, "sum")
         total = np.sum(diags, axis=0)
         if np.any(total <= 0):
             raise ParameterError("zero total variance in some coordinate")
         super().__init__(base, np.diag(total))
         self.components = components
-        self.pick_probs = np.stack(diags, axis=0) / total  # (ncomp, d)
+        self.pick_probs = diags / total  # (ncomp, d)
+        self.replaces = all(comp.replaces for comp in components)
+        if not self.replaces:
+            self.term_weights = tuple(w for comp in components for w in comp.term_weights)
 
     def _chunk_dim(self) -> int:
         return 4 * self.d * (len(self.components) + 1)
 
     def _centered(self, rng, rows):
         chunks = [comp._centered(rng, rows) for comp in self.components]
-        Ys = [c.X - comp.theta for c, comp in zip(chunks, self.components)]
-        total = sum(Ys)
-        picks = {
-            i: rng.choice(len(self.components), size=rows, p=self.pick_probs[:, i])
-            for i in range(self.d)
-        }
-        if all(chunk.R is not None for chunk in chunks):
+        total = sum(chunk.X for chunk in chunks)  # components are centered
+        X = self.theta + total
+        if self.replaces:
+            picks = [rng.choice(len(chunks), size=rows, p=p) for p in self.pick_probs.T]
+            labels = np.stack(picks, axis=1)
             R = total.copy()
-            labels = np.stack([picks[i] for i in range(self.d)], axis=1)
-            for jdx, (chunk, Yj) in enumerate(zip(chunks, Ys)):
-                mask = labels == jdx
-                R[mask] += chunk.R[mask] - Yj[mask]  # components are centered
+            for s, chunk in enumerate(chunks):
+                mask = labels == s
+                R[mask] += _values(chunk)[mask] - chunk.X[mask]
             R += self.theta
-            return JointChunk(self.theta + total, self.theta, self.pairs, R=R)
+            return JointChunk(X, (Replaced(X, R, self.term_weights[0]),))
 
-        def star(i, j):
-            out = total.copy()
-            for jdx, (chunk, Yj) in enumerate(zip(chunks, Ys)):
-                sel = np.flatnonzero(picks[i] == jdx)
-                if sel.size:
-                    out[sel] += chunk._centered_star(i, i)[sel] - Yj[sel]
-            return out
+        def terms():
+            weights = iter(self.term_weights)
+            for chunk in chunks:
+                others = X - chunk.X
+                for term in chunk.terms:
+                    yield _moved(term, lambda P: P + others, next(weights))
 
-        return JointChunk(self.theta + total, self.theta, self.pairs, star_fn=star)
+        return JointChunk(X, _Lazy(terms))
 
 
 class MixtureCoupling(ZeroBiasCoupling):
     """Zero-bias of a mixture: companions are drawn from the variance-tilted
     mixing law; with constant component variances the tilt is the mixture
-    itself and the pair shares the component pick, so a mixture of
-    coordinate replacements is one too: R takes each row from its pick."""
+    itself and the pair shares the component pick, so a mixture of coordinate
+    replacements (or shared companions) is one too, row by row from the pick.
+    Otherwise the pick is averaged out: component s adds its terms times w_s."""
 
     construction = "mixture"
 
@@ -349,66 +373,51 @@ class MixtureCoupling(ZeroBiasCoupling):
         w = np.asarray(weights, dtype=float)
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ParameterError("mixture weights must be nonnegative and sum to 1")
-        d = components[0].d
-        diags = []
-        for comp in components:
-            if not np.allclose(comp.sigma, np.diag(np.diag(comp.sigma))):
-                raise ParameterError("mixture coupling needs diagonal component covariances")
-            if np.any(np.diag(comp.sigma) <= 0):
-                raise ParameterError("mixture components need nonsingular covariances")
-            diags.append(np.diag(comp.sigma))
-        diags = np.stack(diags, axis=0)  # (ncomp, d)
+        diags = _variances(components, "mixture")
+        if np.any(diags <= 0):
+            raise ParameterError("mixture components need nonsingular covariances")
         sigma_i2 = w @ diags
         super().__init__(base, np.diag(sigma_i2))
         self.components = components
         self.weights = w
-        self.tilts = (w[:, None] * diags) / sigma_i2  # nu^i weights, (ncomp, d)
         self.equal_variance = bool(np.allclose(diags, diags[0]))
+        self.replaces = self.equal_variance and all(comp.replaces for comp in components)
+        self.same_for_all = (
+            self.equal_variance and not self.replaces and all(c.same_for_all for c in components)
+        )
+        if self.same_for_all:
+            self.term_weights = (FixedWeights(self.sigma),)
+        elif not self.replaces:
+            self.term_weights = tuple(
+                _scaled(cw, ws) for ws, comp in zip(w, components) for cw in comp.term_weights
+            )
 
     def _chunk_dim(self) -> int:
         return 8 * self.d
 
     def _centered(self, rng, rows):
-        ncomp = len(self.components)
-        pick = rng.choice(ncomp, size=rows, p=self.weights)
+        pick = rng.choice(len(self.components), size=rows, p=self.weights)
         subchunks = [comp._centered(rng, rows) for comp in self.components]
-        Y = np.empty((rows, self.d))
-        for s, chunk in enumerate(subchunks):
-            sel = np.flatnonzero(pick == s)
-            if sel.size:
-                Y[sel] = chunk.X[sel] - self.components[s].theta
+        X = self.theta + _merged(pick, [chunk.X for chunk in subchunks])
+        if self.replaces or self.same_for_all:
+            values = self.theta + _merged(pick, [_values(chunk) for chunk in subchunks])
+            w = self.term_weights[0]
+            return JointChunk(X, (Replaced(X, values, w) if self.replaces else Shared(values, w),))
 
-        # nu^i = mu under equal variances: X^i shares the component pick of X
-        tilted = None
-        if not self.equal_variance:
-            tilted = {
-                i: rng.choice(ncomp, size=rows, p=self.tilts[:, i]) for i in range(self.d)
-            }
-        elif all(chunk.R is not None for chunk in subchunks):
-            R = np.empty((rows, self.d))
-            for s, chunk in enumerate(subchunks):
-                sel = np.flatnonzero(pick == s)
-                if sel.size:
-                    R[sel] = chunk.R[sel] - self.components[s].theta
-            R += self.theta
-            return JointChunk(self.theta + Y, self.theta, self.pairs, R=R)
+        def terms():
+            weights = iter(self.term_weights)
+            for chunk in subchunks:
+                for term in chunk.terms:
+                    yield _moved(term, lambda P: P + self.theta, next(weights))
 
-        def star(i, j):
-            labels = pick if tilted is None else tilted[i]
-            out = np.empty((rows, self.d))
-            for s, chunk in enumerate(subchunks):
-                sel = np.flatnonzero(labels == s)
-                if sel.size:
-                    out[sel] = chunk._centered_star(i, i)[sel]
-            return out
-
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star_fn=star)
+        return JointChunk(X, _Lazy(terms))
 
 
 class LinearMapCoupling(ZeroBiasCoupling):
-    """Zero-bias vectors of Y = A U by mixing images A U^{kl} with weights
-    mu_ij(kl) = a_ik gamma_kl a_jl / sigma_ij.  Requires nonnegative
-    sigma_ij and nonnegative products wherever sigma_ij > 0."""
+    """Zero-bias vectors of Y = A U from a coupling of U, with weights
+    a_ik gamma_kl a_jl (nonnegative wherever sigma_ij > 0).  A shared
+    companion U* maps to A U*; a replacement term, its index k averaged out,
+    to one shared term per k at Y + (R_k - U_k) a_k, weighted gamma_k a_k a_k'."""
 
     construction = "linear_map"
 
@@ -416,59 +425,52 @@ class LinearMapCoupling(ZeroBiasCoupling):
         A = np.asarray(A, dtype=float)
         gamma = base_coupling.sigma
         sigma = A @ gamma @ A.T
-        d = A.shape[0]
         if np.any(sigma < -1e-12):
             raise ParameterError("linear-map coupling requires nonnegative sigma_ij")
         gdiag = np.diag(gamma)
         base_diag = np.allclose(gamma, np.diag(gdiag))
-        if not (base_coupling.same_for_all or base_diag):
-            raise ParameterError("base coupling must be shared-companion or diagonal")
-        for i in range(d):
-            for j in range(d):
-                if sigma[i, j] > 1e-12:
-                    prods = A[i, :] * gdiag * A[j, :] if base_diag else None
-                    if prods is not None and np.any(prods < -1e-12):
-                        k = int(np.argmin(prods))
-                        raise ParameterError(
-                            f"mixing weight a[{i},{k}] gamma[{k},{k}] a[{j},{k}] < 0 "
-                            f"violates the construction hypotheses"
-                        )
-        model = base_model
-        if model is None:
+        pairs = zip(*np.nonzero(sigma > 1e-12)) if base_diag else ()
+        for i, j in pairs:
+            prods = A[i, :] * gdiag * A[j, :]
+            if np.any(prods < -1e-12):
+                k = int(np.argmin(prods))
+                raise ParameterError(
+                    f"mixing weight a[{i},{k}] gamma[{k},{k}] a[{j},{k}] < 0 "
+                    f"violates the construction hypotheses"
+                )
+        if base_model is None:
             raise ParameterError("linear-map coupling needs the transformed model")
-        super().__init__(model, sigma)
+        super().__init__(base_model, sigma)
         self.A = A
         self.base_coupling = base_coupling
-        self._base_diag = base_diag
-        self._gdiag = gdiag
+        self.same_for_all = base_coupling.same_for_all
+        self.term_weights = []
+        for w in base_coupling.term_weights:
+            if isinstance(w, np.ndarray):  # one rank-one term per replaced index k
+                self.term_weights += [DiagonalWeights([[wk]], A[:, [k]]) for k, wk in enumerate(w)]
+            else:
+                self.term_weights.append(w.transformed(A))
 
     def _chunk_dim(self) -> int:
         return 8 * self.d
 
     def _centered(self, rng, rows):
         chunk = self.base_coupling._centered(rng, rows)
-        U = chunk.X - self.base_coupling.theta
-        Y = U @ self.A.T
-        if self.base_coupling.same_for_all:
-            Ustar = chunk._star
-            return JointChunk(self.theta + Y, self.theta, self.pairs, star=Ustar @ self.A.T)
 
-        kpicks = {}
+        def image(U):
+            return self.theta + (U - self.base_coupling.theta) @ self.A.T
 
-        def star(i, j):
-            if (i, j) not in kpicks:
-                w = self.A[i, :] * self._gdiag * self.A[j, :]
-                w = np.clip(w, 0.0, None)
-                w = w / w.sum()
-                kpicks[(i, j)] = rng.choice(self.d, size=rows, p=w)
-            ks = kpicks[(i, j)]
-            out = np.empty((rows, self.d))
-            for k in np.unique(ks):
-                sel = np.flatnonzero(ks == k)
-                out[sel] = chunk._centered_star(k, k)[sel] @ self.A.T
-            return out
+        def terms():
+            weights = iter(self.term_weights)
+            for term in chunk.terms:
+                if isinstance(term, Shared):
+                    yield Shared(image(term.P), next(weights))
+                    continue
+                Y, delta = image(term.B), term.R - term.B
+                for k in range(self.d):
+                    yield Shared(Y + delta[:, [k]] * self.A[:, k], next(weights))
 
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star_fn=star)
+        return JointChunk(image(chunk.X), _Lazy(terms))
 
 
 class FourPointCoupling(ZeroBiasCoupling):
@@ -483,13 +485,9 @@ class FourPointCoupling(ZeroBiasCoupling):
     def _centered(self, rng, rows):
         Y = self.base._draw(rng, rows)
         U = rng.uniform(-1.0, 1.0, rows)
-
-        def star(i, j):
-            out = np.zeros((rows, 2))
-            out[:, i] = U
-            return out
-
-        return JointChunk(self.theta + Y, self.theta, self.pairs, star_fn=star)
+        B = np.broadcast_to(self.theta, (rows, 2))
+        term = Replaced(B, B + U[:, None], self.term_weights[0])
+        return JointChunk(self.theta + Y, (term,))
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +681,12 @@ def zb_identity_residual(
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - sum_ij sigma_ij E d_j f_i(X^{ij})."""
     theta = model.theta
-    weights = FixedWeights(coupling.sigma)
 
     def residual(chunk):
         X = chunk.X
         test_fn.guard(X)
         lhs = np.einsum("mi,mi->m", X - theta, test_fn.f(X))
-        return lhs - chunk.weighted_partials(test_fn, weights)
+        return lhs - chunk.weighted_partials(test_fn)
 
     acc = run(coupling.joint_chunks(n, seed), {"residual": residual})["residual"]
     return report_from(acc, seed, label=f"zb-residual:{test_fn.name}")
@@ -698,37 +695,27 @@ def zb_identity_residual(
 def coordinate_sum_residual(
     coupling: ZeroBiasCoupling, f, fprime, n: int, seed: int
 ) -> RiskReport:
-    """Residual of E[W f(W)] = sigma^2 E[f'(W^{IJ})] for W = sum of coords,
-    with (I, J) drawn from the coupling's index law."""
-    law = coupling.index_law()
-    flat = law.ravel()
-    nz = np.flatnonzero(flat > 0)
-    probs = flat[nz] / flat[nz].sum()
-    sigma2 = float(coupling.sigma.sum())
-    d = coupling.d
+    """Residual of E[W f(W)] = sum_ij sigma_ij E[f'(W^{ij})] for W = sum of
+    coords: the zero-bias identity of F_i(x) = f(W), whose d_j F_i are f'(W)."""
     theta_sum = float(coupling.theta.sum())
 
-    # chunks are numbered here, not by enumerate, whose reused result tuple
-    # would keep the previous chunk alive while the next one is drawn
-    chunk_index = itertools.count()
+    def wsum(X):
+        return X.sum(axis=1) - theta_sum
+
+    def contract_replaced(B, R, w):
+        Wi = R - B  # W(X^i) = W(B) - b_i + r_i
+        Wi += wsum(B)[:, None]
+        return fprime(Wi) @ w
+
+    field = SimpleNamespace(
+        guard=lambda X: None,
+        contract=lambda X, W: fprime(wsum(X)) * W.quad(np.ones((1, X.shape[1]))),
+        contract_replaced=contract_replaced,
+    )
 
     def residual(chunk):
-        cidx = next(chunk_index)
-        W = chunk.X.sum(axis=1) - theta_sum
-        vals = W * f(W)
-        if chunk.shared:
-            return vals - sigma2 * fprime(chunk.star.sum(axis=1) - theta_sum)
-        rng = substream(seed ^ 0x5EED, cidx)
-        picks = nz[rng.choice(nz.size, size=W.size, p=probs)]
-        for flat_idx in np.unique(picks):
-            i, j = divmod(int(flat_idx), d)
-            sel = np.flatnonzero(picks == flat_idx)
-            if chunk.R is not None:  # X^{ij} differs from X only in x_i
-                Wij = W[sel] - chunk.X[sel, i] + chunk.R[sel, i]
-            else:
-                Wij = chunk.companion(i, j)[sel].sum(axis=1) - theta_sum
-            vals[sel] -= sigma2 * fprime(Wij)
-        return vals
+        W = wsum(chunk.X)
+        return W * f(W) - chunk.weighted_partials(field)
 
     acc = run(coupling.joint_chunks(n, seed), {"residual": residual})["residual"]
     return report_from(acc, seed, label="zb-residual:coordinate-sum")

@@ -2,10 +2,13 @@
 
 Every structured value must match the dense `(rows, d, d)` evaluation row by
 row at d = 6, to a relative 1e-10; the coordinate-replacement closed forms
-must match the per-index `partial` loop over built companions the same way.
-The memory tests check that the structured paths keep memory at O(n d).
+must match the per-index `partial` loop over built companions the same way,
+and the averaged couplings must match their formula evaluated with dense
+Jacobians at companions built from the same draws.  The memory tests check
+that the structured paths keep memory at O(n d).
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,10 +16,20 @@ import numpy as np
 import pytest
 
 import steinshrink as ss
-from steinshrink.errors import EvaluationError
+from steinshrink.errors import EvaluationError, ParameterError
 from steinshrink.stein_kernels import _paired_chunks
+from steinshrink._mc import substream
 from steinshrink.testfns import FixedWeights, coordinate_quadratic, linear_map, shrink_direction
-from steinshrink.zero_bias import JointChunk, ScaledCoupling
+from steinshrink.zero_bias import (
+    FourPointCoupling,
+    JointChunk,
+    LinearMapCoupling,
+    MixtureCoupling,
+    Replaced,
+    ScaledCoupling,
+    Shared,
+    SumCoupling,
+)
 
 D = 6
 ROWS = 64
@@ -127,11 +140,13 @@ def _linear_student_coupling():
 def test_zb_shared_branch_matches_dense(make_coupling):
     coupling = make_coupling()
     chunk = next(coupling.joint_chunks(ROWS, 9))
-    assert chunk.shared
+    (term,) = chunk.terms
+    assert isinstance(term, Shared)
     weights = FixedWeights(coupling.sigma)
     for fn in _test_fns():
-        dense = np.einsum("ij,mij->m", coupling.sigma, fn.jac(chunk.star))
-        assert_rows_close(fn.contract(chunk.star, weights), dense)
+        dense = np.einsum("ij,mij->m", coupling.sigma, fn.jac(term.P))
+        assert_rows_close(fn.contract(term.P, weights), dense)
+        assert_rows_close(chunk.weighted_partials(fn), dense)
 
 
 def test_zb_residual_shared_branch_matches_dense_mean():
@@ -141,7 +156,8 @@ def test_zb_residual_shared_branch_matches_dense_mean():
         rows = []
         for chunk in coupling.joint_chunks(2000, 10):
             lhs = np.einsum("mi,mi->m", chunk.X - model.theta, fn.f(chunk.X))
-            rows.append(lhs - np.einsum("ij,mij->m", coupling.sigma, fn.jac(chunk.star)))
+            star = chunk.companion(0, 0)
+            rows.append(lhs - np.einsum("ij,mij->m", coupling.sigma, fn.jac(star)))
         rows = np.concatenate(rows)
         rep = ss.zb_identity_residual(model, coupling, fn, 2000, 10)
         assert rep.mean == pytest.approx(rows.mean(), rel=1e-10, abs=1e-12 * np.abs(rows).max())
@@ -204,14 +220,14 @@ def _fields():
 @pytest.mark.parametrize("name,coupling", REPLACEMENT, ids=[c[0] for c in REPLACEMENT])
 def test_replacement_closed_form_matches_partial_loop(name, coupling):
     chunk = next(coupling.joint_chunks(ROWS, 9))
-    assert chunk.R is not None and not chunk.shared
+    (term,) = chunk.terms
+    assert isinstance(term, Replaced) and np.array_equal(term.B, chunk.X)
     assert np.any(coupling.theta != 0.0)
-    weights = FixedWeights(coupling.sigma)
     for field in _fields():
         loop = np.zeros(ROWS)
         for (i, j), w in coupling.pairs:
             loop += w * field.partial(chunk.companion(i, j), i, j)
-        assert_rows_close(chunk.weighted_partials(field, weights), loop)
+        assert_rows_close(chunk.weighted_partials(field), loop)
 
 
 def test_replacement_guard_raises_near_the_origin():
@@ -220,13 +236,144 @@ def test_replacement_guard_raises_near_the_origin():
     X[:, 0] = 1.0
     R = np.ones((2, D))
     R[0, 0] = 1e-8
-    pairs = [((i, i), 1.0) for i in range(D)]
-    chunk = JointChunk(X, np.zeros(D), pairs, R=R)
-    weights = FixedWeights(np.eye(D))
+    chunk = JointChunk(X, (Replaced(X, R, np.ones(D)),))
     with pytest.raises(EvaluationError, match="origin"):
-        chunk.weighted_partials(shrink_direction(), weights)
+        chunk.weighted_partials(shrink_direction())
     R[0, 0] = 1e-3
-    assert np.all(np.isfinite(chunk.weighted_partials(shrink_direction(), weights)))
+    assert np.all(np.isfinite(chunk.weighted_partials(shrink_direction())))
+
+
+# -- averaged companions ---------------------------------------------------------
+
+
+def _averaged_couplings():
+    """(name, coupling) for the four-point coupling, the shared mixture and
+    every coupling whose chunk averages a component pick or a replaced index
+    out, each with a nonzero theta."""
+    k, eps = 6, 0.3
+    laplace = ss.ProductIID(D, ss.Laplace1D(0.8))
+    student = ss.StudentT(D, k)
+    gauss = ss.GaussianIso(D, 0.5)
+    # equal variances, one replacement and one shared component
+    matched = ss.ProductIID(D, ss.Laplace1D(math.sqrt(student.sigma2 / 2.0)))
+    A = np.random.default_rng(8).uniform(0.0, 1.0, (D, D)) + np.eye(D)
+    return [
+        ("four-point", FourPointCoupling(ss.FourPointDegenerate("scaled:1"))),
+        ("mixture-shared", ss.coupling_for(ss.MixingCorruption(0.3, student, "scaled:1"))),
+        (
+            "mixture-unequal",
+            ss.zb_mixture(
+                ss.Mixture([gauss, laplace], [0.4, 0.6], "scaled:1"),
+                [ss.couple_gaussian(gauss), ss.couple_independent(laplace)],
+                [0.4, 0.6],
+            ),
+        ),
+        ("mixture-mixed", ss.coupling_for(ss.Mixture([matched, student], [0.5, 0.5], "scaled:1"))),
+        (
+            "linear-replacement",
+            ss.zb_linear(A, ss.couple_independent(laplace), ss.LinearTransform(A, laplace, "scaled:1")),
+        ),
+        (
+            "sum-student",
+            ss.zb_sum(
+                ss.AdditiveCorruption(eps, student, "scaled:1"),
+                [
+                    ScaledCoupling(ss.couple_gaussian(ss.GaussianIso(D, student.sigma2)),
+                                   math.sqrt(1 - eps)),
+                    ScaledCoupling(ss.couple_student(k, D), math.sqrt(eps)),
+                ],
+            ),
+        ),
+    ]
+
+
+AVERAGED = _averaged_couplings()
+
+
+def _dense_sum(field, pairs, point):
+    """sum over pairs of w d_j f_i(point(i, j)), from the dense Jacobian."""
+    jac = field.jac if hasattr(field, "jac") else field.jacobian
+    return sum(w * jac(point(i, j))[:, i, j] for (i, j), w in pairs)
+
+
+def _averaged_oracle(coupling, field, seed):
+    """The averaged sum rowwise, from companions built out of the draws the
+    coupling makes for chunk 0 of `seed`."""
+    rng = substream(seed, 0)
+    theta = coupling.theta
+    if isinstance(coupling, FourPointCoupling):
+        coupling.base._draw(rng, ROWS)
+        U = rng.uniform(-1.0, 1.0, ROWS)
+
+        def point(i, j):
+            out = np.tile(theta, (ROWS, 1))
+            out[:, i] += U
+            return out
+
+        return _dense_sum(field, coupling.pairs, point)
+    if isinstance(coupling, LinearMapCoupling):
+        base = coupling.base_coupling._centered(rng, ROWS)
+        A, gamma = coupling.A, np.diag(coupling.base_coupling.sigma)
+        total = 0.0
+        for k in range(D):
+            pairs = [((i, j), A[i, k] * gamma[k] * A[j, k]) for i in range(D) for j in range(D)]
+            star = theta + base.companion(k, k) @ A.T  # the base is centered
+            total = total + _dense_sum(field, pairs, lambda i, j: star)
+        return total
+    if isinstance(coupling, MixtureCoupling):
+        pick = rng.choice(len(coupling.components), size=ROWS, p=coupling.weights)
+    subs = [comp._centered(rng, ROWS) for comp in coupling.components]
+    total = 0.0
+    if coupling.same_for_all:  # the companion of the picked component
+        star = theta + sum(np.where((pick == s)[:, None], sub.companion(0, 0), 0.0)
+                           for s, sub in enumerate(subs))
+        return _dense_sum(field, coupling.pairs, lambda i, j: star)
+    if isinstance(coupling, SumCoupling):
+        X = theta + sum(sub.X for sub in subs)
+        for comp, sub in zip(coupling.components, subs):
+            total = total + _dense_sum(field, comp.pairs, lambda i, j: X - sub.X + sub.companion(i, j))
+        return total
+    for w, comp, sub in zip(coupling.weights, coupling.components, subs):
+        total = total + w * _dense_sum(field, comp.pairs, lambda i, j: theta + sub.companion(i, j))
+    return total
+
+
+@pytest.mark.parametrize("name,coupling", AVERAGED, ids=[c[0] for c in AVERAGED])
+def test_averaged_closed_form_matches_dense_oracle(name, coupling):
+    assert np.any(coupling.theta != 0.0)
+    chunk = next(coupling.joint_chunks(ROWS, 9))
+    fields = _fields()
+    if name == "four-point":  # d = 2; g0 is singular on the companions' segments
+        A = np.random.default_rng(20240517).normal(size=(2, 2))
+        fields = [linear_map(A), coordinate_quadratic(1), ss.JamesStein(2.5), ss.SoftThreshold(0.8)]
+    elif name != "mixture-shared":  # averaged: no single companion is drawn
+        with pytest.raises(ParameterError, match="averages"):
+            chunk.companion(0, 0)
+    for field in fields:
+        assert_rows_close(chunk.weighted_partials(field), _averaged_oracle(coupling, field, 9))
+
+
+def _raises(*args):
+    raise AssertionError("a per-index partial or a dense Jacobian was evaluated")
+
+
+def test_no_coupling_calls_partial():
+    shared = [
+        ss.coupling_for(m)
+        for m in (ss.StudentT(D, 6, "scaled:1"), ss.SphereUniform(D, 1.0, "scaled:3"),
+                  ss.GaussianIso(D, 1.3, "scaled:1"))
+    ]
+    for coupling in shared + [_linear_student_coupling()] + [c for _, c in REPLACEMENT + AVERAGED]:
+        d = coupling.d
+        A = np.random.default_rng(20240517).normal(size=(d, d))
+        for fn in (linear_map(A), coordinate_quadratic(1), shrink_direction()):
+            if fn.needs_origin_guard and isinstance(coupling, FourPointCoupling):
+                continue  # g0 is singular on the four-point companions
+            fn = dataclasses.replace(fn, jac=_raises, partial=_raises)
+            ss.zb_identity_residual(coupling.base, coupling, fn, 500, 3)
+        for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8), ss.Identity()):
+            est.partial = est.jacobian = _raises
+            ss.sure_zero_bias_mean(coupling.base, est, coupling, 500, 3)
 
 
 def test_b_star_memory_is_linear_in_d():

@@ -279,6 +279,33 @@ def test_average_kernel_requires_shared_sigma():
         ss.average_kernel([ss.gaussian_kernel(np.eye(3)), ss.gaussian_kernel(2 * np.eye(3))])
 
 
+def test_asymmetric_caller_matrix_is_rejected():
+    from steinshrink.stein_kernels import ConstantKernel
+
+    asym = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    g = ss.GaussianIso(3, 1.0)
+    constructors = [
+        lambda: ss.gaussian_kernel(asym),
+        lambda: ss.elliptical_kernel(lambda v: (1.0 + v / 3.0) ** -3.0, asym),
+        lambda: ss.average_kernel([ConstantKernel(asym)] * 2),
+        lambda: ss.mixture_kernel([(g, ConstantKernel(asym))], [1.0]),
+    ]
+    for build in constructors:
+        with pytest.raises(ParameterError, match="symmetric"):
+            build()
+
+
+def test_kernels_built_in_the_package_skip_the_symmetry_check(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("symmetry checked on a package-built matrix")
+
+    monkeypatch.setattr("steinshrink.stein_kernels._symmetric", refuse)
+    d = 5
+    product = ss.product_kernel([ss.Laplace1D(1.0)] * d)
+    ss.student_kernel(6, d)
+    ss.transform_kernel(product, np.eye(d) + 0.1)
+
+
 def test_mixture_kernel_epsilon_scaling_of_discrepancy():
     # mixing a Gaussian with a Student at rate eps scales E||T - Sigma||^2 by eps
     d = k = 6

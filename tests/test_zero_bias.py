@@ -184,12 +184,46 @@ def test_residual_linear_map_ellipsoid():
 
 
 def test_linear_map_identity_matrix_preserves_base():
+    # A = I: the d rank-one terms e_k e_k' at X with x_k := R_k add up to the
+    # base's replacement term, row by row on the same substreams
     d = 4
-    base_model = ss.ProductIID(d, ss.Gaussian1D(1.0))
+    base_model = ss.ProductIID(d, ss.Laplace1D(0.8))
     base = ss.couple_independent(base_model)
     coup = ss.zb_linear(np.eye(d), base, base_model=base_model)
-    X, Xs = coup.pair_sampler(1, 1, 50_000, 3)
-    assert ks_2samp(X[:, 1], Xs[:, 1]).pvalue > KS_LEVEL
+    fields = _fams(d) + [ss.JamesStein(2.5), ss.SoftThreshold(0.8)]
+    for chunk, base_chunk in zip(coup.joint_chunks(3000, 3), base.joint_chunks(3000, 3)):
+        assert np.array_equal(chunk.X, base_chunk.X)
+        for fn in fields:
+            np.testing.assert_allclose(
+                chunk.weighted_partials(fn), base_chunk.weighted_partials(fn), rtol=1e-10, atol=1e-12
+            )
+
+
+def test_residual_linear_map_replacement_base():
+    # non-identity nonnegative A over product Laplace: d rank-one terms
+    d = 6
+    A = np.random.default_rng(31).uniform(0.0, 1.0, (d, d)) + np.eye(d)
+    base_model = ss.ProductIID(d, ss.Laplace1D(1 / math.sqrt(2)))
+    model = ss.LinearTransform(A, base_model, "scaled:1")
+    coup = ss.zb_linear(A, ss.couple_independent(base_model), base_model=model)
+    assert np.allclose(coup.sigma, model.cov())
+    for fn in _fams(d):
+        assert_zero_within(ss.zb_identity_residual(model, coup, fn, 200_000, 59))
+
+
+def test_residual_sum_with_student_component():
+    # sqrt(1-eps) Gaussian + sqrt(eps) Student: the pick is averaged out
+    d, k, eps = 6, 6, 0.3
+    student = ss.StudentT(d, k)
+    model = ss.AdditiveCorruption(eps, student, "scaled:1")
+    comps = [
+        ScaledCoupling(ss.couple_gaussian(ss.GaussianIso(d, student.sigma2)), math.sqrt(1 - eps)),
+        ScaledCoupling(ss.couple_student(k, d), math.sqrt(eps)),
+    ]
+    coup = ss.zb_sum(model, comps)
+    assert np.allclose(coup.sigma, model.cov())
+    for fn in _fams(d):
+        assert_zero_within(ss.zb_identity_residual(model, coup, fn, 200_000, 60))
 
 
 def test_linear_map_rejects_negative_products():
@@ -252,7 +286,7 @@ def test_sphere_support_law():
     coup = ss.couple_sphere(d, 1.0, theta)
     radius = math.sqrt(d)
     for chunk in coup.joint_chunks(50_000, 12):
-        dev = np.linalg.norm(chunk.star - theta, axis=1)
+        dev = np.linalg.norm(chunk.companion(0, 0) - theta, axis=1)
         assert dev.max() <= radius + 1e-12
 
 
@@ -280,7 +314,7 @@ def test_sphere_coupling_moment_identities():
     diff = []
     for chunk in coup.joint_chunks(n, 15):
         u = chunk.X / math.sqrt(d)
-        ustar = chunk.star / math.sqrt(d)
+        ustar = chunk.companion(0, 0) / math.sqrt(d)
         r_sharp.append(np.linalg.norm(ustar, axis=1))
         diff.append(np.linalg.norm(u - ustar, axis=1))
     r_sharp = np.concatenate(r_sharp)
@@ -395,13 +429,6 @@ def test_zb_density_unavailable_without_density():
 
 
 # -- misc ----------------------------------------------------------------------
-
-
-def test_index_law_normalizes():
-    coup = ss.couple_student(6, 5)
-    law = coup.index_law()
-    assert law.sum() == pytest.approx(1.0)
-    assert np.allclose(law, np.eye(5) / 5)
 
 
 def test_pair_sampler_rejects_zero_weight():
