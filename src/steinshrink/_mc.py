@@ -20,6 +20,8 @@ import numpy as np
 # load it with the package, so that cost is not paid inside the first draw
 import numpy.random  # noqa: F401
 
+from .errors import ParameterError
+
 # Rows per chunk are capped so a chunk of d-vectors stays around 64 MB.
 _MAX_CHUNK_ROWS = 1 << 16
 _CHUNK_BUDGET = 1 << 23  # total doubles per chunk
@@ -38,7 +40,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
 def chunk_plan(n: int, d: int):
     """Yield (chunk_index, rows) pairs partitioning n replicates."""
     if n < 1:
-        raise ValueError("replicate count must be >= 1")
+        raise ParameterError("replicate count must be >= 1")
     rows = chunk_rows(d)
     full, rem = divmod(int(n), rows)
     for i in range(full):

@@ -240,6 +240,24 @@ def model_kernel(model: NoiseModel):
     return None
 
 
+def _d_list(cfg: dict, default: str) -> list[int]:
+    """The dimensions of --d-list, or the command's default list."""
+    spec = cfg["d_list"] or default
+    try:
+        return [int(x) for x in str(spec).split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"bad --d-list {spec!r}, expected comma-separated integers") from exc
+
+
+def _applies(w: CsvWriter, model: NoiseModel, need: str, column: str) -> bool:
+    """Whether the model's validity check admits the `need` identity ("kernel"
+    or "zerobias") behind `column`; if not, the CSV says why."""
+    report = model.validity(need)
+    if not report.ok:
+        w.comment(f"{column}: not applicable: {'; '.join(report.reasons)}")
+    return report.ok
+
+
 def _parse_grid(spec: str):
     try:
         c_str, size_str = str(spec).split(":", 1)
@@ -258,9 +276,6 @@ def cmd_risk(cfg: dict) -> CsvWriter:
     est = make_estimator(cfg["estimator"], lam)
     n, seed = cfg["reps"], cfg["seed"]
     w = CsvWriter(cfg["out"], cfg, seed)
-    w.header(
-        ["label", "lambda", "mean", "stderr", "n", "seed", "bound_thm31", "bound_thm33", "bound_zb"]
-    )
     if cfg["excess"]:
         rep = mc_excess_risk(model, lam, n, seed)
     else:
@@ -272,11 +287,11 @@ def cmd_risk(cfg: dict) -> CsvWriter:
         inputs = BoundInputs(
             lam=lam, d=model.d, trace_sigma=mom.trace_cov, kappa=mom.kappa, e_inv2=e_inv2
         )
-        if isinstance(model, GaussianIso):
+        if isinstance(model, GaussianIso) and _applies(w, model, "kernel", "bound_thm31"):
             inputs.alpha_minus = inputs.alpha_plus = model.sigma2
             b31 = bound_thm31(inputs)
         kernel = model_kernel(model)
-        if kernel is not None:
+        if kernel is not None and _applies(w, model, "kernel", "bound_thm33"):
             disc_n = min(n, 200000)
             inputs.discrepancy = discrepancy_stats(model, kernel, disc_n, seed + _SEED_DISC)
             if isinstance(model, StudentT) and model.d % 2 == 0 and model.d >= 6:
@@ -288,7 +303,7 @@ def cmd_risk(cfg: dict) -> CsvWriter:
             coupling = coupling_for(model)
         except ParameterError:
             coupling = None
-        if coupling is not None:
+        if coupling is not None and _applies(w, model, "zerobias", "bound_zb"):
             bstar = bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR)
             middle = lam * e_inv2 * (lam - 2.0 * (mom.trace_cov - 2.0 * mom.kappa))
             bzb = mom.trace_cov + middle + 2.0 * bstar.mean
@@ -296,8 +311,10 @@ def cmd_risk(cfg: dict) -> CsvWriter:
             b31 = None if b31 is None else b31 - mom.trace_cov
             b33 = None if b33 is None else b33 - mom.trace_cov
             bzb = None if bzb is None else bzb - mom.trace_cov
-    label = rep.label
-    w.row([label, lam, rep.mean, rep.stderr, rep.n, seed, b31, b33, bzb])
+    w.header(
+        ["label", "lambda", "mean", "stderr", "n", "seed", "bound_thm31", "bound_thm33", "bound_zb"]
+    )
+    w.row([rep.label, lam, rep.mean, rep.stderr, rep.n, seed, b31, b33, bzb])
     return w
 
 
@@ -356,11 +373,13 @@ def _row_blocks(chunks, rows: int):
         del X
 
 
+_SURE_COLUMNS = ["model", "estimator", "lambda", "sure_mean", "risk_mean", "bias", "bias_bound"]
+
+
 def cmd_sure(cfg: dict) -> CsvWriter:
     model = build_model(cfg)
     n, seed = cfg["reps"], cfg["seed"]
     w = CsvWriter(cfg["out"], cfg, seed)
-    w.header(["model", "estimator", "lambda", "sure_mean", "risk_mean", "bias", "bias_bound"])
     cov = model.cov()
     chunks = model.iter_chunks(n, seed)
     if cfg["select_lambda"]:
@@ -378,6 +397,7 @@ def cmd_sure(cfg: dict) -> CsvWriter:
         stats = {"lambda": itemgetter(0), "sure": itemgetter(1), "risk": itemgetter(2)}
         lam_hat, sure_val, risk = (acc.mean for acc in run(map(selected, blocks), stats).values())
         estimator = "soft-threshold:lambda-hat"
+        w.header(_SURE_COLUMNS)
         w.row([model.family, estimator, lam_hat, sure_val, risk, sure_val - risk, None])
         return w
     lam = cfg["lam"] if cfg["lam"] is not None else 0.0
@@ -395,9 +415,11 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     if est.kind == "james_stein":
         try:
             coupling = coupling_for(model)
-            bound = 2.0 * bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR).mean
+            if _applies(w, model, "zerobias", "bias_bound"):
+                bound = 2.0 * bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR).mean
         except ParameterError:
             bound = None
+    w.header(_SURE_COLUMNS)
     w.row([model.family, est.kind, lam, risk + bias, risk, bias, bound])
     return w
 
@@ -406,7 +428,7 @@ def cmd_adaptivity(cfg: dict) -> CsvWriter:
     n, seed = cfg["reps"], cfg["seed"]
     c = cfg["c"]
     sigma2 = cfg["sigma"] ** 2
-    d_list = [int(x) for x in (cfg["d_list"] or "100,400,1600").split(",")]
+    d_list = _d_list(cfg, "100,400,1600")
     w = CsvWriter(cfg["out"], cfg, seed)
     w.header(["d", "risk_mean", "stderr", "pinsker_limit", "thm45_bound"])
     limit = pinsker_limit(sigma2, c**2)
@@ -432,7 +454,7 @@ def cmd_sphere_demo(cfg: dict) -> CsvWriter:
     c_low, c_high, sigma2 = cfg["c_low"], cfg["c_high"], cfg["sigma"] ** 2
     if c_low <= 1:
         raise ParameterError("the lower norm ratio must exceed 1")
-    d_list = [int(x) for x in (cfg["d_list"] or "16,65,100,200").split(",")]
+    d_list = _d_list(cfg, "16,65,100,200")
     w = CsvWriter(cfg["out"], cfg, seed)
     crossing = 4.0 * (math.sqrt(c_high) + 1.0) ** 2 / (math.sqrt(c_low) - 1.0) ** 3
     w.comment(f"certified improvement for d > {crossing:.17g}")

@@ -306,7 +306,7 @@ def sure_kernel(x, estimator: EstimatorSpec, kernel: SteinKernel, theta) -> floa
         x,
         estimator,
         np.trace(kernel.sigma),
-        lambda X, sq: kernel.contract(X - theta, estimator, X),
+        lambda X, sq: estimator.contract(X, kernel.as_weights(X - theta)),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, ParameterError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
@@ -117,7 +117,7 @@ class Gaussian1D(Law1D):
 
     def __post_init__(self):
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ParameterError("sigma must be positive")
 
     @property
     def variance(self):
@@ -165,7 +165,7 @@ class Laplace1D(Law1D):
 
     def __post_init__(self):
         if self.b <= 0:
-            raise ValueError("scale b must be positive")
+            raise ParameterError("scale b must be positive")
 
     @property
     def variance(self):
@@ -209,7 +209,7 @@ class Uniform1D(Law1D):
 
     def __post_init__(self):
         if self.a <= 0:
-            raise ValueError("half-width a must be positive")
+            raise ParameterError("half-width a must be positive")
 
     @property
     def variance(self):
@@ -263,7 +263,7 @@ class SmoothedRademacher1D(Law1D):
 
     def __post_init__(self):
         if self.c <= 0 or self.h <= 0:
-            raise ValueError("c and h must be positive")
+            raise ParameterError("c and h must be positive")
 
     @property
     def variance(self):

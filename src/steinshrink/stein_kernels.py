@@ -5,23 +5,30 @@ fixed matrix, diagonal, linear images of these) and hand them to the test
 functions as `Weights`, so a contraction <T, grad f> costs O(rows * d) and
 no per-row (d, d) matrix is built.  Only the mixture and average kernels,
 which have no such structure, keep per-row dense matrices.
-`discrepancy_stats` measures how far a kernel sits from its covariance, the
-quantity that drives the non-Gaussian risk and SURE-bias bounds.
+
+In zero-bias terms a kernel is one shared term whose point is X and whose
+weights are T(X - theta): `SteinKernel.chunks` streams the same identity
+chunks (`zero_bias.JointChunk`) as a coupling, and one residual serves both
+identities.  `discrepancy_stats` measures how far a kernel sits from its
+covariance, the quantity that drives the non-Gaussian risk and SURE-bias
+bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from ._mc import RiskReport, chunk_plan, report_from, run, substream
+from ._mc import RiskReport, chunk_plan, run, substream
 from .errors import EvaluationError, ParameterError
 from .laws1d import Law1D
 from .noise_models import NoiseModel
 from .quadrature import RadialProfile
 from .testfns import DenseWeights, DiagonalWeights, FixedWeights, TestFn, Weights, _per_row
+from .zero_bias import JointChunk, Shared, identity_residual
 
 
 class SteinKernel:
@@ -51,16 +58,18 @@ class SteinKernel:
         this dense fallback."""
         return DenseWeights(self.matrices(Y))
 
-    def trace_values(self, Y: np.ndarray) -> np.ndarray:
-        return _per_row(self.as_weights(Y).trace(), Y.shape[0])
+    def frob_dev(self, W: Weights):
+        """||W - Sigma||_F^2 = ||W||^2 - 2 <W, Sigma> + ||Sigma||^2, rowwise,
+        for weights W this kernel built."""
+        sigma = self.sigma
+        return W.frob_sq() - 2.0 * W.inner(sigma) + float(np.vdot(sigma, sigma))
 
-    def frob_dev_values(self, Y: np.ndarray) -> np.ndarray:
-        return _per_row(_frob_dev(self.as_weights(Y), self.sigma), Y.shape[0])
-
-    def contract(self, Y: np.ndarray, field, X: np.ndarray) -> np.ndarray:
-        """<T(y), grad field(x)> rowwise, for a field with a `contract(X, W)`
-        closed form (a TestFn or an estimator perturbation)."""
-        return field.contract(X, self.as_weights(Y))
+    def chunks(self, model: NoiseModel, n: int, seed: int):
+        """Identity chunks of the model's draws: X with one shared term at X,
+        weighted T(X - theta).  Holds one chunk at a time."""
+        for X in model.iter_chunks(n, seed):
+            yield JointChunk(X, (Shared(X, self.as_weights(X - model.theta)),))
+            del X
 
 
 def _symmetric(matrix) -> np.ndarray:
@@ -69,11 +78,6 @@ def _symmetric(matrix) -> np.ndarray:
     if not np.allclose(matrix, matrix.T):
         raise ParameterError("kernel mean matrix must be symmetric")
     return matrix
-
-
-def _frob_dev(W: Weights, sigma: np.ndarray):
-    """||W - Sigma||_F^2 = ||W||^2 - 2 <W, Sigma> + ||Sigma||^2, rowwise."""
-    return W.frob_sq() - 2.0 * W.inner(sigma) + float(np.vdot(sigma, sigma))
 
 
 class ConstantKernel(SteinKernel):
@@ -135,8 +139,8 @@ class DiagonalKernel(SteinKernel):
     def as_weights(self, Y):
         return DiagonalWeights(self.diagonals(Y))
 
-    def frob_dev_values(self, Y):
-        dev = self.diagonals(Y) - self.sigma_diag
+    def frob_dev(self, W):
+        dev = W.diag - self.sigma_diag
         return np.einsum("mi,mi->m", dev, dev)
 
 
@@ -282,17 +286,17 @@ class AverageKernel(SteinKernel):
     def matrices(self, Y):
         raise ParameterError("average kernel is defined on joint samples only")
 
-    def paired_chunks(self, model: NoiseModel, n: int, seed: int):
-        for idx, rows in _dense_chunk_plan(n, model.d, len(self.kernels)):
-            yield self._paired_chunk(model, substream(seed, idx), rows)
-
-    def _paired_chunk(self, model, rng, rows):
+    def chunks(self, model: NoiseModel, n: int, seed: int):
         ncopies = len(self.kernels)
-        draws = [model._draw(rng, rows) for _ in range(ncopies)]
-        X = sum(draws) / math.sqrt(ncopies)
-        X += model.theta
-        mats = sum(k.matrices(y) for k, y in zip(self.kernels, draws)) / ncopies
-        return X, _DenseChunk(mats, self.sigma)
+        for idx, rows in _dense_chunk_plan(n, model.d, ncopies):
+            rng = substream(seed, idx)
+            draws = [model._draw(rng, rows) for _ in range(ncopies)]
+            X = sum(draws) / math.sqrt(ncopies)
+            X += model.theta
+            mats = sum(k.matrices(y) for k, y in zip(self.kernels, draws)) / ncopies
+            del draws
+            yield JointChunk(X, (Shared(X, DenseWeights(mats)),))
+            del X, mats
 
 
 class MixtureKernel(SteinKernel):
@@ -317,46 +321,28 @@ class MixtureKernel(SteinKernel):
     def matrices(self, Y):
         raise ParameterError("mixture kernel is defined on joint samples only")
 
-    def paired_chunks(self, model: NoiseModel, n: int, seed: int):
-        for idx, rows in _dense_chunk_plan(n, self.pairs[0][0].d):
-            yield self._paired_chunk(model, substream(seed, idx), rows)
-
-    def _paired_chunk(self, model, rng, rows):
+    def chunks(self, model: NoiseModel, n: int, seed: int):
         d = self.pairs[0][0].d
-        pick = rng.choice(len(self.pairs), size=rows, p=self.weights)
-        X = np.empty((rows, d))
-        mats = np.empty((rows, d, d))
-        for s, (comp, kern) in enumerate(self.pairs):
-            sel = np.flatnonzero(pick == s)
-            if sel.size:
-                ys = comp._draw(rng, sel.size)
-                X[sel] = ys
-                mats[sel] = kern.matrices(ys)
-        X += model.theta
-        return X, _DenseChunk(mats, self.sigma)
+        for idx, rows in _dense_chunk_plan(n, d):
+            rng = substream(seed, idx)
+            pick = rng.choice(len(self.pairs), size=rows, p=self.weights)
+            X = np.empty((rows, d))
+            mats = np.empty((rows, d, d))
+            for s, (comp, kern) in enumerate(self.pairs):
+                sel = np.flatnonzero(pick == s)
+                if sel.size:
+                    ys = comp._draw(rng, sel.size)
+                    X[sel] = ys
+                    mats[sel] = kern.matrices(ys)
+            X += model.theta
+            yield JointChunk(X, (Shared(X, DenseWeights(mats)),))
+            del X, mats
 
 
 def _dense_chunk_plan(n: int, d: int, copies: int = 1):
     """Chunks sized by what a dense chunk allocates: `copies` draws of
     (rows, d) and per-row (rows, d, d) kernel matrices."""
     return chunk_plan(n, d * max(d, copies))
-
-
-class _DenseChunk:
-    """Per-chunk dense kernel values with the chunk contraction API."""
-
-    def __init__(self, mats, sigma):
-        self.weights = DenseWeights(mats)
-        self.sigma = sigma
-
-    def trace_values(self):
-        return self.weights.trace()
-
-    def frob_dev_values(self):
-        return _frob_dev(self.weights, self.sigma)
-
-    def contract(self, field, X):
-        return field.contract(X, self.weights)
 
 
 def average_kernel(kernels) -> AverageKernel:
@@ -391,39 +377,17 @@ class DiscrepancyStats:
         return math.sqrt(max(self.var_trace_T, 0.0)) + 2.0 * math.sqrt(max(self.e_frob_dev_sq, 0.0))
 
 
-def _paired_chunks(model: NoiseModel, kernel: SteinKernel, n: int, seed: int):
-    """(X, kernel chunk) pairs, holding one pair at a time."""
-    if hasattr(kernel, "paired_chunks"):
-        yield from kernel.paired_chunks(model, n, seed)
-        return
-    for X in model.iter_chunks(n, seed):
-        yield X, _BoundChunk(kernel, X - model.theta)
-        del X
-
-
-class _BoundChunk:
-    def __init__(self, kernel, Y):
-        self.kernel = kernel
-        self.Y = Y
-
-    def trace_values(self):
-        return self.kernel.trace_values(self.Y)
-
-    def frob_dev_values(self):
-        return self.kernel.frob_dev_values(self.Y)
-
-    def contract(self, field, X):
-        return self.kernel.contract(self.Y, field, X)
-
-
 def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int) -> DiscrepancyStats:
     if n < 2:
         raise ParameterError("discrepancy statistics need n >= 2")
-    accs = run(
-        _paired_chunks(model, kernel, n, seed),
-        {"trace": lambda c: c[1].trace_values(), "frob": lambda c: c[1].frob_dev_values()},
-    )
-    tr, fb = accs["trace"], accs["frob"]
+
+    def trace_and_frob(chunk):
+        (term,) = chunk.terms
+        rows = chunk.X.shape[0]
+        return _per_row(term.W.trace(), rows), _per_row(kernel.frob_dev(term.W), rows)
+
+    stats = {"trace": itemgetter(0), "frob": itemgetter(1)}
+    tr, fb = run(map(trace_and_frob, kernel.chunks(model, n, seed)), stats).values()
     return DiscrepancyStats(
         e_trace_T=tr.mean,
         e_trace_T_stderr=tr.stderr,
@@ -440,12 +404,6 @@ def stein_identity_residual(
     model: NoiseModel, kernel: SteinKernel, test_fn: TestFn, n: int, seed: int
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - E<T, grad f(X)>; 0 for a true kernel."""
-
-    def residual(paired):
-        X, K = paired
-        test_fn.guard(X)
-        lhs = np.einsum("mi,mi->m", X - model.theta, test_fn.f(X))
-        return lhs - K.contract(test_fn, X)
-
-    acc = run(_paired_chunks(model, kernel, n, seed), {"residual": residual})["residual"]
-    return report_from(acc, seed, label=f"stein-residual:{test_fn.name}")
+    return identity_residual(
+        kernel.chunks(model, n, seed), model.theta, test_fn, seed, f"stein-residual:{test_fn.name}"
+    )

@@ -12,6 +12,11 @@ images), the joint draw is exact, and the right-hand side is a sum of
 shared and coordinate-replacement terms contracted in closed form.  A
 generic square-bias construction is also provided for laws without a
 special structure.
+
+A `JointChunk` carries X and those terms.  It is the one identity chunk of
+the package: a Stein kernel streams it too, as one shared term at X with
+weights T(X - theta) (`SteinKernel.chunks`), so `identity_residual` serves
+the Stein and the zero-bias identities alike.
 """
 
 from __future__ import annotations
@@ -77,11 +82,15 @@ class JointChunk:
 
     def weighted_partials(self, field) -> np.ndarray:
         """sum_ij sigma_ij d_j f_i(X^{ij}) rowwise, for a field with `guard`,
-        `contract` and `contract_replaced` (a TestFn or an estimator)."""
+        `contract` and `contract_replaced` (a TestFn or an estimator).
+
+        A shared point is guarded unless it is X itself: every caller guards
+        X once per chunk already."""
         total = None
         for term in self.terms:
             if isinstance(term, Shared):
-                field.guard(term.P)
+                if term.P is not self.X:
+                    field.guard(term.P)
                 value = field.contract(*term)
             else:
                 value = field.contract_replaced(*term)
@@ -155,8 +164,6 @@ class ZeroBiasCoupling:
         if sigma_w.shape != (base.d, base.d):
             raise ParameterError("weight matrix must be d x d")
         self.sigma = sigma_w
-        rows, cols = np.nonzero(sigma_w)  # row-major, as a double loop over (i, j)
-        self.pairs = list(zip(zip(rows.tolist(), cols.tolist()), sigma_w[rows, cols].tolist()))
         w = FixedWeights(sigma_w) if self.same_for_all else np.diagonal(sigma_w).copy()
         self.term_weights = (w,)
 
@@ -676,11 +683,9 @@ def _square_bias_table(law: Law1D, grid_points: int = 1 << 14):
 # identity residuals
 
 
-def zb_identity_residual(
-    model: NoiseModel, coupling: ZeroBiasCoupling, test_fn: TestFn, n: int, seed: int
-) -> RiskReport:
-    """MC estimate of E<X-theta, f(X)> - sum_ij sigma_ij E d_j f_i(X^{ij})."""
-    theta = model.theta
+def identity_residual(chunks, theta, test_fn: TestFn, seed: int, label: str) -> RiskReport:
+    """MC estimate of E<X-theta, f(X)> minus the mean of the chunks' weighted
+    partials: the residual of the identity the chunks carry, 0 when it holds."""
 
     def residual(chunk):
         X = chunk.X
@@ -688,8 +693,17 @@ def zb_identity_residual(
         lhs = np.einsum("mi,mi->m", X - theta, test_fn.f(X))
         return lhs - chunk.weighted_partials(test_fn)
 
-    acc = run(coupling.joint_chunks(n, seed), {"residual": residual})["residual"]
-    return report_from(acc, seed, label=f"zb-residual:{test_fn.name}")
+    acc = run(chunks, {"residual": residual})["residual"]
+    return report_from(acc, seed, label=label)
+
+
+def zb_identity_residual(
+    model: NoiseModel, coupling: ZeroBiasCoupling, test_fn: TestFn, n: int, seed: int
+) -> RiskReport:
+    """MC estimate of E<X-theta, f(X)> - sum_ij sigma_ij E d_j f_i(X^{ij})."""
+    return identity_residual(
+        coupling.joint_chunks(n, seed), model.theta, test_fn, seed, f"zb-residual:{test_fn.name}"
+    )
 
 
 def coordinate_sum_residual(

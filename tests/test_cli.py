@@ -167,6 +167,44 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["sphere-demo", "--c-low", "0.5", "--out", str(tmp_path / "y.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["risk", "--reps", "0"],
+        ["risk", "--reps", "-3"],
+        ["risk", "--model", "laplace", "--sigma", "0"],
+        ["risk", "--model", "uniform", "--sigma", "-1"],
+        ["adaptivity", "--d-list", "100,abc", "--reps", "100"],
+        ["sphere-demo", "--d-list", "65,"],
+    ],
+    ids=["reps-0", "reps-negative", "laplace-sigma-0", "uniform-sigma-negative",
+         "adaptivity-d-list", "sphere-d-list"],
+)
+def test_bad_parameters_exit_two(tmp_path, capsys, args):
+    out = tmp_path / "bad.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["risk", "sure"])
+def test_bounds_ruled_out_by_validity_are_blank(tmp_path, command):
+    # uniform noise at d = 3: neither the kernel nor the zero-bias identity
+    # behind the bounds holds (both validity checks give 'd < 5')
+    args = [command, "--model", "uniform", "--d", "3", "--lambda", "1", "--reps", "2000",
+            "--seed", "1"]
+    code, out = _run(tmp_path, command, *(args + (["--bounds"] if command == "risk" else [])))
+    assert code == 0
+    meta, header, rows = _data_rows(out)
+    cells = dict(zip(header, rows[0].split(",")))
+    blank = ["bound_thm31", "bound_thm33", "bound_zb"] if command == "risk" else ["bias_bound"]
+    assert all(cells[column] == "" for column in blank)
+    notes = [m for m in meta if "not applicable" in m]
+    gated = ["bound_thm33", "bound_zb"] if command == "risk" else ["bias_bound"]
+    assert notes == [f"# {column}: not applicable: d < 5" for column in gated]
+
+
 def test_guard_abort_exits_three(tmp_path):
     code = main(
         [

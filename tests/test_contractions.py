@@ -17,9 +17,16 @@ import pytest
 
 import steinshrink as ss
 from steinshrink.errors import EvaluationError, ParameterError
-from steinshrink.stein_kernels import _paired_chunks
+from steinshrink import _mc
 from steinshrink._mc import substream
-from steinshrink.testfns import FixedWeights, coordinate_quadratic, linear_map, shrink_direction
+from steinshrink.stein_kernels import DiagonalKernel
+from steinshrink.testfns import (
+    DenseWeights,
+    FixedWeights,
+    coordinate_quadratic,
+    linear_map,
+    shrink_direction,
+)
 from steinshrink.zero_bias import (
     FourPointCoupling,
     JointChunk,
@@ -84,30 +91,62 @@ CASES = _models_and_kernels()
 
 
 def _chunk(model, kernel):
-    """One chunk of draws X with the kernel's values there, and the dense
-    kernel matrices as the oracle."""
-    X, K = next(_paired_chunks(model, kernel, ROWS, 5))
-    if hasattr(K, "kernel"):
-        mats = kernel.matrices(X - model.theta)
-    else:  # mixture and average chunks carry their per-row matrices
-        mats = K.weights.mats
-    return X, K, mats
+    """One identity chunk of the kernel's stream, its one term's weights, and
+    the dense kernel matrices at its draws as the oracle."""
+    chunk = next(kernel.chunks(model, ROWS, 5))
+    (term,) = chunk.terms
+    assert isinstance(term, Shared) and term.P is chunk.X
+    if isinstance(term.W, DenseWeights):  # mixture and average chunks carry their matrices
+        mats = term.W.mats
+    else:
+        mats = kernel.matrices(chunk.X - model.theta)
+    return chunk, term.W, mats
 
 
 @pytest.mark.parametrize("name,model,kernel", CASES, ids=[c[0] for c in CASES])
 def test_kernel_contraction_matches_dense(name, model, kernel):
-    X, K, mats = _chunk(model, kernel)
+    chunk, W, mats = _chunk(model, kernel)
     for fn in _test_fns():
-        dense = np.einsum("mij,mij->m", mats, fn.jac(X))
-        assert_rows_close(K.contract(fn, X), dense)
+        dense = np.einsum("mij,mij->m", mats, fn.jac(chunk.X))
+        assert_rows_close(fn.contract(chunk.X, W), dense)
+        assert_rows_close(chunk.weighted_partials(fn), dense)
 
 
 @pytest.mark.parametrize("name,model,kernel", CASES, ids=[c[0] for c in CASES])
 def test_trace_and_frob_dev_match_dense(name, model, kernel):
-    X, K, mats = _chunk(model, kernel)
-    assert_rows_close(K.trace_values(), np.trace(mats, axis1=1, axis2=2))
+    _, W, mats = _chunk(model, kernel)
+    assert_rows_close(W.trace(), np.trace(mats, axis1=1, axis2=2))
     dev = mats - kernel.sigma
-    assert_rows_close(K.frob_dev_values(), np.einsum("mij,mij->m", dev, dev))
+    assert_rows_close(kernel.frob_dev(W), np.einsum("mij,mij->m", dev, dev))
+
+
+def test_discrepancy_evaluates_the_kernel_once_per_chunk(monkeypatch):
+    # 100 rows per chunk at d = 6: three chunks for n = 250
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 100 * D)
+    model = ss.ProductIID(D, ss.Laplace1D(0.9), "scaled:1")
+    kernel = ss.product_kernel([model.law] * D)
+    calls = []
+    diagonals = DiagonalKernel.diagonals
+
+    def counted(self, Y):
+        calls.append(Y.shape[0])
+        return diagonals(self, Y)
+
+    monkeypatch.setattr(DiagonalKernel, "diagonals", counted)
+    ss.discrepancy_stats(model, kernel, 250, 6)
+    assert calls == [100, 100, 50]
+
+
+def test_gaussian_kernel_and_fixed_point_coupling_stream_the_same_chunks():
+    model = ss.GaussianIso(D, 1.3, "scaled:1")
+    n = 300  # below one chunk of rows for either stream
+    by_kernel = list(ss.gaussian_kernel(model.cov()).chunks(model, n, 13))
+    by_coupling = list(ss.coupling_for(model).joint_chunks(n, 13))
+    assert len(by_kernel) == len(by_coupling) == 1
+    (k_chunk,), (c_chunk,) = by_kernel, by_coupling
+    np.testing.assert_array_equal(k_chunk.X, c_chunk.X)
+    for fn in _test_fns():
+        np.testing.assert_array_equal(k_chunk.weighted_partials(fn), c_chunk.weighted_partials(fn))
 
 
 @pytest.mark.parametrize("name,model,kernel", CASES[:7], ids=[c[0] for c in CASES[:7]])
@@ -225,8 +264,8 @@ def test_replacement_closed_form_matches_partial_loop(name, coupling):
     assert np.any(coupling.theta != 0.0)
     for field in _fields():
         loop = np.zeros(ROWS)
-        for (i, j), w in coupling.pairs:
-            loop += w * field.partial(chunk.companion(i, j), i, j)
+        for i, j in zip(*np.nonzero(coupling.sigma)):
+            loop += coupling.sigma[i, j] * field.partial(chunk.companion(i, j), i, j)
         assert_rows_close(chunk.weighted_partials(field), loop)
 
 
@@ -290,10 +329,10 @@ def _averaged_couplings():
 AVERAGED = _averaged_couplings()
 
 
-def _dense_sum(field, pairs, point):
-    """sum over pairs of w d_j f_i(point(i, j)), from the dense Jacobian."""
+def _dense_sum(field, sigma, point):
+    """sum over sigma_ij != 0 of sigma_ij d_j f_i(point(i, j)), from the dense Jacobian."""
     jac = field.jac if hasattr(field, "jac") else field.jacobian
-    return sum(w * jac(point(i, j))[:, i, j] for (i, j), w in pairs)
+    return sum(sigma[i, j] * jac(point(i, j))[:, i, j] for i, j in zip(*np.nonzero(sigma)))
 
 
 def _averaged_oracle(coupling, field, seed):
@@ -310,15 +349,15 @@ def _averaged_oracle(coupling, field, seed):
             out[:, i] += U
             return out
 
-        return _dense_sum(field, coupling.pairs, point)
+        return _dense_sum(field, coupling.sigma, point)
     if isinstance(coupling, LinearMapCoupling):
         base = coupling.base_coupling._centered(rng, ROWS)
         A, gamma = coupling.A, np.diag(coupling.base_coupling.sigma)
         total = 0.0
         for k in range(D):
-            pairs = [((i, j), A[i, k] * gamma[k] * A[j, k]) for i in range(D) for j in range(D)]
+            weights = gamma[k] * np.outer(A[:, k], A[:, k])
             star = theta + base.companion(k, k) @ A.T  # the base is centered
-            total = total + _dense_sum(field, pairs, lambda i, j: star)
+            total = total + _dense_sum(field, weights, lambda i, j: star)
         return total
     if isinstance(coupling, MixtureCoupling):
         pick = rng.choice(len(coupling.components), size=ROWS, p=coupling.weights)
@@ -327,14 +366,14 @@ def _averaged_oracle(coupling, field, seed):
     if coupling.same_for_all:  # the companion of the picked component
         star = theta + sum(np.where((pick == s)[:, None], sub.companion(0, 0), 0.0)
                            for s, sub in enumerate(subs))
-        return _dense_sum(field, coupling.pairs, lambda i, j: star)
+        return _dense_sum(field, coupling.sigma, lambda i, j: star)
     if isinstance(coupling, SumCoupling):
         X = theta + sum(sub.X for sub in subs)
         for comp, sub in zip(coupling.components, subs):
-            total = total + _dense_sum(field, comp.pairs, lambda i, j: X - sub.X + sub.companion(i, j))
+            total = total + _dense_sum(field, comp.sigma, lambda i, j: X - sub.X + sub.companion(i, j))
         return total
     for w, comp, sub in zip(coupling.weights, coupling.components, subs):
-        total = total + w * _dense_sum(field, comp.pairs, lambda i, j: theta + sub.companion(i, j))
+        total = total + w * _dense_sum(field, comp.sigma, lambda i, j: theta + sub.companion(i, j))
     return total
 
 

@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 import steinshrink as ss
 from steinshrink.errors import ParameterError
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
-from steinshrink.zero_bias import FourPointCoupling, ScaledCoupling, ZeroBiasCoupling, zb1d
+from steinshrink.zero_bias import FourPointCoupling, ScaledCoupling, zb1d
 from conftest import assert_zero_within
 
 KS_LEVEL = 0.001
@@ -93,21 +93,6 @@ def test_sign_draws_match_choice_form_bit_for_bit(law):
             got = law.zb_sample(new, size)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert old.random() == new.random()  # the streams stay in step
-
-
-@pytest.mark.parametrize("kind", ["dense", "diagonal", "sparse-signed"])
-def test_coupling_pairs_match_the_double_loop(kind):
-    d = 9
-    rng = np.random.default_rng(41)
-    sigma = {
-        "dense": rng.uniform(0.1, 2.0, (d, d)),
-        "diagonal": np.diag(rng.uniform(0.5, 1.5, d)),
-        "sparse-signed": rng.normal(size=(d, d)) * (rng.uniform(size=(d, d)) < 0.3),
-    }[kind]
-    want = [((i, j), float(sigma[i, j])) for i in range(d) for j in range(d) if sigma[i, j] != 0.0]
-    got = ZeroBiasCoupling(ss.GaussianIso(d), sigma).pairs
-    assert got == want
-    assert all(type(i) is int and type(j) is int and type(w) is float for (i, j), w in got)
 
 
 # -- couplings: characterization residuals ------------------------------------
