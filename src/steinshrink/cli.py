@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -122,67 +123,78 @@ def _read_config_file(path) -> dict:
     return values
 
 
-_DEFAULTS = {
-    "model": "gaussian",
-    "d": 5,
-    "k": 6,
-    "sigma": 1.0,
-    "eps": 0.1,
-    "theta": "zero",
-    "lam": None,
-    "lambda_grid": "2:512",
-    "reps": 100000,
-    "seed": 1,
-    "out": "-",
-    "estimator": "james-stein",
-    "bounds": False,
-    "excess": False,
-    "pinsker": False,
-    "select_lambda": False,
-    "outlier": "student",
-    "c": 1.0,
-    "c_low": 4.0,
-    "c_high": 9.0,
-    "d_list": None,
-}
-
-_CASTS = {
-    "d": int,
-    "k": int,
-    "reps": int,
-    "seed": int,
-    "sigma": float,
-    "eps": float,
-    "lam": float,
-    "c": float,
-    "c_low": float,
-    "c_high": float,
-    "bounds": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-    "excess": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-    "pinsker": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-    "select_lambda": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-}
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-_COMMAND_DEFAULTS = {
-    "identity-check": {"model": "all", "reps": 200000},
-    "adaptivity": {"reps": 100000},
+_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _switch(text: str) -> bool:
+    if text.lower() not in _ON + _OFF:
+        raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
+    return text.lower() in _ON
+
+
+class _Option(NamedTuple):
+    flag: str
+    cast: Callable[[str], object]
+    default: object
+    help: str | None = None
+
+
+# Every option once, under its config key (the parser's dest).  Flag text and
+# config-file text go through the same cast; a switch takes no value.
+_OPTIONS = {
+    "model": _Option("--model", str, "gaussian"),
+    "d": _Option("--d", int, 5),
+    "k": _Option("--k", int, 6),
+    "sigma": _Option("--sigma", _finite, 1.0),
+    "eps": _Option("--eps", _finite, 0.1),
+    "theta": _Option("--theta", str, "zero", "file path, 'zero', or 'scaled:c'"),
+    "lam": _Option("--lambda", _finite, None),
+    "lambda_grid": _Option("--lambda-grid", str, "2:512", "C:size"),
+    "reps": _Option("--reps", int, 100000),
+    "seed": _Option("--seed", int, 1),
+    "out": _Option("--out", str, "-"),
+    "estimator": _Option("--estimator", str, "james-stein"),
+    "bounds": _Option("--bounds", _switch, False),
+    "excess": _Option("--excess", _switch, False),
+    "pinsker": _Option("--pinsker", _switch, False),
+    "select_lambda": _Option("--select-lambda", _switch, False),
+    "outlier": _Option("--outlier", str, "student"),
+    "c": _Option("--c", _finite, 1.0),
+    "c_low": _Option("--c-low", _finite, 4.0),
+    "c_high": _Option("--c-high", _finite, 9.0),
+    "d_list": _Option("--d-list", str, None),
 }
+
+_COMMAND_PRESETS = {"identity-check": {"model": "all", "reps": 200000}}
+
+
+def _cast(key: str, text: str):
+    if key not in _OPTIONS:
+        raise ParameterError(f"unknown config key {key!r}")
+    option = _OPTIONS[key]
+    try:
+        return option.cast(text)
+    except ValueError as exc:
+        raise ParameterError(f"bad {option.flag} value {text!r}: {exc}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Flags override config-file keys override defaults."""
-    cfg = dict(_DEFAULTS)
-    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key not in cfg:
-                raise ParameterError(f"unknown config key {key!r}")
-            cfg[key] = _CASTS.get(key, str)(raw)
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+    """Flags override config-file keys, which override the command's
+    defaults, which override the table's."""
+    cfg = {key: option.default for key, option in _OPTIONS.items()}
+    cfg.update(_COMMAND_PRESETS.get(args.command, {}))
+    texts = list(_read_config_file(args.config).items()) if args.config else []
+    flags = vars(args)
+    texts += [(key, flags[key]) for key in _OPTIONS if flags[key] is not None]
+    for key, text in texts:
+        cfg[key] = _cast(key, text)
     cfg["command"] = args.command
     return cfg
 
@@ -244,9 +256,12 @@ def _d_list(cfg: dict, default: str) -> list[int]:
     """The dimensions of --d-list, or the command's default list."""
     spec = cfg["d_list"] or default
     try:
-        return [int(x) for x in str(spec).split(",")]
-    except ValueError as exc:
-        raise ParameterError(f"bad --d-list {spec!r}, expected comma-separated integers") from exc
+        d_list = [int(x) for x in spec.split(",")]
+    except ValueError:
+        d_list = []
+    if not d_list or min(d_list) < 1:
+        raise ParameterError(f"bad --d-list {spec!r}, expected comma-separated integers >= 1")
+    return d_list
 
 
 def _applies(w: CsvWriter, model: NoiseModel, need: str, column: str) -> bool:
@@ -256,6 +271,18 @@ def _applies(w: CsvWriter, model: NoiseModel, need: str, column: str) -> bool:
     if not report.ok:
         w.comment(f"{column}: not applicable: {'; '.join(report.reasons)}")
     return report.ok
+
+
+def _b_star(w: CsvWriter, model: NoiseModel, lam: float, n: int, seed: int, column: str):
+    """The B* estimate behind `column`, or None when the model has no
+    canonical coupling or its validity check rules the zero-bias identity out."""
+    try:
+        coupling = coupling_for(model)
+    except ParameterError:
+        return None
+    if not _applies(w, model, "zerobias", column):
+        return None
+    return bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR).mean
 
 
 def _parse_grid(spec: str):
@@ -299,14 +326,10 @@ def cmd_risk(cfg: dict) -> CsvWriter:
             else:
                 inputs.e_d2_inv4 = mc_e_d2_inv4(model, disc_n, seed + _SEED_E_INV4).mean
             b33 = bound_thm33(inputs)
-        try:
-            coupling = coupling_for(model)
-        except ParameterError:
-            coupling = None
-        if coupling is not None and _applies(w, model, "zerobias", "bound_zb"):
-            bstar = bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR)
+        bstar = _b_star(w, model, lam, n, seed, "bound_zb")
+        if bstar is not None:
             middle = lam * e_inv2 * (lam - 2.0 * (mom.trace_cov - 2.0 * mom.kappa))
-            bzb = mom.trace_cov + middle + 2.0 * bstar.mean
+            bzb = mom.trace_cov + middle + 2.0 * bstar
         if cfg["excess"]:
             b31 = None if b31 is None else b31 - mom.trace_cov
             b33 = None if b33 is None else b33 - mom.trace_cov
@@ -318,32 +341,28 @@ def cmd_risk(cfg: dict) -> CsvWriter:
     return w
 
 
-def _identity_suite(cfg: dict):
-    """(model label, model, kind, construction, object) rows to test."""
+def _identity_suite():
+    """(model label, model, kind, kernel or coupling) rows to test."""
     d, k, sigma = 6, 6, 1.0
     laplace = ProductIID(d, Laplace1D(sigma / math.sqrt(2.0)))
     shifted_sphere = SphereUniform(d, sigma, parse_theta(f"scaled:{2*math.sqrt(d):.17g}", d))
     student = StudentT(d, k)
-    gauss = GaussianIso(d, sigma**2)
-    mix = MixingCorruption(0.2, ProductIID(d, Laplace1D(sigma / math.sqrt(2.0))))
-    rows = [
-        ("gaussian", gauss, "kernel", "constant", gaussian_kernel(gauss.cov())),
-        ("student", student, "kernel", "student_closed_form", student_kernel(k, d)),
-        ("product-laplace", laplace, "kernel", "product_diagonal", product_kernel([laplace.law] * d)),
-        ("student", student, "zerobias", "student_gamma", coupling_for(student)),
-        ("sphere-shifted", shifted_sphere, "zerobias", "sphere_ball", coupling_for(shifted_sphere)),
-        ("product-laplace", laplace, "zerobias", "independent_replace", coupling_for(laplace)),
-        ("corrupt-mix", mix, "zerobias", "mixture", coupling_for(mix)),
-        ("four-point", FourPointDegenerate(), "zerobias", "four_point", None),
-    ]
-    return rows
+    four_point = FourPointDegenerate()
+    kernels = [("gaussian", GaussianIso(d, sigma**2)), ("student", student), ("product-laplace", laplace)]
+    couplings = [("student", student), ("sphere-shifted", shifted_sphere),
+                 ("product-laplace", laplace), ("corrupt-mix", MixingCorruption(0.2, laplace))]
+    return (
+        [(label, model, "kernel", model_kernel(model)) for label, model in kernels]
+        + [(label, model, "zerobias", coupling_for(model)) for label, model in couplings]
+        + [("four-point", four_point, "zerobias", FourPointCoupling(four_point))]
+    )
 
 
 def cmd_identity_check(cfg: dict) -> CsvWriter:
     n, seed = cfg["reps"], cfg["seed"]
     w = CsvWriter(cfg["out"], cfg, seed)
     w.header(["model", "construction", "test_fn", "mean", "stderr", "n", "seed", "pass"])
-    for label, model, kind, construction, obj in _identity_suite(cfg):
+    for label, model, kind, obj in _identity_suite():
         if cfg["model"] != "all" and not label.startswith(cfg["model"]):
             continue
         rng = np.random.default_rng(20240517)
@@ -353,15 +372,12 @@ def cmd_identity_check(cfg: dict) -> CsvWriter:
             if fn.needs_origin_guard:
                 report = model.validity(kind)
                 if not report.ok:
-                    w.row([label, construction, fn.name, None, None, n, seed, "invalid-by-validity-check"])
+                    w.row([label, obj.construction, fn.name, None, None, n, seed, "invalid-by-validity-check"])
                     continue
-            if kind == "kernel":
-                rep = stein_identity_residual(model, obj, fn, n, seed)
-            else:
-                coupling = obj if obj is not None else FourPointCoupling(model)
-                rep = zb_identity_residual(model, coupling, fn, n, seed)
+            residual = stein_identity_residual if kind == "kernel" else zb_identity_residual
+            rep = residual(model, obj, fn, n, seed)
             ok = abs(rep.mean) < 3.0 * rep.stderr
-            w.row([label, construction, fn.name, rep.mean, rep.stderr, rep.n, seed, ok])
+            w.row([label, obj.construction, fn.name, rep.mean, rep.stderr, rep.n, seed, ok])
     return w
 
 
@@ -413,12 +429,8 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     risk, bias = (acc.mean for acc in run(map(loss_and_bias, chunks), stats).values())
     bound = None
     if est.kind == "james_stein":
-        try:
-            coupling = coupling_for(model)
-            if _applies(w, model, "zerobias", "bias_bound"):
-                bound = 2.0 * bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR).mean
-        except ParameterError:
-            bound = None
+        bstar = _b_star(w, model, lam, n, seed, "bias_bound")
+        bound = None if bstar is None else 2.0 * bstar
     w.header(_SURE_COLUMNS)
     w.row([model.family, est.kind, lam, risk + bias, risk, bias, bound])
     return w
@@ -526,28 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key=value configuration file")
-        p.add_argument("--model", default=None)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--theta", default=None, help="file path, 'zero', or 'scaled:c'")
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--lambda-grid", dest="lambda_grid", default=None, help="C:size")
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--estimator", default=None)
-        p.add_argument("--bounds", action="store_const", const=True, default=None)
-        p.add_argument("--excess", action="store_const", const=True, default=None)
-        p.add_argument("--pinsker", action="store_const", const=True, default=None)
-        p.add_argument("--select-lambda", dest="select_lambda", action="store_const", const=True, default=None)
-        p.add_argument("--outlier", default=None)
-        p.add_argument("--c", type=float, default=None)
-        p.add_argument("--c-low", dest="c_low", type=float, default=None)
-        p.add_argument("--c-high", dest="c_high", type=float, default=None)
-        p.add_argument("--d-list", dest="d_list", default=None)
+        p.add_argument("--config", help="key=value configuration file")
+        for key, option in _OPTIONS.items():
+            switch = {"action": "store_const", "const": "true"} if option.cast is _switch else {}
+            p.add_argument(option.flag, dest=key, help=option.help, **switch)
     return parser
 
 

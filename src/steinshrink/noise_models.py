@@ -554,7 +554,7 @@ class Elliptical(NoiseModel):
 class Mixture(NoiseModel):
     family = "mixture"
 
-    def __init__(self, components, weights, theta=None, *, _family=None):
+    def __init__(self, components, weights, theta=None):
         if not components:
             raise ParameterError("mixture needs at least one component")
         d = components[0].d
@@ -571,8 +571,6 @@ class Mixture(NoiseModel):
                 raise ParameterError("mixture components must be centered")
         self.components = tuple(components)
         self.weights = w
-        if _family:
-            self.family = _family
 
     def _draw(self, rng, m):
         idx = rng.choice(len(self.components), size=m, p=self.weights)
@@ -676,6 +674,8 @@ class AdditiveCorruption(NoiseModel):
 class MixingCorruption(Mixture):
     """With probability 1-eps a Gaussian draw, with probability eps the outlier."""
 
+    family = "corrupted_gaussian_mixing"
+
     def __init__(self, eps: float, outlier: NoiseModel, theta=None):
         if not 0.0 <= eps <= 1.0:
             raise ParameterError("eps must lie in [0, 1]")
@@ -684,9 +684,7 @@ class MixingCorruption(Mixture):
         if not np.allclose(cov, s2 * np.eye(outlier.d)):
             raise ParameterError("outlier must have isotropic covariance")
         gauss = GaussianIso(outlier.d, float(s2))
-        super().__init__(
-            [gauss, outlier], [1.0 - eps, eps], theta, _family="corrupted_gaussian_mixing"
-        )
+        super().__init__([gauss, outlier], [1.0 - eps, eps], theta)
         self.eps = float(eps)
         self.outlier = outlier
         self.sigma2 = float(s2)

@@ -428,7 +428,7 @@ class LinearMapCoupling(ZeroBiasCoupling):
 
     construction = "linear_map"
 
-    def __init__(self, A, base_coupling: ZeroBiasCoupling, theta=None, base_model=None):
+    def __init__(self, A, base_coupling: ZeroBiasCoupling, base_model: NoiseModel):
         A = np.asarray(A, dtype=float)
         gamma = base_coupling.sigma
         sigma = A @ gamma @ A.T
@@ -445,8 +445,6 @@ class LinearMapCoupling(ZeroBiasCoupling):
                     f"mixing weight a[{i},{k}] gamma[{k},{k}] a[{j},{k}] < 0 "
                     f"violates the construction hypotheses"
                 )
-        if base_model is None:
-            raise ParameterError("linear-map coupling needs the transformed model")
         super().__init__(base_model, sigma)
         self.A = A
         self.base_coupling = base_coupling

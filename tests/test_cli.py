@@ -168,20 +168,30 @@ def test_usage_errors_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, config",
     [
-        ["risk", "--reps", "0"],
-        ["risk", "--reps", "-3"],
-        ["risk", "--model", "laplace", "--sigma", "0"],
-        ["risk", "--model", "uniform", "--sigma", "-1"],
-        ["adaptivity", "--d-list", "100,abc", "--reps", "100"],
-        ["sphere-demo", "--d-list", "65,"],
+        pytest.param(["risk", "--reps", "0"], None, id="reps-0"),
+        pytest.param(["risk", "--reps", "-3"], None, id="reps-negative"),
+        pytest.param(["risk", "--model", "laplace", "--sigma", "0"], None, id="laplace-sigma-0"),
+        pytest.param(["risk", "--model", "uniform", "--sigma", "-1"], None,
+                     id="uniform-sigma-negative"),
+        pytest.param(["adaptivity", "--d-list", "100,abc", "--reps", "100"], None,
+                     id="adaptivity-d-list"),
+        pytest.param(["sphere-demo", "--d-list", "65,"], None, id="sphere-d-list"),
+        pytest.param(["sphere-demo", "--d-list", "0"], None, id="sphere-d-list-0"),
+        pytest.param(["risk", "--sigma", "nan"], None, id="sigma-nan"),
+        pytest.param(["risk", "--lambda", "inf"], None, id="lambda-inf"),
+        pytest.param(["risk", "--d", "x"], None, id="d-not-integer"),
+        pytest.param(["risk"], "d=abc\n", id="config-d-not-integer"),
+        pytest.param(["risk"], "bounds=maybe\n", id="config-bounds-maybe"),
+        pytest.param(["risk"], "sigma=nan\n", id="config-sigma-nan"),
     ],
-    ids=["reps-0", "reps-negative", "laplace-sigma-0", "uniform-sigma-negative",
-         "adaptivity-d-list", "sphere-d-list"],
 )
-def test_bad_parameters_exit_two(tmp_path, capsys, args):
+def test_bad_parameters_exit_two(tmp_path, capsys, args, config):
     out = tmp_path / "bad.csv"
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "bad.cfg")]
     assert main(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -274,3 +284,61 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("modle=gaussian\n")
     assert main(["risk", "--config", str(cfg), "--out", str(tmp_path / "z.csv")]) == 2
+
+
+# Every option but --out at a non-default value: config key -> (flag, text).
+_EVERY_OPTION = {
+    "model": ("--model", "laplace"),
+    "d": ("--d", "7"),
+    "k": ("--k", "8"),
+    "sigma": ("--sigma", "1.5"),
+    "eps": ("--eps", "0.2"),
+    "theta": ("--theta", "scaled:2"),
+    "lam": ("--lambda", "3.5"),
+    "lambda_grid": ("--lambda-grid", "3:64"),
+    "reps": ("--reps", "3000"),
+    "seed": ("--seed", "9"),
+    "estimator": ("--estimator", "js"),
+    "bounds": ("--bounds", "yes"),
+    "excess": ("--excess", "on"),
+    "pinsker": ("--pinsker", "1"),
+    "select_lambda": ("--select-lambda", "true"),
+    "outlier": ("--outlier", "gaussian"),
+    "c": ("--c", "2"),
+    "c_low": ("--c-low", "5"),
+    "c_high": ("--c-high", "1e1"),
+    "d_list": ("--d-list", "8,9"),
+}
+_SWITCHES = {"bounds", "excess", "pinsker", "select_lambda"}  # flags that take no value
+
+
+def test_config_file_and_flags_give_the_same_bytes(tmp_path):
+    import steinshrink.cli as cli
+
+    assert set(_EVERY_OPTION) | {"out"} == set(cli._OPTIONS)
+    by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    cfg = tmp_path / "every.cfg"
+    # '-' and '_' are interchangeable in config keys
+    cfg.write_text("".join(f"{key.replace('_', '-')}={text}\n"
+                           for key, (_, text) in _EVERY_OPTION.items()) + f"out={by_file}\n")
+    assert main(["risk", "--config", str(cfg)]) == 0
+    argv = ["risk", "--out", str(by_flags)]
+    for key, (flag, text) in _EVERY_OPTION.items():
+        argv += [flag] if key in _SWITCHES else [flag, text]
+    assert main(argv) == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
+    meta, _, _ = _data_rows(by_file)
+    config_line = next(m for m in meta if m.startswith("# config:"))
+    assert "lam=3.5" in config_line and "c_high=10.0" in config_line and "bounds=true" in config_line
+
+
+def test_default_config_echo(tmp_path):
+    code, out = _run(tmp_path, "default", "risk")
+    assert code == 0
+    meta, _, _ = _data_rows(out)
+    assert meta[1] == (
+        "# config: bounds=false c=1.0 c_high=9.0 c_low=4.0 command=risk d=5 d_list= eps=0.1 "
+        "estimator=james-stein excess=false k=6 lam= lambda_grid=2:512 model=gaussian "
+        "outlier=student pinsker=false reps=100000 seed=1 select_lambda=false sigma=1.0 "
+        "theta=zero"
+    )

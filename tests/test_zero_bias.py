@@ -162,7 +162,7 @@ def test_residual_linear_map_ellipsoid():
     theta = ss.parse_theta(f"scaled:{2 * math.sqrt(d)}", d)
     model = ss.LinearTransform(math.sqrt(d) * A, ss.SphereUniform(d, 1.0 / math.sqrt(d)), theta)
     coup = ss.zb_linear(A, base, base_model=model)
-    assert coup.same_for_all is False or True  # shared-star base
+    assert coup.same_for_all  # the sphere base shares one companion
     assert np.allclose(coup.sigma, A @ A.T)
     for fn in _fams(d):
         assert_zero_within(ss.zb_identity_residual(model, coup, fn, 200_000, 57))
