@@ -7,11 +7,18 @@ The partition depends only on (n, d), never on worker count.
 
 `run` is the one streaming engine: every Monte Carlo estimate in the
 package is a mean of per-row statistics accumulated over one chunk stream.
+
+`draw_rows` draws one chunk of fixed-width variates (one 64-bit generator
+output each: numpy's Laplace and uniform draws) on all usable cores, by
+jumping copies of the chunk's PCG64 substream ahead to each block of rows.
+Its bytes, its end state and its live memory (one chunk) do not depend on
+the core count.  Every other draw is made serially on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +42,105 @@ def chunk_rows(d: int) -> int:
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for chunk `index` of the stream identified by `seed`."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
+
+
+# Variates per call inside `draw_rows`: each block's temporary (128 KB) stays
+# in cache while the shift is added, and adds little to the peak RSS.
+_SUB_BLOCK = 1 << 14
+# Fewest variates a block is split off for: smaller draws stay on the calling
+# thread and pay no thread start-up.
+_MIN_SPLIT = 1 << 18
+# Bit generators whose `advance(k)` skips exactly k 64-bit outputs.
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(rows: int, d: int) -> int:
+    """Blocks a (rows, d) fixed-width draw is split into."""
+    return max(1, min(_usable_cores(), rows, rows * d // _MIN_SPLIT))
+
+
+def _fill(g: np.random.Generator, draw, out: np.ndarray, shift) -> None:
+    """out[:] = draw(g, out.shape) (+ shift), made in sub-blocks of rows."""
+    rows, d = out.shape
+    step = max(1, _SUB_BLOCK // max(d, 1))
+    for r in range(0, rows, step):
+        block = draw(g, (min(step, rows - r), d))
+        if shift is None:
+            out[r : r + step] = block
+        else:
+            np.add(block, shift, out=out[r : r + step])
+
+
+def draw_rows(rng: np.random.Generator, rows: int, d: int, draw, shift=None) -> np.ndarray:
+    """The (rows, d) array `draw(rng, (rows, d))` (+ `shift`), drawn on all
+    usable cores, with `rng` left where that serial draw leaves it.
+
+    `draw(g, shape)` should take one 64-bit output of `g` per variate.  The
+    rows are cut into one block per worker, and block k is drawn from a
+    copy of `rng` advanced past the variates of blocks 0..k-1 (PCG64 jumps
+    ahead in O(log n)).  The result is kept only if every block ended where
+    the next one started; otherwise (a variate took a second output, as
+    numpy's Laplace does on a zero uniform) `rng` is reset and the draw is
+    made as one block.
+    """
+    nblocks = _workers(rows, d) if isinstance(rng.bit_generator, _JUMPABLE) else 1
+    start = rng.bit_generator.state if nblocks > 1 else None
+    out = _draw_blocks(rng, start, rows, d, draw, shift, nblocks)
+    if out is None:
+        rng.bit_generator.state = start
+        out = _draw_blocks(rng, start, rows, d, draw, shift, 1)
+    return out
+
+
+def _draw_blocks(rng, start, rows, d, draw, shift, nblocks):
+    """`draw_rows` on `nblocks` blocks, or None if a block did not end where
+    the next one began.  The calling thread draws block 0 from `rng` itself,
+    so no pool outlives the call, and `rng` then takes the last block's end
+    state.  A worker's exception is raised here, and no array is returned.
+    """
+    out = np.empty((rows, d))
+    cuts = [rows * k // nblocks for k in range(nblocks + 1)]
+    gens = [rng]
+    for k in range(1, nblocks):
+        bits = type(rng.bit_generator)(0)
+        bits.state = start
+        bits.advance(cuts[k] * d)
+        gens.append(np.random.Generator(bits))
+    begins = [g.bit_generator.state["state"] for g in gens[1:]]
+    errors = [None] * nblocks
+
+    def work(k):
+        try:
+            _fill(gens[k], draw, out[cuts[k] : cuts[k + 1]], shift)
+        except BaseException as exc:  # raised again on the calling thread
+            errors[k] = exc
+
+    threads = []
+    if nblocks > 1:
+        import threading
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(1, nblocks)]
+        for t in threads:
+            t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    if any(g.bit_generator.state["state"] != b for g, b in zip(gens, begins)):
+        return None
+    if nblocks > 1:
+        rng.bit_generator.state = {**start, "state": gens[-1].bit_generator.state["state"]}
+    return out
 
 
 def chunk_plan(n: int, d: int):

@@ -130,6 +130,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    return value
+
+
 _ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
@@ -158,7 +165,7 @@ _OPTIONS = {
     "lam": _Option("--lambda", _finite, None),
     "lambda_grid": _Option("--lambda-grid", str, "2:512", "C:size"),
     "reps": _Option("--reps", int, 100000),
-    "seed": _Option("--seed", int, 1),
+    "seed": _Option("--seed", _seed, 1),
     "out": _Option("--out", str, "-"),
     "estimator": _Option("--estimator", str, "james-stein"),
     "bounds": _Option("--bounds", _switch, False),
@@ -533,8 +540,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one `error:` line, not the usage block; exit 2.
+    Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="steinshrink", description=__doc__)
+    parser = _Parser(prog="steinshrink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)

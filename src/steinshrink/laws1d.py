@@ -4,6 +4,10 @@ Each law exposes exact moments, a density, its one-dimensional Stein kernel
 T(y) = (1/p(y)) * integral_y^inf u p(u) du, and its zero-bias transform
 (density and sampler).  The zero-bias density is p*(y) = tail(y) / var where
 tail(y) is the same upper integral, so the two share one closed form.
+
+Laplace and uniform variates each take one 64-bit generator output, so their
+(rows, d) draws are made on all usable cores (`_mc.draw_rows`), with the
+bytes of the serial draw.  The other laws draw serially.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._mc import draw_rows
 from .errors import EvaluationError, ParameterError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -75,7 +80,21 @@ class Law1D:
     # support half-width; None for unbounded laws
     support_radius: float | None = None
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+    # whether each variate takes exactly one 64-bit generator output, so
+    # that a (rows, d) draw can be split across cores
+    fixed_width = False
+
+    def sample(self, rng: np.random.Generator, size, shift=None) -> np.ndarray:
+        """`size` variates, plus `shift` if given; the same bytes and end
+        state of `rng` whether or not the draw is split across cores."""
+        if self.fixed_width and np.ndim(size) == 1 and len(size) == 2:
+            return draw_rows(rng, size[0], size[1], self._variates, shift)
+        out = self._variates(rng, size)
+        if shift is not None:
+            out += shift
+        return out
+
+    def _variates(self, rng: np.random.Generator, size) -> np.ndarray:
         raise NotImplementedError
 
     def pdf(self, y) -> np.ndarray:
@@ -131,7 +150,7 @@ class Gaussian1D(Law1D):
     def c8(self):
         return 105.0 * self.sigma**8
 
-    def sample(self, rng, size):
+    def _variates(self, rng, size):
         return rng.normal(0.0, self.sigma, size)
 
     def log_pdf(self, y):
@@ -179,7 +198,9 @@ class Laplace1D(Law1D):
     def c8(self):
         return math.factorial(8) * self.b**8
 
-    def sample(self, rng, size):
+    fixed_width = True
+
+    def _variates(self, rng, size):
         return rng.laplace(0.0, self.b, size)
 
     def log_pdf(self, y):
@@ -227,7 +248,9 @@ class Uniform1D(Law1D):
     def support_radius(self):
         return self.a
 
-    def sample(self, rng, size):
+    fixed_width = True
+
+    def _variates(self, rng, size):
         return rng.uniform(-self.a, self.a, size)
 
     def log_pdf(self, y):
@@ -279,7 +302,7 @@ class SmoothedRademacher1D(Law1D):
         c2, h2 = self.c**2, self.h**2
         return c2**4 + 28 * c2**3 * h2 + 210 * c2**2 * h2**2 + 420 * c2 * h2**3 + 105 * h2**4
 
-    def sample(self, rng, size):
+    def _variates(self, rng, size):
         signs = rng.choice([-1.0, 1.0], size)
         return self.c * signs + rng.normal(0.0, self.h, size)
 

@@ -3,7 +3,10 @@
 Every model is immutable after construction and samples through
 (seed, chunk index) substreams, so concurrent and serial runs agree
 bit-for-bit.  Centered draws come from `_draw`; `sample`/`iter_chunks`
-add the location.
+add the location.  A product of Laplace or uniform coordinates draws each
+chunk on all usable cores and adds the location block by block
+(`laws1d.Law1D.sample`); the bytes do not depend on the core count.  Every
+other family draws serially.
 
 A note on the Student family: it is realized by the Gamma variance
 mixture X = theta + s * N / sqrt(g) with g ~ Gamma(k/2, rate k/2) and
@@ -81,10 +84,15 @@ class NoiseModel:
         """Chunks theta + Y, each a fresh draw shifted in place; the generator
         lets go of a chunk before drawing the next."""
         for idx, rows in chunk_plan(n, self.d):
-            X = self._draw(substream(seed, idx), rows)
-            X += self.theta
+            X = self._located(substream(seed, idx), rows)
             yield X
             del X
+
+    def _located(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """theta + a fresh centered draw of m rows."""
+        X = self._draw(rng, m)
+        X += self.theta
+        return X
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         return np.concatenate(list(self.iter_chunks(n, seed)), axis=0)
@@ -377,6 +385,9 @@ class ProductIID(NoiseModel):
 
     def _draw(self, rng, m):
         return self.law.sample(rng, (m, self.d))
+
+    def _located(self, rng, m):
+        return self.law.sample(rng, (m, self.d), shift=self.theta)
 
     def coordinate_moment(self, p):
         if p == 0:

@@ -14,6 +14,8 @@ from .errors import ParameterError
 
 
 def parse_theta(spec, d: int) -> np.ndarray:
+    if d < 1:
+        raise ParameterError("dimension must be >= 1")
     if spec is None:
         return np.zeros(d)
     if isinstance(spec, (list, tuple, np.ndarray)):

@@ -210,8 +210,7 @@ class IndependentReplaceCoupling(ZeroBiasCoupling):
         self.law = law
 
     def _centered(self, rng, rows):
-        X = self.law.sample(rng, (rows, self.d))
-        X += self.theta
+        X = self.law.sample(rng, (rows, self.d), shift=self.theta)
         R = self.law.zb_sample(rng, (rows, self.d))
         R += self.theta
         return JointChunk(X, (Replaced(X, R, self.term_weights[0]),))

@@ -185,6 +185,9 @@ def test_usage_errors_exit_two(tmp_path):
         pytest.param(["risk"], "d=abc\n", id="config-d-not-integer"),
         pytest.param(["risk"], "bounds=maybe\n", id="config-bounds-maybe"),
         pytest.param(["risk"], "sigma=nan\n", id="config-sigma-nan"),
+        pytest.param(["risk", "--seed", "-1"], None, id="seed-negative"),
+        pytest.param(["risk"], "seed=-1\n", id="config-seed-negative"),
+        pytest.param(["risk", "--d", "-2"], None, id="d-negative"),
     ],
 )
 def test_bad_parameters_exit_two(tmp_path, capsys, args, config):
@@ -196,6 +199,33 @@ def test_bad_parameters_exit_two(tmp_path, capsys, args, config):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_nonpositive_dimension_message(tmp_path, capsys, d):
+    assert main(["risk", "--d", d, "--reps", "100", "--out", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: dimension must be >= 1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["risk", "--frobnicate"], id="unknown-flag"),
+        pytest.param(["risk", "--lambda", "-inf"], id="value-read-as-flag"),
+        pytest.param(["risk", "--reps"], id="missing-value"),
+        pytest.param(["no-such-command"], id="unknown-command"),
+        pytest.param([], id="no-command"),
+    ],
+)
+def test_argparse_usage_errors_print_one_line(capsys, args):
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_help_still_exits_zero(capsys):
+    assert main(["risk", "--help"]) == 0
+    assert "--lambda" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["risk", "sure"])
@@ -342,3 +372,26 @@ def test_default_config_echo(tmp_path):
         "outlier=student pinsker=false reps=100000 seed=1 select_lambda=false sigma=1.0 "
         "theta=zero"
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["adaptivity", "--model", "laplace", "--c", "1", "--d-list", "100,400,1600",
+                      "--reps", "20000", "--seed", "1000"], id="sweep"),
+        pytest.param(["risk", "--bounds", "--model", "uniform", "--d", "200", "--lambda", "198",
+                      "--reps", "4000", "--seed", "2"], id="uniform-bounds"),
+    ],
+)
+def test_csv_bytes_do_not_depend_on_draw_workers(tmp_path, monkeypatch, args):
+    # Laplace and uniform chunks are drawn in row blocks on several threads;
+    # forcing 1, 2 and 3 blocks must leave every byte of the CSV unchanged
+    from steinshrink import _mc
+
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_mc, "_workers", lambda rows, d, k=workers: min(k, rows))
+        code, out = _run(tmp_path, f"w{workers}", *args)
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]

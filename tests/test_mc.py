@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from steinshrink import (
     Laplace1D,
     ProductIID,
     StudentT,
+    Uniform1D,
     bound_b_star,
     coordinate_sum_residual,
     coupling_for,
@@ -18,7 +20,8 @@ from steinshrink import (
     mc_risk,
     sure_bias,
 )
-from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, run, substream
+from steinshrink import _mc
+from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, draw_rows, run, substream
 from steinshrink.cli import _SEED_BSTAR, _fmt, main
 
 
@@ -161,3 +164,76 @@ def test_fused_sure_csv_matches_separate_passes(tmp_path):
     lines = fused.decode().splitlines()
     expected = "\n".join(lines[:-1] + [",".join(_fmt(v) for v in row)]) + "\n"
     assert fused == expected.encode()
+
+
+def _force_workers(monkeypatch, k):
+    """Split every fixed-width draw into k blocks (fewer only if it has fewer
+    rows), in sub-blocks of a few rows, so small draws take the split path."""
+    monkeypatch.setattr(_mc, "_workers", lambda rows, d: min(k, rows))
+    monkeypatch.setattr(_mc, "_SUB_BLOCK", 20)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "law, serial",
+    [
+        (Laplace1D(0.7), lambda g, size: g.laplace(0.0, 0.7, size)),
+        (Uniform1D(1.3), lambda g, size: g.uniform(-1.3, 1.3, size)),
+    ],
+    ids=["laplace", "uniform"],
+)
+def test_split_draws_keep_bytes_and_end_state(monkeypatch, law, serial, workers):
+    # a split draw gives the bytes of one serial numpy draw plus theta, and
+    # leaves the generator where that draw leaves it
+    _force_workers(monkeypatch, workers)
+    model = ProductIID(7, law, "scaled:2")
+    rng, ref = substream(5, 0), substream(5, 0)
+    X = model._located(rng, 101)
+    expected = serial(ref, (101, 7))
+    expected += model.theta
+    assert _same_bits(X, expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
+def test_split_draw_falls_back_for_variable_width_draws(monkeypatch):
+    # a Gaussian variate may take more than one output, so jumped blocks
+    # start in the wrong place; the guard must see it and redraw serially
+    _force_workers(monkeypatch, 3)
+    rows, d = 101, 7
+    mid = substream(6, 0)
+    mid.standard_normal((rows // 3, d))
+    jumped = substream(6, 0).bit_generator
+    jumped.advance(rows // 3 * d)
+    assert mid.bit_generator.state != jumped.state  # a naive split would be wrong
+
+    rng, ref = substream(6, 0), substream(6, 0)
+    X = draw_rows(rng, rows, d, lambda g, size: g.standard_normal(size))
+    assert _same_bits(X, ref.standard_normal((rows, d)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("raising_block", ["worker", "caller"])
+def test_split_draw_raises_a_blocks_error(monkeypatch, raising_block):
+    _force_workers(monkeypatch, 3)
+    caller = threading.current_thread()
+
+    def draw(g, size):
+        if (threading.current_thread() is caller) == (raising_block == "caller"):
+            raise RuntimeError("draw failed")
+        return g.laplace(0.0, 1.0, size)
+
+    returned = []
+    with pytest.raises(RuntimeError, match="draw failed"):
+        returned.append(draw_rows(substream(7, 0), 101, 7, draw))
+    assert returned == []
+
+
+def test_small_draws_stay_on_the_calling_thread():
+    # fewer than _MIN_SPLIT variates per extra block, or a single row
+    assert _mc._workers(_mc._MIN_SPLIT // 1000 * 2 - 1, 1000) == 1
+    assert _mc._workers(1, 1 << 22) == 1
