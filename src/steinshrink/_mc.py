@@ -10,13 +10,16 @@ package is a mean of per-row statistics accumulated over one chunk stream.
 
 `draw_rows` draws one chunk of fixed-width variates (one 64-bit generator
 output each: numpy's Laplace and uniform draws) on all usable cores, by
-jumping copies of the chunk's PCG64 substream ahead to each block of rows.
-Its bytes, its end state and its live memory (one chunk) do not depend on
-the core count.  Every other draw is made serially on the calling thread.
+jumping copies of the chunk's PCG64 substream ahead to each task of rows,
+which the threads take in turn.  Its bytes, its end state and its live
+memory (one chunk) do not depend on the core count.  Every other draw is
+made serially on the calling thread.
 """
 
 from __future__ import annotations
 
+import _thread
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -44,10 +47,16 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
 
 
-# Variates per call inside `draw_rows`: each block's temporary (128 KB) stays
-# in cache while the shift is added, and adds little to the peak RSS.
-_SUB_BLOCK = 1 << 14
-# Fewest variates a block is split off for: smaller draws stay on the calling
+# Variates per call inside `draw_rows`: each thread's temporary (256 KB)
+# stays in cache while the shift is added, and adds little to the peak RSS.
+# Each call takes the GIL back twice, so fewer, larger calls also mean fewer
+# waits for it.
+_SUB_BLOCK = 1 << 15
+# Variates per task of a split draw.  The threads take tasks in turn, so a
+# core slowed by other work takes fewer of them and the draw ends about when
+# the last task does, not when the slowest core's fixed share does.
+_TASK = 1 << 17
+# Fewest variates a thread is started for: smaller draws stay on the calling
 # thread and pay no thread start-up.
 _MIN_SPLIT = 1 << 18
 # Bit generators whose `advance(k)` skips exactly k 64-bit outputs.
@@ -61,7 +70,7 @@ def _usable_cores() -> int:
 
 
 def _workers(rows: int, d: int) -> int:
-    """Blocks a (rows, d) fixed-width draw is split into."""
+    """Threads a (rows, d) fixed-width draw is made on."""
     return max(1, min(_usable_cores(), rows, rows * d // _MIN_SPLIT))
 
 
@@ -82,64 +91,77 @@ def draw_rows(rng: np.random.Generator, rows: int, d: int, draw, shift=None) -> 
     usable cores, with `rng` left where that serial draw leaves it.
 
     `draw(g, shape)` should take one 64-bit output of `g` per variate.  The
-    rows are cut into one block per worker, and block k is drawn from a
-    copy of `rng` advanced past the variates of blocks 0..k-1 (PCG64 jumps
-    ahead in O(log n)).  The result is kept only if every block ended where
-    the next one started; otherwise (a variate took a second output, as
-    numpy's Laplace does on a zero uniform) `rng` is reset and the draw is
-    made as one block.
+    rows are cut into tasks of about `_TASK` variates, and task k is drawn
+    from a copy of `rng` advanced past the variates of tasks 0..k-1 (PCG64
+    jumps ahead in O(log n)).  The result is kept only if every task ended
+    where the next one started; otherwise (a variate took a second output,
+    as numpy's Laplace does on a zero uniform) the draw is made again as one
+    task, from `rng` itself.
     """
-    nblocks = _workers(rows, d) if isinstance(rng.bit_generator, _JUMPABLE) else 1
-    start = rng.bit_generator.state if nblocks > 1 else None
-    out = _draw_blocks(rng, start, rows, d, draw, shift, nblocks)
+    threads = _workers(rows, d) if isinstance(rng.bit_generator, _JUMPABLE) else 1
+    tasks = 1 if threads == 1 else min(rows, max(threads, -(-rows * d // _TASK)))
+    out = _draw_tasks(rng, rows, d, draw, shift, threads, tasks)
     if out is None:
-        rng.bit_generator.state = start
-        out = _draw_blocks(rng, start, rows, d, draw, shift, 1)
+        out = _draw_tasks(rng, rows, d, draw, shift, 1, 1)
     return out
 
 
-def _draw_blocks(rng, start, rows, d, draw, shift, nblocks):
-    """`draw_rows` on `nblocks` blocks, or None if a block did not end where
-    the next one began.  The calling thread draws block 0 from `rng` itself,
-    so no pool outlives the call, and `rng` then takes the last block's end
-    state.  A worker's exception is raised here, and no array is returned.
+def _draw_tasks(rng, rows, d, draw, shift, threads, tasks):
+    """`draw_rows` cut into `tasks` row ranges on `threads` threads, or None
+    if a task did not end where the next one began.
+
+    Thread j starts with task j and then takes the lowest task not yet
+    taken.  The calling thread is thread 0 and joins the others, so no pool
+    outlives the call.  One task is drawn from `rng` itself; several are
+    drawn from copies, and `rng` then takes the last task's end state.  An
+    exception in any thread is raised here, and no array is returned.
     """
     out = np.empty((rows, d))
-    cuts = [rows * k // nblocks for k in range(nblocks + 1)]
-    gens = [rng]
-    for k in range(1, nblocks):
-        bits = type(rng.bit_generator)(0)
-        bits.state = start
-        bits.advance(cuts[k] * d)
-        gens.append(np.random.Generator(bits))
-    begins = [g.bit_generator.state["state"] for g in gens[1:]]
-    errors = [None] * nblocks
+    cuts = [rows * k // tasks for k in range(tasks + 1)]
+    start = rng.bit_generator.state if tasks > 1 else None
+    begins, ends, errors = [None] * tasks, [None] * tasks, []
+    claim = itertools.count(threads).__next__
 
-    def work(k):
+    def work(k, done=None):
         try:
-            _fill(gens[k], draw, out[cuts[k] : cuts[k + 1]], shift)
+            g = rng
+            if tasks > 1:
+                g = np.random.Generator(type(rng.bit_generator)(0))
+            while k < tasks:
+                if tasks > 1:
+                    g.bit_generator.state = start
+                    g.bit_generator.advance(cuts[k] * d)
+                    begins[k] = g.bit_generator.state["state"]
+                _fill(g, draw, out[cuts[k] : cuts[k + 1]], shift)
+                ends[k] = g.bit_generator.state["state"]
+                k = claim()
         except BaseException as exc:  # raised again on the calling thread
-            errors[k] = exc
+            errors.append(exc)
+        finally:
+            if done is not None:
+                done.release()
 
-    threads = []
-    if nblocks > 1:
-        import threading
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(1, nblocks)]
-        for t in threads:
-            t.start()
+    # `threading.Thread.start` would wait until the new thread runs, which
+    # on an idle core is a wake-up of uncertain length; with `_thread` the
+    # calling thread starts on its own task at once
+    dones = []
     try:
+        for j in range(1, threads):
+            done = _thread.allocate_lock()
+            done.acquire()
+            _thread.start_new_thread(work, (j, done))
+            dones.append(done)
         work(0)
     finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    if any(g.bit_generator.state["state"] != b for g, b in zip(gens, begins)):
+        for done in dones:
+            done.acquire()
+    if errors:
+        raise errors[0]
+    if tasks == 1:
+        return out
+    if any(ends[k] != begins[k + 1] for k in range(tasks - 1)):
         return None
-    if nblocks > 1:
-        rng.bit_generator.state = {**start, "state": gens[-1].bit_generator.state["state"]}
+    rng.bit_generator.state = {**start, "state": ends[-1]}
     return out
 
 
@@ -176,10 +198,13 @@ class Accumulator:
             return
         mb = float(values.mean())
         d0 = values - mb
-        m2b = float(np.dot(d0, d0))
+        # numpy's pairwise sums, not BLAS dot products: BLAS splits a long
+        # dot across its threads, which changes the last bits with the core
+        # count and leaves a BLAS thread spinning on a core for about 0.1 s
         d2 = d0 * d0
-        m3b = float(np.dot(d2, d0))
-        m4b = float(np.dot(d2, d2))
+        m2b = float(d2.sum())
+        m3b = float((d2 * d0).sum())
+        m4b = float((d2 * d2).sum())
         self._merge(nb, mb, m2b, m3b, m4b)
 
     def merge(self, other: "Accumulator") -> None:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -49,6 +52,20 @@ def test_accumulator_merge_order_invariance(rng):
     assert np.isclose(a.mean, one.mean)
     assert np.isclose(a.m2, one.m2)
     assert np.isclose(a.m4, one.m4)
+
+
+def test_stderr_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # one chunk of 60000 rows: a BLAS dot over it is split across the BLAS
+    # threads, which moved the last digit of this run's stderr
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        code = "import sys; from steinshrink.cli import main; sys.exit(main(sys.argv[1:]))"
+        args = ["risk", "--model", "gaussian", "--d", "10", "--reps", "60000", "--seed", "2"]
+        subprocess.run([sys.executable, "-c", code, *args, "--out", str(out)], env=env, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_chunk_plan_partitions():
@@ -237,3 +254,31 @@ def test_small_draws_stay_on_the_calling_thread():
     # fewer than _MIN_SPLIT variates per extra block, or a single row
     assert _mc._workers(_mc._MIN_SPLIT // 1000 * 2 - 1, 1000) == 1
     assert _mc._workers(1, 1 << 22) == 1
+
+
+def test_split_draw_tasks_go_to_the_free_thread(monkeypatch):
+    # 2 threads, 8 tasks of one sub-block each.  The worker's first task
+    # blocks until the calling thread has drawn every other task, so a fixed
+    # half-and-half split could not finish without the timeout; the bytes
+    # and the end state are still those of one serial draw
+    monkeypatch.setattr(_mc, "_workers", lambda rows, d: 2)
+    monkeypatch.setattr(_mc, "_TASK", 10 * 7)
+    monkeypatch.setattr(_mc, "_SUB_BLOCK", 10 * 7)
+    caller = threading.current_thread()
+    released = threading.Event()
+    caller_tasks = []
+
+    def draw(g, size):
+        if threading.current_thread() is caller:
+            caller_tasks.append(size)
+            if len(caller_tasks) == 7:
+                released.set()
+        else:
+            released.wait(timeout=10)
+        return g.laplace(0.0, 1.0, size)
+
+    rng, ref = substream(8, 0), substream(8, 0)
+    X = draw_rows(rng, 80, 7, draw)
+    assert released.is_set() and len(caller_tasks) == 7
+    assert _same_bits(X, ref.laplace(0.0, 1.0, (80, 7)))
+    assert rng.bit_generator.state == ref.bit_generator.state
