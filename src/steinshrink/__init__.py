@@ -50,10 +50,8 @@ from .risk_lab import (
     bound_thm31,
     bound_thm33,
     inverse_moment_bound,
-    inverse_sixth_diagnostic,
     jensen_lower,
     local_dependence_cov_bound,
-    mc_e_d2_inv4,
     mc_e_inv2,
     mc_excess_risk,
     mc_inverse_moment,

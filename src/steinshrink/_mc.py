@@ -268,18 +268,18 @@ class RiskReport:
             raise ValueError("stderr must be nonnegative")
 
 
-def run(chunks, stats: dict) -> dict:
-    """One pass over `chunks`: each `stats[name](chunk)` returns one value per
-    row, accumulated under `name`.  Returns the accumulators by name.
+def run(chunks, values) -> dict:
+    """One pass over `chunks`: `values(chunk)` returns per-row values by
+    name, each accumulated under its name.  Returns the accumulators by name.
 
     All statistics see the same chunk, so paired estimates share their
     random numbers and the stream is drawn once.  One chunk is live at a
     time: the loop lets go of it before the next one is drawn.
     """
-    accs = {name: Accumulator() for name in stats}
+    accs = {}
     for chunk in chunks:
-        for name, stat in stats.items():
-            accs[name].add(stat(chunk))
+        for name, rows in values(chunk).items():
+            accs.setdefault(name, Accumulator()).add(rows)
         del chunk
     return accs
 

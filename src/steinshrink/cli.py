@@ -14,15 +14,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from ._mc import chunk_rows, run
+from ._mc import chunk_rows, report_from, run
 from .errors import EvaluationError, GuardAbort, MomentUnavailableError, ParameterError
-from .estimation import JamesStein, make_estimator, select_lambda, soft_threshold, sure
+from .estimation import JamesStein, make_estimator, select_lambda, soft_threshold
 from .laws1d import Laplace1D, SmoothedRademacher1D, Uniform1D
 from .noise_models import (
     AdditiveCorruption,
@@ -41,27 +40,27 @@ from .risk_lab import (
     bound_b_star,
     bound_thm31,
     bound_thm33,
-    mc_e_d2_inv4,
-    mc_e_inv2,
-    mc_excess_risk,
+    guarded_pass,
+    inverse_moment,
     mc_risk,
     pinsker_limit,
+    risk_statistic,
     student_constants,
+    sure_pass,
 )
 from .stein_kernels import (
+    discrepancy_from,
     discrepancy_stats,
+    discrepancy_values,
     gaussian_kernel,
     product_kernel,
     stein_identity_residual,
     student_kernel,
 )
-from .testfns import coordinate_quadratic, linear_map, shrink_direction, sq_norms
+from .testfns import coordinate_quadratic, linear_map, shrink_direction
 from .theta import parse_theta
 from .zero_bias import FourPointCoupling, coupling_for, zb_identity_residual
 
-_SEED_E_INV2 = 1000003
-_SEED_E_INV4 = 2000003
-_SEED_DISC = 3000003
 _SEED_BSTAR = 4000003
 
 
@@ -280,15 +279,15 @@ def _applies(w: CsvWriter, model: NoiseModel, need: str, column: str) -> bool:
     return report.ok
 
 
-def _b_star(w: CsvWriter, model: NoiseModel, lam: float, n: int, seed: int, column: str):
-    """The B* estimate behind `column`, or None when the model has no
-    canonical coupling or its validity check rules the zero-bias identity out."""
+def _coupling(model: NoiseModel):
+    """(the model's canonical coupling or None, why it has none)."""
     try:
-        coupling = coupling_for(model)
-    except ParameterError:
-        return None
-    if not _applies(w, model, "zerobias", column):
-        return None
+        return coupling_for(model), None
+    except ParameterError as exc:
+        return None, str(exc)
+
+
+def _b_star(coupling, lam: float, n: int, seed: int) -> float:
     return bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR).mean
 
 
@@ -304,47 +303,83 @@ def _parse_grid(spec: str):
 # subcommands
 
 
+_BOUND_COLUMNS = ["bound_thm31", "bound_thm33", "bound_zb"]
+
+
+def _bound_basis(model: NoiseModel, est):
+    """(kernel, coupling, why) for `risk --bounds`: the Stein kernel behind
+    bound_thm33 and the coupling behind bound_zb, each None where its bound
+    does not apply, and why each bound that does not apply is blank."""
+    if est.kind != "james_stein":
+        reason = f"the bounds are for james_stein, not {est.kind}"
+        return None, None, dict.fromkeys(_BOUND_COLUMNS, reason)
+    kernel = model_kernel(model)
+    coupling, no_coupling = _coupling(model)
+    checks = {
+        "bound_thm31": (isinstance(model, GaussianIso), "kernel",
+                        f"no kernel bounds alpha_-, alpha_+ for family {model.family}"),
+        "bound_thm33": (kernel is not None, "kernel",
+                        f"no canonical Stein kernel for family {model.family}"),
+        "bound_zb": (coupling is not None, "zerobias", no_coupling),
+    }
+    why = {}
+    for column, (found, need, missing) in checks.items():
+        if not found:
+            why[column] = missing
+        elif not (report := model.validity(need)).ok:
+            why[column] = "; ".join(report.reasons)
+    kernel = None if "bound_thm33" in why else kernel
+    coupling = None if "bound_zb" in why else coupling
+    return kernel, coupling, why
+
+
 def cmd_risk(cfg: dict) -> CsvWriter:
+    """The risk (or excess risk) and, with --bounds, the three bounds.  The
+    risk and every bound input but B* come from one pass over the draws of
+    X that the risk alone makes; B* adds its coupling pass."""
     model = build_model(cfg)
     lam = cfg["lam"] if cfg["lam"] is not None else 0.0
     est = make_estimator(cfg["estimator"], lam)
     n, seed = cfg["reps"], cfg["seed"]
     w = CsvWriter(cfg["out"], cfg, seed)
-    if cfg["excess"]:
-        rep = mc_excess_risk(model, lam, n, seed)
-    else:
-        rep = mc_risk(model, est, n, seed)
-    b31 = b33 = bzb = None
-    if cfg["bounds"] and est.kind == "james_stein":
+    risk, label = risk_statistic(est, model.theta, cfg["excess"])
+    kernel, coupling, why = _bound_basis(model, est) if cfg["bounds"] else (None, None, {})
+    for column, reason in why.items():
+        w.comment(f"{column}: not applicable: {reason}")
+    bounds = cfg["bounds"] and len(why) < len(_BOUND_COLUMNS)
+
+    def stat(chunk, sq):
+        values = {"risk": risk(chunk if kernel is None else chunk.X, sq)}
+        if bounds:
+            values.update(e_inv2=inverse_moment(sq, 1, 1), e_d2_inv4=inverse_moment(sq, model.d, 2))
+        if kernel is not None:
+            values.update(discrepancy_values(kernel, chunk))
+        return values
+
+    chunks = model.iter_chunks(n, seed) if kernel is None else kernel.chunks(model, n, seed)
+    accs = guarded_pass(chunks, stat, n, est)
+    rep = report_from(accs["risk"], seed, label)
+    cells = dict.fromkeys(_BOUND_COLUMNS)
+    if bounds:
         mom = model.moments()
-        e_inv2 = mc_e_inv2(model, n, seed + _SEED_E_INV2).mean
-        inputs = BoundInputs(
-            lam=lam, d=model.d, trace_sigma=mom.trace_cov, kappa=mom.kappa, e_inv2=e_inv2
-        )
-        if isinstance(model, GaussianIso) and _applies(w, model, "kernel", "bound_thm31"):
+        inputs = BoundInputs(lam=lam, d=model.d, trace_sigma=mom.trace_cov, kappa=mom.kappa,
+                             e_inv2=accs["e_inv2"].mean)
+        if "bound_thm31" not in why:
             inputs.alpha_minus = inputs.alpha_plus = model.sigma2
-            b31 = bound_thm31(inputs)
-        kernel = model_kernel(model)
-        if kernel is not None and _applies(w, model, "kernel", "bound_thm33"):
-            disc_n = min(n, 200000)
-            inputs.discrepancy = discrepancy_stats(model, kernel, disc_n, seed + _SEED_DISC)
+            cells["bound_thm31"] = bound_thm31(inputs)
+        if kernel is not None:
+            inputs.discrepancy = discrepancy_from(accs, seed)
+            inputs.e_d2_inv4 = accs["e_d2_inv4"].mean
             if isinstance(model, StudentT) and model.d % 2 == 0 and model.d >= 6:
                 inputs.e_d2_inv4 = student_constants(model.d, model.k, lam)["e_d2_inv4_bound"]
-            else:
-                inputs.e_d2_inv4 = mc_e_d2_inv4(model, disc_n, seed + _SEED_E_INV4).mean
-            b33 = bound_thm33(inputs)
-        bstar = _b_star(w, model, lam, n, seed, "bound_zb")
-        if bstar is not None:
-            middle = lam * e_inv2 * (lam - 2.0 * (mom.trace_cov - 2.0 * mom.kappa))
-            bzb = mom.trace_cov + middle + 2.0 * bstar
+            cells["bound_thm33"] = bound_thm33(inputs)
+        if coupling is not None:
+            middle = lam * inputs.e_inv2 * (lam - 2.0 * (mom.trace_cov - 2.0 * mom.kappa))
+            cells["bound_zb"] = mom.trace_cov + middle + 2.0 * _b_star(coupling, lam, n, seed)
         if cfg["excess"]:
-            b31 = None if b31 is None else b31 - mom.trace_cov
-            b33 = None if b33 is None else b33 - mom.trace_cov
-            bzb = None if bzb is None else bzb - mom.trace_cov
-    w.header(
-        ["label", "lambda", "mean", "stderr", "n", "seed", "bound_thm31", "bound_thm33", "bound_zb"]
-    )
-    w.row([rep.label, lam, rep.mean, rep.stderr, rep.n, seed, b31, b33, bzb])
+            cells = {k: None if b is None else b - mom.trace_cov for k, b in cells.items()}
+    w.header(["label", "lambda", "mean", "stderr", "n", "seed", *_BOUND_COLUMNS])
+    w.row([rep.label, lam, rep.mean, rep.stderr, rep.n, seed, *cells.values()])
     return w
 
 
@@ -403,41 +438,31 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     model = build_model(cfg)
     n, seed = cfg["reps"], cfg["seed"]
     w = CsvWriter(cfg["out"], cfg, seed)
-    cov = model.cov()
-    chunks = model.iter_chunks(n, seed)
     if cfg["select_lambda"]:
         grid = _parse_grid(cfg["lambda_grid"])
-        sigma2 = float(cov[0, 0])
+        sigma2 = float(model.cov()[0, 0])
 
         def selected(X):
             lam_hat, value = select_lambda(X, sigma2, grid, "soft-threshold")
             dev = soft_threshold(X, lam_hat[:, None]) - model.theta
-            return lam_hat, value, np.einsum("ij,ij->i", dev, dev)
+            return {"lambda": lam_hat, "sure": value, "risk": np.einsum("ij,ij->i", dev, dev)}
 
         # about eight (rows, d) temporaries per block: split chunks to keep
         # them within one chunk's memory budget
-        blocks = _row_blocks(chunks, chunk_rows(8 * model.d))
-        stats = {"lambda": itemgetter(0), "sure": itemgetter(1), "risk": itemgetter(2)}
-        lam_hat, sure_val, risk = (acc.mean for acc in run(map(selected, blocks), stats).values())
+        blocks = _row_blocks(model.iter_chunks(n, seed), chunk_rows(8 * model.d))
+        lam_hat, sure_val, risk = (acc.mean for acc in run(blocks, selected).values())
         estimator = "soft-threshold:lambda-hat"
         w.header(_SURE_COLUMNS)
         w.row([model.family, estimator, lam_hat, sure_val, risk, sure_val - risk, None])
         return w
     lam = cfg["lam"] if cfg["lam"] is not None else 0.0
     est = make_estimator(cfg["estimator"], lam)
-    # one pass, common random numbers: the loss and SURE see the same draws
-    # and share one ||x||^2 per row
-    def loss_and_bias(X):
-        sq = sq_norms(X)
-        loss = est.loss(X, model.theta, sq)
-        return loss, sure(X, est, cov, sq) - loss
-
-    stats = {"risk": itemgetter(0), "bias": itemgetter(1)}
-    risk, bias = (acc.mean for acc in run(map(loss_and_bias, chunks), stats).values())
+    accs = sure_pass(model, est, n, seed)
+    risk, bias = accs["risk"].mean, accs["bias"].mean
     bound = None
-    if est.kind == "james_stein":
-        bstar = _b_star(w, model, lam, n, seed, "bias_bound")
-        bound = None if bstar is None else 2.0 * bstar
+    coupling = _coupling(model)[0] if est.kind == "james_stein" else None
+    if coupling is not None and _applies(w, model, "zerobias", "bias_bound"):
+        bound = 2.0 * _b_star(coupling, lam, n, seed)
     w.header(_SURE_COLUMNS)
     w.row([model.family, est.kind, lam, risk + bias, risk, bias, bound])
     return w
@@ -492,7 +517,7 @@ def cmd_student_demo(cfg: dict) -> CsvWriter:
     lam = cfg["lam"] if cfg["lam"] is not None else float(d - 2)
     consts = student_constants(d, k, lam)
     kern = student_kernel(k, d)
-    disc = discrepancy_stats(model, kern, n, seed + _SEED_DISC)
+    disc = discrepancy_stats(model, kern, n, seed)
     bstar = bound_b_star(coupling_for(model), lam, n, seed + _SEED_BSTAR)
     w = CsvWriter(cfg["out"], cfg, seed)
     w.header(

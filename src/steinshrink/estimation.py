@@ -60,10 +60,10 @@ class EstimatorSpec:
     `contract_replaced(X, R, w)` the rowwise sum_i w_i d_i f_i(X^i) with X^i
     = X except x_i := R_i; the dense `jacobian` is kept as a test oracle.
 
-    The row statistics (`loss`, `f_sq`, `cross_term`, `singular_rows`) take
-    an optional `sq`, the rowwise ||x||^2, so that a caller computes it once
-    per row and shares it.  Here they build S(x) or f(x); an estimator with
-    a row form reads them off row sums instead.
+    The row statistics (`loss`, `excess`, `f_sq`, `cross_term`,
+    `singular_rows`) take an optional `sq`, the rowwise ||x||^2, so that a
+    caller computes it once per row and shares it.  Here they build S(x) or
+    f(x); an estimator with a row form reads them off row sums instead.
     """
 
     kind = "abstract"
@@ -106,6 +106,11 @@ class EstimatorSpec:
         """||S(x) - theta||^2 rowwise, with S mapped to 0 at the singularity."""
         dev = self.apply(X, define_zero=True) - theta
         return np.einsum("ij,ij->i", dev, dev)
+
+    def excess(self, X: np.ndarray, theta: np.ndarray, sq=None) -> np.ndarray:
+        """||S(x) - theta||^2 - ||x - theta||^2 rowwise."""
+        dev = X - theta
+        return self.loss(X, theta, sq) - np.einsum("ij,ij->i", dev, dev)
 
     def f_sq(self, X: np.ndarray, sq=None) -> np.ndarray:
         """||f(x)||^2 rowwise."""
@@ -209,8 +214,8 @@ class JamesStein(EstimatorSpec):
         return np.where(bad, theta_sq, s - 2.0 * t + theta_sq + gain)
 
     def excess(self, X, theta, sq=None):
-        """||S(x) - theta||^2 - ||x - theta||^2 rowwise: lam (lam - 2 (s - t)) / s,
-        and ||theta||^2 - ||x - theta||^2 = 2t - s on the singular rows."""
+        """lam (lam - 2 (s - t)) / s, and ||theta||^2 - ||x - theta||^2 = 2t - s
+        on the singular rows."""
         s, t, bad, gain = self._row_sums(X, theta, sq)
         return np.where(bad, 2.0 * t - s, gain)
 
@@ -323,9 +328,9 @@ def sure_zero_bias_mean(
     def risk(chunk):
         fx = estimator.f(chunk.X, define_zero=True)
         vals = trace_sigma + np.einsum("mi,mi->m", fx, fx)
-        return vals + 2.0 * chunk.weighted_partials(estimator)
+        return {"risk": vals + 2.0 * chunk.weighted_partials(estimator)}
 
-    acc = run(coupling.joint_chunks(n, seed), {"risk": risk})["risk"]
+    acc = run(coupling.joint_chunks(n, seed), risk)["risk"]
     return report_from(acc, seed, label=f"sure-zb:{estimator.kind}")
 
 

@@ -64,77 +64,96 @@ class BoundInputs:
 # Monte Carlo estimates
 
 
-def _guarded_mean(model, estimator, loss, n: int, seed: int, label: str) -> RiskReport:
-    """Mean of `loss(X, theta, sq)` over the model's draws, with sq = ||x||^2
-    computed once per row and shared with the guard; aborts when more than
-    _GUARD_RATE of the draws sit at the estimator's singularity."""
+def guarded_pass(chunks, stat, n: int, estimator: EstimatorSpec | None = None) -> dict:
+    """One pass over a model's draws: `stat(chunk, sq)` returns per-row values
+    by name, with sq = ||x||^2 computed once per row; returns one accumulator
+    per name.  A chunk is a draw X or an identity chunk carrying one.  Aborts
+    when more than _GUARD_RATE of the n draws sit at the estimator's
+    singularity."""
     singular = 0
 
-    def stat(X):
+    def values(chunk):
         nonlocal singular
+        X = chunk if isinstance(chunk, np.ndarray) else chunk.X
         sq = sq_norms(X)
-        singular += int(estimator.singular_rows(X, sq).sum())
-        return loss(X, model.theta, sq)
+        if estimator is not None:
+            singular += int(estimator.singular_rows(X, sq).sum())
+        return stat(chunk, sq)
 
-    acc = run(model.iter_chunks(n, seed), {label: stat})[label]
+    accs = run(chunks, values)
     if singular > _GUARD_RATE * n:
         raise GuardAbort(
             f"{singular} of {n} draws within 1e-12 of the shrinkage singularity",
             diagnostics={"singular": singular, "n": n, "estimator": estimator.kind},
         )
+    return accs
+
+
+def inverse_moment(sq: np.ndarray, d: int, m: int) -> np.ndarray:
+    """(d / ||x||^2)^m per row from sq = ||x||^2; aborts on a draw at the origin."""
+    if np.any(sq <= 0):
+        raise GuardAbort("a draw landed exactly at the origin")
+    return float(d) ** m * sq ** (-float(m))
+
+
+def risk_statistic(estimator: EstimatorSpec, theta, excess: bool = False):
+    """(per-row statistic of (X, sq), label) of the risk, or of the excess
+    risk over the identity estimator; the James-Stein excess is labelled by
+    lambda alone."""
+    if not excess:
+        return lambda X, sq: estimator.loss(X, theta, sq), f"risk:{estimator.kind}"
+    kind = "" if estimator.kind == "james_stein" else f"{estimator.kind}:"
+    return lambda X, sq: estimator.excess(X, theta, sq), f"excess:{kind}lam={estimator.lam:g}"
+
+
+def _mean(model, n: int, seed: int, estimator, row_stat, label: str) -> RiskReport:
+    """Mean of `row_stat(X, sq)` over the model's draws, by `guarded_pass`."""
+    chunks = model.iter_chunks(n, seed)
+    acc = guarded_pass(chunks, lambda X, sq: {label: row_stat(X, sq)}, n, estimator)[label]
     return report_from(acc, seed, label=label)
 
 
 def mc_risk(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:
     """Mean squared error E||S(X) - theta||^2 with a singularity guard."""
-    return _guarded_mean(model, estimator, estimator.loss, n, seed, f"risk:{estimator.kind}")
+    return _mean(model, n, seed, estimator, *risk_statistic(estimator, model.theta))
 
 
-def mc_excess_risk(model: NoiseModel, lam: float, n: int, seed: int) -> RiskReport:
-    """Paired estimate of E||S_lam(X) - theta||^2 - E||X - theta||^2."""
-    est = JamesStein(lam)
-    return _guarded_mean(model, est, est.excess, n, seed, f"excess:lam={lam:g}")
+def mc_excess_risk(
+    model: NoiseModel, estimator: EstimatorSpec | float, n: int, seed: int
+) -> RiskReport:
+    """Paired estimate of E||S(X) - theta||^2 - E||X - theta||^2; a number in
+    place of the estimator is the James-Stein lambda."""
+    if not isinstance(estimator, EstimatorSpec):
+        estimator = JamesStein(estimator)
+    return _mean(model, n, seed, estimator, *risk_statistic(estimator, model.theta, True))
+
+
+def sure_pass(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> dict:
+    """The loss ("risk") and SURE minus the loss ("bias") per row, from one
+    guarded pass: common random numbers and one ||x||^2 per row."""
+    cov = model.cov()
+
+    def stat(X, sq):
+        loss = estimator.loss(X, model.theta, sq)
+        return {"risk": loss, "bias": sure(X, estimator, cov, sq) - loss}
+
+    return guarded_pass(model.iter_chunks(n, seed), stat, n, estimator)
 
 
 def sure_bias(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:
     """Common-random-number estimate of E[SURE(X)] - E||S(X) - theta||^2."""
-    cov = model.cov()
-
-    def bias(X):
-        sq = sq_norms(X)
-        return sure(X, estimator, cov, sq) - estimator.loss(X, model.theta, sq)
-
-    acc = run(model.iter_chunks(n, seed), {"bias": bias})["bias"]
+    acc = sure_pass(model, estimator, n, seed)["bias"]
     return report_from(acc, seed, label=f"sure-bias:{estimator.kind}")
 
 
-def _inverse_power(model: NoiseModel, power: float, n: int, seed: int, scale: float, label: str):
-    def stat(X):
-        sq = sq_norms(X)
-        if np.any(sq <= 0):
-            raise GuardAbort("a draw landed exactly at the origin")
-        return scale * sq ** (-power)
-
-    return report_from(run(model.iter_chunks(n, seed), {label: stat})[label], seed, label=label)
-
-
 def mc_e_inv2(model: NoiseModel, n: int, seed: int) -> RiskReport:
-    return _inverse_power(model, 1.0, n, seed, 1.0, "E[1/||X||^2]")
-
-
-def mc_e_d2_inv4(model: NoiseModel, n: int, seed: int) -> RiskReport:
-    return _inverse_power(model, 2.0, n, seed, float(model.d) ** 2, "E[d^2/||X||^4]")
+    return _mean(model, n, seed, None, lambda X, sq: inverse_moment(sq, 1, 1), "E[1/||X||^2]")
 
 
 def mc_inverse_moment(model: NoiseModel, m: int, n: int, seed: int) -> RiskReport:
     """E[(d / ||X||^2)^m]."""
-    return _inverse_power(model, float(m), n, seed, float(model.d) ** m, f"E[(d/||X||^2)^{m}]")
-
-
-def inverse_sixth_diagnostic(model: NoiseModel, n: int, seed: int) -> RiskReport:
-    """Measured E[d^3 ||X||^-6]; reported as a diagnostic only, since the
-    log-concave theory behind it does not expose its constants."""
-    return _inverse_power(model, 3.0, n, seed, float(model.d) ** 3, "E[d^3/||X||^6]")
+    return _mean(model, n, seed, None, lambda X, sq: inverse_moment(sq, model.d, m),
+                 f"E[(d/||X||^2)^{m}]")
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +214,9 @@ def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> R
 
     def difference(chunk):
         g0.guard(chunk.X)
-        return chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)
+        return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)}
 
-    acc = run(coupling.joint_chunks(n, seed), {"b_star": difference})["b_star"]
+    acc = run(coupling.joint_chunks(n, seed), difference)["b_star"]
     rep = report_from(acc, seed, label=f"b_star:lam={lam:g}")
     return RiskReport(
         mean=lam * abs(rep.mean), stderr=lam * rep.stderr, n=rep.n, seed=seed, label=rep.label

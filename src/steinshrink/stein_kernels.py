@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -377,17 +376,20 @@ class DiscrepancyStats:
         return math.sqrt(max(self.var_trace_T, 0.0)) + 2.0 * math.sqrt(max(self.e_frob_dev_sq, 0.0))
 
 
-def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int) -> DiscrepancyStats:
-    if n < 2:
+def discrepancy_values(kernel: SteinKernel, chunk) -> dict:
+    """Tr T and ||T - Sigma||_F^2 per row of one of `kernel.chunks`, read off
+    the weights the chunk already carries."""
+    (term,) = chunk.terms
+    rows = chunk.X.shape[0]
+    return {"trace": _per_row(term.W.trace(), rows),
+            "frob": _per_row(kernel.frob_dev(term.W), rows)}
+
+
+def discrepancy_from(accs: dict, seed: int) -> DiscrepancyStats:
+    """DiscrepancyStats from the accumulated `discrepancy_values`."""
+    tr, fb = accs["trace"], accs["frob"]
+    if tr.n < 2:
         raise ParameterError("discrepancy statistics need n >= 2")
-
-    def trace_and_frob(chunk):
-        (term,) = chunk.terms
-        rows = chunk.X.shape[0]
-        return _per_row(term.W.trace(), rows), _per_row(kernel.frob_dev(term.W), rows)
-
-    stats = {"trace": itemgetter(0), "frob": itemgetter(1)}
-    tr, fb = run(map(trace_and_frob, kernel.chunks(model, n, seed)), stats).values()
     return DiscrepancyStats(
         e_trace_T=tr.mean,
         e_trace_T_stderr=tr.stderr,
@@ -395,9 +397,14 @@ def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int)
         var_trace_T_stderr=tr.variance_stderr(),
         e_frob_dev_sq=fb.mean,
         e_frob_dev_sq_stderr=fb.stderr,
-        n=n,
+        n=tr.n,
         seed=seed,
     )
+
+
+def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int) -> DiscrepancyStats:
+    accs = run(kernel.chunks(model, n, seed), lambda chunk: discrepancy_values(kernel, chunk))
+    return discrepancy_from(accs, seed)
 
 
 def stein_identity_residual(

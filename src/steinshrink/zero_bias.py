@@ -688,9 +688,9 @@ def identity_residual(chunks, theta, test_fn: TestFn, seed: int, label: str) -> 
         X = chunk.X
         test_fn.guard(X)
         lhs = np.einsum("mi,mi->m", X - theta, test_fn.f(X))
-        return lhs - chunk.weighted_partials(test_fn)
+        return {"residual": lhs - chunk.weighted_partials(test_fn)}
 
-    acc = run(chunks, {"residual": residual})["residual"]
+    acc = run(chunks, residual)["residual"]
     return report_from(acc, seed, label=label)
 
 
@@ -726,7 +726,7 @@ def coordinate_sum_residual(
 
     def residual(chunk):
         W = wsum(chunk.X)
-        return W * f(W) - chunk.weighted_partials(field)
+        return {"residual": W * f(W) - chunk.weighted_partials(field)}
 
-    acc = run(coupling.joint_chunks(n, seed), {"residual": residual})["residual"]
+    acc = run(coupling.joint_chunks(n, seed), residual)["residual"]
     return report_from(acc, seed, label="zb-residual:coordinate-sum")

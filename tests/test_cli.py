@@ -148,7 +148,16 @@ def test_student_demo_columns(tmp_path):
     cells = dict(zip(header, rows[0].split(",")))
     assert float(cells["var_trace_closed"]) == pytest.approx(109.35)
     assert float(cells["frob_dev_closed"]) == pytest.approx(18.225)
-    assert abs(float(cells["var_trace_mc"]) - 109.35) < 25.0
+    # the MC cells are the discrepancy statistics of the command's own draws.
+    # The spread of the sample variance of Tr T needs the eighth moment of
+    # t_6, which is infinite, so no fixed width holds across seeds: the
+    # estimate is checked against its own standard error
+    from steinshrink import StudentT, discrepancy_stats, student_kernel
+
+    disc = discrepancy_stats(StudentT(6, 6), student_kernel(6, 6), 50000, 12)
+    assert float(cells["var_trace_mc"]) == disc.var_trace_T
+    assert float(cells["frob_dev_mc"]) == disc.e_frob_dev_sq
+    assert abs(disc.var_trace_T - 109.35) < 3.0 * disc.var_trace_T_stderr
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -242,7 +251,88 @@ def test_bounds_ruled_out_by_validity_are_blank(tmp_path, command):
     assert all(cells[column] == "" for column in blank)
     notes = [m for m in meta if "not applicable" in m]
     gated = ["bound_thm33", "bound_zb"] if command == "risk" else ["bias_bound"]
-    assert notes == [f"# {column}: not applicable: d < 5" for column in gated]
+    expected = [f"# {column}: not applicable: d < 5" for column in gated]
+    if command == "risk":
+        # Theorem 3.1 needs kernel bounds alpha_-, alpha_+, known for Gaussian noise only
+        expected.insert(0, "# bound_thm31: not applicable: no kernel bounds alpha_-, alpha_+ "
+                           "for family product_iid")
+    assert notes == expected
+
+
+_NOT_JS = "not applicable: the bounds are for james_stein, not soft_threshold"
+
+
+@pytest.mark.parametrize(
+    "args, notes",
+    [
+        pytest.param(["--model", "sphere", "--d", "8"], [
+            "bound_thm31: not applicable: no kernel bounds alpha_-, alpha_+ for family sphere_uniform",
+            "bound_thm33: not applicable: no canonical Stein kernel for family sphere_uniform",
+        ], id="sphere"),
+        pytest.param(["--model", "corrupt-add", "--d", "8"], [
+            "bound_thm31: not applicable: no kernel bounds alpha_-, alpha_+ for family "
+            "corrupted_gaussian_additive",
+            "bound_thm33: not applicable: no canonical Stein kernel for family "
+            "corrupted_gaussian_additive",
+            "bound_zb: not applicable: no canonical coupling for family corrupted_gaussian_additive",
+        ], id="corrupt-add"),
+        pytest.param(["--model", "laplace", "--d", "8"], [
+            "bound_thm31: not applicable: no kernel bounds alpha_-, alpha_+ for family product_iid",
+        ], id="laplace"),
+        pytest.param(["--model", "gaussian", "--d", "8", "--estimator", "soft-threshold"], [
+            f"{column}: {_NOT_JS}" for column in ("bound_thm31", "bound_thm33", "bound_zb")
+        ], id="soft-threshold"),
+    ],
+)
+def test_every_blank_bound_cell_says_why(tmp_path, args, notes):
+    code, out = _run(tmp_path, "notes", "risk", "--bounds", "--theta", "scaled:3", "--lambda", "2",
+                     "--reps", "2000", "--seed", "1", *args)
+    assert code == 0
+    meta, header, rows = _data_rows(out)
+    cells = dict(zip(header, rows[0].split(",")))
+    assert [m for m in meta if "not applicable" in m] == [f"# {note}" for note in notes]
+    blank = [c for c in ("bound_thm31", "bound_thm33", "bound_zb") if cells[c] == ""]
+    assert blank == [note.split(":")[0] for note in notes]
+
+
+def test_excess_follows_the_estimator(tmp_path):
+    from steinshrink import Identity, SoftThreshold, mc_excess_risk, mc_risk
+    from steinshrink.cli import build_model, build_parser, resolve_config
+
+    args = ["risk", "--model", "laplace", "--d", "20", "--lambda", "1", "--excess",
+            "--reps", "2000", "--seed", "1"]
+    model = build_model(resolve_config(build_parser().parse_args(args)))
+    soft = SoftThreshold(1.0)
+    excess = mc_excess_risk(model, soft, 2000, 1)
+    difference = mc_risk(model, soft, 2000, 1).mean - mc_risk(model, Identity(), 2000, 1).mean
+    assert excess.mean == pytest.approx(difference, rel=1e-12)
+    means = {}
+    for estimator in ("soft-threshold", "james-stein"):
+        code, out = _run(tmp_path, estimator, *args, "--estimator", estimator)
+        assert code == 0
+        _, header, rows = _data_rows(out)
+        means[estimator] = dict(zip(header, rows[0].split(",")))
+    assert means["soft-threshold"]["label"] == "excess:soft_threshold:lam=1"
+    assert float(means["soft-threshold"]["mean"]) == excess.mean
+    assert means["james-stein"]["label"] == "excess:lam=1"
+    assert float(means["james-stein"]["mean"]) == mc_excess_risk(model, 1.0, 2000, 1).mean
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="thm45_bound is adaptivity_bound_kernel with B_lambda = 0, which holds for the "
+    "Gaussian's constant kernel only, and the Laplace risk breaks it at d = 100 and 400. "
+    "The fix changes thm45_bound, which bench/reference.json records with zero spread, "
+    "so it waits for a change to the benchmark",
+)
+def test_adaptivity_laplace_bound_holds_its_risk(tmp_path):
+    code, out = _run(tmp_path, "adapt", "adaptivity", "--model", "laplace", "--c", "1",
+                     "--d-list", "100,400", "--reps", "20000", "--seed", "1")
+    assert code == 0
+    _, header, rows = _data_rows(out)
+    for row in rows:
+        cells = dict(zip(header, map(float, row.split(","))))
+        assert cells["risk_mean"] <= cells["thm45_bound"] + 3.0 * cells["stderr"]
 
 
 def test_guard_abort_exits_three(tmp_path):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from steinshrink import (
+    BoundInputs,
+    DiscrepancyStats,
     GaussianIso,
     GuardAbort,
     Identity,
@@ -17,15 +19,26 @@ from steinshrink import (
     StudentT,
     Uniform1D,
     bound_b_star,
+    bound_thm31,
+    bound_thm33,
     coordinate_sum_residual,
     coupling_for,
     mc_excess_risk,
     mc_risk,
+    student_constants,
     sure_bias,
 )
 from steinshrink import _mc
 from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, draw_rows, run, substream
-from steinshrink.cli import _SEED_BSTAR, _fmt, main
+from steinshrink.cli import (
+    _SEED_BSTAR,
+    _fmt,
+    build_model,
+    build_parser,
+    main,
+    model_kernel,
+    resolve_config,
+)
 
 
 def test_accumulator_matches_numpy(rng):
@@ -116,9 +129,9 @@ def test_run_fused_stats_equal_separate_runs():
     def first(X):
         return X[:, 0] ** 3
 
-    fused = run(model.iter_chunks(n, seed), {"norm2": norm2, "first": first})
+    fused = run(model.iter_chunks(n, seed), lambda X: {"norm2": norm2(X), "first": first(X)})
     for name, stat in (("norm2", norm2), ("first", first)):
-        alone = run(model.iter_chunks(n, seed), {name: stat})[name]
+        alone = run(model.iter_chunks(n, seed), lambda X: {name: stat(X)})[name]
         assert _fields(fused[name]) == _fields(alone)
         assert fused[name].n == n
 
@@ -181,6 +194,97 @@ def test_fused_sure_csv_matches_separate_passes(tmp_path):
     lines = fused.decode().splitlines()
     expected = "\n".join(lines[:-1] + [",".join(_fmt(v) for v in row)]) + "\n"
     assert fused == expected.encode()
+
+
+def _risk_csv(tmp_path, name, args):
+    out = tmp_path / f"{name}.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    return dict(zip(lines[0].split(","), lines[1].split(",")))
+
+
+@pytest.mark.parametrize("model", ["laplace", "gaussian", "student"])
+def test_risk_bounds_draw_the_model_stream_once(tmp_path, monkeypatch, model):
+    # every chunk of X is drawn once, on the command's seed, and B*'s
+    # coupling stream on seed + _SEED_BSTAR; no other stream is drawn
+    from steinshrink import noise_models, zero_bias
+
+    d, n, seed = 12, 170, 5
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 50 * d)  # 50 rows of X per chunk
+    calls = []
+
+    def counted(stream, index):
+        calls.append((stream, index))
+        return substream(stream, index)
+
+    for module in (noise_models, zero_bias):
+        monkeypatch.setattr(module, "substream", counted)
+    cells = _risk_csv(tmp_path, model, ["risk", "--bounds", "--model", model, "--d", str(d),
+                                        "--lambda", "10", "--reps", str(n), "--seed", str(seed)])
+    assert cells["bound_thm33"] and cells["bound_zb"]
+    model_stream = [(seed, i) for i, _ in chunk_plan(n, d)]
+    coupling = calls[len(model_stream):]
+    assert calls[: len(model_stream)] == model_stream
+    assert coupling == [(seed + _SEED_BSTAR, i) for i in range(len(coupling))] and coupling
+
+
+@pytest.mark.parametrize(
+    "family, d, lam, excess",
+    [
+        ("laplace", 8, 6.0, False),
+        ("gaussian", 8, 6.0, False),
+        ("student", 6, 4.0, False),  # closed-form E d^2 ||X||^-4
+        ("student", 7, 5.0, False),  # Monte Carlo E d^2 ||X||^-4
+        ("laplace", 8, 6.0, True),
+    ],
+)
+def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, d, lam, excess):
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 1000 * d)  # several chunks
+    n, seed = 3001, 9
+    args = ["risk", "--model", family, "--d", str(d), "--k", "6", "--theta", "scaled:1",
+            "--lambda", repr(lam), "--reps", str(n), "--seed", str(seed)]
+    args += ["--excess"] if excess else []
+    plain = _risk_csv(tmp_path, "plain", args)
+    bounded = _risk_csv(tmp_path, "bounded", args + ["--bounds"])
+    assert (bounded["mean"], bounded["stderr"]) == (plain["mean"], plain["stderr"])
+
+    model = build_model(resolve_config(build_parser().parse_args(args)))
+    kernel = model_kernel(model)
+    theta, sigma = model.theta, kernel.sigma
+
+    def by_hand(chunk):
+        sq = np.einsum("ij,ij->i", chunk.X, chunk.X)
+        T = kernel.matrices(chunk.X - theta)
+        return {
+            "e_inv2": 1.0 / sq,
+            "e_d2_inv4": (d / sq) ** 2,
+            "trace": np.trace(T, axis1=1, axis2=2),
+            "frob": ((T - sigma) ** 2).sum(axis=(1, 2)),
+        }
+
+    accs = run(kernel.chunks(model, n, seed), by_hand)
+    mom = model.moments()
+    e_inv2 = accs["e_inv2"].mean
+    disc = DiscrepancyStats(accs["trace"].mean, 0.0, accs["trace"].variance, 0.0,
+                            accs["frob"].mean, 0.0, n, seed)
+    e_d2_inv4 = accs["e_d2_inv4"].mean
+    if family == "student" and d == 6:
+        e_d2_inv4 = student_constants(d, 6, lam)["e_d2_inv4_bound"]
+    inputs = BoundInputs(lam=lam, d=d, trace_sigma=mom.trace_cov, kappa=mom.kappa,
+                         e_inv2=e_inv2, e_d2_inv4=e_d2_inv4, discrepancy=disc)
+    bstar = bound_b_star(coupling_for(model), lam, n, seed + _SEED_BSTAR).mean
+    middle = lam * e_inv2 * (lam - 2.0 * (mom.trace_cov - 2.0 * mom.kappa))
+    expected = {"bound_thm33": bound_thm33(inputs),
+                "bound_zb": mom.trace_cov + middle + 2.0 * bstar}
+    if family == "gaussian":
+        inputs.alpha_minus = inputs.alpha_plus = 1.0
+        expected["bound_thm31"] = bound_thm31(inputs)
+    shift = mom.trace_cov if excess else 0.0
+    for column in ("bound_thm31", "bound_thm33", "bound_zb"):
+        if column in expected:
+            assert float(bounded[column]) == pytest.approx(expected[column] - shift, rel=1e-10)
+        else:
+            assert bounded[column] == ""
 
 
 def _force_workers(monkeypatch, k):

@@ -259,8 +259,8 @@ def test_jensen_lower_values_and_mc():
     assert big < 1e-17
 
 
-def test_inverse_sixth_diagnostic_runs():
-    rep = ss.inverse_sixth_diagnostic(ss.GaussianIso(10, 1.0), 50_000, 102)
+def test_inverse_moment_order_three_runs():
+    rep = ss.mc_inverse_moment(ss.GaussianIso(10, 1.0), 3, 50_000, 102)
     assert rep.mean > 0
 
 
