@@ -83,9 +83,7 @@ from .zero_bias import (
     couple_sphere,
     couple_student,
     coupling_for,
-    zb1d,
     zb_construct,
-    zb_density,
     zb_identity_residual,
     zb_linear,
     zb_mixture,

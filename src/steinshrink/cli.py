@@ -54,12 +54,11 @@ from .stein_kernels import (
     discrepancy_values,
     gaussian_kernel,
     product_kernel,
-    stein_identity_residual,
     student_kernel,
 )
 from .testfns import coordinate_quadratic, linear_map, shrink_direction
 from .theta import parse_theta
-from .zero_bias import FourPointCoupling, coupling_for, zb_identity_residual
+from .zero_bias import FourPointCoupling, coupling_for, identity_residual
 
 _SEED_BSTAR = 4000003
 
@@ -270,21 +269,17 @@ def _d_list(cfg: dict, default: str) -> list[int]:
     return d_list
 
 
-def _applies(w: CsvWriter, model: NoiseModel, need: str, column: str) -> bool:
-    """Whether the model's validity check admits the `need` identity ("kernel"
-    or "zerobias") behind `column`; if not, the CSV says why."""
-    report = model.validity(need)
-    if not report.ok:
-        w.comment(f"{column}: not applicable: {'; '.join(report.reasons)}")
-    return report.ok
-
-
-def _coupling(model: NoiseModel):
-    """(the model's canonical coupling or None, why it has none)."""
+def _zb_coupling(model: NoiseModel, kind: str):
+    """(coupling, None) when the zero-bias bounds (`bound_zb`, `bias_bound`)
+    apply to the estimator `kind` on this model, else (None, why not)."""
+    if kind != "james_stein":
+        return None, f"the bounds are for james_stein, not {kind}"
     try:
-        return coupling_for(model), None
+        coupling = coupling_for(model)
     except ParameterError as exc:
         return None, str(exc)
+    report = model.validity("zerobias")
+    return (coupling, None) if report.ok else (None, "; ".join(report.reasons))
 
 
 def _b_star(coupling, lam: float, n: int, seed: int) -> float:
@@ -310,26 +305,24 @@ def _bound_basis(model: NoiseModel, est):
     """(kernel, coupling, why) for `risk --bounds`: the Stein kernel behind
     bound_thm33 and the coupling behind bound_zb, each None where its bound
     does not apply, and why each bound that does not apply is blank."""
+    coupling, no_zb = _zb_coupling(model, est.kind)
     if est.kind != "james_stein":
-        reason = f"the bounds are for james_stein, not {est.kind}"
-        return None, None, dict.fromkeys(_BOUND_COLUMNS, reason)
+        return None, None, dict.fromkeys(_BOUND_COLUMNS, no_zb)
     kernel = model_kernel(model)
-    coupling, no_coupling = _coupling(model)
     checks = {
-        "bound_thm31": (isinstance(model, GaussianIso), "kernel",
+        "bound_thm31": (isinstance(model, GaussianIso),
                         f"no kernel bounds alpha_-, alpha_+ for family {model.family}"),
-        "bound_thm33": (kernel is not None, "kernel",
-                        f"no canonical Stein kernel for family {model.family}"),
-        "bound_zb": (coupling is not None, "zerobias", no_coupling),
+        "bound_thm33": (kernel is not None, f"no canonical Stein kernel for family {model.family}"),
     }
     why = {}
-    for column, (found, need, missing) in checks.items():
+    for column, (found, missing) in checks.items():
         if not found:
             why[column] = missing
-        elif not (report := model.validity(need)).ok:
+        elif not (report := model.validity("kernel")).ok:
             why[column] = "; ".join(report.reasons)
+    if no_zb is not None:
+        why["bound_zb"] = no_zb
     kernel = None if "bound_thm33" in why else kernel
-    coupling = None if "bound_zb" in why else coupling
     return kernel, coupling, why
 
 
@@ -401,23 +394,30 @@ def _identity_suite():
 
 
 def cmd_identity_check(cfg: dict) -> CsvWriter:
+    """One pass per suite row (model, construction) feeds all its test functions."""
     n, seed = cfg["reps"], cfg["seed"]
+    suite = _identity_suite()
+    rows = [row for row in suite if cfg["model"] == "all" or row[0].startswith(cfg["model"])]
+    if not rows:
+        labels = ", ".join(dict.fromkeys(row[0] for row in suite))
+        raise ParameterError(f"identity-check --model {cfg['model']!r} names no suite row; "
+                             f"expected all or one of: {labels}")
     w = CsvWriter(cfg["out"], cfg, seed)
     w.header(["model", "construction", "test_fn", "mean", "stderr", "n", "seed", "pass"])
-    for label, model, kind, obj in _identity_suite():
-        if cfg["model"] != "all" and not label.startswith(cfg["model"]):
-            continue
+    for label, model, kind, obj in rows:
         rng = np.random.default_rng(20240517)
         fams = [linear_map(rng.normal(size=(model.d, model.d))), coordinate_quadratic(0)]
         fams.append(shrink_direction())
+        valid = model.validity(kind).ok
+        chunks = obj.chunks(model, n, seed) if kind == "kernel" else obj.joint_chunks(n, seed)
+        reps = identity_residual(chunks, model.theta,
+                                 [fn for fn in fams if valid or not fn.needs_origin_guard],
+                                 seed, "stein" if kind == "kernel" else "zb")
         for fn in fams:
-            if fn.needs_origin_guard:
-                report = model.validity(kind)
-                if not report.ok:
-                    w.row([label, obj.construction, fn.name, None, None, n, seed, "invalid-by-validity-check"])
-                    continue
-            residual = stein_identity_residual if kind == "kernel" else zb_identity_residual
-            rep = residual(model, obj, fn, n, seed)
+            if fn.name not in reps:
+                w.row([label, obj.construction, fn.name, None, None, n, seed, "invalid-by-validity-check"])
+                continue
+            rep = reps[fn.name]
             ok = abs(rep.mean) < 3.0 * rep.stderr
             w.row([label, obj.construction, fn.name, rep.mean, rep.stderr, rep.n, seed, ok])
     return w
@@ -452,6 +452,7 @@ def cmd_sure(cfg: dict) -> CsvWriter:
         blocks = _row_blocks(model.iter_chunks(n, seed), chunk_rows(8 * model.d))
         lam_hat, sure_val, risk = (acc.mean for acc in run(blocks, selected).values())
         estimator = "soft-threshold:lambda-hat"
+        w.comment(f"bias_bound: not applicable: {_zb_coupling(model, 'soft_threshold')[1]}")
         w.header(_SURE_COLUMNS)
         w.row([model.family, estimator, lam_hat, sure_val, risk, sure_val - risk, None])
         return w
@@ -460,8 +461,10 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     accs = sure_pass(model, est, n, seed)
     risk, bias = accs["risk"].mean, accs["bias"].mean
     bound = None
-    coupling = _coupling(model)[0] if est.kind == "james_stein" else None
-    if coupling is not None and _applies(w, model, "zerobias", "bias_bound"):
+    coupling, why = _zb_coupling(model, est.kind)
+    if coupling is None:
+        w.comment(f"bias_bound: not applicable: {why}")
+    else:
         bound = 2.0 * _b_star(coupling, lam, n, seed)
     w.header(_SURE_COLUMNS)
     w.row([model.family, est.kind, lam, risk + bias, risk, bias, bound])
@@ -534,6 +537,8 @@ def cmd_student_demo(cfg: dict) -> CsvWriter:
             "zb_excess_bound",
             "b_star_mc",
             "b_star_stderr",
+            "var_trace_mc_stderr",
+            "frob_dev_mc_stderr",
         ]
     )
     w.row(
@@ -550,6 +555,8 @@ def cmd_student_demo(cfg: dict) -> CsvWriter:
             consts["zero_bias_excess_bound"],
             bstar.mean,
             bstar.stderr,
+            disc.var_trace_T_stderr,
+            disc.e_frob_dev_sq_stderr,
         ]
     )
     return w

@@ -58,7 +58,8 @@ class EstimatorSpec:
 
     `contract(X, W)` is the rowwise <W, grad f(x)> in closed form, and
     `contract_replaced(X, R, w)` the rowwise sum_i w_i d_i f_i(X^i) with X^i
-    = X except x_i := R_i; the dense `jacobian` is kept as a test oracle.
+    = X except x_i := R_i.  No dense Jacobian is built: the tests check these
+    against one written from the formulas.
 
     The row statistics (`loss`, `excess`, `f_sq`, `cross_term`,
     `singular_rows`) take an optional `sq`, the rowwise ||x||^2, so that a
@@ -78,12 +79,6 @@ class EstimatorSpec:
 
     def f(self, X: np.ndarray, define_zero: bool = False) -> np.ndarray:
         raise NotImplementedError
-
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def partial(self, X: np.ndarray, i: int, j: int) -> np.ndarray:
-        return self.jacobian(X)[:, i, j]
 
     def contract(self, X: np.ndarray, W: Weights) -> np.ndarray:
         raise NotImplementedError
@@ -127,13 +122,6 @@ class Identity(EstimatorSpec):
     def f(self, X, define_zero=False):
         return np.zeros_like(X)
 
-    def jacobian(self, X):
-        m, d = X.shape
-        return np.zeros((m, d, d))
-
-    def partial(self, X, i, j):
-        return np.zeros(X.shape[0])
-
     def contract(self, X, W):
         return np.zeros(X.shape[0])
 
@@ -168,22 +156,6 @@ class JamesStein(EstimatorSpec):
         if np.any(bad):
             out[bad] = -X[bad]  # S(x) = 0 there
         return out
-
-    def jacobian(self, X):
-        m, d = X.shape
-        sq = np.einsum("ij,ij->i", X, X)
-        out = np.zeros((m, d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = (-self.lam / sq)[:, None]
-        out += 2.0 * self.lam * np.einsum("mi,mj->mij", X, X) / (sq**2)[:, None, None]
-        return out
-
-    def partial(self, X, i, j):
-        sq = np.einsum("ij,ij->i", X, X)
-        val = 2.0 * self.lam * X[:, i] * X[:, j] / sq**2
-        if i == j:
-            val = val - self.lam / sq
-        return val
 
     def contract(self, X, W):
         return -self.lam * g0_contract(X, W)
@@ -235,18 +207,6 @@ class SoftThreshold(EstimatorSpec):
 
     def active(self, X: np.ndarray) -> np.ndarray:
         return np.abs(X) < self.lam
-
-    def jacobian(self, X):
-        m, d = X.shape
-        out = np.zeros((m, d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = np.where(self.active(X), -1.0, 0.0)
-        return out
-
-    def partial(self, X, i, j):
-        if i != j:
-            return np.zeros(X.shape[0])
-        return np.where(self.active(X)[:, i], -1.0, 0.0)
 
     def contract(self, X, W):
         return -(self.active(X) * W.diagonal()).sum(axis=1)

@@ -7,7 +7,7 @@ noise everywhere these values are consumed.
 
 `quad` imports scipy.integrate on its first call, not with the package:
 the import (with scipy.optimize) takes about 0.4 s, and only the elliptical
-kernels and the zero-bias tail densities integrate.
+kernels integrate.
 """
 
 from __future__ import annotations

@@ -42,14 +42,9 @@ class SteinKernel:
         self.sigma = sigma
         self.d = sigma.shape[0]
 
-    # -- single-point API ---------------------------------------------------
-    def evaluate(self, y: np.ndarray) -> np.ndarray:
-        """T(y) as a d x d symmetric matrix for one centered point."""
-        return self.matrices(np.asarray(y, dtype=float)[None, :])[0]
-
-    # -- batched API --------------------------------------------------------
     def matrices(self, Y: np.ndarray) -> np.ndarray:
-        """Dense T(y) per row, (m, d, d); a test oracle, not a hot path."""
+        """Dense T(y) per row, (m, d, d), from which the mixture and average
+        kernels build their weights."""
         raise NotImplementedError
 
     def as_weights(self, Y: np.ndarray) -> Weights:
@@ -411,6 +406,5 @@ def stein_identity_residual(
     model: NoiseModel, kernel: SteinKernel, test_fn: TestFn, n: int, seed: int
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - E<T, grad f(X)>; 0 for a true kernel."""
-    return identity_residual(
-        kernel.chunks(model, n, seed), model.theta, test_fn, seed, f"stein-residual:{test_fn.name}"
-    )
+    chunks = kernel.chunks(model, n, seed)
+    return identity_residual(chunks, model.theta, [test_fn], seed, "stein")[test_fn.name]

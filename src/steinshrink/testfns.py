@@ -7,8 +7,8 @@ form and exposes the few reductions the closed forms need, each in
 O(rows * d) memory; `TestFn.contract` evaluates the contraction from them.
 `TestFn.contract_replaced` is the zero-bias analogue for coordinate
 replacement, sum_i w_i d_i f_i(X^i) with X^i = X except x_i := R_i.
-The dense `TestFn.jac` and the single `TestFn.partial` are kept as test
-oracles only.
+No code path of the package calls the dense `TestFn.jac` or the single
+`TestFn.partial`.
 """
 
 from __future__ import annotations
@@ -178,6 +178,7 @@ class DenseWeights(Weights):
 class TestFn:
     name: str
     f: Callable[[np.ndarray], np.ndarray]  # (m, d) -> (m, d)
+    # jac and partial stay only because the bench tracer rebuilds a TestFn with them by name
     jac: Callable[[np.ndarray], np.ndarray]  # (m, d) -> (m, d, d), the dense oracle
     partial: Callable[[np.ndarray, int, int], np.ndarray]  # d_j f_i, (m,)
     contract: Callable[[np.ndarray, Weights], np.ndarray]  # <W, grad f(x)>, (m,)

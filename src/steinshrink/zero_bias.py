@@ -1,4 +1,4 @@
-"""Multivariate zero-bias transforms: constructions, couplings, densities.
+"""Multivariate zero-bias transforms: couplings and the square-bias construction.
 
 A coupling produces joint draws (X, X^{ij}) such that
 
@@ -10,8 +10,8 @@ for independent coordinates, the radial coupling on the sphere, the shared
 Gamma-mixture coupling for the Student family, sums, mixtures and linear
 images), the joint draw is exact, and the right-hand side is a sum of
 shared and coordinate-replacement terms contracted in closed form.  A
-generic square-bias construction is also provided for laws without a
-special structure.
+generic square-bias construction (`zb_construct`) draws X^i for laws
+without a special structure.
 
 A `JointChunk` carries X and those terms.  It is the one identity chunk of
 the package: a Stein kernel streams it too, as one shared term at X with
@@ -22,9 +22,8 @@ the Stein and the zero-bias identities alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .noise_models import (
     SphereUniform,
     StudentT,
 )
-from .quadrature import quad
 from .testfns import DiagonalWeights, FixedWeights, TestFn, Weights, _per_row
 
 
@@ -112,12 +110,6 @@ class JointChunk:
         out = term.B.copy()
         out[:, i] = term.R[:, i]
         return out
-
-    def iter_stars(self):
-        term = self._single()
-        M = term.W.matrix if isinstance(term, Shared) else np.diag(term.w)
-        for i, j in zip(*np.nonzero(M)):
-            yield int(i), int(j), float(M[i, j]), self.companion(i, j)
 
 
 def _values(chunk) -> np.ndarray:
@@ -543,68 +535,7 @@ def coupling_for(model: NoiseModel) -> ZeroBiasCoupling:
 
 
 # ---------------------------------------------------------------------------
-# densities and the square-bias construction
-
-
-@dataclass(frozen=True)
-class ZeroBiasDensity:
-    """Density y -> p^i(y) of the i-th zero-bias vector."""
-
-    i: int
-    eval: Callable[[np.ndarray], float]
-
-
-def zb1d(law_or_pdf, sigma2: float | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """One-dimensional zero-bias density p*(y) = var^-1 tail(y)."""
-    if isinstance(law_or_pdf, Law1D):
-        return law_or_pdf.zb_pdf
-    if sigma2 is None or sigma2 <= 0:
-        raise ParameterError("generic zero-bias density needs the variance")
-    pdf = law_or_pdf
-
-    def upper(y):
-        val, _ = quad(lambda u: u * pdf(u), y, np.inf, epsabs=1e-13, epsrel=1e-10, limit=400)
-        return val
-
-    def star_pdf(y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return np.array([max(upper(v), 0.0) / sigma2 for v in y])
-
-    return star_pdf
-
-
-def zb_density(model: NoiseModel, i: int) -> ZeroBiasDensity:
-    """Density of X^i by the coordinate tail integral of the model density."""
-    if not model.has_density():
-        raise ParameterError("density unavailable for this family")
-    if not model.satisfies_conditional_mean_zero():
-        raise ParameterError("zero-bias density needs the conditional-mean-zero condition")
-    sigma_i2 = float(model.cov()[i, i])
-
-    if isinstance(model, ProductIID):
-        law = model.law
-
-        def eval_product(x):
-            y = np.asarray(x, dtype=float) - model.theta
-            others = np.delete(y, i)
-            return float(law.zb_pdf(y[i]) * np.exp(np.sum(law.log_pdf(others))))
-
-        return ZeroBiasDensity(i=i, eval=eval_product)
-
-    def eval_generic(x):
-        x = np.asarray(x, dtype=float)
-
-        def integrand(u):
-            point = x.copy()
-            point[i] = model.theta[i] + u
-            ld = model.log_density(point)
-            return (u * math.exp(ld)) if ld is not None and np.isfinite(ld) else 0.0
-
-        lo = x[i] - model.theta[i]
-        val, _ = quad(integrand, lo, np.inf, epsabs=1e-13, epsrel=1e-9, limit=400)
-        return max(val, 0.0) / sigma_i2
-
-    return ZeroBiasDensity(i=i, eval=eval_generic)
+# the square-bias construction
 
 
 def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bool = False):
@@ -680,27 +611,33 @@ def _square_bias_table(law: Law1D, grid_points: int = 1 << 14):
 # identity residuals
 
 
-def identity_residual(chunks, theta, test_fn: TestFn, seed: int, label: str) -> RiskReport:
-    """MC estimate of E<X-theta, f(X)> minus the mean of the chunks' weighted
-    partials: the residual of the identity the chunks carry, 0 when it holds."""
+def identity_residual(chunks, theta, test_fns: list[TestFn], seed: int, kind: str) -> dict:
+    """MC estimates of E<X-theta, f(X)> minus the mean of the chunks' weighted
+    partials, the residual of the identity the chunks carry (0 when it
+    holds), for each test function from one pass; reports by function name,
+    labelled `<kind>-residual:<name>`."""
+    if len({fn.name for fn in test_fns}) < len(test_fns):
+        raise ParameterError("test functions in one pass need distinct names")
 
-    def residual(chunk):
-        X = chunk.X
-        test_fn.guard(X)
-        lhs = np.einsum("mi,mi->m", X - theta, test_fn.f(X))
-        return {"residual": lhs - chunk.weighted_partials(test_fn)}
+    def residuals(chunk):
+        X, out = chunk.X, {}
+        for fn in test_fns:
+            fn.guard(X)
+            lhs = np.einsum("mi,mi->m", X - theta, fn.f(X))
+            out[fn.name] = lhs - chunk.weighted_partials(fn)
+        return out
 
-    acc = run(chunks, residual)["residual"]
-    return report_from(acc, seed, label=label)
+    accs = run(chunks, residuals)
+    return {fn.name: report_from(accs[fn.name], seed, f"{kind}-residual:{fn.name}")
+            for fn in test_fns}
 
 
 def zb_identity_residual(
     model: NoiseModel, coupling: ZeroBiasCoupling, test_fn: TestFn, n: int, seed: int
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - sum_ij sigma_ij E d_j f_i(X^{ij})."""
-    return identity_residual(
-        coupling.joint_chunks(n, seed), model.theta, test_fn, seed, f"zb-residual:{test_fn.name}"
-    )
+    chunks = coupling.joint_chunks(n, seed)
+    return identity_residual(chunks, model.theta, [test_fn], seed, "zb")[test_fn.name]
 
 
 def coordinate_sum_residual(

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from steinshrink.cli import main
+from steinshrink.cli import _identity_suite, main
 from steinshrink.errors import MomentUnavailableError
+from steinshrink.stein_kernels import stein_identity_residual
+from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
+from steinshrink.zero_bias import zb_identity_residual
 
 
 def _run(tmp_path, name, *args):
@@ -69,6 +72,64 @@ def test_identity_check_rows(tmp_path):
     assert flags[("four-point", "g0")] == "invalid-by-validity-check"
     regular = [c[-1] for c in cells if c[-1] != "invalid-by-validity-check"]
     assert regular and all(f == "true" for f in regular)
+
+
+def _suite_fns(d):
+    rng = np.random.default_rng(20240517)
+    return [linear_map(rng.normal(size=(d, d))), coordinate_quadratic(0), shrink_direction()]
+
+
+def test_identity_check_rows_equal_single_function_residuals(tmp_path):
+    n, seed = 3000, 6
+    code, out = _run(tmp_path, "idc", "identity-check", "--reps", str(n), "--seed", str(seed))
+    assert code == 0
+    _, header, rows = _data_rows(out)
+    cells = {(c[0], c[1], c[2]): c for c in (r.split(",") for r in rows)}
+    checked = 0
+    for label, model, kind, obj in _identity_suite():
+        residual = stein_identity_residual if kind == "kernel" else zb_identity_residual
+        for fn in _suite_fns(model.d):
+            row = dict(zip(header, cells.pop((label, obj.construction, fn.name))))
+            if row["pass"] == "invalid-by-validity-check":
+                continue
+            rep = residual(model, obj, fn, n, seed)
+            assert (float(row["mean"]), float(row["stderr"])) == (rep.mean, rep.stderr)
+            checked += 1
+    assert not cells and checked == 23
+
+
+@pytest.mark.parametrize("label, chunks", [("gaussian", 3), ("sphere-shifted", 12)])
+def test_identity_check_draws_each_row_once(tmp_path, monkeypatch, label, chunks):
+    # one Stein-kernel row (chunks of 3000 draws of d = 6) and one coupling
+    # row (750 joint draws, sized for 4 d): one pass feeds all three test
+    # functions of the row, so each chunk of its stream is drawn once
+    from steinshrink import _mc, noise_models, zero_bias
+
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 3000 * 6)
+    calls = []
+
+    def counted(stream, index):
+        calls.append((stream, index))
+        return _mc.substream(stream, index)
+
+    for module in (noise_models, zero_bias):
+        monkeypatch.setattr(module, "substream", counted)
+    code, out = _run(tmp_path, label, "identity-check", "--model", label, "--reps", "9000",
+                     "--seed", "5")
+    assert code == 0
+    assert len(_data_rows(out)[2]) == 3
+    assert calls == [(5, i) for i in range(chunks)]
+
+
+@pytest.mark.parametrize("model", ["laplace", "foo"])
+def test_identity_check_rejects_a_model_with_no_suite_row(tmp_path, capsys, model):
+    out = tmp_path / "none.csv"
+    assert main(["identity-check", "--model", model, "--reps", "200", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: identity-check --model {model!r} names no suite row; expected all or one of: "
+        "gaussian, student, product-laplace, sphere-shifted, corrupt-mix, four-point"
+    ]
+    assert not out.exists()
 
 
 def test_sure_gaussian_bias_near_zero(tmp_path):
@@ -157,6 +218,9 @@ def test_student_demo_columns(tmp_path):
     disc = discrepancy_stats(StudentT(6, 6), student_kernel(6, 6), 50000, 12)
     assert float(cells["var_trace_mc"]) == disc.var_trace_T
     assert float(cells["frob_dev_mc"]) == disc.e_frob_dev_sq
+    assert float(cells["var_trace_mc_stderr"]) == disc.var_trace_T_stderr
+    assert float(cells["frob_dev_mc_stderr"]) == disc.e_frob_dev_sq_stderr
+    assert header[-2:] == ["var_trace_mc_stderr", "frob_dev_mc_stderr"]
     assert abs(disc.var_trace_T - 109.35) < 3.0 * disc.var_trace_T_stderr
 
 
@@ -260,38 +324,52 @@ def test_bounds_ruled_out_by_validity_are_blank(tmp_path, command):
 
 
 _NOT_JS = "not applicable: the bounds are for james_stein, not soft_threshold"
+_RISK = ["risk", "--bounds"]
 
 
 @pytest.mark.parametrize(
     "args, notes",
     [
-        pytest.param(["--model", "sphere", "--d", "8"], [
+        pytest.param(_RISK + ["--model", "sphere", "--d", "8"], [
             "bound_thm31: not applicable: no kernel bounds alpha_-, alpha_+ for family sphere_uniform",
             "bound_thm33: not applicable: no canonical Stein kernel for family sphere_uniform",
         ], id="sphere"),
-        pytest.param(["--model", "corrupt-add", "--d", "8"], [
+        pytest.param(_RISK + ["--model", "corrupt-add", "--d", "8"], [
             "bound_thm31: not applicable: no kernel bounds alpha_-, alpha_+ for family "
             "corrupted_gaussian_additive",
             "bound_thm33: not applicable: no canonical Stein kernel for family "
             "corrupted_gaussian_additive",
             "bound_zb: not applicable: no canonical coupling for family corrupted_gaussian_additive",
         ], id="corrupt-add"),
-        pytest.param(["--model", "laplace", "--d", "8"], [
+        pytest.param(_RISK + ["--model", "laplace", "--d", "8"], [
             "bound_thm31: not applicable: no kernel bounds alpha_-, alpha_+ for family product_iid",
         ], id="laplace"),
-        pytest.param(["--model", "gaussian", "--d", "8", "--estimator", "soft-threshold"], [
+        pytest.param(_RISK + ["--model", "gaussian", "--d", "8", "--estimator", "soft-threshold"], [
             f"{column}: {_NOT_JS}" for column in ("bound_thm31", "bound_thm33", "bound_zb")
         ], id="soft-threshold"),
+        pytest.param(["sure", "--model", "sphere", "--d", "8"], [], id="sure-sphere"),
+        pytest.param(["sure", "--model", "corrupt-add", "--d", "8"], [
+            "bias_bound: not applicable: no canonical coupling for family "
+            "corrupted_gaussian_additive",
+        ], id="sure-corrupt-add"),
+        pytest.param(["sure", "--model", "laplace", "--d", "8", "--estimator", "soft-threshold"],
+                     [f"bias_bound: {_NOT_JS}"], id="sure-soft-threshold"),
+        pytest.param(["sure", "--model", "laplace", "--d", "8", "--estimator", "identity"], [
+            "bias_bound: not applicable: the bounds are for james_stein, not identity",
+        ], id="sure-identity"),
+        pytest.param(["sure", "--model", "gaussian", "--d", "8", "--select-lambda"],
+                     [f"bias_bound: {_NOT_JS}"], id="sure-select-lambda"),
     ],
 )
 def test_every_blank_bound_cell_says_why(tmp_path, args, notes):
-    code, out = _run(tmp_path, "notes", "risk", "--bounds", "--theta", "scaled:3", "--lambda", "2",
-                     "--reps", "2000", "--seed", "1", *args)
+    code, out = _run(tmp_path, "notes", *args, "--theta", "scaled:3", "--lambda", "2",
+                     "--reps", "2000", "--seed", "1")
     assert code == 0
     meta, header, rows = _data_rows(out)
     cells = dict(zip(header, rows[0].split(",")))
     assert [m for m in meta if "not applicable" in m] == [f"# {note}" for note in notes]
-    blank = [c for c in ("bound_thm31", "bound_thm33", "bound_zb") if cells[c] == ""]
+    columns = ["bias_bound"] if args[0] == "sure" else ["bound_thm31", "bound_thm33", "bound_zb"]
+    blank = [c for c in columns if cells[c] == ""]
     assert blank == [note.split(":")[0] for note in notes]
 
 

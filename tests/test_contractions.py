@@ -2,10 +2,11 @@
 
 Every structured value must match the dense `(rows, d, d)` evaluation row by
 row at d = 6, to a relative 1e-10; the coordinate-replacement closed forms
-must match the per-index `partial` loop over built companions the same way,
-and the averaged couplings must match their formula evaluated with dense
-Jacobians at companions built from the same draws.  The memory tests check
-that the structured paths keep memory at O(n d).
+must match the per-index loop of dense partials over built companions the
+same way, and the averaged couplings must match their formula evaluated
+with dense Jacobians at companions built from the same draws.  The dense
+Jacobians are `oracles.jacobian`.  The memory tests check that the
+structured paths keep memory at O(n d).
 """
 
 import dataclasses
@@ -37,6 +38,7 @@ from steinshrink.zero_bias import (
     Shared,
     SumCoupling,
 )
+from oracles import jacobian
 
 D = 6
 ROWS = 64
@@ -107,7 +109,7 @@ def _chunk(model, kernel):
 def test_kernel_contraction_matches_dense(name, model, kernel):
     chunk, W, mats = _chunk(model, kernel)
     for fn in _test_fns():
-        dense = np.einsum("mij,mij->m", mats, fn.jac(chunk.X))
+        dense = np.einsum("mij,mij->m", mats, jacobian(fn, chunk.X))
         assert_rows_close(fn.contract(chunk.X, W), dense)
         assert_rows_close(chunk.weighted_partials(fn), dense)
 
@@ -155,7 +157,7 @@ def test_sure_kernel_matches_dense(name, model, kernel):
     Y = X - model.theta
     for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8)):
         fx = est.f(X)
-        cross = np.einsum("mij,mij->m", kernel.matrices(Y), est.jacobian(X))
+        cross = np.einsum("mij,mij->m", kernel.matrices(Y), jacobian(est, X))
         dense = np.trace(kernel.sigma) + np.einsum("mi,mi->m", fx, fx) + 2.0 * cross
         assert_rows_close(ss.sure_kernel(X, est, kernel, model.theta), dense)
 
@@ -183,7 +185,7 @@ def test_zb_shared_branch_matches_dense(make_coupling):
     assert isinstance(term, Shared)
     weights = FixedWeights(coupling.sigma)
     for fn in _test_fns():
-        dense = np.einsum("ij,mij->m", coupling.sigma, fn.jac(term.P))
+        dense = np.einsum("ij,mij->m", coupling.sigma, jacobian(fn, term.P))
         assert_rows_close(fn.contract(term.P, weights), dense)
         assert_rows_close(chunk.weighted_partials(fn), dense)
 
@@ -196,7 +198,7 @@ def test_zb_residual_shared_branch_matches_dense_mean():
         for chunk in coupling.joint_chunks(2000, 10):
             lhs = np.einsum("mi,mi->m", chunk.X - model.theta, fn.f(chunk.X))
             star = chunk.companion(0, 0)
-            rows.append(lhs - np.einsum("ij,mij->m", coupling.sigma, fn.jac(star)))
+            rows.append(lhs - np.einsum("ij,mij->m", coupling.sigma, jacobian(fn, star)))
         rows = np.concatenate(rows)
         rep = ss.zb_identity_residual(model, coupling, fn, 2000, 10)
         assert rep.mean == pytest.approx(rows.mean(), rel=1e-10, abs=1e-12 * np.abs(rows).max())
@@ -265,7 +267,7 @@ def test_replacement_closed_form_matches_partial_loop(name, coupling):
     for field in _fields():
         loop = np.zeros(ROWS)
         for i, j in zip(*np.nonzero(coupling.sigma)):
-            loop += coupling.sigma[i, j] * field.partial(chunk.companion(i, j), i, j)
+            loop += coupling.sigma[i, j] * jacobian(field, chunk.companion(i, j))[:, i, j]
         assert_rows_close(chunk.weighted_partials(field), loop)
 
 
@@ -331,8 +333,8 @@ AVERAGED = _averaged_couplings()
 
 def _dense_sum(field, sigma, point):
     """sum over sigma_ij != 0 of sigma_ij d_j f_i(point(i, j)), from the dense Jacobian."""
-    jac = field.jac if hasattr(field, "jac") else field.jacobian
-    return sum(sigma[i, j] * jac(point(i, j))[:, i, j] for i, j in zip(*np.nonzero(sigma)))
+    pairs = zip(*np.nonzero(sigma))
+    return sum(sigma[i, j] * jacobian(field, point(i, j))[:, i, j] for i, j in pairs)
 
 
 def _averaged_oracle(coupling, field, seed):
@@ -397,6 +399,8 @@ def _raises(*args):
 
 
 def test_no_coupling_calls_partial():
+    # estimators have no per-index partial or dense Jacobian to call; a
+    # test function keeps both, for the bench tracer, so they are made to raise
     shared = [
         ss.coupling_for(m)
         for m in (ss.StudentT(D, 6, "scaled:1"), ss.SphereUniform(D, 1.0, "scaled:3"),
@@ -411,7 +415,6 @@ def test_no_coupling_calls_partial():
             fn = dataclasses.replace(fn, jac=_raises, partial=_raises)
             ss.zb_identity_residual(coupling.base, coupling, fn, 500, 3)
         for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8), ss.Identity()):
-            est.partial = est.jacobian = _raises
             ss.sure_zero_bias_mean(coupling.base, est, coupling, 500, 3)
 
 

@@ -55,13 +55,13 @@ def test_transform_requires_invertible():
 def test_student_kernel_at_origin_matches_display():
     # (0 + k s^2) / (d + k - 2) = 9/10 at k = d = 6
     kern = ss.student_kernel(6, 6)
-    assert np.allclose(kern.evaluate(np.zeros(6)), 0.9 * np.eye(6), atol=1e-14)
+    assert np.allclose(kern.matrices(np.zeros((1, 6)))[0], 0.9 * np.eye(6), atol=1e-14)
 
 
 def test_student_kernel_gaussian_limit():
     kern = ss.student_kernel(10**6, 4)
     y = np.array([0.3, -1.0, 2.0, 0.1])
-    assert np.allclose(kern.evaluate(y), np.eye(4), atol=1e-4)
+    assert np.allclose(kern.matrices(y[None])[0], np.eye(4), atol=1e-4)
 
 
 def test_student_kernel_trace_unbiased_for_model_cov():

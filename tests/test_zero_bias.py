@@ -8,8 +8,9 @@ from scipy.stats import ks_2samp
 import steinshrink as ss
 from steinshrink.errors import ParameterError
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
-from steinshrink.zero_bias import FourPointCoupling, ScaledCoupling, zb1d
+from steinshrink.zero_bias import FourPointCoupling, ScaledCoupling, identity_residual
 from conftest import assert_zero_within
+from oracles import zb1d, zb_density
 
 KS_LEVEL = 0.001
 
@@ -353,9 +354,7 @@ def test_square_bias_oracle_identity():
     lhs_acc, rhs_acc = [], []
     rng = np.random.default_rng(23)
     for chunk in coup.joint_chunks(400_000, 24):
-        for ii, jj, w, xij in chunk.iter_stars():
-            if ii == i:
-                lhs_acc.append(g(xij))
+        lhs_acc.append(g(chunk.companion(i, i)))
         X = chunk.X
         y = X - model.theta
         u = rng.uniform(0, 1, X.shape[0])
@@ -373,44 +372,44 @@ def test_square_bias_oracle_identity():
 
 def test_zb_density_1d_gaussian_is_gaussian():
     model = ss.GaussianIso(1, 1.0)
-    dens = ss.zb_density(model, 0)
+    dens = zb_density(model, 0)
     for y in (-1.0, 0.0, 0.5):
-        assert dens.eval(np.array([y])) == pytest.approx(
+        assert dens(np.array([y])) == pytest.approx(
             math.exp(-0.5 * y * y) / math.sqrt(2 * math.pi), rel=1e-7
         )
 
 
 def test_zb_density_product_factorizes():
     model = ss.ProductIID(2, ss.Laplace1D(0.7))
-    dens = ss.zb_density(model, 0)
+    dens = zb_density(model, 0)
     law = model.law
     pt = np.array([0.4, -1.1])
     expected = law.zb_pdf(pt[0]) * law.pdf(pt[1])
-    assert dens.eval(pt) == pytest.approx(float(expected), rel=1e-10)
+    assert dens(pt) == pytest.approx(float(expected), rel=1e-10)
 
 
 def test_zb_density_generic_route_matches_product_route():
     model = ss.ProductIID(2, ss.Laplace1D(0.7))
     mix = ss.Mixture([ss.ProductIID(2, ss.Laplace1D(0.7))], [1.0])
-    generic = ss.zb_density(mix, 0)
-    fast = ss.zb_density(model, 0)
+    generic = zb_density(mix, 0)
+    fast = zb_density(model, 0)
     for pt in ([0.0, 0.0], [0.5, -0.3], [-1.2, 0.9]):
         pt = np.array(pt)
-        assert generic.eval(pt) == pytest.approx(fast.eval(pt), rel=1e-6)
+        assert generic(pt) == pytest.approx(fast(pt), rel=1e-6)
 
 
 def test_zb_density_integrates_to_one_d2():
     model = ss.ProductIID(2, ss.Uniform1D(1.0))
-    dens = ss.zb_density(model, 1)
+    dens = zb_density(model, 1)
     total, _ = dblquad(
-        lambda y0, y1: dens.eval(np.array([y0, y1])), -1.0, 1.0, lambda _: -1.0, lambda _: 1.0
+        lambda y0, y1: dens(np.array([y0, y1])), -1.0, 1.0, lambda _: -1.0, lambda _: 1.0
     )
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_zb_density_unavailable_without_density():
     with pytest.raises(ParameterError):
-        ss.zb_density(ss.SphereUniform(4, 1.0), 0)
+        zb_density(ss.SphereUniform(4, 1.0), 0)
 
 
 # -- misc ----------------------------------------------------------------------
@@ -420,6 +419,13 @@ def test_pair_sampler_rejects_zero_weight():
     coup = ss.couple_student(6, 5)
     with pytest.raises(ParameterError):
         coup.pair_sampler(0, 1, 10, 0)
+
+
+def test_identity_residual_needs_distinct_test_function_names():
+    coupling = ss.couple_student(6, 6)
+    fns = [linear_map(np.eye(6)), linear_map(2.0 * np.eye(6))]
+    with pytest.raises(ParameterError, match="distinct names"):
+        identity_residual(coupling.joint_chunks(100, 1), coupling.theta, fns, 1, "zb")
 
 
 def test_coordinate_sum_projection_residual():
@@ -443,8 +449,7 @@ def test_additive_corruption_leaves_draw_unchanged_with_prob_one_minus_eps():
     unchanged = 0
     total = 0
     for chunk in coup.joint_chunks(50_000, 26):
-        for i, j, w, xij in chunk.iter_stars():
-            if i == j == 0:
-                unchanged += int(np.sum(np.all(xij == chunk.X, axis=1)))
-                total += xij.shape[0]
+        xij = chunk.companion(0, 0)
+        unchanged += int(np.sum(np.all(xij == chunk.X, axis=1)))
+        total += xij.shape[0]
     assert unchanged / total == pytest.approx(1 - eps, abs=0.02)
