@@ -9,11 +9,13 @@ The partition depends only on (n, d), never on worker count.
 package is a mean of per-row statistics accumulated over one chunk stream.
 
 `draw_rows` draws one chunk of fixed-width variates (one 64-bit generator
-output each: numpy's Laplace and uniform draws) on all usable cores, by
-jumping copies of the chunk's PCG64 substream ahead to each task of rows,
-which the threads take in turn.  Its bytes, its end state and its live
-memory (one chunk) do not depend on the core count.  Every other draw is
-made serially on the calling thread.
+output each: the Laplace and uniform inversions of `laws1d`) on all usable
+cores, by jumping copies of the chunk's PCG64 substream ahead to each task
+of rows, which the threads take in turn.  Each thread writes its variates
+in place into the chunk, one sub-block at a time, with one sub-block of
+scratch.  Its bytes, its end state and its live memory (one chunk) do not
+depend on the core count.  Every other draw is made serially on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
 
 
-# Variates per call inside `draw_rows`: each thread's temporary (256 KB)
-# stays in cache while the shift is added, and adds little to the peak RSS.
-# Each call takes the GIL back twice, so fewer, larger calls also mean fewer
-# waits for it.
+# Variates per `fill` call inside `draw_rows`: the sub-block and each
+# thread's scratch (256 KB each) stay in cache through the fill's passes and
+# the shift, and the scratch adds little to the peak RSS.  Each numpy call
+# takes the GIL back, so fewer, larger calls also mean fewer waits for it.
 _SUB_BLOCK = 1 << 15
 # Variates per task of a split draw.  The threads take tasks in turn, so a
 # core slowed by other work takes fewer of them and the draw ends about when
@@ -74,39 +76,39 @@ def _workers(rows: int, d: int) -> int:
     return max(1, min(_usable_cores(), rows, rows * d // _MIN_SPLIT))
 
 
-def _fill(g: np.random.Generator, draw, out: np.ndarray, shift) -> None:
-    """out[:] = draw(g, out.shape) (+ shift), made in sub-blocks of rows."""
-    rows, d = out.shape
-    step = max(1, _SUB_BLOCK // max(d, 1))
-    for r in range(0, rows, step):
-        block = draw(g, (min(step, rows - r), d))
-        if shift is None:
-            out[r : r + step] = block
-        else:
-            np.add(block, shift, out=out[r : r + step])
+def _fill_rows(g: np.random.Generator, fill, out: np.ndarray, shift, scratch) -> None:
+    """`fill` into `out` (+ shift), one sub-block of len(scratch) rows at a time."""
+    step = len(scratch)
+    for r in range(0, len(out), step):
+        block = out[r : r + step]
+        fill(g, block.reshape(-1), scratch[: len(block)].reshape(-1))
+        if shift is not None:
+            block += shift
 
 
-def draw_rows(rng: np.random.Generator, rows: int, d: int, draw, shift=None) -> np.ndarray:
-    """The (rows, d) array `draw(rng, (rows, d))` (+ `shift`), drawn on all
-    usable cores, with `rng` left where that serial draw leaves it.
+def draw_rows(rng: np.random.Generator, rows: int, d: int, fill, shift=None) -> np.ndarray:
+    """A (rows, d) array of variates (+ `shift`) drawn by `fill` on all
+    usable cores, with the bytes and the end state of `rng` of one serial
+    `fill` over the whole array.
 
-    `draw(g, shape)` should take one 64-bit output of `g` per variate.  The
-    rows are cut into tasks of about `_TASK` variates, and task k is drawn
-    from a copy of `rng` advanced past the variates of tasks 0..k-1 (PCG64
-    jumps ahead in O(log n)).  The result is kept only if every task ended
-    where the next one started; otherwise (a variate took a second output,
-    as numpy's Laplace does on a zero uniform) the draw is made again as one
-    task, from `rng` itself.
+    `fill(g, out, scratch)` writes variates from `g` in place into the flat
+    array `out`, and may overwrite the flat array `scratch` of the same
+    length; it should take one 64-bit output of `g` per variate.  The rows
+    are cut into tasks of about `_TASK` variates, and task k is drawn from a
+    copy of `rng` advanced past the variates of tasks 0..k-1 (PCG64 jumps
+    ahead in O(log n)).  The result is kept only if every task ended where
+    the next one started; otherwise (a variate took a second output, as a
+    Gaussian may) the draw is made again as one task, from `rng` itself.
     """
     threads = _workers(rows, d) if isinstance(rng.bit_generator, _JUMPABLE) else 1
     tasks = 1 if threads == 1 else min(rows, max(threads, -(-rows * d // _TASK)))
-    out = _draw_tasks(rng, rows, d, draw, shift, threads, tasks)
+    out = _draw_tasks(rng, rows, d, fill, shift, threads, tasks)
     if out is None:
-        out = _draw_tasks(rng, rows, d, draw, shift, 1, 1)
+        out = _draw_tasks(rng, rows, d, fill, shift, 1, 1)
     return out
 
 
-def _draw_tasks(rng, rows, d, draw, shift, threads, tasks):
+def _draw_tasks(rng, rows, d, fill, shift, threads, tasks):
     """`draw_rows` cut into `tasks` row ranges on `threads` threads, or None
     if a task did not end where the next one began.
 
@@ -118,6 +120,7 @@ def _draw_tasks(rng, rows, d, draw, shift, threads, tasks):
     """
     out = np.empty((rows, d))
     cuts = [rows * k // tasks for k in range(tasks + 1)]
+    step = max(1, min(rows, _SUB_BLOCK // max(d, 1)))
     start = rng.bit_generator.state if tasks > 1 else None
     begins, ends, errors = [None] * tasks, [None] * tasks, []
     claim = itertools.count(threads).__next__
@@ -127,12 +130,13 @@ def _draw_tasks(rng, rows, d, draw, shift, threads, tasks):
             g = rng
             if tasks > 1:
                 g = np.random.Generator(type(rng.bit_generator)(0))
+            scratch = np.empty((step, d))
             while k < tasks:
                 if tasks > 1:
                     g.bit_generator.state = start
                     g.bit_generator.advance(cuts[k] * d)
                     begins[k] = g.bit_generator.state["state"]
-                _fill(g, draw, out[cuts[k] : cuts[k + 1]], shift)
+                _fill_rows(g, fill, out[cuts[k] : cuts[k + 1]], shift, scratch)
                 ends[k] = g.bit_generator.state["state"]
                 k = claim()
         except BaseException as exc:  # raised again on the calling thread

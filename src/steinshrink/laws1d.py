@@ -5,9 +5,10 @@ T(y) = (1/p(y)) * integral_y^inf u p(u) du, and its zero-bias transform
 (density and sampler).  The zero-bias density is p*(y) = tail(y) / var where
 tail(y) is the same upper integral, so the two share one closed form.
 
-Laplace and uniform variates each take one 64-bit generator output, so their
-(rows, d) draws are made on all usable cores (`_mc.draw_rows`), with the
-bytes of the serial draw.  The other laws draw serially.
+Laplace and uniform variates are inversions of one uniform each (one 64-bit
+generator output), written in place, so their draws are made on all usable
+cores (`_mc.draw_rows`), with the bytes of the serial draw.  The other laws
+draw serially.
 """
 
 from __future__ import annotations
@@ -80,21 +81,29 @@ class Law1D:
     # support half-width; None for unbounded laws
     support_radius: float | None = None
 
-    # whether each variate takes exactly one 64-bit generator output, so
-    # that a (rows, d) draw can be split across cores
+    # whether each variate takes exactly one 64-bit generator output (the
+    # law has `_fill`), so that a draw can be split across cores
     fixed_width = False
 
     def sample(self, rng: np.random.Generator, size, shift=None) -> np.ndarray:
         """`size` variates, plus `shift` if given; the same bytes and end
-        state of `rng` whether or not the draw is split across cores."""
-        if self.fixed_width and np.ndim(size) == 1 and len(size) == 2:
-            return draw_rows(rng, size[0], size[1], self._variates, shift)
+        state of `rng` whether or not the draw is split across cores.  A
+        fixed-width law draws size[0] rows and adds `shift` to each."""
+        if self.fixed_width:
+            shape = (size,) if np.ndim(size) == 0 else tuple(size)
+            rows, d = shape[0], math.prod(shape[1:])
+            return draw_rows(rng, rows, d, self._fill, shift).reshape(shape)
         out = self._variates(rng, size)
         if shift is not None:
             out += shift
         return out
 
     def _variates(self, rng: np.random.Generator, size) -> np.ndarray:
+        raise NotImplementedError
+
+    def _fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write len(out) variates from `g` into the flat array `out`, one
+        64-bit output each; `scratch` (as long) may be overwritten."""
         raise NotImplementedError
 
     def pdf(self, y) -> np.ndarray:
@@ -200,8 +209,22 @@ class Laplace1D(Law1D):
 
     fixed_width = True
 
-    def _variates(self, rng, size):
-        return rng.laplace(0.0, self.b, size)
+    def _fill(self, g, out, scratch):
+        # numpy's C `random_laplace` on the same uniform U, as array passes:
+        # b log(U + U) below 1/2, -b log((2 - U) - U) from 1/2 on, so
+        # copysign(b log(min(U + U, (2 - U) - U)), U - 1/2).  U = 0 (which
+        # numpy redraws from a second output) is read as 2^-53, the least
+        # positive U, so every variate takes one output and stays finite.
+        g.random(out=out)
+        np.subtract(2.0, out, out=scratch)
+        scratch -= out
+        out += out  # U + U, exact
+        np.maximum(out, 2.0**-52, out=out)
+        np.minimum(out, scratch, out=scratch)
+        np.log(scratch, out=scratch)
+        scratch *= self.b
+        out -= 1.0  # 2(U - 1/2), exact but at U = 0; its sign is U - 1/2's
+        np.copysign(scratch, out, out=out)
 
     def log_pdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -250,8 +273,11 @@ class Uniform1D(Law1D):
 
     fixed_width = True
 
-    def _variates(self, rng, size):
-        return rng.uniform(-self.a, self.a, size)
+    def _fill(self, g, out, scratch):
+        # numpy's uniform(-a, a) is -a + (2a) U, with the same two roundings
+        g.random(out=out)
+        out *= 2.0 * self.a
+        out += -self.a
 
     def log_pdf(self, y):
         y = np.asarray(y, dtype=float)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -298,18 +299,23 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _laplace_inverse_cdf(u, b):
+    # numpy's C random_laplace on the uniforms u, in one piece
+    return np.copysign(b * np.log(np.minimum(u + u, (2.0 - u) - u)), u - 0.5)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
     "law, serial",
     [
-        (Laplace1D(0.7), lambda g, size: g.laplace(0.0, 0.7, size)),
+        (Laplace1D(0.7), lambda g, size: _laplace_inverse_cdf(g.random(size), 0.7)),
         (Uniform1D(1.3), lambda g, size: g.uniform(-1.3, 1.3, size)),
     ],
     ids=["laplace", "uniform"],
 )
 def test_split_draws_keep_bytes_and_end_state(monkeypatch, law, serial, workers):
-    # a split draw gives the bytes of one serial numpy draw plus theta, and
-    # leaves the generator where that draw leaves it
+    # a split draw gives the bytes of one serial draw plus theta, and leaves
+    # the generator where that draw leaves it
     _force_workers(monkeypatch, workers)
     model = ProductIID(7, law, "scaled:2")
     rng, ref = substream(5, 0), substream(5, 0)
@@ -333,7 +339,7 @@ def test_split_draw_falls_back_for_variable_width_draws(monkeypatch):
     assert mid.bit_generator.state != jumped.state  # a naive split would be wrong
 
     rng, ref = substream(6, 0), substream(6, 0)
-    X = draw_rows(rng, rows, d, lambda g, size: g.standard_normal(size))
+    X = draw_rows(rng, rows, d, lambda g, out, scratch: g.standard_normal(out=out))
     assert _same_bits(X, ref.standard_normal((rows, d)))
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -343,14 +349,14 @@ def test_split_draw_raises_a_blocks_error(monkeypatch, raising_block):
     _force_workers(monkeypatch, 3)
     caller = threading.current_thread()
 
-    def draw(g, size):
+    def fill(g, out, scratch):
         if (threading.current_thread() is caller) == (raising_block == "caller"):
             raise RuntimeError("draw failed")
-        return g.laplace(0.0, 1.0, size)
+        g.random(out=out)
 
     returned = []
     with pytest.raises(RuntimeError, match="draw failed"):
-        returned.append(draw_rows(substream(7, 0), 101, 7, draw))
+        returned.append(draw_rows(substream(7, 0), 101, 7, fill))
     assert returned == []
 
 
@@ -372,17 +378,62 @@ def test_split_draw_tasks_go_to_the_free_thread(monkeypatch):
     released = threading.Event()
     caller_tasks = []
 
-    def draw(g, size):
+    def fill(g, out, scratch):
         if threading.current_thread() is caller:
-            caller_tasks.append(size)
+            caller_tasks.append(out.size)
             if len(caller_tasks) == 7:
                 released.set()
         else:
             released.wait(timeout=10)
-        return g.laplace(0.0, 1.0, size)
+        g.random(out=out)
 
     rng, ref = substream(8, 0), substream(8, 0)
-    X = draw_rows(rng, 80, 7, draw)
+    X = draw_rows(rng, 80, 7, fill)
     assert released.is_set() and len(caller_tasks) == 7
-    assert _same_bits(X, ref.laplace(0.0, 1.0, (80, 7)))
+    assert _same_bits(X, ref.random((80, 7)))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _ExtremeUniforms:
+    """A generator whose `random(out=)` sets every third uniform to 0, the
+    least value, and the next one to 1 - 2^-53, the greatest."""
+
+    def __init__(self, g):
+        self._g = g
+        self.bit_generator = g.bit_generator
+
+    def random(self, out):
+        self._g.random(out=out)
+        out[::3] = 0.0
+        out[1::3] = 1.0 - 2.0**-53
+
+
+def test_laplace_zero_uniform_takes_one_output_and_stays_finite():
+    # numpy redraws a Laplace variate whose uniform is 0; the inversion reads
+    # it as the least positive uniform 2^-53, with no log(0) warning, and
+    # keeps numpy's value at the greatest uniform
+    b, rows, d = 0.7, 4, 6
+    rng, ref = _ExtremeUniforms(substream(9, 0)), substream(9, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = Laplace1D(b).sample(rng, (rows, d))
+    u = ref.random(rows * d)
+    u[::3], u[1::3] = 2.0**-53, 1.0 - 2.0**-53
+    assert np.all(np.isfinite(X))
+    assert _same_bits(X.reshape(-1), _laplace_inverse_cdf(u, b))
+    assert rng.bit_generator.state == ref.bit_generator.state  # one output each
+
+
+def test_laplace_inversion_tracks_numpy_laplace():
+    # the last bits may differ from libm's log, nothing else: same end state,
+    # every variate within 4 ulps, and the second and fourth moments of
+    # Laplace(b) within 3 standard errors
+    b, n = 0.7, 1_000_000
+    rng, ref = substream(11, 0), substream(11, 0)
+    X = Laplace1D(b).sample(rng, (n // 1000, 1000)).reshape(-1)
+    R = ref.laplace(0.0, b, n)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.all(np.abs(X - R) <= 4 * np.spacing(np.abs(R)))
+    for k, moment in ((2, 2.0 * b**2), (4, 24.0 * b**4)):
+        power = X**k
+        assert abs(power.mean() - moment) < 3 * power.std(ddof=1) / np.sqrt(n)

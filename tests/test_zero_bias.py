@@ -6,6 +6,7 @@ from scipy.integrate import dblquad, quad
 from scipy.stats import ks_2samp
 
 import steinshrink as ss
+from steinshrink import _mc
 from steinshrink.errors import ParameterError
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
 from steinshrink.zero_bias import FourPointCoupling, ScaledCoupling, identity_residual
@@ -426,6 +427,17 @@ def test_identity_residual_needs_distinct_test_function_names():
     fns = [linear_map(np.eye(6)), linear_map(2.0 * np.eye(6))]
     with pytest.raises(ParameterError, match="distinct names"):
         identity_residual(coupling.joint_chunks(100, 1), coupling.theta, fns, 1, "zb")
+
+
+def test_residual_product_laplace_g0_high_dimension(monkeypatch):
+    # d = 1024: each chunk of 8192 rows is drawn as 64 tasks, here on three
+    # threads whatever the core count, and the g0 identity must still hold
+    monkeypatch.setattr(_mc, "_workers", lambda rows, d: min(3, rows))
+    d = 1024
+    model = ss.ProductIID(d, ss.Laplace1D(1 / math.sqrt(2)), "scaled:1")
+    rep = ss.zb_identity_residual(model, ss.couple_independent(model), shrink_direction(), 16384, 61)
+    assert rep.n == 2 * _mc.chunk_rows(d)
+    assert_zero_within(rep)
 
 
 def test_coordinate_sum_projection_residual():
