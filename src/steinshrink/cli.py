@@ -230,7 +230,9 @@ def build_model(cfg: dict) -> NoiseModel:
     if name == "corrupt-mix":
         return MixingCorruption(cfg["eps"], _outlier(cfg), theta)
     if name == "four-point":
-        return FourPointDegenerate(theta if len(theta) == 2 else None)
+        if d != 2:
+            raise ParameterError(f"the four-point model is two-dimensional; got --d {d}, pass --d 2")
+        return FourPointDegenerate(theta)
     raise ParameterError(f"unknown model {name!r}")
 
 

@@ -1,9 +1,10 @@
 """Symmetric one-dimensional noise laws used as product-model coordinates.
 
-Each law exposes exact moments, a density, its one-dimensional Stein kernel
-T(y) = (1/p(y)) * integral_y^inf u p(u) du, and its zero-bias transform
-(density and sampler).  The zero-bias density is p*(y) = tail(y) / var where
-tail(y) is the same upper integral, so the two share one closed form.
+Each law exposes exact moments (variance, c4, c6, c8), its rescaled copy
+(`scaled`), a density, the tail integral tail(y) = integral_y^inf u p(u) du,
+its one-dimensional Stein kernel T(y) = tail(y) / p(y), and an exact sampler
+of its zero-bias law, U times a square-biased draw.  The zero-bias density
+is tail(y) / var, so the tail integral is the one closed form of both.
 
 Laplace and uniform variates are inversions of one uniform each (one 64-bit
 generator output), written in place, so their draws are made on all usable
@@ -75,7 +76,15 @@ class Law1D:
         raise NotImplementedError
 
     @property
+    def c6(self) -> float:
+        raise NotImplementedError
+
+    @property
     def c8(self) -> float:
+        raise NotImplementedError
+
+    def scaled(self, factor: float) -> "Law1D":
+        """The law of `factor` times a variate."""
         raise NotImplementedError
 
     # support half-width; None for unbounded laws
@@ -124,9 +133,6 @@ class Law1D:
             raise EvaluationError(f"{self.name}: kernel evaluated where the density vanishes")
         return self.tail_first_moment(y) / p
 
-    def zb_pdf(self, y) -> np.ndarray:
-        return np.maximum(self.tail_first_moment(y), 0.0) / self.variance
-
     def zb_sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw from the zero-bias law via U * (square-biased draw)."""
         u = rng.uniform(0.0, 1.0, size)
@@ -156,8 +162,15 @@ class Gaussian1D(Law1D):
         return 3.0 * self.sigma**4
 
     @property
+    def c6(self):
+        return 15.0 * self.sigma**6
+
+    @property
     def c8(self):
         return 105.0 * self.sigma**8
+
+    def scaled(self, factor):
+        return Gaussian1D(self.sigma * factor)
 
     def _variates(self, rng, size):
         return rng.normal(0.0, self.sigma, size)
@@ -173,17 +186,8 @@ class Gaussian1D(Law1D):
     def kernel(self, y):
         return np.full_like(np.asarray(y, dtype=float), self.sigma**2)
 
-    def zb_pdf(self, y):
-        return self.pdf(y)  # Gaussian is the fixed point
-
     def zb_sample(self, rng, size):
-        return rng.normal(0.0, self.sigma, size)
-
-    def square_bias_sample(self, rng, size):
-        # |Y|^2-biased normal: chi distribution with 3 dof, random sign
-        mag = np.sqrt(rng.chisquare(3.0, size))
-        mag *= self.sigma
-        return _random_sign(rng, mag)
+        return rng.normal(0.0, self.sigma, size)  # the Gaussian is the fixed point
 
 
 @dataclass(frozen=True)
@@ -204,8 +208,15 @@ class Laplace1D(Law1D):
         return 24.0 * self.b**4
 
     @property
+    def c6(self):
+        return math.factorial(6) * self.b**6
+
+    @property
     def c8(self):
         return math.factorial(8) * self.b**8
+
+    def scaled(self, factor):
+        return Laplace1D(self.b * factor)
 
     fixed_width = True
 
@@ -264,8 +275,15 @@ class Uniform1D(Law1D):
         return self.a**4 / 5.0
 
     @property
+    def c6(self):
+        return self.a**6 / 7.0
+
+    @property
     def c8(self):
         return self.a**8 / 9.0
+
+    def scaled(self, factor):
+        return Uniform1D(self.a * factor)
 
     @property
     def support_radius(self):
@@ -324,9 +342,17 @@ class SmoothedRademacher1D(Law1D):
         return c2**2 + 6.0 * c2 * h2 + 3.0 * h2**2
 
     @property
+    def c6(self):
+        c2, h2 = self.c**2, self.h**2
+        return c2**3 + 15 * c2**2 * h2 + 45 * c2 * h2**2 + 15 * h2**3
+
+    @property
     def c8(self):
         c2, h2 = self.c**2, self.h**2
         return c2**4 + 28 * c2**3 * h2 + 210 * c2**2 * h2**2 + 420 * c2 * h2**3 + 105 * h2**4
+
+    def scaled(self, factor):
+        return SmoothedRademacher1D(self.c * factor, self.h * factor)
 
     def _variates(self, rng, size):
         signs = rng.choice([-1.0, 1.0], size)

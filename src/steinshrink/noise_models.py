@@ -15,10 +15,10 @@ law is s^4 = (k/(k-2))^2, and that is the covariance the model reports;
 the closed-form kernel and the Gamma coupling in the sibling modules are
 exact for this same law.
 
-scipy.special is imported inside the few methods that call it (the Student
-and mixture log densities, the ball volume, the elliptical Student
-normalizer), not with the module: the import takes about 0.3 s and 19 MB,
-and no draw needs it.
+The models carry no density: the zero-bias constructions need only each
+coordinate law's tail integral and kernel (`laws1d`).  The one quadrature
+here, a generic elliptical generator's second moment, loads its integrator
+on first use (`quadrature.elliptical_second_moment`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from ._mc import chunk_plan, substream
 from .errors import MomentUnavailableError, ParameterError
-from .laws1d import Gaussian1D, Laplace1D, Law1D, SmoothedRademacher1D, Uniform1D
-from .quadrature import elliptical_normalizer, elliptical_second_moment
+from .laws1d import Law1D
+from .quadrature import elliptical_second_moment
 from .theta import parse_theta
 
 _DOUBLE_FACT = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
@@ -124,11 +124,6 @@ class NoiseModel:
             c8=self.coordinate_moment(8),
         )
 
-    # -- density ----------------------------------------------------------
-    def log_density(self, x) -> float | None:
-        """Log density at a point, or None when unavailable for the family."""
-        return None
-
     # -- validity ---------------------------------------------------------
     def has_density(self) -> bool:
         return False
@@ -220,12 +215,6 @@ class GaussianIso(NoiseModel):
     def satisfies_conditional_mean_zero(self):
         return True
 
-    def log_density(self, x):
-        if self.sigma2 == 0.0:
-            return None
-        y = np.asarray(x, dtype=float) - self.theta
-        return float(-0.5 * np.dot(y, y) / self.sigma2 - 0.5 * self.d * math.log(2 * math.pi * self.sigma2))
-
 
 class StudentT(NoiseModel):
     """Gamma variance-mixture Student law; see the module docstring."""
@@ -263,15 +252,6 @@ class StudentT(NoiseModel):
 
     def satisfies_conditional_mean_zero(self):
         return True
-
-    def log_density(self, x):
-        from scipy.special import gammaln
-
-        y = (np.asarray(x, dtype=float) - self.theta) / math.sqrt(self.scale2)
-        q = float(np.dot(y, y))
-        k, d = self.k, self.d
-        logc = gammaln((k + d) / 2.0) - gammaln(k / 2.0) - 0.5 * d * math.log(k * math.pi)
-        return float(logc - 0.5 * d * math.log(self.scale2) - 0.5 * (k + d) * math.log1p(q / k))
 
 
 class SphereUniform(NoiseModel):
@@ -352,17 +332,6 @@ class BallUniform(NoiseModel):
     def satisfies_conditional_mean_zero(self):
         return True
 
-    def log_volume(self):
-        from scipy.special import gammaln
-
-        return 0.5 * self.d * math.log(math.pi) + self.d * math.log(self.radius) - gammaln(self.d / 2.0 + 1.0)
-
-    def log_density(self, x):
-        y = np.asarray(x, dtype=float) - self.theta
-        if np.linalg.norm(y) > self.radius:
-            return -math.inf
-        return -self.log_volume()
-
     def support_min_norm(self):
         slack = float(np.linalg.norm(self.theta)) - self.radius
         return slack if slack > 0 else None
@@ -376,7 +345,7 @@ class ProductIID(NoiseModel):
     def __init__(self, d: int, law: Law1D, theta=None, scaling: str | None = None):
         super().__init__(d, theta)
         if scaling == "pinsker":
-            law = scale_law(law, 1.0 / math.sqrt(d))
+            law = law.scaled(1.0 / math.sqrt(d))
         elif scaling is not None:
             raise ParameterError(f"unknown scaling {scaling!r}")
         self.law = law
@@ -396,10 +365,10 @@ class ProductIID(NoiseModel):
             return self.sigma2
         if p == 4:
             return self.law.c4
+        if p == 6:
+            return self.law.c6
         if p == 8:
             return self.law.c8
-        if p == 6:
-            return _law_sixth_moment(self.law)
         raise ParameterError(f"unsupported moment order {p}")
 
     def has_density(self):
@@ -407,10 +376,6 @@ class ProductIID(NoiseModel):
 
     def satisfies_conditional_mean_zero(self):
         return True
-
-    def log_density(self, x):
-        y = np.asarray(x, dtype=float) - self.theta
-        return float(np.sum(self.law.log_pdf(y)))
 
     def support_two_large_coords(self):
         r = self.law.support_radius
@@ -420,43 +385,18 @@ class ProductIID(NoiseModel):
         return bool(np.sum(clear > 0) >= 2)
 
 
-def _law_sixth_moment(law: Law1D) -> float:
-    if isinstance(law, Gaussian1D):
-        return 15.0 * law.sigma**6
-    if isinstance(law, Laplace1D):
-        return math.factorial(6) * law.b**6
-    if isinstance(law, Uniform1D):
-        return law.a**6 / 7.0
-    if isinstance(law, SmoothedRademacher1D):
-        c2, h2 = law.c**2, law.h**2
-        return c2**3 + 15 * c2**2 * h2 + 45 * c2 * h2**2 + 15 * h2**3
-    raise MomentUnavailableError("sixth moment unavailable for this law")
-
-
-def scale_law(law: Law1D, factor: float) -> Law1D:
-    if isinstance(law, Gaussian1D):
-        return Gaussian1D(law.sigma * factor)
-    if isinstance(law, Laplace1D):
-        return Laplace1D(law.b * factor)
-    if isinstance(law, Uniform1D):
-        return Uniform1D(law.a * factor)
-    if isinstance(law, SmoothedRademacher1D):
-        return SmoothedRademacher1D(law.c * factor, law.h * factor)
-    raise ParameterError("cannot rescale this 1-D law")
-
-
 class Elliptical(NoiseModel):
-    """Density kappa |Ups|^(-1/2) phi((x-theta)' Ups^-1 (x-theta) / 2).
+    """Density proportional to phi((x-theta)' Ups^-1 (x-theta) / 2).
 
-    `dispersion` is the matrix in the quadratic form; the covariance is
+    `dispersion` is the matrix Ups in the quadratic form; the covariance is
     (E[q]/d) * dispersion with E[q] computed by radial quadrature unless a
-    closed form is supplied.
+    closed form is supplied.  The normalizing constant is never needed.
     """
 
     family = "elliptical"
 
     def __init__(self, d, generator, dispersion, theta=None, *, name="elliptical",
-                 log_normalizer=None, second_moment=None):
+                 second_moment=None):
         super().__init__(d, theta)
         disp = np.asarray(dispersion, dtype=float)
         if disp.shape != (d, d):
@@ -470,42 +410,33 @@ class Elliptical(NoiseModel):
         self.dispersion = disp
         self.name = name
         self._chol = np.linalg.cholesky(disp)
-        self._log_norm = (
-            math.log(elliptical_normalizer(generator, d)) if log_normalizer is None else log_normalizer
-        )
         self._eq = elliptical_second_moment(generator, d) if second_moment is None else second_moment
         self._radial_cdf = None
 
     @classmethod
     def gaussian(cls, d: int, sigma2: float = 1.0, theta=None) -> "Elliptical":
-        """Gaussian generator with its closed-form normalizer (no quadrature)."""
-        log_norm = -0.5 * d * math.log(2.0 * math.pi)
+        """Gaussian generator with its closed-form second moment (no quadrature)."""
         return cls(
             d,
             lambda t: math.exp(-t),
             sigma2 * np.eye(d),
             theta,
             name="elliptical-gaussian",
-            log_normalizer=log_norm,
             second_moment=float(d),
         )
 
     @classmethod
     def student(cls, d: int, k: int, theta=None) -> "Elliptical":
-        """Student generator with closed-form constants, matching StudentT."""
-        from scipy.special import gammaln
-
+        """Student generator with its closed-form second moment, matching StudentT."""
         if k < 5:
             raise ParameterError("need k >= 5")
         s2 = k / (k - 2.0)
-        log_norm = float(gammaln((k + d) / 2.0) - gammaln(k / 2.0) - 0.5 * d * math.log(k * math.pi))
         return cls(
             d,
             lambda t: (1.0 + 2.0 * t / k) ** (-(k + d) / 2.0),
             s2 * np.eye(d),
             theta,
             name="elliptical-student",
-            log_normalizer=log_norm,
             second_moment=float(d) * s2,
         )
 
@@ -522,15 +453,6 @@ class Elliptical(NoiseModel):
 
     def satisfies_conditional_mean_zero(self):
         return bool(np.allclose(self.dispersion, np.diag(np.diag(self.dispersion))))
-
-    def log_density(self, x):
-        y = np.asarray(x, dtype=float) - self.theta
-        z = np.linalg.solve(self._chol, y)
-        q = float(np.dot(z, z))
-        val = self.generator(q / 2.0)
-        if val <= 0:
-            return -math.inf
-        return float(self._log_norm - np.log(np.diag(self._chol)).sum() + math.log(val))
 
     def _radial_inverse_cdf(self):
         if self._radial_cdf is None:
@@ -610,19 +532,6 @@ class Mixture(NoiseModel):
     def satisfies_conditional_mean_zero(self):
         return all(c.satisfies_conditional_mean_zero() for c in self.components)
 
-    def log_density(self, x):
-        from scipy.special import logsumexp
-
-        logs = []
-        for w, c in zip(self.weights, self.components):
-            if w == 0.0:
-                continue
-            ld = c.log_density(np.asarray(x, dtype=float) - self.theta)
-            if ld is None:
-                return None
-            logs.append(math.log(w) + ld)
-        return float(logsumexp(logs))
-
     def support_min_norm(self):
         return None  # component supports are not tracked through the shift
 
@@ -675,11 +584,6 @@ class AdditiveCorruption(NoiseModel):
 
     def satisfies_conditional_mean_zero(self):
         return self.outlier.satisfies_conditional_mean_zero()
-
-    def log_density(self, x):
-        if self.eps == 0.0:
-            return GaussianIso(self.d, self.sigma2, self.theta).log_density(x)
-        return None
 
 
 class MixingCorruption(Mixture):
@@ -743,13 +647,6 @@ class LinearTransform(NoiseModel):
         return self.base.satisfies_conditional_mean_zero() and bool(
             np.allclose(self.A, np.diag(np.diag(self.A)))
         )
-
-    def log_density(self, x):
-        y = np.linalg.solve(self.A, np.asarray(x, dtype=float) - self.theta)
-        ld = self.base.log_density(y)
-        if ld is None:
-            return None
-        return float(ld - math.log(abs(np.linalg.det(self.A))))
 
     def support_min_norm(self):
         return None  # transformed supports are not tracked analytically

@@ -1,4 +1,5 @@
-"""Adaptive quadrature helpers for density generators.
+"""Adaptive quadrature over elliptical density generators phi: the second
+moment E[q] and the kernel's tail ratio, which need no normalizing constant.
 
 All tail integrals run through scipy's QUADPACK (adaptive Gauss-Kronrod)
 with a relative tolerance of 1e-10 and an upper cutoff where the generator
@@ -6,8 +7,8 @@ has decayed below 1e-300, so quadrature error stays far below Monte Carlo
 noise everywhere these values are consumed.
 
 `quad` imports scipy.integrate on its first call, not with the package:
-the import (with scipy.optimize) takes about 0.4 s, and only the elliptical
-kernels integrate.
+the import (with scipy.optimize) takes about 0.4 s, and only a generic
+elliptical generator integrates.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import ParameterError
 
 RTOL = 1e-10
 _FLOOR = 1e-300
@@ -61,25 +64,13 @@ def radial_moment(phi, d: int, power: int = 0) -> float:
     return left + right
 
 
-def unit_sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def elliptical_normalizer(phi, d: int) -> float:
-    """kappa with p(x) = kappa |Ups|^(-1/2) phi(x' Ups^-1 x / 2) a density.
-
-    Uses integral over R^d of phi(||z||^2/2) dz = A_d 2^(d/2-1) * radial_moment.
-    """
-    total = unit_sphere_area(d) * 2.0 ** (d / 2.0 - 1.0) * radial_moment(phi, d)
-    if not (total > 0.0 and math.isfinite(total)):
-        raise ValueError("generator is not normalizable in this dimension")
-    return 1.0 / total
-
-
 def elliptical_second_moment(phi, d: int) -> float:
-    """E[q] where q = x' Ups^-1 x under the elliptical law; cov = E[q]/d * Ups."""
+    """E[q] where q = x' Ups^-1 x under the elliptical law; cov = E[q]/d * Ups.
+    A generator with no finite, positive radial mass is a ParameterError."""
     num = radial_moment(phi, d, power=1)
     den = radial_moment(phi, d, power=0)
+    if not (den > 0.0 and math.isfinite(den)):
+        raise ParameterError("generator is not normalizable in this dimension")
     return 2.0 * num / den
 
 

@@ -541,10 +541,11 @@ def coupling_for(model: NoiseModel) -> ZeroBiasCoupling:
 def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bool = False):
     """Draws of X^i via the square-bias-and-scale construction.
 
-    ProductIID models use a tabulated inverse CDF of the square-biased
-    marginal (2^14 grid points, linear interpolation); laws without a
-    product structure fall back to sampling-importance-resampling with a
-    pool factor of 64, reporting the effective sample size.
+    ProductIID and GaussianIso models draw coordinate i from the exact
+    zero-bias sampler of their coordinate law (`Law1D.zb_sample`, U times a
+    square-biased draw) and the other coordinates from the law itself; laws
+    without a product structure fall back to sampling-importance-resampling
+    with a pool factor of 64, reporting the effective sample size.
     """
     if not model.satisfies_conditional_mean_zero():
         raise ParameterError("square-bias construction needs the conditional-mean-zero condition")
@@ -557,12 +558,10 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     nchunks = 0
     if isinstance(model, (ProductIID, GaussianIso)):
         law = _coordinate_law(model)
-        grid, cdf = _square_bias_table(law)
         for idx, rows in chunk_plan(n, model.d):
             rng = substream(seed, idx)
             Y = law.sample(rng, (rows, model.d))
-            w = np.interp(rng.uniform(0.0, 1.0, rows), cdf, grid)
-            Y[:, i] = rng.uniform(0.0, 1.0, rows) * w
+            Y[:, i] = law.zb_sample(rng, rows)
             out.append(model.theta + Y)
         ess = float(n)
     else:
@@ -585,26 +584,6 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     if return_ess:
         return draws, ess
     return draws
-
-
-_SQ_TABLE_CACHE: dict = {}
-
-
-def _square_bias_table(law: Law1D, grid_points: int = 1 << 14):
-    key = (law.__class__.__name__, tuple(sorted(vars(law).items())), grid_points)
-    if key in _SQ_TABLE_CACHE:
-        return _SQ_TABLE_CACHE[key]
-    r = law.support_radius
-    if r is None:
-        r = 40.0 * math.sqrt(law.variance)
-    grid = np.linspace(-r, r, grid_points)
-    pdf = grid**2 * law.pdf(grid)
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
-    cdf /= cdf[-1]
-    # strictly increase for interpolation stability
-    cdf = np.maximum.accumulate(cdf)
-    _SQ_TABLE_CACHE[key] = (grid, cdf)
-    return grid, cdf
 
 
 # ---------------------------------------------------------------------------

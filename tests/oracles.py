@@ -5,11 +5,10 @@ against.  Each is written from its formula, not from the code it checks:
   function or of an estimator's perturbation f(x) = S(x) - x;
 * `zb1d(pdf, sigma2)`: the one-dimensional zero-bias density
   p*(y) = sigma^-2 int_y^inf u p(u) du;
-* `zb_density(model, i)`: the density of the i-th zero-bias vector, the
-  same tail integral taken along coordinate i of the model density.
+* `zb_density(model, i)`: the density of the i-th zero-bias vector of a
+  product law, the same tail integral along coordinate i times the density
+  of the other coordinates.
 """
-
-import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -58,35 +57,16 @@ def zb1d(pdf, sigma2: float):
 
 
 def zb_density(model, i: int):
-    """x -> p^i(x), the density of X^i: sigma_i^-2 int_{x_i}^inf (u - theta_i)
-    p(x with x_i := u) du.  A product law factorizes into the 1-D zero-bias
-    density of coordinate i times the density of the others."""
-    if not model.has_density():
-        raise ParameterError("density unavailable for this family")
-    if not model.satisfies_conditional_mean_zero():
-        raise ParameterError("zero-bias density needs the conditional-mean-zero condition")
+    """x -> p^i(x), the density of X^i for a product law: sigma_i^-2 int_{y_i}^inf
+    u p(u) du, with y = x - theta, times the density of the other coordinates."""
+    if not isinstance(model, ProductIID):
+        raise ParameterError("the zero-bias density oracle covers product laws only")
     sigma_i2 = float(model.cov()[i, i])
+    law = model.law
 
-    if isinstance(model, ProductIID):
-        law = model.law
+    def product(x):
+        y = np.asarray(x, dtype=float) - model.theta
+        star = max(float(law.tail_first_moment(y[i])), 0.0) / sigma_i2
+        return star * float(np.exp(np.sum(law.log_pdf(np.delete(y, i)))))
 
-        def product(x):
-            y = np.asarray(x, dtype=float) - model.theta
-            return float(law.zb_pdf(y[i]) * np.exp(np.sum(law.log_pdf(np.delete(y, i)))))
-
-        return product
-
-    def generic(x):
-        x = np.asarray(x, dtype=float)
-
-        def integrand(u):
-            point = x.copy()
-            point[i] = model.theta[i] + u
-            ld = model.log_density(point)
-            return u * math.exp(ld) if ld is not None and np.isfinite(ld) else 0.0
-
-        lo = x[i] - model.theta[i]
-        val, _ = quad(integrand, lo, np.inf, epsabs=1e-13, epsrel=1e-9, limit=400)
-        return max(val, 0.0) / sigma_i2
-
-    return generic
+    return product

@@ -261,6 +261,10 @@ def test_usage_errors_exit_two(tmp_path):
         pytest.param(["risk", "--seed", "-1"], None, id="seed-negative"),
         pytest.param(["risk"], "seed=-1\n", id="config-seed-negative"),
         pytest.param(["risk", "--d", "-2"], None, id="d-negative"),
+        pytest.param(["risk", "--model", "four-point", "--theta", "scaled:3", "--lambda", "0",
+                      "--reps", "200"], None, id="four-point-default-d"),
+        pytest.param(["risk", "--model", "four-point", "--d", "3", "--reps", "200"], None,
+                     id="four-point-d-3"),
     ],
 )
 def test_bad_parameters_exit_two(tmp_path, capsys, args, config):
