@@ -7,15 +7,20 @@ The partition depends only on (n, d), never on worker count.
 
 `run` is the one streaming engine: every Monte Carlo estimate in the
 package is a mean of per-row statistics accumulated over one chunk stream.
+It evaluates the statistics of a plain (rows, d) array chunk in row tasks
+on all usable cores, with a task layout fixed by (rows, d), and joins the
+tasks' rows before one accumulator update per chunk, so its bytes do not
+depend on the core count.  `JointChunk` streams are evaluated whole.
 
 `draw_rows` draws one chunk of fixed-width variates (one 64-bit generator
 output each: the Laplace and uniform inversions of `laws1d`) on all usable
 cores, by jumping copies of the chunk's PCG64 substream ahead to each task
-of rows, which the threads take in turn.  Each thread writes its variates
-in place into the chunk, one sub-block at a time, with one sub-block of
-scratch.  Its bytes, its end state and its live memory (one chunk) do not
-depend on the core count.  Every other draw is made serially on the
-calling thread.
+of rows.  Each thread writes its variates in place into the chunk, one
+sub-block at a time, with one sub-block of scratch.  Its bytes, its end
+state and its live memory (one chunk) do not depend on the core count.
+Every other draw is made serially on the calling thread.
+
+Both take their tasks in turn on threads started by `_in_turn`.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ _TASK = 1 << 17
 # Fewest variates a thread is started for: smaller draws stay on the calling
 # thread and pay no thread start-up.
 _MIN_SPLIT = 1 << 18
+# Doubles of a chunk per row task of `run`: a task's per-row temporaries stay
+# a few MB, and a full chunk of `_CHUNK_BUDGET` doubles makes 32 tasks.
+_ROW_TASK = 1 << 18
 # Bit generators whose `advance(k)` skips exactly k 64-bit outputs.
 _JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
@@ -112,35 +120,62 @@ def _draw_tasks(rng, rows, d, fill, shift, threads, tasks):
     """`draw_rows` cut into `tasks` row ranges on `threads` threads, or None
     if a task did not end where the next one began.
 
-    Thread j starts with task j and then takes the lowest task not yet
-    taken.  The calling thread is thread 0 and joins the others, so no pool
-    outlives the call.  One task is drawn from `rng` itself; several are
-    drawn from copies, and `rng` then takes the last task's end state.  An
-    exception in any thread is raised here, and no array is returned.
+    One task is drawn from `rng` itself; several are drawn from copies, one
+    per thread, and `rng` then takes the last task's end state.  An
+    exception in any task is raised here, and no array is returned.
     """
     out = np.empty((rows, d))
     cuts = [rows * k // tasks for k in range(tasks + 1)]
     step = max(1, min(rows, _SUB_BLOCK // max(d, 1)))
     start = rng.bit_generator.state if tasks > 1 else None
-    begins, ends, errors = [None] * tasks, [None] * tasks, []
+    begins, ends = [None] * tasks, [None] * tasks
+
+    def worker():
+        g = rng if tasks == 1 else np.random.Generator(type(rng.bit_generator)(0))
+        scratch = np.empty((step, d))
+
+        def draw(k):
+            if tasks > 1:
+                g.bit_generator.state = start
+                g.bit_generator.advance(cuts[k] * d)
+                begins[k] = g.bit_generator.state["state"]
+            _fill_rows(g, fill, out[cuts[k] : cuts[k + 1]], shift, scratch)
+            ends[k] = g.bit_generator.state["state"]
+
+        return draw
+
+    _in_turn(tasks, threads, worker)
+    if tasks == 1:
+        return out
+    if any(ends[k] != begins[k + 1] for k in range(tasks - 1)):
+        return None
+    rng.bit_generator.state = {**start, "state": ends[-1]}
+    return out
+
+
+def _in_turn(tasks: int, threads: int, worker) -> None:
+    """Tasks 0..tasks-1 on `threads` threads: each thread calls `worker()`
+    once and then the function it returns on each task index it takes.
+
+    Thread j starts with task j and then takes the lowest task not yet
+    taken, so a core slowed by other work takes fewer tasks.  The calling
+    thread is thread 0 and joins the others, so no thread outlives the call.
+    After a task raises, no thread takes a new task, and the exception of
+    the lowest failed task is raised here: every lower task was taken before
+    it and is run, so that is the exception a serial loop would meet first.
+    """
+    threads = min(threads, tasks)
     claim = itertools.count(threads).__next__
+    errors = []
 
     def work(k, done=None):
         try:
-            g = rng
-            if tasks > 1:
-                g = np.random.Generator(type(rng.bit_generator)(0))
-            scratch = np.empty((step, d))
+            do = worker()
             while k < tasks:
-                if tasks > 1:
-                    g.bit_generator.state = start
-                    g.bit_generator.advance(cuts[k] * d)
-                    begins[k] = g.bit_generator.state["state"]
-                _fill_rows(g, fill, out[cuts[k] : cuts[k + 1]], shift, scratch)
-                ends[k] = g.bit_generator.state["state"]
-                k = claim()
+                do(k)
+                k = tasks if errors else claim()
         except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
+            errors.append((k, exc))
         finally:
             if done is not None:
                 done.release()
@@ -160,13 +195,7 @@ def _draw_tasks(rng, rows, d, fill, shift, threads, tasks):
         for done in dones:
             done.acquire()
     if errors:
-        raise errors[0]
-    if tasks == 1:
-        return out
-    if any(ends[k] != begins[k + 1] for k in range(tasks - 1)):
-        return None
-    rng.bit_generator.state = {**start, "state": ends[-1]}
-    return out
+        raise min(errors, key=lambda error: error[0])[1]
 
 
 def chunk_plan(n: int, d: int):
@@ -278,14 +307,48 @@ def run(chunks, values) -> dict:
 
     All statistics see the same chunk, so paired estimates share their
     random numbers and the stream is drawn once.  One chunk is live at a
-    time: the loop lets go of it before the next one is drawn.
+    time: the loop lets go of it before the next one is drawn.  A plain
+    (rows, d) array chunk is evaluated in row tasks on all usable cores
+    (`_row_values`), so `values` must give each row a value that depends on
+    that row alone, bit for bit, and must not change shared state.
     """
     accs = {}
     for chunk in chunks:
-        for name, rows in values(chunk).items():
+        for name, rows in _row_values(chunk, values).items():
             accs.setdefault(name, Accumulator()).add(rows)
         del chunk
     return accs
+
+
+def _row_cuts(rows: int, d: int) -> list[int]:
+    """Row bounds of the tasks of a (rows, d) chunk: about `_ROW_TASK`
+    doubles each, a layout fixed by (rows, d) alone."""
+    tasks = max(1, min(rows, rows * d // _ROW_TASK))
+    return [rows * k // tasks for k in range(tasks + 1)]
+
+
+def _row_values(chunk, values) -> dict:
+    """`values(chunk)`, evaluated on the row tasks of a plain array chunk by
+    the calling thread and up to `_usable_cores() - 1` more, each name's
+    task outputs joined in row order.  Other chunks (a `JointChunk`) and
+    chunks of one task are evaluated whole on the calling thread.
+
+    When every row's value depends on its row alone, the joined arrays are
+    bit-identical to `values(chunk)`, whatever the core count.
+    """
+    if not isinstance(chunk, np.ndarray) or chunk.ndim != 2:
+        return values(chunk)
+    cuts = _row_cuts(*chunk.shape)
+    tasks = len(cuts) - 1
+    if tasks == 1:
+        return values(chunk)
+    parts = [None] * tasks
+
+    def evaluate(k):
+        parts[k] = values(chunk[cuts[k] : cuts[k + 1]])
+
+    _in_turn(tasks, _usable_cores(), lambda: evaluate)
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def report_from(acc: Accumulator, seed: int, label: str = "") -> RiskReport:

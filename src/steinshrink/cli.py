@@ -449,8 +449,9 @@ def cmd_sure(cfg: dict) -> CsvWriter:
             dev = soft_threshold(X, lam_hat[:, None]) - model.theta
             return {"lambda": lam_hat, "sure": value, "risk": np.einsum("ij,ij->i", dev, dev)}
 
-        # about eight (rows, d) temporaries per block: split chunks to keep
-        # them within one chunk's memory budget
+        # about eight (rows, d) temporaries per row: blocks of an eighth of a
+        # chunk, each one accumulator update (`run` splits each block into
+        # row tasks, so the temporaries are a task's, one per thread)
         blocks = _row_blocks(model.iter_chunks(n, seed), chunk_rows(8 * model.d))
         lam_hat, sure_val, risk = (acc.mean for acc in run(blocks, selected).values())
         estimator = "soft-threshold:lambda-hat"

@@ -89,9 +89,9 @@ class EstimatorSpec:
     def guard(self, X: np.ndarray) -> None:
         """Nothing to guard: `f` is defined everywhere (see `define_zero`)."""
 
-    def cross_term(self, X: np.ndarray, cov: np.ndarray, sq=None) -> np.ndarray:
-        """sum_ij sigma_ij d_j f_i(x), rowwise."""
-        return self.contract(X, FixedWeights(cov))
+    def cross_term(self, X: np.ndarray, cov: Weights, sq=None) -> np.ndarray:
+        """sum_ij sigma_ij d_j f_i(x), rowwise, with `cov` the weights sigma."""
+        return self.contract(X, cov)
 
     def singular_rows(self, X: np.ndarray, sq=None) -> np.ndarray:
         """Rows where f is singular (S is mapped to 0 there under `define_zero`)."""
@@ -164,7 +164,7 @@ class JamesStein(EstimatorSpec):
         return -self.lam * (g0_replaced(X, R) @ w)
 
     def cross_term(self, X, cov, sq=None):
-        return -self.lam * g0_contract(X, FixedWeights(cov), sq)
+        return -self.lam * g0_contract(X, cov, sq)
 
     def singular_rows(self, X, sq=None):
         if self.lam == 0:
@@ -229,13 +229,17 @@ def make_estimator(kind: str, lam: float = 0.0) -> EstimatorSpec:
 # SURE variants
 
 
-def _cov_matrix(cov_or_sigma2, d: int) -> np.ndarray:
-    cov = np.asarray(cov_or_sigma2, dtype=float)
+def _cov_weights(cov, d: int) -> Weights:
+    """`FixedWeights` of a scalar sigma^2 or a (d, d) covariance; `Weights`
+    pass through."""
+    if isinstance(cov, Weights):
+        return cov
+    cov = np.asarray(cov, dtype=float)
     if cov.ndim == 0:
-        return float(cov) * np.eye(d)
+        return FixedWeights(float(cov) * np.eye(d))
     if cov.shape != (d, d):
         raise ParameterError("covariance must be scalar or d x d")
-    return cov
+    return FixedWeights(cov)
 
 
 def _sure_form(x, estimator: EstimatorSpec, trace: float, cross, sq=None) -> float | np.ndarray:
@@ -254,10 +258,15 @@ def _sure_form(x, estimator: EstimatorSpec, trace: float, cross, sq=None) -> flo
 
 
 def sure(x, estimator: EstimatorSpec, cov, sq=None) -> float | np.ndarray:
-    """Tr Sigma + ||f(x)||^2 + 2 sum_ij sigma_ij d_j f_i(x); `sq` as in `_sure_form`."""
-    covm = _cov_matrix(cov, np.shape(x)[-1])
+    """Tr Sigma + ||f(x)||^2 + 2 sum_ij sigma_ij d_j f_i(x); `sq` as in `_sure_form`.
+
+    `cov` is sigma^2, a (d, d) covariance, or its `FixedWeights`, which a
+    caller evaluating many blocks builds once: building them checks all d^2
+    entries.
+    """
+    weights = _cov_weights(cov, np.shape(x)[-1])
     return _sure_form(
-        x, estimator, np.trace(covm), lambda X, sq: estimator.cross_term(X, covm, sq), sq
+        x, estimator, weights.trace(), lambda X, sq: estimator.cross_term(X, weights, sq), sq
     )
 
 

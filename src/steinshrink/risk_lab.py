@@ -69,18 +69,19 @@ def guarded_pass(chunks, stat, n: int, estimator: EstimatorSpec | None = None) -
     by name, with sq = ||x||^2 computed once per row; returns one accumulator
     per name.  A chunk is a draw X or an identity chunk carrying one.  Aborts
     when more than _GUARD_RATE of the n draws sit at the estimator's
-    singularity."""
-    singular = 0
+    singularity.  The row tasks of `run` may run on several threads: each
+    appends its own count, and the counts are summed after the pass."""
+    singular_counts = []
 
     def values(chunk):
-        nonlocal singular
         X = chunk if isinstance(chunk, np.ndarray) else chunk.X
         sq = sq_norms(X)
         if estimator is not None:
-            singular += int(estimator.singular_rows(X, sq).sum())
+            singular_counts.append(int(estimator.singular_rows(X, sq).sum()))
         return stat(chunk, sq)
 
     accs = run(chunks, values)
+    singular = sum(singular_counts)
     if singular > _GUARD_RATE * n:
         raise GuardAbort(
             f"{singular} of {n} draws within 1e-12 of the shrinkage singularity",
@@ -131,7 +132,7 @@ def mc_excess_risk(
 def sure_pass(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> dict:
     """The loss ("risk") and SURE minus the loss ("bias") per row, from one
     guarded pass: common random numbers and one ||x||^2 per row."""
-    cov = model.cov()
+    cov = FixedWeights(model.cov())
 
     def stat(X, sq):
         loss = estimator.loss(X, model.theta, sq)

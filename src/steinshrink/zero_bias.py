@@ -257,9 +257,13 @@ class StudentGammaCoupling(ZeroBiasCoupling):
         delta = rng.gamma(k / 2.0 - 1.0, 2.0 / k, rows)
         eps = rng.gamma(1.0, 2.0 / k, rows)
         N = rng.standard_normal((rows, self.d))
-        Y = self.scale * N / np.sqrt(delta + eps)[:, None]
-        P = self.theta + self.scale * N / np.sqrt(delta)[:, None]
-        return JointChunk(self.theta + Y, (Shared(P, self.term_weights[0]),))
+        # in place, with the bits of theta + s N / sqrt(...): N becomes P
+        N *= self.scale
+        X = N / np.sqrt(delta + eps)[:, None]
+        X += self.theta
+        N /= np.sqrt(delta)[:, None]
+        N += self.theta
+        return JointChunk(X, (Shared(N, self.term_weights[0]),))
 
 
 class ScaledCoupling(ZeroBiasCoupling):

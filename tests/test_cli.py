@@ -567,3 +567,61 @@ def test_csv_bytes_do_not_depend_on_draw_workers(tmp_path, monkeypatch, args):
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["sure", "--model", "gaussian", "--d", "1024", "--select-lambda",
+                      "--reps", "300", "--seed", "4"], id="select-lambda"),
+        pytest.param(["sure", "--model", "student", "--d", "64", "--k", "6", "--lambda", "62",
+                      "--reps", "3000", "--seed", "4"], id="student"),
+        pytest.param(["risk", "--model", "gaussian", "--excess", "--lambda", "2",
+                      "--reps", "5000", "--seed", "4"], id="gaussian-excess"),
+    ],
+)
+def test_csv_bytes_do_not_depend_on_statistic_threads(tmp_path, monkeypatch, args):
+    # the per-row statistics of a plain chunk run in row tasks on every
+    # usable core; whole chunks, tiny tasks (a row or a few at d = 1024) and
+    # 1, 2 or 3 threads must all give the same CSV bytes
+    from steinshrink import _mc
+
+    outputs = []
+    for threads, task in ((1, 1 << 60), (1, 997), (2, 997), (3, 997), (3, _mc._ROW_TASK)):
+        monkeypatch.setattr(_mc, "_usable_cores", lambda k=threads: k)
+        monkeypatch.setattr(_mc, "_ROW_TASK", task)
+        code, out = _run(tmp_path, f"t{threads}-{task}", *args)
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert all(output == outputs[0] for output in outputs)
+
+
+def test_guard_abort_in_a_worker_task_exits_three(tmp_path, monkeypatch, capsys):
+    # the bound inputs of a shifted sphere are row statistics of plain
+    # chunks; a draw at the origin seen by a worker's task aborts the run
+    # with one `numerical guard:` line, as it would on one thread
+    import threading
+
+    from steinshrink import _mc, cli
+
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(_mc, "_ROW_TASK", 7 * 20)
+    caller, raised_on = threading.current_thread(), []
+    real = cli.inverse_moment
+
+    def at_origin_off_the_caller(sq, d, m):
+        if threading.current_thread() is not caller:
+            sq = np.zeros_like(sq)
+        try:
+            return real(sq, d, m)
+        except Exception:
+            raised_on.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(cli, "inverse_moment", at_origin_off_the_caller)
+    code, _ = _run(tmp_path, "guard", "risk", "--bounds", "--model", "sphere", "--d", "7",
+                   "--theta", "scaled:6", "--lambda", "3", "--reps", "1000", "--seed", "2")
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical guard: a draw landed exactly at the origin")
+    assert raised_on and caller not in raised_on

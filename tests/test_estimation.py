@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import steinshrink as ss
 from steinshrink.errors import EvaluationError, ParameterError
 from steinshrink.estimation import lambda_grid, sure_soft_threshold_grid
+from steinshrink.testfns import FixedWeights
 from oracles import jacobian
 
 
@@ -157,7 +158,7 @@ def test_sure_closed_form_matches_general_formula(rng):
     B = rng.normal(size=(d, d))
     for cov in (cov, B @ B.T + np.eye(d)):
         for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8), ss.Identity()):
-            fast = est.cross_term(X, cov)
+            fast = est.cross_term(X, FixedWeights(cov))
             dense = np.einsum("ij,mij->m", cov, jacobian(est, X))
             assert np.allclose(fast, dense, rtol=1e-10, atol=1e-12)
 

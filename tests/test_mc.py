@@ -17,6 +17,7 @@ from steinshrink import (
     JamesStein,
     Laplace1D,
     ProductIID,
+    SoftThreshold,
     StudentT,
     Uniform1D,
     bound_b_star,
@@ -25,11 +26,12 @@ from steinshrink import (
     coordinate_sum_residual,
     coupling_for,
     mc_excess_risk,
+    mc_inverse_moment,
     mc_risk,
     student_constants,
     sure_bias,
 )
-from steinshrink import _mc
+from steinshrink import _mc, risk_lab
 from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, draw_rows, run, substream
 from steinshrink.cli import (
     _SEED_BSTAR,
@@ -40,6 +42,7 @@ from steinshrink.cli import (
     model_kernel,
     resolve_config,
 )
+from steinshrink.risk_lab import guarded_pass, inverse_moment, sure_pass
 
 
 def test_accumulator_matches_numpy(rng):
@@ -437,3 +440,153 @@ def test_laplace_inversion_tracks_numpy_laplace():
     for k, moment in ((2, 2.0 * b**2), (4, 24.0 * b**4)):
         power = X**k
         assert abs(power.mean() - moment) < 3 * power.std(ddof=1) / np.sqrt(n)
+
+
+# ---------------------------------------------------------------------------
+# per-row statistics in row tasks
+
+
+def _statistic_of(monkeypatch, module, call):
+    """The `values` function that `call()` hands to `module.run` first."""
+    seen = []
+    real = module.run
+
+    def recording(chunks, values):
+        seen.append(values)
+        return real(chunks, values)
+
+    monkeypatch.setattr(module, "run", recording)
+    call()
+    monkeypatch.setattr(module, "run", real)
+    return seen[0]
+
+
+def _assert_rows_keep_bits(monkeypatch, values, X):
+    # every row's values have the same bits whatever the height of the task
+    # that holds the row, and so do `run`'s joined row tasks on 3 threads
+    whole = values(X)
+    for height in (1, 2, 3, 5, 16):
+        parts = [values(X[a : a + height]) for a in range(0, len(X), height)]
+        for name, rows in whole.items():
+            assert _same_bits(np.concatenate([part[name] for part in parts]), rows), (name, height)
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(_mc, "_ROW_TASK", 4 * X.shape[1])
+    joined = _mc._row_values(X, values)
+    assert list(joined) == list(whole)
+    assert all(_same_bits(joined[name], whole[name]) for name in whole)
+
+
+_ESTIMATORS = [Identity(), JamesStein(0.0), JamesStein(9.0), SoftThreshold(0.7)]
+_ESTIMATOR_IDS = ["identity", "js0", "js9", "soft"]
+_MODELS = {
+    "gaussian": lambda d: GaussianIso(d, 1.3, "scaled:1"),
+    "student": lambda d: StudentT(d, 6, "scaled:1"),
+    "laplace": lambda d: ProductIID(d, Laplace1D(0.8), "scaled:1"),
+}
+
+
+@pytest.mark.parametrize("excess", [False, True], ids=["risk", "excess"])
+@pytest.mark.parametrize("estimator", _ESTIMATORS, ids=_ESTIMATOR_IDS)
+def test_risk_rows_keep_their_bits_across_task_heights(monkeypatch, estimator, excess):
+    model = _MODELS["laplace"](11)
+    estimate = mc_excess_risk if excess else mc_risk
+    values = _statistic_of(monkeypatch, risk_lab, lambda: estimate(model, estimator, 50, 3))
+    X = model._located(substream(4, 0), 37)
+    X[5] = 0.0  # a row at the shrinkage singularity
+    _assert_rows_keep_bits(monkeypatch, values, X)
+
+
+@pytest.mark.parametrize("estimator", _ESTIMATORS, ids=_ESTIMATOR_IDS)
+@pytest.mark.parametrize("family", list(_MODELS))
+def test_sure_rows_keep_their_bits_across_task_heights(monkeypatch, family, estimator):
+    model = _MODELS[family](12)
+    values = _statistic_of(monkeypatch, risk_lab, lambda: sure_pass(model, estimator, 50, 3))
+    _assert_rows_keep_bits(monkeypatch, values, model._located(substream(4, 0), 37))
+
+
+def test_select_lambda_rows_keep_their_bits_across_task_heights(tmp_path, monkeypatch):
+    from steinshrink import cli
+
+    args = ["sure", "--model", "gaussian", "--d", "64", "--theta", "scaled:2",
+            "--select-lambda", "--reps", "50", "--out", str(tmp_path / "s.csv")]
+    values = _statistic_of(monkeypatch, cli, lambda: main(args))
+    X = GaussianIso(64, 1.0, "scaled:2")._located(substream(4, 0), 37)
+    assert list(values(X)) == ["lambda", "sure", "risk"]
+    _assert_rows_keep_bits(monkeypatch, values, X)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_inverse_moment_rows_keep_their_bits_across_task_heights(monkeypatch, m):
+    model = _MODELS["student"](9)
+    values = _statistic_of(monkeypatch, risk_lab, lambda: mc_inverse_moment(model, m, 50, 3))
+    _assert_rows_keep_bits(monkeypatch, values, model._located(substream(4, 0), 37))
+
+
+def test_row_tasks_follow_rows_and_d_only(monkeypatch):
+    # the layout is fixed by (rows, d); small chunks stay one task
+    assert _mc._row_cuts(100, 1000) == [0, 100]
+    cuts = _mc._row_cuts(1 << 16, 128)
+    assert len(cuts) == 33 and cuts[0] == 0 and cuts[-1] == 1 << 16
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 1)
+    assert _mc._row_cuts(1 << 16, 128) == cuts
+    assert _mc._row_cuts(3, 1 << 20) == [0, 1, 2, 3]  # at least one row per task
+
+
+def test_singular_count_is_exact_across_row_tasks(monkeypatch):
+    # each task counts its own singular rows and the counts are summed after
+    # the pass, so no update of a shared counter can be lost; checked with
+    # more threads than cores, one-row tasks and a thread switch every
+    # microsecond
+    d = 7
+    counts = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads, task in ((1, 1 << 60), (3, 5 * d), (4, d)):
+            monkeypatch.setattr(_mc, "_usable_cores", lambda k=threads: k)
+            monkeypatch.setattr(_mc, "_ROW_TASK", task)
+            chunks = []
+            for _ in range(2):
+                X = np.ones((1000, d))
+                X[::7] = 0.0  # 143 rows at the singularity per chunk
+                chunks.append(X)
+            with pytest.raises(GuardAbort) as info:
+                guarded_pass(iter(chunks), lambda X, sq: {"sq": sq}, 2000, JamesStein(1.0))
+            counts.append(info.value.diagnostics["singular"])
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [286, 286, 286]
+
+
+def test_guard_abort_in_a_worker_task_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(_mc, "_ROW_TASK", 5 * 7)
+    caller, raised_on = threading.current_thread(), []
+
+    def stat(X, sq):
+        if threading.current_thread() is not caller:
+            sq = np.zeros_like(sq)  # a worker's rows sit at the origin
+        try:
+            return {"inv": inverse_moment(sq, 7, 1)}
+        except GuardAbort:
+            raised_on.append(threading.current_thread())
+            raise
+
+    with pytest.raises(GuardAbort, match="origin"):
+        guarded_pass(iter([np.ones((100, 7))]), stat, 100)
+    assert raised_on and caller not in raised_on
+
+
+def test_row_tasks_raise_the_first_failed_task(monkeypatch):
+    # the error a serial loop over the tasks would meet first is the one raised
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(_mc, "_ROW_TASK", 2)
+
+    def values(X):  # ten tasks of two rows; those from row 4 on fail
+        if X[-1, 0] >= 5:
+            raise ValueError(f"task from row {int(X[0, 0])}")
+        return {"x": X[:, 0]}
+
+    for _ in range(20):
+        with pytest.raises(ValueError, match="task from row 4$"):
+            run(iter([np.arange(20.0)[:, None]]), values)

@@ -9,7 +9,12 @@ import steinshrink as ss
 from steinshrink import _mc
 from steinshrink.errors import ParameterError
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
-from steinshrink.zero_bias import FourPointCoupling, ScaledCoupling, identity_residual
+from steinshrink.zero_bias import (
+    FourPointCoupling,
+    ScaledCoupling,
+    StudentGammaCoupling,
+    identity_residual,
+)
 from conftest import assert_zero_within
 from oracles import zb1d, zb_density
 
@@ -468,3 +473,20 @@ def test_additive_corruption_leaves_draw_unchanged_with_prob_one_minus_eps():
         unchanged += int(np.sum(np.all(xij == chunk.X, axis=1)))
         total += xij.shape[0]
     assert unchanged / total == pytest.approx(1 - eps, abs=0.02)
+
+
+def test_student_coupling_chunk_keeps_the_formula_bits():
+    # the chunk is written in place, with the bits of X = theta + s N /
+    # sqrt(delta + eps) and P = theta + s N / sqrt(delta)
+    k, rows = 6, 53
+    coupling = StudentGammaCoupling(ss.StudentT(9, k, "scaled:1"))
+    chunk = coupling._centered(_mc.substream(3, 0), rows)
+    g = _mc.substream(3, 0)
+    delta = g.gamma(k / 2.0 - 1.0, 2.0 / k, rows)
+    eps = g.gamma(1.0, 2.0 / k, rows)
+    N = g.standard_normal((rows, 9))
+    X = coupling.theta + coupling.scale * N / np.sqrt(delta + eps)[:, None]
+    P = coupling.theta + coupling.scale * N / np.sqrt(delta)[:, None]
+    (term,) = chunk.terms
+    assert chunk.X.tobytes() == X.tobytes() and term.P.tobytes() == P.tobytes()
+    assert term.P is not chunk.X
