@@ -1,9 +1,19 @@
 """Monte Carlo plumbing: substream seeding, chunking, streaming moments.
 
-Replicate randomness is derived from (seed, chunk index) through numpy's
-SeedSequence spawn keys, so a run sharded across workers and a serial run
-produce bit-identical draws as long as the chunk partition is the same.
-The partition depends only on (n, d), never on worker count.
+Replicate randomness is derived from (seed, chunk index, draw task) through
+numpy's SeedSequence spawn keys, so a run sharded across workers and a
+serial run produce bit-identical draws as long as the chunk partition is the
+same.  The partition depends only on (n, d), never on worker count.
+
+`draw_tasks` draws a chunk on all usable cores.  The chunk's rows are cut
+into draw tasks of about `_DRAW_TASK` doubles, a layout fixed by (rows, d),
+and task k draws from its own substream: task 0 from the chunk's substream,
+so a chunk of one task draws what a serial draw of the chunk would, and
+task k >= 1 from spawn key (chunk index, k).  Each task writes its rows in
+place (a model chunk) or makes its own part (a joint chunk of a coupling),
+so the bytes and the live memory (one chunk) do not depend on the core
+count.  `_DRAW_TASK` is part of the stream's definition, not a tuning
+constant: another value draws other variates.
 
 `run` is the one streaming engine: every Monte Carlo estimate in the
 package is a mean of per-row statistics accumulated over one chunk stream.
@@ -11,14 +21,6 @@ It evaluates the statistics of a plain (rows, d) array chunk in row tasks
 on all usable cores, with a task layout fixed by (rows, d), and joins the
 tasks' rows before one accumulator update per chunk, so its bytes do not
 depend on the core count.  `JointChunk` streams are evaluated whole.
-
-`draw_rows` draws one chunk of fixed-width variates (one 64-bit generator
-output each: the Laplace and uniform inversions of `laws1d`) on all usable
-cores, by jumping copies of the chunk's PCG64 substream ahead to each task
-of rows.  Each thread writes its variates in place into the chunk, one
-sub-block at a time, with one sub-block of scratch.  Its bytes, its end
-state and its live memory (one chunk) do not depend on the core count.
-Every other draw is made serially on the calling thread.
 
 Both take their tasks in turn on threads started by `_in_turn`.
 """
@@ -49,28 +51,23 @@ def chunk_rows(d: int) -> int:
     return max(1, min(_MAX_CHUNK_ROWS, _CHUNK_BUDGET // max(int(d), 1)))
 
 
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Generator for chunk `index` of the stream identified by `seed`."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
+def substream(seed: int, index: int, task: int = 0) -> np.random.Generator:
+    """Generator for draw task `task` of chunk `index` of the stream `seed`:
+    spawn key (index,) for task 0, the chunk's own substream, and
+    (index, task) for the others."""
+    key = (int(index),) if task == 0 else (int(index), int(task))
+    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-# Variates per `fill` call inside `draw_rows`: the sub-block and each
-# thread's scratch (256 KB each) stay in cache through the fill's passes and
-# the shift, and the scratch adds little to the peak RSS.  Each numpy call
-# takes the GIL back, so fewer, larger calls also mean fewer waits for it.
-_SUB_BLOCK = 1 << 15
-# Variates per task of a split draw.  The threads take tasks in turn, so a
-# core slowed by other work takes fewer of them and the draw ends about when
-# the last task does, not when the slowest core's fixed share does.
-_TASK = 1 << 17
-# Fewest variates a thread is started for: smaller draws stay on the calling
-# thread and pay no thread start-up.
-_MIN_SPLIT = 1 << 18
+# Doubles of a chunk per draw task: task k of chunk i is drawn from its own
+# stream, `substream(seed, i, k)`, so this constant defines the random
+# stream (changing it changes the bytes), and it is not a tuning constant.
+# A task is about 2 MB, and a full chunk of `_CHUNK_BUDGET` doubles makes 32.
+_DRAW_TASK = 1 << 18
 # Doubles of a chunk per row task of `run`: a task's per-row temporaries stay
-# a few MB, and a full chunk of `_CHUNK_BUDGET` doubles makes 32 tasks.
+# a few MB, and a full chunk of `_CHUNK_BUDGET` doubles makes 32 tasks.  Kept
+# apart from `_DRAW_TASK`, so a statistic's task size never moves a byte.
 _ROW_TASK = 1 << 18
-# Bit generators whose `advance(k)` skips exactly k 64-bit outputs.
-_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 def _usable_cores() -> int:
@@ -79,78 +76,23 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(rows: int, d: int) -> int:
-    """Threads a (rows, d) fixed-width draw is made on."""
-    return max(1, min(_usable_cores(), rows, rows * d // _MIN_SPLIT))
+def draw_tasks(seed: int, index: int, rows: int, d: int, draw) -> list:
+    """`draw(rng, a, b)` for rows a:b of each draw task of chunk `index`, a
+    (rows, d) chunk of the stream `seed`, on all usable cores; the results
+    in row order.
 
-
-def _fill_rows(g: np.random.Generator, fill, out: np.ndarray, shift, scratch) -> None:
-    """`fill` into `out` (+ shift), one sub-block of len(scratch) rows at a time."""
-    step = len(scratch)
-    for r in range(0, len(out), step):
-        block = out[r : r + step]
-        fill(g, block.reshape(-1), scratch[: len(block)].reshape(-1))
-        if shift is not None:
-            block += shift
-
-
-def draw_rows(rng: np.random.Generator, rows: int, d: int, fill, shift=None) -> np.ndarray:
-    """A (rows, d) array of variates (+ `shift`) drawn by `fill` on all
-    usable cores, with the bytes and the end state of `rng` of one serial
-    `fill` over the whole array.
-
-    `fill(g, out, scratch)` writes variates from `g` in place into the flat
-    array `out`, and may overwrite the flat array `scratch` of the same
-    length; it should take one 64-bit output of `g` per variate.  The rows
-    are cut into tasks of about `_TASK` variates, and task k is drawn from a
-    copy of `rng` advanced past the variates of tasks 0..k-1 (PCG64 jumps
-    ahead in O(log n)).  The result is kept only if every task ended where
-    the next one started; otherwise (a variate took a second output, as a
-    Gaussian may) the draw is made again as one task, from `rng` itself.
+    The task layout is fixed by (rows, d) (`_draw_cuts`), and task k draws
+    from `substream(seed, index, k)`, so the draws do not depend on the core
+    count, and a chunk of one task draws from the chunk's own substream.
     """
-    threads = _workers(rows, d) if isinstance(rng.bit_generator, _JUMPABLE) else 1
-    tasks = 1 if threads == 1 else min(rows, max(threads, -(-rows * d // _TASK)))
-    out = _draw_tasks(rng, rows, d, fill, shift, threads, tasks)
-    if out is None:
-        out = _draw_tasks(rng, rows, d, fill, shift, 1, 1)
-    return out
+    cuts = _draw_cuts(rows, d)
+    parts = [None] * (len(cuts) - 1)
 
+    def task(k):
+        parts[k] = draw(substream(seed, index, k), cuts[k], cuts[k + 1])
 
-def _draw_tasks(rng, rows, d, fill, shift, threads, tasks):
-    """`draw_rows` cut into `tasks` row ranges on `threads` threads, or None
-    if a task did not end where the next one began.
-
-    One task is drawn from `rng` itself; several are drawn from copies, one
-    per thread, and `rng` then takes the last task's end state.  An
-    exception in any task is raised here, and no array is returned.
-    """
-    out = np.empty((rows, d))
-    cuts = [rows * k // tasks for k in range(tasks + 1)]
-    step = max(1, min(rows, _SUB_BLOCK // max(d, 1)))
-    start = rng.bit_generator.state if tasks > 1 else None
-    begins, ends = [None] * tasks, [None] * tasks
-
-    def worker():
-        g = rng if tasks == 1 else np.random.Generator(type(rng.bit_generator)(0))
-        scratch = np.empty((step, d))
-
-        def draw(k):
-            if tasks > 1:
-                g.bit_generator.state = start
-                g.bit_generator.advance(cuts[k] * d)
-                begins[k] = g.bit_generator.state["state"]
-            _fill_rows(g, fill, out[cuts[k] : cuts[k + 1]], shift, scratch)
-            ends[k] = g.bit_generator.state["state"]
-
-        return draw
-
-    _in_turn(tasks, threads, worker)
-    if tasks == 1:
-        return out
-    if any(ends[k] != begins[k + 1] for k in range(tasks - 1)):
-        return None
-    rng.bit_generator.state = {**start, "state": ends[-1]}
-    return out
+    _in_turn(len(parts), _usable_cores(), lambda: task)
+    return parts
 
 
 def _in_turn(tasks: int, threads: int, worker) -> None:
@@ -320,11 +262,17 @@ def run(chunks, values) -> dict:
     return accs
 
 
-def _row_cuts(rows: int, d: int) -> list[int]:
-    """Row bounds of the tasks of a (rows, d) chunk: about `_ROW_TASK`
-    doubles each, a layout fixed by (rows, d) alone."""
-    tasks = max(1, min(rows, rows * d // _ROW_TASK))
+def _row_cuts(rows: int, d: int, task: int | None = None) -> list[int]:
+    """Row bounds of the tasks of a (rows, d) chunk: about `task` doubles
+    each (`_ROW_TASK` if None), a layout fixed by (rows, d) alone."""
+    tasks = max(1, min(rows, rows * d // (_ROW_TASK if task is None else task)))
     return [rows * k // tasks for k in range(tasks + 1)]
+
+
+def _draw_cuts(rows: int, d: int) -> list[int]:
+    """Row bounds of the draw tasks of a (rows, d) chunk: `_row_cuts`'s rule
+    with `_DRAW_TASK` doubles per task."""
+    return _row_cuts(rows, d, _DRAW_TASK)
 
 
 def _row_values(chunk, values) -> dict:

@@ -6,10 +6,10 @@ its one-dimensional Stein kernel T(y) = tail(y) / p(y), and an exact sampler
 of its zero-bias law, U times a square-biased draw.  The zero-bias density
 is tail(y) / var, so the tail integral is the one closed form of both.
 
-Laplace and uniform variates are inversions of one uniform each (one 64-bit
-generator output), written in place, so their draws are made on all usable
-cores (`_mc.draw_rows`), with the bytes of the serial draw.  The other laws
-draw serially.
+Laplace and uniform variates are inversions of one uniform each, written
+in place one sub-block at a time (`_Inversion`).  A law draws serially on
+the generator it is given; a chunk is drawn on all usable cores one level
+up, in draw tasks that each have their own generator (`_mc.draw_tasks`).
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import draw_rows
 from .errors import EvaluationError, ParameterError
 
+# Variates per `_Inversion._fill` call: the sub-block and its scratch (256 KB
+# each) stay in cache through the fill's passes and the shift.
+_SUB_BLOCK = 1 << 15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
 
@@ -90,29 +92,18 @@ class Law1D:
     # support half-width; None for unbounded laws
     support_radius: float | None = None
 
-    # whether each variate takes exactly one 64-bit generator output (the
-    # law has `_fill`), so that a draw can be split across cores
-    fixed_width = False
-
-    def sample(self, rng: np.random.Generator, size, shift=None) -> np.ndarray:
-        """`size` variates, plus `shift` if given; the same bytes and end
-        state of `rng` whether or not the draw is split across cores.  A
-        fixed-width law draws size[0] rows and adds `shift` to each."""
-        if self.fixed_width:
-            shape = (size,) if np.ndim(size) == 0 else tuple(size)
-            rows, d = shape[0], math.prod(shape[1:])
-            return draw_rows(rng, rows, d, self._fill, shift).reshape(shape)
-        out = self._variates(rng, size)
+    def sample(self, rng: np.random.Generator, size, shift=None, *, out=None) -> np.ndarray:
+        """`size` variates, plus `shift` if given, written into the array
+        `out` (of shape `size`) if given."""
+        x = self._variates(rng, size)
         if shift is not None:
-            out += shift
+            x += shift
+        if out is None:
+            return x
+        out[...] = x
         return out
 
     def _variates(self, rng: np.random.Generator, size) -> np.ndarray:
-        raise NotImplementedError
-
-    def _fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Write len(out) variates from `g` into the flat array `out`, one
-        64-bit output each; `scratch` (as long) may be overwritten."""
         raise NotImplementedError
 
     def pdf(self, y) -> np.ndarray:
@@ -141,6 +132,33 @@ class Law1D:
         return out
 
     def square_bias_sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _Inversion(Law1D):
+    """A law whose variate is the inverse CDF of one uniform, one 64-bit
+    generator output (Devroye 1986, *Non-Uniform Random Variate Generation*,
+    section 2.1), written in place by `_fill`."""
+
+    def sample(self, rng, size, shift=None, *, out=None):
+        """`size` variates (+ `shift` on each row of size[1:]), written into
+        `out` if given, one sub-block of rows at a time with one sub-block of
+        scratch; the bytes do not depend on the sub-block."""
+        if out is None:
+            out = np.empty(size)
+        rows = out.reshape(len(out), -1)
+        step = max(1, min(len(rows), _SUB_BLOCK // max(rows.shape[1], 1)))
+        scratch = np.empty((step, rows.shape[1]))
+        for r in range(0, len(rows), step):
+            block = rows[r : r + step]
+            self._fill(rng, block.reshape(-1), scratch[: len(block)].reshape(-1))
+            if shift is not None:
+                block += shift
+        return out
+
+    def _fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write len(out) variates from `g` into the flat array `out`, one
+        64-bit output each; `scratch` (as long) may be overwritten."""
         raise NotImplementedError
 
 
@@ -191,7 +209,7 @@ class Gaussian1D(Law1D):
 
 
 @dataclass(frozen=True)
-class Laplace1D(Law1D):
+class Laplace1D(_Inversion):
     b: float = 1.0
     name = "laplace"
 
@@ -217,8 +235,6 @@ class Laplace1D(Law1D):
 
     def scaled(self, factor):
         return Laplace1D(self.b * factor)
-
-    fixed_width = True
 
     def _fill(self, g, out, scratch):
         # numpy's C `random_laplace` on the same uniform U, as array passes:
@@ -258,7 +274,7 @@ class Laplace1D(Law1D):
 
 
 @dataclass(frozen=True)
-class Uniform1D(Law1D):
+class Uniform1D(_Inversion):
     a: float = 1.0
     name = "uniform"
 
@@ -288,8 +304,6 @@ class Uniform1D(Law1D):
     @property
     def support_radius(self):
         return self.a
-
-    fixed_width = True
 
     def _fill(self, g, out, scratch):
         # numpy's uniform(-a, a) is -a + (2a) U, with the same two roundings

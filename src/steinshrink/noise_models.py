@@ -1,12 +1,14 @@
 """Observation laws X = theta + Y with exact moments and seeded sampling.
 
 Every model is immutable after construction and samples through
-(seed, chunk index) substreams, so concurrent and serial runs agree
-bit-for-bit.  Centered draws come from `_draw`; `sample`/`iter_chunks`
-add the location.  A product of Laplace or uniform coordinates draws each
-chunk on all usable cores and adds the location block by block
-(`laws1d.Law1D.sample`); the bytes do not depend on the core count.  Every
-other family draws serially.
+(seed, chunk index, draw task) substreams, so concurrent and serial runs
+agree bit-for-bit.  `iter_chunks` draws each chunk on all usable cores: its
+rows are cut into draw tasks by (rows, d) alone, and each task writes the
+located draw theta + Y of its rows, from its own substream, in place into
+the chunk (`NoiseModel._located`; `_mc.draw_tasks`).  Gaussian and Student
+draws are written in place; a product law fills its rows by the law's
+in-place inversion where it has one (Laplace, uniform); every other family
+copies one task's fresh `_draw`.  The bytes do not depend on the core count.
 
 A note on the Student family: it is realized by the Gamma variance
 mixture X = theta + s * N / sqrt(g) with g ~ Gamma(k/2, rate k/2) and
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import chunk_plan, substream
+from ._mc import chunk_plan, draw_tasks
 from .errors import MomentUnavailableError, ParameterError
 from .laws1d import Law1D
 from .quadrature import elliptical_second_moment
@@ -77,22 +79,29 @@ class NoiseModel:
         self.theta = th
 
     # -- sampling ---------------------------------------------------------
+    # A family defines `_draw` or `_fill`; each default calls the other.
     def _draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        raise NotImplementedError
+        """A fresh centered draw of m rows."""
+        return self._fill(rng, np.empty((m, self.d)))
+
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """A centered draw of len(out) rows, written into `out`."""
+        out[...] = self._draw(rng, len(out))
+        return out
 
     def iter_chunks(self, n: int, seed: int):
-        """Chunks theta + Y, each a fresh draw shifted in place; the generator
-        lets go of a chunk before drawing the next."""
+        """Chunks theta + Y, each drawn in place in draw tasks on all usable
+        cores; the generator lets go of a chunk before drawing the next."""
         for idx, rows in chunk_plan(n, self.d):
-            X = self._located(substream(seed, idx), rows)
+            X = np.empty((rows, self.d))
+            draw_tasks(seed, idx, rows, self.d, lambda rng, a, b: self._located(rng, X[a:b]))
             yield X
             del X
 
-    def _located(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """theta + a fresh centered draw of m rows."""
-        X = self._draw(rng, m)
-        X += self.theta
-        return X
+    def _located(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """theta + a fresh centered draw, written into the rows `out`."""
+        self._fill(rng, out)
+        out += self.theta
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         return np.concatenate(list(self.iter_chunks(n, seed)), axis=0)
@@ -201,10 +210,14 @@ class GaussianIso(NoiseModel):
         self.sigma2 = float(sigma2)
         self.scaling = scaling
 
-    def _draw(self, rng, m):
+    def _fill(self, rng, out):
+        # the bits of rng.normal(0, sigma): 0 + sigma Z is sigma Z
         if self.sigma2 == 0.0:
-            return np.zeros((m, self.d))
-        return rng.normal(0.0, math.sqrt(self.sigma2), (m, self.d))
+            out[...] = 0.0
+            return out
+        rng.standard_normal(out=out)
+        out *= math.sqrt(self.sigma2)
+        return out
 
     def coordinate_moment(self, p):
         return _DOUBLE_FACT[p] * self.sigma2 ** (p // 2)
@@ -229,12 +242,12 @@ class StudentT(NoiseModel):
         self.scale2 = self.k / (self.k - 2.0)  # Gamma-mixture scale squared
         self.sigma2 = self.scale2**2  # coordinate variance
 
-    def _draw(self, rng, m):
-        g = rng.gamma(self.k / 2.0, 2.0 / self.k, m)
-        n = rng.standard_normal((m, self.d))
-        n *= math.sqrt(self.scale2)
-        n /= np.sqrt(g)[:, None]
-        return n
+    def _fill(self, rng, out):
+        g = rng.gamma(self.k / 2.0, 2.0 / self.k, len(out))
+        rng.standard_normal(out=out)
+        out *= math.sqrt(self.scale2)
+        out /= np.sqrt(g)[:, None]
+        return out
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -355,8 +368,8 @@ class ProductIID(NoiseModel):
     def _draw(self, rng, m):
         return self.law.sample(rng, (m, self.d))
 
-    def _located(self, rng, m):
-        return self.law.sample(rng, (m, self.d), shift=self.theta)
+    def _located(self, rng, out):
+        self.law.sample(rng, out.shape, self.theta, out=out)
 
     def coordinate_moment(self, p):
         if p == 0:

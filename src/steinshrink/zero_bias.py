@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._mc import RiskReport, chunk_plan, report_from, run, substream
+from ._mc import RiskReport, chunk_plan, draw_tasks, report_from, run, substream
 from .errors import ParameterError
 from .laws1d import Gaussian1D, Law1D
 from .noise_models import (
@@ -174,9 +174,14 @@ class ZeroBiasCoupling:
         return 4 * self.d
 
     def joint_chunks(self, n: int, seed: int):
+        """Joint chunks, one per draw task: each chunk's tasks are drawn on
+        all usable cores, each from its own substream, and yielded in row
+        order; a part is let go of once it is yielded."""
         for idx, rows in chunk_plan(n, self._chunk_dim()):
-            rng = substream(seed, idx)
-            yield self._centered(rng, rows)
+            parts = draw_tasks(seed, idx, rows, self.d, lambda rng, a, b: self._centered(rng, b - a))
+            parts.reverse()
+            while parts:
+                yield parts.pop()
 
     def pair_sampler(self, i: int, j: int, n: int, seed: int):
         """Paired draws (X, X^{ij}) for one index pair."""
@@ -301,7 +306,8 @@ class GaussianFixedPointCoupling(ZeroBiasCoupling):
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
     def _centered(self, rng, rows):
-        X = self.theta + self.base._draw(rng, rows)
+        X = np.empty((rows, self.d))
+        self.base._located(rng, X)
         return JointChunk(X, (Shared(X, self.term_weights[0]),))
 
 

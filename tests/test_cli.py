@@ -100,25 +100,29 @@ def test_identity_check_rows_equal_single_function_residuals(tmp_path):
 
 @pytest.mark.parametrize("label, chunks", [("gaussian", 3), ("sphere-shifted", 12)])
 def test_identity_check_draws_each_row_once(tmp_path, monkeypatch, label, chunks):
-    # one Stein-kernel row (chunks of 3000 draws of d = 6) and one coupling
-    # row (750 joint draws, sized for 4 d): one pass feeds all three test
-    # functions of the row, so each chunk of its stream is drawn once
-    from steinshrink import _mc, noise_models, zero_bias
+    # one Stein-kernel row (chunks of 3000 draws of d = 6, 12 draw tasks
+    # each) and one coupling row (750 joint draws, sized for 4 d, 3 tasks
+    # each): one pass feeds all three test functions of the row, so each
+    # draw task of each chunk of its stream is drawn once
+    from steinshrink import _mc
 
     monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 3000 * 6)
+    monkeypatch.setattr(_mc, "_DRAW_TASK", 1500)
     calls = []
+    real = _mc.substream
 
-    def counted(stream, index):
-        calls.append((stream, index))
-        return _mc.substream(stream, index)
+    def counted(stream, index, task=0):
+        calls.append((stream, index, task))
+        return real(stream, index, task)
 
-    for module in (noise_models, zero_bias):
-        monkeypatch.setattr(module, "substream", counted)
+    monkeypatch.setattr(_mc, "substream", counted)
     code, out = _run(tmp_path, label, "identity-check", "--model", label, "--reps", "9000",
                      "--seed", "5")
     assert code == 0
     assert len(_data_rows(out)[2]) == 3
-    assert calls == [(5, i) for i in range(chunks)]
+    tasks = len(_mc._draw_cuts(9000 // chunks, 6)) - 1
+    assert tasks == {3: 12, 12: 3}[chunks]
+    assert sorted(calls) == [(5, i, k) for i in range(chunks) for k in range(tasks)]
 
 
 @pytest.mark.parametrize("model", ["laplace", "foo"])
@@ -546,6 +550,11 @@ def test_default_config_echo(tmp_path):
     )
 
 
+def _bounds(model):
+    return ["risk", "--bounds", "--model", model, "--d", "200", "--lambda", "198",
+            "--reps", "2000", "--seed", "2"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -553,17 +562,28 @@ def test_default_config_echo(tmp_path):
                       "--reps", "20000", "--seed", "1000"], id="sweep"),
         pytest.param(["risk", "--bounds", "--model", "uniform", "--d", "200", "--lambda", "198",
                       "--reps", "4000", "--seed", "2"], id="uniform-bounds"),
+        pytest.param(_bounds("gaussian"), id="gaussian-bounds"),
+        pytest.param(_bounds("laplace"), id="laplace-bounds"),
+        pytest.param(_bounds("student"), id="student-bounds"),
+        pytest.param(["sure", "--model", "student", "--d", "64", "--k", "6", "--lambda", "62",
+                      "--reps", "3000", "--seed", "4"], id="student-sure"),
+        pytest.param(["sure", "--model", "gaussian", "--d", "1024", "--select-lambda",
+                      "--reps", "300", "--seed", "4"], id="select-lambda"),
+        pytest.param(["identity-check", "--model", "corrupt-mix", "--reps", "20000", "--seed", "4"],
+                     id="corrupt-mix-coupling"),
     ],
 )
 def test_csv_bytes_do_not_depend_on_draw_workers(tmp_path, monkeypatch, args):
-    # Laplace and uniform chunks are drawn in row blocks on several threads;
-    # forcing 1, 2 and 3 blocks must leave every byte of the CSV unchanged
+    # every chunk, the joint chunks of B* and of the identity couplings too,
+    # is drawn in tasks of 2^14 doubles (a few to a few hundred per chunk)
+    # on every usable core; 1, 2 and 3 threads must give the same CSV bytes
     from steinshrink import _mc
 
+    monkeypatch.setattr(_mc, "_DRAW_TASK", 1 << 14)
     outputs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(_mc, "_workers", lambda rows, d, k=workers: min(k, rows))
-        code, out = _run(tmp_path, f"w{workers}", *args)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(_mc, "_usable_cores", lambda k=threads: k)
+        code, out = _run(tmp_path, f"w{threads}", *args)
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]

@@ -31,8 +31,8 @@ from steinshrink import (
     student_constants,
     sure_bias,
 )
-from steinshrink import _mc, risk_lab
-from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, draw_rows, run, substream
+from steinshrink import _mc, laws1d, risk_lab
+from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, run, substream
 from steinshrink.cli import (
     _SEED_BSTAR,
     _fmt,
@@ -207,29 +207,35 @@ def _risk_csv(tmp_path, name, args):
     return dict(zip(lines[0].split(","), lines[1].split(",")))
 
 
+def _task_keys(seed, n, chunk_dim, d):
+    """(seed, chunk, task) of every draw task of a stream, in order."""
+    return [(seed, i, k) for i, rows in chunk_plan(n, chunk_dim)
+            for k in range(len(_mc._draw_cuts(rows, d)) - 1)]
+
+
 @pytest.mark.parametrize("model", ["laplace", "gaussian", "student"])
 def test_risk_bounds_draw_the_model_stream_once(tmp_path, monkeypatch, model):
-    # every chunk of X is drawn once, on the command's seed, and B*'s
-    # coupling stream on seed + _SEED_BSTAR; no other stream is drawn
-    from steinshrink import noise_models, zero_bias
-
+    # every draw task of every chunk of X is drawn once, on the command's
+    # seed, and then B*'s coupling stream on seed + _SEED_BSTAR, each task
+    # once; no other stream is drawn
     d, n, seed = 12, 170, 5
     monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 50 * d)  # 50 rows of X per chunk
+    monkeypatch.setattr(_mc, "_DRAW_TASK", 4 * d)  # 12 tasks per chunk of X, 3 per B* chunk
     calls = []
 
-    def counted(stream, index):
-        calls.append((stream, index))
-        return substream(stream, index)
+    def counted(stream, index, task=0):
+        calls.append((stream, index, task))
+        return substream(stream, index, task)
 
-    for module in (noise_models, zero_bias):
-        monkeypatch.setattr(module, "substream", counted)
+    monkeypatch.setattr(_mc, "substream", counted)
     cells = _risk_csv(tmp_path, model, ["risk", "--bounds", "--model", model, "--d", str(d),
                                         "--lambda", "10", "--reps", str(n), "--seed", str(seed)])
     assert cells["bound_thm33"] and cells["bound_zb"]
-    model_stream = [(seed, i) for i, _ in chunk_plan(n, d)]
-    coupling = calls[len(model_stream):]
-    assert calls[: len(model_stream)] == model_stream
-    assert coupling == [(seed + _SEED_BSTAR, i) for i in range(len(coupling))] and coupling
+    model_stream = _task_keys(seed, n, d, d)
+    coupling_stream = _task_keys(seed + _SEED_BSTAR, n, 4 * d, d)
+    assert len(model_stream) == 3 * 12 + 5 and len(coupling_stream) == 14 * 3 + 1
+    assert sorted(calls[: len(model_stream)]) == model_stream
+    assert sorted(calls[len(model_stream) :]) == coupling_stream
 
 
 @pytest.mark.parametrize(
@@ -291,11 +297,24 @@ def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, 
             assert bounded[column] == ""
 
 
-def _force_workers(monkeypatch, k):
-    """Split every fixed-width draw into k blocks (fewer only if it has fewer
-    rows), in sub-blocks of a few rows, so small draws take the split path."""
-    monkeypatch.setattr(_mc, "_workers", lambda rows, d: min(k, rows))
-    monkeypatch.setattr(_mc, "_SUB_BLOCK", 20)
+def _force_tasks(monkeypatch, threads, task=20 * 7):
+    """Draw every chunk in tasks of about `task` doubles on `threads` threads,
+    with inversion sub-blocks of a few rows, so small draws take many tasks."""
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: threads)
+    monkeypatch.setattr(_mc, "_DRAW_TASK", task)
+    monkeypatch.setattr(laws1d, "_SUB_BLOCK", 20)
+
+
+def _task_streams(monkeypatch):
+    """The generators `_mc.draw_tasks` hands out, by (seed, chunk, task)."""
+    made = {}
+
+    def recorded(seed, index, task=0):
+        made[(seed, index, task)] = g = substream(seed, index, task)
+        return g
+
+    monkeypatch.setattr(_mc, "substream", recorded)
+    return made
 
 
 def _same_bits(a, b):
@@ -317,84 +336,141 @@ def _laplace_inverse_cdf(u, b):
     ids=["laplace", "uniform"],
 )
 def test_split_draws_keep_bytes_and_end_state(monkeypatch, law, serial, workers):
-    # a split draw gives the bytes of one serial draw plus theta, and leaves
-    # the generator where that draw leaves it
-    _force_workers(monkeypatch, workers)
+    # a chunk drawn in 5 tasks on 1, 2 or 3 threads holds, in row order, each
+    # task's serial draw from its own substream plus theta, and each task's
+    # generator ends where that serial draw leaves it
+    _force_tasks(monkeypatch, workers)
+    made = _task_streams(monkeypatch)
     model = ProductIID(7, law, "scaled:2")
-    rng, ref = substream(5, 0), substream(5, 0)
-    X = model._located(rng, 101)
-    expected = serial(ref, (101, 7))
-    expected += model.theta
-    assert _same_bits(X, expected)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.random() == ref.random()
+    X = next(model.iter_chunks(101, 5))
+    cuts = _mc._draw_cuts(101, 7)
+    assert len(cuts) == 6 and sorted(made) == [(5, 0, k) for k in range(5)]
+    for k in range(5):
+        ref = substream(5, 0, k)
+        expected = serial(ref, (cuts[k + 1] - cuts[k], 7))
+        expected += model.theta
+        assert _same_bits(X[cuts[k] : cuts[k + 1]], expected)
+        assert made[(5, 0, k)].bit_generator.state == ref.bit_generator.state
 
 
-def test_split_draw_falls_back_for_variable_width_draws(monkeypatch):
-    # a Gaussian variate may take more than one output, so jumped blocks
-    # start in the wrong place; the guard must see it and redraw serially
-    _force_workers(monkeypatch, 3)
-    rows, d = 101, 7
-    mid = substream(6, 0)
-    mid.standard_normal((rows // 3, d))
-    jumped = substream(6, 0).bit_generator
-    jumped.advance(rows // 3 * d)
-    assert mid.bit_generator.state != jumped.state  # a naive split would be wrong
+def _gaussian_rows(g, rows, model):
+    return g.normal(0.0, np.sqrt(model.sigma2), (rows, model.d))
 
-    rng, ref = substream(6, 0), substream(6, 0)
-    X = draw_rows(rng, rows, d, lambda g, out, scratch: g.standard_normal(out=out))
-    assert _same_bits(X, ref.standard_normal((rows, d)))
-    assert rng.bit_generator.state == ref.bit_generator.state
+
+def _student_rows(g, rows, model):
+    scale = g.gamma(model.k / 2.0, 2.0 / model.k, rows)
+    return np.sqrt(model.scale2) * g.standard_normal((rows, model.d)) / np.sqrt(scale)[:, None]
+
+
+@pytest.mark.parametrize(
+    "model, centered",
+    [(GaussianIso(7, 1.3, "scaled:1"), _gaussian_rows), (StudentT(7, 6, "scaled:1"), _student_rows)],
+    ids=["gaussian", "student"],
+)
+def test_gaussian_and_student_chunks_are_drawn_in_tasks(monkeypatch, model, centered):
+    # every family is drawn in tasks: each task's rows are the out-of-place
+    # formula on the task's own substream, plus theta, on 1 and 3 threads
+    # alike; a chunk's first task draws from the chunk's own substream
+    n, seed = 250, 6
+    for threads in (1, 3):
+        _force_tasks(monkeypatch, threads)
+        chunks = list(model.iter_chunks(n, seed))
+        assert len(chunks) == 1
+        cuts = _mc._draw_cuts(n, 7)
+        assert len(cuts) == 13
+        for k in range(len(cuts) - 1):
+            rows = cuts[k + 1] - cuts[k]
+            want = centered(substream(seed, 0, k), rows, model) + model.theta
+            assert _same_bits(chunks[0][cuts[k] : cuts[k + 1]], want), (threads, k)
 
 
 @pytest.mark.parametrize("raising_block", ["worker", "caller"])
 def test_split_draw_raises_a_blocks_error(monkeypatch, raising_block):
-    _force_workers(monkeypatch, 3)
+    # an exception in a draw task, on a started thread or on the calling
+    # one, reaches the caller of iter_chunks, and no chunk is yielded
+    _force_tasks(monkeypatch, 3)
     caller = threading.current_thread()
+    model = GaussianIso(7, 1.0)
+    real = model._located
 
-    def fill(g, out, scratch):
+    def located(rng, out):
         if (threading.current_thread() is caller) == (raising_block == "caller"):
             raise RuntimeError("draw failed")
-        g.random(out=out)
+        real(rng, out)
 
+    monkeypatch.setattr(model, "_located", located)
     returned = []
     with pytest.raises(RuntimeError, match="draw failed"):
-        returned.append(draw_rows(substream(7, 0), 101, 7, fill))
+        returned.extend(model.iter_chunks(101, 7))
     assert returned == []
 
 
+def test_draw_tasks_raise_the_first_failed_task(monkeypatch):
+    # the error a serial loop over the draw tasks would meet first is raised
+    _force_tasks(monkeypatch, 3, task=2)
+
+    def draw(rng, a, b):  # ten tasks of two rows; those from row 4 on fail
+        if a >= 4:
+            raise ValueError(f"task from row {a}")
+        return rng.random()
+
+    for _ in range(20):
+        with pytest.raises(ValueError, match="task from row 4$"):
+            _mc.draw_tasks(1, 0, 20, 1, draw)
+
+
 def test_small_draws_stay_on_the_calling_thread():
-    # fewer than _MIN_SPLIT variates per extra block, or a single row
-    assert _mc._workers(_mc._MIN_SPLIT // 1000 * 2 - 1, 1000) == 1
-    assert _mc._workers(1, 1 << 22) == 1
+    # a chunk of fewer than 2 _DRAW_TASK doubles, or of one row, is one task,
+    # drawn from the chunk's own substream on the calling thread
+    assert _mc._draw_cuts(_mc._DRAW_TASK // 1000 * 2 - 1, 1000) == [0, 523]
+    assert _mc._draw_cuts(1, 1 << 22) == [0, 1]
+    caller, seen = threading.current_thread(), []
+
+    def draw(rng, a, b):
+        seen.append(threading.current_thread())
+        return rng.random()
+
+    assert _mc.draw_tasks(4, 2, 523, 1000, draw) == [substream(4, 2).random()]
+    assert seen == [caller]
+
+
+def test_draw_tasks_follow_rows_and_d_only(monkeypatch):
+    # the draw layout is fixed by (rows, d) and `_DRAW_TASK`: neither the
+    # core count nor the statistics' task size moves it
+    cuts = _mc._draw_cuts(1 << 16, 128)
+    assert len(cuts) == 33 and cuts[0] == 0 and cuts[-1] == 1 << 16
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(_mc, "_ROW_TASK", 997)
+    assert _mc._draw_cuts(1 << 16, 128) == cuts
+    assert _mc._draw_cuts(3, 1 << 20) == [0, 1, 2, 3]  # at least one row per task
 
 
 def test_split_draw_tasks_go_to_the_free_thread(monkeypatch):
-    # 2 threads, 8 tasks of one sub-block each.  The worker's first task
-    # blocks until the calling thread has drawn every other task, so a fixed
-    # half-and-half split could not finish without the timeout; the bytes
-    # and the end state are still those of one serial draw
-    monkeypatch.setattr(_mc, "_workers", lambda rows, d: 2)
-    monkeypatch.setattr(_mc, "_TASK", 10 * 7)
-    monkeypatch.setattr(_mc, "_SUB_BLOCK", 10 * 7)
+    # 2 threads, 8 tasks.  The worker's first task blocks until the calling
+    # thread has drawn every other task, so a fixed half-and-half split could
+    # not finish without the timeout; the bytes are those of one thread
+    model = ProductIID(7, Uniform1D(1.0))
+    _force_tasks(monkeypatch, 1, task=10 * 7)
+    (serial,) = model.iter_chunks(80, 8)
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 2)
     caller = threading.current_thread()
     released = threading.Event()
     caller_tasks = []
+    real = model._located
 
-    def fill(g, out, scratch):
+    def located(rng, out):
         if threading.current_thread() is caller:
-            caller_tasks.append(out.size)
+            caller_tasks.append(len(out))
             if len(caller_tasks) == 7:
                 released.set()
         else:
             released.wait(timeout=10)
-        g.random(out=out)
+        real(rng, out)
 
-    rng, ref = substream(8, 0), substream(8, 0)
-    X = draw_rows(rng, 80, 7, fill)
-    assert released.is_set() and len(caller_tasks) == 7
-    assert _same_bits(X, ref.random((80, 7)))
-    assert rng.bit_generator.state == ref.bit_generator.state
+    monkeypatch.setattr(model, "_located", located)
+    (X,) = model.iter_chunks(80, 8)
+    assert released.is_set() and caller_tasks == [10] * 7
+    assert _same_bits(X, serial)
 
 
 class _ExtremeUniforms:
@@ -491,7 +567,7 @@ def test_risk_rows_keep_their_bits_across_task_heights(monkeypatch, estimator, e
     model = _MODELS["laplace"](11)
     estimate = mc_excess_risk if excess else mc_risk
     values = _statistic_of(monkeypatch, risk_lab, lambda: estimate(model, estimator, 50, 3))
-    X = model._located(substream(4, 0), 37)
+    X = model.sample(37, 4)
     X[5] = 0.0  # a row at the shrinkage singularity
     _assert_rows_keep_bits(monkeypatch, values, X)
 
@@ -501,7 +577,7 @@ def test_risk_rows_keep_their_bits_across_task_heights(monkeypatch, estimator, e
 def test_sure_rows_keep_their_bits_across_task_heights(monkeypatch, family, estimator):
     model = _MODELS[family](12)
     values = _statistic_of(monkeypatch, risk_lab, lambda: sure_pass(model, estimator, 50, 3))
-    _assert_rows_keep_bits(monkeypatch, values, model._located(substream(4, 0), 37))
+    _assert_rows_keep_bits(monkeypatch, values, model.sample(37, 4))
 
 
 def test_select_lambda_rows_keep_their_bits_across_task_heights(tmp_path, monkeypatch):
@@ -510,7 +586,7 @@ def test_select_lambda_rows_keep_their_bits_across_task_heights(tmp_path, monkey
     args = ["sure", "--model", "gaussian", "--d", "64", "--theta", "scaled:2",
             "--select-lambda", "--reps", "50", "--out", str(tmp_path / "s.csv")]
     values = _statistic_of(monkeypatch, cli, lambda: main(args))
-    X = GaussianIso(64, 1.0, "scaled:2")._located(substream(4, 0), 37)
+    X = GaussianIso(64, 1.0, "scaled:2").sample(37, 4)
     assert list(values(X)) == ["lambda", "sure", "risk"]
     _assert_rows_keep_bits(monkeypatch, values, X)
 
@@ -519,7 +595,7 @@ def test_select_lambda_rows_keep_their_bits_across_task_heights(tmp_path, monkey
 def test_inverse_moment_rows_keep_their_bits_across_task_heights(monkeypatch, m):
     model = _MODELS["student"](9)
     values = _statistic_of(monkeypatch, risk_lab, lambda: mc_inverse_moment(model, m, 50, 3))
-    _assert_rows_keep_bits(monkeypatch, values, model._located(substream(4, 0), 37))
+    _assert_rows_keep_bits(monkeypatch, values, model.sample(37, 4))
 
 
 def test_row_tasks_follow_rows_and_d_only(monkeypatch):

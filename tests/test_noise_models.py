@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 import steinshrink as ss
-from steinshrink._mc import substream
+from steinshrink._mc import chunk_rows, substream
 from steinshrink.errors import MomentUnavailableError, ParameterError
 
 
@@ -105,6 +106,33 @@ def test_in_place_draws_keep_the_bits(name):
     X = next(model.iter_chunks(500, 29))
     want = model.theta + _out_of_place_draw(model, substream(29, 0), 500)
     assert np.array_equal(X.view(np.uint64), want.view(np.uint64))
+
+
+def _peak_chunks(model, chunks):
+    """Peak traced memory of drawing `chunks` full chunks, in chunk sizes."""
+    rows = chunk_rows(model.d)
+    tracemalloc.start()
+    try:
+        for X in model.iter_chunks(chunks * rows, 31):
+            del X
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (rows * model.d * 8)
+
+
+@pytest.mark.parametrize("model", [ss.GaussianIso(400, 1.3), ss.StudentT(400, 7)],
+                         ids=["gaussian", "student"])
+def test_in_place_draws_hold_one_chunk(model):
+    # each draw task writes its rows into the chunk, with no chunk-sized
+    # temporary, and no task keeps a chunk alive while the next is drawn
+    assert _peak_chunks(model, 2) < 1.05
+
+
+def test_mixture_draw_holds_about_one_chunk():
+    # a mixture copies each draw task's fresh draw into the chunk, so its
+    # fancy-index copy is one task's worth, not a chunk's
+    assert _peak_chunks(ss.MixingCorruption(0.1, ss.StudentT(400, 7)), 2) < 1.25
 
 
 def test_pinsker_scaling_divides_variance_by_d():

@@ -438,9 +438,10 @@ def test_identity_residual_needs_distinct_test_function_names():
 
 
 def test_residual_product_laplace_g0_high_dimension(monkeypatch):
-    # d = 1024: each chunk of 8192 rows is drawn as 64 tasks, here on three
-    # threads whatever the core count, and the g0 identity must still hold
-    monkeypatch.setattr(_mc, "_workers", lambda rows, d: min(3, rows))
+    # d = 1024: each chunk of 8192 rows is drawn as 32 tasks, each from its
+    # own substream, here on three threads whatever the core count, and the
+    # g0 identity must still hold
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
     d = 1024
     model = ss.ProductIID(d, ss.Laplace1D(1 / math.sqrt(2)), "scaled:1")
     rep = ss.zb_identity_residual(model, ss.couple_independent(model), shrink_direction(), 16384, 61)
