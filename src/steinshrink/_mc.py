@@ -1,19 +1,16 @@
 """Monte Carlo plumbing: substream seeding, chunking, streaming moments.
 
-Replicate randomness is derived from (seed, chunk index, draw task) through
-numpy's SeedSequence spawn keys, so a run sharded across workers and a
-serial run produce bit-identical draws as long as the chunk partition is the
-same.  The partition depends only on (n, d), never on worker count.
-
-`draw_tasks` draws a chunk on all usable cores.  The chunk's rows are cut
-into draw tasks of about `_DRAW_TASK` doubles, a layout fixed by (rows, d),
-and task k draws from its own substream: task 0 from the chunk's substream,
-so a chunk of one task draws what a serial draw of the chunk would, and
-task k >= 1 from spawn key (chunk index, k).  Each task writes its rows in
-place (a model chunk) or makes its own part (a joint chunk of a coupling),
-so the bytes and the live memory (one chunk) do not depend on the core
-count.  `_DRAW_TASK` is part of the stream's definition, not a tuning
-constant: another value draws other variates.
+Replicate randomness comes from numpy SeedSequence spawn keys (seed, chunk
+index, draw task), over a chunk partition fixed by (n, d) alone.
+`draw_tasks` draws a chunk on the usable cores, one thread per four draw
+tasks or fewer.  The chunk's rows are cut into draw tasks of about
+`_DRAW_TASK` doubles, a layout fixed by (rows, d), and task k draws from its
+own substream: task 0 from the chunk's substream, so a chunk of one task
+draws what a serial draw of the chunk would, and task k >= 1 from spawn key
+(chunk index, k).  Each task writes its rows in place, or makes its own part
+for a coupling without an in-place fill, so the bytes and the live memory
+(one chunk) do not depend on the core count.  `_DRAW_TASK` is part of the
+stream's definition, not a tuning constant.
 
 `run` is the one streaming engine: every Monte Carlo estimate in the
 package is a mean of per-row statistics accumulated over one chunk stream.
@@ -68,6 +65,11 @@ _DRAW_TASK = 1 << 18
 # a few MB, and a full chunk of `_CHUNK_BUDGET` doubles makes 32 tasks.  Kept
 # apart from `_DRAW_TASK`, so a statistic's task size never moves a byte.
 _ROW_TASK = 1 << 18
+# Draw tasks per thread: a draw of up to 4 tasks (2^20 doubles) stays on the
+# calling thread, and each further thread comes with up to 4 more tasks.  A
+# thread saved nothing on so few 2-7 ms tasks while another process held its
+# core, so it made wall times swing (README, "Determinism and concurrency").
+_DRAW_TASKS_PER_THREAD = 4
 
 
 def _usable_cores() -> int:
@@ -78,26 +80,22 @@ def _usable_cores() -> int:
 
 def draw_tasks(seed: int, index: int, rows: int, d: int, draw) -> list:
     """`draw(rng, a, b)` for rows a:b of each draw task of chunk `index`, a
-    (rows, d) chunk of the stream `seed`, on all usable cores; the results
-    in row order.
-
-    The task layout is fixed by (rows, d) (`_draw_cuts`), and task k draws
-    from `substream(seed, index, k)`, so the draws do not depend on the core
-    count, and a chunk of one task draws from the chunk's own substream.
-    """
+    (rows, d) chunk of the stream `seed`, in row order.  The layout is fixed
+    by (rows, d) (`_draw_cuts`) and task k draws from `substream(seed, index,
+    k)`, on one of up to `_usable_cores()` threads, one per
+    `_DRAW_TASKS_PER_THREAD` tasks or fewer, so no draw depends on the cores."""
     cuts = _draw_cuts(rows, d)
     parts = [None] * (len(cuts) - 1)
 
     def task(k):
         parts[k] = draw(substream(seed, index, k), cuts[k], cuts[k + 1])
 
-    _in_turn(len(parts), _usable_cores(), lambda: task)
+    _in_turn(len(parts), min(_usable_cores(), -(-len(parts) // _DRAW_TASKS_PER_THREAD)), task)
     return parts
 
 
-def _in_turn(tasks: int, threads: int, worker) -> None:
-    """Tasks 0..tasks-1 on `threads` threads: each thread calls `worker()`
-    once and then the function it returns on each task index it takes.
+def _in_turn(tasks: int, threads: int, do) -> None:
+    """`do(k)` for the tasks k = 0..tasks-1, on `threads` threads.
 
     Thread j starts with task j and then takes the lowest task not yet
     taken, so a core slowed by other work takes fewer tasks.  The calling
@@ -112,7 +110,6 @@ def _in_turn(tasks: int, threads: int, worker) -> None:
 
     def work(k, done=None):
         try:
-            do = worker()
             while k < tasks:
                 do(k)
                 k = tasks if errors else claim()
@@ -295,7 +292,7 @@ def _row_values(chunk, values) -> dict:
     def evaluate(k):
         parts[k] = values(chunk[cuts[k] : cuts[k + 1]])
 
-    _in_turn(tasks, _usable_cores(), lambda: evaluate)
+    _in_turn(tasks, _usable_cores(), evaluate)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 

@@ -8,7 +8,7 @@ is tail(y) / var, so the tail integral is the one closed form of both.
 
 Laplace and uniform variates are inversions of one uniform each, written
 in place one sub-block at a time (`_Inversion`).  A law draws serially on
-the generator it is given; a chunk is drawn on all usable cores one level
+the generator it is given; a chunk is drawn on the usable cores one level
 up, in draw tasks that each have their own generator (`_mc.draw_tasks`).
 """
 

@@ -2,7 +2,7 @@
 
 Every model is immutable after construction and samples through
 (seed, chunk index, draw task) substreams, so concurrent and serial runs
-agree bit-for-bit.  `iter_chunks` draws each chunk on all usable cores: its
+agree bit-for-bit.  `iter_chunks` draws each chunk on the usable cores: its
 rows are cut into draw tasks by (rows, d) alone, and each task writes the
 located draw theta + Y of its rows, from its own substream, in place into
 the chunk (`NoiseModel._located`; `_mc.draw_tasks`).  Gaussian and Student

@@ -142,9 +142,9 @@ def _merged(pick, arrays) -> np.ndarray:
 
 
 class ZeroBiasCoupling:
-    """Base class; subclasses implement `_centered(rng, rows)`.  `term_weights`
-    are the weights of a chunk's terms, built once: by default sigma for one
-    `Shared` term if `same_for_all`, else diag(sigma) for one `Replaced`."""
+    """Base class; subclasses implement `_centered(rng, rows)` or `_empty`/`_fill`.
+    `term_weights` are the weights of a chunk's terms, built once: by default
+    sigma for one `Shared` term if `same_for_all`, else diag(sigma) for one `Replaced`."""
 
     construction = "abstract"
     same_for_all = False
@@ -168,16 +168,30 @@ class ZeroBiasCoupling:
         return self.base.theta
 
     def _centered(self, rng: np.random.Generator, rows: int) -> JointChunk:
-        raise NotImplementedError
+        """A fresh joint chunk of `rows` rows."""
+        chunk = self._empty(rows)
+        self._fill(rng, chunk, 0, rows)
+        return chunk
+
+    def _empty(self, rows: int) -> JointChunk | None:
+        """An undrawn chunk of `rows` rows for `_fill(rng, chunk, a, b)`, or None."""
+        return None
 
     def _chunk_dim(self) -> int:
         return 4 * self.d
 
     def joint_chunks(self, n: int, seed: int):
-        """Joint chunks, one per draw task: each chunk's tasks are drawn on
-        all usable cores, each from its own substream, and yielded in row
-        order; a part is let go of once it is yielded."""
+        """Joint chunks whose draw tasks run on the usable cores, each from its
+        own substream.  A family with `_empty` yields one chunk per chunk of
+        rows, each task writing its rows in place; any other yields one fresh
+        chunk per task, in row order.  A chunk is let go of once yielded."""
         for idx, rows in chunk_plan(n, self._chunk_dim()):
+            chunk = self._empty(rows)
+            if chunk is not None:
+                draw_tasks(seed, idx, rows, self.d, lambda rng, a, b: self._fill(rng, chunk, a, b))
+                yield chunk
+                del chunk
+                continue
             parts = draw_tasks(seed, idx, rows, self.d, lambda rng, a, b: self._centered(rng, b - a))
             parts.reverse()
             while parts:
@@ -257,18 +271,23 @@ class StudentGammaCoupling(ZeroBiasCoupling):
         self.k = model.k
         self.scale = math.sqrt(model.scale2)
 
-    def _centered(self, rng, rows):
+    def _empty(self, rows):
+        P = np.empty((rows, self.d))
+        return JointChunk(np.empty((rows, self.d)), (Shared(P, self.term_weights[0]),))
+
+    def _fill(self, rng, chunk, a, b):
         k = self.k
-        delta = rng.gamma(k / 2.0 - 1.0, 2.0 / k, rows)
-        eps = rng.gamma(1.0, 2.0 / k, rows)
-        N = rng.standard_normal((rows, self.d))
+        delta = rng.gamma(k / 2.0 - 1.0, 2.0 / k, b - a)
+        eps = rng.gamma(1.0, 2.0 / k, b - a)
+        (term,) = chunk.terms
+        X, N = chunk.X[a:b], term.P[a:b]
         # in place, with the bits of theta + s N / sqrt(...): N becomes P
+        rng.standard_normal(out=N)
         N *= self.scale
-        X = N / np.sqrt(delta + eps)[:, None]
+        np.divide(N, np.sqrt(delta + eps)[:, None], out=X)
         X += self.theta
         N /= np.sqrt(delta)[:, None]
         N += self.theta
-        return JointChunk(X, (Shared(N, self.term_weights[0]),))
 
 
 class ScaledCoupling(ZeroBiasCoupling):
@@ -305,10 +324,12 @@ class GaussianFixedPointCoupling(ZeroBiasCoupling):
     def __init__(self, model: GaussianIso):
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
-    def _centered(self, rng, rows):
+    def _empty(self, rows):
         X = np.empty((rows, self.d))
-        self.base._located(rng, X)
         return JointChunk(X, (Shared(X, self.term_weights[0]),))
+
+    def _fill(self, rng, chunk, a, b):
+        self.base._located(rng, chunk.X[a:b])
 
 
 class SumCoupling(ZeroBiasCoupling):

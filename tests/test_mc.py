@@ -336,16 +336,16 @@ def _laplace_inverse_cdf(u, b):
     ids=["laplace", "uniform"],
 )
 def test_split_draws_keep_bytes_and_end_state(monkeypatch, law, serial, workers):
-    # a chunk drawn in 5 tasks on 1, 2 or 3 threads holds, in row order, each
-    # task's serial draw from its own substream plus theta, and each task's
-    # generator ends where that serial draw leaves it
-    _force_tasks(monkeypatch, workers)
+    # a chunk drawn in 14 tasks on 1, 2 or 3 threads holds, in row order,
+    # each task's serial draw from its own substream plus theta, and each
+    # task's generator ends where that serial draw leaves it
+    _force_tasks(monkeypatch, workers, task=7 * 7)
     made = _task_streams(monkeypatch)
     model = ProductIID(7, law, "scaled:2")
     X = next(model.iter_chunks(101, 5))
     cuts = _mc._draw_cuts(101, 7)
-    assert len(cuts) == 6 and sorted(made) == [(5, 0, k) for k in range(5)]
-    for k in range(5):
+    assert len(cuts) == 15 and sorted(made) == [(5, 0, k) for k in range(14)]
+    for k in range(14):
         ref = substream(5, 0, k)
         expected = serial(ref, (cuts[k + 1] - cuts[k], 7))
         expected += model.theta
@@ -432,6 +432,22 @@ def test_small_draws_stay_on_the_calling_thread():
 
     assert _mc.draw_tasks(4, 2, 523, 1000, draw) == [substream(4, 2).random()]
     assert seen == [caller]
+
+
+def test_a_thread_is_started_for_every_four_draw_tasks(monkeypatch):
+    # a draw of up to 4 tasks stays on the calling thread, and each further
+    # thread comes with up to 4 more tasks, up to the usable cores
+    import _thread
+
+    starts = []
+    real = _thread.start_new_thread
+    monkeypatch.setattr(_thread, "start_new_thread", lambda *a: starts.append(1) or real(*a))
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(_mc, "_DRAW_TASK", 1)
+    for tasks, threads in ((1, 1), (4, 1), (5, 2), (8, 2), (9, 3), (40, 3)):
+        starts.clear()
+        assert len(_mc.draw_tasks(1, 0, tasks, 1, lambda rng, a, b: a)) == tasks
+        assert len(starts) == threads - 1, tasks
 
 
 def test_draw_tasks_follow_rows_and_d_only(monkeypatch):

@@ -491,3 +491,26 @@ def test_student_coupling_chunk_keeps_the_formula_bits():
     (term,) = chunk.terms
     assert chunk.X.tobytes() == X.tobytes() and term.P.tobytes() == P.tobytes()
     assert term.P is not chunk.X
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_student_coupling_tasks_fill_one_joint_chunk(monkeypatch, threads):
+    # ten draw tasks write their rows in place into one joint chunk, each
+    # with the formula bits on its own substream, on 1 and 3 threads alike
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: threads)
+    monkeypatch.setattr(_mc, "_DRAW_TASK", 5 * 9)
+    k, rows = 6, 53
+    coupling = StudentGammaCoupling(ss.StudentT(9, k, "scaled:1"))
+    (chunk,) = coupling.joint_chunks(rows, 3)
+    (term,) = chunk.terms
+    cuts = _mc._draw_cuts(rows, 9)
+    assert len(cuts) == 11
+    for t in range(10):
+        a, b = cuts[t], cuts[t + 1]
+        g = _mc.substream(3, 0, t)
+        delta = g.gamma(k / 2.0 - 1.0, 2.0 / k, b - a)
+        eps = g.gamma(1.0, 2.0 / k, b - a)
+        N = g.standard_normal((b - a, 9))
+        X = coupling.theta + coupling.scale * N / np.sqrt(delta + eps)[:, None]
+        P = coupling.theta + coupling.scale * N / np.sqrt(delta)[:, None]
+        assert chunk.X[a:b].tobytes() == X.tobytes() and term.P[a:b].tobytes() == P.tobytes()
