@@ -1,9 +1,10 @@
 """Command-line experiment front end.
 
 Subcommands: risk, identity-check, sure, adaptivity, sphere-demo,
-student-demo.  Every run writes CSV with a '#'-prefixed metadata header
-carrying the artifact version, the fully resolved configuration, and the
-seed, so a rerun with the same seed is byte-identical.
+student-demo.  Each takes, as flags or --config keys, only the options it
+reads; any other is a usage error.  Every run writes CSV with a '#'-prefixed
+metadata header carrying the artifact version, the command's fully resolved
+options and the seed, so a rerun with the same seed is byte-identical.
 
 Exit codes: 0 success; 2 usage error, bad parameters or an unavailable
 moment; 3 numerical-guard abort or an evaluation outside the domain.
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._mc import chunk_rows, report_from, run
+from ._mc import report_from, run
 from .errors import EvaluationError, GuardAbort, MomentUnavailableError, ParameterError
 from .estimation import JamesStein, make_estimator, select_lambda, soft_threshold
 from .laws1d import Laplace1D, SmoothedRademacher1D, Uniform1D
@@ -72,6 +73,8 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if isinstance(value, list):
+        return ",".join(map(_fmt, value))
     return str(value)
 
 
@@ -135,6 +138,16 @@ def _seed(text: str) -> int:
     return value
 
 
+def _dims(text: str) -> list[int]:
+    try:
+        dims = [int(x) for x in text.split(",")]
+    except ValueError:
+        dims = []
+    if not dims or min(dims) < 1:
+        raise ValueError("expected comma-separated integers >= 1")
+    return dims
+
+
 _ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
@@ -147,42 +160,59 @@ def _switch(text: str) -> bool:
 class _Option(NamedTuple):
     flag: str
     cast: Callable[[str], object]
-    default: object
     help: str | None = None
 
 
 # Every option once, under its config key (the parser's dest).  Flag text and
 # config-file text go through the same cast; a switch takes no value.
 _OPTIONS = {
-    "model": _Option("--model", str, "gaussian"),
-    "d": _Option("--d", int, 5),
-    "k": _Option("--k", int, 6),
-    "sigma": _Option("--sigma", _finite, 1.0),
-    "eps": _Option("--eps", _finite, 0.1),
-    "theta": _Option("--theta", str, "zero", "file path, 'zero', or 'scaled:c'"),
-    "lam": _Option("--lambda", _finite, None),
-    "lambda_grid": _Option("--lambda-grid", str, "2:512", "C:size"),
-    "reps": _Option("--reps", int, 100000),
-    "seed": _Option("--seed", _seed, 1),
-    "out": _Option("--out", str, "-"),
-    "estimator": _Option("--estimator", str, "james-stein"),
-    "bounds": _Option("--bounds", _switch, False),
-    "excess": _Option("--excess", _switch, False),
-    "pinsker": _Option("--pinsker", _switch, False),
-    "select_lambda": _Option("--select-lambda", _switch, False),
-    "outlier": _Option("--outlier", str, "student"),
-    "c": _Option("--c", _finite, 1.0),
-    "c_low": _Option("--c-low", _finite, 4.0),
-    "c_high": _Option("--c-high", _finite, 9.0),
-    "d_list": _Option("--d-list", str, None),
+    "model": _Option("--model", str),
+    "d": _Option("--d", int),
+    "k": _Option("--k", int),
+    "sigma": _Option("--sigma", _finite),
+    "eps": _Option("--eps", _finite),
+    "theta": _Option("--theta", str, "file path, 'zero', or 'scaled:c'"),
+    "lam": _Option("--lambda", _finite),
+    "lambda_grid": _Option("--lambda-grid", str, "C:size"),
+    "reps": _Option("--reps", int),
+    "seed": _Option("--seed", _seed),
+    "out": _Option("--out", str),
+    "estimator": _Option("--estimator", str),
+    "bounds": _Option("--bounds", _switch),
+    "excess": _Option("--excess", _switch),
+    "pinsker": _Option("--pinsker", _switch),
+    "select_lambda": _Option("--select-lambda", _switch),
+    "outlier": _Option("--outlier", str),
+    "c": _Option("--c", _finite),
+    "c_low": _Option("--c-low", _finite),
+    "c_high": _Option("--c-high", _finite),
+    "d_list": _Option("--d-list", _dims),
 }
 
-_COMMAND_PRESETS = {"identity-check": {"model": "all", "reps": 200000}}
+# The options `build_model` reads, and how many draws, from which seed, written where.
+_MODEL = {"model": "gaussian", "d": 5, "k": 6, "sigma": 1.0, "eps": 0.1, "theta": "zero",
+          "pinsker": False, "outlier": "student"}
+_RUN = {"reps": 100000, "seed": 1, "out": "-"}
+
+# The options each command reads, each with its default: the command's flags,
+# its config keys and its `# config:` echo are these and no others.
+_COMMAND_OPTIONS = {
+    "risk": {**_MODEL, "lam": 0.0, "estimator": "james-stein", "excess": False,
+             "bounds": False, **_RUN},
+    "identity-check": {"model": "all", **_RUN, "reps": 200000},
+    "sure": {**_MODEL, "lam": 0.0, "estimator": "james-stein", "select_lambda": False,
+             "lambda_grid": "2:512", **_RUN},
+    "adaptivity": {"model": "gaussian", "c": 1.0, "sigma": 1.0, "d_list": [100, 400, 1600],
+                   **_RUN},
+    "sphere-demo": {"c_low": 4.0, "c_high": 9.0, "sigma": 1.0, "d_list": [16, 65, 100, 200],
+                    "seed": 1, "out": "-"},
+    "student-demo": {"d": 6, "k": 6, "lam": None, **_RUN},  # lam None: d - 2
+}
 
 
-def _cast(key: str, text: str):
-    if key not in _OPTIONS:
-        raise ParameterError(f"unknown config key {key!r}")
+def _cast(command: str, key: str, text: str):
+    if key not in _COMMAND_OPTIONS[command]:
+        raise ParameterError(f"unknown config key {key!r} for {command}")
     option = _OPTIONS[key]
     try:
         return option.cast(text)
@@ -191,15 +221,14 @@ def _cast(key: str, text: str):
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Flags override config-file keys, which override the command's
-    defaults, which override the table's."""
-    cfg = {key: option.default for key, option in _OPTIONS.items()}
-    cfg.update(_COMMAND_PRESETS.get(args.command, {}))
+    """The command's options: flags override config-file keys, which
+    override the command's defaults."""
+    cfg = dict(_COMMAND_OPTIONS[args.command])
     texts = list(_read_config_file(args.config).items()) if args.config else []
     flags = vars(args)
-    texts += [(key, flags[key]) for key in _OPTIONS if flags[key] is not None]
+    texts += [(key, flags[key]) for key in cfg if flags[key] is not None]
     for key, text in texts:
-        cfg[key] = _cast(key, text)
+        cfg[key] = _cast(args.command, key, text)
     cfg["command"] = args.command
     return cfg
 
@@ -257,18 +286,6 @@ def model_kernel(model: NoiseModel):
     if isinstance(model, ProductIID):
         return product_kernel([model.law] * model.d)
     return None
-
-
-def _d_list(cfg: dict, default: str) -> list[int]:
-    """The dimensions of --d-list, or the command's default list."""
-    spec = cfg["d_list"] or default
-    try:
-        d_list = [int(x) for x in spec.split(",")]
-    except ValueError:
-        d_list = []
-    if not d_list or min(d_list) < 1:
-        raise ParameterError(f"bad --d-list {spec!r}, expected comma-separated integers >= 1")
-    return d_list
 
 
 def _zb_coupling(model: NoiseModel, kind: str):
@@ -333,7 +350,7 @@ def cmd_risk(cfg: dict) -> CsvWriter:
     risk and every bound input but B* come from one pass over the draws of
     X that the risk alone makes; B* adds its coupling pass."""
     model = build_model(cfg)
-    lam = cfg["lam"] if cfg["lam"] is not None else 0.0
+    lam = cfg["lam"]
     est = make_estimator(cfg["estimator"], lam)
     n, seed = cfg["reps"], cfg["seed"]
     w = CsvWriter(cfg["out"], cfg, seed)
@@ -425,14 +442,6 @@ def cmd_identity_check(cfg: dict) -> CsvWriter:
     return w
 
 
-def _row_blocks(chunks, rows: int):
-    """Blocks of at most `rows` rows, holding one chunk at a time."""
-    for X in chunks:
-        for i in range(0, X.shape[0], rows):
-            yield X[i : i + rows]
-        del X
-
-
 _SURE_COLUMNS = ["model", "estimator", "lambda", "sure_mean", "risk_mean", "bias", "bias_bound"]
 
 
@@ -449,17 +458,15 @@ def cmd_sure(cfg: dict) -> CsvWriter:
             dev = soft_threshold(X, lam_hat[:, None]) - model.theta
             return {"lambda": lam_hat, "sure": value, "risk": np.einsum("ij,ij->i", dev, dev)}
 
-        # about eight (rows, d) temporaries per row: blocks of an eighth of a
-        # chunk, each one accumulator update (`run` splits each block into
-        # row tasks, so the temporaries are a task's, one per thread)
-        blocks = _row_blocks(model.iter_chunks(n, seed), chunk_rows(8 * model.d))
-        lam_hat, sure_val, risk = (acc.mean for acc in run(blocks, selected).values())
+        # `run`'s row tasks bound the (rows, d) temporaries of `selected`
+        accs = run(model.iter_chunks(n, seed), selected)
+        lam_hat, sure_val, risk = (acc.mean for acc in accs.values())
         estimator = "soft-threshold:lambda-hat"
         w.comment(f"bias_bound: not applicable: {_zb_coupling(model, 'soft_threshold')[1]}")
         w.header(_SURE_COLUMNS)
         w.row([model.family, estimator, lam_hat, sure_val, risk, sure_val - risk, None])
         return w
-    lam = cfg["lam"] if cfg["lam"] is not None else 0.0
+    lam = cfg["lam"]
     est = make_estimator(cfg["estimator"], lam)
     accs = sure_pass(model, est, n, seed)
     risk, bias = accs["risk"].mean, accs["bias"].mean
@@ -478,11 +485,10 @@ def cmd_adaptivity(cfg: dict) -> CsvWriter:
     n, seed = cfg["reps"], cfg["seed"]
     c = cfg["c"]
     sigma2 = cfg["sigma"] ** 2
-    d_list = _d_list(cfg, "100,400,1600")
     w = CsvWriter(cfg["out"], cfg, seed)
     w.header(["d", "risk_mean", "stderr", "pinsker_limit", "thm45_bound"])
     limit = pinsker_limit(sigma2, c**2)
-    for d in d_list:
+    for d in cfg["d_list"]:
         theta = parse_theta(f"scaled:{c:.17g}", d)
         if cfg["model"] == "gaussian":
             model = GaussianIso(d, sigma2, theta, scaling="pinsker")
@@ -500,16 +506,14 @@ def cmd_adaptivity(cfg: dict) -> CsvWriter:
 
 
 def cmd_sphere_demo(cfg: dict) -> CsvWriter:
-    n, seed = cfg["reps"], cfg["seed"]
     c_low, c_high, sigma2 = cfg["c_low"], cfg["c_high"], cfg["sigma"] ** 2
     if c_low <= 1:
         raise ParameterError("the lower norm ratio must exceed 1")
-    d_list = _d_list(cfg, "16,65,100,200")
-    w = CsvWriter(cfg["out"], cfg, seed)
+    w = CsvWriter(cfg["out"], cfg, cfg["seed"])
     crossing = 4.0 * (math.sqrt(c_high) + 1.0) ** 2 / (math.sqrt(c_low) - 1.0) ** 3
     w.comment(f"certified improvement for d > {crossing:.17g}")
     w.header(["d", "gain_term", "two_b_star_closed", "improves"])
-    for d in d_list:
+    for d in cfg["d_list"]:
         gain = -sigma2 * (d - 2.0) ** 2 / ((math.sqrt(c_high) + 1.0) ** 2 * d)
         two_bstar = 4.0 * sigma2 * (d - 2.0) ** 2 / ((math.sqrt(c_low) - 1.0) ** 3 * d**2)
         w.row([d, gain, two_bstar, gain + two_bstar < 0.0])
@@ -525,7 +529,7 @@ def cmd_student_demo(cfg: dict) -> CsvWriter:
     kern = student_kernel(k, d)
     disc = discrepancy_stats(model, kern, n, seed)
     bstar = bound_b_star(coupling_for(model), lam, n, seed + _SEED_BSTAR)
-    w = CsvWriter(cfg["out"], cfg, seed)
+    w = CsvWriter(cfg["out"], {**cfg, "lam": lam}, seed)
     w.header(
         [
             "d",
@@ -586,10 +590,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="steinshrink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
+    for name, defaults in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="key=value configuration file")
-        for key, option in _OPTIONS.items():
+        for key in defaults:
+            option = _OPTIONS[key]
             switch = {"action": "store_const", "const": "true"} if option.cast is _switch else {}
             p.add_argument(option.flag, dest=key, help=option.help, **switch)
     return parser

@@ -137,9 +137,6 @@ class NoiseModel:
     def has_density(self) -> bool:
         return False
 
-    def density_bounded(self) -> bool:
-        return self.has_density()
-
     def satisfies_conditional_mean_zero(self) -> bool:
         """Whether E[Y_i | Y_j, j != i] = 0 holds for the centered law."""
         return False
@@ -163,8 +160,6 @@ class NoiseModel:
         reasons, warnings = [], []
         if not self.has_density():
             reasons.append("no Lebesgue density")
-        elif not self.density_bounded():
-            reasons.append("density not bounded near the origin")
         if self.d < 5:
             reasons.append("d < 5")
             if self.family == "gaussian_iso" and self.d >= 3:

@@ -41,7 +41,6 @@ class BoundInputs:
     c8: float | None = None
     c_minus2: float | None = None
     c_minus4: float | None = None
-    cp: float | None = None
 
     def __post_init__(self):
         if self.lam < 0:
@@ -49,7 +48,7 @@ class BoundInputs:
         if self.alpha_minus is not None and self.alpha_plus is not None:
             if self.alpha_minus > self.alpha_plus:
                 raise ParameterError("alpha_minus must not exceed alpha_plus")
-        for name in ("c4", "c8", "c_minus2", "c_minus4", "cp"):
+        for name in ("c4", "c8", "c_minus2", "c_minus4"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ParameterError(f"{name} must be positive when set")

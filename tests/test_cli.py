@@ -495,7 +495,7 @@ def test_unknown_config_key_rejected(tmp_path):
 # Every option but --out at a non-default value: config key -> (flag, text).
 _EVERY_OPTION = {
     "model": ("--model", "laplace"),
-    "d": ("--d", "7"),
+    "d": ("--d", "8"),
     "k": ("--k", "8"),
     "sigma": ("--sigma", "1.5"),
     "eps": ("--eps", "0.2"),
@@ -517,37 +517,124 @@ _EVERY_OPTION = {
 }
 _SWITCHES = {"bounds", "excess", "pinsker", "select_lambda"}  # flags that take no value
 
+# The config keys each command reads, and so takes.
+_MODEL_KEYS = {"model", "d", "k", "sigma", "eps", "theta", "pinsker", "outlier"}
+_RUN_KEYS = {"reps", "seed", "out"}
+_READS = {
+    "risk": _MODEL_KEYS | _RUN_KEYS | {"lam", "estimator", "excess", "bounds"},
+    "sure": _MODEL_KEYS | _RUN_KEYS | {"lam", "estimator", "select_lambda", "lambda_grid"},
+    "identity-check": {"model"} | _RUN_KEYS,
+    "adaptivity": {"model", "c", "sigma", "d_list"} | _RUN_KEYS,
+    "sphere-demo": {"c_low", "c_high", "sigma", "d_list", "seed", "out"},
+    "student-demo": {"d", "k", "lam"} | _RUN_KEYS,
+}
+
+
+def _as_flags(options):
+    argv = []
+    for key, (flag, text) in options.items():
+        argv += [flag] if key in _SWITCHES else [flag, text]
+    return argv
+
 
 def test_config_file_and_flags_give_the_same_bytes(tmp_path):
     import steinshrink.cli as cli
 
     assert set(_EVERY_OPTION) | {"out"} == set(cli._OPTIONS)
-    by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
-    cfg = tmp_path / "every.cfg"
-    # '-' and '_' are interchangeable in config keys
-    cfg.write_text("".join(f"{key.replace('_', '-')}={text}\n"
-                           for key, (_, text) in _EVERY_OPTION.items()) + f"out={by_file}\n")
-    assert main(["risk", "--config", str(cfg)]) == 0
-    argv = ["risk", "--out", str(by_flags)]
-    for key, (flag, text) in _EVERY_OPTION.items():
-        argv += [flag] if key in _SWITCHES else [flag, text]
-    assert main(argv) == 0
-    assert by_file.read_bytes() == by_flags.read_bytes()
-    meta, _, _ = _data_rows(by_file)
-    config_line = next(m for m in meta if m.startswith("# config:"))
-    assert "lam=3.5" in config_line and "c_high=10.0" in config_line and "bounds=true" in config_line
+    assert set().union(*_READS.values()) == set(cli._OPTIONS)  # every option is run below
+    echoes = {}
+    for command, keys in _READS.items():
+        options = {key: _EVERY_OPTION[key] for key in _EVERY_OPTION if key in keys}
+        if command == "identity-check":
+            options["model"] = ("--model", "student")  # a suite row
+        by_file, by_flags = tmp_path / f"{command}-file.csv", tmp_path / f"{command}-flags.csv"
+        cfg = tmp_path / f"{command}.cfg"
+        # '-' and '_' are interchangeable in config keys
+        cfg.write_text("".join(f"{key.replace('_', '-')}={text}\n"
+                               for key, (_, text) in options.items()) + f"out={by_file}\n")
+        assert main([command, "--config", str(cfg)]) == 0, command
+        assert main([command, "--out", str(by_flags), *_as_flags(options)]) == 0, command
+        assert by_file.read_bytes() == by_flags.read_bytes(), command
+        echoes[command] = _data_rows(by_file)[0][1].split()[2:]
+        assert {item.split("=")[0] for item in echoes[command]} == keys - {"out"} | {"command"}
+    assert {"lam=3.5", "bounds=true"} <= set(echoes["risk"])
+    assert "c_high=10.0" in echoes["sphere-demo"]
 
 
 def test_default_config_echo(tmp_path):
-    code, out = _run(tmp_path, "default", "risk")
-    assert code == 0
-    meta, _, _ = _data_rows(out)
-    assert meta[1] == (
-        "# config: bounds=false c=1.0 c_high=9.0 c_low=4.0 command=risk d=5 d_list= eps=0.1 "
-        "estimator=james-stein excess=false k=6 lam= lambda_grid=2:512 model=gaussian "
-        "outlier=student pinsker=false reps=100000 seed=1 select_lambda=false sigma=1.0 "
-        "theta=zero"
-    )
+    # every option the command takes, at its default (`--reps 200` aside,
+    # to keep the runs short; `risk` runs with no option at all)
+    echoes = {
+        "risk": "bounds=false command=risk d=5 eps=0.1 estimator=james-stein excess=false k=6 "
+                "lam=0.0 model=gaussian outlier=student pinsker=false reps=100000 seed=1 "
+                "sigma=1.0 theta=zero",
+        "sure": "command=sure d=5 eps=0.1 estimator=james-stein k=6 lam=0.0 lambda_grid=2:512 "
+                "model=gaussian outlier=student pinsker=false reps=200 seed=1 "
+                "select_lambda=false sigma=1.0 theta=zero",
+        "identity-check": "command=identity-check model=all reps=200 seed=1",
+        "adaptivity": "c=1.0 command=adaptivity d_list=100,400,1600 model=gaussian reps=200 "
+                      "seed=1 sigma=1.0",
+        "sphere-demo": "c_high=9.0 c_low=4.0 command=sphere-demo d_list=16,65,100,200 seed=1 "
+                       "sigma=1.0",
+        "student-demo": "command=student-demo d=6 k=6 lam=4.0 reps=200 seed=1",
+    }
+    for command, echo in echoes.items():
+        argv = [] if command in ("risk", "sphere-demo") else ["--reps", "200"]
+        code, out = _run(tmp_path, command, command, *argv)
+        assert code == 0, command
+        meta, _, _ = _data_rows(out)
+        assert meta[1] == f"# config: {echo}"
+
+
+def _readme_commands():
+    """The argv of each `steinshrink` example in the README's Command line section."""
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("steinshrink ")]
+
+
+def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
+    # every key a command reads from its configuration over the README's
+    # examples; reading a key the command does not take raises KeyError
+    import steinshrink.cli as cli
+
+    reads = {command: set() for command in cli._COMMAND_OPTIONS}
+
+    class Recorded(dict):
+        def __getitem__(self, key):
+            reads[dict.__getitem__(self, "command")].add(key)
+            return dict.__getitem__(self, key)
+
+    real = cli.resolve_config
+    monkeypatch.setattr(cli, "resolve_config", lambda args: Recorded(real(args)))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spikes.txt").write_text("5.0\n" * 10 + "0.0\n" * 1014)
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._COMMAND_OPTIONS)
+    for argv in commands:
+        short = [] if argv[0] == "sphere-demo" else ["--reps", "400"]
+        assert main(argv + short) == 0, argv
+    assert {command: set(options) for command, options in cli._COMMAND_OPTIONS.items()} == _READS
+    assert reads == _READS
+    assert sum(map(len, _READS.values())) == 53
+
+
+@pytest.mark.parametrize("command, key", [
+    pytest.param(command, key, id=f"{command}-{key}")
+    for command, keys in _READS.items() for key in _EVERY_OPTION if key not in keys
+])
+def test_an_option_the_command_does_not_read_exits_two(tmp_path, capsys, command, key):
+    out = tmp_path / "unread.csv"
+    (tmp_path / "unread.cfg").write_text(f"{key}={_EVERY_OPTION[key][1]}\n")
+    as_config = ["--config", str(tmp_path / "unread.cfg")]
+    for argv in ([command, *_as_flags({key: _EVERY_OPTION[key]})], [command, *as_config]):
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
 
 
 def _bounds(model):
