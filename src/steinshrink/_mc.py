@@ -1,16 +1,17 @@
 """Monte Carlo plumbing: substream seeding, chunking, streaming moments.
 
-Replicate randomness comes from numpy SeedSequence spawn keys (seed, chunk
-index, draw task), over a chunk partition fixed by (n, d) alone.
-`draw_tasks` draws a chunk on the usable cores, one thread per four draw
-tasks or fewer.  The chunk's rows are cut into draw tasks of about
-`_DRAW_TASK` doubles, a layout fixed by (rows, d), and task k draws from its
-own substream: task 0 from the chunk's substream, so a chunk of one task
-draws what a serial draw of the chunk would, and task k >= 1 from spawn key
-(chunk index, k).  Each task writes its rows in place, or makes its own part
-for a coupling without an in-place fill, so the bytes and the live memory
-(one chunk) do not depend on the core count.  `_DRAW_TASK` is part of the
-stream's definition, not a tuning constant.
+`draw_chunks` is the one loop that draws a stream (model draws, joint
+zero-bias chunks, dense kernel chunks, square-bias draws), over a chunk
+partition fixed by (n, width).  It allocates a chunk, fills its rows in
+`draw_tasks` on the usable cores, one thread per four draw tasks or fewer,
+yields it and lets go of it.  The rows are cut into draw tasks of about
+`_DRAW_TASK` doubles, a layout fixed by (rows, d), and task k draws from
+its own substream, spawn key (chunk index, k), task 0 from the chunk's
+own: a chunk of one task draws what a serial draw of the chunk would.  Each
+task writes its rows in place, or makes its own part where there is no
+in-place fill, so the bytes and the live memory (one chunk) do not depend
+on the core count.  `_DRAW_TASK` is part of the stream's definition, not a
+tuning constant.
 
 `run` is the one streaming engine: every Monte Carlo estimate in the
 package is a mean of per-row statistics accumulated over one chunk stream.
@@ -135,6 +136,22 @@ def _in_turn(tasks: int, threads: int, do) -> None:
             done.acquire()
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
+
+
+def draw_chunks(n: int, seed: int, d: int, fill, empty=None, width: int | None = None):
+    """The chunks of n rows of the stream `seed`, `chunk_plan(n, width)`
+    (width d if None), each drawn in the draw tasks of (rows, d).  Task k
+    writes rows a:b of the chunk `empty(rows)` in place by `fill(rng, chunk,
+    a, b)`; with no chunk (no `empty`, or it gives None), `fill(rng, None,
+    a, b)` returns a part of rows a:b, and the parts are yielded in row
+    order.  What was yielded is let go of before the next chunk is drawn."""
+    for idx, rows in chunk_plan(n, d if width is None else width):
+        chunk = None if empty is None else empty(rows)
+        parts = draw_tasks(seed, idx, rows, d, lambda rng, a, b: fill(rng, chunk, a, b))
+        parts = parts[::-1] if chunk is None else [chunk]
+        del chunk
+        while parts:
+            yield parts.pop()
 
 
 def chunk_plan(n: int, d: int):

@@ -46,6 +46,7 @@ from .risk_lab import (
     mc_risk,
     pinsker_limit,
     risk_statistic,
+    shrinkage_term,
     student_constants,
     sure_pass,
 )
@@ -386,8 +387,8 @@ def cmd_risk(cfg: dict) -> CsvWriter:
                 inputs.e_d2_inv4 = student_constants(model.d, model.k, lam)["e_d2_inv4_bound"]
             cells["bound_thm33"] = bound_thm33(inputs)
         if coupling is not None:
-            middle = lam * inputs.e_inv2 * (lam - 2.0 * (mom.trace_cov - 2.0 * mom.kappa))
-            cells["bound_zb"] = mom.trace_cov + middle + 2.0 * _b_star(coupling, lam, n, seed)
+            b_star = _b_star(coupling, lam, n, seed)
+            cells["bound_zb"] = inputs.trace_sigma + shrinkage_term(inputs) + 2.0 * b_star
         if cfg["excess"]:
             cells = {k: None if b is None else b - mom.trace_cov for k, b in cells.items()}
     w.header(["label", "lambda", "mean", "stderr", "n", "seed", *_BOUND_COLUMNS])

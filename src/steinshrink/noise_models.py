@@ -2,13 +2,10 @@
 
 Every model is immutable after construction and samples through
 (seed, chunk index, draw task) substreams, so concurrent and serial runs
-agree bit-for-bit.  `iter_chunks` draws each chunk on the usable cores: its
-rows are cut into draw tasks by (rows, d) alone, and each task writes the
-located draw theta + Y of its rows, from its own substream, in place into
-the chunk (`NoiseModel._located`; `_mc.draw_tasks`).  Gaussian and Student
-draws are written in place; a product law fills its rows by the law's
-in-place inversion where it has one (Laplace, uniform); every other family
-copies one task's fresh `_draw`.  The bytes do not depend on the core count.
+agree bit-for-bit.  A family's one sampling hook is `_fill(rng, out)`, a
+centered draw written in place; `iter_chunks` hands each draw task's rows
+of a chunk to it and adds theta in place (`NoiseModel._located`;
+`_mc.draw_chunks`), and a composite law draws its parts with `_draw`.
 
 A note on the Student family: it is realized by the Gamma variance
 mixture X = theta + s * N / sqrt(g) with g ~ Gamma(k/2, rate k/2) and
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import chunk_plan, draw_tasks
+from ._mc import draw_chunks
 from .errors import MomentUnavailableError, ParameterError
 from .laws1d import Law1D
 from .quadrature import elliptical_second_moment
@@ -59,7 +56,6 @@ class MomentSummary:
 class ValidityReport:
     ok: bool
     reasons: tuple = ()
-    warnings: tuple = ()
 
 
 class NoiseModel:
@@ -79,24 +75,19 @@ class NoiseModel:
         self.theta = th
 
     # -- sampling ---------------------------------------------------------
-    # A family defines `_draw` or `_fill`; each default calls the other.
-    def _draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """A fresh centered draw of m rows."""
-        return self._fill(rng, np.empty((m, self.d)))
-
     def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """A centered draw of len(out) rows, written into `out`."""
-        out[...] = self._draw(rng, len(out))
-        return out
+        """The one sampling hook: a centered draw of len(out) rows, written into `out`."""
+        raise NotImplementedError
+
+    def _draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """A fresh centered draw of m rows, for the laws built on this one."""
+        return self._fill(rng, np.empty((m, self.d)))
 
     def iter_chunks(self, n: int, seed: int):
         """Chunks theta + Y, each drawn in place in draw tasks on all usable
         cores; the generator lets go of a chunk before drawing the next."""
-        for idx, rows in chunk_plan(n, self.d):
-            X = np.empty((rows, self.d))
-            draw_tasks(seed, idx, rows, self.d, lambda rng, a, b: self._located(rng, X[a:b]))
-            yield X
-            del X
+        yield from draw_chunks(n, seed, self.d, lambda rng, X, a, b: self._located(rng, X[a:b]),
+                               lambda rows: np.empty((rows, self.d)))
 
     def _located(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """theta + a fresh centered draw, written into the rows `out`."""
@@ -157,30 +148,24 @@ class NoiseModel:
         raise ParameterError(f"unknown validity target {need!r}")
 
     def _validity_kernel(self) -> ValidityReport:
-        reasons, warnings = [], []
+        reasons = []
         if not self.has_density():
             reasons.append("no Lebesgue density")
         if self.d < 5:
             reasons.append("d < 5")
-            if self.family == "gaussian_iso" and self.d >= 3:
-                warnings.append("constant Gaussian kernel identities remain exact for d >= 3")
-        return ValidityReport(ok=not reasons, reasons=tuple(reasons), warnings=tuple(warnings))
+        return ValidityReport(ok=not reasons, reasons=tuple(reasons))
 
     def _validity_zerobias(self) -> ValidityReport:
-        reasons, warnings = [], []
         if not self.satisfies_conditional_mean_zero():
-            reasons.append("conditional-mean-zero condition not declared for this family")
-            return ValidityReport(ok=False, reasons=tuple(reasons))
+            reason = "conditional-mean-zero condition not declared for this family"
+            return ValidityReport(ok=False, reasons=(reason,))
         if self.has_density() and self.d >= 5:
             return ValidityReport(ok=True)
+        # a support bounded away from 0, or with two coordinates bounded away from 0
         min_norm = self.support_min_norm()
-        if min_norm is not None and min_norm > 0:
-            warnings.append(f"support bounded away from 0 (||x|| >= {min_norm:.6g})")
-            return ValidityReport(ok=True, warnings=tuple(warnings))
-        two_coords = self.support_two_large_coords()
-        if two_coords:
-            warnings.append("every support point has two coordinates bounded away from 0")
-            return ValidityReport(ok=True, warnings=tuple(warnings))
+        if (min_norm is not None and min_norm > 0) or self.support_two_large_coords():
+            return ValidityReport(ok=True)
+        reasons = []
         if not self.has_density():
             reasons.append("no density and support not separated from the origin")
         if self.d < 5:
@@ -277,11 +262,11 @@ class SphereUniform(NoiseModel):
         self.sigma2 = sigma**2
         self.radius = self.sigma * math.sqrt(self.d)
 
-    def _draw(self, rng, m):
-        g = rng.standard_normal((m, self.d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        g *= self.radius
-        return g
+    def _fill(self, rng, out):
+        rng.standard_normal(out=out)
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        out *= self.radius
+        return out
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -317,12 +302,12 @@ class BallUniform(NoiseModel):
         self.radius = self.sigma * math.sqrt(self.d)
         self.sigma2 = self.sigma**2 * self.d / (self.d + 2.0)
 
-    def _draw(self, rng, m):
-        g = rng.standard_normal((m, self.d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = rng.uniform(0.0, 1.0, m) ** (1.0 / self.d)
-        g *= (self.radius * r)[:, None]
-        return g
+    def _fill(self, rng, out):
+        rng.standard_normal(out=out)
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        r = rng.uniform(0.0, 1.0, len(out)) ** (1.0 / self.d)
+        out *= (self.radius * r)[:, None]
+        return out
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -360,8 +345,8 @@ class ProductIID(NoiseModel):
         self.sigma2 = law.variance
         self.scaling = scaling
 
-    def _draw(self, rng, m):
-        return self.law.sample(rng, (m, self.d))
+    def _fill(self, rng, out):
+        return self.law.sample(rng, out.shape, out=out)
 
     def _located(self, rng, out):
         self.law.sample(rng, out.shape, self.theta, out=out)
@@ -483,13 +468,13 @@ class Elliptical(NoiseModel):
             self._radial_cdf = (grid, cdf)
         return self._radial_cdf
 
-    def _draw(self, rng, m):
+    def _fill(self, rng, out):
         grid, cdf = self._radial_inverse_cdf()
-        r = np.interp(rng.uniform(0.0, 1.0, m), cdf, grid)
-        g = rng.standard_normal((m, self.d))
+        r = np.interp(rng.uniform(0.0, 1.0, len(out)), cdf, grid)
+        g = rng.standard_normal(out.shape)
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         g *= r[:, None]
-        return g @ self._chol.T
+        return np.matmul(g, self._chol.T, out=out)
 
 
 class Mixture(NoiseModel):
@@ -513,9 +498,8 @@ class Mixture(NoiseModel):
         self.components = tuple(components)
         self.weights = w
 
-    def _draw(self, rng, m):
-        idx = rng.choice(len(self.components), size=m, p=self.weights)
-        out = np.empty((m, self.d))
+    def _fill(self, rng, out):
+        idx = rng.choice(len(self.components), size=len(out), p=self.weights)
         for s, comp in enumerate(self.components):
             rows = np.flatnonzero(idx == s)
             if rows.size:
@@ -563,13 +547,15 @@ class AdditiveCorruption(NoiseModel):
         self.outlier = outlier
         self.sigma2 = float(s2)
 
-    def _draw(self, rng, m):
-        y0 = rng.normal(0.0, math.sqrt(self.sigma2), (m, self.d))
-        y1 = self.outlier._draw(rng, m)
-        y0 *= math.sqrt(1.0 - self.eps)
+    def _fill(self, rng, out):
+        # the bits of rng.normal(0, sigma), as in GaussianIso
+        rng.standard_normal(out=out)
+        out *= math.sqrt(self.sigma2)
+        y1 = self.outlier._draw(rng, len(out))
+        out *= math.sqrt(1.0 - self.eps)
         y1 *= math.sqrt(self.eps)
-        y0 += y1
-        return y0
+        out += y1
+        return out
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -632,8 +618,8 @@ class LinearTransform(NoiseModel):
         self.A = A
         self.base = base
 
-    def _draw(self, rng, m):
-        return self.base._draw(rng, m) @ self.A.T
+    def _fill(self, rng, out):
+        return np.matmul(self.base._draw(rng, len(out)), self.A.T, out=out)
 
     def cov(self):
         return self.A @ self.base.cov() @ self.A.T
@@ -672,8 +658,8 @@ class FourPointDegenerate(NoiseModel):
         super().__init__(2, theta)
         self.sigma2 = 0.5
 
-    def _draw(self, rng, m):
-        return self._POINTS[rng.integers(0, 4, m)]
+    def _fill(self, rng, out):
+        return np.take(self._POINTS, rng.integers(0, 4, len(out)), axis=0, out=out)
 
     def coordinate_moment(self, p):
         return 0.5

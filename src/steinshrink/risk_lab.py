@@ -184,13 +184,16 @@ def b_lambda(inputs: BoundInputs) -> float:
     )
 
 
+def shrinkage_term(inputs: BoundInputs) -> float:
+    """lam E[1/||X||^2] (lam - 2 (Tr Sigma - 2 kappa)), in the Theorem 3.3 and B* bounds."""
+    inputs.require("trace_sigma", "kappa", "e_inv2")
+    lam, trace_sigma = inputs.lam, inputs.trace_sigma
+    return lam * inputs.e_inv2 * (lam - 2.0 * (trace_sigma - 2.0 * inputs.kappa))
+
+
 def bound_thm33(inputs: BoundInputs) -> float:
     """Tr Sigma + lam E[1/||X||^2] (lam - 2 (Tr Sigma - 2 kappa)) + 2 B_lam."""
-    inputs.require("trace_sigma", "kappa", "e_inv2")
-    middle = inputs.lam * inputs.e_inv2 * (
-        inputs.lam - 2.0 * (inputs.trace_sigma - 2.0 * inputs.kappa)
-    )
-    return inputs.trace_sigma + middle + 2.0 * b_lambda(inputs)
+    return inputs.trace_sigma + shrinkage_term(inputs) + 2.0 * b_lambda(inputs)
 
 
 def jensen_lower(theta, trace_sigma: float) -> float:

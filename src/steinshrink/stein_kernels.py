@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import RiskReport, chunk_plan, run, substream
+from ._mc import RiskReport, draw_chunks, run
 from .errors import EvaluationError, ParameterError
 from .laws1d import Law1D
 from .noise_models import NoiseModel
@@ -282,15 +282,13 @@ class AverageKernel(SteinKernel):
 
     def chunks(self, model: NoiseModel, n: int, seed: int):
         ncopies = len(self.kernels)
-        for idx, rows in _dense_chunk_plan(n, model.d, ncopies):
-            rng = substream(seed, idx)
-            draws = [model._draw(rng, rows) for _ in range(ncopies)]
-            X = sum(draws) / math.sqrt(ncopies)
-            X += model.theta
-            mats = sum(k.matrices(y) for k, y in zip(self.kernels, draws)) / ncopies
-            del draws
-            yield JointChunk(X, (Shared(X, DenseWeights(mats)),))
-            del X, mats
+
+        def draw(rng, Y, mats):
+            draws = [model._draw(rng, len(Y)) for _ in range(ncopies)]
+            np.divide(sum(draws), math.sqrt(ncopies), out=Y)
+            np.divide(sum(k.matrices(y) for k, y in zip(self.kernels, draws)), ncopies, out=mats)
+
+        return _dense_chunks(model, n, seed, draw, ncopies)
 
 
 class MixtureKernel(SteinKernel):
@@ -316,27 +314,35 @@ class MixtureKernel(SteinKernel):
         raise ParameterError("mixture kernel is defined on joint samples only")
 
     def chunks(self, model: NoiseModel, n: int, seed: int):
-        d = self.pairs[0][0].d
-        for idx, rows in _dense_chunk_plan(n, d):
-            rng = substream(seed, idx)
-            pick = rng.choice(len(self.pairs), size=rows, p=self.weights)
-            X = np.empty((rows, d))
-            mats = np.empty((rows, d, d))
+        def draw(rng, Y, mats):
+            pick = rng.choice(len(self.pairs), size=len(Y), p=self.weights)
             for s, (comp, kern) in enumerate(self.pairs):
                 sel = np.flatnonzero(pick == s)
                 if sel.size:
                     ys = comp._draw(rng, sel.size)
-                    X[sel] = ys
+                    Y[sel] = ys
                     mats[sel] = kern.matrices(ys)
-            X += model.theta
-            yield JointChunk(X, (Shared(X, DenseWeights(mats)),))
-            del X, mats
+
+        return _dense_chunks(model, n, seed, draw)
 
 
-def _dense_chunk_plan(n: int, d: int, copies: int = 1):
-    """Chunks sized by what a dense chunk allocates: `copies` draws of
-    (rows, d) and per-row (rows, d, d) kernel matrices."""
-    return chunk_plan(n, d * max(d, copies))
+def _dense_chunks(model: NoiseModel, n: int, seed: int, draw, copies: int = 1):
+    """Chunks of X with one shared term at X weighted by per-row dense
+    kernel matrices T, sized by what a chunk allocates: `copies` draws of
+    (rows, d) and the (rows, d, d) matrices.  `draw(rng, Y, mats)` writes a
+    draw task's centered rows Y and their T in place; theta is added here."""
+    d = model.d
+
+    def empty(rows):
+        X = np.empty((rows, d))
+        return JointChunk(X, (Shared(X, DenseWeights(np.empty((rows, d, d)))),))
+
+    def fill(rng, chunk, a, b):
+        X = chunk.X[a:b]
+        draw(rng, X, chunk.terms[0].W.mats[a:b])
+        X += model.theta
+
+    return draw_chunks(n, seed, d, fill, empty, d * max(d, copies))
 
 
 def average_kernel(kernels) -> AverageKernel:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._mc import RiskReport, chunk_plan, draw_tasks, report_from, run, substream
+from ._mc import RiskReport, draw_chunks, report_from, run
 from .errors import ParameterError
 from .laws1d import Gaussian1D, Law1D
 from .noise_models import (
@@ -142,7 +142,7 @@ def _merged(pick, arrays) -> np.ndarray:
 
 
 class ZeroBiasCoupling:
-    """Base class; subclasses implement `_centered(rng, rows)` or `_empty`/`_fill`.
+    """Base class; subclasses implement `_centered(rng, rows)`, or `_empty` and an in-place `_fill`.
     `term_weights` are the weights of a chunk's terms, built once: by default
     sigma for one `Shared` term if `same_for_all`, else diag(sigma) for one `Replaced`."""
 
@@ -185,17 +185,11 @@ class ZeroBiasCoupling:
         own substream.  A family with `_empty` yields one chunk per chunk of
         rows, each task writing its rows in place; any other yields one fresh
         chunk per task, in row order.  A chunk is let go of once yielded."""
-        for idx, rows in chunk_plan(n, self._chunk_dim()):
-            chunk = self._empty(rows)
-            if chunk is not None:
-                draw_tasks(seed, idx, rows, self.d, lambda rng, a, b: self._fill(rng, chunk, a, b))
-                yield chunk
-                del chunk
-                continue
-            parts = draw_tasks(seed, idx, rows, self.d, lambda rng, a, b: self._centered(rng, b - a))
-            parts.reverse()
-            while parts:
-                yield parts.pop()
+
+        def fill(rng, chunk, a, b):
+            return self._centered(rng, b - a) if chunk is None else self._fill(rng, chunk, a, b)
+
+        yield from draw_chunks(n, seed, self.d, fill, self._empty, self._chunk_dim())
 
     def pair_sampler(self, i: int, j: int, n: int, seed: int):
         """Paired draws (X, X^{ij}) for one index pair."""
@@ -248,9 +242,7 @@ class SphereCoupling(ZeroBiasCoupling):
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
     def _centered(self, rng, rows):
-        g = rng.standard_normal((rows, self.d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        Y = self.base.radius * g
+        Y = self.base._draw(rng, rows)
         r = rng.uniform(0.0, 1.0, rows) ** (1.0 / self.d)
         P = self.theta + r[:, None] * Y
         return JointChunk(self.theta + Y, (Shared(P, self.term_weights[0]),))
@@ -580,40 +572,34 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     """
     if not model.satisfies_conditional_mean_zero():
         raise ParameterError("square-bias construction needs the conditional-mean-zero condition")
-    sigma_i2 = float(model.cov()[i, i])
-    if sigma_i2 <= 0:
+    if float(model.cov()[i, i]) <= 0:
         raise ParameterError("coordinate variance must be positive")
 
-    out = []
-    ess_total = 0.0
-    nchunks = 0
-    if isinstance(model, (ProductIID, GaussianIso)):
-        law = _coordinate_law(model)
-        for idx, rows in chunk_plan(n, model.d):
-            rng = substream(seed, idx)
-            Y = law.sample(rng, (rows, model.d))
-            Y[:, i] = law.zb_sample(rng, rows)
-            out.append(model.theta + Y)
-        ess = float(n)
-    else:
-        pool = 64
-        for idx, rows in chunk_plan(n, model.d * 8):
-            rng = substream(seed, idx)
-            cand = model._draw(rng, rows * pool)
-            w = cand[:, i] ** 2
-            total = w.sum()
-            if total <= 0:
-                raise ParameterError("square-bias sampling failed: all weights vanish")
-            p = w / total
-            ess_total += 1.0 / np.sum(p * p) / pool
-            nchunks += 1
-            picked = cand[rng.choice(cand.shape[0], size=rows, p=p)]
-            picked[:, i] *= rng.uniform(0.0, 1.0, rows)
-            out.append(model.theta + picked)
-        ess = ess_total / max(nchunks, 1) * n
-    draws = np.concatenate(out)
+    exact = isinstance(model, (ProductIID, GaussianIso))
+    law = _coordinate_law(model) if exact else None
+    pool = 64
+
+    def part(rng, chunk, a, b):
+        """Rows a:b of the draws and their fraction of effective samples."""
+        if exact:
+            Y = law.sample(rng, (b - a, model.d))
+            Y[:, i] = law.zb_sample(rng, b - a)
+            return model.theta + Y, 1.0
+        cand = model._draw(rng, (b - a) * pool)
+        w = cand[:, i] ** 2
+        total = w.sum()
+        if total <= 0:
+            raise ParameterError("square-bias sampling failed: all weights vanish")
+        p = w / total
+        picked = cand[rng.choice(cand.shape[0], size=b - a, p=p)]
+        picked[:, i] *= rng.uniform(0.0, 1.0, b - a)
+        return model.theta + picked, 1.0 / np.sum(p * p) / pool
+
+    # one part per draw task, in row order
+    parts = list(draw_chunks(n, seed, model.d, part, width=model.d if exact else 8 * model.d))
+    draws = np.concatenate([draw for draw, _ in parts])
     if return_ess:
-        return draws, ess
+        return draws, sum(ess for _, ess in parts) / len(parts) * n
     return draws
 
 

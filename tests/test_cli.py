@@ -652,6 +652,9 @@ def _bounds(model):
         pytest.param(_bounds("gaussian"), id="gaussian-bounds"),
         pytest.param(_bounds("laplace"), id="laplace-bounds"),
         pytest.param(_bounds("student"), id="student-bounds"),
+        pytest.param(_bounds("sphere"), id="sphere-bounds"),
+        pytest.param(_bounds("ball"), id="ball-bounds"),
+        pytest.param(_bounds("corrupt-add"), id="corrupt-add-bounds"),
         pytest.param(["sure", "--model", "student", "--d", "64", "--k", "6", "--lambda", "62",
                       "--reps", "3000", "--seed", "4"], id="student-sure"),
         pytest.param(["sure", "--model", "gaussian", "--d", "1024", "--select-lambda",

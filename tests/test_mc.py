@@ -9,27 +9,40 @@ import numpy as np
 import pytest
 
 from steinshrink import (
+    AdditiveCorruption,
+    BallUniform,
     BoundInputs,
     DiscrepancyStats,
+    Elliptical,
+    FourPointDegenerate,
     GaussianIso,
     GuardAbort,
     Identity,
     JamesStein,
     Laplace1D,
+    LinearTransform,
+    MixingCorruption,
+    Mixture,
     ProductIID,
     SoftThreshold,
+    SphereUniform,
     StudentT,
     Uniform1D,
+    average_kernel,
     bound_b_star,
     bound_thm31,
     bound_thm33,
     coordinate_sum_residual,
     coupling_for,
+    gaussian_kernel,
     mc_excess_risk,
     mc_inverse_moment,
     mc_risk,
+    mixture_kernel,
     student_constants,
+    student_kernel,
     sure_bias,
+    zb_construct,
 )
 from steinshrink import _mc, laws1d, risk_lab
 from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, run, substream
@@ -353,21 +366,67 @@ def test_split_draws_keep_bytes_and_end_state(monkeypatch, law, serial, workers)
         assert made[(5, 0, k)].bit_generator.state == ref.bit_generator.state
 
 
-def _gaussian_rows(g, rows, model):
-    return g.normal(0.0, np.sqrt(model.sigma2), (rows, model.d))
+def _centered_rows(g, rows, model):
+    """A centered draw of `rows` rows by the family's out-of-place formula,
+    each step making a new array."""
+    d = model.d
+    if isinstance(model, GaussianIso):
+        return g.normal(0.0, np.sqrt(model.sigma2), (rows, d))
+    if isinstance(model, StudentT):
+        scale = g.gamma(model.k / 2.0, 2.0 / model.k, rows)
+        return np.sqrt(model.scale2) * g.standard_normal((rows, d)) / np.sqrt(scale)[:, None]
+    if isinstance(model, ProductIID):  # of Uniform1D coordinates
+        return g.uniform(-model.law.a, model.law.a, (rows, d))
+    if isinstance(model, Mixture):
+        pick = g.choice(len(model.components), size=rows, p=model.weights)
+        out = np.empty((rows, d))
+        for s, comp in enumerate(model.components):
+            sel = np.flatnonzero(pick == s)
+            if sel.size:
+                out[sel] = _centered_rows(g, sel.size, comp)
+        return out
+    if isinstance(model, AdditiveCorruption):
+        y0 = g.normal(0.0, np.sqrt(model.sigma2), (rows, d))
+        y1 = _centered_rows(g, rows, model.outlier)
+        return np.sqrt(1.0 - model.eps) * y0 + np.sqrt(model.eps) * y1
+    if isinstance(model, LinearTransform):
+        return _centered_rows(g, rows, model.base) @ model.A.T
+    if isinstance(model, FourPointDegenerate):
+        return model._POINTS[g.integers(0, 4, rows)]
+    if isinstance(model, Elliptical):
+        grid, cdf = model._radial_inverse_cdf()
+        r = np.interp(g.uniform(0.0, 1.0, rows), cdf, grid)
+    unit = g.standard_normal((rows, d))
+    unit = unit / np.linalg.norm(unit, axis=1, keepdims=True)
+    if isinstance(model, SphereUniform):
+        return model.radius * unit
+    if isinstance(model, BallUniform):
+        return model.radius * g.uniform(0.0, 1.0, rows)[:, None] ** (1.0 / d) * unit
+    return (r[:, None] * unit) @ model._chol.T
 
 
-def _student_rows(g, rows, model):
-    scale = g.gamma(model.k / 2.0, 2.0 / model.k, rows)
-    return np.sqrt(model.scale2) * g.standard_normal((rows, model.d)) / np.sqrt(scale)[:, None]
+_MIXING = np.eye(7) + np.diag([0.5] * 6, 1)
+_DISPERSION = _MIXING @ _MIXING.T
 
 
 @pytest.mark.parametrize(
-    "model, centered",
-    [(GaussianIso(7, 1.3, "scaled:1"), _gaussian_rows), (StudentT(7, 6, "scaled:1"), _student_rows)],
-    ids=["gaussian", "student"],
+    "model",
+    [
+        GaussianIso(7, 1.3, "scaled:1"),
+        StudentT(7, 6, "scaled:1"),
+        SphereUniform(7, 1.2, "scaled:1"),
+        BallUniform(7, 0.9, "scaled:1"),
+        Elliptical(7, lambda t: np.exp(-t), _DISPERSION, "scaled:1", second_moment=7.0),
+        MixingCorruption(0.3, StudentT(7, 6), "scaled:1"),
+        AdditiveCorruption(0.2, StudentT(7, 6), "scaled:1"),
+        LinearTransform(_MIXING, GaussianIso(7, 0.8), "scaled:1"),
+        FourPointDegenerate("scaled:1"),
+        ProductIID(7, Uniform1D(1.3), "scaled:1"),
+    ],
+    ids=["gaussian", "student", "sphere", "ball", "elliptical", "mixture", "corrupt-add",
+         "linear", "four-point", "product"],
 )
-def test_gaussian_and_student_chunks_are_drawn_in_tasks(monkeypatch, model, centered):
+def test_gaussian_and_student_chunks_are_drawn_in_tasks(monkeypatch, model):
     # every family is drawn in tasks: each task's rows are the out-of-place
     # formula on the task's own substream, plus theta, on 1 and 3 threads
     # alike; a chunk's first task draws from the chunk's own substream
@@ -376,12 +435,55 @@ def test_gaussian_and_student_chunks_are_drawn_in_tasks(monkeypatch, model, cent
         _force_tasks(monkeypatch, threads)
         chunks = list(model.iter_chunks(n, seed))
         assert len(chunks) == 1
-        cuts = _mc._draw_cuts(n, 7)
-        assert len(cuts) == 13
+        cuts = _mc._draw_cuts(n, model.d)
+        assert len(cuts) == n * model.d // (20 * 7) + 1
         for k in range(len(cuts) - 1):
             rows = cuts[k + 1] - cuts[k]
-            want = centered(substream(seed, 0, k), rows, model) + model.theta
+            want = _centered_rows(substream(seed, 0, k), rows, model) + model.theta
             assert _same_bits(chunks[0][cuts[k] : cuts[k + 1]], want), (threads, k)
+
+
+def _library_stream(name, n, seed):
+    """(arrays drawn, chunk width) of a dense kernel's chunks or of the
+    square-bias construction, at d = 5."""
+    d, k = 5, 6
+    student = StudentT(d, k, "scaled:1")
+    if name in ("average-kernel", "mixture-kernel"):
+        if name == "average-kernel":
+            model, kernel = student, average_kernel([student_kernel(k, d)] * 3)
+        else:
+            model = MixingCorruption(0.3, StudentT(d, k), "scaled:1")
+            gauss = GaussianIso(d, student.sigma2)
+            kernel = mixture_kernel([(gauss, gaussian_kernel(gauss.cov())),
+                                     (StudentT(d, k), student_kernel(k, d))], [0.7, 0.3])
+        chunks = kernel.chunks(model, n, seed)
+        return [a for c in chunks for a in (c.X, c.terms[0].W.mats)], d * d
+    if name == "construct-product":
+        return [zb_construct(ProductIID(d, Uniform1D(1.3), "scaled:1"), 2, n, seed)], d
+    draws, ess = zb_construct(SphereUniform(d, 1.0, "scaled:1"), 2, n, seed, return_ess=True)
+    return [draws, np.float64(ess)], 8 * d
+
+
+@pytest.mark.parametrize("name", ["average-kernel", "mixture-kernel", "construct-product",
+                                  "construct-sir"])
+def test_dense_kernels_and_construction_are_drawn_in_tasks(monkeypatch, name):
+    # the mixture and average kernels' chunks and the square-bias
+    # construction are drawn in draw tasks: task k of chunk i from
+    # substream(seed, i, k) and no other stream, with the same bytes on 1
+    # and 3 threads
+    n, seed = 300, 8
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 3000)  # 120 rows of width 25 a chunk
+    outputs = []
+    for threads in (1, 3):
+        _force_tasks(monkeypatch, threads)
+        made = _task_streams(monkeypatch)
+        arrays, width = _library_stream(name, n, seed)
+        keys = [(seed, i, k) for i, rows in chunk_plan(n, width)
+                for k in range(len(_mc._draw_cuts(rows, 5)) - 1)]
+        assert len(keys) > len(list(chunk_plan(n, width)))
+        assert sorted(made) == keys
+        outputs.append(b"".join(a.tobytes() for a in arrays))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("raising_block", ["worker", "caller"])

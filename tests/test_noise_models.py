@@ -100,7 +100,7 @@ def _out_of_place_draw(model, rng, m):
 
 @pytest.mark.parametrize("name", ["student", "sphere", "ball", "corrupt-add"])
 def test_in_place_draws_keep_the_bits(name):
-    # iter_chunks shifts the draw in place and _draw scales it in place; the
+    # iter_chunks shifts the draw in place and _fill scales it in place; the
     # float operations and their order are those of the out-of-place form
     model = _family_zoo(7)[name]
     X = next(model.iter_chunks(500, 29))
