@@ -14,13 +14,15 @@ on the core count.  `_DRAW_TASK` is part of the stream's definition, not a
 tuning constant.
 
 `run` is the one streaming engine: every Monte Carlo estimate in the
-package is a mean of per-row statistics accumulated over one chunk stream.
-It evaluates the statistics of a plain (rows, d) array chunk in row tasks
-on all usable cores, with a task layout fixed by (rows, d), and joins the
-tasks' rows before one accumulator update per chunk, so its bytes do not
-depend on the core count.  `JointChunk` streams are evaluated whole.
+package is a mean of per-row statistics accumulated over one chunk stream,
+one accumulator update per chunk.  `draw_run` is `run` over a stream of
+plain draws, fused with the draw: each draw task fills its rows into a
+buffer its thread reuses and evaluates the statistics on them at once, so a
+pass holds one draw task per thread, not a chunk, and its bytes are those
+of `run` over the drawn chunks, whatever the core count.  Streams of
+`JointChunk`s are evaluated whole by `run`.
 
-Both take their tasks in turn on threads started by `_in_turn`.
+Both draw their tasks in turn on threads started by `_in_turn`.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ def substream(seed: int, index: int, task: int = 0) -> np.random.Generator:
 # stream (changing it changes the bytes), and it is not a tuning constant.
 # A task is about 2 MB, and a full chunk of `_CHUNK_BUDGET` doubles makes 32.
 _DRAW_TASK = 1 << 18
-# Doubles of a chunk per row task of `run`: a task's per-row temporaries stay
-# a few MB, and a full chunk of `_CHUNK_BUDGET` doubles makes 32 tasks.  Kept
-# apart from `_DRAW_TASK`, so a statistic's task size never moves a byte.
-_ROW_TASK = 1 << 18
 # Draw tasks per thread: a draw of up to 4 tasks (2^20 doubles) stays on the
 # calling thread, and each further thread comes with up to 4 more tasks.  A
 # thread saved nothing on so few 2-7 ms tasks while another process held its
@@ -263,54 +261,56 @@ def run(chunks, values) -> dict:
 
     All statistics see the same chunk, so paired estimates share their
     random numbers and the stream is drawn once.  One chunk is live at a
-    time: the loop lets go of it before the next one is drawn.  A plain
-    (rows, d) array chunk is evaluated in row tasks on all usable cores
-    (`_row_values`), so `values` must give each row a value that depends on
-    that row alone, bit for bit, and must not change shared state.
+    time: the loop lets go of it before the next one is drawn.
     """
     accs = {}
     for chunk in chunks:
-        for name, rows in _row_values(chunk, values).items():
+        for name, rows in values(chunk).items():
             accs.setdefault(name, Accumulator()).add(rows)
         del chunk
     return accs
 
 
-def _row_cuts(rows: int, d: int, task: int | None = None) -> list[int]:
-    """Row bounds of the tasks of a (rows, d) chunk: about `task` doubles
-    each (`_ROW_TASK` if None), a layout fixed by (rows, d) alone."""
-    tasks = max(1, min(rows, rows * d // (_ROW_TASK if task is None else task)))
-    return [rows * k // tasks for k in range(tasks + 1)]
+def draw_run(n: int, seed: int, d: int, fill, values) -> dict:
+    """`run(draw_chunks(n, seed, d, ...), values)` for the stream whose draw
+    tasks write their rows by `fill(rng, out)`, bit for bit, in one step per
+    draw task: the task fills its rows into a buffer that the next task of
+    its thread reuses, and evaluates `values` on them at once.  The tasks'
+    per-row values are joined in row order, with one accumulator update per
+    chunk in chunk order, so nothing depends on the core count, and a pass
+    holds one task's rows per thread, not a chunk.  `values` must give each
+    row a value that depends on that row alone, bit for bit, and must not
+    change shared state."""
+    accs = {}
+    free = []  # the buffers of finished tasks
+
+    def task(rng, a, b):
+        try:
+            buf = free.pop()
+        except IndexError:  # every buffer is in use
+            buf = np.empty((0, d))
+        if len(buf) < b - a:
+            del buf  # let go of it before its larger successor is made
+            buf = np.empty((b - a, d))
+        fill(rng, buf[: b - a])
+        part = values(buf[: b - a])
+        # a value that is a view of the rows must not see the next task's draw
+        part = {name: v.copy() if np.may_share_memory(v, buf) else v for name, v in part.items()}
+        free.append(buf)
+        return part
+
+    for idx, rows in chunk_plan(n, d):
+        parts = draw_tasks(seed, idx, rows, d, task)
+        for name in parts[0]:
+            accs.setdefault(name, Accumulator()).add(np.concatenate([part[name] for part in parts]))
+    return accs
 
 
 def _draw_cuts(rows: int, d: int) -> list[int]:
-    """Row bounds of the draw tasks of a (rows, d) chunk: `_row_cuts`'s rule
-    with `_DRAW_TASK` doubles per task."""
-    return _row_cuts(rows, d, _DRAW_TASK)
-
-
-def _row_values(chunk, values) -> dict:
-    """`values(chunk)`, evaluated on the row tasks of a plain array chunk by
-    the calling thread and up to `_usable_cores() - 1` more, each name's
-    task outputs joined in row order.  Other chunks (a `JointChunk`) and
-    chunks of one task are evaluated whole on the calling thread.
-
-    When every row's value depends on its row alone, the joined arrays are
-    bit-identical to `values(chunk)`, whatever the core count.
-    """
-    if not isinstance(chunk, np.ndarray) or chunk.ndim != 2:
-        return values(chunk)
-    cuts = _row_cuts(*chunk.shape)
-    tasks = len(cuts) - 1
-    if tasks == 1:
-        return values(chunk)
-    parts = [None] * tasks
-
-    def evaluate(k):
-        parts[k] = values(chunk[cuts[k] : cuts[k + 1]])
-
-    _in_turn(tasks, _usable_cores(), evaluate)
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    """Row bounds of the draw tasks of a (rows, d) chunk, about `_DRAW_TASK`
+    doubles each: a layout fixed by (rows, d) alone."""
+    tasks = max(1, min(rows, rows * d // _DRAW_TASK))
+    return [rows * k // tasks for k in range(tasks + 1)]
 
 
 def report_from(acc: Accumulator, seed: int, label: str = "") -> RiskReport:

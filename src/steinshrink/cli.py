@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._mc import report_from, run
+from ._mc import report_from
 from .errors import EvaluationError, GuardAbort, MomentUnavailableError, ParameterError
 from .estimation import JamesStein, make_estimator, select_lambda, soft_threshold
 from .laws1d import Laplace1D, SmoothedRademacher1D, Uniform1D
@@ -230,6 +230,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     texts += [(key, flags[key]) for key in cfg if flags[key] is not None]
     for key, text in texts:
         cfg[key] = _cast(args.command, key, text)
+    # `sure --select-lambda` picks lambda per row for the soft-threshold rule
+    unread = {"lam", "estimator"} & {key for key, _ in texts} if cfg.get("select_lambda") else ()
+    if unread:
+        raise ParameterError("sure --select-lambda reads no "
+                             + " or ".join(_OPTIONS[key].flag for key in sorted(unread)))
     cfg["command"] = args.command
     return cfg
 
@@ -369,8 +374,7 @@ def cmd_risk(cfg: dict) -> CsvWriter:
             values.update(discrepancy_values(kernel, chunk))
         return values
 
-    chunks = model.iter_chunks(n, seed) if kernel is None else kernel.chunks(model, n, seed)
-    accs = guarded_pass(chunks, stat, n, est)
+    accs = guarded_pass(model, n, seed, stat, est, kernel)
     rep = report_from(accs["risk"], seed, label)
     cells = dict.fromkeys(_BOUND_COLUMNS)
     if bounds:
@@ -459,8 +463,8 @@ def cmd_sure(cfg: dict) -> CsvWriter:
             dev = soft_threshold(X, lam_hat[:, None]) - model.theta
             return {"lambda": lam_hat, "sure": value, "risk": np.einsum("ij,ij->i", dev, dev)}
 
-        # `run`'s row tasks bound the (rows, d) temporaries of `selected`
-        accs = run(model.iter_chunks(n, seed), selected)
+        # draw tasks bound the (rows, d) temporaries of `selected`
+        accs = model.accumulate(n, seed, selected)
         lam_hat, sure_val, risk = (acc.mean for acc in accs.values())
         estimator = "soft-threshold:lambda-hat"
         w.comment(f"bias_bound: not applicable: {_zb_coupling(model, 'soft_threshold')[1]}")

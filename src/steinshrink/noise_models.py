@@ -5,7 +5,9 @@ Every model is immutable after construction and samples through
 agree bit-for-bit.  A family's one sampling hook is `_fill(rng, out)`, a
 centered draw written in place; `iter_chunks` hands each draw task's rows
 of a chunk to it and adds theta in place (`NoiseModel._located`;
-`_mc.draw_chunks`), and a composite law draws its parts with `_draw`.
+`_mc.draw_chunks`), `accumulate` hands them to a pass's statistics without
+making the chunk (`_mc.draw_run`), and a composite law draws its parts with
+`_draw`.
 
 A note on the Student family: it is realized by the Gamma variance
 mixture X = theta + s * N / sqrt(g) with g ~ Gamma(k/2, rate k/2) and
@@ -23,11 +25,12 @@ on first use (`quadrature.elliptical_second_moment`).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import draw_chunks
+from ._mc import draw_chunks, draw_run
 from .errors import MomentUnavailableError, ParameterError
 from .laws1d import Law1D
 from .quadrature import elliptical_second_moment
@@ -88,6 +91,11 @@ class NoiseModel:
         cores; the generator lets go of a chunk before drawing the next."""
         yield from draw_chunks(n, seed, self.d, lambda rng, X, a, b: self._located(rng, X[a:b]),
                                lambda rows: np.empty((rows, self.d)))
+
+    def accumulate(self, n: int, seed: int, values) -> dict:
+        """`_mc.run(self.iter_chunks(n, seed), values)`, bit for bit, in one
+        fused pass that holds a draw task's rows per thread, not a chunk."""
+        return draw_run(n, seed, self.d, self._located, values)
 
     def _located(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """theta + a fresh centered draw, written into the rows `out`."""
@@ -405,6 +413,7 @@ class Elliptical(NoiseModel):
         self._chol = np.linalg.cholesky(disp)
         self._eq = elliptical_second_moment(generator, d) if second_moment is None else second_moment
         self._radial_cdf = None
+        self._radial_lock = threading.Lock()  # draw tasks on several threads build it once
 
     @classmethod
     def gaussian(cls, d: int, sigma2: float = 1.0, theta=None) -> "Elliptical":
@@ -448,25 +457,26 @@ class Elliptical(NoiseModel):
         return bool(np.allclose(self.dispersion, np.diag(np.diag(self.dispersion))))
 
     def _radial_inverse_cdf(self):
-        if self._radial_cdf is None:
-            # tabulate F(r) for r = ||z||, density prop to r^(d-1) phi(r^2/2);
-            # extend the range until the local tail mass estimate is negligible
-            def f(r):
-                return r ** (self.d - 1) * self.generator(r * r / 2.0)
+        with self._radial_lock:
+            if self._radial_cdf is None:
+                # tabulate F(r) for r = ||z||, density prop to r^(d-1) phi(r^2/2);
+                # extend the range until the local tail mass estimate is negligible
+                def f(r):
+                    return r ** (self.d - 1) * self.generator(r * r / 2.0)
 
-            hi, peak = 1.0, 0.0
-            while hi < 1e30:
-                peak = max(peak, f(hi))
-                if f(hi) * hi < 1e-14 * max(peak, 1e-300):
-                    break
-                hi *= 2.0
-            grid = np.linspace(0.0, hi, 1 << 15)
-            pdf = grid ** (self.d - 1) * np.asarray([self.generator(t) for t in grid * grid / 2.0])
-            cdf = np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))
-            cdf = np.concatenate([[0.0], cdf])
-            cdf /= cdf[-1]
-            self._radial_cdf = (grid, cdf)
-        return self._radial_cdf
+                hi, peak = 1.0, 0.0
+                while hi < 1e30:
+                    peak = max(peak, f(hi))
+                    if f(hi) * hi < 1e-14 * max(peak, 1e-300):
+                        break
+                    hi *= 2.0
+                grid = np.linspace(0.0, hi, 1 << 15)
+                pdf = grid ** (self.d - 1) * np.asarray([self.generator(t) for t in grid * grid / 2.0])
+                cdf = np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))
+                cdf = np.concatenate([[0.0], cdf])
+                cdf /= cdf[-1]
+                self._radial_cdf = (grid, cdf)
+            return self._radial_cdf
 
     def _fill(self, rng, out):
         grid, cdf = self._radial_inverse_cdf()

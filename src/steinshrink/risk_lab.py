@@ -63,13 +63,16 @@ class BoundInputs:
 # Monte Carlo estimates
 
 
-def guarded_pass(chunks, stat, n: int, estimator: EstimatorSpec | None = None) -> dict:
-    """One pass over a model's draws: `stat(chunk, sq)` returns per-row values
-    by name, with sq = ||x||^2 computed once per row; returns one accumulator
-    per name.  A chunk is a draw X or an identity chunk carrying one.  Aborts
-    when more than _GUARD_RATE of the n draws sit at the estimator's
-    singularity.  The row tasks of `run` may run on several threads: each
-    appends its own count, and the counts are summed after the pass."""
+def guarded_pass(model: NoiseModel, n: int, seed: int, stat,
+                 estimator: EstimatorSpec | None = None, kernel=None) -> dict:
+    """One pass over the model's n draws from `seed`: `stat(chunk, sq)`
+    returns per-row values by name, with sq = ||x||^2 computed once per row;
+    returns one accumulator per name.  A chunk is the draw X, in the fused
+    draw tasks of `NoiseModel.accumulate`, or with a kernel one of its
+    identity chunks, which carries X.  Aborts when more than _GUARD_RATE of
+    the n draws sit at the estimator's singularity.  The tasks may run on
+    several threads: each appends its own count, and the counts are summed
+    after the pass."""
     singular_counts = []
 
     def values(chunk):
@@ -79,7 +82,10 @@ def guarded_pass(chunks, stat, n: int, estimator: EstimatorSpec | None = None) -
             singular_counts.append(int(estimator.singular_rows(X, sq).sum()))
         return stat(chunk, sq)
 
-    accs = run(chunks, values)
+    if kernel is None:
+        accs = model.accumulate(n, seed, values)
+    else:
+        accs = run(kernel.chunks(model, n, seed), values)
     singular = sum(singular_counts)
     if singular > _GUARD_RATE * n:
         raise GuardAbort(
@@ -108,8 +114,7 @@ def risk_statistic(estimator: EstimatorSpec, theta, excess: bool = False):
 
 def _mean(model, n: int, seed: int, estimator, row_stat, label: str) -> RiskReport:
     """Mean of `row_stat(X, sq)` over the model's draws, by `guarded_pass`."""
-    chunks = model.iter_chunks(n, seed)
-    acc = guarded_pass(chunks, lambda X, sq: {label: row_stat(X, sq)}, n, estimator)[label]
+    acc = guarded_pass(model, n, seed, lambda X, sq: {label: row_stat(X, sq)}, estimator)[label]
     return report_from(acc, seed, label=label)
 
 
@@ -137,7 +142,7 @@ def sure_pass(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) ->
         loss = estimator.loss(X, model.theta, sq)
         return {"risk": loss, "bias": sure(X, estimator, cov, sq) - loss}
 
-    return guarded_pass(model.iter_chunks(n, seed), stat, n, estimator)
+    return guarded_pass(model, n, seed, stat, estimator)
 
 
 def sure_bias(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:

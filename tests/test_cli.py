@@ -370,7 +370,8 @@ _RISK = ["risk", "--bounds"]
     ],
 )
 def test_every_blank_bound_cell_says_why(tmp_path, args, notes):
-    code, out = _run(tmp_path, "notes", *args, "--theta", "scaled:3", "--lambda", "2",
+    lam = [] if "--select-lambda" in args else ["--lambda", "2"]  # it picks its own
+    code, out = _run(tmp_path, "notes", *args, "--theta", "scaled:3", *lam,
                      "--reps", "2000", "--seed", "1")
     assert code == 0
     meta, header, rows = _data_rows(out)
@@ -543,7 +544,11 @@ def test_config_file_and_flags_give_the_same_bytes(tmp_path):
     assert set(_EVERY_OPTION) | {"out"} == set(cli._OPTIONS)
     assert set().union(*_READS.values()) == set(cli._OPTIONS)  # every option is run below
     echoes = {}
-    for command, keys in _READS.items():
+    # `sure --select-lambda` reads no --lambda or --estimator: sure runs twice
+    runs = [(command, keys - {"select_lambda"} if command == "sure" else keys)
+            for command, keys in _READS.items()]
+    runs.append(("sure", _READS["sure"] - {"lam", "estimator"}))
+    for command, keys in runs:
         options = {key: _EVERY_OPTION[key] for key in _EVERY_OPTION if key in keys}
         if command == "identity-check":
             options["model"] = ("--model", "student")  # a suite row
@@ -556,7 +561,8 @@ def test_config_file_and_flags_give_the_same_bytes(tmp_path):
         assert main([command, "--out", str(by_flags), *_as_flags(options)]) == 0, command
         assert by_file.read_bytes() == by_flags.read_bytes(), command
         echoes[command] = _data_rows(by_file)[0][1].split()[2:]
-        assert {item.split("=")[0] for item in echoes[command]} == keys - {"out"} | {"command"}
+        echoed = {item.split("=")[0] for item in echoes[command]}
+        assert echoed == _READS[command] - {"out"} | {"command"}
     assert {"lam=3.5", "bounds=true"} <= set(echoes["risk"])
     assert "c_high=10.0" in echoes["sphere-demo"]
 
@@ -625,12 +631,17 @@ def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command, key", [
     pytest.param(command, key, id=f"{command}-{key}")
     for command, keys in _READS.items() for key in _EVERY_OPTION if key not in keys
+] + [
+    # the soft-threshold rule with a lambda picked per row
+    pytest.param("sure --select-lambda", key, id=f"sure-select-lambda-{key}")
+    for key in ("lam", "estimator")
 ])
 def test_an_option_the_command_does_not_read_exits_two(tmp_path, capsys, command, key):
     out = tmp_path / "unread.csv"
     (tmp_path / "unread.cfg").write_text(f"{key}={_EVERY_OPTION[key][1]}\n")
     as_config = ["--config", str(tmp_path / "unread.cfg")]
-    for argv in ([command, *_as_flags({key: _EVERY_OPTION[key]})], [command, *as_config]):
+    command = command.split()
+    for argv in ([*command, *_as_flags({key: _EVERY_OPTION[key]})], [*command, *as_config]):
         assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
@@ -691,16 +702,17 @@ def test_csv_bytes_do_not_depend_on_draw_workers(tmp_path, monkeypatch, args):
     ],
 )
 def test_csv_bytes_do_not_depend_on_statistic_threads(tmp_path, monkeypatch, args):
-    # the per-row statistics of a plain chunk run in row tasks on every
-    # usable core; whole chunks, tiny tasks (a row or a few at d = 1024) and
-    # 1, 2 or 3 threads must all give the same CSV bytes
+    # the per-row statistics of the model's draws run in the draw tasks that
+    # draw their rows, each task on the next free thread; the draw rule's
+    # threads and a thread for every task, on 1, 2 or 3 cores, must all give
+    # the same CSV bytes
     from steinshrink import _mc
 
     outputs = []
-    for threads, task in ((1, 1 << 60), (1, 997), (2, 997), (3, 997), (3, _mc._ROW_TASK)):
+    for threads, per_thread in ((1, 1), (2, 1), (3, 1), (3, _mc._DRAW_TASKS_PER_THREAD)):
         monkeypatch.setattr(_mc, "_usable_cores", lambda k=threads: k)
-        monkeypatch.setattr(_mc, "_ROW_TASK", task)
-        code, out = _run(tmp_path, f"t{threads}-{task}", *args)
+        monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", per_thread)
+        code, out = _run(tmp_path, f"t{threads}-{per_thread}", *args)
         assert code == 0
         outputs.append(out.read_bytes())
     assert all(output == outputs[0] for output in outputs)
@@ -715,7 +727,7 @@ def test_guard_abort_in_a_worker_task_exits_three(tmp_path, monkeypatch, capsys)
     from steinshrink import _mc, cli
 
     monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(_mc, "_ROW_TASK", 7 * 20)
+    monkeypatch.setattr(_mc, "_DRAW_TASK", 7 * 20)
     caller, raised_on = threading.current_thread(), []
     real = cli.inverse_moment
 

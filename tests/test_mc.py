@@ -23,6 +23,7 @@ from steinshrink import (
     LinearTransform,
     MixingCorruption,
     Mixture,
+    NoiseModel,
     ProductIID,
     SoftThreshold,
     SphereUniform,
@@ -153,20 +154,19 @@ def test_run_fused_stats_equal_separate_runs():
         assert fused[name].n == n
 
 
-def test_mc_risk_holds_one_chunk():
-    # the draw is shifted in place, James-Stein reads its loss off row sums,
-    # and neither the engine nor the sampler keeps a chunk while the next is
-    # drawn: the peak stays one chunk plus per-row vectors
+def test_mc_risk_holds_a_draw_task_per_thread():
+    # the pass draws and scores each draw task in a buffer its thread reuses,
+    # so no chunk (67 MB at d = 1600) is made: the peak stays a few tasks
+    # of 2 MB and per-row vectors
     d = 1600
-    rows = chunk_rows(d)
     model = ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0 * d)))
     tracemalloc.start()
     try:
-        mc_risk(model, JamesStein((d - 2) / d), 3 * rows + 7, 19)
+        mc_risk(model, JamesStein((d - 2) / d), 20000, 19)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * rows * d * 8
+    assert peak < 16 * 2**20
 
 
 def test_coordinate_sum_residual_holds_one_joint_chunk():
@@ -409,23 +409,23 @@ _MIXING = np.eye(7) + np.diag([0.5] * 6, 1)
 _DISPERSION = _MIXING @ _MIXING.T
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        GaussianIso(7, 1.3, "scaled:1"),
-        StudentT(7, 6, "scaled:1"),
-        SphereUniform(7, 1.2, "scaled:1"),
-        BallUniform(7, 0.9, "scaled:1"),
-        Elliptical(7, lambda t: np.exp(-t), _DISPERSION, "scaled:1", second_moment=7.0),
-        MixingCorruption(0.3, StudentT(7, 6), "scaled:1"),
-        AdditiveCorruption(0.2, StudentT(7, 6), "scaled:1"),
-        LinearTransform(_MIXING, GaussianIso(7, 0.8), "scaled:1"),
-        FourPointDegenerate("scaled:1"),
-        ProductIID(7, Uniform1D(1.3), "scaled:1"),
-    ],
-    ids=["gaussian", "student", "sphere", "ball", "elliptical", "mixture", "corrupt-add",
-         "linear", "four-point", "product"],
-)
+_FAMILIES = [
+    GaussianIso(7, 1.3, "scaled:1"),
+    StudentT(7, 6, "scaled:1"),
+    SphereUniform(7, 1.2, "scaled:1"),
+    BallUniform(7, 0.9, "scaled:1"),
+    Elliptical(7, lambda t: np.exp(-t), _DISPERSION, "scaled:1", second_moment=7.0),
+    MixingCorruption(0.3, StudentT(7, 6), "scaled:1"),
+    AdditiveCorruption(0.2, StudentT(7, 6), "scaled:1"),
+    LinearTransform(_MIXING, GaussianIso(7, 0.8), "scaled:1"),
+    FourPointDegenerate("scaled:1"),
+    ProductIID(7, Uniform1D(1.3), "scaled:1"),
+]
+_FAMILY_IDS = ["gaussian", "student", "sphere", "ball", "elliptical", "mixture", "corrupt-add",
+               "linear", "four-point", "product"]
+
+
+@pytest.mark.parametrize("model", _FAMILIES, ids=_FAMILY_IDS)
 def test_gaussian_and_student_chunks_are_drawn_in_tasks(monkeypatch, model):
     # every family is drawn in tasks: each task's rows are the out-of-place
     # formula on the task's own substream, plus theta, on 1 and 3 threads
@@ -553,13 +553,13 @@ def test_a_thread_is_started_for_every_four_draw_tasks(monkeypatch):
 
 
 def test_draw_tasks_follow_rows_and_d_only(monkeypatch):
-    # the draw layout is fixed by (rows, d) and `_DRAW_TASK`: neither the
-    # core count nor the statistics' task size moves it
+    # the draw layout is fixed by (rows, d) and `_DRAW_TASK`: the core count
+    # does not move it
     cuts = _mc._draw_cuts(1 << 16, 128)
     assert len(cuts) == 33 and cuts[0] == 0 and cuts[-1] == 1 << 16
     monkeypatch.setattr(_mc, "_usable_cores", lambda: 1)
-    monkeypatch.setattr(_mc, "_ROW_TASK", 997)
     assert _mc._draw_cuts(1 << 16, 128) == cuts
+    assert _mc._draw_cuts(100, 1000) == [0, 100]  # a small chunk is one task
     assert _mc._draw_cuts(3, 1 << 20) == [0, 1, 2, 3]  # at least one row per task
 
 
@@ -637,37 +637,50 @@ def test_laplace_inversion_tracks_numpy_laplace():
 
 
 # ---------------------------------------------------------------------------
-# per-row statistics in row tasks
+# per-row statistics in the fused draw tasks of `NoiseModel.accumulate`
 
 
-def _statistic_of(monkeypatch, module, call):
-    """The `values` function that `call()` hands to `module.run` first."""
+def _statistic_of(monkeypatch, call):
+    """The `values` function that `call()` hands to `NoiseModel.accumulate` first."""
     seen = []
-    real = module.run
+    real = NoiseModel.accumulate
 
-    def recording(chunks, values):
+    def recording(model, n, seed, values):
         seen.append(values)
-        return real(chunks, values)
+        return real(model, n, seed, values)
 
-    monkeypatch.setattr(module, "run", recording)
+    monkeypatch.setattr(NoiseModel, "accumulate", recording)
     call()
-    monkeypatch.setattr(module, "run", real)
+    monkeypatch.setattr(NoiseModel, "accumulate", real)
     return seen[0]
+
+
+def _drawing_rows_of(monkeypatch, X):
+    """A fill for `_mc.draw_run(len(X), seed, d, fill, values)` that draws the
+    rows of X, one chunk: each task's substream is its task index."""
+    cuts = _mc._draw_cuts(*X.shape)
+    monkeypatch.setattr(_mc, "substream", lambda seed, index, task=0: task)
+
+    def fill(task, out):
+        out[...] = X[cuts[task] : cuts[task + 1]]
+
+    return fill
 
 
 def _assert_rows_keep_bits(monkeypatch, values, X):
     # every row's values have the same bits whatever the height of the task
-    # that holds the row, and so do `run`'s joined row tasks on 3 threads
+    # that holds the row, and so do the fused pass's joined tasks on 3 threads
     whole = values(X)
     for height in (1, 2, 3, 5, 16):
         parts = [values(X[a : a + height]) for a in range(0, len(X), height)]
         for name, rows in whole.items():
             assert _same_bits(np.concatenate([part[name] for part in parts]), rows), (name, height)
-    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(_mc, "_ROW_TASK", 4 * X.shape[1])
-    joined = _mc._row_values(X, values)
-    assert list(joined) == list(whole)
-    assert all(_same_bits(joined[name], whole[name]) for name in whole)
+    _force_tasks(monkeypatch, 3, task=4 * X.shape[1])
+    monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
+    fused = _mc.draw_run(len(X), 0, X.shape[1], _drawing_rows_of(monkeypatch, X), values)
+    unsplit = run([X], values)
+    assert list(fused) == list(whole)
+    assert all(_fields(fused[name]) == _fields(unsplit[name]) for name in whole)
 
 
 _ESTIMATORS = [Identity(), JamesStein(0.0), JamesStein(9.0), SoftThreshold(0.7)]
@@ -684,7 +697,7 @@ _MODELS = {
 def test_risk_rows_keep_their_bits_across_task_heights(monkeypatch, estimator, excess):
     model = _MODELS["laplace"](11)
     estimate = mc_excess_risk if excess else mc_risk
-    values = _statistic_of(monkeypatch, risk_lab, lambda: estimate(model, estimator, 50, 3))
+    values = _statistic_of(monkeypatch, lambda: estimate(model, estimator, 50, 3))
     X = model.sample(37, 4)
     X[5] = 0.0  # a row at the shrinkage singularity
     _assert_rows_keep_bits(monkeypatch, values, X)
@@ -694,16 +707,14 @@ def test_risk_rows_keep_their_bits_across_task_heights(monkeypatch, estimator, e
 @pytest.mark.parametrize("family", list(_MODELS))
 def test_sure_rows_keep_their_bits_across_task_heights(monkeypatch, family, estimator):
     model = _MODELS[family](12)
-    values = _statistic_of(monkeypatch, risk_lab, lambda: sure_pass(model, estimator, 50, 3))
+    values = _statistic_of(monkeypatch, lambda: sure_pass(model, estimator, 50, 3))
     _assert_rows_keep_bits(monkeypatch, values, model.sample(37, 4))
 
 
 def test_select_lambda_rows_keep_their_bits_across_task_heights(tmp_path, monkeypatch):
-    from steinshrink import cli
-
     args = ["sure", "--model", "gaussian", "--d", "64", "--theta", "scaled:2",
             "--select-lambda", "--reps", "50", "--out", str(tmp_path / "s.csv")]
-    values = _statistic_of(monkeypatch, cli, lambda: main(args))
+    values = _statistic_of(monkeypatch, lambda: main(args))
     X = GaussianIso(64, 1.0, "scaled:2").sample(37, 4)
     assert list(values(X)) == ["lambda", "sure", "risk"]
     _assert_rows_keep_bits(monkeypatch, values, X)
@@ -712,49 +723,60 @@ def test_select_lambda_rows_keep_their_bits_across_task_heights(tmp_path, monkey
 @pytest.mark.parametrize("m", [1, 2])
 def test_inverse_moment_rows_keep_their_bits_across_task_heights(monkeypatch, m):
     model = _MODELS["student"](9)
-    values = _statistic_of(monkeypatch, risk_lab, lambda: mc_inverse_moment(model, m, 50, 3))
+    values = _statistic_of(monkeypatch, lambda: mc_inverse_moment(model, m, 50, 3))
     _assert_rows_keep_bits(monkeypatch, values, model.sample(37, 4))
 
 
-def test_row_tasks_follow_rows_and_d_only(monkeypatch):
-    # the layout is fixed by (rows, d); small chunks stay one task
-    assert _mc._row_cuts(100, 1000) == [0, 100]
-    cuts = _mc._row_cuts(1 << 16, 128)
-    assert len(cuts) == 33 and cuts[0] == 0 and cuts[-1] == 1 << 16
-    monkeypatch.setattr(_mc, "_usable_cores", lambda: 1)
-    assert _mc._row_cuts(1 << 16, 128) == cuts
-    assert _mc._row_cuts(3, 1 << 20) == [0, 1, 2, 3]  # at least one row per task
+@pytest.mark.parametrize("model", _FAMILIES, ids=_FAMILY_IDS)
+def test_fused_pass_equals_run_over_the_chunks(monkeypatch, model):
+    # two full chunks of 3 draw tasks and a remainder chunk of one, drawn and
+    # scored in the same tasks on 1, 2 and 3 threads: the accumulators are
+    # those of `run` over the chunks of `iter_chunks`, bit for bit.  "first"
+    # is a view of the rows, which the next task on its thread draws over
+    d, seed = model.d, 12
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 60 * d)
+    monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
+    n = 2 * 60 + 19
+
+    def values(X):
+        return {"norm2": np.einsum("ij,ij->i", X, X), "first": X[:, 0]}
+
+    for threads in (1, 2, 3):
+        _force_tasks(monkeypatch, threads, task=20 * d)
+        chunks = list(model.iter_chunks(n, seed))
+        assert [len(X) for X in chunks] == [60, 60, 19]
+        whole, fused = run(chunks, values), model.accumulate(n, seed, values)
+        assert list(fused) == ["norm2", "first"]
+        assert all(_fields(fused[name]) == _fields(whole[name]) for name in whole), threads
+        assert fused["first"].n == n
 
 
 def test_singular_count_is_exact_across_row_tasks(monkeypatch):
     # each task counts its own singular rows and the counts are summed after
-    # the pass, so no update of a shared counter can be lost; checked with
-    # more threads than cores, one-row tasks and a thread switch every
-    # microsecond
+    # the pass, so no update of a shared counter can be lost; checked on two
+    # chunks with more threads than cores, one-row tasks and a thread switch
+    # every microsecond.  Every draw of a zero-variance law sits at the origin
     d = 7
+    model = GaussianIso(d, 0.0)
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 1000 * d)
+    monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
     counts = []
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         for threads, task in ((1, 1 << 60), (3, 5 * d), (4, d)):
             monkeypatch.setattr(_mc, "_usable_cores", lambda k=threads: k)
-            monkeypatch.setattr(_mc, "_ROW_TASK", task)
-            chunks = []
-            for _ in range(2):
-                X = np.ones((1000, d))
-                X[::7] = 0.0  # 143 rows at the singularity per chunk
-                chunks.append(X)
+            monkeypatch.setattr(_mc, "_DRAW_TASK", task)
             with pytest.raises(GuardAbort) as info:
-                guarded_pass(iter(chunks), lambda X, sq: {"sq": sq}, 2000, JamesStein(1.0))
+                guarded_pass(model, 2000, 1, lambda X, sq: {"sq": sq}, JamesStein(1.0))
             counts.append(info.value.diagnostics["singular"])
     finally:
         sys.setswitchinterval(interval)
-    assert counts == [286, 286, 286]
+    assert counts == [2000, 2000, 2000]
 
 
 def test_guard_abort_in_a_worker_task_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(_mc, "_ROW_TASK", 5 * 7)
+    _force_tasks(monkeypatch, 3, task=5 * 7)
     caller, raised_on = threading.current_thread(), []
 
     def stat(X, sq):
@@ -767,14 +789,15 @@ def test_guard_abort_in_a_worker_task_reaches_the_caller(monkeypatch):
             raise
 
     with pytest.raises(GuardAbort, match="origin"):
-        guarded_pass(iter([np.ones((100, 7))]), stat, 100)
+        guarded_pass(GaussianIso(7, 1.0), 100, 1, stat)
     assert raised_on and caller not in raised_on
 
 
 def test_row_tasks_raise_the_first_failed_task(monkeypatch):
-    # the error a serial loop over the tasks would meet first is the one raised
-    monkeypatch.setattr(_mc, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(_mc, "_ROW_TASK", 2)
+    # the error a serial loop over the fused tasks would meet first is the
+    # one raised, though a later task may fail first on another thread
+    _force_tasks(monkeypatch, 3, task=2)
+    fill = _drawing_rows_of(monkeypatch, np.arange(20.0)[:, None])
 
     def values(X):  # ten tasks of two rows; those from row 4 on fail
         if X[-1, 0] >= 5:
@@ -783,4 +806,4 @@ def test_row_tasks_raise_the_first_failed_task(monkeypatch):
 
     for _ in range(20):
         with pytest.raises(ValueError, match="task from row 4$"):
-            run(iter([np.arange(20.0)[:, None]]), values)
+            _mc.draw_run(20, 0, 1, fill, values)

@@ -270,6 +270,24 @@ def test_elliptical_closed_form_shortcuts_agree_with_quadrature():
     assert np.allclose(stud_closed.cov(), stud_model.cov(), atol=1e-9)
 
 
+def test_elliptical_radial_table_is_built_once_across_draw_threads(monkeypatch):
+    # 30000 rows of d = 50 make 5 draw tasks, drawn on 2 threads; the first
+    # task of each thread needs the 2^15-point radial table, built once
+    from steinshrink import _mc
+
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 2)
+    calls = []
+
+    def generator(t):
+        calls.append(t)
+        return math.exp(-t)
+
+    model = ss.Elliptical(50, generator, np.eye(50), second_moment=50.0)
+    X = model.sample(30000, 1)
+    assert len(_mc._draw_cuts(30000, 50)) == 6 and X.shape == (30000, 50)
+    assert 1 << 15 <= len(calls) < 1.5 * (1 << 15)
+
+
 def test_elliptical_rejects_a_generator_with_no_radial_mass():
     with pytest.raises(ParameterError, match="not normalizable"):
         ss.Elliptical(3, lambda t: 0.0, np.eye(3))
