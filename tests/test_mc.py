@@ -751,6 +751,29 @@ def test_fused_pass_equals_run_over_the_chunks(monkeypatch, model):
         assert fused["first"].n == n
 
 
+def test_row_tasks_follow_rows_and_d_only(monkeypatch):
+    # the rows a fused pass hands its statistics at once are those of one
+    # draw task, so their layout is fixed by (rows, d): small chunks stay one
+    # task, and the core count does not move it
+    def heights(rows, d, threads):
+        monkeypatch.setattr(_mc, "_usable_cores", lambda: threads)
+        seen = []
+
+        def values(X):
+            seen.append(len(X))
+            return {"x": X[:, 0]}
+
+        accs = _mc.draw_run(rows, 0, d, lambda rng, out: out.fill(1.0), values)
+        assert accs["x"].n == rows
+        return sorted(seen)
+
+    assert heights(100, 1000, 4) == [100]
+    tall = heights(1 << 16, 128, 4)
+    assert tall == [2048] * 32
+    assert heights(1 << 16, 128, 1) == tall
+    assert heights(3, 1 << 20, 3) == [1, 1, 1]  # at least one row per task
+
+
 def test_singular_count_is_exact_across_row_tasks(monkeypatch):
     # each task counts its own singular rows and the counts are summed after
     # the pass, so no update of a shared counter can be lost; checked on two
