@@ -230,13 +230,36 @@ def resolve_config(args: argparse.Namespace) -> dict:
     texts += [(key, flags[key]) for key in cfg if flags[key] is not None]
     for key, text in texts:
         cfg[key] = _cast(args.command, key, text)
+    given = {key for key, _ in texts}
     # `sure --select-lambda` picks lambda per row for the soft-threshold rule
-    unread = {"lam", "estimator"} & {key for key, _ in texts} if cfg.get("select_lambda") else ()
-    if unread:
-        raise ParameterError("sure --select-lambda reads no "
-                             + " or ".join(_OPTIONS[key].flag for key in sorted(unread)))
+    if cfg.get("select_lambda"):
+        _refuse(given, {"lam", "estimator"}, "sure --select-lambda")
+    if "outlier" in cfg:  # the command builds its model by `build_model`
+        unread = _unread_model_options(cfg)
+        model = f"--model {cfg['model']}"
+        if "outlier" not in unread:  # a corrupt model, whose outlier reads --k or not
+            model += f" --outlier {cfg['outlier']}"
+        _refuse(given, unread, f"{args.command} {model}")
+        for key in unread:  # not echoed: they did not shape the run
+            del cfg[key]
     cfg["command"] = args.command
     return cfg
+
+
+def _unread_model_options(cfg: dict) -> set:
+    """The options of `_MODEL` that `build_model` does not read for this model:
+    --eps and --outlier but for the corrupt models, --k but for Student noise,
+    a Student outlier included."""
+    corrupt = cfg["model"] in ("corrupt-add", "corrupt-mix")
+    student = cfg["model"] == "student" or (corrupt and cfg["outlier"] == "student")
+    return (set() if corrupt else {"eps", "outlier"}) | (set() if student else {"k"})
+
+
+def _refuse(given: set, unread: set, what: str) -> None:
+    """A usage error if an option of `unread` was given, as a flag or a config key."""
+    if given & unread:
+        raise ParameterError(f"{what} reads no "
+                             + " or ".join(_OPTIONS[key].flag for key in sorted(given & unread)))
 
 
 def build_model(cfg: dict) -> NoiseModel:

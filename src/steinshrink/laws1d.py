@@ -3,13 +3,14 @@
 Each law exposes exact moments (variance, c4, c6, c8), its rescaled copy
 (`scaled`), a density, the tail integral tail(y) = integral_y^inf u p(u) du,
 its one-dimensional Stein kernel T(y) = tail(y) / p(y), and an exact sampler
-of its zero-bias law, U times a square-biased draw.  The zero-bias density
-is tail(y) / var, so the tail integral is the one closed form of both.
+of its zero-bias law.  The zero-bias density is tail(y) / var, so the tail
+integral is the one closed form of both.
 
-Laplace and uniform variates are inversions of one uniform each, written
-in place one sub-block at a time (`_Inversion`).  A law draws serially on
-the generator it is given; a chunk is drawn on the usable cores one level
-up, in draw tasks that each have their own generator (`_mc.draw_tasks`).
+Laplace and uniform variates are inversions of one uniform each, and their
+zero-bias variates take one more; both are written in place one sub-block
+at a time (`_Inversion`).  A law draws serially on the generator it is
+given; a chunk is drawn on the usable cores one level up, in draw tasks
+that each have their own generator (`_mc.draw_tasks`).
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ import numpy as np
 
 from .errors import EvaluationError, ParameterError
 
-# Variates per `_Inversion._fill` call: the sub-block and its scratch (256 KB
-# each) stay in cache through the fill's passes and the shift.
+# Variates per `_Inversion` fill call: the sub-block and its scratch (256 KB
+# each) stay in cache through the fill's passes and the shift.  A zero-bias
+# sub-block takes all its first uniforms, then all its second ones, so this
+# constant is part of the companion stream's definition (changing it changes
+# the bytes of every zero-bias draw), as `_mc._DRAW_TASK` is of every stream.
 _SUB_BLOCK = 1 << 15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
@@ -45,23 +49,6 @@ def _normal_sf(y, loc, scale):
     from scipy.special import ndtr
 
     return ndtr(-(np.asarray(y, dtype=float) - loc) / scale)
-
-
-def _random_sign(rng: np.random.Generator, mag: np.ndarray) -> np.ndarray:
-    """Negate each entry of `mag` in place with probability 1/2.
-
-    The stream and the bits are those of mag * rng.choice([-1.0, 1.0], size):
-    `choice` draws the same integers and indexes [-1, 1] with them.  Where
-    the draw is 0 the sign bit is flipped, which is exactly a product with
-    -1.0; an integer xor does it in one pass, where a masked `np.negative`
-    runs slower than the `choice` product it replaces.
-    """
-    flip = rng.integers(0, 2, mag.shape)
-    flip ^= 1
-    flip <<= 63  # the sign bit of a float64
-    bits = mag.view(np.int64)
-    bits ^= flip
-    return mag
 
 
 class Law1D:
@@ -125,41 +112,52 @@ class Law1D:
         return self.tail_first_moment(y) / p
 
     def zb_sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw from the zero-bias law via U * (square-biased draw)."""
-        u = rng.uniform(0.0, 1.0, size)
-        out = self.square_bias_sample(rng, size)
-        out *= u
-        return out
-
-    def square_bias_sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """`size` exact draws of the zero-bias law, density tail(y) / var."""
         raise NotImplementedError
 
 
 class _Inversion(Law1D):
     """A law whose variate is the inverse CDF of one uniform, one 64-bit
     generator output (Devroye 1986, *Non-Uniform Random Variate Generation*,
-    section 2.1), written in place by `_fill`."""
+    section 2.1), written in place by `_fill`; its zero-bias variate takes
+    two outputs, written in place by `_zb_fill`."""
 
     def sample(self, rng, size, shift=None, *, out=None):
         """`size` variates (+ `shift` on each row of size[1:]), written into
-        `out` if given, one sub-block of rows at a time with one sub-block of
-        scratch; the bytes do not depend on the sub-block."""
-        if out is None:
-            out = np.empty(size)
-        rows = out.reshape(len(out), -1)
-        step = max(1, min(len(rows), _SUB_BLOCK // max(rows.shape[1], 1)))
-        scratch = np.empty((step, rows.shape[1]))
-        for r in range(0, len(rows), step):
-            block = rows[r : r + step]
-            self._fill(rng, block.reshape(-1), scratch[: len(block)].reshape(-1))
-            if shift is not None:
-                block += shift
-        return out
+        `out` if given; the bytes do not depend on the sub-block."""
+        return _sub_blocks(self._fill, rng, size, shift, out)
+
+    def zb_sample(self, rng, size):
+        """`size` zero-bias variates: per sub-block, one uniform for each
+        variate and then a second one for each (see `_SUB_BLOCK`)."""
+        return _sub_blocks(self._zb_fill, rng, size)
 
     def _fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
         """Write len(out) variates from `g` into the flat array `out`, one
         64-bit output each; `scratch` (as long) may be overwritten."""
         raise NotImplementedError
+
+    def _zb_fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+        """`_fill`, but zero-bias variates, two 64-bit outputs each: the
+        `_fill` outputs of all of them, then one more for each."""
+        raise NotImplementedError
+
+
+def _sub_blocks(fill, rng, size, shift=None, out=None) -> np.ndarray:
+    """`size` values of `fill` (+ `shift` on each row of size[1:]), written
+    into `out` if given, one sub-block of rows at a time with one sub-block of
+    scratch."""
+    if out is None:
+        out = np.empty(size)
+    rows = out.reshape(len(out), -1)
+    step = max(1, min(len(rows), _SUB_BLOCK // max(rows.shape[1], 1)))
+    scratch = np.empty((step, rows.shape[1]))
+    for r in range(0, len(rows), step):
+        block = rows[r : r + step]
+        fill(rng, block.reshape(-1), scratch[: len(block)].reshape(-1))
+        if shift is not None:
+            block += shift
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,8 +267,21 @@ class Laplace1D(_Inversion):
         y = np.asarray(y, dtype=float)
         return self.b * (np.abs(y) + self.b)
 
-    def square_bias_sample(self, rng, size):
-        return _random_sign(rng, rng.gamma(3.0, self.b, size))
+    def _zb_fill(self, g, out, scratch):
+        # X* = S b (E1 + B E2), the equal mixture of Laplace(b) and a signed
+        # Gamma(2, b) (Goldstein and Reinert 1997): the Laplace variate L of
+        # `_fill`, plus copysign(b max(0, -log 2U), L) on a second uniform U,
+        # which is b E2 with E2 = -log 2U below U = 1/2 (B = 1) and 0 from
+        # 1/2 on.  U = 0 is read as 2^-53, as in `_fill`.
+        self._fill(g, out, scratch)
+        g.random(out=scratch)
+        scratch += scratch  # 2U, exact
+        np.maximum(scratch, 2.0**-52, out=scratch)
+        np.log(scratch, out=scratch)
+        np.minimum(scratch, 0.0, out=scratch)
+        scratch *= -self.b
+        np.copysign(scratch, out, out=scratch)
+        out += scratch
 
 
 @dataclass(frozen=True)
@@ -327,11 +338,13 @@ class Uniform1D(_Inversion):
             raise EvaluationError("uniform kernel evaluated outside the support")
         return (self.a**2 - y**2) / 2.0
 
-    def square_bias_sample(self, rng, size):
-        mag = rng.uniform(0.0, 1.0, size)
-        mag **= 1.0 / 3.0
-        mag *= self.a
-        return _random_sign(rng, mag)
+    def _zb_fill(self, g, out, scratch):
+        # X* = a (2U1 - 1) cbrt(U2): a uniform(-a, a) variate times the cube
+        # root of a second uniform, density 3 (a^2 - y^2) / (4 a^3)
+        self._fill(g, out, scratch)
+        g.random(out=scratch)
+        np.cbrt(scratch, out=scratch)
+        out *= scratch
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import RiskReport, report_from, run
+from ._mc import Accumulator, RiskReport, report_from, run
 from .errors import GuardAbort, ParameterError
 from .estimation import EstimatorSpec, JamesStein, sure
 from .noise_models import NoiseModel
 from .stein_kernels import DiscrepancyStats
 from .testfns import FixedWeights, shrink_direction, sq_norms
-from .zero_bias import ZeroBiasCoupling
+from .zero_bias import GaussianFixedPointCoupling, ZeroBiasCoupling
 
 _GUARD_RATE = 1e-4  # abort when more than 0.01% of draws hit the singularity
 
@@ -213,10 +213,14 @@ def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> R
     """MC estimate of B*_lam = lam |sum_ij sigma_ij E[d_j g0_i(X^ij) - d_j g0_i(X)]|,
     with the weights sigma_ij of the coupling.
 
-    The standard error is the delta-method image of the inner mean.
+    The standard error is the delta-method image of the inner mean.  The
+    Gaussian coupling draws nothing: its every companion is X, so each row's
+    difference is exactly 0.0, and the pass would accumulate n zeros.
     """
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
+    if n < 1:
+        raise ParameterError("replicate count must be >= 1")
     g0 = shrink_direction()
     weights = FixedWeights(coupling.sigma)
 
@@ -224,7 +228,10 @@ def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> R
         g0.guard(chunk.X)
         return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)}
 
-    acc = run(coupling.joint_chunks(n, seed), difference)["b_star"]
+    if isinstance(coupling, GaussianFixedPointCoupling):
+        acc = Accumulator(n=int(n))
+    else:
+        acc = run(coupling.joint_chunks(n, seed), difference)["b_star"]
     rep = report_from(acc, seed, label=f"b_star:lam={lam:g}")
     return RiskReport(
         mean=lam * abs(rep.mean), stderr=lam * rep.stderr, n=rep.n, seed=seed, label=rep.label

@@ -565,8 +565,8 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     """Draws of X^i via the square-bias-and-scale construction.
 
     ProductIID and GaussianIso models draw coordinate i from the exact
-    zero-bias sampler of their coordinate law (`Law1D.zb_sample`, U times a
-    square-biased draw) and the other coordinates from the law itself; laws
+    zero-bias sampler of their coordinate law (`Law1D.zb_sample`) and the
+    other coordinates from the law itself; laws
     without a product structure fall back to sampling-importance-resampling
     with a pool factor of 64, reporting the effective sample size.
     """

@@ -552,6 +552,8 @@ def test_config_file_and_flags_give_the_same_bytes(tmp_path):
         options = {key: _EVERY_OPTION[key] for key in _EVERY_OPTION if key in keys}
         if command == "identity-check":
             options["model"] = ("--model", "student")  # a suite row
+        if command in ("risk", "sure"):  # a model that reads --k, --eps and --outlier
+            options.update(model=("--model", "corrupt-add"), outlier=("--outlier", "student"))
         by_file, by_flags = tmp_path / f"{command}-file.csv", tmp_path / f"{command}-flags.csv"
         cfg = tmp_path / f"{command}.cfg"
         # '-' and '_' are interchangeable in config keys
@@ -571,11 +573,12 @@ def test_default_config_echo(tmp_path):
     # every option the command takes, at its default (`--reps 200` aside,
     # to keep the runs short; `risk` runs with no option at all)
     echoes = {
-        "risk": "bounds=false command=risk d=5 eps=0.1 estimator=james-stein excess=false k=6 "
-                "lam=0.0 model=gaussian outlier=student pinsker=false reps=100000 seed=1 "
+        # Gaussian noise: no --k, --eps or --outlier
+        "risk": "bounds=false command=risk d=5 estimator=james-stein excess=false "
+                "lam=0.0 model=gaussian pinsker=false reps=100000 seed=1 "
                 "sigma=1.0 theta=zero",
-        "sure": "command=sure d=5 eps=0.1 estimator=james-stein k=6 lam=0.0 lambda_grid=2:512 "
-                "model=gaussian outlier=student pinsker=false reps=200 seed=1 "
+        "sure": "command=sure d=5 estimator=james-stein lam=0.0 lambda_grid=2:512 "
+                "model=gaussian pinsker=false reps=200 seed=1 "
                 "select_lambda=false sigma=1.0 theta=zero",
         "identity-check": "command=identity-check model=all reps=200 seed=1",
         "adaptivity": "c=1.0 command=adaptivity d_list=100,400,1600 model=gaussian reps=200 "
@@ -604,14 +607,17 @@ def _readme_commands():
 
 def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
     # every key a command reads from its configuration over the README's
-    # examples; reading a key the command does not take raises KeyError
+    # examples; reading a key the command does not take raises KeyError.
+    # Each run reads every key it echoes, but for the ones listed below
     import steinshrink.cli as cli
 
     reads = {command: set() for command in cli._COMMAND_OPTIONS}
+    run_reads = set()
 
     class Recorded(dict):
         def __getitem__(self, key):
             reads[dict.__getitem__(self, "command")].add(key)
+            run_reads.add(key)
             return dict.__getitem__(self, key)
 
     real = cli.resolve_config
@@ -622,7 +628,15 @@ def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
     assert {argv[0] for argv in commands} == set(cli._COMMAND_OPTIONS)
     for argv in commands:
         short = [] if argv[0] == "sphere-demo" else ["--reps", "400"]
+        run_reads.clear()
         assert main(argv + short) == 0, argv
+        echoed = _data_rows(tmp_path / argv[argv.index("--out") + 1])[0][1].split()[2:]
+        unread = {item.split("=")[0] for item in echoed} - run_reads - {"command"}
+        if argv[0] == "sure":  # echoed, though only one branch reads them
+            assert unread == ({"lam", "estimator"} if "--select-lambda" in argv
+                              else {"lambda_grid"}), argv
+        else:
+            assert unread == set(), argv
     assert {command: set(options) for command, options in cli._COMMAND_OPTIONS.items()} == _READS
     assert reads == _READS
     assert sum(map(len, _READS.values())) == 53
@@ -635,6 +649,18 @@ def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
     # the soft-threshold rule with a lambda picked per row
     pytest.param("sure --select-lambda", key, id=f"sure-select-lambda-{key}")
     for key in ("lam", "estimator")
+] + [
+    # `build_model` reads --k for Student noise only, a Student outlier
+    # included, and --eps and --outlier for the corrupt models only
+    pytest.param(command, key, id=f"{command.replace(' --', '-').replace(' ', '-')}-{key}")
+    for command, keys in [
+        ("risk", ("k", "eps", "outlier")),
+        ("sure --model student", ("eps", "outlier")),
+        ("sure --select-lambda --model laplace", ("k", "eps", "outlier")),
+        ("risk --model corrupt-mix --outlier laplace", ("k",)),
+        ("sure --model corrupt-add --outlier gaussian", ("k",)),
+    ]
+    for key in keys
 ])
 def test_an_option_the_command_does_not_read_exits_two(tmp_path, capsys, command, key):
     out = tmp_path / "unread.csv"

@@ -230,7 +230,8 @@ def _task_keys(seed, n, chunk_dim, d):
 def test_risk_bounds_draw_the_model_stream_once(tmp_path, monkeypatch, model):
     # every draw task of every chunk of X is drawn once, on the command's
     # seed, and then B*'s coupling stream on seed + _SEED_BSTAR, each task
-    # once; no other stream is drawn
+    # once; no other stream is drawn.  The Gaussian B* draws nothing: every
+    # companion is X
     d, n, seed = 12, 170, 5
     monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 50 * d)  # 50 rows of X per chunk
     monkeypatch.setattr(_mc, "_DRAW_TASK", 4 * d)  # 12 tasks per chunk of X, 3 per B* chunk
@@ -248,7 +249,7 @@ def test_risk_bounds_draw_the_model_stream_once(tmp_path, monkeypatch, model):
     coupling_stream = _task_keys(seed + _SEED_BSTAR, n, 4 * d, d)
     assert len(model_stream) == 3 * 12 + 5 and len(coupling_stream) == 14 * 3 + 1
     assert sorted(calls[: len(model_stream)]) == model_stream
-    assert sorted(calls[len(model_stream) :]) == coupling_stream
+    assert sorted(calls[len(model_stream) :]) == ([] if model == "gaussian" else coupling_stream)
 
 
 @pytest.mark.parametrize(
@@ -264,8 +265,9 @@ def test_risk_bounds_draw_the_model_stream_once(tmp_path, monkeypatch, model):
 def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, d, lam, excess):
     monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 1000 * d)  # several chunks
     n, seed = 3001, 9
-    args = ["risk", "--model", family, "--d", str(d), "--k", "6", "--theta", "scaled:1",
+    args = ["risk", "--model", family, "--d", str(d), "--theta", "scaled:1",
             "--lambda", repr(lam), "--reps", str(n), "--seed", str(seed)]
+    args += ["--k", "6"] if family == "student" else []  # no other model reads --k
     args += ["--excess"] if excess else []
     plain = _risk_csv(tmp_path, "plain", args)
     bounded = _risk_csv(tmp_path, "bounded", args + ["--bounds"])

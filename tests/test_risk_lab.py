@@ -168,6 +168,36 @@ def test_b_star_gaussian_zero_under_every_path():
         assert rep.mean <= 3 * rep.stderr, name
 
 
+def test_b_star_gaussian_fixed_point_draws_nothing(monkeypatch):
+    # every companion of the fixed-point coupling is X, so B* is n exact
+    # zeros: the report is, bit for bit, that of the pass over its chunks
+    from steinshrink import _mc
+    from steinshrink.testfns import FixedWeights, shrink_direction
+
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 1000 * 200)  # 4 chunks of rows
+    coupling = ss.couple_gaussian(ss.GaussianIso(200, 1.0, "scaled:1"))
+    lam, n, seed = 198.0, 3001, 7
+    g0, weights = shrink_direction(), FixedWeights(coupling.sigma)
+
+    def difference(chunk):
+        g0.guard(chunk.X)
+        return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)}
+
+    acc = _mc.run(coupling.joint_chunks(n, seed), difference)["b_star"]
+    want = ss.RiskReport(lam * abs(acc.mean), lam * acc.stderr, acc.n, seed, "b_star:lam=198")
+
+    def no_draw(self, n, seed):
+        raise AssertionError("the Gaussian B* pass drew its coupling")
+
+    monkeypatch.setattr(type(coupling), "joint_chunks", no_draw)
+    got = ss.bound_b_star(coupling, lam, n, seed)
+    assert got == want and (got.mean, got.stderr, got.n) == (0.0, 0.0, n)
+    assert [math.copysign(1.0, v) for v in (got.mean, got.stderr)] == [1.0, 1.0]
+    for bad in (0, -3):
+        with pytest.raises(ParameterError):
+            ss.bound_b_star(coupling, lam, bad, seed)
+
+
 def test_b_star_student_nonzero_theta_bound():
     d = k = 6
     lam = 4.0

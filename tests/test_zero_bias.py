@@ -6,7 +6,7 @@ from scipy.integrate import dblquad, quad
 from scipy.stats import ks_2samp
 
 import steinshrink as ss
-from steinshrink import _mc
+from steinshrink import _mc, laws1d
 from steinshrink.errors import ParameterError
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
 from steinshrink.zero_bias import (
@@ -81,26 +81,51 @@ def test_zb1d_samplers_match_densities():
         assert np.max(np.abs(emp - cdf)) < 0.01, law.name
 
 
-def _choice_square_bias(law, rng, size):
-    """The square-biased draw with its sign from rng.choice, as first written."""
-    if isinstance(law, ss.Laplace1D):
-        mag = rng.gamma(3.0, law.b, size)
-    else:
-        mag = law.a * rng.uniform(0.0, 1.0, size) ** (1.0 / 3.0)
-    return mag * rng.choice([-1.0, 1.0], size)
+def _zb_reference(law, rng, size):
+    """Zero-bias draws as plain array formulas, a sub-block of rows at a time
+    (`laws1d._SUB_BLOCK` variates): all its first uniforms, then its second."""
+    out = np.empty(size)
+    rows = out.reshape(len(out), -1)
+    step = max(1, min(len(rows), laws1d._SUB_BLOCK // rows.shape[1]))
+    for r in range(0, len(rows), step):
+        shape = rows[r : r + step].shape
+        u1, u2 = rng.random(shape), rng.random(shape)
+        if isinstance(law, ss.Laplace1D):
+            # a Laplace variate (numpy's inversion) plus a signed Exp(b) half the time
+            x = np.copysign(law.b * np.log(np.minimum(u1 + u1, (2.0 - u1) - u1)), u1 - 0.5)
+            rows[r : r + step] = x + np.copysign(law.b * np.maximum(0.0, -np.log(u2 + u2)), x)
+        else:
+            rows[r : r + step] = (u1 * (2.0 * law.a) - law.a) * np.cbrt(u2)
+    return out
 
 
 @pytest.mark.parametrize("law", [ss.Laplace1D(1.3), ss.Uniform1D(2.1)], ids=lambda law: law.name)
-def test_sign_draws_match_choice_form_bit_for_bit(law):
-    for size in (5, (300, 17)):
-        old, new = np.random.default_rng(23), np.random.default_rng(23)
-        want = _choice_square_bias(law, old, size)
-        got = law.square_bias_sample(new, size)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        want = old.uniform(0.0, 1.0, size) * _choice_square_bias(law, old, size)
+def test_zero_bias_fills_match_array_formulas_bit_for_bit(law):
+    # (3000, 17) spans two sub-blocks of 1927 rows
+    for size in (5, (300, 17), (3000, 17)):
+        ref, new = np.random.default_rng(23), np.random.default_rng(23)
+        want = _zb_reference(law, ref, size)
         got = law.zb_sample(new, size)
+        assert got.shape == np.empty(size).shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert old.random() == new.random()  # the streams stay in step
+        # two 64-bit outputs per variate, and the generator stays in step
+        ahead = np.random.default_rng(23)
+        ahead.bit_generator.advance(2 * got.size)
+        assert ref.random() == new.random() == ahead.random()
+
+
+@pytest.mark.parametrize(
+    "law",
+    [ss.Gaussian1D(0.7), ss.Laplace1D(1.3), ss.Uniform1D(2.1), ss.SmoothedRademacher1D(1.0, 0.2)],
+    ids=lambda law: law.name,
+)
+def test_zero_bias_moments(law):
+    # E X*^k = E X^(k+2) / ((k + 1) sigma^2): k = 2 and 4
+    n = 1_000_000
+    x2 = law.zb_sample(np.random.default_rng(61), n) ** 2
+    for power, want in ((x2, law.c4 / (3.0 * law.variance)), (x2 * x2, law.c6 / (5.0 * law.variance))):
+        se = power.std() / math.sqrt(n)
+        assert abs(power.mean() - want) < 4.0 * se, (law.name, power.mean(), want, se)
 
 
 # -- couplings: characterization residuals ------------------------------------
