@@ -1,28 +1,18 @@
 """Monte Carlo plumbing: substream seeding, chunking, streaming moments.
 
-`draw_chunks` is the one loop that draws a stream (model draws, joint
-zero-bias chunks, dense kernel chunks, square-bias draws), over a chunk
-partition fixed by (n, width).  It allocates a chunk, fills its rows in
-`draw_tasks` on the usable cores, one thread per four draw tasks or fewer,
-yields it and lets go of it.  The rows are cut into draw tasks of about
-`_DRAW_TASK` doubles, a layout fixed by (rows, d), and task k draws from
-its own substream, spawn key (chunk index, k), task 0 from the chunk's
-own: a chunk of one task draws what a serial draw of the chunk would.  Each
-task writes its rows in place, or makes its own part where there is no
-in-place fill, so the bytes and the live memory (one chunk) do not depend
-on the core count.  `_DRAW_TASK` is part of the stream's definition, not a
-tuning constant.
-
 `run` is the one streaming engine: every Monte Carlo estimate in the
-package is a mean of per-row statistics accumulated over one chunk stream,
-one accumulator update per chunk.  `draw_run` is `run` over a stream of
-plain draws, fused with the draw: each draw task fills its rows into a
-buffer its thread reuses and evaluates the statistics on them at once, so a
-pass holds one draw task per thread, not a chunk, and its bytes are those
-of `run` over the drawn chunks, whatever the core count.  Streams of
-`JointChunk`s are evaluated whole by `run`.
+package is a mean of per-row statistics over one seeded stream, whether
+its rows are plain draws X or joint draws (X, X^i) of a zero-bias coupling
+or a Stein kernel (`zero_bias.JointChunk`).  A stream is a `draw(rng, rows,
+empty)` over a chunk partition fixed by (n, width).  Each chunk's rows are
+cut into draw tasks of about `_DRAW_TASK` doubles, a layout fixed by (rows,
+d), and task k draws from its own substream, spawn key (chunk index, k),
+task 0 from the chunk's own: a chunk of one task draws what a serial draw
+of the chunk would.  `_DRAW_TASK` is part of the stream's definition, not
+a tuning constant.  `draw_parts` draws the same parts for the callers that
+keep the draws.
 
-Both draw their tasks in turn on threads started by `_in_turn`.
+The tasks run in turn on threads started by `_in_turn`.
 """
 
 from __future__ import annotations
@@ -136,22 +126,6 @@ def _in_turn(tasks: int, threads: int, do) -> None:
         raise min(errors, key=lambda error: error[0])[1]
 
 
-def draw_chunks(n: int, seed: int, d: int, fill, empty=None, width: int | None = None):
-    """The chunks of n rows of the stream `seed`, `chunk_plan(n, width)`
-    (width d if None), each drawn in the draw tasks of (rows, d).  Task k
-    writes rows a:b of the chunk `empty(rows)` in place by `fill(rng, chunk,
-    a, b)`; with no chunk (no `empty`, or it gives None), `fill(rng, None,
-    a, b)` returns a part of rows a:b, and the parts are yielded in row
-    order.  What was yielded is let go of before the next chunk is drawn."""
-    for idx, rows in chunk_plan(n, d if width is None else width):
-        chunk = None if empty is None else empty(rows)
-        parts = draw_tasks(seed, idx, rows, d, lambda rng, a, b: fill(rng, chunk, a, b))
-        parts = parts[::-1] if chunk is None else [chunk]
-        del chunk
-        while parts:
-            yield parts.pop()
-
-
 def chunk_plan(n: int, d: int):
     """Yield (chunk_index, rows) pairs partitioning n replicates."""
     if n < 1:
@@ -255,55 +229,63 @@ class RiskReport:
             raise ValueError("stderr must be nonnegative")
 
 
-def run(chunks, values) -> dict:
-    """One pass over `chunks`: `values(chunk)` returns per-row values by
-    name, each accumulated under its name.  Returns the accumulators by name.
+def run(n: int, seed: int, d: int, draw, values, width: int | None = None) -> dict:
+    """One pass over n rows of the stream `seed`: the accumulators, by name,
+    of the per-row values `values(part)` of every draw task's part.
 
-    All statistics see the same chunk, so paired estimates share their
-    random numbers and the stream is drawn once.  One chunk is live at a
-    time: the loop lets go of it before the next one is drawn.
+    The chunks are `chunk_plan(n, width)` (width d if None), each cut into
+    the draw tasks of (rows, d).  Task k of chunk i draws its part, an array
+    or a `JointChunk`, by `draw(substream(seed, i, k), rows, empty)` and
+    evaluates `values` on it at once; `empty(shape)` hands out the buffers
+    of a finished task, so a pass holds one task's rows per thread, never a
+    chunk.  A value that shares memory with such a buffer is copied before
+    the buffer is handed out again.  The tasks' values are joined in row
+    order, with one accumulator update per chunk in chunk order, so nothing
+    depends on the core count.  All statistics see the same part, so paired
+    estimates share their random numbers.  `values` must give each row a
+    value that depends on that row alone, bit for bit, and must not change
+    shared state.
     """
     accs = {}
-    for chunk in chunks:
-        for name, rows in values(chunk).items():
-            accs.setdefault(name, Accumulator()).add(rows)
-        del chunk
-    return accs
-
-
-def draw_run(n: int, seed: int, d: int, fill, values) -> dict:
-    """`run(draw_chunks(n, seed, d, ...), values)` for the stream whose draw
-    tasks write their rows by `fill(rng, out)`, bit for bit, in one step per
-    draw task: the task fills its rows into a buffer that the next task of
-    its thread reuses, and evaluates `values` on them at once.  The tasks'
-    per-row values are joined in row order, with one accumulator update per
-    chunk in chunk order, so nothing depends on the core count, and a pass
-    holds one task's rows per thread, not a chunk.  `values` must give each
-    row a value that depends on that row alone, bit for bit, and must not
-    change shared state."""
-    accs = {}
-    free = []  # the buffers of finished tasks
+    free = []  # the buffers of finished tasks, one list per task
 
     def task(rng, a, b):
         try:
-            buf = free.pop()
-        except IndexError:  # every buffer is in use
-            buf = np.empty((0, d))
-        if len(buf) < b - a:
-            del buf  # let go of it before its larger successor is made
-            buf = np.empty((b - a, d))
-        fill(rng, buf[: b - a])
-        part = values(buf[: b - a])
-        # a value that is a view of the rows must not see the next task's draw
-        part = {name: v.copy() if np.may_share_memory(v, buf) else v for name, v in part.items()}
-        free.append(buf)
+            reuse = free.pop()
+        except IndexError:  # every task's buffers are in use
+            reuse = []
+        taken = []
+
+        def empty(shape):
+            size = math.prod(shape)
+            buf = reuse.pop(0) if reuse else None
+            if buf is None or buf.size < size:
+                del buf  # let go of it before its larger successor is made
+                # room for one more row: a chunk's tasks differ by a row at most
+                buf = np.empty(size + size // shape[0])
+            taken.append(buf)
+            return buf[:size].reshape(shape)
+
+        part = values(draw(rng, b - a, empty))
+        # a value that is a view of a buffer must not see the next task's draw
+        part = {name: v.copy() if any(np.may_share_memory(v, buf) for buf in taken) else v
+                for name, v in part.items()}
+        free.append(taken)
         return part
 
-    for idx, rows in chunk_plan(n, d):
+    for idx, rows in chunk_plan(n, width or d):
         parts = draw_tasks(seed, idx, rows, d, task)
         for name in parts[0]:
             accs.setdefault(name, Accumulator()).add(np.concatenate([part[name] for part in parts]))
     return accs
+
+
+def draw_parts(n: int, seed: int, d: int, draw, width: int | None = None) -> list:
+    """Every draw task's part of n rows of the stream `seed`, in row order,
+    each `draw(rng, rows, np.empty)` in memory of its own: the draws of
+    `run`, for callers that keep them."""
+    return [part for idx, rows in chunk_plan(n, width or d)
+            for part in draw_tasks(seed, idx, rows, d, lambda rng, a, b: draw(rng, b - a, np.empty))]
 
 
 def _draw_cuts(rows: int, d: int) -> list[int]:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._mc import report_from
+from ._mc import report_from, run
 from .errors import EvaluationError, GuardAbort, MomentUnavailableError, ParameterError
 from .estimation import JamesStein, make_estimator, select_lambda, soft_threshold
 from .laws1d import Laplace1D, SmoothedRademacher1D, Uniform1D
@@ -231,16 +231,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key, text in texts:
         cfg[key] = _cast(args.command, key, text)
     given = {key for key, _ in texts}
-    # `sure --select-lambda` picks lambda per row for the soft-threshold rule
-    if cfg.get("select_lambda"):
-        _refuse(given, {"lam", "estimator"}, "sure --select-lambda")
+    unread = []  # (options this run does not read, what the run is)
+    if "select_lambda" in cfg:  # `sure`: one branch picks lambda per row on a grid
+        unread.append(({"lam", "estimator"}, "sure --select-lambda") if cfg["select_lambda"]
+                      else ({"lambda_grid"}, "sure without --select-lambda"))
     if "outlier" in cfg:  # the command builds its model by `build_model`
-        unread = _unread_model_options(cfg)
+        keys = _unread_model_options(cfg)
         model = f"--model {cfg['model']}"
-        if "outlier" not in unread:  # a corrupt model, whose outlier reads --k or not
+        if "outlier" not in keys:  # a corrupt model, whose outlier reads --k or not
             model += f" --outlier {cfg['outlier']}"
-        _refuse(given, unread, f"{args.command} {model}")
-        for key in unread:  # not echoed: they did not shape the run
+        unread.append((keys, f"{args.command} {model}"))
+    for keys, what in unread:
+        _refuse(given, keys, what)
+        for key in keys:  # not echoed: they did not shape the run
             del cfg[key]
     cfg["command"] = args.command
     return cfg
@@ -456,10 +459,10 @@ def cmd_identity_check(cfg: dict) -> CsvWriter:
         fams = [linear_map(rng.normal(size=(model.d, model.d))), coordinate_quadratic(0)]
         fams.append(shrink_direction())
         valid = model.validity(kind).ok
-        chunks = obj.chunks(model, n, seed) if kind == "kernel" else obj.joint_chunks(n, seed)
-        reps = identity_residual(chunks, model.theta,
+        draw, width = obj.stream(model) if kind == "kernel" else (obj._centered, obj.width)
+        reps = identity_residual(n, seed, draw, width, model.theta,
                                  [fn for fn in fams if valid or not fn.needs_origin_guard],
-                                 seed, "stein" if kind == "kernel" else "zb")
+                                 "stein" if kind == "kernel" else "zb")
         for fn in fams:
             if fn.name not in reps:
                 w.row([label, obj.construction, fn.name, None, None, n, seed, "invalid-by-validity-check"])
@@ -487,7 +490,7 @@ def cmd_sure(cfg: dict) -> CsvWriter:
             return {"lambda": lam_hat, "sure": value, "risk": np.einsum("ij,ij->i", dev, dev)}
 
         # draw tasks bound the (rows, d) temporaries of `selected`
-        accs = model.accumulate(n, seed, selected)
+        accs = run(n, seed, model.d, model.draw, selected)
         lam_hat, sure_val, risk = (acc.mean for acc in accs.values())
         estimator = "soft-threshold:lambda-hat"
         w.comment(f"bias_bound: not applicable: {_zb_coupling(model, 'soft_threshold')[1]}")

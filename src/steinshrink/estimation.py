@@ -161,7 +161,7 @@ class JamesStein(EstimatorSpec):
         return -self.lam * g0_contract(X, W)
 
     def contract_replaced(self, X, R, w):
-        return -self.lam * (g0_replaced(X, R) @ w)
+        return -self.lam * g0_replaced(X, R, w)
 
     def cross_term(self, X, cov, sq=None):
         return -self.lam * g0_contract(X, cov, sq)
@@ -212,7 +212,7 @@ class SoftThreshold(EstimatorSpec):
         return -(self.active(X) * W.diagonal()).sum(axis=1)
 
     def contract_replaced(self, X, R, w):
-        return -(self.active(R) @ w)
+        return -np.einsum("mi,i->m", self.active(R), w)
 
 
 def make_estimator(kind: str, lam: float = 0.0) -> EstimatorSpec:
@@ -299,7 +299,7 @@ def sure_zero_bias_mean(
         vals = trace_sigma + np.einsum("mi,mi->m", fx, fx)
         return {"risk": vals + 2.0 * chunk.weighted_partials(estimator)}
 
-    acc = run(coupling.joint_chunks(n, seed), risk)["risk"]
+    acc = run(n, seed, coupling.d, coupling._centered, risk, coupling.width)["risk"]
     return report_from(acc, seed, label=f"sure-zb:{estimator.kind}")
 
 

@@ -82,15 +82,17 @@ class Law1D:
     def sample(self, rng: np.random.Generator, size, shift=None, *, out=None) -> np.ndarray:
         """`size` variates, plus `shift` if given, written into the array
         `out` (of shape `size`) if given."""
-        x = self._variates(rng, size)
-        if shift is not None:
-            x += shift
-        if out is None:
-            return x
-        out[...] = x
-        return out
+        return _placed(self._variates(rng, size), shift, out)
 
     def _variates(self, rng: np.random.Generator, size) -> np.ndarray:
+        raise NotImplementedError
+
+    def zb_sample(self, rng: np.random.Generator, size, shift=None, *, out=None) -> np.ndarray:
+        """`size` exact draws of the zero-bias law, density tail(y) / var,
+        placed as `sample` places its variates."""
+        return _placed(self._zb_variates(rng, size), shift, out)
+
+    def _zb_variates(self, rng: np.random.Generator, size) -> np.ndarray:
         raise NotImplementedError
 
     def pdf(self, y) -> np.ndarray:
@@ -111,9 +113,15 @@ class Law1D:
             raise EvaluationError(f"{self.name}: kernel evaluated where the density vanishes")
         return self.tail_first_moment(y) / p
 
-    def zb_sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """`size` exact draws of the zero-bias law, density tail(y) / var."""
-        raise NotImplementedError
+
+def _placed(x, shift, out) -> np.ndarray:
+    """x + `shift` if given, written into `out` if given."""
+    if shift is not None:
+        x += shift
+    if out is None:
+        return x
+    out[...] = x
+    return out
 
 
 class _Inversion(Law1D):
@@ -127,10 +135,10 @@ class _Inversion(Law1D):
         `out` if given; the bytes do not depend on the sub-block."""
         return _sub_blocks(self._fill, rng, size, shift, out)
 
-    def zb_sample(self, rng, size):
-        """`size` zero-bias variates: per sub-block, one uniform for each
-        variate and then a second one for each (see `_SUB_BLOCK`)."""
-        return _sub_blocks(self._zb_fill, rng, size)
+    def zb_sample(self, rng, size, shift=None, *, out=None):
+        """`size` zero-bias variates, placed as by `sample`: per sub-block,
+        all their first uniforms, then all their second ones (`_SUB_BLOCK`)."""
+        return _sub_blocks(self._zb_fill, rng, size, shift, out)
 
     def _fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
         """Write len(out) variates from `g` into the flat array `out`, one
@@ -202,7 +210,7 @@ class Gaussian1D(Law1D):
     def kernel(self, y):
         return np.full_like(np.asarray(y, dtype=float), self.sigma**2)
 
-    def zb_sample(self, rng, size):
+    def _zb_variates(self, rng, size):
         return rng.normal(0.0, self.sigma, size)  # the Gaussian is the fixed point
 
 
@@ -396,7 +404,7 @@ class SmoothedRademacher1D(Law1D):
         dn = -self.c * _normal_sf(y, -self.c, self.h) + h2 * _normal_pdf(y, -self.c, self.h)
         return 0.5 * (up + dn)
 
-    def zb_sample(self, rng, size):
+    def _zb_variates(self, rng, size):
         # zero-bias of a sum: resample the coin summand with probability
         # c^2/var (its zero-bias is uniform on [-c, c]), else keep the law
         signs = rng.choice([-1.0, 1.0], size)

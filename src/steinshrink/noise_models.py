@@ -3,11 +3,9 @@
 Every model is immutable after construction and samples through
 (seed, chunk index, draw task) substreams, so concurrent and serial runs
 agree bit-for-bit.  A family's one sampling hook is `_fill(rng, out)`, a
-centered draw written in place; `iter_chunks` hands each draw task's rows
-of a chunk to it and adds theta in place (`NoiseModel._located`;
-`_mc.draw_chunks`), `accumulate` hands them to a pass's statistics without
-making the chunk (`_mc.draw_run`), and a composite law draws its parts with
-`_draw`.
+centered draw written in place; `draw(rng, rows, empty)` writes theta plus
+such a draw into `empty((rows, d))`, the model's stream for `_mc.run`, and a
+composite law draws its parts with `_draw`.
 
 A note on the Student family: it is realized by the Gamma variance
 mixture X = theta + s * N / sqrt(g) with g ~ Gamma(k/2, rate k/2) and
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import draw_chunks, draw_run
+from ._mc import draw_parts
 from .errors import MomentUnavailableError, ParameterError
 from .laws1d import Law1D
 from .quadrature import elliptical_second_moment
@@ -86,24 +84,15 @@ class NoiseModel:
         """A fresh centered draw of m rows, for the laws built on this one."""
         return self._fill(rng, np.empty((m, self.d)))
 
-    def iter_chunks(self, n: int, seed: int):
-        """Chunks theta + Y, each drawn in place in draw tasks on all usable
-        cores; the generator lets go of a chunk before drawing the next."""
-        yield from draw_chunks(n, seed, self.d, lambda rng, X, a, b: self._located(rng, X[a:b]),
-                               lambda rows: np.empty((rows, self.d)))
-
-    def accumulate(self, n: int, seed: int, values) -> dict:
-        """`_mc.run(self.iter_chunks(n, seed), values)`, bit for bit, in one
-        fused pass that holds a draw task's rows per thread, not a chunk."""
-        return draw_run(n, seed, self.d, self._located, values)
-
-    def _located(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """theta + a fresh centered draw, written into the rows `out`."""
-        self._fill(rng, out)
+    def draw(self, rng: np.random.Generator, rows: int, empty) -> np.ndarray:
+        """theta + a fresh centered draw of `rows` rows, written into
+        `empty((rows, d))`: the model's stream for `_mc.run`."""
+        out = self._fill(rng, empty((rows, self.d)))
         out += self.theta
+        return out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        return np.concatenate(list(self.iter_chunks(n, seed)), axis=0)
+        return np.concatenate(draw_parts(n, seed, self.d, self.draw))
 
     # -- moments ----------------------------------------------------------
     def coordinate_moment(self, p: int) -> float | None:
@@ -356,8 +345,8 @@ class ProductIID(NoiseModel):
     def _fill(self, rng, out):
         return self.law.sample(rng, out.shape, out=out)
 
-    def _located(self, rng, out):
-        self.law.sample(rng, out.shape, self.theta, out=out)
+    def draw(self, rng, rows, empty):
+        return self.law.sample(rng, (rows, self.d), self.theta, out=empty((rows, self.d)))
 
     def coordinate_moment(self, p):
         if p == 0:

@@ -65,14 +65,13 @@ class BoundInputs:
 
 def guarded_pass(model: NoiseModel, n: int, seed: int, stat,
                  estimator: EstimatorSpec | None = None, kernel=None) -> dict:
-    """One pass over the model's n draws from `seed`: `stat(chunk, sq)`
-    returns per-row values by name, with sq = ||x||^2 computed once per row;
-    returns one accumulator per name.  A chunk is the draw X, in the fused
-    draw tasks of `NoiseModel.accumulate`, or with a kernel one of its
-    identity chunks, which carries X.  Aborts when more than _GUARD_RATE of
-    the n draws sit at the estimator's singularity.  The tasks may run on
-    several threads: each appends its own count, and the counts are summed
-    after the pass."""
+    """One `_mc.run` pass over the model's n draws from `seed`: `stat(chunk,
+    sq)` returns per-row values by name, with sq = ||x||^2 computed once per
+    row; returns one accumulator per name.  A chunk is a draw task's part:
+    the draw X, or with a kernel one of its identity chunks, which carries
+    X.  Aborts when more than _GUARD_RATE of the n draws sit at the
+    estimator's singularity.  The tasks may run on several threads: each
+    appends its own count, and the counts are summed after the pass."""
     singular_counts = []
 
     def values(chunk):
@@ -82,10 +81,8 @@ def guarded_pass(model: NoiseModel, n: int, seed: int, stat,
             singular_counts.append(int(estimator.singular_rows(X, sq).sum()))
         return stat(chunk, sq)
 
-    if kernel is None:
-        accs = model.accumulate(n, seed, values)
-    else:
-        accs = run(kernel.chunks(model, n, seed), values)
+    draw, width = (model.draw, None) if kernel is None else kernel.stream(model)
+    accs = run(n, seed, model.d, draw, values, width)
     singular = sum(singular_counts)
     if singular > _GUARD_RATE * n:
         raise GuardAbort(
@@ -231,7 +228,7 @@ def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> R
     if isinstance(coupling, GaussianFixedPointCoupling):
         acc = Accumulator(n=int(n))
     else:
-        acc = run(coupling.joint_chunks(n, seed), difference)["b_star"]
+        acc = run(n, seed, coupling.d, coupling._centered, difference, coupling.width)["b_star"]
     rep = report_from(acc, seed, label=f"b_star:lam={lam:g}")
     return RiskReport(
         mean=lam * abs(rep.mean), stderr=lam * rep.stderr, n=rep.n, seed=seed, label=rep.label

@@ -7,7 +7,7 @@ no per-row (d, d) matrix is built.  Only the mixture and average kernels,
 which have no such structure, keep per-row dense matrices.
 
 In zero-bias terms a kernel is one shared term whose point is X and whose
-weights are T(X - theta): `SteinKernel.chunks` streams the same identity
+weights are T(X - theta): `SteinKernel.stream` draws the same identity
 chunks (`zero_bias.JointChunk`) as a coupling, and one residual serves both
 identities.  `discrepancy_stats` measures how far a kernel sits from its
 covariance, the quantity that drives the non-Gaussian risk and SURE-bias
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import RiskReport, draw_chunks, run
+from ._mc import RiskReport, run
 from .errors import EvaluationError, ParameterError
 from .laws1d import Law1D
 from .noise_models import NoiseModel
@@ -58,12 +58,15 @@ class SteinKernel:
         sigma = self.sigma
         return W.frob_sq() - 2.0 * W.inner(sigma) + float(np.vdot(sigma, sigma))
 
-    def chunks(self, model: NoiseModel, n: int, seed: int):
-        """Identity chunks of the model's draws: X with one shared term at X,
-        weighted T(X - theta).  Holds one chunk at a time."""
-        for X in model.iter_chunks(n, seed):
-            yield JointChunk(X, (Shared(X, self.as_weights(X - model.theta)),))
-            del X
+    def stream(self, model: NoiseModel):
+        """(draw, width) of `_mc.run` for identity chunks of the model's
+        draws: X with one shared term at X, weighted T(X - theta)."""
+
+        def draw(rng, rows, empty):
+            X = model.draw(rng, rows, empty)
+            return JointChunk(X, (Shared(X, self.as_weights(X - model.theta)),))
+
+        return draw, None
 
 
 def _symmetric(matrix) -> np.ndarray:
@@ -77,11 +80,21 @@ def _symmetric(matrix) -> np.ndarray:
 class ConstantKernel(SteinKernel):
     construction = "constant"
 
+    def __init__(self, sigma):
+        super().__init__(sigma)
+        # once, not per draw task: the checks and norms of a (d, d) matrix
+        # cost O(d^2), and a BLAS dot in a task thread oversubscribes the cores
+        self._weights = FixedWeights(self.sigma)
+        self._frob_dev = super().frob_dev(self._weights)
+
     def matrices(self, Y):
         return np.broadcast_to(self.sigma, (Y.shape[0],) + self.sigma.shape).copy()
 
     def as_weights(self, Y):
-        return FixedWeights(self.sigma)
+        return self._weights
+
+    def frob_dev(self, W):
+        return self._frob_dev
 
 
 class ScalarProfileKernel(SteinKernel):
@@ -92,6 +105,10 @@ class ScalarProfileKernel(SteinKernel):
         self.matrix = np.asarray(matrix, dtype=float)
         self.scale_fn = scale_fn
         self.construction = construction
+        # once, as in `ConstantKernel`
+        self._weights = FixedWeights(self.matrix)
+        self._norms = (self._weights.frob_sq(), self._weights.inner(self.sigma),
+                       float(np.vdot(self.sigma, self.sigma)))
 
     def scales(self, Y: np.ndarray) -> np.ndarray:
         return self.scale_fn(Y)
@@ -100,8 +117,12 @@ class ScalarProfileKernel(SteinKernel):
         return self.scales(Y)[:, None, None] * self.matrix
 
     def as_weights(self, Y):
-        # so the discrepancy ||s M - Sigma||^2 is s^2 ||M||^2 - 2 s <M, Sigma> + ||Sigma||^2
-        return FixedWeights(self.matrix, self.scales(Y))
+        return self._weights.rescaled(self.scales(Y))
+
+    def frob_dev(self, W):
+        # ||s M - Sigma||^2 = s^2 ||M||^2 - 2 s <M, Sigma> + ||Sigma||^2
+        norm_sq, inner, sigma_sq = self._norms
+        return W.scale**2 * norm_sq - 2.0 * (W.scale * inner) + sigma_sq
 
 
 class DiagonalKernel(SteinKernel):
@@ -280,15 +301,15 @@ class AverageKernel(SteinKernel):
     def matrices(self, Y):
         raise ParameterError("average kernel is defined on joint samples only")
 
-    def chunks(self, model: NoiseModel, n: int, seed: int):
+    def stream(self, model: NoiseModel):
         ncopies = len(self.kernels)
 
-        def draw(rng, Y, mats):
+        def fill(rng, Y, mats):
             draws = [model._draw(rng, len(Y)) for _ in range(ncopies)]
             np.divide(sum(draws), math.sqrt(ncopies), out=Y)
             np.divide(sum(k.matrices(y) for k, y in zip(self.kernels, draws)), ncopies, out=mats)
 
-        return _dense_chunks(model, n, seed, draw, ncopies)
+        return _dense_stream(model, fill, ncopies)
 
 
 class MixtureKernel(SteinKernel):
@@ -313,8 +334,8 @@ class MixtureKernel(SteinKernel):
     def matrices(self, Y):
         raise ParameterError("mixture kernel is defined on joint samples only")
 
-    def chunks(self, model: NoiseModel, n: int, seed: int):
-        def draw(rng, Y, mats):
+    def stream(self, model: NoiseModel):
+        def fill(rng, Y, mats):
             pick = rng.choice(len(self.pairs), size=len(Y), p=self.weights)
             for s, (comp, kern) in enumerate(self.pairs):
                 sel = np.flatnonzero(pick == s)
@@ -323,26 +344,24 @@ class MixtureKernel(SteinKernel):
                     Y[sel] = ys
                     mats[sel] = kern.matrices(ys)
 
-        return _dense_chunks(model, n, seed, draw)
+        return _dense_stream(model, fill)
 
 
-def _dense_chunks(model: NoiseModel, n: int, seed: int, draw, copies: int = 1):
-    """Chunks of X with one shared term at X weighted by per-row dense
-    kernel matrices T, sized by what a chunk allocates: `copies` draws of
-    (rows, d) and the (rows, d, d) matrices.  `draw(rng, Y, mats)` writes a
-    draw task's centered rows Y and their T in place; theta is added here."""
+def _dense_stream(model: NoiseModel, fill, copies: int = 1):
+    """(draw, width) of identity chunks of X with one shared term at X
+    weighted by per-row dense kernel matrices T, the width being what a
+    chunk allocates: `copies` draws of (rows, d) and the (rows, d, d)
+    matrices.  `fill(rng, Y, mats)` writes a draw task's centered rows Y
+    and their T in place; theta is added here."""
     d = model.d
 
-    def empty(rows):
-        X = np.empty((rows, d))
-        return JointChunk(X, (Shared(X, DenseWeights(np.empty((rows, d, d)))),))
-
-    def fill(rng, chunk, a, b):
-        X = chunk.X[a:b]
-        draw(rng, X, chunk.terms[0].W.mats[a:b])
+    def draw(rng, rows, empty):
+        X, mats = empty((rows, d)), empty((rows, d, d))
+        fill(rng, X, mats)
         X += model.theta
+        return JointChunk(X, (Shared(X, DenseWeights(mats)),))
 
-    return draw_chunks(n, seed, d, fill, empty, d * max(d, copies))
+    return draw, d * max(d, copies)
 
 
 def average_kernel(kernels) -> AverageKernel:
@@ -378,8 +397,8 @@ class DiscrepancyStats:
 
 
 def discrepancy_values(kernel: SteinKernel, chunk) -> dict:
-    """Tr T and ||T - Sigma||_F^2 per row of one of `kernel.chunks`, read off
-    the weights the chunk already carries."""
+    """Tr T and ||T - Sigma||_F^2 per row of one of the kernel's identity
+    chunks (`kernel.stream`), read off the weights the chunk already carries."""
     (term,) = chunk.terms
     rows = chunk.X.shape[0]
     return {"trace": _per_row(term.W.trace(), rows),
@@ -404,7 +423,8 @@ def discrepancy_from(accs: dict, seed: int) -> DiscrepancyStats:
 
 
 def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int) -> DiscrepancyStats:
-    accs = run(kernel.chunks(model, n, seed), lambda chunk: discrepancy_values(kernel, chunk))
+    draw, width = kernel.stream(model)
+    accs = run(n, seed, model.d, draw, lambda chunk: discrepancy_values(kernel, chunk), width)
     return discrepancy_from(accs, seed)
 
 
@@ -412,5 +432,5 @@ def stein_identity_residual(
     model: NoiseModel, kernel: SteinKernel, test_fn: TestFn, n: int, seed: int
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - E<T, grad f(X)>; 0 for a true kernel."""
-    chunks = kernel.chunks(model, n, seed)
-    return identity_residual(chunks, model.theta, [test_fn], seed, "stein")[test_fn.name]
+    reps = identity_residual(n, seed, *kernel.stream(model), model.theta, [test_fn], "stein")
+    return reps[test_fn.name]

@@ -13,6 +13,7 @@ No code path of the package calls the dense `TestFn.jac` or the single
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +22,9 @@ import numpy as np
 from .errors import EvaluationError
 
 _SINGULARITY_EPS = 1e-12
+# Doubles per block of `g0_replaced`'s scratch: two blocks (512 KB) stay in
+# cache through its passes, and are reused from block to block.
+_BLOCK = 1 << 15
 
 
 def sq_norms(X: np.ndarray) -> np.ndarray:
@@ -106,6 +110,12 @@ class FixedWeights(Weights):
 
     def scaled(self, a):
         return FixedWeights(a * self.matrix, self.scale)
+
+    def rescaled(self, scale) -> "FixedWeights":
+        """The weights scale_m M of this M, which is not checked again."""
+        out = copy.copy(self)
+        out.scale = scale
+        return out
 
 
 class DiagonalWeights(Weights):
@@ -264,24 +274,33 @@ def g0_contract(X: np.ndarray, W: Weights, sq: np.ndarray | None = None) -> np.n
     return W.trace() / sq - 2.0 * W.quad(X) / sq**2
 
 
-def g0_replaced(X: np.ndarray, R: np.ndarray, guard: bool = False) -> np.ndarray:
-    """d_i g0_i(X^i) in column i, X^i = X with x_i := R_i: (rows, d).
+def g0_replaced(X: np.ndarray, R: np.ndarray, w: np.ndarray, guard: bool = False) -> np.ndarray:
+    """sum_i w_i d_i g0_i(X^i) rowwise, X^i = X with x_i := R_i.
 
-    The value is 1/s_i - 2 R_i^2 / s_i^2 with s_i = ||X^i||^2, and
-    s_i = ||x||^2 - x_i^2 + R_i^2, so no X^i is built.  The whole form lives
-    in two (rows, d) arrays, updated in place.  With `guard`, raises when
-    some X^i lies within 1e-12 of the origin, as `TestFn.guard` would.
+    d_i g0_i(X^i) = 1/s_i - 2 R_i^2 / s_i^2, s_i = ||x||^2 - x_i^2 + R_i^2,
+    so no X^i is built: a block of rows at a time, in place, contracted by
+    `np.einsum`, since BLAS threads would oversubscribe the cores from a
+    draw task's thread.  With `guard`, raises when some X^i lies within
+    1e-12 of the origin, as `TestFn.guard` would.
     """
-    out = np.square(R)
-    s = np.square(X)
-    np.subtract(np.einsum("ij,ij->i", X, X)[:, None], s, out=s)
-    s += out
-    if guard and np.any(s < _SINGULARITY_EPS):
-        raise EvaluationError("g0 evaluated within 1e-12 of the origin")
-    out /= s
-    out /= s
-    out *= -2.0
-    out += np.reciprocal(s, out=s)
+    rows, d = X.shape
+    sq = np.einsum("ij,ij->i", X, X)[:, None]
+    step = max(1, min(rows, _BLOCK // d))
+    out, part, scratch = np.empty(rows), np.empty((step, d)), np.empty((step, d))
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        g, s = part[: b - a], scratch[: b - a]
+        np.square(R[a:b], out=g)
+        np.square(X[a:b], out=s)
+        np.subtract(sq[a:b], s, out=s)
+        s += g
+        if guard and np.any(s < _SINGULARITY_EPS):
+            raise EvaluationError("g0 evaluated within 1e-12 of the origin")
+        g /= s
+        g /= s
+        g *= -2.0
+        g += np.reciprocal(s, out=s)
+        np.einsum("mi,i->m", g, w, out=out[a:b])
     return out
 
 
@@ -309,7 +328,7 @@ def shrink_direction() -> TestFn:
         return val
 
     def contract_replaced(X, R, w):
-        return g0_replaced(X, R, guard=True) @ w
+        return g0_replaced(X, R, w, guard=True)
 
     return TestFn(
         name="g0",

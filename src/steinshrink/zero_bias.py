@@ -14,8 +14,9 @@ generic square-bias construction (`zb_construct`) draws X^i for laws
 without a special structure.
 
 A `JointChunk` carries X and those terms.  It is the one identity chunk of
-the package: a Stein kernel streams it too, as one shared term at X with
-weights T(X - theta) (`SteinKernel.chunks`), so `identity_residual` serves
+the package: a coupling's draw (`_centered`) makes one per draw task of
+`_mc.run`, and so does a Stein kernel's draw, as one shared term at X with
+weights T(X - theta) (`SteinKernel.stream`), so `identity_residual` serves
 the Stein and the zero-bias identities alike.
 """
 
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._mc import RiskReport, draw_chunks, report_from, run
+from ._mc import RiskReport, draw_parts, report_from, run
 from .errors import ParameterError
 from .laws1d import Gaussian1D, Law1D
 from .noise_models import (
@@ -142,9 +143,12 @@ def _merged(pick, arrays) -> np.ndarray:
 
 
 class ZeroBiasCoupling:
-    """Base class; subclasses implement `_centered(rng, rows)`, or `_empty` and an in-place `_fill`.
-    `term_weights` are the weights of a chunk's terms, built once: by default
-    sigma for one `Shared` term if `same_for_all`, else diag(sigma) for one `Replaced`."""
+    """Base class; subclasses implement the one hook `_centered(rng, rows,
+    empty)`, a fresh joint chunk of `rows` rows (theta included) whose arrays
+    it may take from `empty(shape)`: the coupling's stream for `_mc.run`,
+    over chunks `width` doubles a row wide.  `term_weights` are the weights
+    of a chunk's terms, built once: by default sigma for one `Shared` term if
+    `same_for_all`, else diag(sigma) for one `Replaced`."""
 
     construction = "abstract"
     same_for_all = False
@@ -167,39 +171,17 @@ class ZeroBiasCoupling:
     def theta(self):
         return self.base.theta
 
-    def _centered(self, rng: np.random.Generator, rows: int) -> JointChunk:
-        """A fresh joint chunk of `rows` rows."""
-        chunk = self._empty(rows)
-        self._fill(rng, chunk, 0, rows)
-        return chunk
-
-    def _empty(self, rows: int) -> JointChunk | None:
-        """An undrawn chunk of `rows` rows for `_fill(rng, chunk, a, b)`, or None."""
-        return None
-
-    def _chunk_dim(self) -> int:
+    @property
+    def width(self) -> int:
         return 4 * self.d
-
-    def joint_chunks(self, n: int, seed: int):
-        """Joint chunks whose draw tasks run on the usable cores, each from its
-        own substream.  A family with `_empty` yields one chunk per chunk of
-        rows, each task writing its rows in place; any other yields one fresh
-        chunk per task, in row order.  A chunk is let go of once yielded."""
-
-        def fill(rng, chunk, a, b):
-            return self._centered(rng, b - a) if chunk is None else self._fill(rng, chunk, a, b)
-
-        yield from draw_chunks(n, seed, self.d, fill, self._empty, self._chunk_dim())
 
     def pair_sampler(self, i: int, j: int, n: int, seed: int):
         """Paired draws (X, X^{ij}) for one index pair."""
         if self.sigma[i, j] == 0.0:
             raise ParameterError(f"sigma_{i}{j} = 0: the companion X^{{{i}{j}}} is undefined")
-        xs, stars = [], []
-        for chunk in self.joint_chunks(n, seed):
-            xs.append(chunk.X)
-            stars.append(chunk.companion(i, j))
-        return np.concatenate(xs), np.concatenate(stars)
+        chunks = draw_parts(n, seed, self.d, self._centered, self.width)
+        return (np.concatenate([chunk.X for chunk in chunks]),
+                np.concatenate([chunk.companion(i, j) for chunk in chunks]))
 
 
 class IndependentReplaceCoupling(ZeroBiasCoupling):
@@ -214,10 +196,9 @@ class IndependentReplaceCoupling(ZeroBiasCoupling):
         super().__init__(model, law.variance * np.eye(model.d))
         self.law = law
 
-    def _centered(self, rng, rows):
-        X = self.law.sample(rng, (rows, self.d), shift=self.theta)
-        R = self.law.zb_sample(rng, (rows, self.d))
-        R += self.theta
+    def _centered(self, rng, rows, empty):
+        X = self.law.sample(rng, (rows, self.d), self.theta, out=empty((rows, self.d)))
+        R = self.law.zb_sample(rng, (rows, self.d), self.theta, out=empty((rows, self.d)))
         return JointChunk(X, (Replaced(X, R, self.term_weights[0]),))
 
 
@@ -241,11 +222,13 @@ class SphereCoupling(ZeroBiasCoupling):
             raise ParameterError("sphere coupling needs a SphereUniform model")
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
-    def _centered(self, rng, rows):
-        Y = self.base._draw(rng, rows)
+    def _centered(self, rng, rows, empty):
+        Y = self.base._fill(rng, empty((rows, self.d)))
         r = rng.uniform(0.0, 1.0, rows) ** (1.0 / self.d)
-        P = self.theta + r[:, None] * Y
-        return JointChunk(self.theta + Y, (Shared(P, self.term_weights[0]),))
+        P = np.multiply(r[:, None], Y, out=empty((rows, self.d)))
+        P += self.theta
+        Y += self.theta
+        return JointChunk(Y, (Shared(P, self.term_weights[0]),))
 
 
 class StudentGammaCoupling(ZeroBiasCoupling):
@@ -263,16 +246,11 @@ class StudentGammaCoupling(ZeroBiasCoupling):
         self.k = model.k
         self.scale = math.sqrt(model.scale2)
 
-    def _empty(self, rows):
-        P = np.empty((rows, self.d))
-        return JointChunk(np.empty((rows, self.d)), (Shared(P, self.term_weights[0]),))
-
-    def _fill(self, rng, chunk, a, b):
+    def _centered(self, rng, rows, empty):
         k = self.k
-        delta = rng.gamma(k / 2.0 - 1.0, 2.0 / k, b - a)
-        eps = rng.gamma(1.0, 2.0 / k, b - a)
-        (term,) = chunk.terms
-        X, N = chunk.X[a:b], term.P[a:b]
+        delta = rng.gamma(k / 2.0 - 1.0, 2.0 / k, rows)
+        eps = rng.gamma(1.0, 2.0 / k, rows)
+        X, N = empty((rows, self.d)), empty((rows, self.d))
         # in place, with the bits of theta + s N / sqrt(...): N becomes P
         rng.standard_normal(out=N)
         N *= self.scale
@@ -280,6 +258,7 @@ class StudentGammaCoupling(ZeroBiasCoupling):
         X += self.theta
         N /= np.sqrt(delta)[:, None]
         N += self.theta
+        return JointChunk(X, (Shared(N, self.term_weights[0]),))
 
 
 class ScaledCoupling(ZeroBiasCoupling):
@@ -294,8 +273,8 @@ class ScaledCoupling(ZeroBiasCoupling):
         self.replaces = inner.replaces
         self.term_weights = tuple(_scaled(w, c * c) for w in inner.term_weights)
 
-    def _centered(self, rng, rows):
-        chunk = self.inner._centered(rng, rows)
+    def _centered(self, rng, rows, empty):
+        chunk = self.inner._centered(rng, rows, empty)
 
         def move(P):
             return self.theta + (P - self.inner.theta) * self.c
@@ -316,12 +295,9 @@ class GaussianFixedPointCoupling(ZeroBiasCoupling):
     def __init__(self, model: GaussianIso):
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
-    def _empty(self, rows):
-        X = np.empty((rows, self.d))
+    def _centered(self, rng, rows, empty):
+        X = self.base.draw(rng, rows, empty)
         return JointChunk(X, (Shared(X, self.term_weights[0]),))
-
-    def _fill(self, rng, chunk, a, b):
-        self.base._located(rng, chunk.X[a:b])
 
 
 class SumCoupling(ZeroBiasCoupling):
@@ -352,11 +328,12 @@ class SumCoupling(ZeroBiasCoupling):
         if not self.replaces:
             self.term_weights = tuple(w for comp in components for w in comp.term_weights)
 
-    def _chunk_dim(self) -> int:
+    @property
+    def width(self) -> int:
         return 4 * self.d * (len(self.components) + 1)
 
-    def _centered(self, rng, rows):
-        chunks = [comp._centered(rng, rows) for comp in self.components]
+    def _centered(self, rng, rows, empty):
+        chunks = [comp._centered(rng, rows, empty) for comp in self.components]
         total = sum(chunk.X for chunk in chunks)  # components are centered
         X = self.theta + total
         if self.replaces:
@@ -413,12 +390,13 @@ class MixtureCoupling(ZeroBiasCoupling):
                 _scaled(cw, ws) for ws, comp in zip(w, components) for cw in comp.term_weights
             )
 
-    def _chunk_dim(self) -> int:
+    @property
+    def width(self) -> int:
         return 8 * self.d
 
-    def _centered(self, rng, rows):
+    def _centered(self, rng, rows, empty):
         pick = rng.choice(len(self.components), size=rows, p=self.weights)
-        subchunks = [comp._centered(rng, rows) for comp in self.components]
+        subchunks = [comp._centered(rng, rows, empty) for comp in self.components]
         X = self.theta + _merged(pick, [chunk.X for chunk in subchunks])
         if self.replaces or self.same_for_all:
             values = self.theta + _merged(pick, [_values(chunk) for chunk in subchunks])
@@ -470,11 +448,12 @@ class LinearMapCoupling(ZeroBiasCoupling):
             else:
                 self.term_weights.append(w.transformed(A))
 
-    def _chunk_dim(self) -> int:
+    @property
+    def width(self) -> int:
         return 8 * self.d
 
-    def _centered(self, rng, rows):
-        chunk = self.base_coupling._centered(rng, rows)
+    def _centered(self, rng, rows, empty):
+        chunk = self.base_coupling._centered(rng, rows, empty)
 
         def image(U):
             return self.theta + (U - self.base_coupling.theta) @ self.A.T
@@ -501,12 +480,11 @@ class FourPointCoupling(ZeroBiasCoupling):
     def __init__(self, model):
         super().__init__(model, 0.5 * np.eye(2))
 
-    def _centered(self, rng, rows):
-        Y = self.base._draw(rng, rows)
+    def _centered(self, rng, rows, empty):
+        X = self.base.draw(rng, rows, empty)
         U = rng.uniform(-1.0, 1.0, rows)
         B = np.broadcast_to(self.theta, (rows, 2))
-        term = Replaced(B, B + U[:, None], self.term_weights[0])
-        return JointChunk(self.theta + Y, (term,))
+        return JointChunk(X, (Replaced(B, B + U[:, None], self.term_weights[0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -579,27 +557,26 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     law = _coordinate_law(model) if exact else None
     pool = 64
 
-    def part(rng, chunk, a, b):
-        """Rows a:b of the draws and their fraction of effective samples."""
+    def part(rng, rows, empty):
+        """`rows` draws and their fraction of effective samples."""
         if exact:
-            Y = law.sample(rng, (b - a, model.d))
-            Y[:, i] = law.zb_sample(rng, b - a)
+            Y = law.sample(rng, (rows, model.d))
+            Y[:, i] = law.zb_sample(rng, rows)
             return model.theta + Y, 1.0
-        cand = model._draw(rng, (b - a) * pool)
+        cand = model._draw(rng, rows * pool)
         w = cand[:, i] ** 2
         total = w.sum()
         if total <= 0:
             raise ParameterError("square-bias sampling failed: all weights vanish")
         p = w / total
-        picked = cand[rng.choice(cand.shape[0], size=b - a, p=p)]
-        picked[:, i] *= rng.uniform(0.0, 1.0, b - a)
+        picked = cand[rng.choice(cand.shape[0], size=rows, p=p)]
+        picked[:, i] *= rng.uniform(0.0, 1.0, rows)
         return model.theta + picked, 1.0 / np.sum(p * p) / pool
 
-    # one part per draw task, in row order
-    parts = list(draw_chunks(n, seed, model.d, part, width=model.d if exact else 8 * model.d))
+    parts = draw_parts(n, seed, model.d, part, width=model.d if exact else 8 * model.d)
     draws = np.concatenate([draw for draw, _ in parts])
-    if return_ess:
-        return draws, sum(ess for _, ess in parts) / len(parts) * n
+    if return_ess:  # each task's fraction weighted by its rows
+        return draws, sum(len(draw) * ess for draw, ess in parts)
     return draws
 
 
@@ -607,9 +584,11 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
 # identity residuals
 
 
-def identity_residual(chunks, theta, test_fns: list[TestFn], seed: int, kind: str) -> dict:
-    """MC estimates of E<X-theta, f(X)> minus the mean of the chunks' weighted
-    partials, the residual of the identity the chunks carry (0 when it
+def identity_residual(n: int, seed: int, draw, width, theta, test_fns: list[TestFn],
+                      kind: str) -> dict:
+    """MC estimates of E<X-theta, f(X)> minus the mean of the weighted
+    partials of the joint chunks `draw` makes (a coupling's `_centered`, a
+    kernel's `stream`), the residual of the identity they carry (0 when it
     holds), for each test function from one pass; reports by function name,
     labelled `<kind>-residual:<name>`."""
     if len({fn.name for fn in test_fns}) < len(test_fns):
@@ -623,7 +602,7 @@ def identity_residual(chunks, theta, test_fns: list[TestFn], seed: int, kind: st
             out[fn.name] = lhs - chunk.weighted_partials(fn)
         return out
 
-    accs = run(chunks, residuals)
+    accs = run(n, seed, len(theta), draw, residuals, width)
     return {fn.name: report_from(accs[fn.name], seed, f"{kind}-residual:{fn.name}")
             for fn in test_fns}
 
@@ -632,8 +611,8 @@ def zb_identity_residual(
     model: NoiseModel, coupling: ZeroBiasCoupling, test_fn: TestFn, n: int, seed: int
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - sum_ij sigma_ij E d_j f_i(X^{ij})."""
-    chunks = coupling.joint_chunks(n, seed)
-    return identity_residual(chunks, model.theta, [test_fn], seed, "zb")[test_fn.name]
+    reps = identity_residual(n, seed, coupling._centered, coupling.width, model.theta, [test_fn], "zb")
+    return reps[test_fn.name]
 
 
 def coordinate_sum_residual(
@@ -649,7 +628,7 @@ def coordinate_sum_residual(
     def contract_replaced(B, R, w):
         Wi = R - B  # W(X^i) = W(B) - b_i + r_i
         Wi += wsum(B)[:, None]
-        return fprime(Wi) @ w
+        return np.einsum("mi,i->m", fprime(Wi), w)
 
     field = SimpleNamespace(
         guard=lambda X: None,
@@ -661,5 +640,5 @@ def coordinate_sum_residual(
         W = wsum(chunk.X)
         return {"residual": W * f(W) - chunk.weighted_partials(field)}
 
-    acc = run(coupling.joint_chunks(n, seed), residual)["residual"]
+    acc = run(n, seed, coupling.d, coupling._centered, residual, coupling.width)["residual"]
     return report_from(acc, seed, label="zb-residual:coordinate-sum")

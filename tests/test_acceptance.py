@@ -287,29 +287,26 @@ def test_criterion_11_soft_threshold_calibration():
     grid = lambda_grid(d, 2.0, 512)
 
     hat_risks = []
-    null_pool, spike_pool = [], []
     rows = chunk_rows(8 * d)  # the grid search holds about eight (rows, d) arrays
-    for X in model.iter_chunks(n, 2024):
-        for start in range(0, X.shape[0], rows):
-            block = X[start : start + rows]
-            lam_hat = grid[np.argmin(sure_soft_threshold_grid(block, sigma2, grid), axis=-1)]
-            dev = ss.soft_threshold(block, lam_hat[:, None]) - theta
-            hat_risks.append(np.einsum("ij,ij->i", dev, dev))
-        spike_pool.append(X[:, :spikes].ravel())
-        null_pool.append(X[:, spikes:].ravel())
+    X = model.sample(n, 2024)
+    for start in range(0, n, rows):
+        block = X[start : start + rows]
+        lam_hat = grid[np.argmin(sure_soft_threshold_grid(block, sigma2, grid), axis=-1)]
+        dev = ss.soft_threshold(block, lam_hat[:, None]) - theta
+        hat_risks.append(np.einsum("ij,ij->i", dev, dev))
     hat_risks = np.concatenate(hat_risks)
     risk_hat = hat_risks.mean()
     se_hat = hat_risks.std(ddof=1) / math.sqrt(n)
 
     # oracle: exact per-grid risk sums via sorted pools and suffix cumsums
-    null = np.sort(np.abs(np.concatenate(null_pool)))
+    null = np.sort(np.abs(X[:, spikes:].ravel()))
     s1 = np.concatenate([[0.0], np.cumsum(null[::-1])])[::-1]
     s2 = np.concatenate([[0.0], np.cumsum((null[::-1]) ** 2)])[::-1]
     idx = np.searchsorted(null, grid, side="right")
     cnt = null.size - idx
     null_risk = s2[idx] - 2 * grid * s1[idx] + grid**2 * cnt
 
-    xs = np.sort(np.concatenate(spike_pool))
+    xs = np.sort(X[:, :spikes].ravel())
     p1 = np.concatenate([[0.0], np.cumsum(xs)])
     p2 = np.concatenate([[0.0], np.cumsum(xs**2)])
     total1, total2, N = p1[-1], p2[-1], xs.size

@@ -544,11 +544,15 @@ def test_config_file_and_flags_give_the_same_bytes(tmp_path):
     assert set(_EVERY_OPTION) | {"out"} == set(cli._OPTIONS)
     assert set().union(*_READS.values()) == set(cli._OPTIONS)  # every option is run below
     echoes = {}
-    # `sure --select-lambda` reads no --lambda or --estimator: sure runs twice
-    runs = [(command, keys - {"select_lambda"} if command == "sure" else keys)
-            for command, keys in _READS.items()]
-    runs.append(("sure", _READS["sure"] - {"lam", "estimator"}))
+    # `sure` runs twice: --select-lambda reads no --lambda or --estimator,
+    # and plain `sure` no --lambda-grid; neither echoes what it does not read
+    unread = {command: set() for command in _READS}
+    runs = [(command, keys) for command, keys in _READS.items() if command != "sure"]
+    runs += [("sure", _READS["sure"] - {"select_lambda", "lambda_grid"}),
+             ("sure", _READS["sure"] - {"lam", "estimator"})]
     for command, keys in runs:
+        if command == "sure":
+            unread["sure"] = _READS["sure"] - keys - {"select_lambda"}
         options = {key: _EVERY_OPTION[key] for key in _EVERY_OPTION if key in keys}
         if command == "identity-check":
             options["model"] = ("--model", "student")  # a suite row
@@ -564,7 +568,7 @@ def test_config_file_and_flags_give_the_same_bytes(tmp_path):
         assert by_file.read_bytes() == by_flags.read_bytes(), command
         echoes[command] = _data_rows(by_file)[0][1].split()[2:]
         echoed = {item.split("=")[0] for item in echoes[command]}
-        assert echoed == _READS[command] - {"out"} | {"command"}
+        assert echoed == _READS[command] - {"out"} - unread[command] | {"command"}
     assert {"lam=3.5", "bounds=true"} <= set(echoes["risk"])
     assert "c_high=10.0" in echoes["sphere-demo"]
 
@@ -577,7 +581,7 @@ def test_default_config_echo(tmp_path):
         "risk": "bounds=false command=risk d=5 estimator=james-stein excess=false "
                 "lam=0.0 model=gaussian pinsker=false reps=100000 seed=1 "
                 "sigma=1.0 theta=zero",
-        "sure": "command=sure d=5 estimator=james-stein lam=0.0 lambda_grid=2:512 "
+        "sure": "command=sure d=5 estimator=james-stein lam=0.0 "
                 "model=gaussian pinsker=false reps=200 seed=1 "
                 "select_lambda=false sigma=1.0 theta=zero",
         "identity-check": "command=identity-check model=all reps=200 seed=1",
@@ -608,7 +612,7 @@ def _readme_commands():
 def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
     # every key a command reads from its configuration over the README's
     # examples; reading a key the command does not take raises KeyError.
-    # Each run reads every key it echoes, but for the ones listed below
+    # Each run reads every key it echoes
     import steinshrink.cli as cli
 
     reads = {command: set() for command in cli._COMMAND_OPTIONS}
@@ -632,11 +636,7 @@ def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
         assert main(argv + short) == 0, argv
         echoed = _data_rows(tmp_path / argv[argv.index("--out") + 1])[0][1].split()[2:]
         unread = {item.split("=")[0] for item in echoed} - run_reads - {"command"}
-        if argv[0] == "sure":  # echoed, though only one branch reads them
-            assert unread == ({"lam", "estimator"} if "--select-lambda" in argv
-                              else {"lambda_grid"}), argv
-        else:
-            assert unread == set(), argv
+        assert unread == set(), argv
     assert {command: set(options) for command, options in cli._COMMAND_OPTIONS.items()} == _READS
     assert reads == _READS
     assert sum(map(len, _READS.values())) == 53
@@ -649,6 +649,9 @@ def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
     # the soft-threshold rule with a lambda picked per row
     pytest.param("sure --select-lambda", key, id=f"sure-select-lambda-{key}")
     for key in ("lam", "estimator")
+] + [
+    # plain `sure`, which picks no lambda
+    pytest.param("sure", "lambda_grid", id="sure-lambda_grid"),
 ] + [
     # `build_model` reads --k for Student noise only, a Student outlier
     # included, and --eps and --outlier for the corrupt models only

@@ -38,6 +38,7 @@ from steinshrink.zero_bias import (
     Shared,
     SumCoupling,
 )
+from conftest import joint_parts, kernel_parts
 from oracles import jacobian
 
 D = 6
@@ -95,7 +96,7 @@ CASES = _models_and_kernels()
 def _chunk(model, kernel):
     """One identity chunk of the kernel's stream, its one term's weights, and
     the dense kernel matrices at its draws as the oracle."""
-    chunk = next(kernel.chunks(model, ROWS, 5))
+    chunk = kernel_parts(kernel, model, ROWS, 5)[0]
     (term,) = chunk.terms
     assert isinstance(term, Shared) and term.P is chunk.X
     if isinstance(term.W, DenseWeights):  # mixture and average chunks carry their matrices
@@ -142,8 +143,8 @@ def test_discrepancy_evaluates_the_kernel_once_per_chunk(monkeypatch):
 def test_gaussian_kernel_and_fixed_point_coupling_stream_the_same_chunks():
     model = ss.GaussianIso(D, 1.3, "scaled:1")
     n = 300  # below one chunk of rows for either stream
-    by_kernel = list(ss.gaussian_kernel(model.cov()).chunks(model, n, 13))
-    by_coupling = list(ss.coupling_for(model).joint_chunks(n, 13))
+    by_kernel = kernel_parts(ss.gaussian_kernel(model.cov()), model, n, 13)
+    by_coupling = joint_parts(ss.coupling_for(model), n, 13)
     assert len(by_kernel) == len(by_coupling) == 1
     (k_chunk,), (c_chunk,) = by_kernel, by_coupling
     np.testing.assert_array_equal(k_chunk.X, c_chunk.X)
@@ -180,7 +181,7 @@ def _linear_student_coupling():
 )
 def test_zb_shared_branch_matches_dense(make_coupling):
     coupling = make_coupling()
-    chunk = next(coupling.joint_chunks(ROWS, 9))
+    chunk = joint_parts(coupling, ROWS, 9)[0]
     (term,) = chunk.terms
     assert isinstance(term, Shared)
     weights = FixedWeights(coupling.sigma)
@@ -195,7 +196,7 @@ def test_zb_residual_shared_branch_matches_dense_mean():
     coupling = ss.coupling_for(model)
     for fn in _test_fns():
         rows = []
-        for chunk in coupling.joint_chunks(2000, 10):
+        for chunk in joint_parts(coupling, 2000, 10):
             lhs = np.einsum("mi,mi->m", chunk.X - model.theta, fn.f(chunk.X))
             star = chunk.companion(0, 0)
             rows.append(lhs - np.einsum("ij,mij->m", coupling.sigma, jacobian(fn, star)))
@@ -260,7 +261,7 @@ def _fields():
 
 @pytest.mark.parametrize("name,coupling", REPLACEMENT, ids=[c[0] for c in REPLACEMENT])
 def test_replacement_closed_form_matches_partial_loop(name, coupling):
-    chunk = next(coupling.joint_chunks(ROWS, 9))
+    chunk = joint_parts(coupling, ROWS, 9)[0]
     (term,) = chunk.terms
     assert isinstance(term, Replaced) and np.array_equal(term.B, chunk.X)
     assert np.any(coupling.theta != 0.0)
@@ -353,7 +354,7 @@ def _averaged_oracle(coupling, field, seed):
 
         return _dense_sum(field, coupling.sigma, point)
     if isinstance(coupling, LinearMapCoupling):
-        base = coupling.base_coupling._centered(rng, ROWS)
+        base = coupling.base_coupling._centered(rng, ROWS, np.empty)
         A, gamma = coupling.A, np.diag(coupling.base_coupling.sigma)
         total = 0.0
         for k in range(D):
@@ -363,7 +364,7 @@ def _averaged_oracle(coupling, field, seed):
         return total
     if isinstance(coupling, MixtureCoupling):
         pick = rng.choice(len(coupling.components), size=ROWS, p=coupling.weights)
-    subs = [comp._centered(rng, ROWS) for comp in coupling.components]
+    subs = [comp._centered(rng, ROWS, np.empty) for comp in coupling.components]
     total = 0.0
     if coupling.same_for_all:  # the companion of the picked component
         star = theta + sum(np.where((pick == s)[:, None], sub.companion(0, 0), 0.0)
@@ -382,7 +383,7 @@ def _averaged_oracle(coupling, field, seed):
 @pytest.mark.parametrize("name,coupling", AVERAGED, ids=[c[0] for c in AVERAGED])
 def test_averaged_closed_form_matches_dense_oracle(name, coupling):
     assert np.any(coupling.theta != 0.0)
-    chunk = next(coupling.joint_chunks(ROWS, 9))
+    chunk = joint_parts(coupling, ROWS, 9)[0]
     fields = _fields()
     if name == "four-point":  # d = 2; g0 is singular on the companions' segments
         A = np.random.default_rng(20240517).normal(size=(2, 2))

@@ -180,14 +180,9 @@ def test_sure_kernel_gaussian_matches_sure_pointwise(rng):
 
 
 def _mc_risk_and_kernel_sure(model, est, kern, n, seed):
-    risks, sures = [], []
-    for X in model.iter_chunks(n, seed):
-        dev = est.apply(X) - model.theta
-        risks.append(np.einsum("ij,ij->i", dev, dev))
-        sures.append(ss.sure_kernel(X, est, kern, model.theta))
-    r = np.concatenate(risks)
-    s = np.concatenate(sures)
-    diff = s - r
+    X = model.sample(n, seed)
+    dev = est.apply(X) - model.theta
+    diff = ss.sure_kernel(X, est, kern, model.theta) - np.einsum("ij,ij->i", dev, dev)
     return diff.mean(), diff.std(ddof=1) / math.sqrt(n)
 
 

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from steinshrink import (
     LinearTransform,
     MixingCorruption,
     Mixture,
-    NoiseModel,
     ProductIID,
     SoftThreshold,
     SphereUniform,
@@ -33,19 +33,23 @@ from steinshrink import (
     bound_b_star,
     bound_thm31,
     bound_thm33,
+    coordinate_quadratic,
     coordinate_sum_residual,
     coupling_for,
+    discrepancy_stats,
     gaussian_kernel,
+    linear_map,
     mc_excess_risk,
     mc_inverse_moment,
     mc_risk,
     mixture_kernel,
+    shrink_direction,
     student_constants,
     student_kernel,
     sure_bias,
     zb_construct,
 )
-from steinshrink import _mc, laws1d, risk_lab
+from steinshrink import _mc, cli, laws1d, risk_lab, stein_kernels, zero_bias
 from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, run, substream
 from steinshrink.cli import (
     _SEED_BSTAR,
@@ -57,6 +61,7 @@ from steinshrink.cli import (
     resolve_config,
 )
 from steinshrink.risk_lab import guarded_pass, inverse_moment, sure_pass
+from steinshrink.zero_bias import identity_residual
 
 
 def test_accumulator_matches_numpy(rng):
@@ -137,6 +142,23 @@ def _fields(acc):
     return (acc.n, acc.mean, acc.m2, acc.m3, acc.m4)
 
 
+def _whole(chunks, values):
+    """The accumulators of `values` evaluated on each whole chunk, one
+    update per chunk: what a pass over those chunks must give."""
+    accs = {}
+    for chunk in chunks:
+        for name, rows in values(chunk).items():
+            accs.setdefault(name, Accumulator()).add(rows)
+    return accs
+
+
+def _chunks_of(model, n, seed):
+    """The model's n draws cut into the chunks of `chunk_plan`."""
+    X = model.sample(n, seed)
+    cuts = np.cumsum([rows for _, rows in chunk_plan(n, model.d)])[:-1]
+    return np.split(X, cuts)
+
+
 def test_run_fused_stats_equal_separate_runs():
     model = StudentT(5, 6, "scaled:1")
     n, seed = 2 * chunk_rows(5) + 321, 17  # three chunks, the last one short
@@ -147,9 +169,9 @@ def test_run_fused_stats_equal_separate_runs():
     def first(X):
         return X[:, 0] ** 3
 
-    fused = run(model.iter_chunks(n, seed), lambda X: {"norm2": norm2(X), "first": first(X)})
+    fused = run(n, seed, 5, model.draw, lambda X: {"norm2": norm2(X), "first": first(X)})
     for name, stat in (("norm2", norm2), ("first", first)):
-        alone = run(model.iter_chunks(n, seed), lambda X: {name: stat(X)})[name]
+        alone = run(n, seed, 5, model.draw, lambda X: {name: stat(X)})[name]
         assert _fields(fused[name]) == _fields(alone)
         assert fused[name].n == n
 
@@ -287,7 +309,8 @@ def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, 
             "frob": ((T - sigma) ** 2).sum(axis=(1, 2)),
         }
 
-    accs = run(kernel.chunks(model, n, seed), by_hand)
+    draw, width = kernel.stream(model)
+    accs = run(n, seed, d, draw, by_hand, width)
     mom = model.moments()
     e_inv2 = accs["e_inv2"].mean
     disc = DiscrepancyStats(accs["trace"].mean, 0.0, accs["trace"].variance, 0.0,
@@ -357,7 +380,7 @@ def test_split_draws_keep_bytes_and_end_state(monkeypatch, law, serial, workers)
     _force_tasks(monkeypatch, workers, task=7 * 7)
     made = _task_streams(monkeypatch)
     model = ProductIID(7, law, "scaled:2")
-    X = next(model.iter_chunks(101, 5))
+    X = model.sample(101, 5)
     cuts = _mc._draw_cuts(101, 7)
     assert len(cuts) == 15 and sorted(made) == [(5, 0, k) for k in range(14)]
     for k in range(14):
@@ -435,19 +458,19 @@ def test_gaussian_and_student_chunks_are_drawn_in_tasks(monkeypatch, model):
     n, seed = 250, 6
     for threads in (1, 3):
         _force_tasks(monkeypatch, threads)
-        chunks = list(model.iter_chunks(n, seed))
-        assert len(chunks) == 1
+        assert len(list(chunk_plan(n, model.d))) == 1
+        X = model.sample(n, seed)
         cuts = _mc._draw_cuts(n, model.d)
         assert len(cuts) == n * model.d // (20 * 7) + 1
         for k in range(len(cuts) - 1):
             rows = cuts[k + 1] - cuts[k]
             want = _centered_rows(substream(seed, 0, k), rows, model) + model.theta
-            assert _same_bits(chunks[0][cuts[k] : cuts[k + 1]], want), (threads, k)
+            assert _same_bits(X[cuts[k] : cuts[k + 1]], want), (threads, k)
 
 
 def _library_stream(name, n, seed):
-    """(arrays drawn, chunk width) of a dense kernel's chunks or of the
-    square-bias construction, at d = 5."""
+    """(arrays drawn, chunk width) of a dense kernel's identity chunks or of
+    the square-bias construction, at d = 5."""
     d, k = 5, 6
     student = StudentT(d, k, "scaled:1")
     if name in ("average-kernel", "mixture-kernel"):
@@ -458,8 +481,10 @@ def _library_stream(name, n, seed):
             gauss = GaussianIso(d, student.sigma2)
             kernel = mixture_kernel([(gauss, gaussian_kernel(gauss.cov())),
                                      (StudentT(d, k), student_kernel(k, d))], [0.7, 0.3])
-        chunks = kernel.chunks(model, n, seed)
-        return [a for c in chunks for a in (c.X, c.terms[0].W.mats)], d * d
+        draw, width = kernel.stream(model)
+        chunks = _mc.draw_parts(n, seed, d, draw, width)
+        assert width == d * d
+        return [a for c in chunks for a in (c.X, c.terms[0].W.mats)], width
     if name == "construct-product":
         return [zb_construct(ProductIID(d, Uniform1D(1.3), "scaled:1"), 2, n, seed)], d
     draws, ess = zb_construct(SphereUniform(d, 1.0, "scaled:1"), 2, n, seed, return_ess=True)
@@ -491,21 +516,21 @@ def test_dense_kernels_and_construction_are_drawn_in_tasks(monkeypatch, name):
 @pytest.mark.parametrize("raising_block", ["worker", "caller"])
 def test_split_draw_raises_a_blocks_error(monkeypatch, raising_block):
     # an exception in a draw task, on a started thread or on the calling
-    # one, reaches the caller of iter_chunks, and no chunk is yielded
+    # one, reaches the caller of sample, and no draw is returned
     _force_tasks(monkeypatch, 3)
     caller = threading.current_thread()
     model = GaussianIso(7, 1.0)
-    real = model._located
+    real = model.draw
 
-    def located(rng, out):
+    def draw(rng, rows, empty):
         if (threading.current_thread() is caller) == (raising_block == "caller"):
             raise RuntimeError("draw failed")
-        real(rng, out)
+        return real(rng, rows, empty)
 
-    monkeypatch.setattr(model, "_located", located)
+    monkeypatch.setattr(model, "draw", draw)
     returned = []
     with pytest.raises(RuntimeError, match="draw failed"):
-        returned.extend(model.iter_chunks(101, 7))
+        returned.append(model.sample(101, 7))
     assert returned == []
 
 
@@ -571,24 +596,24 @@ def test_split_draw_tasks_go_to_the_free_thread(monkeypatch):
     # not finish without the timeout; the bytes are those of one thread
     model = ProductIID(7, Uniform1D(1.0))
     _force_tasks(monkeypatch, 1, task=10 * 7)
-    (serial,) = model.iter_chunks(80, 8)
+    serial = model.sample(80, 8)
     monkeypatch.setattr(_mc, "_usable_cores", lambda: 2)
     caller = threading.current_thread()
     released = threading.Event()
     caller_tasks = []
-    real = model._located
+    real = model.draw
 
-    def located(rng, out):
+    def draw(rng, rows, empty):
         if threading.current_thread() is caller:
-            caller_tasks.append(len(out))
+            caller_tasks.append(rows)
             if len(caller_tasks) == 7:
                 released.set()
         else:
             released.wait(timeout=10)
-        real(rng, out)
+        return real(rng, rows, empty)
 
-    monkeypatch.setattr(model, "_located", located)
-    (X,) = model.iter_chunks(80, 8)
+    monkeypatch.setattr(model, "draw", draw)
+    X = model.sample(80, 8)
     assert released.is_set() and caller_tasks == [10] * 7
     assert _same_bits(X, serial)
 
@@ -639,48 +664,60 @@ def test_laplace_inversion_tracks_numpy_laplace():
 
 
 # ---------------------------------------------------------------------------
-# per-row statistics in the fused draw tasks of `NoiseModel.accumulate`
+# per-row statistics in the draw tasks of `_mc.run`
 
 
 def _statistic_of(monkeypatch, call):
-    """The `values` function that `call()` hands to `NoiseModel.accumulate` first."""
+    """The `values` function that `call()` hands to `_mc.run` first."""
     seen = []
-    real = NoiseModel.accumulate
 
-    def recording(model, n, seed, values):
+    def recording(n, seed, d, draw, values, width=None):
         seen.append(values)
-        return real(model, n, seed, values)
+        return run(n, seed, d, draw, values, width)
 
-    monkeypatch.setattr(NoiseModel, "accumulate", recording)
+    for module in (risk_lab, cli):
+        monkeypatch.setattr(module, "run", recording)
     call()
-    monkeypatch.setattr(NoiseModel, "accumulate", real)
+    for module in (risk_lab, cli):
+        monkeypatch.setattr(module, "run", run)
     return seen[0]
 
 
-def _drawing_rows_of(monkeypatch, X):
-    """A fill for `_mc.draw_run(len(X), seed, d, fill, values)` that draws the
-    rows of X, one chunk: each task's substream is its task index."""
+def _drawing_rows_of(monkeypatch, X, part=lambda rows: rows):
+    """A draw for `_mc.run(len(X), seed, d, draw, values)` that draws the
+    rows of X, one chunk, into the engine's buffers, and makes them a part
+    by `part`: each task's substream is its task index."""
     cuts = _mc._draw_cuts(*X.shape)
     monkeypatch.setattr(_mc, "substream", lambda seed, index, task=0: task)
 
-    def fill(task, out):
+    def draw(task, rows, empty):
+        out = empty((rows, X.shape[1]))
         out[...] = X[cuts[task] : cuts[task + 1]]
+        return part(out)
 
-    return fill
+    return draw
 
 
-def _assert_rows_keep_bits(monkeypatch, values, X):
+def _identity_chunk(kernel, theta):
+    """The kernel's identity chunk of some rows, made by its stream's draw
+    on a model that draws those rows."""
+    draw, _ = kernel.stream(SimpleNamespace(theta=theta, draw=lambda rows, _, empty: rows))
+    return lambda rows: draw(rows, len(rows), None)
+
+
+def _assert_rows_keep_bits(monkeypatch, values, X, part=lambda rows: rows):
     # every row's values have the same bits whatever the height of the task
-    # that holds the row, and so do the fused pass's joined tasks on 3 threads
-    whole = values(X)
+    # that holds the row, and so do the pass's joined tasks on 3 threads;
+    # `part` makes a task's part of its rows (a kernel's identity chunk)
+    whole = values(part(X))
     for height in (1, 2, 3, 5, 16):
-        parts = [values(X[a : a + height]) for a in range(0, len(X), height)]
+        parts = [values(part(X[a : a + height])) for a in range(0, len(X), height)]
         for name, rows in whole.items():
             assert _same_bits(np.concatenate([part[name] for part in parts]), rows), (name, height)
     _force_tasks(monkeypatch, 3, task=4 * X.shape[1])
     monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
-    fused = _mc.draw_run(len(X), 0, X.shape[1], _drawing_rows_of(monkeypatch, X), values)
-    unsplit = run([X], values)
+    fused = run(len(X), 0, X.shape[1], _drawing_rows_of(monkeypatch, X, part), values)
+    unsplit = _whole([part(X)], values)
     assert list(fused) == list(whole)
     assert all(_fields(fused[name]) == _fields(unsplit[name]) for name in whole)
 
@@ -713,6 +750,22 @@ def test_sure_rows_keep_their_bits_across_task_heights(monkeypatch, family, esti
     _assert_rows_keep_bits(monkeypatch, values, model.sample(37, 4))
 
 
+@pytest.mark.parametrize("family", list(_MODELS))
+def test_kernel_rows_keep_their_bits_across_task_heights(tmp_path, monkeypatch, family):
+    # the one pass of `risk --bounds`, over the kernel's identity chunks:
+    # the risk, the inverse moments, and Tr T and ||T - Sigma||^2 off the
+    # weights each chunk carries
+    args = ["risk", "--bounds", "--model", family, "--d", "12", "--theta", "scaled:1",
+            "--lambda", "9", "--reps", "50", "--seed", "3", "--out", str(tmp_path / "r.csv")]
+    args += ["--k", "6"] if family == "student" else []
+    values = _statistic_of(monkeypatch, lambda: main(args))
+    model = build_model(resolve_config(build_parser().parse_args(args)))
+    chunk = _identity_chunk(model_kernel(model), model.theta)
+    X = model.sample(37, 4)
+    assert list(values(chunk(X))) == ["risk", "e_inv2", "e_d2_inv4", "trace", "frob"]
+    _assert_rows_keep_bits(monkeypatch, values, X, chunk)
+
+
 def test_select_lambda_rows_keep_their_bits_across_task_heights(tmp_path, monkeypatch):
     args = ["sure", "--model", "gaussian", "--d", "64", "--theta", "scaled:2",
             "--select-lambda", "--reps", "50", "--out", str(tmp_path / "s.csv")]
@@ -733,8 +786,9 @@ def test_inverse_moment_rows_keep_their_bits_across_task_heights(monkeypatch, m)
 def test_fused_pass_equals_run_over_the_chunks(monkeypatch, model):
     # two full chunks of 3 draw tasks and a remainder chunk of one, drawn and
     # scored in the same tasks on 1, 2 and 3 threads: the accumulators are
-    # those of `run` over the chunks of `iter_chunks`, bit for bit.  "first"
-    # is a view of the rows, which the next task on its thread draws over
+    # those of the statistics on each whole chunk of the draws, bit for bit.
+    # "first" is a view of the rows, which the next task on its thread draws
+    # over
     d, seed = model.d, 12
     monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 60 * d)
     monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
@@ -745,27 +799,47 @@ def test_fused_pass_equals_run_over_the_chunks(monkeypatch, model):
 
     for threads in (1, 2, 3):
         _force_tasks(monkeypatch, threads, task=20 * d)
-        chunks = list(model.iter_chunks(n, seed))
+        chunks = _chunks_of(model, n, seed)
         assert [len(X) for X in chunks] == [60, 60, 19]
-        whole, fused = run(chunks, values), model.accumulate(n, seed, values)
+        whole, fused = _whole(chunks, values), run(n, seed, d, model.draw, values)
         assert list(fused) == ["norm2", "first"]
         assert all(_fields(fused[name]) == _fields(whole[name]) for name in whole), threads
         assert fused["first"].n == n
 
 
+def test_a_pass_draws_into_the_buffers_of_finished_tasks(monkeypatch):
+    # on one thread, every draw task of two chunks of 8 equal tasks draws
+    # into the first task's buffer: the pass allocates one task's rows
+    _force_tasks(monkeypatch, 1, task=10 * 7)
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 80 * 7)
+    seen = set()
+
+    def values(X):
+        seen.add(X.__array_interface__["data"][0])
+        return {"x": X[:, 0]}
+
+    assert run(160, 3, 7, GaussianIso(7, 1.0).draw, values)["x"].n == 160
+    assert len(seen) == 1
+
+
 def test_row_tasks_follow_rows_and_d_only(monkeypatch):
-    # the rows a fused pass hands its statistics at once are those of one
-    # draw task, so their layout is fixed by (rows, d): small chunks stay one
+    # the rows a pass hands its statistics at once are those of one draw
+    # task, so their layout is fixed by (rows, d): small chunks stay one
     # task, and the core count does not move it
     def heights(rows, d, threads):
         monkeypatch.setattr(_mc, "_usable_cores", lambda: threads)
         seen = []
 
+        def ones(rng, rows, empty):
+            out = empty((rows, d))
+            out.fill(1.0)
+            return out
+
         def values(X):
             seen.append(len(X))
             return {"x": X[:, 0]}
 
-        accs = _mc.draw_run(rows, 0, d, lambda rng, out: out.fill(1.0), values)
+        accs = run(rows, 0, d, ones, values)
         assert accs["x"].n == rows
         return sorted(seen)
 
@@ -819,10 +893,10 @@ def test_guard_abort_in_a_worker_task_reaches_the_caller(monkeypatch):
 
 
 def test_row_tasks_raise_the_first_failed_task(monkeypatch):
-    # the error a serial loop over the fused tasks would meet first is the
-    # one raised, though a later task may fail first on another thread
+    # the error a serial loop over the tasks would meet first is the one
+    # raised, though a later task may fail first on another thread
     _force_tasks(monkeypatch, 3, task=2)
-    fill = _drawing_rows_of(monkeypatch, np.arange(20.0)[:, None])
+    draw = _drawing_rows_of(monkeypatch, np.arange(20.0)[:, None])
 
     def values(X):  # ten tasks of two rows; those from row 4 on fail
         if X[-1, 0] >= 5:
@@ -831,4 +905,58 @@ def test_row_tasks_raise_the_first_failed_task(monkeypatch):
 
     for _ in range(20):
         with pytest.raises(ValueError, match="task from row 4$"):
-            _mc.draw_run(20, 0, 1, fill, values)
+            run(20, 0, 1, draw, values)
+
+
+# ---------------------------------------------------------------------------
+# joint statistics in the draw tasks: no result depends on the core count
+
+
+def _accumulators_of(monkeypatch, call):
+    """The accumulators of every `_mc.run` pass that `call()` makes, by name."""
+    seen = []
+
+    def recording(*args):
+        accs = run(*args)
+        seen.append({name: _fields(acc) for name, acc in accs.items()})
+        return accs
+
+    for module in (risk_lab, stein_kernels, zero_bias):
+        monkeypatch.setattr(module, "run", recording)
+    call()
+    return seen
+
+
+def _joint_passes(d, n, seed):
+    laplace = ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0)), "scaled:1")
+    mixed = MixingCorruption(0.3, StudentT(d, 6), "scaled:1")
+    gauss = GaussianIso(d, mixed.sigma2)
+    kernel = mixture_kernel([(gauss, gaussian_kernel(gauss.cov())),
+                             (StudentT(d, 6), student_kernel(6, d))], [0.7, 0.3])
+    corrupt = MixingCorruption(0.2, ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0))), "scaled:1")
+    fns = [linear_map(np.random.default_rng(3).normal(size=(d, d))), coordinate_quadratic(1),
+           shrink_direction()]
+    coupling = coupling_for(laplace)
+    return {
+        "b-star-student": lambda: bound_b_star(coupling_for(StudentT(d, 6, "scaled:1")), 6.0, n, seed),
+        "b-star-laplace": lambda: bound_b_star(coupling, 6.0, n, seed),
+        "b-star-corrupt-mix": lambda: bound_b_star(coupling_for(corrupt), 6.0, n, seed),
+        "discrepancy-mixture-kernel": lambda: discrepancy_stats(mixed, kernel, n, seed),
+        "identity-residual": lambda: identity_residual(n, seed, coupling._centered, coupling.width,
+                                                       laplace.theta, fns, "zb"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_joint_passes(8, 1, 1)))
+def test_joint_results_do_not_depend_on_the_core_count(monkeypatch, name):
+    # chunks of 10 to 30 draw tasks, each task on its own thread when there
+    # are cores for it: 1 and 2 usable cores give the same accumulators, bit
+    # for bit, for the statistics of joint draws run in the draw tasks
+    d, n, seed = 8, 700, 5
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 300 * 4 * d)  # B*: 300 rows a chunk
+    monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
+    results = []
+    for cores in (1, 2):
+        _force_tasks(monkeypatch, cores, task=10 * d)
+        results.append(_accumulators_of(monkeypatch, _joint_passes(d, n, seed)[name]))
+    assert len(results[0]) == 1 and results[0] == results[1]

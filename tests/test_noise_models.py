@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 import steinshrink as ss
+from steinshrink import _mc
 from steinshrink._mc import chunk_rows, substream
 from steinshrink.errors import MomentUnavailableError, ParameterError
 
@@ -100,21 +101,22 @@ def _out_of_place_draw(model, rng, m):
 
 @pytest.mark.parametrize("name", ["student", "sphere", "ball", "corrupt-add"])
 def test_in_place_draws_keep_the_bits(name):
-    # iter_chunks shifts the draw in place and _fill scales it in place; the
+    # `draw` shifts the draw in place and _fill scales it in place; the
     # float operations and their order are those of the out-of-place form
     model = _family_zoo(7)[name]
-    X = next(model.iter_chunks(500, 29))
+    X = model.sample(500, 29)
     want = model.theta + _out_of_place_draw(model, substream(29, 0), 500)
     assert np.array_equal(X.view(np.uint64), want.view(np.uint64))
 
 
-def _peak_chunks(model, chunks):
-    """Peak traced memory of drawing `chunks` full chunks, in chunk sizes."""
+def _peak_chunks(monkeypatch, model, chunks):
+    """Peak traced memory of a pass over `chunks` full chunks of draws on two
+    threads, in chunk sizes; a full chunk is 32 draw tasks."""
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 2)
     rows = chunk_rows(model.d)
     tracemalloc.start()
     try:
-        for X in model.iter_chunks(chunks * rows, 31):
-            del X
+        _mc.run(chunks * rows, 31, model.d, model.draw, lambda X: {"x": X[:, 0]})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -123,16 +125,17 @@ def _peak_chunks(model, chunks):
 
 @pytest.mark.parametrize("model", [ss.GaussianIso(400, 1.3), ss.StudentT(400, 7)],
                          ids=["gaussian", "student"])
-def test_in_place_draws_hold_one_chunk(model):
-    # each draw task writes its rows into the chunk, with no chunk-sized
-    # temporary, and no task keeps a chunk alive while the next is drawn
-    assert _peak_chunks(model, 2) < 1.05
+def test_in_place_draws_hold_one_chunk(monkeypatch, model):
+    # each draw task writes its rows into a buffer of a finished task, with
+    # no chunk-sized temporary: a pass holds about one task per thread and
+    # never a chunk (2.5 tasks measured)
+    assert _peak_chunks(monkeypatch, model, 2) < 4 / 32
 
 
-def test_mixture_draw_holds_about_one_chunk():
-    # a mixture copies each draw task's fresh draw into the chunk, so its
-    # fancy-index copy is one task's worth, not a chunk's
-    assert _peak_chunks(ss.MixingCorruption(0.1, ss.StudentT(400, 7)), 2) < 1.25
+def test_mixture_draw_holds_about_one_chunk(monkeypatch):
+    # a mixture copies each draw task's fresh draw into its buffer, so its
+    # fancy-index copy is one task's worth, not a chunk's (4.1 tasks measured)
+    assert _peak_chunks(monkeypatch, ss.MixingCorruption(0.1, ss.StudentT(400, 7)), 2) < 6 / 32
 
 
 def test_pinsker_scaling_divides_variance_by_d():

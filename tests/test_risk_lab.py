@@ -183,13 +183,13 @@ def test_b_star_gaussian_fixed_point_draws_nothing(monkeypatch):
         g0.guard(chunk.X)
         return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)}
 
-    acc = _mc.run(coupling.joint_chunks(n, seed), difference)["b_star"]
+    acc = _mc.run(n, seed, coupling.d, coupling._centered, difference, coupling.width)["b_star"]
     want = ss.RiskReport(lam * abs(acc.mean), lam * acc.stderr, acc.n, seed, "b_star:lam=198")
 
-    def no_draw(self, n, seed):
+    def no_draw(self, rng, rows, empty):
         raise AssertionError("the Gaussian B* pass drew its coupling")
 
-    monkeypatch.setattr(type(coupling), "joint_chunks", no_draw)
+    monkeypatch.setattr(type(coupling), "_centered", no_draw)
     got = ss.bound_b_star(coupling, lam, n, seed)
     assert got == want and (got.mean, got.stderr, got.n) == (0.0, 0.0, n)
     assert [math.copysign(1.0, v) for v in (got.mean, got.stderr)] == [1.0, 1.0]

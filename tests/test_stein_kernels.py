@@ -6,6 +6,7 @@ import sympy
 from scipy.integrate import quad
 
 import steinshrink as ss
+from steinshrink import _mc
 from steinshrink.errors import ParameterError
 from steinshrink.quadrature import RadialProfile, tail_integral
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
@@ -82,15 +83,15 @@ def test_student_kernel_trace_unbiased_for_model_cov():
 def test_kernel_entries_unbiased_for_covariance(model, kern_builder):
     # |MC mean of T entries - Sigma entries| < 4 stderr, entrywise
     kern = kern_builder(model)
-    n = 400_000
-    total = np.zeros((model.d, model.d))
-    total_sq = np.zeros((model.d, model.d))
-    for X in model.iter_chunks(n, 22):
+    d, n = model.d, 400_000
+
+    def entries(X):
         mats = kern.matrices(X - model.theta)
-        total += mats.sum(axis=0)
-        total_sq += (mats**2).sum(axis=0)
-    mean = total / n
-    se = np.sqrt(np.maximum(total_sq / n - mean**2, 0.0) / n)
+        return {(i, j): mats[:, i, j] for i in range(d) for j in range(d)}
+
+    accs = _mc.run(n, 22, d, model.draw, entries)
+    mean = np.array([[accs[i, j].mean for j in range(d)] for i in range(d)])
+    se = np.array([[accs[i, j].stderr for j in range(d)] for i in range(d)])
     gap = np.abs(mean - model.cov())
     assert np.all(gap <= 4.0 * np.maximum(se, 1e-12))
 

@@ -15,7 +15,7 @@ from steinshrink.zero_bias import (
     StudentGammaCoupling,
     identity_residual,
 )
-from conftest import assert_zero_within
+from conftest import assert_zero_within, joint_parts
 from oracles import zb1d, zb_density
 
 KS_LEVEL = 0.001
@@ -209,7 +209,7 @@ def test_linear_map_identity_matrix_preserves_base():
     base = ss.couple_independent(base_model)
     coup = ss.zb_linear(np.eye(d), base, base_model=base_model)
     fields = _fams(d) + [ss.JamesStein(2.5), ss.SoftThreshold(0.8)]
-    for chunk, base_chunk in zip(coup.joint_chunks(3000, 3), base.joint_chunks(3000, 3)):
+    for chunk, base_chunk in zip(joint_parts(coup, 3000, 3), joint_parts(base, 3000, 3)):
         assert np.array_equal(chunk.X, base_chunk.X)
         for fn in fields:
             np.testing.assert_allclose(
@@ -315,7 +315,7 @@ def test_sphere_support_law():
     theta = ss.parse_theta("scaled:4", d)
     coup = ss.couple_sphere(d, 1.0, theta)
     radius = math.sqrt(d)
-    for chunk in coup.joint_chunks(50_000, 12):
+    for chunk in joint_parts(coup, 50_000, 12):
         dev = np.linalg.norm(chunk.companion(0, 0) - theta, axis=1)
         assert dev.max() <= radius + 1e-12
 
@@ -342,7 +342,7 @@ def test_sphere_coupling_moment_identities():
     n = 400_000
     r_sharp = []
     diff = []
-    for chunk in coup.joint_chunks(n, 15):
+    for chunk in joint_parts(coup, n, 15):
         u = chunk.X / math.sqrt(d)
         ustar = chunk.companion(0, 0) / math.sqrt(d)
         r_sharp.append(np.linalg.norm(ustar, axis=1))
@@ -386,6 +386,27 @@ def test_zb_construct_sphere_matches_ball():
     assert ks_2samp(np.linalg.norm(draws, axis=1), np.linalg.norm(ref, axis=1)).pvalue > KS_LEVEL
 
 
+def test_zb_construct_weighs_each_task_ess_by_its_rows(monkeypatch):
+    # two chunks of two 64-row draw tasks and a 3-row remainder task: the
+    # effective sample size is each task's Kish fraction 1 / (pool sum p^2),
+    # computed here from the SIR weights p ~ x_i^2 of the candidates its
+    # substream draws first, times that task's rows, summed
+    d, i, n, seed, pool = 8, 2, 2 * 128 + 3, 17, 64
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 128 * 8 * d)  # 128 rows a chunk
+    monkeypatch.setattr(_mc, "_DRAW_TASK", 64 * d)  # 64 rows a task
+    model = ss.SphereUniform(d, 1.0, "scaled:1")
+    _, ess = ss.zb_construct(model, i, n, seed, return_ess=True)
+    rows = [(0, 0, 64), (0, 1, 64), (1, 0, 64), (1, 1, 64), (2, 0, 3)]
+    fractions = []
+    for chunk, task, m in rows:
+        w = model._draw(_mc.substream(seed, chunk, task), m * pool)[:, i] ** 2
+        p = w / w.sum()
+        fractions.append(1.0 / np.sum(p * p) / pool)
+    assert ess == pytest.approx(sum(m * f for (_, _, m), f in zip(rows, fractions)), rel=1e-12)
+    # the 3-row task weighs 3/259, not a fifth as in a plain mean of fractions
+    assert ess != pytest.approx(np.mean(fractions) * n, rel=1e-3)
+
+
 def test_square_bias_oracle_identity():
     # E[g(X^i)] = sigma_i^-2 E[(X_i - t_i)^2 g(D_{i,U}(X - t) + t)]
     model = ss.ProductIID(4, ss.Laplace1D(0.8), "scaled:1")
@@ -397,7 +418,7 @@ def test_square_bias_oracle_identity():
 
     lhs_acc, rhs_acc = [], []
     rng = np.random.default_rng(23)
-    for chunk in coup.joint_chunks(400_000, 24):
+    for chunk in joint_parts(coup, 400_000, 24):
         lhs_acc.append(g(chunk.companion(i, i)))
         X = chunk.X
         y = X - model.theta
@@ -459,7 +480,7 @@ def test_identity_residual_needs_distinct_test_function_names():
     coupling = ss.couple_student(6, 6)
     fns = [linear_map(np.eye(6)), linear_map(2.0 * np.eye(6))]
     with pytest.raises(ParameterError, match="distinct names"):
-        identity_residual(coupling.joint_chunks(100, 1), coupling.theta, fns, 1, "zb")
+        identity_residual(100, 1, coupling._centered, coupling.width, coupling.theta, fns, "zb")
 
 
 def test_residual_product_laplace_g0_high_dimension(monkeypatch):
@@ -494,7 +515,7 @@ def test_additive_corruption_leaves_draw_unchanged_with_prob_one_minus_eps():
     coup = ss.zb_sum(model, comps)
     unchanged = 0
     total = 0
-    for chunk in coup.joint_chunks(50_000, 26):
+    for chunk in joint_parts(coup, 50_000, 26):
         xij = chunk.companion(0, 0)
         unchanged += int(np.sum(np.all(xij == chunk.X, axis=1)))
         total += xij.shape[0]
@@ -506,7 +527,7 @@ def test_student_coupling_chunk_keeps_the_formula_bits():
     # sqrt(delta + eps) and P = theta + s N / sqrt(delta)
     k, rows = 6, 53
     coupling = StudentGammaCoupling(ss.StudentT(9, k, "scaled:1"))
-    chunk = coupling._centered(_mc.substream(3, 0), rows)
+    chunk = coupling._centered(_mc.substream(3, 0), rows, np.empty)
     g = _mc.substream(3, 0)
     delta = g.gamma(k / 2.0 - 1.0, 2.0 / k, rows)
     eps = g.gamma(1.0, 2.0 / k, rows)
@@ -519,23 +540,32 @@ def test_student_coupling_chunk_keeps_the_formula_bits():
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_student_coupling_tasks_fill_one_joint_chunk(monkeypatch, threads):
-    # ten draw tasks write their rows in place into one joint chunk, each
-    # with the formula bits on its own substream, on 1 and 3 threads alike
+def test_student_coupling_tasks_keep_the_formula_bits(monkeypatch, threads):
+    # a chunk of rows is drawn in ten draw tasks, each joint chunk with the
+    # formula bits on its own substream, on 1 and 3 threads alike, and the
+    # buffers a pass reuses give each task's rows those same bits
     monkeypatch.setattr(_mc, "_usable_cores", lambda: threads)
     monkeypatch.setattr(_mc, "_DRAW_TASK", 5 * 9)
+    monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
     k, rows = 6, 53
     coupling = StudentGammaCoupling(ss.StudentT(9, k, "scaled:1"))
-    (chunk,) = coupling.joint_chunks(rows, 3)
-    (term,) = chunk.terms
+    chunks = joint_parts(coupling, rows, 3)
     cuts = _mc._draw_cuts(rows, 9)
-    assert len(cuts) == 11
-    for t in range(10):
+    assert len(cuts) == 11 and len(chunks) == 10
+    X_rows, P_rows = [], []
+    for t, chunk in enumerate(chunks):
         a, b = cuts[t], cuts[t + 1]
         g = _mc.substream(3, 0, t)
         delta = g.gamma(k / 2.0 - 1.0, 2.0 / k, b - a)
         eps = g.gamma(1.0, 2.0 / k, b - a)
         N = g.standard_normal((b - a, 9))
-        X = coupling.theta + coupling.scale * N / np.sqrt(delta + eps)[:, None]
-        P = coupling.theta + coupling.scale * N / np.sqrt(delta)[:, None]
-        assert chunk.X[a:b].tobytes() == X.tobytes() and term.P[a:b].tobytes() == P.tobytes()
+        X_rows.append(coupling.theta + coupling.scale * N / np.sqrt(delta + eps)[:, None])
+        P_rows.append(coupling.theta + coupling.scale * N / np.sqrt(delta)[:, None])
+        (term,) = chunk.terms
+        assert chunk.X.tobytes() == X_rows[-1].tobytes() and term.P.tobytes() == P_rows[-1].tobytes()
+    accs = _mc.run(rows, 3, 9, coupling._centered,
+                   lambda chunk: {"x": chunk.X[:, 1], "p": chunk.terms[0].P[:, 2]}, coupling.width)
+    for name, want in (("x", np.concatenate(X_rows)[:, 1]), ("p", np.concatenate(P_rows)[:, 2])):
+        ref = _mc.Accumulator()
+        ref.add(want)
+        assert (accs[name].mean, accs[name].m2, accs[name].m4) == (ref.mean, ref.m2, ref.m4)
