@@ -12,7 +12,10 @@ of the chunk would.  `_DRAW_TASK` is part of the stream's definition, not
 a tuning constant.  `draw_parts` draws the same parts for the callers that
 keep the draws.
 
-The tasks run in turn on threads started by `_in_turn`.
+The tasks run in turn on threads started by `_in_turn`.  A statistic that
+builds several `(rows, d)` temporaries per row is wrapped by `in_blocks`,
+which evaluates it one row block of `_BLOCK` doubles at a time, so its
+temporaries stay in cache and no task-sized one is made.
 """
 
 from __future__ import annotations
@@ -59,6 +62,18 @@ _DRAW_TASK = 1 << 18
 # thread saved nothing on so few 2-7 ms tasks while another process held its
 # core, so it made wall times swing (README, "Determinism and concurrency").
 _DRAW_TASKS_PER_THREAD = 4
+
+
+# Doubles per `(rows, d)` array of a row block of `in_blocks`, 128 KB, chosen
+# by measurement: with 2^15 the `sure --select-lambda` op at d = 1024 took
+# about 25,000 minor page faults against 1,300, as malloc gave each larger
+# block fresh pages.  A row-local statistic's values do not depend on it, so
+# it is a tuning constant; see `_block_cuts` for BLAS products.
+_BLOCK = 1 << 14
+# Rows of a block are a multiple of this when a block holds that many: a
+# BLAS matrix-vector product takes its rows in groups, and aligned blocks keep
+# each row in the group it has in the whole part.
+_BLOCK_ALIGN = 16
 
 
 def _usable_cores() -> int:
@@ -238,7 +253,8 @@ def run(n: int, seed: int, d: int, draw, values, width: int | None = None) -> di
     or a `JointChunk`, by `draw(substream(seed, i, k), rows, empty)` and
     evaluates `values` on it at once; `empty(shape)` hands out the buffers
     of a finished task, so a pass holds one task's rows per thread, never a
-    chunk.  A value that shares memory with such a buffer is copied before
+    chunk, and a statistic wrapped by `in_blocks` adds one row block of its
+    temporaries.  A value that shares memory with such a buffer is copied before
     the buffer is handed out again.  The tasks' values are joined in row
     order, with one accumulator update per chunk in chunk order, so nothing
     depends on the core count.  All statistics see the same part, so paired
@@ -278,6 +294,46 @@ def run(n: int, seed: int, d: int, draw, values, width: int | None = None) -> di
         for name in parts[0]:
             accs.setdefault(name, Accumulator()).add(np.concatenate([part[name] for part in parts]))
     return accs
+
+
+def in_blocks(values, cut=None):
+    """`values` evaluated on consecutive row blocks of a part, its per-row
+    values joined in row order: the same values, bit for bit, for a
+    row-local statistic, with temporaries of one block instead of one draw
+    task.  A part is an array, sliced as `part[a:b]`, or a joint chunk,
+    sliced by `part.rows(a, b)`; the blocks are `_block_cuts`.  A part for
+    which `cut(part)` is false is evaluated whole: blocks of a statistic
+    that builds no `(rows, d)` array on it would only add calls."""
+
+    def blocked(part):
+        plain = isinstance(part, np.ndarray)
+        cuts = _block_cuts(*(part if plain else part.X).shape)
+        if len(cuts) == 2 or (cut is not None and not cut(part)):
+            return values(part)
+        blocks = [values(part[a:b] if plain else part.rows(a, b)) for a, b in zip(cuts, cuts[1:])]
+        return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+
+    return blocked
+
+
+def _block_cuts(rows: int, d: int) -> list[int]:
+    """Row bounds of the blocks of a (rows, d) part: `_BLOCK // d` rows each
+    (at least one), rounded down to a multiple of `_BLOCK_ALIGN` rows where
+    a block holds two of them, but the last two, which share what is left.
+    So no block exceeds `_BLOCK` doubles, and none is shorter than about half
+    a block unless the part is: a BLAS product of a few rows takes another
+    kernel, whose last bits differ from those of the same rows in a taller
+    product."""
+    step = max(1, _BLOCK // d)
+    align = _BLOCK_ALIGN if step >= 2 * _BLOCK_ALIGN else 1
+    step -= step % align
+    if rows <= step:
+        return [0, rows]
+    cuts = list(range(0, rows - step, step))
+    left = rows - cuts[-1]  # the last two blocks' rows: step < left <= 2 step
+    # the first of the two is aligned, near half of `left`, and leaves at most a step
+    half = max(left // 2 - left // 2 % align, -(-(left - step) // align) * align)
+    return cuts + [cuts[-1] + half, rows]
 
 
 def draw_parts(n: int, seed: int, d: int, draw, width: int | None = None) -> list:

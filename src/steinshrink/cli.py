@@ -20,9 +20,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._mc import report_from, run
+from ._mc import in_blocks, report_from, run
 from .errors import EvaluationError, GuardAbort, MomentUnavailableError, ParameterError
-from .estimation import JamesStein, make_estimator, select_lambda, soft_threshold
+from .estimation import JamesStein, make_estimator, select_lambda
 from .laws1d import Laplace1D, SmoothedRademacher1D, Uniform1D
 from .noise_models import (
     AdditiveCorruption,
@@ -340,9 +340,10 @@ def _b_star(coupling, lam: float, n: int, seed: int) -> float:
 def _parse_grid(spec: str):
     try:
         c_str, size_str = str(spec).split(":", 1)
-        return float(c_str), int(size_str)
-    except ValueError as exc:
-        raise ParameterError(f"bad --lambda-grid spec {spec!r}, expected C:size") from exc
+        return _finite(c_str), int(size_str)
+    except ValueError:
+        raise ParameterError(f"bad --lambda-grid value {spec!r}: expected C:size, "
+                             f"C a finite number and size an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +483,19 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     w = CsvWriter(cfg["out"], cfg, seed)
     if cfg["select_lambda"]:
         grid = _parse_grid(cfg["lambda_grid"])
-        sigma2 = float(model.cov()[0, 0])
+        sigma2 = model.coordinate_variance(0)
 
         def selected(X):
             lam_hat, value = select_lambda(X, sigma2, grid, "soft-threshold")
-            dev = soft_threshold(X, lam_hat[:, None]) - model.theta
+            # the soft threshold sgn(x) (|x| - lam)_+ is x - clip(x, -lam, lam), bit
+            # for bit but in the sign of a zero, in two array passes instead of five
+            lam = lam_hat[:, None]
+            dev = X - np.clip(X, -lam, lam)
+            dev -= model.theta
             return {"lambda": lam_hat, "sure": value, "risk": np.einsum("ij,ij->i", dev, dev)}
 
-        # draw tasks bound the (rows, d) temporaries of `selected`
-        accs = run(n, seed, model.d, model.draw, selected)
+        # a row block at a time: `selected` builds several (rows, d) and (rows, G) arrays
+        accs = run(n, seed, model.d, model.draw, in_blocks(selected))
         lam_hat, sure_val, risk = (acc.mean for acc in accs.values())
         estimator = "soft-threshold:lambda-hat"
         w.comment(f"bias_bound: not applicable: {_zb_coupling(model, 'soft_threshold')[1]}")

@@ -105,13 +105,14 @@ class Law1D:
         """integral_y^inf u p(u) du, vectorized."""
         raise NotImplementedError
 
-    def kernel(self, y) -> np.ndarray:
-        """1-D Stein kernel T(y) = tail_first_moment(y) / pdf(y)."""
+    def kernel(self, y, out=None) -> np.ndarray:
+        """1-D Stein kernel T(y) = tail_first_moment(y) / pdf(y), written into
+        `out` if given, which may be y itself."""
         y = np.asarray(y, dtype=float)
         p = self.pdf(y)
         if np.any(p <= 0.0):
             raise EvaluationError(f"{self.name}: kernel evaluated where the density vanishes")
-        return self.tail_first_moment(y) / p
+        return _placed(self.tail_first_moment(y) / p, None, out)
 
 
 def _placed(x, shift, out) -> np.ndarray:
@@ -207,8 +208,11 @@ class Gaussian1D(Law1D):
         y = np.asarray(y, dtype=float)
         return self.sigma**2 * np.exp(self.log_pdf(y))
 
-    def kernel(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self.sigma**2)
+    def kernel(self, y, out=None):
+        if out is None:
+            return np.full_like(np.asarray(y, dtype=float), self.sigma**2)
+        out.fill(self.sigma**2)
+        return out
 
     def _zb_variates(self, rng, size):
         return rng.normal(0.0, self.sigma, size)  # the Gaussian is the fixed point
@@ -271,9 +275,12 @@ class Laplace1D(_Inversion):
         # equals the one over (|y|, inf)
         return upper
 
-    def kernel(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.b * (np.abs(y) + self.b)
+    def kernel(self, y, out=None):
+        # b (|y| + b), in place: a product's factors commute, so the bits are those of b * (...)
+        out = np.abs(np.asarray(y, dtype=float), out=out)
+        out += self.b
+        out *= self.b
+        return out
 
     def _zb_fill(self, g, out, scratch):
         # X* = S b (E1 + B E2), the equal mixture of Laplace(b) and a signed
@@ -340,11 +347,13 @@ class Uniform1D(_Inversion):
         yc = np.clip(y, -self.a, self.a)
         return (self.a**2 - yc**2) / (4.0 * self.a)
 
-    def kernel(self, y):
+    def kernel(self, y, out=None):
         y = np.asarray(y, dtype=float)
         if np.any(np.abs(y) > self.a):
             raise EvaluationError("uniform kernel evaluated outside the support")
-        return (self.a**2 - y**2) / 2.0
+        out = np.subtract(self.a**2, np.square(y, out=out), out=out)  # (a^2 - y^2) / 2
+        out /= 2.0
+        return out
 
     def _zb_fill(self, g, out, scratch):
         # X* = a (2U1 - 1) cbrt(U2): a uniform(-a, a) variate times the cube

@@ -109,6 +109,11 @@ class NoiseModel:
         """sigma2 * Id for the isotropic families; the others override it."""
         return self.sigma2 * np.eye(self.d)
 
+    def coordinate_variance(self, i: int) -> float:
+        """cov()[i, i], bit for bit, without the d x d matrix; a family that
+        overrides `cov` overrides this too."""
+        return float(self.sigma2)
+
     def moments(self) -> MomentSummary:
         cov = self.cov()
         eig = np.linalg.eigvalsh(cov)
@@ -434,6 +439,9 @@ class Elliptical(NoiseModel):
     def cov(self):
         return (self._eq / self.d) * self.dispersion
 
+    def coordinate_variance(self, i):
+        return float((self._eq / self.d) * self.dispersion[i, i])
+
     def coordinate_moment(self, p):
         if p == 2:
             return float(np.max(np.diag(self.cov())))
@@ -508,6 +516,9 @@ class Mixture(NoiseModel):
     def cov(self):
         # components are centered, so the law of total variance is a plain mix
         return sum(w * c.cov() for w, c in zip(self.weights, self.components))
+
+    def coordinate_variance(self, i):
+        return float(sum(w * c.coordinate_variance(i) for w, c in zip(self.weights, self.components)))
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -622,6 +633,9 @@ class LinearTransform(NoiseModel):
 
     def cov(self):
         return self.A @ self.base.cov() @ self.A.T
+
+    def coordinate_variance(self, i):
+        return float(self.cov()[i, i])  # the bits of the BLAS product
 
     def coordinate_moment(self, p):
         if p == 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import Accumulator, RiskReport, report_from, run
+from ._mc import Accumulator, RiskReport, in_blocks, report_from, run
 from .errors import GuardAbort, ParameterError
 from .estimation import EstimatorSpec, JamesStein, sure
 from .noise_models import NoiseModel
@@ -228,7 +228,11 @@ def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> R
     if isinstance(coupling, GaussianFixedPointCoupling):
         acc = Accumulator(n=int(n))
     else:
-        acc = run(n, seed, coupling.d, coupling._centered, difference, coupling.width)["b_star"]
+        # a row block at a time where the terms build (rows, d) arrays (replacement
+        # and made-afresh terms); the Student and sphere shared terms read row sums
+        acc = run(n, seed, coupling.d, coupling._centered,
+                  in_blocks(difference, lambda chunk: not chunk.shared_only),
+                  coupling.width)["b_star"]
     rep = report_from(acc, seed, label=f"b_star:lam={lam:g}")
     return RiskReport(
         mean=lam * abs(rep.mean), stderr=lam * rep.stderr, n=rep.n, seed=seed, label=rep.label

@@ -64,9 +64,14 @@ class SteinKernel:
 
         def draw(rng, rows, empty):
             X = model.draw(rng, rows, empty)
-            return JointChunk(X, (Shared(X, self.as_weights(X - model.theta)),))
+            return JointChunk(X, (Shared(X, self._weights_at(X, model.theta, empty)),))
 
         return draw, None
+
+    def _weights_at(self, X, theta, empty) -> Weights:
+        """T(X - theta) of a draw task's rows, X - theta written into a buffer
+        of `empty` that the weights may keep or overwrite."""
+        return self.as_weights(np.subtract(X, theta, out=empty(X.shape)))
 
 
 def _symmetric(matrix) -> np.ndarray:
@@ -92,6 +97,9 @@ class ConstantKernel(SteinKernel):
 
     def as_weights(self, Y):
         return self._weights
+
+    def _weights_at(self, X, theta, empty):
+        return self._weights  # T does not depend on X - theta, so it is not formed
 
     def frob_dev(self, W):
         return self._frob_dev
@@ -135,14 +143,17 @@ class DiagonalKernel(SteinKernel):
         super().__init__(np.diag(sigma_diag))
         self.sigma_diag = sigma_diag
         self.coordinate_kernels = coordinate_kernels  # list of vectorized T_i
-        # elementwise T shared by every coordinate: one call on the block
+        # elementwise T shared by every coordinate, `T(y, out=None)` (`Law1D.kernel`):
+        # one call on the block
         self.shared_kernel = shared_kernel
 
-    def diagonals(self, Y: np.ndarray) -> np.ndarray:
+    def diagonals(self, Y: np.ndarray, out=None) -> np.ndarray:
+        """(T_1(y_1), ..., T_d(y_d)) per row, written into `out` if given,
+        which may be Y itself."""
         if self.shared_kernel is not None:
-            return self.shared_kernel(Y)
+            return self.shared_kernel(Y, out=out)
         cols = [k(Y[:, i]) for i, k in enumerate(self.coordinate_kernels)]
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=1, out=out)
 
     def matrices(self, Y):
         m, d = Y.shape
@@ -153,6 +164,10 @@ class DiagonalKernel(SteinKernel):
 
     def as_weights(self, Y):
         return DiagonalWeights(self.diagonals(Y))
+
+    def _weights_at(self, X, theta, empty):
+        Y = np.subtract(X, theta, out=empty(X.shape))
+        return DiagonalWeights(self.diagonals(Y, out=Y))  # T(y) over y
 
     def frob_dev(self, W):
         dev = W.diag - self.sigma_diag

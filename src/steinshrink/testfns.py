@@ -22,9 +22,6 @@ import numpy as np
 from .errors import EvaluationError
 
 _SINGULARITY_EPS = 1e-12
-# Doubles per block of `g0_replaced`'s scratch: two blocks (512 KB) stay in
-# cache through its passes, and are reused from block to block.
-_BLOCK = 1 << 15
 
 
 def sq_norms(X: np.ndarray) -> np.ndarray:
@@ -71,6 +68,10 @@ class Weights:
         """The weights a W_m."""
         raise NotImplementedError
 
+    def rows(self, a: int, b: int) -> "Weights":
+        """The weights of rows a:b."""
+        raise NotImplementedError
+
 
 class FixedWeights(Weights):
     """W_m = scale_m M for a fixed (d, d) matrix M; scale None means 1."""
@@ -110,6 +111,9 @@ class FixedWeights(Weights):
 
     def scaled(self, a):
         return FixedWeights(a * self.matrix, self.scale)
+
+    def rows(self, a, b):
+        return self if self.scale is None else self.rescaled(self.scale[a:b])
 
     def rescaled(self, scale) -> "FixedWeights":
         """The weights scale_m M of this M, which is not checked again."""
@@ -157,6 +161,9 @@ class DiagonalWeights(Weights):
     def scaled(self, a):
         return DiagonalWeights(a * self.diag, self.basis)
 
+    def rows(self, a, b):
+        return self if len(self.diag) == 1 else DiagonalWeights(self.diag[a:b], self.basis)
+
 
 class DenseWeights(Weights):
     """Per-row dense matrices (rows, d, d), for kernels without structure."""
@@ -178,6 +185,9 @@ class DenseWeights(Weights):
 
     def frob_sq(self):
         return np.einsum("mij,mij->m", self.mats, self.mats)
+
+    def rows(self, a, b):
+        return DenseWeights(self.mats[a:b])
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +288,22 @@ def g0_replaced(X: np.ndarray, R: np.ndarray, w: np.ndarray, guard: bool = False
     """sum_i w_i d_i g0_i(X^i) rowwise, X^i = X with x_i := R_i.
 
     d_i g0_i(X^i) = 1/s_i - 2 R_i^2 / s_i^2, s_i = ||x||^2 - x_i^2 + R_i^2,
-    so no X^i is built: a block of rows at a time, in place, contracted by
-    `np.einsum`, since BLAS threads would oversubscribe the cores from a
-    draw task's thread.  With `guard`, raises when some X^i lies within
-    1e-12 of the origin, as `TestFn.guard` would.
+    so no X^i is built: two `(rows, d)` arrays, computed in place and
+    contracted by `np.einsum`, since BLAS threads would oversubscribe the
+    cores from a draw task's thread.  The engine's callers hand it a row
+    block (`_mc.in_blocks`), so the two stay in cache.  With `guard`, raises
+    when some X^i lies within 1e-12 of the origin, as `TestFn.guard` would.
     """
-    rows, d = X.shape
-    sq = np.einsum("ij,ij->i", X, X)[:, None]
-    step = max(1, min(rows, _BLOCK // d))
-    out, part, scratch = np.empty(rows), np.empty((step, d)), np.empty((step, d))
-    for a in range(0, rows, step):
-        b = min(a + step, rows)
-        g, s = part[: b - a], scratch[: b - a]
-        np.square(R[a:b], out=g)
-        np.square(X[a:b], out=s)
-        np.subtract(sq[a:b], s, out=s)
-        s += g
-        if guard and np.any(s < _SINGULARITY_EPS):
-            raise EvaluationError("g0 evaluated within 1e-12 of the origin")
-        g /= s
-        g /= s
-        g *= -2.0
-        g += np.reciprocal(s, out=s)
-        np.einsum("mi,i->m", g, w, out=out[a:b])
-    return out
+    g, s = np.square(R), np.square(X)
+    np.subtract(sq_norms(X)[:, None], s, out=s)
+    s += g
+    if guard and np.any(s < _SINGULARITY_EPS):
+        raise EvaluationError("g0 evaluated within 1e-12 of the origin")
+    g /= s
+    g /= s
+    g *= -2.0
+    g += np.reciprocal(s, out=s)
+    return np.einsum("mi,i->m", g, w)
 
 
 def shrink_direction() -> TestFn:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._mc import RiskReport, draw_parts, report_from, run
+from ._mc import RiskReport, draw_parts, in_blocks, report_from, run
 from .errors import ParameterError
 from .laws1d import Gaussian1D, Law1D
 from .noise_models import (
@@ -63,13 +63,20 @@ def _moved(term, move, weights):
 
 
 class _Lazy:
-    """Terms made afresh on each pass, one at a time, so no chunk holds d of them."""
+    """Terms made afresh on each pass, one at a time, so no chunk holds d of
+    them: `make(*sources)` yields them from the arrays and joint chunks they
+    are built of, and a row block's terms are made from the block's rows."""
 
-    def __init__(self, make):
+    def __init__(self, make, *sources):
         self._make = make
+        self._sources = sources
 
     def __iter__(self):
-        return self._make()
+        return self._make(*self._sources)
+
+    def rows(self, a: int, b: int) -> "_Lazy":
+        return _Lazy(self._make, *(src.rows(a, b) if isinstance(src, JointChunk) else src[a:b]
+                                   for src in self._sources))
 
 
 class JointChunk:
@@ -95,6 +102,27 @@ class JointChunk:
                 value = field.contract_replaced(*term)
             total = value if total is None else total + value
         return _per_row(total, self.X.shape[0])
+
+    @property
+    def shared_only(self) -> bool:
+        """Whether every term is a shared term drawn with the chunk: a field
+        contracts it from row sums of its point, with no `(rows, d)` array
+        when the weights are diagonal."""
+        return isinstance(self.terms, tuple) and all(isinstance(t, Shared) for t in self.terms)
+
+    def rows(self, a: int, b: int) -> "JointChunk":
+        """Rows a:b: X, every term's arrays and its per-row weights.  A shared
+        point that is X stays X, so `weighted_partials` still skips its guard."""
+        X = self.X[a:b]
+        if isinstance(self.terms, _Lazy):
+            return JointChunk(X, self.terms.rows(a, b))
+
+        def cut(points):
+            return X if points is self.X else points[a:b]
+
+        return JointChunk(X, tuple(
+            Shared(cut(term.P), term.W.rows(a, b)) if isinstance(term, Shared)
+            else Replaced(cut(term.B), cut(term.R), term.w) for term in self.terms))
 
     def _single(self):
         terms = iter(self.terms)
@@ -279,8 +307,10 @@ class ScaledCoupling(ZeroBiasCoupling):
         def move(P):
             return self.theta + (P - self.inner.theta) * self.c
 
-        terms = _Lazy(lambda: (_moved(t, move, w) for t, w in zip(chunk.terms, self.term_weights)))
-        return JointChunk(move(chunk.X), terms)
+        def terms(inner):
+            return (_moved(t, move, w) for t, w in zip(inner.terms, self.term_weights))
+
+        return JointChunk(move(chunk.X), _Lazy(terms, chunk))
 
 
 class GaussianFixedPointCoupling(ZeroBiasCoupling):
@@ -346,14 +376,14 @@ class SumCoupling(ZeroBiasCoupling):
             R += self.theta
             return JointChunk(X, (Replaced(X, R, self.term_weights[0]),))
 
-        def terms():
+        def terms(X, *chunks):
             weights = iter(self.term_weights)
             for chunk in chunks:
                 others = X - chunk.X
                 for term in chunk.terms:
                     yield _moved(term, lambda P: P + others, next(weights))
 
-        return JointChunk(X, _Lazy(terms))
+        return JointChunk(X, _Lazy(terms, X, *chunks))
 
 
 class MixtureCoupling(ZeroBiasCoupling):
@@ -403,13 +433,13 @@ class MixtureCoupling(ZeroBiasCoupling):
             w = self.term_weights[0]
             return JointChunk(X, (Replaced(X, values, w) if self.replaces else Shared(values, w),))
 
-        def terms():
+        def terms(*subchunks):
             weights = iter(self.term_weights)
             for chunk in subchunks:
                 for term in chunk.terms:
                     yield _moved(term, lambda P: P + self.theta, next(weights))
 
-        return JointChunk(X, _Lazy(terms))
+        return JointChunk(X, _Lazy(terms, *subchunks))
 
 
 class LinearMapCoupling(ZeroBiasCoupling):
@@ -458,7 +488,7 @@ class LinearMapCoupling(ZeroBiasCoupling):
         def image(U):
             return self.theta + (U - self.base_coupling.theta) @ self.A.T
 
-        def terms():
+        def terms(chunk):
             weights = iter(self.term_weights)
             for term in chunk.terms:
                 if isinstance(term, Shared):
@@ -468,7 +498,7 @@ class LinearMapCoupling(ZeroBiasCoupling):
                 for k in range(self.d):
                     yield Shared(Y + delta[:, [k]] * self.A[:, k], next(weights))
 
-        return JointChunk(image(chunk.X), _Lazy(terms))
+        return JointChunk(image(chunk.X), _Lazy(terms, chunk))
 
 
 class FourPointCoupling(ZeroBiasCoupling):
@@ -550,7 +580,7 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     """
     if not model.satisfies_conditional_mean_zero():
         raise ParameterError("square-bias construction needs the conditional-mean-zero condition")
-    if float(model.cov()[i, i]) <= 0:
+    if model.coordinate_variance(i) <= 0:
         raise ParameterError("coordinate variance must be positive")
 
     exact = isinstance(model, (ProductIID, GaussianIso))
@@ -602,7 +632,7 @@ def identity_residual(n: int, seed: int, draw, width, theta, test_fns: list[Test
             out[fn.name] = lhs - chunk.weighted_partials(fn)
         return out
 
-    accs = run(n, seed, len(theta), draw, residuals, width)
+    accs = run(n, seed, len(theta), draw, in_blocks(residuals), width)
     return {fn.name: report_from(accs[fn.name], seed, f"{kind}-residual:{fn.name}")
             for fn in test_fns}
 
@@ -640,5 +670,6 @@ def coordinate_sum_residual(
         W = wsum(chunk.X)
         return {"residual": W * f(W) - chunk.weighted_partials(field)}
 
-    acc = run(n, seed, coupling.d, coupling._centered, residual, coupling.width)["residual"]
+    acc = run(n, seed, coupling.d, coupling._centered,
+              in_blocks(residual, lambda chunk: not chunk.shared_only), coupling.width)["residual"]
     return report_from(acc, seed, label="zb-residual:coordinate-sum")

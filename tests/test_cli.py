@@ -258,6 +258,10 @@ def test_usage_errors_exit_two(tmp_path):
         pytest.param(["sphere-demo", "--d-list", "0"], None, id="sphere-d-list-0"),
         pytest.param(["risk", "--sigma", "nan"], None, id="sigma-nan"),
         pytest.param(["risk", "--lambda", "inf"], None, id="lambda-inf"),
+        pytest.param(["sure", "--select-lambda", "--lambda-grid", "nan:8"], None,
+                     id="lambda-grid-nan"),
+        pytest.param(["sure", "--select-lambda", "--lambda-grid", "inf:8"], None,
+                     id="lambda-grid-inf"),
         pytest.param(["risk", "--d", "x"], None, id="d-not-integer"),
         pytest.param(["risk"], "d=abc\n", id="config-d-not-integer"),
         pytest.param(["risk"], "bounds=maybe\n", id="config-bounds-maybe"),

@@ -29,6 +29,7 @@ from steinshrink.testfns import (
     shrink_direction,
 )
 from steinshrink.zero_bias import (
+    _Lazy,
     FourPointCoupling,
     JointChunk,
     LinearMapCoupling,
@@ -131,9 +132,9 @@ def test_discrepancy_evaluates_the_kernel_once_per_chunk(monkeypatch):
     calls = []
     diagonals = DiagonalKernel.diagonals
 
-    def counted(self, Y):
+    def counted(self, Y, out=None):
         calls.append(Y.shape[0])
-        return diagonals(self, Y)
+        return diagonals(self, Y, out)
 
     monkeypatch.setattr(DiagonalKernel, "diagonals", counted)
     ss.discrepancy_stats(model, kernel, 250, 6)
@@ -330,6 +331,31 @@ def _averaged_couplings():
 
 
 AVERAGED = _averaged_couplings()
+
+
+@pytest.mark.parametrize("name,coupling", REPLACEMENT + AVERAGED,
+                         ids=[c[0] for c in REPLACEMENT + AVERAGED])
+def test_a_chunks_rows_carry_the_rows_of_its_terms(name, coupling):
+    # `JointChunk.rows` slices X and every term; terms made afresh on each
+    # pass are made from the sliced rows of what they are made of, and give
+    # the rows of the whole chunk's weighted partials (to the last bit but on
+    # the linear image, whose terms are BLAS products)
+    chunk = joint_parts(coupling, ROWS, 9)[0]
+    block = chunk.rows(5, 12)
+    assert np.array_equal(block.X, chunk.X[5:12])
+    if isinstance(block.terms, _Lazy):
+        for source in block.terms._sources:
+            assert (source if isinstance(source, np.ndarray) else source.X).shape[0] == 7
+    fields = _fields()
+    if name == "four-point":  # d = 2; g0 is singular on the companions' segments
+        A = np.random.default_rng(20240517).normal(size=(2, 2))
+        fields = [linear_map(A), coordinate_quadratic(1), ss.JamesStein(2.5), ss.SoftThreshold(0.8)]
+    for field in fields:
+        whole, rows = chunk.weighted_partials(field)[5:12], block.weighted_partials(field)
+        if name == "linear-replacement":
+            assert_rows_close(rows, whole)
+        else:
+            assert np.array_equal(rows.view(np.uint64), whole.view(np.uint64)), field
 
 
 def _dense_sum(field, sigma, point):

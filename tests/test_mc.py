@@ -35,6 +35,9 @@ from steinshrink import (
     bound_thm33,
     coordinate_quadratic,
     coordinate_sum_residual,
+    couple_gaussian,
+    couple_independent,
+    couple_student,
     coupling_for,
     discrepancy_stats,
     gaussian_kernel,
@@ -47,9 +50,12 @@ from steinshrink import (
     student_constants,
     student_kernel,
     sure_bias,
+    sure_zero_bias_mean,
     zb_construct,
+    zb_mixture,
+    zb_sum,
 )
-from steinshrink import _mc, cli, laws1d, risk_lab, stein_kernels, zero_bias
+from steinshrink import _mc, cli, estimation, laws1d, risk_lab, stein_kernels, zero_bias
 from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, run, substream
 from steinshrink.cli import (
     _SEED_BSTAR,
@@ -61,7 +67,7 @@ from steinshrink.cli import (
     resolve_config,
 )
 from steinshrink.risk_lab import guarded_pass, inverse_moment, sure_pass
-from steinshrink.zero_bias import identity_residual
+from steinshrink.zero_bias import ScaledCoupling, identity_residual
 
 
 def test_accumulator_matches_numpy(rng):
@@ -702,7 +708,7 @@ def _identity_chunk(kernel, theta):
     """The kernel's identity chunk of some rows, made by its stream's draw
     on a model that draws those rows."""
     draw, _ = kernel.stream(SimpleNamespace(theta=theta, draw=lambda rows, _, empty: rows))
-    return lambda rows: draw(rows, len(rows), None)
+    return lambda rows: draw(rows, len(rows), np.empty)
 
 
 def _assert_rows_keep_bits(monkeypatch, values, X, part=lambda rows: rows):
@@ -921,7 +927,7 @@ def _accumulators_of(monkeypatch, call):
         seen.append({name: _fields(acc) for name, acc in accs.items()})
         return accs
 
-    for module in (risk_lab, stein_kernels, zero_bias):
+    for module in (cli, estimation, risk_lab, stein_kernels, zero_bias):
         monkeypatch.setattr(module, "run", recording)
     call()
     return seen
@@ -960,3 +966,126 @@ def test_joint_results_do_not_depend_on_the_core_count(monkeypatch, name):
         _force_tasks(monkeypatch, cores, task=10 * d)
         results.append(_accumulators_of(monkeypatch, _joint_passes(d, n, seed)[name]))
     assert len(results[0]) == 1 and results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# heavy statistics a row block at a time: no result depends on the block height
+
+
+def _blocked_passes(d, n, seed):
+    """Every pass whose statistic `_mc.in_blocks` evaluates a row block at a time."""
+    laplace = ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0)), "scaled:1")
+    student = StudentT(d, 6, "scaled:1")
+    corrupt = MixingCorruption(0.2, ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0))), "scaled:1")
+    # couplings whose terms are made afresh from the rows (`zero_bias._Lazy`)
+    gauss, wide = GaussianIso(d, 0.5), ProductIID(d, Laplace1D(0.8))
+    unequal = zb_mixture(Mixture([gauss, wide], [0.4, 0.6], "scaled:1"),
+                         [couple_gaussian(gauss), couple_independent(wide)], [0.4, 0.6])
+    summed = zb_sum(AdditiveCorruption(0.3, StudentT(d, 6), "scaled:1"),
+                    [ScaledCoupling(couple_gaussian(GaussianIso(d, student.sigma2)), np.sqrt(0.7)),
+                     ScaledCoupling(couple_student(6, d), np.sqrt(0.3))])
+    fns = [shrink_direction(), coordinate_quadratic(1)]
+    passes = {}
+    for name, model in (("student", student), ("laplace", laplace), ("corrupt-mix", corrupt)):
+        coupling = coupling_for(model)
+        passes[f"zb-{name}"] = (lambda c=coupling, m=model: identity_residual(
+            n, seed, c._centered, c.width, m.theta, fns, "zb"))
+    for name, model in (("student", student), ("laplace", laplace)):
+        passes[f"stein-{name}"] = (lambda m=model: identity_residual(
+            n, seed, *model_kernel(m).stream(m), m.theta, fns, "stein"))
+    for name, coupling in (("mixture-unequal", unequal), ("sum-student", summed)):
+        passes[f"zb-{name}"] = (lambda c=coupling: identity_residual(
+            n, seed, c._centered, c.width, c.theta, fns, "zb"))
+    passes.update({
+        "b-star-laplace": lambda: bound_b_star(coupling_for(laplace), 6.0, n, seed),
+        "b-star-student": lambda: bound_b_star(coupling_for(student), 6.0, n, seed),
+        "sure-zero-bias": lambda: sure_zero_bias_mean(laplace, JamesStein(6.0), coupling_for(laplace),
+                                                      n, seed),
+        "coordinate-sum": lambda: coordinate_sum_residual(coupling_for(corrupt), np.sin, np.cos,
+                                                          n, seed),
+        "select-lambda": lambda: main(["sure", "--model", "laplace", "--d", str(d), "--theta",
+                                       "scaled:2", "--select-lambda", "--lambda-grid", "2:64",
+                                       "--reps", str(n), "--seed", str(seed), "--out", os.devnull]),
+    })
+    return passes
+
+
+@pytest.mark.parametrize("name", list(_blocked_passes(8, 1, 1)))
+def test_blocked_statistics_keep_their_bits_across_block_heights(monkeypatch, name):
+    # blocks of 1 row and of 7 rows (two of 4 and 5 rows at the end of a task)
+    # give the accumulators of one block a task, bit for bit, on draw tasks
+    # of 40 rows and a remainder, on two threads
+    d, n, seed = 8, 203, 5
+    _force_tasks(monkeypatch, 2, task=40 * d)
+    monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
+    results = []
+    for block in (d, 7 * d, 1 << 40):
+        monkeypatch.setattr(_mc, "_BLOCK", block)
+        results.append(_accumulators_of(monkeypatch, _blocked_passes(d, n, seed)[name]))
+    assert len(results[0]) == 1 and results[0] == results[2] and results[1] == results[2]
+
+
+@pytest.mark.parametrize("d", [6, 8, 32])
+@pytest.mark.parametrize("kind", ["stein", "zb"])
+def test_linear_map_rows_keep_their_bits_in_the_blocks_of_a_pass(monkeypatch, d, kind):
+    # linear_map's X A' is a BLAS product, whose last bits depend on the
+    # product's height where BLAS takes another kernel (below 38 rows at
+    # d = 32) or a matrix-vector path (1 row), so a 1-row block does change
+    # them.  The blocks of a pass are aligned and at least about half of
+    # `_BLOCK // d` rows tall: there the residual has the bits of one block a
+    # task, on tasks of a few blocks and a short remainder
+    model = ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0)), "scaled:1")
+    fn = linear_map(np.random.default_rng(d).normal(size=(d, d)))
+    rows = _mc._BLOCK // d
+    n = 3 * rows + rows // 3 + 1
+    draw, width = ((*model_kernel(model).stream(model),) if kind == "stein"
+                   else (coupling_for(model)._centered, coupling_for(model).width))
+    monkeypatch.setattr(_mc, "_DRAW_TASK", (n // 2 + 3) * d)  # two tasks
+
+    def call():
+        return identity_residual(n, 4, draw, width, model.theta, [fn], kind)
+
+    blocked = _accumulators_of(monkeypatch, call)
+    monkeypatch.setattr(_mc, "_BLOCK", 1 << 40)
+    assert blocked == _accumulators_of(monkeypatch, call)
+
+
+def test_block_cuts_keep_to_the_block_and_align_their_rows(monkeypatch):
+    for d, block in ((1024, 16), (32, 512), (6, 2720), (100, 160), (3000, 5)):
+        for rows in (1, 15, block, block + 1, 2 * block - 1, 7 * block + 3, 65536):
+            cuts = _mc._block_cuts(rows, d)
+            heights = np.diff(cuts)
+            assert cuts[0] == 0 and cuts[-1] == rows and heights.min() > 0
+            assert heights.max() * d <= max(_mc._BLOCK, d)
+            if rows > block:  # the last two blocks share what is left, neither short
+                assert heights.min() >= block // 2 - _mc._BLOCK_ALIGN
+            if block >= 2 * _mc._BLOCK_ALIGN:
+                assert all(cut % _mc._BLOCK_ALIGN == 0 for cut in cuts[:-1])
+    assert _mc._block_cuts(17, 1024) == [0, 8, 17]
+    assert _mc._block_cuts(1535, 32) == [0, 512, 1024, 1535]
+
+
+def test_in_blocks_joins_the_rows_of_plain_and_joint_parts(monkeypatch):
+    # a plain part is sliced, a joint chunk sliced by `rows`, which keeps a
+    # shared point that is X as X, so `weighted_partials` still skips its guard
+    monkeypatch.setattr(_mc, "_BLOCK", 3 * 5)
+    X = np.arange(40.0).reshape(8, 5)
+    seen = []
+
+    def values(part):
+        seen.append(part if isinstance(part, np.ndarray) else part.X)
+        return {"first": part[:, 0] if isinstance(part, np.ndarray) else part.X[:, 0]}
+
+    assert np.array_equal(_mc.in_blocks(values)(X)["first"], X[:, 0])
+    assert [len(block) for block in seen] == [3, 2, 3]
+    # a part that `cut` declines is evaluated whole: B* and the coordinate-sum
+    # residual decline the chunks whose every term is shared (row sums only)
+    assert np.array_equal(_mc.in_blocks(values, lambda part: False)(X)["first"], X[:, 0])
+    assert len(seen[-1]) == 8
+    draw = lambda model: coupling_for(model)._centered(substream(1, 0), 8, np.empty)  # noqa: E731
+    assert draw(StudentT(5, 6)).shared_only and not draw(ProductIID(5, Laplace1D(1.0))).shared_only
+    chunk = _identity_chunk(student_kernel(6, 5), np.zeros(5))(X)
+    block = chunk.rows(2, 6)
+    (term,) = block.terms
+    assert term.P is block.X and np.array_equal(block.X, X[2:6])
+    assert np.array_equal(term.W.scale, chunk.terms[0].W.scale[2:6])

@@ -138,6 +138,53 @@ def test_mixture_draw_holds_about_one_chunk(monkeypatch):
     assert _peak_chunks(monkeypatch, ss.MixingCorruption(0.1, ss.StudentT(400, 7)), 2) < 6 / 32
 
 
+def test_select_lambda_pass_holds_no_task_sized_temporaries(monkeypatch):
+    # `sure --select-lambda` scores a draw task's rows a row block at a time
+    # (`_mc.in_blocks`), so its several (rows, d) and (rows, G) temporaries are
+    # a block's, not a task's: at d = 1024 and 4000 rows on two threads the
+    # pass peaks at 5.6 MB, where whole tasks peaked at 17.8 MB
+    from steinshrink import cli
+
+    monkeypatch.setattr(_mc, "_usable_cores", lambda: 2)
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            accs = _mc.run(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return accs
+
+    monkeypatch.setattr(cli, "run", traced)
+    args = ["sure", "--model", "gaussian", "--d", "1024", "--theta", "scaled:3", "--select-lambda",
+            "--reps", "4000", "--seed", "7", "--out", os.devnull]
+    assert cli.main(args) == 0
+    assert len(peaks) == 1 and peaks[0] < 7e6
+
+
+def test_coordinate_variance_is_the_covariance_diagonal_without_the_matrix(monkeypatch):
+    # the bits of cov()[i, i] for every family; all but a linear image (whose
+    # diagonal is that of a BLAS product) build no d x d matrix for it
+    d = 7
+    A = np.random.default_rng(3).normal(size=(d, d)) + 3 * np.eye(d)
+    linear = ss.LinearTransform(A, ss.StudentT(d, 7), "scaled:1")
+    assert [linear.coordinate_variance(i) for i in range(d)] == list(np.diagonal(linear.cov()))
+    zoo = {**_family_zoo(d), "elliptical": ss.Elliptical.student(d, 7, "scaled:1")}
+    want = {name: [float(model.cov()[i, i]) for i in range(d)] for name, model in zoo.items()}
+
+    def no_matrix(self):
+        raise AssertionError("built the covariance matrix")
+
+    monkeypatch.setattr(ss.NoiseModel, "cov", no_matrix)
+    monkeypatch.setattr(ss.Mixture, "cov", no_matrix)
+    monkeypatch.setattr(ss.Elliptical, "cov", no_matrix)
+    for name, model in zoo.items():
+        got = [model.coordinate_variance(i) for i in range(d)]
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want[name]).view(np.uint64)), name
+
+
 def test_pinsker_scaling_divides_variance_by_d():
     d = 50
     model = ss.GaussianIso(d, 1.0, scaling="pinsker")

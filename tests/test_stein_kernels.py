@@ -351,3 +351,49 @@ def test_discrepancy_needs_two_draws():
 def test_tail_integral_power_law():
     val = tail_integral(lambda u: (1.0 + u) ** (-3.0), 2.0)
     assert val == pytest.approx(0.5 * 3.0 ** (-2.0), rel=1e-10)
+
+
+def _stream_buffers(kernel, model, rows):
+    """The identity chunk of a kernel stream's draw of `rows` rows, the
+    buffers it took from `empty`, and the peak traced memory of the draw."""
+    import tracemalloc
+
+    draw, _ = kernel.stream(model)
+    pool = [np.empty((rows, model.d)) for _ in range(3)]
+    taken = []
+
+    def empty(shape):
+        taken.append(pool.pop())
+        return taken[-1]
+
+    tracemalloc.start()
+    try:
+        chunk = draw(_mc.substream(1, 0), rows, empty)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return chunk, taken, peak
+
+
+def test_gaussian_kernel_stream_forms_no_array_besides_x():
+    # a constant kernel's weights do not depend on X - theta, so its stream
+    # draws X into its buffer and forms no other (rows, d) array
+    rows, d = 2000, 200
+    model = ss.GaussianIso(d, 1.3, "scaled:1")
+    chunk, taken, peak = _stream_buffers(ss.gaussian_kernel(model.cov()), model, rows)
+    assert len(taken) == 1 and chunk.X is taken[0]
+    assert peak < rows * d * 8 / 4
+
+
+def test_product_kernel_stream_makes_its_diagonal_in_place():
+    # X - theta goes into a second buffer, and the Laplace diagonal
+    # b (|y| + b) is made over it with the bits of `Law1D.kernel`
+    rows, d = 2000, 200
+    model = ss.ProductIID(d, ss.Laplace1D(0.8), "scaled:1")
+    kernel = ss.product_kernel([model.law] * d)
+    chunk, taken, peak = _stream_buffers(kernel, model, rows)
+    (term,) = chunk.terms
+    assert len(taken) == 2 and chunk.X is taken[0] and term.W.diag is taken[1]
+    want = model.law.kernel(chunk.X - model.theta)
+    assert np.array_equal(term.W.diag.view(np.uint64), want.view(np.uint64))
+    assert peak < rows * d * 8 / 4
