@@ -14,8 +14,9 @@ keep the draws.
 
 The tasks run in turn on threads started by `_in_turn`.  A statistic that
 builds several `(rows, d)` temporaries per row is wrapped by `in_blocks`,
-which evaluates it one row block of `_BLOCK` doubles at a time, so its
-temporaries stay in cache and no task-sized one is made.
+which evaluates it one row block of `_BLOCK` doubles (for a joint chunk, at
+least `_JOINT_BLOCK_ROWS` rows) at a time, so its temporaries stay near
+cache and no task-sized one is made.
 """
 
 from __future__ import annotations
@@ -70,10 +71,18 @@ _DRAW_TASKS_PER_THREAD = 4
 # block fresh pages.  A row-local statistic's values do not depend on it, so
 # it is a tuning constant; see `_block_cuts` for BLAS products.
 _BLOCK = 1 << 14
-# Rows of a block are a multiple of this when a block holds that many: a
-# BLAS matrix-vector product takes its rows in groups, and aligned blocks keep
-# each row in the group it has in the whole part.
+# Rows of a block are a multiple of this when a block holds two such groups,
+# and else of 4 when it holds 8 rows: a BLAS matrix-vector product takes its
+# rows in groups of 4, and aligned blocks keep each row in the group it has
+# in the whole part.
 _BLOCK_ALIGN = 16
+# Least rows of a block of a joint chunk, so past `_BLOCK` doubles at
+# d > 256.  Its statistics (identity residuals, B*) make many numpy calls for
+# little work per element, and on two threads short blocks serialise on the
+# GIL; README, "The Monte Carlo engine", has the d = 1600 timings.  The
+# select-lambda statistic keeps `_BLOCK`: at d = 1024 its 32-row blocks took
+# 15,000-23,000 minor page faults against 1,300.
+_JOINT_BLOCK_ROWS = 64
 
 
 def _usable_cores() -> int:
@@ -301,13 +310,14 @@ def in_blocks(values, cut=None):
     values joined in row order: the same values, bit for bit, for a
     row-local statistic, with temporaries of one block instead of one draw
     task.  A part is an array, sliced as `part[a:b]`, or a joint chunk,
-    sliced by `part.rows(a, b)`; the blocks are `_block_cuts`.  A part for
-    which `cut(part)` is false is evaluated whole: blocks of a statistic
-    that builds no `(rows, d)` array on it would only add calls."""
+    sliced by `part.rows(a, b)` in blocks of at least `_JOINT_BLOCK_ROWS`
+    rows; the blocks are `_block_cuts`.  A part for which `cut(part)` is
+    false is evaluated whole: blocks of a statistic that builds no `(rows,
+    d)` array on it would only add calls."""
 
     def blocked(part):
         plain = isinstance(part, np.ndarray)
-        cuts = _block_cuts(*(part if plain else part.X).shape)
+        cuts = _block_cuts(*(part if plain else part.X).shape, 1 if plain else _JOINT_BLOCK_ROWS)
         if len(cuts) == 2 or (cut is not None and not cut(part)):
             return values(part)
         blocks = [values(part[a:b] if plain else part.rows(a, b)) for a, b in zip(cuts, cuts[1:])]
@@ -316,16 +326,16 @@ def in_blocks(values, cut=None):
     return blocked
 
 
-def _block_cuts(rows: int, d: int) -> list[int]:
-    """Row bounds of the blocks of a (rows, d) part: `_BLOCK // d` rows each
-    (at least one), rounded down to a multiple of `_BLOCK_ALIGN` rows where
-    a block holds two of them, but the last two, which share what is left.
-    So no block exceeds `_BLOCK` doubles, and none is shorter than about half
-    a block unless the part is: a BLAS product of a few rows takes another
-    kernel, whose last bits differ from those of the same rows in a taller
-    product."""
-    step = max(1, _BLOCK // d)
-    align = _BLOCK_ALIGN if step >= 2 * _BLOCK_ALIGN else 1
+def _block_cuts(rows: int, d: int, least: int = 1) -> list[int]:
+    """Row bounds of the blocks of a (rows, d) part: `_BLOCK // d` rows each,
+    or `least` if more, rounded down to a multiple of `_BLOCK_ALIGN` rows
+    where a block holds two of them and of 4 rows where it holds 8, but the
+    last two, which share what is left.  So no block exceeds `_BLOCK`
+    doubles or `least` rows, and none is shorter than about half a block
+    unless the part is: a BLAS product of a few rows takes another kernel,
+    whose last bits differ from those of the same rows in a taller product."""
+    step = max(least, _BLOCK // d)
+    align = _BLOCK_ALIGN if step >= 2 * _BLOCK_ALIGN else 4 if step >= 8 else 1
     step -= step % align
     if rows <= step:
         return [0, rows]

@@ -18,7 +18,6 @@ at sigma = 1).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -308,33 +307,6 @@ def sure_zero_bias_mean(
 # SURE-driven threshold selection
 
 
-def _grid_ranks(grid: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Card{g : grid[g] <= v} elementwise, `np.searchsorted(grid, v, "right")`
-    for a sorted grid: guessed from the spacing of a uniform grid and then
-    corrected, in a few array passes instead of a binary search per element
-    (a quarter of the time at G = 512).  A guess that two corrections leave
-    wrong, on a grid far from uniform, falls back to the binary search."""
-    size = grid.size
-    if not grid[-1] > grid[0]:
-        return np.searchsorted(grid, v, side="right")
-    r = np.subtract(v, grid[0])
-    r *= (size - 1) / (grid[-1] - grid[0])
-    np.fmin(r, size - 1, out=r)  # NaN, above the grid: the last point
-    np.fmax(r, -1.0, out=r)
-    r = r.astype(np.int64)
-    r += 1
-    for _ in range(2):
-        high = grid.take(r - 1, mode="clip") > v  # r counts a point above v
-        high &= r > 0
-        low = grid.take(r, mode="clip") <= v  # r misses a point at or below v
-        low &= r < size
-        if not (high.any() or low.any()):
-            return r
-        r -= high
-        r += low
-    return np.searchsorted(grid, v, side="right")
-
-
 def _count_below(sorted_abs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Card{i : |x_i| < grid[g]} per row, (rows, G), exact in integers.
 
@@ -343,7 +315,7 @@ def _count_below(sorted_abs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """
     rows = sorted_abs.shape[0]
     size = grid.size + 1
-    ranks = _grid_ranks(grid, sorted_abs)
+    ranks = np.searchsorted(grid, sorted_abs, side="right")
     ranks += size * np.arange(rows)[:, None]
     hist = np.bincount(ranks.ravel(), minlength=rows * size).reshape(rows, size)
     return np.cumsum(hist[:, :-1], axis=1)
@@ -364,24 +336,15 @@ def sure_soft_threshold_grid(x: np.ndarray, sigma2: float, grid: np.ndarray) -> 
     csq = np.zeros((rows, d + 1))
     np.cumsum(np.square(block, out=block), axis=1, out=csq[:, 1:])
     del block
-    sum_min = csq[np.arange(rows)[:, None], below] + grid**2 * (d - below)
+    sum_min = np.take_along_axis(csq, below, axis=1) + grid**2 * (d - below)
     values = d * sigma2 + sum_min - 2.0 * sigma2 * below
     return values.reshape(x.shape[:-1] + grid.shape)
 
 
 def lambda_grid(d: int, c_grid: float = 2.0, size: int = 512) -> np.ndarray:
-    return _grid(d, c_grid, size).copy()
-
-
-@functools.lru_cache(maxsize=16)
-def _grid(d: int, c_grid: float, size: int) -> np.ndarray:
-    """`lambda_grid`, read-only and made once: `select_lambda` is called per
-    row block."""
     if not 0 < c_grid < math.inf or size < 2 or d < 2:
         raise ParameterError("grid needs a finite C > 0, size >= 2 and d >= 2")
-    grid = np.linspace(0.0, math.sqrt(c_grid * math.log(d)), size)
-    grid.flags.writeable = False
-    return grid
+    return np.linspace(0.0, math.sqrt(c_grid * math.log(d)), size)
 
 
 def select_lambda(x, sigma2: float, grid_spec=(2.0, 512), estimator_kind: str = "soft-threshold"):
@@ -393,7 +356,7 @@ def select_lambda(x, sigma2: float, grid_spec=(2.0, 512), estimator_kind: str = 
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     c_grid, size = grid_spec
-    grid = _grid(d, c_grid, size)
+    grid = lambda_grid(d, c_grid, size)
     if estimator_kind in ("soft-threshold", "soft_threshold", "st"):
         values = sure_soft_threshold_grid(x, sigma2, grid)
     elif estimator_kind in ("james-stein", "james_stein", "js"):
@@ -404,7 +367,7 @@ def select_lambda(x, sigma2: float, grid_spec=(2.0, 512), estimator_kind: str = 
     else:
         raise ParameterError(f"unsupported estimator kind {estimator_kind!r}")
     best = np.argmin(values, axis=-1)  # the first minimizer, i.e. the smallest lambda
-    value = np.min(values, axis=-1)
+    value = np.take_along_axis(values, best[..., None], axis=-1)[..., 0]
     if x.ndim == 1:
         return float(grid[best]), float(value)
     return grid[best], value

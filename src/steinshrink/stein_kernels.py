@@ -48,8 +48,8 @@ class SteinKernel:
         raise NotImplementedError
 
     def as_weights(self, Y: np.ndarray) -> Weights:
-        """T(y) per row in structured form; subclasses with structure override
-        this dense fallback."""
+        """T(y) per row in structured form, which may overwrite Y; subclasses
+        with structure override this dense fallback."""
         return DenseWeights(self.matrices(Y))
 
     def frob_dev(self, W: Weights):
@@ -163,10 +163,6 @@ class DiagonalKernel(SteinKernel):
         return out
 
     def as_weights(self, Y):
-        return DiagonalWeights(self.diagonals(Y))
-
-    def _weights_at(self, X, theta, empty):
-        Y = np.subtract(X, theta, out=empty(X.shape))
         return DiagonalWeights(self.diagonals(Y, out=Y))  # T(y) over y
 
     def frob_dev(self, W):

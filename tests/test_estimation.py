@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import steinshrink as ss
 from steinshrink.errors import EvaluationError, ParameterError
-from steinshrink.estimation import _grid_ranks, lambda_grid, sure_soft_threshold_grid
+from steinshrink.estimation import lambda_grid, sure_soft_threshold_grid
 from steinshrink.testfns import FixedWeights
 from oracles import jacobian
 
@@ -340,25 +340,3 @@ def test_select_lambda_js_path():
     lam_hat, val = ss.select_lambda(x, 1.0, (8.0, 512), "james-stein")
     assert lam_hat == pytest.approx(3.0, abs=0.05)
     assert val <= 5.0
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [lambda_grid(1024, 2.0, 512), lambda_grid(64, 3.0, 64), lambda_grid(2, 2.0, 2),
-     np.linspace(1.0, 3.0, 33), np.sort(np.random.default_rng(4).exponential(size=50)),
-     np.array([0.0, 0.0, 1.0, 1.0, 2.0]), np.array([0.5]), np.array([0.0, 0.0])],
-    ids=["lambda-512", "lambda-64", "lambda-2", "offset", "uneven", "repeats", "one", "flat"],
-)
-def test_grid_ranks_are_searchsorted(grid):
-    # the guessed and corrected ranks of sorted |x| in the grid are those of the
-    # binary search, on the grid points, a float away from them, at 0, inf and
-    # nan, and on grids far from uniform
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        v = np.abs(rng.standard_t(3, size=(6, 200))) * rng.uniform(0.05, 3.0)
-        v[:, :20] = grid[rng.integers(0, grid.size, (6, 20))]
-        v[:, 20:40] = np.nextafter(grid[rng.integers(0, grid.size, (6, 20))],
-                                   rng.choice([-1.0, 10.0], (6, 20)))
-        v[0, :4] = [0.0, np.inf, np.nan, 1e300]
-        v.sort(axis=1)
-        assert np.array_equal(_grid_ranks(grid, v), np.searchsorted(grid, v, side="right"))

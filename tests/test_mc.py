@@ -1014,10 +1014,12 @@ def _blocked_passes(d, n, seed):
 def test_blocked_statistics_keep_their_bits_across_block_heights(monkeypatch, name):
     # blocks of 1 row and of 7 rows (two of 4 and 5 rows at the end of a task)
     # give the accumulators of one block a task, bit for bit, on draw tasks
-    # of 40 rows and a remainder, on two threads
+    # of 40 rows and a remainder, on two threads; joint chunks too, below
+    # the least rows their blocks have in a pass
     d, n, seed = 8, 203, 5
     _force_tasks(monkeypatch, 2, task=40 * d)
     monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
+    monkeypatch.setattr(_mc, "_JOINT_BLOCK_ROWS", 1)
     results = []
     for block in (d, 7 * d, 1 << 40):
         monkeypatch.setattr(_mc, "_BLOCK", block)
@@ -1025,18 +1027,19 @@ def test_blocked_statistics_keep_their_bits_across_block_heights(monkeypatch, na
     assert len(results[0]) == 1 and results[0] == results[2] and results[1] == results[2]
 
 
-@pytest.mark.parametrize("d", [6, 8, 32])
+@pytest.mark.parametrize("d", [6, 8, 32, 600, 1600])
 @pytest.mark.parametrize("kind", ["stein", "zb"])
 def test_linear_map_rows_keep_their_bits_in_the_blocks_of_a_pass(monkeypatch, d, kind):
     # linear_map's X A' is a BLAS product, whose last bits depend on the
     # product's height where BLAS takes another kernel (below 38 rows at
     # d = 32) or a matrix-vector path (1 row), so a 1-row block does change
     # them.  The blocks of a pass are aligned and at least about half of
-    # `_BLOCK // d` rows tall: there the residual has the bits of one block a
-    # task, on tasks of a few blocks and a short remainder
+    # `_BLOCK // d` rows tall, or of `_JOINT_BLOCK_ROWS` at large d: there the
+    # residual has the bits of one block a task, on tasks of a few blocks and
+    # a short remainder
     model = ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0)), "scaled:1")
     fn = linear_map(np.random.default_rng(d).normal(size=(d, d)))
-    rows = _mc._BLOCK // d
+    rows = max(_mc._BLOCK // d, _mc._JOINT_BLOCK_ROWS)
     n = 3 * rows + rows // 3 + 1
     draw, width = ((*model_kernel(model).stream(model),) if kind == "stein"
                    else (coupling_for(model)._centered, coupling_for(model).width))
@@ -1051,18 +1054,21 @@ def test_linear_map_rows_keep_their_bits_in_the_blocks_of_a_pass(monkeypatch, d,
 
 
 def test_block_cuts_keep_to_the_block_and_align_their_rows(monkeypatch):
-    for d, block in ((1024, 16), (32, 512), (6, 2720), (100, 160), (3000, 5)):
+    # (d, least rows, block rows, alignment)
+    for d, least, block, align in ((1024, 1, 16, 4), (32, 1, 512, 16), (6, 1, 2720, 16),
+                                   (100, 1, 160, 16), (600, 1, 24, 4), (3000, 1, 5, 1),
+                                   (1600, 32, 32, 16), (1024, 64, 64, 16), (100, 64, 160, 16)):
         for rows in (1, 15, block, block + 1, 2 * block - 1, 7 * block + 3, 65536):
-            cuts = _mc._block_cuts(rows, d)
+            cuts = _mc._block_cuts(rows, d, least)
             heights = np.diff(cuts)
             assert cuts[0] == 0 and cuts[-1] == rows and heights.min() > 0
-            assert heights.max() * d <= max(_mc._BLOCK, d)
+            assert heights.max() <= max(_mc._BLOCK // d, least, 1)
             if rows > block:  # the last two blocks share what is left, neither short
-                assert heights.min() >= block // 2 - _mc._BLOCK_ALIGN
-            if block >= 2 * _mc._BLOCK_ALIGN:
-                assert all(cut % _mc._BLOCK_ALIGN == 0 for cut in cuts[:-1])
+                assert heights.min() >= block // 2 - align
+            assert all(cut % align == 0 for cut in cuts[:-1])
     assert _mc._block_cuts(17, 1024) == [0, 8, 17]
     assert _mc._block_cuts(1535, 32) == [0, 512, 1024, 1535]
+    assert _mc._block_cuts(163, 1600, 32) == [0, 32, 64, 96, 128, 144, 163]
 
 
 def test_in_blocks_joins_the_rows_of_plain_and_joint_parts(monkeypatch):
