@@ -38,7 +38,7 @@ from .noise_models import (
 from .risk_lab import (
     BoundInputs,
     adaptivity_bound_kernel,
-    bound_b_star,
+    b_star_report,
     bound_thm31,
     bound_thm33,
     guarded_pass,
@@ -52,8 +52,7 @@ from .risk_lab import (
 )
 from .stein_kernels import (
     discrepancy_from,
-    discrepancy_stats,
-    discrepancy_values,
+    discrepancy_of,
     gaussian_kernel,
     product_kernel,
     student_kernel,
@@ -61,8 +60,6 @@ from .stein_kernels import (
 from .testfns import coordinate_quadratic, linear_map, shrink_direction
 from .theta import parse_theta
 from .zero_bias import FourPointCoupling, coupling_for, identity_residual
-
-_SEED_BSTAR = 4000003
 
 
 def _fmt(value) -> str:
@@ -333,10 +330,6 @@ def _zb_coupling(model: NoiseModel, kind: str):
     return (coupling, None) if report.ok else (None, "; ".join(report.reasons))
 
 
-def _b_star(coupling, lam: float, n: int, seed: int) -> float:
-    return bound_b_star(coupling, lam, min(n, 200000), seed + _SEED_BSTAR).mean
-
-
 def _parse_grid(spec: str):
     try:
         c_str, size_str = str(spec).split(":", 1)
@@ -380,8 +373,9 @@ def _bound_basis(model: NoiseModel, est):
 
 def cmd_risk(cfg: dict) -> CsvWriter:
     """The risk (or excess risk) and, with --bounds, the three bounds.  The
-    risk and every bound input but B* come from one pass over the draws of
-    X that the risk alone makes; B* adds its coupling pass."""
+    risk and every bound input come from one pass over the draws of X that
+    the risk alone makes: the kernel's discrepancy is scored on those rows,
+    and B* on the coupling's companions of them (`guarded_pass`)."""
     model = build_model(cfg)
     lam = cfg["lam"]
     est = make_estimator(cfg["estimator"], lam)
@@ -392,16 +386,17 @@ def cmd_risk(cfg: dict) -> CsvWriter:
     for column, reason in why.items():
         w.comment(f"{column}: not applicable: {reason}")
     bounds = cfg["bounds"] and len(why) < len(_BOUND_COLUMNS)
+    discrepancy = None if kernel is None else discrepancy_of(kernel, model.theta)
 
-    def stat(chunk, sq):
-        values = {"risk": risk(chunk if kernel is None else chunk.X, sq)}
+    def stat(X, sq):
+        values = {"risk": risk(X, sq)}
         if bounds:
             values.update(e_inv2=inverse_moment(sq, 1, 1), e_d2_inv4=inverse_moment(sq, model.d, 2))
-        if kernel is not None:
-            values.update(discrepancy_values(kernel, chunk))
+        if discrepancy is not None:
+            values.update(discrepancy(X))
         return values
 
-    accs = guarded_pass(model, n, seed, stat, est, kernel)
+    accs = guarded_pass(model, n, seed, stat, est, coupling)
     rep = report_from(accs["risk"], seed, label)
     cells = dict.fromkeys(_BOUND_COLUMNS)
     if bounds:
@@ -418,7 +413,7 @@ def cmd_risk(cfg: dict) -> CsvWriter:
                 inputs.e_d2_inv4 = student_constants(model.d, model.k, lam)["e_d2_inv4_bound"]
             cells["bound_thm33"] = bound_thm33(inputs)
         if coupling is not None:
-            b_star = _b_star(coupling, lam, n, seed)
+            b_star = b_star_report(accs, lam, n, seed).mean
             cells["bound_zb"] = inputs.trace_sigma + shrinkage_term(inputs) + 2.0 * b_star
         if cfg["excess"]:
             cells = {k: None if b is None else b - mom.trace_cov for k, b in cells.items()}
@@ -504,14 +499,14 @@ def cmd_sure(cfg: dict) -> CsvWriter:
         return w
     lam = cfg["lam"]
     est = make_estimator(cfg["estimator"], lam)
-    accs = sure_pass(model, est, n, seed)
+    coupling, why = _zb_coupling(model, est.kind)
+    accs = sure_pass(model, est, n, seed, coupling)
     risk, bias = accs["risk"].mean, accs["bias"].mean
     bound = None
-    coupling, why = _zb_coupling(model, est.kind)
     if coupling is None:
         w.comment(f"bias_bound: not applicable: {why}")
     else:
-        bound = 2.0 * _b_star(coupling, lam, n, seed)
+        bound = 2.0 * b_star_report(accs, lam, n, seed).mean
     w.header(_SURE_COLUMNS)
     w.row([model.family, est.kind, lam, risk + bias, risk, bias, bound])
     return w
@@ -562,9 +557,11 @@ def cmd_student_demo(cfg: dict) -> CsvWriter:
     model = StudentT(d, k)
     lam = cfg["lam"] if cfg["lam"] is not None else float(d - 2)
     consts = student_constants(d, k, lam)
-    kern = student_kernel(k, d)
-    disc = discrepancy_stats(model, kern, n, seed)
-    bstar = bound_b_star(coupling_for(model), lam, n, seed + _SEED_BSTAR)
+    # one pass: the kernel's discrepancy and B* on the same draws of X
+    discrepancy = discrepancy_of(student_kernel(k, d), model.theta)
+    accs = guarded_pass(model, n, seed, lambda X, sq: discrepancy(X), coupling=coupling_for(model))
+    disc = discrepancy_from(accs, seed)
+    bstar = b_star_report(accs, lam, n, seed)
     w = CsvWriter(cfg["out"], {**cfg, "lam": lam}, seed)
     w.header(
         [

@@ -116,12 +116,15 @@ class NoiseModel:
 
     def moments(self) -> MomentSummary:
         cov = self.cov()
-        eig = np.linalg.eigvalsh(cov)
+        if type(self).cov is NoiseModel.cov:  # sigma2 Id: its largest eigenvalue is sigma2
+            kappa = float(self.sigma2)
+        else:
+            kappa = float(np.linalg.eigvalsh(cov)[-1])
         return MomentSummary(
             mean=self.theta,
             cov=cov,
             trace_cov=float(np.trace(cov)),
-            kappa=float(eig[-1]),
+            kappa=kappa,
             c4=self.coordinate_moment(4),
             c8=self.coordinate_moment(8),
         )

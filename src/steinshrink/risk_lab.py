@@ -64,25 +64,32 @@ class BoundInputs:
 
 
 def guarded_pass(model: NoiseModel, n: int, seed: int, stat,
-                 estimator: EstimatorSpec | None = None, kernel=None) -> dict:
-    """One `_mc.run` pass over the model's n draws from `seed`: `stat(chunk,
-    sq)` returns per-row values by name, with sq = ||x||^2 computed once per
-    row; returns one accumulator per name.  A chunk is a draw task's part:
-    the draw X, or with a kernel one of its identity chunks, which carries
-    X.  Aborts when more than _GUARD_RATE of the n draws sit at the
-    estimator's singularity.  The tasks may run on several threads: each
-    appends its own count, and the counts are summed after the pass."""
+                 estimator: EstimatorSpec | None = None,
+                 coupling: ZeroBiasCoupling | None = None) -> dict:
+    """One `_mc.run` pass over the model's n draws from `seed`: `stat(X, sq)`
+    returns per-row values by name, with sq = ||x||^2 computed once per
+    row; returns one accumulator per name.  With a coupling whose B* draws
+    companions (`b_star_values`), X comes with them, by the coupling's joint
+    chunks over the same chunks and substreams, which draw X with the
+    model's own calls first: the same X, and each row also gets B*'s
+    difference, named "b_star".  Aborts when more than _GUARD_RATE of the n
+    draws sit at the estimator's singularity.  The tasks may run on several
+    threads: each appends its own count, and the counts are summed after
+    the pass."""
     singular_counts = []
+    b_star = None if coupling is None else b_star_values(coupling)
 
-    def values(chunk):
-        X = chunk if isinstance(chunk, np.ndarray) else chunk.X
+    def values(part):
+        X = part if b_star is None else part.X
         sq = sq_norms(X)
         if estimator is not None:
             singular_counts.append(int(estimator.singular_rows(X, sq).sum()))
-        return stat(chunk, sq)
+        out = stat(X, sq)
+        if b_star is not None:
+            out.update(b_star(part))
+        return out
 
-    draw, width = (model.draw, None) if kernel is None else kernel.stream(model)
-    accs = run(n, seed, model.d, draw, values, width)
+    accs = run(n, seed, model.d, model.draw if b_star is None else coupling._centered, values)
     singular = sum(singular_counts)
     if singular > _GUARD_RATE * n:
         raise GuardAbort(
@@ -130,16 +137,18 @@ def mc_excess_risk(
     return _mean(model, n, seed, estimator, *risk_statistic(estimator, model.theta, True))
 
 
-def sure_pass(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> dict:
-    """The loss ("risk") and SURE minus the loss ("bias") per row, from one
-    guarded pass: common random numbers and one ||x||^2 per row."""
+def sure_pass(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int,
+              coupling: ZeroBiasCoupling | None = None) -> dict:
+    """The loss ("risk") and SURE minus the loss ("bias") per row, and with
+    a coupling B*'s difference ("b_star"), from one guarded pass: common
+    random numbers and one ||x||^2 per row."""
     cov = FixedWeights(model.cov())
 
     def stat(X, sq):
         loss = estimator.loss(X, model.theta, sq)
         return {"risk": loss, "bias": sure(X, estimator, cov, sq) - loss}
 
-    return guarded_pass(model, n, seed, stat, estimator)
+    return guarded_pass(model, n, seed, stat, estimator, coupling)
 
 
 def sure_bias(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int) -> RiskReport:
@@ -206,18 +215,15 @@ def jensen_lower(theta, trace_sigma: float) -> float:
     return 1.0 / (float(np.dot(theta, theta)) + trace_sigma)
 
 
-def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> RiskReport:
-    """MC estimate of B*_lam = lam |sum_ij sigma_ij E[d_j g0_i(X^ij) - d_j g0_i(X)]|,
-    with the weights sigma_ij of the coupling.
-
-    The standard error is the delta-method image of the inner mean.  The
-    Gaussian coupling draws nothing: its every companion is X, so each row's
-    difference is exactly 0.0, and the pass would accumulate n zeros.
-    """
-    if lam < 0:
-        raise ParameterError("lambda must be nonnegative")
-    if n < 1:
-        raise ParameterError("replicate count must be >= 1")
+def b_star_values(coupling: ZeroBiasCoupling):
+    """B*'s per-row statistic of the coupling's joint chunks: the difference
+    sum_ij sigma_ij d_j g0_i(X^ij) - sum_ij sigma_ij d_j g0_i(X), named
+    "b_star", a row block at a time where the terms build (rows, d) arrays
+    (replacement and made-afresh terms; the Student and sphere shared terms
+    read row sums).  None for the Gaussian coupling: its every companion is
+    X, so each row's difference is exactly 0.0 and nothing need be drawn."""
+    if isinstance(coupling, GaussianFixedPointCoupling):
+        return None
     g0 = shrink_direction()
     weights = FixedWeights(coupling.sigma)
 
@@ -225,18 +231,32 @@ def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> R
         g0.guard(chunk.X)
         return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)}
 
-    if isinstance(coupling, GaussianFixedPointCoupling):
-        acc = Accumulator(n=int(n))
-    else:
-        # a row block at a time where the terms build (rows, d) arrays (replacement
-        # and made-afresh terms); the Student and sphere shared terms read row sums
-        acc = run(n, seed, coupling.d, coupling._centered,
-                  in_blocks(difference, lambda chunk: not chunk.shared_only),
-                  coupling.width)["b_star"]
-    rep = report_from(acc, seed, label=f"b_star:lam={lam:g}")
+    return in_blocks(difference, lambda chunk: not chunk.shared_only)
+
+
+def b_star_report(accs: dict, lam: float, n: int, seed: int) -> RiskReport:
+    """B*_lam = lam |mean difference| from a pass's accumulated "b_star"
+    (`b_star_values`), n exact zeros where the pass has none (the Gaussian
+    coupling); the standard error is the delta-method image of the mean's."""
+    if lam < 0:
+        raise ParameterError("lambda must be nonnegative")
+    rep = report_from(accs.get("b_star", Accumulator(n=int(n))), seed, label=f"b_star:lam={lam:g}")
     return RiskReport(
         mean=lam * abs(rep.mean), stderr=lam * rep.stderr, n=rep.n, seed=seed, label=rep.label
     )
+
+
+def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> RiskReport:
+    """MC estimate of B*_lam = lam |sum_ij sigma_ij E[d_j g0_i(X^ij) - d_j g0_i(X)]|,
+    with the weights sigma_ij of the coupling, from its own stream: n rows
+    of `b_star_values` over the coupling's chunks.  The CLI scores the same
+    statistic in the pass that draws X (`guarded_pass`)."""
+    if n < 1:
+        raise ParameterError("replicate count must be >= 1")
+    values = b_star_values(coupling)
+    accs = {} if values is None else run(n, seed, coupling.d, coupling._centered, values,
+                                         coupling.width)
+    return b_star_report(accs, lam, n, seed)
 
 
 def bound_b_star_closed(inputs: BoundInputs, theta, cov_sum: float = 0.0) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import RiskReport, run
+from ._mc import RiskReport, in_blocks, run
 from .errors import EvaluationError, ParameterError
 from .laws1d import Law1D
 from .noise_models import NoiseModel
@@ -60,13 +60,17 @@ class SteinKernel:
 
     def stream(self, model: NoiseModel):
         """(draw, width) of `_mc.run` for identity chunks of the model's
-        draws: X with one shared term at X, weighted T(X - theta)."""
+        draws (`at`)."""
 
         def draw(rng, rows, empty):
-            X = model.draw(rng, rows, empty)
-            return JointChunk(X, (Shared(X, self._weights_at(X, model.theta, empty)),))
+            return self.at(model.draw(rng, rows, empty), model.theta, empty)
 
         return draw, None
+
+    def at(self, X, theta, empty=np.empty) -> JointChunk:
+        """The identity chunk of draws X: one shared term at X, weighted
+        T(X - theta), built in buffers of `empty`."""
+        return JointChunk(X, (Shared(X, self._weights_at(X, theta, empty)),))
 
     def _weights_at(self, X, theta, empty) -> Weights:
         """T(X - theta) of a draw task's rows, X - theta written into a buffer
@@ -414,6 +418,15 @@ def discrepancy_values(kernel: SteinKernel, chunk) -> dict:
     rows = chunk.X.shape[0]
     return {"trace": _per_row(term.W.trace(), rows),
             "frob": _per_row(kernel.frob_dev(term.W), rows)}
+
+
+def discrepancy_of(kernel: SteinKernel, theta):
+    """`discrepancy_values` as a per-row statistic of draws X, for a pass
+    that draws X for more than the kernel: the weights T(X - theta) are
+    built one row block at a time (`_mc.in_blocks`) where they are a (rows,
+    d) array, so they hold one block, not a draw task's rows."""
+    return in_blocks(lambda X: discrepancy_values(kernel, kernel.at(X, theta)),
+                     lambda X: not isinstance(kernel, ConstantKernel))
 
 
 def discrepancy_from(accs: dict, seed: int) -> DiscrepancyStats:

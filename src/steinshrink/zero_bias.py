@@ -17,7 +17,10 @@ A `JointChunk` carries X and those terms.  It is the one identity chunk of
 the package: a coupling's draw (`_centered`) makes one per draw task of
 `_mc.run`, and so does a Stein kernel's draw, as one shared term at X with
 weights T(X - theta) (`SteinKernel.stream`), so `identity_residual` serves
-the Stein and the zero-bias identities alike.
+the Stein and the zero-bias identities alike.  The couplings of the CLI's
+models draw X with the model's own calls before the companions, so their
+joint chunks over the model's chunk plan hold the model's draws of X, and
+one pass scores a statistic of X beside B* (`risk_lab.guarded_pass`).
 """
 
 from __future__ import annotations
@@ -171,12 +174,17 @@ def _merged(pick, arrays) -> np.ndarray:
 
 
 class ZeroBiasCoupling:
-    """Base class; subclasses implement the one hook `_centered(rng, rows,
-    empty)`, a fresh joint chunk of `rows` rows (theta included) whose arrays
-    it may take from `empty(shape)`: the coupling's stream for `_mc.run`,
-    over chunks `width` doubles a row wide.  `term_weights` are the weights
-    of a chunk's terms, built once: by default sigma for one `Shared` term if
-    `same_for_all`, else diag(sigma) for one `Replaced`."""
+    """Base class.  `_centered(rng, rows, empty)` is a fresh joint chunk of
+    `rows` rows (theta included) whose arrays it may take from `empty(shape)`:
+    the coupling's stream for `_mc.run`, over chunks `width` doubles a row
+    wide.  By default it draws X with the base model's own calls (`_fill`,
+    then theta), so X has the bytes of `base.draw` on the same generator, and
+    then the companions, by the hook `_companions(rng, Y, empty)`: the terms
+    of a centered draw Y of the base law, their points shifted by theta, a
+    point that is Y itself becoming X.  A coupling whose X is not its base
+    law's draw overrides `_centered` and has no `_companions`.  `term_weights`
+    are the weights of a chunk's terms, built once: by default sigma for one
+    `Shared` term if `same_for_all`, else diag(sigma) for one `Replaced`."""
 
     construction = "abstract"
     same_for_all = False
@@ -203,6 +211,14 @@ class ZeroBiasCoupling:
     def width(self) -> int:
         return 4 * self.d
 
+    _companions = None
+
+    def _centered(self, rng, rows, empty):
+        Y = self.base._fill(rng, empty((rows, self.d)))
+        terms = self._companions(rng, Y, empty)
+        Y += self.theta
+        return JointChunk(Y, terms)
+
     def pair_sampler(self, i: int, j: int, n: int, seed: int):
         """Paired draws (X, X^{ij}) for one index pair."""
         if self.sigma[i, j] == 0.0:
@@ -224,10 +240,9 @@ class IndependentReplaceCoupling(ZeroBiasCoupling):
         super().__init__(model, law.variance * np.eye(model.d))
         self.law = law
 
-    def _centered(self, rng, rows, empty):
-        X = self.law.sample(rng, (rows, self.d), self.theta, out=empty((rows, self.d)))
-        R = self.law.zb_sample(rng, (rows, self.d), self.theta, out=empty((rows, self.d)))
-        return JointChunk(X, (Replaced(X, R, self.term_weights[0]),))
+    def _companions(self, rng, Y, empty):
+        R = self.law.zb_sample(rng, Y.shape, self.theta, out=empty(Y.shape))
+        return (Replaced(Y, R, self.term_weights[0]),)
 
 
 def _coordinate_law(model: NoiseModel) -> Law1D:
@@ -250,19 +265,21 @@ class SphereCoupling(ZeroBiasCoupling):
             raise ParameterError("sphere coupling needs a SphereUniform model")
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
-    def _centered(self, rng, rows, empty):
-        Y = self.base._fill(rng, empty((rows, self.d)))
-        r = rng.uniform(0.0, 1.0, rows) ** (1.0 / self.d)
-        P = np.multiply(r[:, None], Y, out=empty((rows, self.d)))
+    def _companions(self, rng, Y, empty):
+        r = rng.uniform(0.0, 1.0, len(Y)) ** (1.0 / self.d)
+        P = np.multiply(r[:, None], Y, out=empty(Y.shape))
         P += self.theta
-        Y += self.theta
-        return JointChunk(Y, (Shared(P, self.term_weights[0]),))
+        return (Shared(P, self.term_weights[0]),)
 
 
 class StudentGammaCoupling(ZeroBiasCoupling):
     """Shared-normal Gamma coupling for the Student family:
-    X = theta + s N / sqrt(delta + eps), X^i = theta + s N / sqrt(delta),
-    delta ~ Gamma(k/2 - 1, rate k/2), eps ~ Gamma(1, rate k/2)."""
+    X = theta + s N / sqrt(g), X^i = theta + s N / sqrt(g B),
+    g ~ Gamma(k/2, rate k/2) and N drawn as `StudentT._fill` draws them,
+    B = (1 - U)^(1 / (k/2 - 1)) ~ Beta(k/2 - 1, 1) for a uniform U.  By the
+    Beta-Gamma algebra delta = g B ~ Gamma(k/2 - 1, rate k/2) and
+    g (1 - B) ~ Gamma(1, rate k/2) are independent, so X^i is
+    theta + s N / sqrt(delta) with X = theta + s N / sqrt(delta + eps)."""
 
     construction = "student_gamma"
     same_for_all = True
@@ -272,21 +289,14 @@ class StudentGammaCoupling(ZeroBiasCoupling):
             raise ParameterError("student coupling needs a StudentT model")
         super().__init__(model, model.sigma2 * np.eye(model.d))
         self.k = model.k
-        self.scale = math.sqrt(model.scale2)
 
-    def _centered(self, rng, rows, empty):
-        k = self.k
-        delta = rng.gamma(k / 2.0 - 1.0, 2.0 / k, rows)
-        eps = rng.gamma(1.0, 2.0 / k, rows)
-        X, N = empty((rows, self.d)), empty((rows, self.d))
-        # in place, with the bits of theta + s N / sqrt(...): N becomes P
-        rng.standard_normal(out=N)
-        N *= self.scale
-        np.divide(N, np.sqrt(delta + eps)[:, None], out=X)
-        X += self.theta
-        N /= np.sqrt(delta)[:, None]
-        N += self.theta
-        return JointChunk(X, (Shared(N, self.term_weights[0]),))
+    def _companions(self, rng, Y, empty):
+        B = rng.random(len(Y))
+        np.subtract(1.0, B, out=B)  # in (0, 1], so B > 0
+        B **= 1.0 / (self.k / 2.0 - 1.0)
+        P = np.divide(Y, np.sqrt(B)[:, None], out=empty(Y.shape))
+        P += self.theta
+        return (Shared(P, self.term_weights[0]),)
 
 
 class ScaledCoupling(ZeroBiasCoupling):
@@ -325,9 +335,8 @@ class GaussianFixedPointCoupling(ZeroBiasCoupling):
     def __init__(self, model: GaussianIso):
         super().__init__(model, model.sigma2 * np.eye(model.d))
 
-    def _centered(self, rng, rows, empty):
-        X = self.base.draw(rng, rows, empty)
-        return JointChunk(X, (Shared(X, self.term_weights[0]),))
+    def _companions(self, rng, Y, empty):
+        return (Shared(Y, self.term_weights[0]),)  # X itself, once theta is added
 
 
 class SumCoupling(ZeroBiasCoupling):
@@ -390,8 +399,13 @@ class MixtureCoupling(ZeroBiasCoupling):
     """Zero-bias of a mixture: companions are drawn from the variance-tilted
     mixing law; with constant component variances the tilt is the mixture
     itself and the pair shares the component pick, so a mixture of coordinate
-    replacements (or shared companions) is one too, row by row from the pick.
-    Otherwise the pick is averaged out: component s adds its terms times w_s."""
+    replacements (or shared companions) is one too, row by row from the pick,
+    when every component draws its companions given its X (`_companions`).
+    Then X is drawn with `Mixture._fill`'s calls, the pick and then each
+    component's rows by its base law, so it has the bytes of the mixture
+    model's draw, and the companions come after.  Otherwise the pick is
+    averaged out: component s adds its terms times w_s, from a joint draw of
+    its own on every row, which X picks its rows from."""
 
     construction = "mixture"
 
@@ -409,9 +423,10 @@ class MixtureCoupling(ZeroBiasCoupling):
         self.components = components
         self.weights = w
         self.equal_variance = bool(np.allclose(diags, diags[0]))
-        self.replaces = self.equal_variance and all(comp.replaces for comp in components)
+        shared_pick = self.equal_variance and all(c._companions is not None for c in components)
+        self.replaces = shared_pick and all(comp.replaces for comp in components)
         self.same_for_all = (
-            self.equal_variance and not self.replaces and all(c.same_for_all for c in components)
+            shared_pick and not self.replaces and all(c.same_for_all for c in components)
         )
         if self.same_for_all:
             self.term_weights = (FixedWeights(self.sigma),)
@@ -426,20 +441,30 @@ class MixtureCoupling(ZeroBiasCoupling):
 
     def _centered(self, rng, rows, empty):
         pick = rng.choice(len(self.components), size=rows, p=self.weights)
-        subchunks = [comp._centered(rng, rows, empty) for comp in self.components]
-        X = self.theta + _merged(pick, [chunk.X for chunk in subchunks])
-        if self.replaces or self.same_for_all:
-            values = self.theta + _merged(pick, [_values(chunk) for chunk in subchunks])
-            w = self.term_weights[0]
-            return JointChunk(X, (Replaced(X, values, w) if self.replaces else Shared(values, w),))
+        if not (self.replaces or self.same_for_all):
+            subchunks = [comp._centered(rng, rows, empty) for comp in self.components]
+            X = self.theta + _merged(pick, [chunk.X for chunk in subchunks])
+            return JointChunk(X, _Lazy(self._averaged, *subchunks))
+        X, drawn = empty((rows, self.d)), []
+        for s, comp in enumerate(self.components):
+            sel = np.flatnonzero(pick == s)
+            if sel.size:
+                Y = comp.base._draw(rng, sel.size)
+                X[sel] = Y
+                drawn.append((sel, comp, Y))
+        X += self.theta
+        values = empty((rows, self.d))
+        for sel, comp, Y in drawn:  # the components are centered
+            values[sel] = _values(JointChunk(Y, comp._companions(rng, Y, np.empty)))
+        values += self.theta
+        w = self.term_weights[0]
+        return JointChunk(X, (Replaced(X, values, w) if self.replaces else Shared(values, w),))
 
-        def terms(*subchunks):
-            weights = iter(self.term_weights)
-            for chunk in subchunks:
-                for term in chunk.terms:
-                    yield _moved(term, lambda P: P + self.theta, next(weights))
-
-        return JointChunk(X, _Lazy(terms, *subchunks))
+    def _averaged(self, *subchunks):
+        weights = iter(self.term_weights)
+        for chunk in subchunks:
+            for term in chunk.terms:
+                yield _moved(term, lambda P: P + self.theta, next(weights))
 
 
 class LinearMapCoupling(ZeroBiasCoupling):
@@ -510,11 +535,10 @@ class FourPointCoupling(ZeroBiasCoupling):
     def __init__(self, model):
         super().__init__(model, 0.5 * np.eye(2))
 
-    def _centered(self, rng, rows, empty):
-        X = self.base.draw(rng, rows, empty)
-        U = rng.uniform(-1.0, 1.0, rows)
-        B = np.broadcast_to(self.theta, (rows, 2))
-        return JointChunk(X, (Replaced(B, B + U[:, None], self.term_weights[0]),))
+    def _companions(self, rng, Y, empty):
+        U = rng.uniform(-1.0, 1.0, len(Y))
+        B = np.broadcast_to(self.theta, Y.shape)
+        return (Replaced(B, B + U[:, None], self.term_weights[0]),)
 
 
 # ---------------------------------------------------------------------------

@@ -390,12 +390,16 @@ def _averaged_oracle(coupling, field, seed):
         return total
     if isinstance(coupling, MixtureCoupling):
         pick = rng.choice(len(coupling.components), size=ROWS, p=coupling.weights)
+        if coupling.same_for_all:  # X as the mixture draws it, then the picked companions
+            sels = [np.flatnonzero(pick == s) for s in range(len(coupling.components))]
+            drawn = [(sel, comp, comp.base._draw(rng, sel.size))
+                     for sel, comp in zip(sels, coupling.components) if sel.size]
+            star = np.empty((ROWS, D))
+            for sel, comp, Y in drawn:
+                star[sel] = JointChunk(Y, comp._companions(rng, Y, np.empty)).companion(0, 0)
+            return _dense_sum(field, coupling.sigma, lambda i, j: theta + star)
     subs = [comp._centered(rng, ROWS, np.empty) for comp in coupling.components]
     total = 0.0
-    if coupling.same_for_all:  # the companion of the picked component
-        star = theta + sum(np.where((pick == s)[:, None], sub.companion(0, 0), 0.0)
-                           for s, sub in enumerate(subs))
-        return _dense_sum(field, coupling.sigma, lambda i, j: star)
     if isinstance(coupling, SumCoupling):
         X = theta + sum(sub.X for sub in subs)
         for comp, sub in zip(coupling.components, subs):

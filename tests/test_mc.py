@@ -58,7 +58,6 @@ from steinshrink import (
 from steinshrink import _mc, cli, estimation, laws1d, risk_lab, stein_kernels, zero_bias
 from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, run, substream
 from steinshrink.cli import (
-    _SEED_BSTAR,
     _fmt,
     build_model,
     build_parser,
@@ -66,7 +65,7 @@ from steinshrink.cli import (
     model_kernel,
     resolve_config,
 )
-from steinshrink.risk_lab import guarded_pass, inverse_moment, sure_pass
+from steinshrink.risk_lab import b_star_values, guarded_pass, inverse_moment, sure_pass
 from steinshrink.zero_bias import ScaledCoupling, identity_residual
 
 
@@ -225,6 +224,9 @@ def test_singularity_guard_aborts(estimate):
 
 
 def test_fused_sure_csv_matches_separate_passes(tmp_path):
+    # the risk and the bias from their own passes, and B* from a pass over the
+    # coupling's joint chunks on the command's seed and the model's chunks:
+    # the fused pass gives the same bytes
     args = ["sure", "--model", "student", "--d", "6", "--k", "6", "--lambda", "4",
             "--reps", "30000", "--seed", "8"]
     out = tmp_path / "sure.csv"
@@ -234,7 +236,9 @@ def test_fused_sure_csv_matches_separate_passes(tmp_path):
     model, est = StudentT(6, 6), JamesStein(4.0)
     bias = sure_bias(model, est, 30000, 8)
     risk = mc_risk(model, est, 30000, 8)
-    bound = 2.0 * bound_b_star(coupling_for(model), 4.0, 30000, 8 + _SEED_BSTAR).mean
+    coupling = coupling_for(model)
+    b_star = run(30000, 8, 6, coupling._centered, b_star_values(coupling))["b_star"]
+    bound = 2.0 * (4.0 * abs(b_star.mean))
     row = [model.family, est.kind, 4.0, risk.mean + bias.mean, risk.mean, bias.mean, bound]
     lines = fused.decode().splitlines()
     expected = "\n".join(lines[:-1] + [",".join(_fmt(v) for v in row)]) + "\n"
@@ -254,15 +258,15 @@ def _task_keys(seed, n, chunk_dim, d):
             for k in range(len(_mc._draw_cuts(rows, d)) - 1)]
 
 
-@pytest.mark.parametrize("model", ["laplace", "gaussian", "student"])
+@pytest.mark.parametrize("model", ["laplace", "gaussian", "student", "corrupt-mix"])
 def test_risk_bounds_draw_the_model_stream_once(tmp_path, monkeypatch, model):
-    # every draw task of every chunk of X is drawn once, on the command's
-    # seed, and then B*'s coupling stream on seed + _SEED_BSTAR, each task
-    # once; no other stream is drawn.  The Gaussian B* draws nothing: every
-    # companion is X
+    # every draw task of every chunk of X is drawn exactly once, on the
+    # command's seed, and no other stream is drawn: B*'s companions are drawn
+    # in the task that draws their X (the Gaussian's draw nothing: every
+    # companion is X).  `sure` draws the same stream
     d, n, seed = 12, 170, 5
     monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 50 * d)  # 50 rows of X per chunk
-    monkeypatch.setattr(_mc, "_DRAW_TASK", 4 * d)  # 12 tasks per chunk of X, 3 per B* chunk
+    monkeypatch.setattr(_mc, "_DRAW_TASK", 4 * d)  # 12 tasks per chunk of X
     calls = []
 
     def counted(stream, index, task=0):
@@ -270,14 +274,32 @@ def test_risk_bounds_draw_the_model_stream_once(tmp_path, monkeypatch, model):
         return substream(stream, index, task)
 
     monkeypatch.setattr(_mc, "substream", counted)
-    cells = _risk_csv(tmp_path, model, ["risk", "--bounds", "--model", model, "--d", str(d),
-                                        "--lambda", "10", "--reps", str(n), "--seed", str(seed)])
-    assert cells["bound_thm33"] and cells["bound_zb"]
     model_stream = _task_keys(seed, n, d, d)
-    coupling_stream = _task_keys(seed + _SEED_BSTAR, n, 4 * d, d)
-    assert len(model_stream) == 3 * 12 + 5 and len(coupling_stream) == 14 * 3 + 1
-    assert sorted(calls[: len(model_stream)]) == model_stream
-    assert sorted(calls[len(model_stream) :]) == ([] if model == "gaussian" else coupling_stream)
+    assert len(model_stream) == 3 * 12 + 5 and len(set(model_stream)) == len(model_stream)
+    for command, column in ((["risk", "--bounds"], "bound_zb"), (["sure"], "bias_bound")):
+        calls.clear()
+        cells = _risk_csv(tmp_path, model, command + ["--model", model, "--d", str(d), "--lambda",
+                                                      "10", "--reps", str(n), "--seed", str(seed)])
+        assert cells[column]
+        assert command == ["sure"] or model == "corrupt-mix" or cells["bound_thm33"]
+        assert sorted(calls) == model_stream
+
+
+@pytest.mark.parametrize("outlier", ["student", "laplace", "gaussian"])
+def test_couplings_draw_the_models_x_bit_for_bit(outlier):
+    # for every CLI model whose `risk --bounds` prints bound_zb, the coupling's
+    # X is the model's draw on the same substream, so one pass serves both
+    names = ["laplace", "uniform", "smoothed-rademacher", "gaussian", "student", "corrupt-mix"]
+    for name in names + ["sphere"]:
+        cfg = dict(cli._MODEL, model=name, d=9, theta="scaled:6" if name == "sphere" else "scaled:1",
+                   outlier=outlier)
+        model = build_model(cfg)
+        coupling, why = cli._zb_coupling(model, "james_stein")
+        assert why is None, (name, why)
+        for index, task, rows in ((0, 0, 1), (0, 3, 37), (2, 1, 400)):
+            want = model.draw(substream(7, index, task), rows, np.empty)
+            got = coupling._centered(substream(7, index, task), rows, np.empty).X
+            assert _same_bits(got, want), (name, index, task)
 
 
 @pytest.mark.parametrize(
@@ -302,21 +324,38 @@ def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, 
     assert (bounded["mean"], bounded["stderr"]) == (plain["mean"], plain["stderr"])
 
     model = build_model(resolve_config(build_parser().parse_args(args)))
-    kernel = model_kernel(model)
+    kernel, coupling = model_kernel(model), coupling_for(model)
     theta, sigma = model.theta, kernel.sigma
 
+    def g0_partials(Y):
+        """sum_i sigma_ii d_i g0_i(Y) rowwise, with d_i g0_i(y) = 1/||y||^2 - 2 y_i^2/||y||^4."""
+        sq = np.einsum("ij,ij->i", Y, Y)
+        return ((1.0 / sq[:, None] - 2.0 * Y**2 / sq[:, None] ** 2) * np.diag(coupling.sigma)).sum(1)
+
     def by_hand(chunk):
-        sq = np.einsum("ij,ij->i", chunk.X, chunk.X)
-        T = kernel.matrices(chunk.X - theta)
+        X = chunk.X
+        sq = np.einsum("ij,ij->i", X, X)
+        T = kernel.matrices(X - theta)
+        (term,) = chunk.terms
+        if isinstance(term, zero_bias.Replaced):  # X^i: X with x_i := R_i
+            companions = np.zeros(len(X))
+            for i in range(d):
+                Xi = X.copy()
+                Xi[:, i] = term.R[:, i]
+                sq_i = np.einsum("ij,ij->i", Xi, Xi)
+                companions += coupling.sigma[i, i] * (1.0 / sq_i - 2.0 * Xi[:, i] ** 2 / sq_i**2)
+        else:  # every X^ij is the shared point
+            companions = g0_partials(term.P)
         return {
             "e_inv2": 1.0 / sq,
             "e_d2_inv4": (d / sq) ** 2,
             "trace": np.trace(T, axis1=1, axis2=2),
             "frob": ((T - sigma) ** 2).sum(axis=(1, 2)),
+            "b_star": companions - g0_partials(X),
         }
 
-    draw, width = kernel.stream(model)
-    accs = run(n, seed, d, draw, by_hand, width)
+    # one run over the coupling's joint chunks on the command's seed
+    accs = run(n, seed, d, coupling._centered, by_hand)
     mom = model.moments()
     e_inv2 = accs["e_inv2"].mean
     disc = DiscrepancyStats(accs["trace"].mean, 0.0, accs["trace"].variance, 0.0,
@@ -326,7 +365,9 @@ def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, 
         e_d2_inv4 = student_constants(d, 6, lam)["e_d2_inv4_bound"]
     inputs = BoundInputs(lam=lam, d=d, trace_sigma=mom.trace_cov, kappa=mom.kappa,
                          e_inv2=e_inv2, e_d2_inv4=e_d2_inv4, discrepancy=disc)
-    bstar = bound_b_star(coupling_for(model), lam, n, seed + _SEED_BSTAR).mean
+    bstar = lam * abs(accs["b_star"].mean)
+    if family == "gaussian":  # every companion is X: each difference is 0
+        assert accs["b_star"].m2 == 0.0 and bstar < 1e-12
     middle = lam * e_inv2 * (lam - 2.0 * (mom.trace_cov - 2.0 * mom.kappa))
     expected = {"bound_thm33": bound_thm33(inputs),
                 "bound_zb": mom.trace_cov + middle + 2.0 * bstar}
@@ -756,20 +797,40 @@ def test_sure_rows_keep_their_bits_across_task_heights(monkeypatch, family, esti
     _assert_rows_keep_bits(monkeypatch, values, model.sample(37, 4))
 
 
+def _joint_rows(coupling, d):
+    """The coupling's joint chunk of rows of Z = [X | V], made afresh: one
+    replacement term X^i = X with x_i := V_i, or one shared point V."""
+    (w,) = coupling.term_weights
+
+    def part(Z):
+        X, V = Z[:, :d].copy(), Z[:, d:].copy()
+        return zero_bias.JointChunk(X, (zero_bias.Replaced(X, V, w) if coupling.replaces
+                                        else zero_bias.Shared(V, w),))
+
+    return part
+
+
 @pytest.mark.parametrize("family", list(_MODELS))
 def test_kernel_rows_keep_their_bits_across_task_heights(tmp_path, monkeypatch, family):
-    # the one pass of `risk --bounds`, over the kernel's identity chunks:
-    # the risk, the inverse moments, and Tr T and ||T - Sigma||^2 off the
-    # weights each chunk carries
+    # the one pass of `risk --bounds`: the risk, the inverse moments, Tr T and
+    # ||T - Sigma||^2 at T(X - theta), and B*'s difference, over the
+    # coupling's joint chunks; the Gaussian's companions are X, so its pass
+    # draws X alone
     args = ["risk", "--bounds", "--model", family, "--d", "12", "--theta", "scaled:1",
             "--lambda", "9", "--reps", "50", "--seed", "3", "--out", str(tmp_path / "r.csv")]
     args += ["--k", "6"] if family == "student" else []
     values = _statistic_of(monkeypatch, lambda: main(args))
     model = build_model(resolve_config(build_parser().parse_args(args)))
-    chunk = _identity_chunk(model_kernel(model), model.theta)
-    X = model.sample(37, 4)
-    assert list(values(chunk(X))) == ["risk", "e_inv2", "e_d2_inv4", "trace", "frob"]
-    _assert_rows_keep_bits(monkeypatch, values, X, chunk)
+    names = ["risk", "e_inv2", "e_d2_inv4", "trace", "frob"]
+    if family == "gaussian":
+        X, part = model.sample(37, 4), (lambda rows: rows)
+    else:
+        coupling = coupling_for(model)
+        chunk = coupling._centered(substream(4, 0), 37, np.empty)
+        X, part = np.hstack([chunk.X, zero_bias._values(chunk)]), _joint_rows(coupling, model.d)
+        names.append("b_star")
+    assert list(values(part(X))) == names
+    _assert_rows_keep_bits(monkeypatch, values, X, part)
 
 
 def test_select_lambda_rows_keep_their_bits_across_task_heights(tmp_path, monkeypatch):

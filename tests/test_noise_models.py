@@ -236,6 +236,30 @@ def test_additive_corruption_keeps_isotropic_cov():
     assert abs(np.var(emp[:, 0]) - out.sigma2) < 0.05
 
 
+@pytest.mark.parametrize("d", [1, 2, 200, 1600])
+def test_isotropic_kappa_is_the_largest_eigenvalue_bit_for_bit(monkeypatch, d):
+    # a family whose covariance is sigma2 Id reads kappa off sigma2, with the
+    # bits of eigvalsh(sigma2 Id)[-1] and without calling it; the others
+    # still take it from their covariance's eigenvalues
+    models = [ss.GaussianIso(d, 1.7), ss.GaussianIso(d, 0.0), ss.StudentT(d, 7), ss.BallUniform(d, 1.3),
+              ss.ProductIID(d, ss.Laplace1D(0.9)), ss.ProductIID(d, ss.Uniform1D(1.1), scaling="pinsker"),
+              ss.ProductIID(d, ss.SmoothedRademacher1D(0.8, 0.2)),
+              ss.AdditiveCorruption(0.2, ss.StudentT(d, 6))]
+    models += [ss.SphereUniform(d, 0.7)] if d >= 2 else []
+    want = [float(np.linalg.eigvalsh(model.cov())[-1]) for model in models]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvalsh called on an isotropic covariance")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    for model, kappa in zip(models, want):
+        got = model.moments().kappa
+        assert np.float64(got).tobytes() == np.float64(kappa).tobytes(), type(model).__name__
+    mixed = ss.MixingCorruption(0.3, ss.StudentT(d, 6))  # a mixture's covariance is its own
+    with pytest.raises(AssertionError, match="eigvalsh"):
+        mixed.moments()
+
+
 def test_moment_caps_respect_lyapunov():
     for model in _family_zoo(5).values():
         mom = model.moments()

@@ -522,20 +522,27 @@ def test_additive_corruption_leaves_draw_unchanged_with_prob_one_minus_eps():
     assert unchanged / total == pytest.approx(1 - eps, abs=0.02)
 
 
+def _student_rows(g, rows, d, k, theta):
+    """(g, B, X, P) of the Student coupling's formula on the generator g: g
+    and N as `StudentT._fill` draws them, X = theta + s N / sqrt(g), then
+    B = (1 - U)^(1 / (k/2 - 1)) and P = theta + (X - theta) / sqrt(B)."""
+    gam = g.gamma(k / 2.0, 2.0 / k, rows)
+    Y = math.sqrt(k / (k - 2.0)) * g.standard_normal((rows, d)) / np.sqrt(gam)[:, None]
+    B = (1.0 - g.random(rows)) ** (1.0 / (k / 2.0 - 1.0))
+    return gam, B, theta + Y, theta + Y / np.sqrt(B)[:, None]
+
+
 def test_student_coupling_chunk_keeps_the_formula_bits():
-    # the chunk is written in place, with the bits of X = theta + s N /
-    # sqrt(delta + eps) and P = theta + s N / sqrt(delta)
+    # the chunk is written in place, with the bits of the formula, and its X
+    # has the bits of the model's own draw on the same generator
     k, rows = 6, 53
-    coupling = StudentGammaCoupling(ss.StudentT(9, k, "scaled:1"))
+    model = ss.StudentT(9, k, "scaled:1")
+    coupling = StudentGammaCoupling(model)
     chunk = coupling._centered(_mc.substream(3, 0), rows, np.empty)
-    g = _mc.substream(3, 0)
-    delta = g.gamma(k / 2.0 - 1.0, 2.0 / k, rows)
-    eps = g.gamma(1.0, 2.0 / k, rows)
-    N = g.standard_normal((rows, 9))
-    X = coupling.theta + coupling.scale * N / np.sqrt(delta + eps)[:, None]
-    P = coupling.theta + coupling.scale * N / np.sqrt(delta)[:, None]
+    _, _, X, P = _student_rows(_mc.substream(3, 0), rows, 9, k, coupling.theta)
     (term,) = chunk.terms
     assert chunk.X.tobytes() == X.tobytes() and term.P.tobytes() == P.tobytes()
+    assert chunk.X.tobytes() == model.draw(_mc.substream(3, 0), rows, np.empty).tobytes()
     assert term.P is not chunk.X
 
 
@@ -555,12 +562,9 @@ def test_student_coupling_tasks_keep_the_formula_bits(monkeypatch, threads):
     X_rows, P_rows = [], []
     for t, chunk in enumerate(chunks):
         a, b = cuts[t], cuts[t + 1]
-        g = _mc.substream(3, 0, t)
-        delta = g.gamma(k / 2.0 - 1.0, 2.0 / k, b - a)
-        eps = g.gamma(1.0, 2.0 / k, b - a)
-        N = g.standard_normal((b - a, 9))
-        X_rows.append(coupling.theta + coupling.scale * N / np.sqrt(delta + eps)[:, None])
-        P_rows.append(coupling.theta + coupling.scale * N / np.sqrt(delta)[:, None])
+        _, _, X, P = _student_rows(_mc.substream(3, 0, t), b - a, 9, k, coupling.theta)
+        X_rows.append(X)
+        P_rows.append(P)
         (term,) = chunk.terms
         assert chunk.X.tobytes() == X_rows[-1].tobytes() and term.P.tobytes() == P_rows[-1].tobytes()
     accs = _mc.run(rows, 3, 9, coupling._centered,
@@ -569,3 +573,32 @@ def test_student_coupling_tasks_keep_the_formula_bits(monkeypatch, threads):
         ref = _mc.Accumulator()
         ref.add(want)
         assert (accs[name].mean, accs[name].m2, accs[name].m4) == (ref.mean, ref.m2, ref.m4)
+
+
+def test_student_coupling_splits_g_by_an_independent_beta():
+    # at d = 64: B ~ Beta(k/2 - 1, 1) has mean (k/2 - 1)/(k/2) and is
+    # uncorrelated with g, so delta = g B ~ Gamma(k/2 - 1) and eps = g (1 - B)
+    # ~ Gamma(1) are the Gamma pair of the coupling; its zero-bias identity
+    # holds within 3 standard errors
+    d, k, n, seed = 64, 6, 32_000, 61
+    model = ss.StudentT(d, k, "scaled:1")
+    coupling = StudentGammaCoupling(model)
+    assert len(list(_mc.chunk_plan(n, coupling.width))) == 1  # each task on substream (seed, 0, t)
+    parts = joint_parts(coupling, n, seed)
+    cuts = np.cumsum([0] + [len(part.X) for part in parts])
+    gs, Bs = [], []
+    for t, part in enumerate(parts):
+        gam, B, X, P = _student_rows(_mc.substream(seed, 0, t), cuts[t + 1] - cuts[t], d, k,
+                                     model.theta)
+        assert part.X.tobytes() == X.tobytes() and part.terms[0].P.tobytes() == P.tobytes()
+        gs.append(gam)
+        Bs.append(B)
+    g, B = np.concatenate(gs), np.concatenate(Bs)
+    assert len(parts) > 1 and len(B) == n
+    a = k / 2.0 - 1.0
+    assert abs(B.mean() - a / (a + 1.0)) < 3.0 * B.std() / math.sqrt(n)
+    zg, zb = (g - g.mean()) / g.std(), (B - B.mean()) / B.std()
+    products = zg * zb
+    assert abs(products.mean()) < 3.0 * products.std() / math.sqrt(n)
+    for fn in _fams(d):
+        assert_zero_within(ss.zb_identity_residual(model, coupling, fn, n, seed))
