@@ -76,10 +76,12 @@ _BLOCK = 1 << 14
 # rows in groups of 4, and aligned blocks keep each row in the group it has
 # in the whole part.
 _BLOCK_ALIGN = 16
-# Least rows of a block of a joint chunk, so past `_BLOCK` doubles at
-# d > 256.  Its statistics (identity residuals, B*) make many numpy calls for
-# little work per element, and on two threads short blocks serialise on the
-# GIL; README, "The Monte Carlo engine", has the d = 1600 timings.  The
+# Least rows of a block of a joint chunk, or of an array for a `many_calls`
+# statistic (the Stein discrepancy), so past `_BLOCK` doubles at d > 256.
+# These statistics (identity residuals, B*, Tr T and ||T - Sigma||^2) make
+# many numpy calls for little work per element, and on two threads short
+# blocks serialise on the GIL; README, "The Monte Carlo engine", has the
+# d = 1600 timings.  The
 # select-lambda statistic keeps `_BLOCK`: at d = 1024 its 32-row blocks took
 # 15,000-23,000 minor page faults against 1,300.
 _JOINT_BLOCK_ROWS = 64
@@ -305,19 +307,21 @@ def run(n: int, seed: int, d: int, draw, values, width: int | None = None) -> di
     return accs
 
 
-def in_blocks(values, cut=None):
+def in_blocks(values, cut=None, many_calls=False):
     """`values` evaluated on consecutive row blocks of a part, its per-row
     values joined in row order: the same values, bit for bit, for a
     row-local statistic, with temporaries of one block instead of one draw
     task.  A part is an array, sliced as `part[a:b]`, or a joint chunk,
-    sliced by `part.rows(a, b)` in blocks of at least `_JOINT_BLOCK_ROWS`
-    rows; the blocks are `_block_cuts`.  A part for which `cut(part)` is
-    false is evaluated whole: blocks of a statistic that builds no `(rows,
-    d)` array on it would only add calls."""
+    sliced by `part.rows(a, b)`; the blocks are `_block_cuts`, of at least
+    `_JOINT_BLOCK_ROWS` rows for a joint chunk, and for an array if
+    `many_calls`.  A part for which `cut(part)` is false is evaluated whole:
+    blocks of a statistic that builds no `(rows, d)` array on it would only
+    add calls."""
 
     def blocked(part):
         plain = isinstance(part, np.ndarray)
-        cuts = _block_cuts(*(part if plain else part.X).shape, 1 if plain else _JOINT_BLOCK_ROWS)
+        least = _JOINT_BLOCK_ROWS if many_calls or not plain else 1
+        cuts = _block_cuts(*(part if plain else part.X).shape, least)
         if len(cuts) == 2 or (cut is not None and not cut(part)):
             return values(part)
         blocks = [values(part[a:b] if plain else part.rows(a, b)) for a, b in zip(cuts, cuts[1:])]

@@ -72,10 +72,15 @@ def guarded_pass(model: NoiseModel, n: int, seed: int, stat,
     companions (`b_star_values`), X comes with them, by the coupling's joint
     chunks over the same chunks and substreams, which draw X with the
     model's own calls first: the same X, and each row also gets B*'s
-    difference, named "b_star".  Aborts when more than _GUARD_RATE of the n
-    draws sit at the estimator's singularity.  The tasks may run on several
-    threads: each appends its own count, and the counts are summed after
-    the pass."""
+    difference, named "b_star".  So the coupling must be one of the model's
+    (`coupling.base is model`) that draws X by the model's calls
+    (`draws_base`); any other raises ParameterError.  Aborts when more than
+    _GUARD_RATE of the n draws sit at the estimator's singularity.  The
+    tasks may run on several threads: each appends its own count, and the
+    counts are summed after the pass."""
+    if coupling is not None and not (coupling.base is model and coupling.draws_base):
+        raise ParameterError("the coupling must draw the model's X: its base is the model "
+                             "and it draws X by the model's calls")
     singular_counts = []
     b_star = None if coupling is None else b_star_values(coupling)
 
@@ -140,8 +145,8 @@ def mc_excess_risk(
 def sure_pass(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int,
               coupling: ZeroBiasCoupling | None = None) -> dict:
     """The loss ("risk") and SURE minus the loss ("bias") per row, and with
-    a coupling B*'s difference ("b_star"), from one guarded pass: common
-    random numbers and one ||x||^2 per row."""
+    a coupling of the model B*'s difference ("b_star"), from one guarded
+    pass (`guarded_pass`): common random numbers and one ||x||^2 per row."""
     cov = FixedWeights(model.cov())
 
     def stat(X, sq):
@@ -253,6 +258,8 @@ def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> R
     statistic in the pass that draws X (`guarded_pass`)."""
     if n < 1:
         raise ParameterError("replicate count must be >= 1")
+    if lam < 0:
+        raise ParameterError("lambda must be nonnegative")
     values = b_star_values(coupling)
     accs = {} if values is None else run(n, seed, coupling.d, coupling._centered, values,
                                          coupling.width)

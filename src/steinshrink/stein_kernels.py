@@ -34,6 +34,7 @@ class SteinKernel:
     """Base kernel; subclasses fill in one of the structured evaluations."""
 
     construction = "abstract"
+    joint_only = False  # T is a function of X - theta alone, built by `at`
 
     def __init__(self, sigma: np.ndarray):
         sigma = np.asarray(sigma, dtype=float)
@@ -302,6 +303,7 @@ class AverageKernel(SteinKernel):
     """
 
     construction = "average"
+    joint_only = True
 
     def __init__(self, kernels):
         if not kernels:
@@ -331,6 +333,7 @@ class MixtureKernel(SteinKernel):
     """Paired sampler (Y_s, T_s(Y_s)) over mixture components."""
 
     construction = "mixture"
+    joint_only = True
 
     def __init__(self, pairs, weights):
         if not pairs:
@@ -413,7 +416,8 @@ class DiscrepancyStats:
 
 def discrepancy_values(kernel: SteinKernel, chunk) -> dict:
     """Tr T and ||T - Sigma||_F^2 per row of one of the kernel's identity
-    chunks (`kernel.stream`), read off the weights the chunk already carries."""
+    chunks (`kernel.at`, or `kernel.stream` for a kernel defined on joint
+    samples only), read off the weights the chunk already carries."""
     (term,) = chunk.terms
     rows = chunk.X.shape[0]
     return {"trace": _per_row(term.W.trace(), rows),
@@ -421,12 +425,15 @@ def discrepancy_values(kernel: SteinKernel, chunk) -> dict:
 
 
 def discrepancy_of(kernel: SteinKernel, theta):
-    """`discrepancy_values` as a per-row statistic of draws X, for a pass
-    that draws X for more than the kernel: the weights T(X - theta) are
-    built one row block at a time (`_mc.in_blocks`) where they are a (rows,
-    d) array, so they hold one block, not a draw task's rows."""
-    return in_blocks(lambda X: discrepancy_values(kernel, kernel.at(X, theta)),
-                     lambda X: not isinstance(kernel, ConstantKernel))
+    """`discrepancy_values` as a per-row statistic of draws X: the weights
+    T(X - theta) are built one row block of at least 64 rows at a time
+    (`_mc.in_blocks`, `many_calls`), so they hold one block, not a draw
+    task's rows; a constant kernel builds no weights and is scored whole."""
+
+    def values(X):
+        return discrepancy_values(kernel, kernel.at(X, theta))
+
+    return values if isinstance(kernel, ConstantKernel) else in_blocks(values, many_calls=True)
 
 
 def discrepancy_from(accs: dict, seed: int) -> DiscrepancyStats:
@@ -447,8 +454,15 @@ def discrepancy_from(accs: dict, seed: int) -> DiscrepancyStats:
 
 
 def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int) -> DiscrepancyStats:
-    draw, width = kernel.stream(model)
-    accs = run(n, seed, model.d, draw, lambda chunk: discrepancy_values(kernel, chunk), width)
+    """DiscrepancyStats over n draws of the model from `seed`: T(X - theta)
+    on the model's draws X, as the CLI's passes score it (`discrepancy_of`),
+    or, for a kernel defined on joint samples only, on its own identity
+    chunks (`stream`)."""
+    if kernel.joint_only:
+        draw, width = kernel.stream(model)
+        accs = run(n, seed, model.d, draw, lambda chunk: discrepancy_values(kernel, chunk), width)
+    else:
+        accs = run(n, seed, model.d, model.draw, discrepancy_of(kernel, model.theta))
     return discrepancy_from(accs, seed)
 
 

@@ -213,6 +213,12 @@ class ZeroBiasCoupling:
 
     _companions = None
 
+    @property
+    def draws_base(self) -> bool:
+        """Whether the chunks' X is `base.draw`'s, bit for bit, on the same
+        generator: so by default, with `_companions`."""
+        return self._companions is not None
+
     def _centered(self, rng, rows, empty):
         Y = self.base._fill(rng, empty((rows, self.d)))
         terms = self._companions(rng, Y, empty)
@@ -438,6 +444,17 @@ class MixtureCoupling(ZeroBiasCoupling):
     @property
     def width(self) -> int:
         return 8 * self.d
+
+    @property
+    def draws_base(self) -> bool:
+        """With a shared pick X is drawn as `Mixture._fill` draws a mixture of
+        the components' bases with these weights: the base's draw if the
+        base is that mixture."""
+        base = self.base
+        return ((self.replaces or self.same_for_all) and isinstance(base, Mixture)
+                and len(base.components) == len(self.components)
+                and all(m is c.base for m, c in zip(base.components, self.components))
+                and np.array_equal(base.weights, self.weights))
 
     def _centered(self, rng, rows, empty):
         pick = rng.choice(len(self.components), size=rows, p=self.weights)

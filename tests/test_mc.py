@@ -24,6 +24,7 @@ from steinshrink import (
     LinearTransform,
     MixingCorruption,
     Mixture,
+    ParameterError,
     ProductIID,
     SoftThreshold,
     SphereUniform,
@@ -296,10 +297,48 @@ def test_couplings_draw_the_models_x_bit_for_bit(outlier):
         model = build_model(cfg)
         coupling, why = cli._zb_coupling(model, "james_stein")
         assert why is None, (name, why)
+        assert coupling.base is model and coupling.draws_base, name
         for index, task, rows in ((0, 0, 1), (0, 3, 37), (2, 1, 400)):
             want = model.draw(substream(7, index, task), rows, np.empty)
             got = coupling._centered(substream(7, index, task), rows, np.empty).X
             assert _same_bits(got, want), (name, index, task)
+
+
+def test_a_pass_refuses_a_coupling_that_does_not_draw_the_models_x(monkeypatch):
+    # risk, SURE and B* are scored on the coupling's X, so a coupling of
+    # another model, or one that draws X by other calls than its base's
+    # (scaled, summed, an averaged mixture), would score the wrong draws
+    d = 6
+    laplace = ProductIID(d, Laplace1D(1.0))
+    gauss, wide = GaussianIso(d, 1.0), GaussianIso(d, 2.0)
+    mixed = Mixture([gauss, wide], [0.4, 0.6])
+    corrupt = MixingCorruption(0.2, ProductIID(d, Laplace1D(1.0 / np.sqrt(2.0))))
+    shared = coupling_for(corrupt)
+    wrong = [
+        (laplace, coupling_for(ProductIID(d, Laplace1D(1.0)))),  # an equal model, not this one
+        (laplace, ScaledCoupling(coupling_for(laplace), 2.0)),  # its base is the unscaled model
+        (gauss, zb_sum(gauss, [couple_gaussian(gauss)])),
+        (mixed, zb_mixture(mixed, [couple_gaussian(gauss), couple_gaussian(wide)], [0.4, 0.6])),
+        (corrupt, zb_mixture(corrupt, shared.components, [0.5, 0.5])),  # not its weights
+    ]
+    drawn = []
+    monkeypatch.setattr(risk_lab, "run", lambda *args, **kw: drawn.append(args))
+    for model, coupling in wrong:
+        assert not (coupling.base is model and coupling.draws_base)
+        with pytest.raises(ParameterError, match="model's X"):
+            guarded_pass(model, 50, 1, lambda X, sq: {}, coupling=coupling)
+        with pytest.raises(ParameterError, match="model's X"):
+            sure_pass(model, JamesStein(4.0), 50, 1, coupling)
+    assert not drawn
+    assert shared.draws_base and coupling_for(laplace).draws_base
+
+
+def test_bound_b_star_checks_lambda_before_it_draws(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(risk_lab, "run", lambda *args, **kw: drawn.append(args))
+    with pytest.raises(ParameterError, match="lambda"):
+        bound_b_star(coupling_for(ProductIID(4, Laplace1D(1.0))), -1.0, 100, 1)
+    assert not drawn
 
 
 @pytest.mark.parametrize(
@@ -1060,6 +1099,8 @@ def _blocked_passes(d, n, seed):
     passes.update({
         "b-star-laplace": lambda: bound_b_star(coupling_for(laplace), 6.0, n, seed),
         "b-star-student": lambda: bound_b_star(coupling_for(student), 6.0, n, seed),
+        "discrepancy-laplace": lambda: discrepancy_stats(laplace, model_kernel(laplace), n, seed),
+        "discrepancy-student": lambda: discrepancy_stats(student, model_kernel(student), n, seed),
         "sure-zero-bias": lambda: sure_zero_bias_mean(laplace, JamesStein(6.0), coupling_for(laplace),
                                                       n, seed),
         "coordinate-sum": lambda: coordinate_sum_residual(coupling_for(corrupt), np.sin, np.cos,
@@ -1149,6 +1190,12 @@ def test_in_blocks_joins_the_rows_of_plain_and_joint_parts(monkeypatch):
     # residual decline the chunks whose every term is shared (row sums only)
     assert np.array_equal(_mc.in_blocks(values, lambda part: False)(X)["first"], X[:, 0])
     assert len(seen[-1]) == 8
+    # a statistic of many calls (the Stein discrepancy) gets a plain part in
+    # blocks of at least `_JOINT_BLOCK_ROWS` rows, as a joint chunk's are
+    monkeypatch.setattr(_mc, "_JOINT_BLOCK_ROWS", 4)
+    del seen[:]
+    assert np.array_equal(_mc.in_blocks(values, many_calls=True)(X)["first"], X[:, 0])
+    assert [len(block) for block in seen] == [4, 4]
     draw = lambda model: coupling_for(model)._centered(substream(1, 0), 8, np.empty)  # noqa: E731
     assert draw(StudentT(5, 6)).shared_only and not draw(ProductIID(5, Laplace1D(1.0))).shared_only
     chunk = _identity_chunk(student_kernel(6, 5), np.zeros(5))(X)
