@@ -14,9 +14,9 @@ keep the draws.
 
 The tasks run in turn on threads started by `_in_turn`.  A statistic that
 builds several `(rows, d)` temporaries per row is wrapped by `in_blocks`,
-which evaluates it one row block of `_BLOCK` doubles (for a joint chunk, at
-least `_JOINT_BLOCK_ROWS` rows) at a time, so its temporaries stay near
-cache and no task-sized one is made.
+which evaluates it one row block of `_BLOCK` doubles (for a joint chunk or
+a statistic of many numpy calls, at least `_JOINT_BLOCK_ROWS` rows) at a
+time, so its temporaries stay near cache and no task-sized one is made.
 """
 
 from __future__ import annotations
@@ -77,13 +77,11 @@ _BLOCK = 1 << 14
 # in the whole part.
 _BLOCK_ALIGN = 16
 # Least rows of a block of a joint chunk, or of an array for a `many_calls`
-# statistic (the Stein discrepancy), so past `_BLOCK` doubles at d > 256.
-# These statistics (identity residuals, B*, Tr T and ||T - Sigma||^2) make
-# many numpy calls for little work per element, and on two threads short
-# blocks serialise on the GIL; README, "The Monte Carlo engine", has the
-# d = 1600 timings.  The
-# select-lambda statistic keeps `_BLOCK`: at d = 1024 its 32-row blocks took
-# 15,000-23,000 minor page faults against 1,300.
+# statistic (the Stein discrepancy and the select-lambda grid), so past
+# `_BLOCK` doubles at d > 256.  These statistics (identity residuals, B*,
+# Tr T and ||T - Sigma||^2, a binary search per row for the grid) make many
+# numpy calls for little work per element, and on two threads short blocks
+# serialise on the GIL; README, "The Monte Carlo engine", has the timings.
 _JOINT_BLOCK_ROWS = 64
 
 
@@ -307,13 +305,15 @@ def run(n: int, seed: int, d: int, draw, values, width: int | None = None) -> di
     return accs
 
 
-def in_blocks(values, cut=None, many_calls=False):
+def in_blocks(values, cut=None, many_calls=False, width=0):
     """`values` evaluated on consecutive row blocks of a part, its per-row
     values joined in row order: the same values, bit for bit, for a
     row-local statistic, with temporaries of one block instead of one draw
     task.  A part is an array, sliced as `part[a:b]`, or a joint chunk,
-    sliced by `part.rows(a, b)`; the blocks are `_block_cuts`, of at least
-    `_JOINT_BLOCK_ROWS` rows for a joint chunk, and for an array if
+    sliced by `part.rows(a, b)`; the blocks are `_block_cuts` of a part
+    max(d, `width`) wide, so a statistic with temporaries wider than a row
+    (the select-lambda grid's (rows, G) arrays) names their width, and of
+    at least `_JOINT_BLOCK_ROWS` rows for a joint chunk, and for an array if
     `many_calls`.  A part for which `cut(part)` is false is evaluated whole:
     blocks of a statistic that builds no `(rows, d)` array on it would only
     add calls."""
@@ -321,7 +321,8 @@ def in_blocks(values, cut=None, many_calls=False):
     def blocked(part):
         plain = isinstance(part, np.ndarray)
         least = _JOINT_BLOCK_ROWS if many_calls or not plain else 1
-        cuts = _block_cuts(*(part if plain else part.X).shape, least)
+        rows, d = (part if plain else part.X).shape
+        cuts = _block_cuts(rows, max(d, width), least)
         if len(cuts) == 2 or (cut is not None and not cut(part)):
             return values(part)
         blocks = [values(part[a:b] if plain else part.rows(a, b)) for a, b in zip(cuts, cuts[1:])]

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from ._mc import in_blocks, report_from, run
 from .errors import EvaluationError, GuardAbort, MomentUnavailableError, ParameterError
-from .estimation import JamesStein, make_estimator, select_lambda
+from .estimation import JamesStein, lambda_grid, make_estimator, select_lambda
 from .laws1d import Laplace1D, SmoothedRademacher1D, Uniform1D
 from .noise_models import (
     AdditiveCorruption,
@@ -477,20 +477,25 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     n, seed = cfg["reps"], cfg["seed"]
     w = CsvWriter(cfg["out"], cfg, seed)
     if cfg["select_lambda"]:
-        grid = _parse_grid(cfg["lambda_grid"])
+        grid = lambda_grid(model.d, *_parse_grid(cfg["lambda_grid"]))
         sigma2 = model.coordinate_variance(0)
 
         def selected(X):
             lam_hat, value = select_lambda(X, sigma2, grid, "soft-threshold")
             # the soft threshold sgn(x) (|x| - lam)_+ is x - clip(x, -lam, lam), bit
-            # for bit but in the sign of a zero, in two array passes instead of five
+            # for bit but in the sign of a zero; clip is max, then min, here in place
             lam = lam_hat[:, None]
-            dev = X - np.clip(X, -lam, lam)
+            dev = np.maximum(X, -lam)
+            np.minimum(dev, lam, out=dev)
+            np.subtract(X, dev, out=dev)
             dev -= model.theta
             return {"lambda": lam_hat, "sure": value, "risk": np.einsum("ij,ij->i", dev, dev)}
 
-        # a row block at a time: `selected` builds several (rows, d) and (rows, G) arrays
-        accs = run(n, seed, model.d, model.draw, in_blocks(selected))
+        # a row block at a time: `selected` builds several (rows, d) and (rows, G)
+        # arrays and makes a few numpy calls per row, so its blocks are cut on the
+        # wider of the two and hold at least `_mc._JOINT_BLOCK_ROWS` rows
+        accs = run(n, seed, model.d, model.draw,
+                   in_blocks(selected, many_calls=True, width=grid.size))
         lam_hat, sure_val, risk = (acc.mean for acc in accs.values())
         estimator = "soft-threshold:lambda-hat"
         w.comment(f"bias_bound: not applicable: {_zb_coupling(model, 'soft_threshold')[1]}")

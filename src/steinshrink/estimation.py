@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._mc import RiskReport, in_blocks, report_from, run
+from ._mc import _CHUNK_BUDGET, _JOINT_BLOCK_ROWS, RiskReport, in_blocks, report_from, run
 from .errors import EvaluationError, ParameterError
 from .noise_models import NoiseModel
 from .stein_kernels import SteinKernel
@@ -308,55 +308,80 @@ def sure_zero_bias_mean(
 
 
 def _count_below(sorted_abs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Card{i : |x_i| < grid[g]} per row, (rows, G), exact in integers.
-
-    |x_i| < grid[g] iff g >= searchsorted(grid, |x_i|, "right"), so it is a
-    cumulative histogram of those ranks per row.
-    """
-    rows = sorted_abs.shape[0]
-    size = grid.size + 1
-    ranks = np.searchsorted(grid, sorted_abs, side="right")
-    ranks += size * np.arange(rows)[:, None]
-    hist = np.bincount(ranks.ravel(), minlength=rows * size).reshape(rows, size)
-    return np.cumsum(hist[:, :-1], axis=1)
+    """Card{i : |x_i| < grid[g]} per row, (rows, G), exact in integers: the
+    left insertion point of grid[g] in the row's sorted |x|, one binary
+    search per grid point."""
+    below = np.empty((sorted_abs.shape[0], grid.size), dtype=np.intp)
+    for row, counts in zip(sorted_abs, below):
+        counts[:] = row.searchsorted(grid)
+    return below
 
 
 def sure_soft_threshold_grid(x: np.ndarray, sigma2: float, grid: np.ndarray) -> np.ndarray:
     """SURE(lambda) over a sorted grid: (G,) values for one observation (d,),
     (rows, G) for a block (rows, d), each row as if passed alone.
 
-    Uses order statistics of |x|, so a full grid costs O((d + G) log d) per row.
+    Uses order statistics of |x|: a row costs O(d log d) to sort and
+    O(G log d) to count below the grid.
     """
     x = np.asarray(x, dtype=float)
-    block = np.abs(x.reshape(-1, x.shape[-1]))
-    block.sort(axis=1)
-    rows, d = block.shape
-    below = _count_below(block, grid)
-    # |x| is not needed past the counts, so it is squared in place and let go
-    csq = np.zeros((rows, d + 1))
-    np.cumsum(np.square(block, out=block), axis=1, out=csq[:, 1:])
-    del block
-    sum_min = np.take_along_axis(csq, below, axis=1) + grid**2 * (d - below)
-    values = d * sigma2 + sum_min - 2.0 * sigma2 * below
+    X = x.reshape(-1, x.shape[-1])
+    rows, d = X.shape
+    # row r of csq is 0 and the cumulative sums of its sorted x_i^2: the sorted
+    # |x| are written there, counted below the grid, then squared and summed
+    csq = np.empty((rows, d + 1))
+    csq[:, 0] = 0.0
+    ax = np.abs(X, out=csq[:, 1:])
+    ax.sort(axis=1)
+    below = _count_below(ax, grid)
+    np.cumsum(np.square(ax, out=ax), axis=1, out=ax)
+    # sum_i min(x_i^2, lambda^2) = csq[below] + lambda^2 (d - below), with csq
+    # read flat, at below + r (d + 1) in row r, and let go
+    offsets = (d + 1) * np.arange(rows)[:, None]
+    below += offsets
+    values = csq.take(below)
+    below -= offsets
+    del csq, ax
+    values += grid**2 * (d - below)
+    values += d * sigma2
+    values -= 2.0 * sigma2 * below
     return values.reshape(x.shape[:-1] + grid.shape)
 
 
+# Most points of a lambda grid.  The select-lambda statistic's row blocks
+# hold at least `_JOINT_BLOCK_ROWS` rows (`cli.cmd_sure`), so at this size
+# one (rows, G) array of a block is a chunk's `_CHUNK_BUDGET` doubles (64 MB).
+_MAX_GRID_SIZE = _CHUNK_BUDGET // _JOINT_BLOCK_ROWS
+
+
 def lambda_grid(d: int, c_grid: float = 2.0, size: int = 512) -> np.ndarray:
+    """`size` equally spaced points on [0, sqrt(C log d)].
+
+    Refused (`ParameterError`) unless C > 0 is finite, 2 <= size <=
+    `_MAX_GRID_SIZE`, d >= 2, and the top point and d top^2, the largest
+    term of SURE, are finite.  Nothing is allocated before that.
+    """
     if not 0 < c_grid < math.inf or size < 2 or d < 2:
         raise ParameterError("grid needs a finite C > 0, size >= 2 and d >= 2")
-    return np.linspace(0.0, math.sqrt(c_grid * math.log(d)), size)
+    if size > _MAX_GRID_SIZE:
+        raise ParameterError(f"grid size {size} is above the maximum {_MAX_GRID_SIZE}")
+    top = math.sqrt(c_grid * math.log(d))
+    if not math.isfinite(d * top * top):
+        raise ParameterError(f"grid top sqrt(C log d) = {top:g} at C = {c_grid:g}, d = {d} "
+                             "makes d top^2 overflow")
+    return np.linspace(0.0, top, size)
 
 
 def select_lambda(x, sigma2: float, grid_spec=(2.0, 512), estimator_kind: str = "soft-threshold"):
     """Smallest SURE minimizer over a uniform grid on [0, sqrt(C log d)].
 
-    Returns (lambda_hat, sure_value): floats for one observation (d,), one
-    value per row for a block (rows, d).
+    `grid_spec` is (C, size), or the grid `lambda_grid` built from them, for
+    a caller that scores many blocks.  Returns (lambda_hat, sure_value):
+    floats for one observation (d,), one value per row for a block (rows, d).
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    c_grid, size = grid_spec
-    grid = lambda_grid(d, c_grid, size)
+    grid = grid_spec if isinstance(grid_spec, np.ndarray) else lambda_grid(d, *grid_spec)
     if estimator_kind in ("soft-threshold", "soft_threshold", "st"):
         values = sure_soft_threshold_grid(x, sigma2, grid)
     elif estimator_kind in ("james-stein", "james_stein", "js"):

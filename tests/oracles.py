@@ -7,7 +7,10 @@ against.  Each is written from its formula, not from the code it checks:
   p*(y) = sigma^-2 int_y^inf u p(u) du;
 * `zb_density(model, i)`: the density of the i-th zero-bias vector of a
   product law, the same tail integral along coordinate i times the density
-  of the other coordinates.
+  of the other coordinates;
+* `count_below_by_histogram(sorted_abs, grid)`: the strict counts
+  Card{i : |x_i| < grid[g]} of the select-lambda grid, from a per-row
+  histogram of each coordinate's rank in the grid.
 """
 
 import numpy as np
@@ -70,3 +73,14 @@ def zb_density(model, i: int):
         return star * float(np.exp(np.sum(law.log_pdf(np.delete(y, i)))))
 
     return product
+
+
+def count_below_by_histogram(sorted_abs, grid):
+    """Card{i : |x_i| < grid[g]} per row, (rows, G): |x_i| < grid[g] iff g >=
+    searchsorted(grid, |x_i|, "right"), so the counts are a cumulative
+    histogram of those ranks, taken per row."""
+    rows, size = sorted_abs.shape[0], grid.size + 1
+    ranks = np.searchsorted(grid, sorted_abs, side="right")
+    ranks += size * np.arange(rows)[:, None]
+    hist = np.bincount(ranks.ravel(), minlength=rows * size).reshape(rows, size)
+    return np.cumsum(hist[:, :-1], axis=1)

@@ -262,6 +262,12 @@ def test_usage_errors_exit_two(tmp_path):
                      id="lambda-grid-nan"),
         pytest.param(["sure", "--select-lambda", "--lambda-grid", "inf:8"], None,
                      id="lambda-grid-inf"),
+        # a finite C whose top point sqrt(C log d) overflows, and a grid whose
+        # (rows, G) arrays would not fit: both refused before anything is drawn
+        pytest.param(["sure", "--select-lambda", "--lambda-grid", "1e308:8"], None,
+                     id="lambda-grid-top-overflows"),
+        pytest.param(["sure", "--select-lambda", "--lambda-grid", "2:100000000"], None,
+                     id="lambda-grid-too-large"),
         pytest.param(["risk", "--d", "x"], None, id="d-not-integer"),
         pytest.param(["risk"], "d=abc\n", id="config-d-not-integer"),
         pytest.param(["risk"], "bounds=maybe\n", id="config-bounds-maybe"),

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import steinshrink as ss
+from steinshrink import estimation
 from steinshrink.errors import EvaluationError, ParameterError
 from steinshrink.estimation import lambda_grid, sure_soft_threshold_grid
 from steinshrink.testfns import FixedWeights
-from oracles import jacobian
+from oracles import count_below_by_histogram, jacobian
 
 
 # -- estimator algebra ---------------------------------------------------------
@@ -300,6 +302,64 @@ def test_select_lambda_block_equals_row_by_row_with_ties():
         best = int(np.argmin(reference))
         assert (lam_hat[r], value[r]) == (grid[best], reference[best])
         assert ss.select_lambda(X[r], 1.7, (2.0, size)) == (lam_hat[r], value[r])
+
+
+def _tied_blocks():
+    """(X, grid) pairs whose |x_i| meet the grid's points exactly, the first
+    (0) and the top one included, with zeros, -0.0, values above the top,
+    all-equal rows, d < G and d > G, in blocks of 1, 7 and 13 rows."""
+    rng = np.random.default_rng(25)
+    for rows, d, size in ((1, 40, 64), (7, 40, 64), (13, 300, 16), (7, 5, 512), (1, 1024, 512)):
+        grid = lambda_grid(d, 2.0, size)
+        X = rng.normal(0.0, 1.5, (rows, d))
+        snap = rng.random((rows, d)) < 0.4
+        X[snap] = rng.choice([-1.0, 1.0], snap.sum()) * grid[rng.integers(0, size, snap.sum())]
+        X[:, 0], X[:, 1], X[:, 2], X[:, 3] = grid[0], -0.0, -grid[-1], grid[-1]
+        X[:, 4] = grid[-1] * (1.0 + rng.random(rows))  # above the top point
+        if rows > 1:
+            X[1] = grid[size // 2]  # a row of one value, on a grid point
+            X[-1] = -2.5
+        yield X, grid
+
+
+def test_grid_counts_equal_the_histogram_counts_on_ties():
+    # one binary search per grid point in the sorted row counts what a
+    # cumulative histogram of the coordinates' grid ranks counts, and
+    # select_lambda's outputs keep their bytes with either count
+    for X, grid in _tied_blocks():
+        sorted_abs = np.sort(np.abs(X), axis=1)
+        counts = estimation._count_below(sorted_abs, grid)
+        assert counts.dtype == np.intp
+        assert np.array_equal(counts, count_below_by_histogram(sorted_abs, grid))
+        spec = (2.0, grid.size)
+        fast = ss.select_lambda(X, 1.7, spec), sure_soft_threshold_grid(X, 1.7, grid)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_count_below", count_below_by_histogram)
+            slow = ss.select_lambda(X, 1.7, spec), sure_soft_threshold_grid(X, 1.7, grid)
+        for a, b in zip((*fast[0], fast[1]), (*slow[0], slow[1])):
+            assert a.tobytes() == b.tobytes()
+        assert ss.select_lambda(X, 1.7, grid)[0].tobytes() == fast[0][0].tobytes()
+
+
+def test_lambda_grid_refuses_overflow_and_oversize_before_allocating():
+    # a top sqrt(C log d) or a d top^2 that is not finite would make SURE
+    # nan or inf; a size above the maximum is refused without building it
+    with pytest.raises(ParameterError, match="overflow"):
+        lambda_grid(1024, 1e308, 8)
+    with pytest.raises(ParameterError, match="overflow"):
+        lambda_grid(1024, 1e306, 8)  # the top is finite, d top^2 is not
+    assert np.isfinite(lambda_grid(1024, 1e304, 8)).all()
+    assert lambda_grid(4, 2.0, estimation._MAX_GRID_SIZE).size == estimation._MAX_GRID_SIZE
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="maximum"):
+            lambda_grid(1024, 2.0, estimation._MAX_GRID_SIZE + 1)
+        with pytest.raises(ParameterError, match="maximum"):
+            lambda_grid(1024, 2.0, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_select_lambda_block_james_stein_matches_rows():

@@ -1105,8 +1105,9 @@ def _blocked_passes(d, n, seed):
                                                       n, seed),
         "coordinate-sum": lambda: coordinate_sum_residual(coupling_for(corrupt), np.sin, np.cos,
                                                           n, seed),
+        # G = d: the grid's blocks are cut on max(d, G) rows, as the others' on d
         "select-lambda": lambda: main(["sure", "--model", "laplace", "--d", str(d), "--theta",
-                                       "scaled:2", "--select-lambda", "--lambda-grid", "2:64",
+                                       "scaled:2", "--select-lambda", "--lambda-grid", f"2:{d}",
                                        "--reps", str(n), "--seed", str(seed), "--out", os.devnull]),
     })
     return passes
@@ -1196,6 +1197,15 @@ def test_in_blocks_joins_the_rows_of_plain_and_joint_parts(monkeypatch):
     del seen[:]
     assert np.array_equal(_mc.in_blocks(values, many_calls=True)(X)["first"], X[:, 0])
     assert [len(block) for block in seen] == [4, 4]
+    # a statistic with temporaries wider than a row (the select-lambda grid's
+    # (rows, G) arrays) is cut on that width: 15 // 7 = 2 rows, not 15 // 5 = 3
+    monkeypatch.setattr(_mc, "_JOINT_BLOCK_ROWS", 1)
+    del seen[:]
+    assert np.array_equal(_mc.in_blocks(values, width=7)(X)["first"], X[:, 0])
+    assert [len(block) for block in seen] == [2, 2, 2, 2]
+    del seen[:]
+    assert np.array_equal(_mc.in_blocks(values, width=4)(X)["first"], X[:, 0])
+    assert [len(block) for block in seen] == [3, 2, 3]
     draw = lambda model: coupling_for(model)._centered(substream(1, 0), 8, np.empty)  # noqa: E731
     assert draw(StudentT(5, 6)).shared_only and not draw(ProductIID(5, Laplace1D(1.0))).shared_only
     chunk = _identity_chunk(student_kernel(6, 5), np.zeros(5))(X)

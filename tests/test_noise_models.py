@@ -142,7 +142,8 @@ def test_select_lambda_pass_holds_no_task_sized_temporaries(monkeypatch):
     # `sure --select-lambda` scores a draw task's rows a row block at a time
     # (`_mc.in_blocks`), so its several (rows, d) and (rows, G) temporaries are
     # a block's, not a task's: at d = 1024 and 4000 rows on two threads the
-    # pass peaks at 5.6 MB, where whole tasks peaked at 17.8 MB
+    # pass peaks at 6.5-6.9 MB in blocks of at most 64 rows (5.6 MB in 16-row
+    # blocks), where whole tasks peaked at 17.8 MB
     from steinshrink import cli
 
     monkeypatch.setattr(_mc, "_usable_cores", lambda: 2)
