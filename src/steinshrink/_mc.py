@@ -76,12 +76,11 @@ _BLOCK = 1 << 14
 # rows in groups of 4, and aligned blocks keep each row in the group it has
 # in the whole part.
 _BLOCK_ALIGN = 16
-# Least rows of a block of a joint chunk, or of an array for a `many_calls`
-# statistic (the Stein discrepancy and the select-lambda grid), so past
-# `_BLOCK` doubles at d > 256.  These statistics (identity residuals, B*,
-# Tr T and ||T - Sigma||^2, a binary search per row for the grid) make many
-# numpy calls for little work per element, and on two threads short blocks
-# serialise on the GIL; README, "The Monte Carlo engine", has the timings.
+# Least rows of a block, so past `_BLOCK` doubles at d > 256.  The blocked
+# statistics (identity residuals, B*, Tr T and ||T - Sigma||^2, a binary
+# search per row for the select-lambda grid) make many numpy calls for little
+# work per element, and on two threads short blocks serialise on the GIL;
+# README, "The Monte Carlo engine", has the timings.
 _JOINT_BLOCK_ROWS = 64
 
 
@@ -305,7 +304,7 @@ def run(n: int, seed: int, d: int, draw, values, width: int | None = None) -> di
     return accs
 
 
-def in_blocks(values, cut=None, many_calls=False, width=0):
+def in_blocks(values, cut=None, width=0):
     """`values` evaluated on consecutive row blocks of a part, its per-row
     values joined in row order: the same values, bit for bit, for a
     row-local statistic, with temporaries of one block instead of one draw
@@ -313,16 +312,14 @@ def in_blocks(values, cut=None, many_calls=False, width=0):
     sliced by `part.rows(a, b)`; the blocks are `_block_cuts` of a part
     max(d, `width`) wide, so a statistic with temporaries wider than a row
     (the select-lambda grid's (rows, G) arrays) names their width, and of
-    at least `_JOINT_BLOCK_ROWS` rows for a joint chunk, and for an array if
-    `many_calls`.  A part for which `cut(part)` is false is evaluated whole:
-    blocks of a statistic that builds no `(rows, d)` array on it would only
-    add calls."""
+    at least `_JOINT_BLOCK_ROWS` rows.  A part for which `cut(part)` is
+    false is evaluated whole: blocks of a statistic that builds no
+    `(rows, d)` array on it would only add calls."""
 
     def blocked(part):
         plain = isinstance(part, np.ndarray)
-        least = _JOINT_BLOCK_ROWS if many_calls or not plain else 1
         rows, d = (part if plain else part.X).shape
-        cuts = _block_cuts(rows, max(d, width), least)
+        cuts = _block_cuts(rows, max(d, width), _JOINT_BLOCK_ROWS)
         if len(cuts) == 2 or (cut is not None and not cut(part)):
             return values(part)
         blocks = [values(part[a:b] if plain else part.rows(a, b)) for a, b in zip(cuts, cuts[1:])]

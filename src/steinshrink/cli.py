@@ -129,6 +129,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _reps(text: str) -> int:
+    value = int(text)
+    if value < 2:  # a standard error needs two draws
+        raise ValueError("expected an integer >= 2")
+    return value
+
+
 def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -172,7 +179,7 @@ _OPTIONS = {
     "theta": _Option("--theta", str, "file path, 'zero', or 'scaled:c'"),
     "lam": _Option("--lambda", _finite),
     "lambda_grid": _Option("--lambda-grid", str, "C:size"),
-    "reps": _Option("--reps", int),
+    "reps": _Option("--reps", _reps),
     "seed": _Option("--seed", _seed),
     "out": _Option("--out", str),
     "estimator": _Option("--estimator", str),
@@ -478,7 +485,7 @@ def cmd_sure(cfg: dict) -> CsvWriter:
     w = CsvWriter(cfg["out"], cfg, seed)
     if cfg["select_lambda"]:
         grid = lambda_grid(model.d, *_parse_grid(cfg["lambda_grid"]))
-        sigma2 = model.coordinate_variance(0)
+        sigma2 = model.cov().diagonal()[0]
 
         def selected(X):
             lam_hat, value = select_lambda(X, sigma2, grid, "soft-threshold")
@@ -494,8 +501,7 @@ def cmd_sure(cfg: dict) -> CsvWriter:
         # a row block at a time: `selected` builds several (rows, d) and (rows, G)
         # arrays and makes a few numpy calls per row, so its blocks are cut on the
         # wider of the two and hold at least `_mc._JOINT_BLOCK_ROWS` rows
-        accs = run(n, seed, model.d, model.draw,
-                   in_blocks(selected, many_calls=True, width=grid.size))
+        accs = run(n, seed, model.d, model.draw, in_blocks(selected, width=grid.size))
         lam_hat, sure_val, risk = (acc.mean for acc in accs.values())
         estimator = "soft-threshold:lambda-hat"
         w.comment(f"bias_bound: not applicable: {_zb_coupling(model, 'soft_threshold')[1]}")

@@ -230,13 +230,13 @@ def make_estimator(kind: str, lam: float = 0.0) -> EstimatorSpec:
 
 
 def _cov_weights(cov, d: int) -> Weights:
-    """`FixedWeights` of a scalar sigma^2 or a (d, d) covariance; `Weights`
-    pass through."""
+    """`FixedWeights` of a scalar sigma^2, held as the diagonal of sigma^2 Id,
+    or of a (d, d) covariance; `Weights` pass through."""
     if isinstance(cov, Weights):
         return cov
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 0:
-        return FixedWeights(float(cov) * np.eye(d))
+        return FixedWeights(np.full(d, float(cov)))
     if cov.shape != (d, d):
         raise ParameterError("covariance must be scalar or d x d")
     return FixedWeights(cov)
@@ -260,9 +260,7 @@ def _sure_form(x, estimator: EstimatorSpec, trace: float, cross, sq=None) -> flo
 def sure(x, estimator: EstimatorSpec, cov, sq=None) -> float | np.ndarray:
     """Tr Sigma + ||f(x)||^2 + 2 sum_ij sigma_ij d_j f_i(x); `sq` as in `_sure_form`.
 
-    `cov` is sigma^2, a (d, d) covariance, or its `FixedWeights`, which a
-    caller evaluating many blocks builds once: building them checks all d^2
-    entries.
+    `cov` is sigma^2, a (d, d) covariance, or its weights (`NoiseModel.cov`).
     """
     weights = _cov_weights(cov, np.shape(x)[-1])
     return _sure_form(
@@ -279,7 +277,7 @@ def sure_kernel(x, estimator: EstimatorSpec, kernel: SteinKernel, theta) -> floa
     return _sure_form(
         x,
         estimator,
-        np.trace(kernel.sigma),
+        kernel.sigma.trace(),
         lambda X, sq: estimator.contract(X, kernel.as_weights(X - theta)),
     )
 
@@ -292,7 +290,7 @@ def sure_zero_bias_mean(
     The zero-bias vectors are not observable pointwise, so only this mean
     (which is unbiased for the risk) is available.
     """
-    trace_sigma = float(np.trace(coupling.sigma))
+    trace_sigma = coupling.sigma.trace()
 
     def risk(chunk):
         fx = estimator.f(chunk.X, define_zero=True)

@@ -32,6 +32,7 @@ from ._mc import draw_parts
 from .errors import MomentUnavailableError, ParameterError
 from .laws1d import Law1D
 from .quadrature import elliptical_second_moment
+from .testfns import FixedWeights, _as_matrix
 from .theta import parse_theta
 
 _DOUBLE_FACT = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
@@ -40,7 +41,7 @@ _DOUBLE_FACT = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
 @dataclass(frozen=True)
 class MomentSummary:
     mean: np.ndarray
-    cov: np.ndarray
+    cov: FixedWeights
     trace_cov: float
     kappa: float
     c4: float | None = None
@@ -105,25 +106,19 @@ class NoiseModel:
             raise MomentUnavailableError(f"{self.family}: moment of order {p} unavailable")
         return value
 
-    def cov(self) -> np.ndarray:
-        """sigma2 * Id for the isotropic families; the others override it."""
-        return self.sigma2 * np.eye(self.d)
-
-    def coordinate_variance(self, i: int) -> float:
-        """cov()[i, i], bit for bit, without the d x d matrix; a family that
-        overrides `cov` overrides this too."""
-        return float(self.sigma2)
+    def cov(self) -> FixedWeights:
+        """The covariance as weights: sigma2 Id, held as its diagonal, for the
+        isotropic families; the others override it."""
+        return FixedWeights(np.full(self.d, float(self.sigma2)))
 
     def moments(self) -> MomentSummary:
         cov = self.cov()
-        if type(self).cov is NoiseModel.cov:  # sigma2 Id: its largest eigenvalue is sigma2
-            kappa = float(self.sigma2)
-        else:
-            kappa = float(np.linalg.eigvalsh(cov)[-1])
+        M = cov.matrix  # a diagonal's largest eigenvalue is its largest entry
+        kappa = float(M.max() if M.ndim == 1 else np.linalg.eigvalsh(M)[-1])
         return MomentSummary(
             mean=self.theta,
             cov=cov,
-            trace_cov=float(np.trace(cov)),
+            trace_cov=cov.trace(),
             kappa=kappa,
             c4=self.coordinate_moment(4),
             c8=self.coordinate_moment(8),
@@ -440,14 +435,11 @@ class Elliptical(NoiseModel):
         )
 
     def cov(self):
-        return (self._eq / self.d) * self.dispersion
-
-    def coordinate_variance(self, i):
-        return float((self._eq / self.d) * self.dispersion[i, i])
+        return FixedWeights((self._eq / self.d) * self.dispersion)
 
     def coordinate_moment(self, p):
         if p == 2:
-            return float(np.max(np.diag(self.cov())))
+            return float(np.max(self.cov().diagonal()))
         return None
 
     def has_density(self):
@@ -517,11 +509,12 @@ class Mixture(NoiseModel):
         return out
 
     def cov(self):
-        # components are centered, so the law of total variance is a plain mix
-        return sum(w * c.cov() for w, c in zip(self.weights, self.components))
-
-    def coordinate_variance(self, i):
-        return float(sum(w * c.coordinate_variance(i) for w, c in zip(self.weights, self.components)))
+        # components are centered, so the law of total variance is a plain mix,
+        # of diagonals unless some component's covariance is dense
+        mats = [c.cov().matrix for c in self.components]
+        if any(M.ndim == 2 for M in mats):
+            mats = [_as_matrix(M) for M in mats]
+        return FixedWeights(sum(w * M for w, M in zip(self.weights, mats)))
 
     def coordinate_moment(self, p):
         if p == 0:
@@ -541,6 +534,14 @@ class Mixture(NoiseModel):
         return None  # component supports are not tracked through the shift
 
 
+def _isotropic_variance(outlier: NoiseModel) -> float:
+    """sigma^2 of an outlier law whose covariance is sigma^2 Id, held as its diagonal."""
+    diag = outlier.cov().matrix
+    if diag.ndim != 1 or not np.allclose(diag, diag[0]):
+        raise ParameterError("outlier must have isotropic covariance")
+    return float(diag[0])
+
+
 class AdditiveCorruption(NoiseModel):
     """Y = sqrt(1-eps) * Y0 + sqrt(eps) * Y1 with Gaussian Y0 and outlier Y1."""
 
@@ -552,13 +553,9 @@ class AdditiveCorruption(NoiseModel):
         super().__init__(outlier.d, theta)
         if np.any(outlier.theta != 0.0):
             raise ParameterError("outlier must be centered")
-        cov = outlier.cov()
-        s2 = cov[0, 0]
-        if not np.allclose(cov, s2 * np.eye(outlier.d)):
-            raise ParameterError("outlier must have isotropic covariance")
         self.eps = float(eps)
         self.outlier = outlier
-        self.sigma2 = float(s2)
+        self.sigma2 = _isotropic_variance(outlier)
 
     def _fill(self, rng, out):
         # the bits of rng.normal(0, sigma), as in GaussianIso
@@ -601,15 +598,11 @@ class MixingCorruption(Mixture):
     def __init__(self, eps: float, outlier: NoiseModel, theta=None):
         if not 0.0 <= eps <= 1.0:
             raise ParameterError("eps must lie in [0, 1]")
-        cov = outlier.cov()
-        s2 = cov[0, 0]
-        if not np.allclose(cov, s2 * np.eye(outlier.d)):
-            raise ParameterError("outlier must have isotropic covariance")
-        gauss = GaussianIso(outlier.d, float(s2))
-        super().__init__([gauss, outlier], [1.0 - eps, eps], theta)
+        s2 = _isotropic_variance(outlier)
+        super().__init__([GaussianIso(outlier.d, s2), outlier], [1.0 - eps, eps], theta)
         self.eps = float(eps)
         self.outlier = outlier
-        self.sigma2 = float(s2)
+        self.sigma2 = s2
 
 
 class LinearTransform(NoiseModel):
@@ -635,14 +628,11 @@ class LinearTransform(NoiseModel):
         return np.matmul(self.base._draw(rng, len(out)), self.A.T, out=out)
 
     def cov(self):
-        return self.A @ self.base.cov() @ self.A.T
-
-    def coordinate_variance(self, i):
-        return float(self.cov()[i, i])  # the bits of the BLAS product
+        return self.base.cov().transformed(self.A)
 
     def coordinate_moment(self, p):
         if p == 2:
-            return float(np.max(np.diag(self.cov())))
+            return float(np.max(self.cov().diagonal()))
         if np.allclose(self.A, np.diag(np.diag(self.A))):
             base_m = self.base.coordinate_moment(p)
             if base_m is None:

@@ -18,7 +18,7 @@ from .errors import GuardAbort, ParameterError
 from .estimation import EstimatorSpec, JamesStein, sure
 from .noise_models import NoiseModel
 from .stein_kernels import DiscrepancyStats
-from .testfns import FixedWeights, shrink_direction, sq_norms
+from .testfns import shrink_direction, sq_norms
 from .zero_bias import GaussianFixedPointCoupling, ZeroBiasCoupling
 
 _GUARD_RATE = 1e-4  # abort when more than 0.01% of draws hit the singularity
@@ -147,7 +147,7 @@ def sure_pass(model: NoiseModel, estimator: EstimatorSpec, n: int, seed: int,
     """The loss ("risk") and SURE minus the loss ("bias") per row, and with
     a coupling of the model B*'s difference ("b_star"), from one guarded
     pass (`guarded_pass`): common random numbers and one ||x||^2 per row."""
-    cov = FixedWeights(model.cov())
+    cov = model.cov()
 
     def stat(X, sq):
         loss = estimator.loss(X, model.theta, sq)
@@ -230,11 +230,10 @@ def b_star_values(coupling: ZeroBiasCoupling):
     if isinstance(coupling, GaussianFixedPointCoupling):
         return None
     g0 = shrink_direction()
-    weights = FixedWeights(coupling.sigma)
 
     def difference(chunk):
         g0.guard(chunk.X)
-        return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)}
+        return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, coupling.sigma)}
 
     return in_blocks(difference, lambda chunk: not chunk.shared_only)
 

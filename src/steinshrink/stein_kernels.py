@@ -26,7 +26,7 @@ from .errors import EvaluationError, ParameterError
 from .laws1d import Law1D
 from .noise_models import NoiseModel
 from .quadrature import RadialProfile
-from .testfns import DenseWeights, DiagonalWeights, FixedWeights, TestFn, Weights, _per_row
+from .testfns import DenseWeights, DiagonalWeights, FixedWeights, TestFn, Weights, _as_matrix, _per_row
 from .zero_bias import JointChunk, Shared, identity_residual
 
 
@@ -36,12 +36,9 @@ class SteinKernel:
     construction = "abstract"
     joint_only = False  # T is a function of X - theta alone, built by `at`
 
-    def __init__(self, sigma: np.ndarray):
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ParameterError("kernel mean matrix must be square")
-        self.sigma = sigma
-        self.d = sigma.shape[0]
+    def __init__(self, sigma: FixedWeights):
+        self.sigma = sigma  # the kernel's mean, held as its diagonal where it is diagonal
+        self.d = sigma.matrix.shape[0]
 
     def matrices(self, Y: np.ndarray) -> np.ndarray:
         """Dense T(y) per row, (m, d, d), from which the mixture and average
@@ -56,8 +53,7 @@ class SteinKernel:
     def frob_dev(self, W: Weights):
         """||W - Sigma||_F^2 = ||W||^2 - 2 <W, Sigma> + ||Sigma||^2, rowwise,
         for weights W this kernel built."""
-        sigma = self.sigma
-        return W.frob_sq() - 2.0 * W.inner(sigma) + float(np.vdot(sigma, sigma))
+        return W.frob_sq() - 2.0 * W.inner(_as_matrix(self.sigma.matrix)) + self.sigma.frob_sq()
 
     def stream(self, model: NoiseModel):
         """(draw, width) of `_mc.run` for identity chunks of the model's
@@ -80,57 +76,55 @@ class SteinKernel:
 
 
 def _symmetric(matrix) -> np.ndarray:
-    """A caller's matrix, checked for symmetry (built-in kernels skip the O(d^2) check)."""
+    """A caller's matrix, checked to be square and symmetric."""
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ParameterError("kernel mean matrix must be square")
     if not np.allclose(matrix, matrix.T):
         raise ParameterError("kernel mean matrix must be symmetric")
     return matrix
 
 
 class ConstantKernel(SteinKernel):
+    """T(y) = Sigma."""
+
     construction = "constant"
 
-    def __init__(self, sigma):
-        super().__init__(sigma)
-        # once, not per draw task: the checks and norms of a (d, d) matrix
-        # cost O(d^2), and a BLAS dot in a task thread oversubscribes the cores
-        self._weights = FixedWeights(self.sigma)
-        self._frob_dev = super().frob_dev(self._weights)
-
     def matrices(self, Y):
-        return np.broadcast_to(self.sigma, (Y.shape[0],) + self.sigma.shape).copy()
+        sigma = _as_matrix(self.sigma.matrix)
+        return np.broadcast_to(sigma, (Y.shape[0],) + sigma.shape).copy()
 
     def as_weights(self, Y):
-        return self._weights
+        return self.sigma
 
     def _weights_at(self, X, theta, empty):
-        return self._weights  # T does not depend on X - theta, so it is not formed
+        return self.sigma  # T does not depend on X - theta, so it is not formed
 
     def frob_dev(self, W):
-        return self._frob_dev
+        return 0.0  # T is Sigma
 
 
 class ScalarProfileKernel(SteinKernel):
-    """T(y) = s(y) * M for a fixed symmetric matrix M and scalar profile s."""
+    """T(y) = s(y) * M for a fixed symmetric matrix M and scalar profile s;
+    M and Sigma are `FixedWeights`, both diagonal or both dense."""
 
     def __init__(self, sigma, matrix, scale_fn, construction="scalar_profile"):
         super().__init__(sigma)
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = matrix
         self.scale_fn = scale_fn
         self.construction = construction
-        # once, as in `ConstantKernel`
-        self._weights = FixedWeights(self.matrix)
-        self._norms = (self._weights.frob_sq(), self._weights.inner(self.sigma),
-                       float(np.vdot(self.sigma, self.sigma)))
+        # once, not per draw task: a BLAS dot in a task thread oversubscribes the cores
+        self._norms = (matrix.frob_sq(), float(np.vdot(matrix.matrix, sigma.matrix)),
+                       sigma.frob_sq())
 
     def scales(self, Y: np.ndarray) -> np.ndarray:
         return self.scale_fn(Y)
 
     def matrices(self, Y):
-        return self.scales(Y)[:, None, None] * self.matrix
+        return self.scales(Y)[:, None, None] * _as_matrix(self.matrix.matrix)
 
     def as_weights(self, Y):
-        return self._weights.rescaled(self.scales(Y))
+        return self.matrix.rescaled(self.scales(Y))
 
     def frob_dev(self, W):
         # ||s M - Sigma||^2 = s^2 ||M||^2 - 2 s <M, Sigma> + ||Sigma||^2
@@ -144,9 +138,7 @@ class DiagonalKernel(SteinKernel):
     construction = "product_diagonal"
 
     def __init__(self, sigma_diag, coordinate_kernels, shared_kernel=None):
-        sigma_diag = np.asarray(sigma_diag, dtype=float)
-        super().__init__(np.diag(sigma_diag))
-        self.sigma_diag = sigma_diag
+        super().__init__(FixedWeights(sigma_diag))
         self.coordinate_kernels = coordinate_kernels  # list of vectorized T_i
         # elementwise T shared by every coordinate, `T(y, out=None)` (`Law1D.kernel`):
         # one call on the block
@@ -171,7 +163,7 @@ class DiagonalKernel(SteinKernel):
         return DiagonalWeights(self.diagonals(Y, out=Y))  # T(y) over y
 
     def frob_dev(self, W):
-        dev = W.diag - self.sigma_diag
+        dev = W.diag - self.sigma.matrix
         return np.einsum("mi,mi->m", dev, dev)
 
 
@@ -191,7 +183,7 @@ class TransformedKernel(SteinKernel):
         det = np.linalg.det(A)
         if abs(det) < 1e-300:
             raise ParameterError("transform matrix must be invertible")
-        super().__init__(A @ base.sigma @ A.T)
+        super().__init__(base.sigma.transformed(A))
         self.base = base
         self.A = A
         self._Ainv = np.linalg.inv(A)
@@ -208,8 +200,12 @@ class TransformedKernel(SteinKernel):
 # constructors
 
 
-def gaussian_kernel(sigma: np.ndarray) -> ConstantKernel:
-    return ConstantKernel(_symmetric(sigma))
+def gaussian_kernel(sigma) -> ConstantKernel:
+    """The constant kernel of a Gaussian law: `sigma` is its covariance's
+    weights (`NoiseModel.cov`), or a caller's (d, d) matrix, checked."""
+    if not isinstance(sigma, FixedWeights):
+        sigma = FixedWeights(_symmetric(sigma))
+    return ConstantKernel(sigma)
 
 
 def student_kernel(k: int, d: int) -> ScalarProfileKernel:
@@ -225,9 +221,8 @@ def student_kernel(k: int, d: int) -> ScalarProfileKernel:
     def scale(Y):
         return (np.einsum("ij,ij->i", Y, Y) + k * s2) / (d + k - 2.0)
 
-    return ScalarProfileKernel(
-        sigma=s2**2 * np.eye(d), matrix=np.eye(d), scale_fn=scale, construction="student_closed_form"
-    )
+    return ScalarProfileKernel(sigma=FixedWeights(np.full(d, s2**2)), matrix=FixedWeights(np.ones(d)),
+                               scale_fn=scale, construction="student_closed_form")
 
 
 def elliptical_kernel(generator, dispersion, theta=None, *, exact: bool = False,
@@ -259,9 +254,8 @@ def elliptical_kernel(generator, dispersion, theta=None, *, exact: bool = False,
             raise EvaluationError("elliptical kernel evaluated outside the effective support")
         return vals
 
-    return ScalarProfileKernel(
-        sigma=mean_scale * disp, matrix=disp, scale_fn=scale, construction="elliptical_radial"
-    )
+    return ScalarProfileKernel(sigma=FixedWeights(mean_scale * disp), matrix=FixedWeights(disp),
+                               scale_fn=scale, construction="elliptical_radial")
 
 
 def product_kernel(laws_or_fns, variances=None) -> DiagonalKernel:
@@ -308,11 +302,11 @@ class AverageKernel(SteinKernel):
     def __init__(self, kernels):
         if not kernels:
             raise ParameterError("need at least one component kernel")
-        sigma = kernels[0].sigma
+        sigma = _as_matrix(kernels[0].sigma.matrix)
         for k in kernels[1:]:
-            if not np.allclose(k.sigma, sigma):
+            if not np.allclose(_as_matrix(k.sigma.matrix), sigma):
                 raise ParameterError("averaged kernels must share the covariance")
-        super().__init__(_symmetric(sigma))
+        super().__init__(FixedWeights(_symmetric(sigma)))
         self.kernels = list(kernels)
 
     def matrices(self, Y):
@@ -344,8 +338,8 @@ class MixtureKernel(SteinKernel):
         for model, _ in pairs:
             if np.any(model.theta != 0.0):
                 raise ParameterError("mixture kernel components must be centered")
-        sigma = sum(wi * k.sigma for wi, (_, k) in zip(w, pairs))
-        super().__init__(_symmetric(sigma))
+        sigma = sum(wi * _as_matrix(k.sigma.matrix) for wi, (_, k) in zip(w, pairs))
+        super().__init__(FixedWeights(_symmetric(sigma)))
         self.pairs = list(pairs)
         self.weights = w
 
@@ -427,13 +421,13 @@ def discrepancy_values(kernel: SteinKernel, chunk) -> dict:
 def discrepancy_of(kernel: SteinKernel, theta):
     """`discrepancy_values` as a per-row statistic of draws X: the weights
     T(X - theta) are built one row block of at least 64 rows at a time
-    (`_mc.in_blocks`, `many_calls`), so they hold one block, not a draw
-    task's rows; a constant kernel builds no weights and is scored whole."""
+    (`_mc.in_blocks`), so they hold one block, not a draw task's rows; a
+    constant kernel builds no weights and is scored whole."""
 
     def values(X):
         return discrepancy_values(kernel, kernel.at(X, theta))
 
-    return values if isinstance(kernel, ConstantKernel) else in_blocks(values, many_calls=True)
+    return values if isinstance(kernel, ConstantKernel) else in_blocks(values)
 
 
 def discrepancy_from(accs: dict, seed: int) -> DiscrepancyStats:

@@ -74,32 +74,36 @@ class Weights:
 
 
 class FixedWeights(Weights):
-    """W_m = scale_m M for a fixed (d, d) matrix M; scale None means 1."""
+    """W_m = scale_m M for a fixed M, held as a (d, d) matrix or, when M is
+    diagonal, as its (d,) diagonal; scale None means 1."""
 
     def __init__(self, matrix, scale=None):
         self.matrix = np.asarray(matrix, dtype=float)
         self.scale = scale
-        diag = np.diagonal(self.matrix)
-        self._diag = diag if np.array_equal(self.matrix, np.diag(diag)) else None
 
     def _scaled(self, value):
         return value if self.scale is None else self.scale * value
 
+    def _diagonal(self) -> np.ndarray:
+        return self.matrix if self.matrix.ndim == 1 else np.diagonal(self.matrix)
+
     def trace(self):
-        return self._scaled(float(np.trace(self.matrix)))
+        return self._scaled(float(np.sum(self._diagonal())))
 
     def quad(self, X):
-        if self._diag is not None:  # no (rows, d) temporary
-            q = np.einsum("mi,mi,i->m", X, X, self._diag)
+        if self.matrix.ndim == 1:  # no (rows, d) temporary
+            q = np.einsum("mi,mi,i->m", X, X, self.matrix)
         else:
             q = np.einsum("mi,mi->m", X @ self.matrix, X)
         return self._scaled(q)
 
     def inner(self, L):
+        if self.matrix.ndim == 1:
+            return self._scaled(float(self.matrix @ np.diagonal(L)))
         return self._scaled(float(np.vdot(self.matrix, L)))
 
     def diagonal(self):
-        diag = np.diagonal(self.matrix)
+        diag = self._diagonal()
         return diag if self.scale is None else self.scale[:, None] * diag
 
     def frob_sq(self):
@@ -107,7 +111,8 @@ class FixedWeights(Weights):
         return norm_sq if self.scale is None else self.scale**2 * norm_sq
 
     def transformed(self, A):
-        return FixedWeights(A @ self.matrix @ A.T, self.scale)
+        AM = A * self.matrix if self.matrix.ndim == 1 else A @ self.matrix
+        return FixedWeights(AM @ A.T, self.scale)
 
     def scaled(self, a):
         return FixedWeights(a * self.matrix, self.scale)
@@ -116,10 +121,16 @@ class FixedWeights(Weights):
         return self if self.scale is None else self.rescaled(self.scale[a:b])
 
     def rescaled(self, scale) -> "FixedWeights":
-        """The weights scale_m M of this M, which is not checked again."""
+        """The weights scale_m M of this M."""
         out = copy.copy(self)
         out.scale = scale
         return out
+
+
+def _as_matrix(matrix: np.ndarray) -> np.ndarray:
+    """The (d, d) matrix M of `FixedWeights.matrix`, which may hold its
+    diagonal only: for the laws and kernels whose covariance is dense."""
+    return np.diag(matrix) if matrix.ndim == 1 else matrix
 
 
 class DiagonalWeights(Weights):

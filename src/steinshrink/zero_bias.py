@@ -156,11 +156,10 @@ def _scaled(weights, a):
 
 
 def _variances(components, kind: str) -> np.ndarray:
-    """(ncomp, d) coordinate variances of components with diagonal covariances."""
-    for comp in components:
-        if not np.allclose(comp.sigma, np.diag(np.diag(comp.sigma))):
-            raise ParameterError(f"{kind} coupling needs diagonal component covariances")
-    return np.stack([np.diag(comp.sigma) for comp in components])
+    """(ncomp, d) coordinate variances of components with diagonal weights."""
+    if any(comp.sigma.matrix.ndim != 1 for comp in components):
+        raise ParameterError(f"{kind} coupling needs diagonal component covariances")
+    return np.stack([comp.sigma.matrix for comp in components])
 
 
 def _merged(pick, arrays) -> np.ndarray:
@@ -184,20 +183,19 @@ class ZeroBiasCoupling:
     point that is Y itself becoming X.  A coupling whose X is not its base
     law's draw overrides `_centered` and has no `_companions`.  `term_weights`
     are the weights of a chunk's terms, built once: by default sigma for one
-    `Shared` term if `same_for_all`, else diag(sigma) for one `Replaced`."""
+    `Shared` term if `same_for_all`, else diag(sigma) for one `Replaced`.
+    sigma is `FixedWeights`, held as its diagonal where it is diagonal."""
 
     construction = "abstract"
     same_for_all = False
     replaces = False  # X^i is X with x_i := R_i (see `_values`)
 
-    def __init__(self, base: NoiseModel, sigma_w: np.ndarray):
+    def __init__(self, base: NoiseModel, sigma: FixedWeights):
         self.base = base
-        sigma_w = np.asarray(sigma_w, dtype=float)
-        if sigma_w.shape != (base.d, base.d):
-            raise ParameterError("weight matrix must be d x d")
-        self.sigma = sigma_w
-        w = FixedWeights(sigma_w) if self.same_for_all else np.diagonal(sigma_w).copy()
-        self.term_weights = (w,)
+        if sigma.matrix.shape not in ((base.d,), (base.d, base.d)):
+            raise ParameterError("weight matrix must be d x d, or its diagonal")
+        self.sigma = sigma
+        self.term_weights = (sigma if self.same_for_all else sigma.diagonal(),)
 
     @property
     def d(self):
@@ -227,7 +225,8 @@ class ZeroBiasCoupling:
 
     def pair_sampler(self, i: int, j: int, n: int, seed: int):
         """Paired draws (X, X^{ij}) for one index pair."""
-        if self.sigma[i, j] == 0.0:
+        M = self.sigma.matrix
+        if (M[i, j] if M.ndim == 2 else M[i] * (i == j)) == 0.0:
             raise ParameterError(f"sigma_{i}{j} = 0: the companion X^{{{i}{j}}} is undefined")
         chunks = draw_parts(n, seed, self.d, self._centered, self.width)
         return (np.concatenate([chunk.X for chunk in chunks]),
@@ -243,7 +242,7 @@ class IndependentReplaceCoupling(ZeroBiasCoupling):
 
     def __init__(self, model: NoiseModel):
         law = _coordinate_law(model)
-        super().__init__(model, law.variance * np.eye(model.d))
+        super().__init__(model, FixedWeights(np.full(model.d, law.variance)))
         self.law = law
 
     def _companions(self, rng, Y, empty):
@@ -269,7 +268,7 @@ class SphereCoupling(ZeroBiasCoupling):
     def __init__(self, model: SphereUniform):
         if not isinstance(model, SphereUniform):
             raise ParameterError("sphere coupling needs a SphereUniform model")
-        super().__init__(model, model.sigma2 * np.eye(model.d))
+        super().__init__(model, model.cov())
 
     def _companions(self, rng, Y, empty):
         r = rng.uniform(0.0, 1.0, len(Y)) ** (1.0 / self.d)
@@ -293,7 +292,7 @@ class StudentGammaCoupling(ZeroBiasCoupling):
     def __init__(self, model: StudentT):
         if not isinstance(model, StudentT):
             raise ParameterError("student coupling needs a StudentT model")
-        super().__init__(model, model.sigma2 * np.eye(model.d))
+        super().__init__(model, model.cov())
         self.k = model.k
 
     def _companions(self, rng, Y, empty):
@@ -309,7 +308,7 @@ class ScaledCoupling(ZeroBiasCoupling):
     """Coupling of c * Y from a coupling of Y (weights scale by c^2)."""
 
     def __init__(self, inner: ZeroBiasCoupling, c: float):
-        super().__init__(inner.base, c * c * inner.sigma)
+        super().__init__(inner.base, inner.sigma.scaled(c * c))
         self.inner = inner
         self.c = float(c)
         self.construction = inner.construction
@@ -339,7 +338,7 @@ class GaussianFixedPointCoupling(ZeroBiasCoupling):
     replaces = True
 
     def __init__(self, model: GaussianIso):
-        super().__init__(model, model.sigma2 * np.eye(model.d))
+        super().__init__(model, model.cov())
 
     def _companions(self, rng, Y, empty):
         return (Shared(Y, self.term_weights[0]),)  # X itself, once theta is added
@@ -366,7 +365,7 @@ class SumCoupling(ZeroBiasCoupling):
         total = np.sum(diags, axis=0)
         if np.any(total <= 0):
             raise ParameterError("zero total variance in some coordinate")
-        super().__init__(base, np.diag(total))
+        super().__init__(base, FixedWeights(total))
         self.components = components
         self.pick_probs = diags / total  # (ncomp, d)
         self.replaces = all(comp.replaces for comp in components)
@@ -425,7 +424,7 @@ class MixtureCoupling(ZeroBiasCoupling):
         if np.any(diags <= 0):
             raise ParameterError("mixture components need nonsingular covariances")
         sigma_i2 = w @ diags
-        super().__init__(base, np.diag(sigma_i2))
+        super().__init__(base, FixedWeights(sigma_i2))
         self.components = components
         self.weights = w
         self.equal_variance = bool(np.allclose(diags, diags[0]))
@@ -435,7 +434,7 @@ class MixtureCoupling(ZeroBiasCoupling):
             shared_pick and not self.replaces and all(c.same_for_all for c in components)
         )
         if self.same_for_all:
-            self.term_weights = (FixedWeights(self.sigma),)
+            self.term_weights = (self.sigma,)
         elif not self.replaces:
             self.term_weights = tuple(
                 _scaled(cw, ws) for ws, comp in zip(w, components) for cw in comp.term_weights
@@ -494,13 +493,11 @@ class LinearMapCoupling(ZeroBiasCoupling):
 
     def __init__(self, A, base_coupling: ZeroBiasCoupling, base_model: NoiseModel):
         A = np.asarray(A, dtype=float)
-        gamma = base_coupling.sigma
-        sigma = A @ gamma @ A.T
-        if np.any(sigma < -1e-12):
+        gdiag = base_coupling.sigma.matrix
+        sigma = base_coupling.sigma.transformed(A)
+        if np.any(sigma.matrix < -1e-12):
             raise ParameterError("linear-map coupling requires nonnegative sigma_ij")
-        gdiag = np.diag(gamma)
-        base_diag = np.allclose(gamma, np.diag(gdiag))
-        pairs = zip(*np.nonzero(sigma > 1e-12)) if base_diag else ()
+        pairs = zip(*np.nonzero(sigma.matrix > 1e-12)) if gdiag.ndim == 1 else ()
         for i, j in pairs:
             prods = A[i, :] * gdiag * A[j, :]
             if np.any(prods < -1e-12):
@@ -550,7 +547,7 @@ class FourPointCoupling(ZeroBiasCoupling):
     construction = "four_point"
 
     def __init__(self, model):
-        super().__init__(model, 0.5 * np.eye(2))
+        super().__init__(model, model.cov())
 
     def _companions(self, rng, Y, empty):
         U = rng.uniform(-1.0, 1.0, len(Y))
@@ -621,7 +618,7 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     """
     if not model.satisfies_conditional_mean_zero():
         raise ParameterError("square-bias construction needs the conditional-mean-zero condition")
-    if model.coordinate_variance(i) <= 0:
+    if model.cov().diagonal()[i] <= 0:
         raise ParameterError("coordinate variance must be positive")
 
     exact = isinstance(model, (ProductIID, GaussianIso))

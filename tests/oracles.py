@@ -10,7 +10,9 @@ against.  Each is written from its formula, not from the code it checks:
   of the other coordinates;
 * `count_below_by_histogram(sorted_abs, grid)`: the strict counts
   Card{i : |x_i| < grid[g]} of the select-lambda grid, from a per-row
-  histogram of each coordinate's rank in the grid.
+  histogram of each coordinate's rank in the grid;
+* `full_matrix(weights)`: the (d, d) matrix of fixed weights (a covariance, a
+  coupling's or a kernel's sigma), which the package may hold as a diagonal.
 """
 
 import numpy as np
@@ -18,6 +20,17 @@ from scipy.integrate import quad
 
 from steinshrink import Identity, JamesStein, ProductIID, SoftThreshold, TestFn
 from steinshrink.errors import ParameterError
+
+
+def full_matrix(weights) -> np.ndarray:
+    """The (d, d) matrix M of `FixedWeights`, written out from the (d,)
+    diagonal that holds a diagonal M."""
+    M = weights.matrix
+    if M.ndim == 2:
+        return M
+    out = np.zeros((M.size, M.size))
+    out[np.arange(M.size), np.arange(M.size)] = M
+    return out
 
 
 def g0_jacobian(X):
@@ -64,7 +77,7 @@ def zb_density(model, i: int):
     u p(u) du, with y = x - theta, times the density of the other coordinates."""
     if not isinstance(model, ProductIID):
         raise ParameterError("the zero-bias density oracle covers product laws only")
-    sigma_i2 = float(model.cov()[i, i])
+    sigma_i2 = float(full_matrix(model.cov())[i, i])
     law = model.law
 
     def product(x):

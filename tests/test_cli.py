@@ -248,6 +248,11 @@ def test_usage_errors_exit_two(tmp_path):
     "args, config",
     [
         pytest.param(["risk", "--reps", "0"], None, id="reps-0"),
+        # one draw has no standard error: every command that reads --reps refuses it
+        pytest.param(["risk", "--reps", "1"], None, id="reps-1"),
+        *(pytest.param([command, "--reps", "1"], None, id=f"reps-1-{command}")
+          for command in ("identity-check", "sure", "adaptivity", "student-demo")),
+        pytest.param(["risk", "--bounds", "--lambda", "3"], "reps=1\n", id="config-reps-1"),
         pytest.param(["risk", "--reps", "-3"], None, id="reps-negative"),
         pytest.param(["risk", "--model", "laplace", "--sigma", "0"], None, id="laplace-sigma-0"),
         pytest.param(["risk", "--model", "uniform", "--sigma", "-1"], None,

@@ -23,7 +23,6 @@ from steinshrink._mc import substream
 from steinshrink.stein_kernels import DiagonalKernel
 from steinshrink.testfns import (
     DenseWeights,
-    FixedWeights,
     coordinate_quadratic,
     linear_map,
     shrink_direction,
@@ -40,7 +39,7 @@ from steinshrink.zero_bias import (
     SumCoupling,
 )
 from conftest import joint_parts, kernel_parts
-from oracles import jacobian
+from oracles import full_matrix, jacobian
 
 D = 6
 ROWS = 64
@@ -120,7 +119,7 @@ def test_kernel_contraction_matches_dense(name, model, kernel):
 def test_trace_and_frob_dev_match_dense(name, model, kernel):
     _, W, mats = _chunk(model, kernel)
     assert_rows_close(W.trace(), np.trace(mats, axis1=1, axis2=2))
-    dev = mats - kernel.sigma
+    dev = mats - full_matrix(kernel.sigma)
     assert_rows_close(kernel.frob_dev(W), np.einsum("mij,mij->m", dev, dev))
 
 
@@ -160,7 +159,7 @@ def test_sure_kernel_matches_dense(name, model, kernel):
     for est in (ss.JamesStein(2.5), ss.SoftThreshold(0.8)):
         fx = est.f(X)
         cross = np.einsum("mij,mij->m", kernel.matrices(Y), jacobian(est, X))
-        dense = np.trace(kernel.sigma) + np.einsum("mi,mi->m", fx, fx) + 2.0 * cross
+        dense = np.trace(full_matrix(kernel.sigma)) + np.einsum("mi,mi->m", fx, fx) + 2.0 * cross
         assert_rows_close(ss.sure_kernel(X, est, kernel, model.theta), dense)
 
 
@@ -185,9 +184,9 @@ def test_zb_shared_branch_matches_dense(make_coupling):
     chunk = joint_parts(coupling, ROWS, 9)[0]
     (term,) = chunk.terms
     assert isinstance(term, Shared)
-    weights = FixedWeights(coupling.sigma)
+    weights = coupling.sigma
     for fn in _test_fns():
-        dense = np.einsum("ij,mij->m", coupling.sigma, jacobian(fn, term.P))
+        dense = np.einsum("ij,mij->m", full_matrix(coupling.sigma), jacobian(fn, term.P))
         assert_rows_close(fn.contract(term.P, weights), dense)
         assert_rows_close(chunk.weighted_partials(fn), dense)
 
@@ -200,7 +199,7 @@ def test_zb_residual_shared_branch_matches_dense_mean():
         for chunk in joint_parts(coupling, 2000, 10):
             lhs = np.einsum("mi,mi->m", chunk.X - model.theta, fn.f(chunk.X))
             star = chunk.companion(0, 0)
-            rows.append(lhs - np.einsum("ij,mij->m", coupling.sigma, jacobian(fn, star)))
+            rows.append(lhs - np.einsum("ij,mij->m", full_matrix(coupling.sigma), jacobian(fn, star)))
         rows = np.concatenate(rows)
         rep = ss.zb_identity_residual(model, coupling, fn, 2000, 10)
         assert rep.mean == pytest.approx(rows.mean(), rel=1e-10, abs=1e-12 * np.abs(rows).max())
@@ -266,10 +265,11 @@ def test_replacement_closed_form_matches_partial_loop(name, coupling):
     (term,) = chunk.terms
     assert isinstance(term, Replaced) and np.array_equal(term.B, chunk.X)
     assert np.any(coupling.theta != 0.0)
+    sigma = full_matrix(coupling.sigma)
     for field in _fields():
         loop = np.zeros(ROWS)
-        for i, j in zip(*np.nonzero(coupling.sigma)):
-            loop += coupling.sigma[i, j] * jacobian(field, chunk.companion(i, j))[:, i, j]
+        for i, j in zip(*np.nonzero(sigma)):
+            loop += sigma[i, j] * jacobian(field, chunk.companion(i, j))[:, i, j]
         assert_rows_close(chunk.weighted_partials(field), loop)
 
 
@@ -378,10 +378,10 @@ def _averaged_oracle(coupling, field, seed):
             out[:, i] += U
             return out
 
-        return _dense_sum(field, coupling.sigma, point)
+        return _dense_sum(field, full_matrix(coupling.sigma), point)
     if isinstance(coupling, LinearMapCoupling):
         base = coupling.base_coupling._centered(rng, ROWS, np.empty)
-        A, gamma = coupling.A, np.diag(coupling.base_coupling.sigma)
+        A, gamma = coupling.A, np.diag(full_matrix(coupling.base_coupling.sigma))
         total = 0.0
         for k in range(D):
             weights = gamma[k] * np.outer(A[:, k], A[:, k])
@@ -397,16 +397,18 @@ def _averaged_oracle(coupling, field, seed):
             star = np.empty((ROWS, D))
             for sel, comp, Y in drawn:
                 star[sel] = JointChunk(Y, comp._companions(rng, Y, np.empty)).companion(0, 0)
-            return _dense_sum(field, coupling.sigma, lambda i, j: theta + star)
+            return _dense_sum(field, full_matrix(coupling.sigma), lambda i, j: theta + star)
     subs = [comp._centered(rng, ROWS, np.empty) for comp in coupling.components]
     total = 0.0
     if isinstance(coupling, SumCoupling):
         X = theta + sum(sub.X for sub in subs)
         for comp, sub in zip(coupling.components, subs):
-            total = total + _dense_sum(field, comp.sigma, lambda i, j: X - sub.X + sub.companion(i, j))
+            total = total + _dense_sum(field, full_matrix(comp.sigma),
+                                       lambda i, j: X - sub.X + sub.companion(i, j))
         return total
     for w, comp, sub in zip(coupling.weights, coupling.components, subs):
-        total = total + w * _dense_sum(field, comp.sigma, lambda i, j: theta + sub.companion(i, j))
+        total = total + w * _dense_sum(field, full_matrix(comp.sigma),
+                                       lambda i, j: theta + sub.companion(i, j))
     return total
 
 

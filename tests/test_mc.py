@@ -68,6 +68,7 @@ from steinshrink.cli import (
 )
 from steinshrink.risk_lab import b_star_values, guarded_pass, inverse_moment, sure_pass
 from steinshrink.zero_bias import ScaledCoupling, identity_residual
+from oracles import full_matrix
 
 
 def test_accumulator_matches_numpy(rng):
@@ -364,12 +365,12 @@ def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, 
 
     model = build_model(resolve_config(build_parser().parse_args(args)))
     kernel, coupling = model_kernel(model), coupling_for(model)
-    theta, sigma = model.theta, kernel.sigma
+    theta, sigma = model.theta, full_matrix(kernel.sigma)
 
     def g0_partials(Y):
         """sum_i sigma_ii d_i g0_i(Y) rowwise, with d_i g0_i(y) = 1/||y||^2 - 2 y_i^2/||y||^4."""
         sq = np.einsum("ij,ij->i", Y, Y)
-        return ((1.0 / sq[:, None] - 2.0 * Y**2 / sq[:, None] ** 2) * np.diag(coupling.sigma)).sum(1)
+        return ((1.0 / sq[:, None] - 2.0 * Y**2 / sq[:, None] ** 2) * coupling.sigma.diagonal()).sum(1)
 
     def by_hand(chunk):
         X = chunk.X
@@ -382,7 +383,7 @@ def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, 
                 Xi = X.copy()
                 Xi[:, i] = term.R[:, i]
                 sq_i = np.einsum("ij,ij->i", Xi, Xi)
-                companions += coupling.sigma[i, i] * (1.0 / sq_i - 2.0 * Xi[:, i] ** 2 / sq_i**2)
+                companions += coupling.sigma.diagonal()[i] * (1.0 / sq_i - 2.0 * Xi[:, i] ** 2 / sq_i**2)
         else:  # every X^ij is the shared point
             companions = g0_partials(term.P)
         return {
@@ -1176,8 +1177,10 @@ def test_block_cuts_keep_to_the_block_and_align_their_rows(monkeypatch):
 
 def test_in_blocks_joins_the_rows_of_plain_and_joint_parts(monkeypatch):
     # a plain part is sliced, a joint chunk sliced by `rows`, which keeps a
-    # shared point that is X as X, so `weighted_partials` still skips its guard
+    # shared point that is X as X, so `weighted_partials` still skips its guard;
+    # every block has at least `_JOINT_BLOCK_ROWS` rows, 1 here but below
     monkeypatch.setattr(_mc, "_BLOCK", 3 * 5)
+    monkeypatch.setattr(_mc, "_JOINT_BLOCK_ROWS", 1)
     X = np.arange(40.0).reshape(8, 5)
     seen = []
 
@@ -1191,11 +1194,11 @@ def test_in_blocks_joins_the_rows_of_plain_and_joint_parts(monkeypatch):
     # residual decline the chunks whose every term is shared (row sums only)
     assert np.array_equal(_mc.in_blocks(values, lambda part: False)(X)["first"], X[:, 0])
     assert len(seen[-1]) == 8
-    # a statistic of many calls (the Stein discrepancy) gets a plain part in
-    # blocks of at least `_JOINT_BLOCK_ROWS` rows, as a joint chunk's are
+    # a plain part, as a joint chunk, is cut in blocks of at least
+    # `_JOINT_BLOCK_ROWS` rows
     monkeypatch.setattr(_mc, "_JOINT_BLOCK_ROWS", 4)
     del seen[:]
-    assert np.array_equal(_mc.in_blocks(values, many_calls=True)(X)["first"], X[:, 0])
+    assert np.array_equal(_mc.in_blocks(values)(X)["first"], X[:, 0])
     assert [len(block) for block in seen] == [4, 4]
     # a statistic with temporaries wider than a row (the select-lambda grid's
     # (rows, G) arrays) is cut on that width: 15 // 7 = 2 rows, not 15 // 5 = 3

@@ -13,6 +13,8 @@ import steinshrink as ss
 from steinshrink import _mc
 from steinshrink._mc import chunk_rows, substream
 from steinshrink.errors import MomentUnavailableError, ParameterError
+from steinshrink.testfns import FixedWeights
+from oracles import full_matrix
 
 
 def _family_zoo(d):
@@ -46,7 +48,7 @@ def test_sample_mean_and_covariance_converge(d):
         assert err < 4.0 * math.sqrt(mom.trace_cov / n), (name, d, err)
         if mom.c4 is not None:
             emp = np.cov(X.T) if d > 1 else np.atleast_2d(np.var(X, ddof=1))
-            frob = np.linalg.norm(emp - mom.cov)
+            frob = np.linalg.norm(emp - full_matrix(mom.cov))
             assert frob < 5.0 * d * math.sqrt(mom.c4 / n), (name, d, frob)
 
 
@@ -165,25 +167,33 @@ def test_select_lambda_pass_holds_no_task_sized_temporaries(monkeypatch):
     assert len(peaks) == 1 and peaks[0] < 7e6
 
 
-def test_coordinate_variance_is_the_covariance_diagonal_without_the_matrix(monkeypatch):
-    # the bits of cov()[i, i] for every family; all but a linear image (whose
-    # diagonal is that of a BLAS product) build no d x d matrix for it
-    d = 7
-    A = np.random.default_rng(3).normal(size=(d, d)) + 3 * np.eye(d)
-    linear = ss.LinearTransform(A, ss.StudentT(d, 7), "scaled:1")
-    assert [linear.coordinate_variance(i) for i in range(d)] == list(np.diagonal(linear.cov()))
-    zoo = {**_family_zoo(d), "elliptical": ss.Elliptical.student(d, 7, "scaled:1")}
-    want = {name: [float(model.cov()[i, i]) for i in range(d)] for name, model in zoo.items()}
+@pytest.mark.parametrize("name", ["gaussian", "student", "sphere", "ball", "laplace", "uniform",
+                                  "smoothed-rademacher", "corrupt-add:student", "corrupt-add:laplace",
+                                  "corrupt-mix:student", "corrupt-mix:gaussian", "four-point"])
+def test_cli_models_build_no_d_by_d_array(name):
+    # at d = 4000 one d x d array is 122 MiB: the model and its moments, its
+    # Stein kernel and coupling, and a two-row `sure` pass with B* on the
+    # coupling's companions all hold the covariance as its diagonal
+    from steinshrink import cli
+    from steinshrink.risk_lab import sure_pass
 
-    def no_matrix(self):
-        raise AssertionError("built the covariance matrix")
-
-    monkeypatch.setattr(ss.NoiseModel, "cov", no_matrix)
-    monkeypatch.setattr(ss.Mixture, "cov", no_matrix)
-    monkeypatch.setattr(ss.Elliptical, "cov", no_matrix)
-    for name, model in zoo.items():
-        got = [model.coordinate_variance(i) for i in range(d)]
-        assert np.array_equal(np.array(got).view(np.uint64), np.array(want[name]).view(np.uint64)), name
+    model_name, _, outlier = name.partition(":")
+    cfg = {**cli._MODEL, "model": model_name, "d": 2 if model_name == "four-point" else 4000,
+           "outlier": outlier or "student"}
+    tracemalloc.start()
+    try:
+        model = cli.build_model(cfg)
+        model.moments()
+        cli.model_kernel(model)
+        try:
+            coupling = ss.coupling_for(model)
+        except ParameterError:  # ball, corrupt-add and four-point have none
+            coupling = None
+        sure_pass(model, ss.JamesStein(model.d - 2.0), 2, 1, coupling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, (name, peak)
 
 
 def test_pinsker_scaling_divides_variance_by_d():
@@ -202,7 +212,7 @@ def test_pinsker_scaling_divides_variance_by_d():
 def test_student_moments_match_family_values():
     mom = ss.StudentT(6, 6).moments()
     s2 = 6 / 4
-    assert mom.cov[0, 0] == pytest.approx(s2**2)
+    assert mom.cov.diagonal()[0] == pytest.approx(s2**2)
     assert mom.trace_cov == pytest.approx(6 * s2**2)
     # fourth moment of the mixture law: 3 s^4 k^2 / ((k-2)(k-4))
     assert mom.c4 == pytest.approx(3 * s2**2 * 36 / (4 * 2))
@@ -214,51 +224,69 @@ def test_student_moments_match_family_values():
 
 def test_sphere_cov_is_sigma2_identity():
     mom = ss.SphereUniform(7, 1.7).moments()
-    assert np.allclose(mom.cov, 1.7**2 * np.eye(7))
+    assert np.allclose(full_matrix(mom.cov), 1.7**2 * np.eye(7))
 
 
 def test_mixture_of_identical_gaussians_keeps_cov():
     mix = ss.Mixture([ss.GaussianIso(4, 1.0), ss.GaussianIso(4, 1.0)], [0.5, 0.5])
-    assert np.allclose(mix.moments().cov, np.eye(4))
+    assert np.allclose(full_matrix(mix.moments().cov), np.eye(4))
 
 
 def test_linear_transform_cov():
     A = np.array([[1.0, 0.5], [0.0, 2.0]])
     base = ss.ProductIID(2, ss.Laplace1D(0.5))
     model = ss.LinearTransform(A, base)
-    assert np.allclose(model.moments().cov, A @ base.cov() @ A.T)
+    assert np.allclose(full_matrix(model.moments().cov), A @ full_matrix(base.cov()) @ A.T)
 
 
 def test_additive_corruption_keeps_isotropic_cov():
     out = ss.StudentT(5, 6)
     model = ss.AdditiveCorruption(0.3, out)
-    assert np.allclose(model.moments().cov, out.sigma2 * np.eye(5))
+    assert np.allclose(full_matrix(model.moments().cov), out.sigma2 * np.eye(5))
     emp = model.sample(400_000, 8)
     assert abs(np.var(emp[:, 0]) - out.sigma2) < 0.05
 
 
+class _DiagonalLaw(ss.NoiseModel):
+    """A law seen through its moments only, with a diagonal covariance that
+    is not a multiple of Id."""
+
+    def __init__(self, variances):
+        super().__init__(len(variances), "zero")
+        self.variances = variances
+
+    def cov(self):
+        return FixedWeights(self.variances)
+
+    def coordinate_moment(self, p):
+        return None
+
+
 @pytest.mark.parametrize("d", [1, 2, 200, 1600])
 def test_isotropic_kappa_is_the_largest_eigenvalue_bit_for_bit(monkeypatch, d):
-    # a family whose covariance is sigma2 Id reads kappa off sigma2, with the
-    # bits of eigvalsh(sigma2 Id)[-1] and without calling it; the others
-    # still take it from their covariance's eigenvalues
+    # a covariance held as its diagonal, sigma2 Id or any other, gives kappa
+    # the bits of eigvalsh(diag)[-1] without calling it; a dense covariance
+    # still takes it from its eigenvalues
     models = [ss.GaussianIso(d, 1.7), ss.GaussianIso(d, 0.0), ss.StudentT(d, 7), ss.BallUniform(d, 1.3),
               ss.ProductIID(d, ss.Laplace1D(0.9)), ss.ProductIID(d, ss.Uniform1D(1.1), scaling="pinsker"),
               ss.ProductIID(d, ss.SmoothedRademacher1D(0.8, 0.2)),
-              ss.AdditiveCorruption(0.2, ss.StudentT(d, 6))]
+              ss.AdditiveCorruption(0.2, ss.StudentT(d, 6)), ss.MixingCorruption(0.3, ss.StudentT(d, 6)),
+              _DiagonalLaw(np.random.default_rng(d).uniform(0.1, 3.0, d)),
+              _DiagonalLaw(np.arange(d, 0.0, -1.0))]
     models += [ss.SphereUniform(d, 0.7)] if d >= 2 else []
-    want = [float(np.linalg.eigvalsh(model.cov())[-1]) for model in models]
+    want = [float(np.linalg.eigvalsh(full_matrix(model.cov()))[-1]) for model in models]
+    dense = ss.LinearTransform(2.0 * np.eye(2), ss.StudentT(2, 6))
 
     def refused(*args, **kwargs):
-        raise AssertionError("eigvalsh called on an isotropic covariance")
+        raise AssertionError("eigvalsh called on a diagonal covariance")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     for model, kappa in zip(models, want):
+        assert model.cov().matrix.shape == (d,), type(model).__name__
         got = model.moments().kappa
         assert np.float64(got).tobytes() == np.float64(kappa).tobytes(), type(model).__name__
-    mixed = ss.MixingCorruption(0.3, ss.StudentT(d, 6))  # a mixture's covariance is its own
     with pytest.raises(AssertionError, match="eigvalsh"):
-        mixed.moments()
+        dense.moments()
 
 
 def test_moment_caps_respect_lyapunov():
@@ -320,7 +348,7 @@ def test_density_unavailable_cases():
 def test_elliptical_matches_gaussian_when_generator_is_exponential():
     d = 3
     model = ss.Elliptical(d, lambda t: math.exp(-t), np.eye(d))
-    assert np.allclose(model.cov(), np.eye(d), atol=1e-9)
+    assert np.allclose(full_matrix(model.cov()), np.eye(d), atol=1e-9)
     X = model.sample(200_000, 9)
     assert abs(X.var(axis=0).mean() - 1.0) < 0.02
 
@@ -329,7 +357,7 @@ def test_elliptical_generic_sampler_handles_heavy_tails():
     model = ss.Elliptical.student(4, 6)
     ref = ss.StudentT(4, 6)
     X = model.sample(200_000, 5)
-    assert abs(X.var(axis=0).mean() - model.cov()[0, 0]) < 0.05
+    assert abs(X.var(axis=0).mean() - model.cov().diagonal()[0]) < 0.05
     assert ks_2samp(X[:, 0], ref.sample(200_000, 6)[:, 0]).pvalue > 0.001
 
 
@@ -337,12 +365,12 @@ def test_elliptical_closed_form_shortcuts_agree_with_quadrature():
     d = 3
     quad_path = ss.Elliptical(d, lambda t: math.exp(-t), 2.0 * np.eye(d))
     closed = ss.Elliptical.gaussian(d, 2.0)
-    assert np.allclose(closed.cov(), quad_path.cov(), atol=1e-9)
+    assert np.allclose(full_matrix(closed.cov()), full_matrix(quad_path.cov()), atol=1e-9)
 
     k = 6
     stud_closed = ss.Elliptical.student(d, k)
     stud_model = ss.StudentT(d, k)
-    assert np.allclose(stud_closed.cov(), stud_model.cov(), atol=1e-9)
+    assert np.allclose(full_matrix(stud_closed.cov()), full_matrix(stud_model.cov()), atol=1e-9)
 
 
 def test_elliptical_radial_table_is_built_once_across_draw_threads(monkeypatch):

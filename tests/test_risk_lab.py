@@ -172,12 +172,12 @@ def test_b_star_gaussian_fixed_point_draws_nothing(monkeypatch):
     # every companion of the fixed-point coupling is X, so B* is n exact
     # zeros: the report is, bit for bit, that of the pass over its chunks
     from steinshrink import _mc
-    from steinshrink.testfns import FixedWeights, shrink_direction
+    from steinshrink.testfns import shrink_direction
 
     monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 1000 * 200)  # 4 chunks of rows
     coupling = ss.couple_gaussian(ss.GaussianIso(200, 1.0, "scaled:1"))
     lam, n, seed = 198.0, 3001, 7
-    g0, weights = shrink_direction(), FixedWeights(coupling.sigma)
+    g0, weights = shrink_direction(), coupling.sigma
 
     def difference(chunk):
         g0.guard(chunk.X)

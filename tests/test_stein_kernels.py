@@ -11,6 +11,7 @@ from steinshrink.errors import ParameterError
 from steinshrink.quadrature import RadialProfile, tail_integral
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
 from conftest import assert_close_within, assert_zero_within
+from oracles import full_matrix
 
 
 # -- Gaussian fixed point: every construction returns Sigma ------------------
@@ -92,7 +93,7 @@ def test_kernel_entries_unbiased_for_covariance(model, kern_builder):
     accs = _mc.run(n, 22, d, model.draw, entries)
     mean = np.array([[accs[i, j].mean for j in range(d)] for i in range(d)])
     se = np.array([[accs[i, j].stderr for j in range(d)] for i in range(d)])
-    gap = np.abs(mean - model.cov())
+    gap = np.abs(mean - full_matrix(model.cov()))
     assert np.all(gap <= 4.0 * np.maximum(se, 1e-12))
 
 
@@ -126,7 +127,7 @@ def test_elliptical_quadrature_agrees_with_student_closed_form(rng):
     )
     pts = rng.normal(0.0, 2.0, (100, d))
     assert np.allclose(quadpath.matrices(pts), closed.matrices(pts), atol=1e-8)
-    assert np.allclose(quadpath.sigma, closed.sigma, atol=1e-8)
+    assert np.allclose(full_matrix(quadpath.sigma), full_matrix(closed.sigma), atol=1e-8)
 
 
 def test_elliptical_kernel_table_close_to_exact(rng):
@@ -282,14 +283,15 @@ def test_average_kernel_requires_shared_sigma():
 
 def test_asymmetric_caller_matrix_is_rejected():
     from steinshrink.stein_kernels import ConstantKernel
+    from steinshrink.testfns import FixedWeights
 
     asym = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     g = ss.GaussianIso(3, 1.0)
     constructors = [
         lambda: ss.gaussian_kernel(asym),
         lambda: ss.elliptical_kernel(lambda v: (1.0 + v / 3.0) ** -3.0, asym),
-        lambda: ss.average_kernel([ConstantKernel(asym)] * 2),
-        lambda: ss.mixture_kernel([(g, ConstantKernel(asym))], [1.0]),
+        lambda: ss.average_kernel([ConstantKernel(FixedWeights(asym))] * 2),
+        lambda: ss.mixture_kernel([(g, ConstantKernel(FixedWeights(asym)))], [1.0]),
     ]
     for build in constructors:
         with pytest.raises(ParameterError, match="symmetric"):
@@ -301,10 +303,13 @@ def test_kernels_built_in_the_package_skip_the_symmetry_check(monkeypatch):
         raise AssertionError("symmetry checked on a package-built matrix")
 
     monkeypatch.setattr("steinshrink.stein_kernels._symmetric", refuse)
+    from steinshrink import cli
+
     d = 5
     product = ss.product_kernel([ss.Laplace1D(1.0)] * d)
     ss.student_kernel(6, d)
     ss.transform_kernel(product, np.eye(d) + 0.1)
+    cli.model_kernel(ss.GaussianIso(d, 1.3))  # the covariance's weights, not a caller's matrix
 
 
 def test_mixture_kernel_epsilon_scaling_of_discrepancy():
