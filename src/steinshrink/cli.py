@@ -12,7 +12,6 @@ moment; 3 numerical-guard abort or an evaluation outside the domain.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -168,8 +167,8 @@ class _Option(NamedTuple):
     help: str | None = None
 
 
-# Every option once, under its config key (the parser's dest).  Flag text and
-# config-file text go through the same cast; a switch takes no value.
+# Every option once, under its config key, which also keys `Args.flags`.  Flag
+# text and config-file text go through the same cast; a switch takes no value.
 _OPTIONS = {
     "model": _Option("--model", str),
     "d": _Option("--d", int),
@@ -225,13 +224,85 @@ def _cast(command: str, key: str, text: str):
         raise ParameterError(f"bad {option.flag} value {text!r}: {exc}") from None
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
+class Args(NamedTuple):
+    """A command line as `parse_args` reads it: the command (None for the
+    program's help), its --config path, the text of each flag given by
+    config key, and whether -h or --help was given."""
+
+    command: str | None
+    config: str | None = None
+    flags: dict | None = None
+    help: bool = False
+
+
+_HELP = ("-h", "--help")
+
+
+def parse_args(argv: list[str]) -> Args:
+    """`argv` read against the option tables: COMMAND, then `--flag value`
+    or `--flag=value` for each valued option of the command, a bare
+    `--switch`, and `--config PATH`; -h or --help asks for help and ends the
+    line.  Anything else is a usage error; a flag given twice keeps its last
+    value."""
+    if not argv:
+        raise ParameterError(f"expected a command: {', '.join(_COMMAND_OPTIONS)}")
+    if argv[0] in _HELP:
+        return Args(None, help=True)
+    command, rest = argv[0], iter(argv[1:])
+    if command not in _COMMAND_OPTIONS:
+        raise ParameterError(f"unknown command {command!r}; expected one of: "
+                             f"{', '.join(_COMMAND_OPTIONS)}")
+    keys = {_OPTIONS[key].flag: key for key in _COMMAND_OPTIONS[command]}
+    texts = {}
+    for token in rest:
+        if token in _HELP:
+            return Args(command, help=True)
+        flag, given, text = token.partition("=")
+        key = "config" if flag == "--config" else keys.get(flag)
+        if key is None:
+            known = any(option.flag == flag for option in _OPTIONS.values())
+            raise ParameterError(f"{command} reads no {flag}" if known else
+                                 f"unrecognized argument {token!r} for {command}")
+        if key != "config" and _OPTIONS[key].cast is _switch:
+            if given:
+                raise ParameterError(f"{flag} is a switch and takes no value")
+            text = "true"
+        elif not given:
+            text = next(rest, None)
+            if text is None or text.startswith("--"):
+                raise ParameterError(f"{flag} expects a value")
+        texts[key] = text
+    return Args(command, texts.pop("config", None), texts)
+
+
+def _help(command: str | None) -> str:
+    """The usage text of `command`, from its options' flags, help strings
+    and defaults; the program's, naming every command, if None."""
+    usage = (f"usage: steinshrink {command or 'COMMAND'} "
+             "[--flag value | --flag=value | --switch]... [--config PATH]\n\n")
+    if command is None:
+        return (f"{usage}{__doc__}\ncommands: {', '.join(_COMMAND_OPTIONS)}\n"
+                "'steinshrink COMMAND --help' lists the options of COMMAND.\n")
+    rows = [("-h, --help", "show this help and exit"),
+            ("--config PATH", "key=value configuration file; flags override its keys")]
+    for key, default in _COMMAND_OPTIONS[command].items():
+        option = _OPTIONS[key]
+        switch = option.cast is _switch
+        text = "a switch" if switch else option.help or ""
+        if default is not None:
+            text += f" (default {_fmt(default)})"
+        rows.append((option.flag if switch else f"{option.flag} {key.upper()}", text.strip()))
+    width = max(len(flag) for flag, _ in rows)
+    return usage + "options:\n" + "".join(f"  {flag:<{width}}  {text}".rstrip() + "\n"
+                                          for flag, text in rows)
+
+
+def resolve_config(args: Args) -> dict:
     """The command's options: flags override config-file keys, which
     override the command's defaults."""
     cfg = dict(_COMMAND_OPTIONS[args.command])
     texts = list(_read_config_file(args.config).items()) if args.config else []
-    flags = vars(args)
-    texts += [(key, flags[key]) for key in cfg if flags[key] is not None]
+    texts += [(key, args.flags[key]) for key in cfg if key in args.flags]
     for key, text in texts:
         cfg[key] = _cast(args.command, key, text)
     given = {key for key, _ in texts}
@@ -271,12 +342,12 @@ def _refuse(given: set, unread: set, what: str) -> None:
 
 def build_model(cfg: dict) -> NoiseModel:
     d = cfg["d"]
-    sigma = cfg["sigma"]
     theta = parse_theta(cfg["theta"], d)
+    sigma, sigma2 = cfg["sigma"], _squared(cfg, "sigma")
     scaling = "pinsker" if cfg["pinsker"] else None
     name = cfg["model"]
     if name == "gaussian":
-        return GaussianIso(d, sigma**2, theta, scaling=scaling)
+        return GaussianIso(d, sigma2, theta, scaling=scaling)
     if name == "student":
         return StudentT(d, cfg["k"], theta)
     if name == "sphere":
@@ -309,7 +380,7 @@ def _outlier(cfg: dict) -> NoiseModel:
     if kind == "laplace":
         return ProductIID(d, Laplace1D(cfg["sigma"] / math.sqrt(2.0)))
     if kind == "gaussian":
-        return GaussianIso(d, cfg["sigma"] ** 2)
+        return GaussianIso(d, _squared(cfg, "sigma"))
     raise ParameterError(f"unknown outlier {kind!r}")
 
 
@@ -335,6 +406,16 @@ def _zb_coupling(model: NoiseModel, kind: str):
         return None, str(exc)
     report = model.validity("zerobias")
     return (coupling, None) if report.ok else (None, "; ".join(report.reasons))
+
+
+def _squared(cfg: dict, key: str) -> float:
+    """cfg[key] ** 2, for a noise scale, a norm or a lambda; a usage error
+    where the square overflows, as it does from about 1.3e154 on."""
+    try:
+        return cfg[key] ** 2
+    except OverflowError:
+        raise ParameterError(f"{_OPTIONS[key].flag} {cfg[key]!r} is too large: "
+                             "its square overflows") from None
 
 
 def _parse_grid(spec: str):
@@ -385,6 +466,7 @@ def cmd_risk(cfg: dict) -> CsvWriter:
     and B* on the coupling's companions of them (`guarded_pass`)."""
     model = build_model(cfg)
     lam = cfg["lam"]
+    _squared(cfg, "lam")  # the loss takes lambda^2
     est = make_estimator(cfg["estimator"], lam)
     n, seed = cfg["reps"], cfg["seed"]
     w = CsvWriter(cfg["out"], cfg, seed)
@@ -509,6 +591,7 @@ def cmd_sure(cfg: dict) -> CsvWriter:
         w.row([model.family, estimator, lam_hat, sure_val, risk, sure_val - risk, None])
         return w
     lam = cfg["lam"]
+    _squared(cfg, "lam")  # the loss takes lambda^2
     est = make_estimator(cfg["estimator"], lam)
     coupling, why = _zb_coupling(model, est.kind)
     accs = sure_pass(model, est, n, seed, coupling)
@@ -526,12 +609,12 @@ def cmd_sure(cfg: dict) -> CsvWriter:
 def cmd_adaptivity(cfg: dict) -> CsvWriter:
     n, seed = cfg["reps"], cfg["seed"]
     c = cfg["c"]
-    sigma2 = cfg["sigma"] ** 2
+    sigma2 = _squared(cfg, "sigma")
+    limit = pinsker_limit(sigma2, _squared(cfg, "c"))
+    thetas = [(d, parse_theta(f"scaled:{c:.17g}", d)) for d in cfg["d_list"]]  # before any draw
     w = CsvWriter(cfg["out"], cfg, seed)
     w.header(["d", "risk_mean", "stderr", "pinsker_limit", "thm45_bound"])
-    limit = pinsker_limit(sigma2, c**2)
-    for d in cfg["d_list"]:
-        theta = parse_theta(f"scaled:{c:.17g}", d)
+    for d, theta in thetas:
         if cfg["model"] == "gaussian":
             model = GaussianIso(d, sigma2, theta, scaling="pinsker")
         elif cfg["model"] == "laplace":
@@ -548,7 +631,7 @@ def cmd_adaptivity(cfg: dict) -> CsvWriter:
 
 
 def cmd_sphere_demo(cfg: dict) -> CsvWriter:
-    c_low, c_high, sigma2 = cfg["c_low"], cfg["c_high"], cfg["sigma"] ** 2
+    c_low, c_high, sigma2 = cfg["c_low"], cfg["c_high"], _squared(cfg, "sigma")
     if c_low <= 1:
         raise ParameterError("the lower norm ratio must exceed 1")
     w = CsvWriter(cfg["out"], cfg, cfg["seed"])
@@ -623,34 +706,13 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors print one `error:` line, not the usage block; exit 2.
-    Subparsers are made of the same class."""
-
-    def error(self, message):
-        self.exit(2, f"error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="steinshrink", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, defaults in _COMMAND_OPTIONS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--config", help="key=value configuration file")
-        for key in defaults:
-            option = _OPTIONS[key]
-            switch = {"action": "store_const", "const": "true"} if option.cast is _switch else {}
-            p.add_argument(option.flag, dest=key, help=option.help, **switch)
-    return parser
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(argv)
+        if args.help:
+            sys.stdout.write(_help(args.command))
+            return 0
         cfg = resolve_config(args)
         writer = _COMMANDS[args.command](cfg)
         writer.finish()

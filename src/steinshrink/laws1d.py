@@ -23,10 +23,11 @@ import numpy as np
 from .errors import EvaluationError, ParameterError
 
 # Variates per `_Inversion` fill call: the sub-block and its scratch (256 KB
-# each) stay in cache through the fill's passes and the shift.  A zero-bias
-# sub-block takes all its first uniforms, then all its second ones, so this
-# constant is part of the companion stream's definition (changing it changes
-# the bytes of every zero-bias draw), as `_mc._DRAW_TASK` is of every stream.
+# each; a zero-bias fill has two) stay in cache through the fill's passes and
+# the shift.  A zero-bias sub-block takes all its first uniforms, then all its
+# second ones, so this constant is part of the companion stream's definition
+# (changing it changes the bytes of every zero-bias draw), as `_mc._DRAW_TASK`
+# is of every stream.
 _SUB_BLOCK = 1 << 15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
@@ -139,31 +140,33 @@ class _Inversion(Law1D):
     def zb_sample(self, rng, size, shift=None, *, out=None):
         """`size` zero-bias variates, placed as by `sample`: per sub-block,
         all their first uniforms, then all their second ones (`_SUB_BLOCK`)."""
-        return _sub_blocks(self._zb_fill, rng, size, shift, out)
+        return _sub_blocks(self._zb_fill, rng, size, shift, out, scratches=2)
 
     def _fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
         """Write len(out) variates from `g` into the flat array `out`, one
         64-bit output each; `scratch` (as long) may be overwritten."""
         raise NotImplementedError
 
-    def _zb_fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+    def _zb_fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray,
+                 second: np.ndarray) -> None:
         """`_fill`, but zero-bias variates, two 64-bit outputs each: the
-        `_fill` outputs of all of them, then one more for each."""
+        `_fill` outputs of all of them, then one more for each; `scratch`
+        and `second` (each as long) may be overwritten."""
         raise NotImplementedError
 
 
-def _sub_blocks(fill, rng, size, shift=None, out=None) -> np.ndarray:
+def _sub_blocks(fill, rng, size, shift=None, out=None, scratches=1) -> np.ndarray:
     """`size` values of `fill` (+ `shift` on each row of size[1:]), written
-    into `out` if given, one sub-block of rows at a time with one sub-block of
-    scratch."""
+    into `out` if given, one sub-block of rows at a time with `scratches`
+    sub-blocks of scratch."""
     if out is None:
         out = np.empty(size)
     rows = out.reshape(len(out), -1)
     step = max(1, min(len(rows), _SUB_BLOCK // max(rows.shape[1], 1)))
-    scratch = np.empty((step, rows.shape[1]))
+    scratch = np.empty((scratches, step * rows.shape[1]))
     for r in range(0, len(rows), step):
         block = rows[r : r + step]
-        fill(rng, block.reshape(-1), scratch[: len(block)].reshape(-1))
+        fill(rng, block.reshape(-1), *scratch[:, : block.size])
         if shift is not None:
             block += shift
     return out
@@ -249,18 +252,10 @@ class Laplace1D(_Inversion):
     def _fill(self, g, out, scratch):
         # numpy's C `random_laplace` on the same uniform U, as array passes:
         # b log(U + U) below 1/2, -b log((2 - U) - U) from 1/2 on, so
-        # copysign(b log(min(U + U, (2 - U) - U)), U - 1/2).  U = 0 (which
-        # numpy redraws from a second output) is read as 2^-53, the least
-        # positive U, so every variate takes one output and stays finite.
-        g.random(out=out)
-        np.subtract(2.0, out, out=scratch)
-        scratch -= out
-        out += out  # U + U, exact
-        np.maximum(out, 2.0**-52, out=out)
-        np.minimum(out, scratch, out=scratch)
+        # copysign(b log(min(U + U, (2 - U) - U)), U - 1/2)
+        _uniform_and_w(g, out, scratch)
         np.log(scratch, out=scratch)
         scratch *= self.b
-        out -= 1.0  # 2(U - 1/2), exact but at U = 0; its sign is U - 1/2's
         np.copysign(scratch, out, out=out)
 
     def log_pdf(self, y):
@@ -282,21 +277,38 @@ class Laplace1D(_Inversion):
         out *= self.b
         return out
 
-    def _zb_fill(self, g, out, scratch):
+    def _zb_fill(self, g, out, scratch, second):
         # X* = S b (E1 + B E2), the equal mixture of Laplace(b) and a signed
-        # Gamma(2, b) (Goldstein and Reinert 1997): the Laplace variate L of
-        # `_fill`, plus copysign(b max(0, -log 2U), L) on a second uniform U,
-        # which is b E2 with E2 = -log 2U below U = 1/2 (B = 1) and 0 from
-        # 1/2 on.  U = 0 is read as 2^-53, as in `_fill`.
-        self._fill(g, out, scratch)
-        g.random(out=scratch)
-        scratch += scratch  # 2U, exact
-        np.maximum(scratch, 2.0**-52, out=scratch)
+        # Gamma(2, b) (Goldstein and Reinert 1997), from two uniforms: the
+        # Laplace variate of `_fill` on U1 is copysign(-b log W, U1 - 1/2)
+        # with W = min(2 U1, 2 - 2 U1), and B E2 = -log M with M = min(2 U2, 1)
+        # (E2 = -log 2U2 below U2 = 1/2, 0 from 1/2 on), so X* is
+        # copysign(-b log(W M), U1 - 1/2): one log for both parts (Devroye
+        # 1986, *Non-Uniform Random Variate Generation*).  U2 = 0 is read as
+        # 2^-53, as U1 = 0 is.
+        _uniform_and_w(g, out, scratch)
+        g.random(out=second)
+        second += second  # 2 U2, exact
+        np.maximum(second, 2.0**-52, out=second)
+        np.minimum(second, 1.0, out=second)  # M
+        scratch *= second
         np.log(scratch, out=scratch)
-        np.minimum(scratch, 0.0, out=scratch)
         scratch *= -self.b
-        np.copysign(scratch, out, out=scratch)
-        out += scratch
+        np.copysign(scratch, out, out=out)
+
+
+def _uniform_and_w(g, out, scratch) -> None:
+    """Draw U from `g` into `out`, then write W = min(U + U, (2 - U) - U)
+    into `scratch` and 2U - 1, whose sign is U - 1/2's, into `out`.  U = 0
+    (which numpy's Laplace sampler redraws from a second output) is read as
+    2^-53, the least positive U, so every variate takes one output and W > 0."""
+    g.random(out=out)
+    np.subtract(2.0, out, out=scratch)
+    scratch -= out
+    out += out  # U + U, exact
+    np.maximum(out, 2.0**-52, out=out)
+    np.minimum(out, scratch, out=scratch)
+    out -= 1.0  # exact but at U = 0
 
 
 @dataclass(frozen=True)
@@ -355,13 +367,13 @@ class Uniform1D(_Inversion):
         out /= 2.0
         return out
 
-    def _zb_fill(self, g, out, scratch):
+    def _zb_fill(self, g, out, scratch, second):
         # X* = a (2U1 - 1) cbrt(U2): a uniform(-a, a) variate times the cube
         # root of a second uniform, density 3 (a^2 - y^2) / (4 a^3)
         self._fill(g, out, scratch)
-        g.random(out=scratch)
-        np.cbrt(scratch, out=scratch)
-        out *= scratch
+        g.random(out=second)
+        np.cbrt(second, out=second)
+        out *= second
 
 
 @dataclass(frozen=True)

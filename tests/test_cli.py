@@ -284,9 +284,36 @@ def test_usage_errors_exit_two(tmp_path):
                       "--reps", "200"], None, id="four-point-default-d"),
         pytest.param(["risk", "--model", "four-point", "--d", "3", "--reps", "200"], None,
                      id="four-point-d-3"),
+        # a finite number whose square overflows, where sigma^2, c^2 or lambda^2 is taken
+        pytest.param(["risk", "--sigma", "1e200"], None, id="sigma-square-overflows"),
+        pytest.param(["risk", "--model", "laplace", "--sigma", "1e200"], None,
+                     id="laplace-sigma-square-overflows"),
+        pytest.param(["risk", "--model", "corrupt-mix", "--outlier", "gaussian", "--sigma", "1e200"],
+                     None, id="outlier-sigma-square-overflows"),
+        pytest.param(["adaptivity", "--sigma", "1e200"], None, id="adaptivity-sigma-square-overflows"),
+        pytest.param(["sphere-demo", "--sigma", "1e200"], None, id="sphere-sigma-square-overflows"),
+        pytest.param(["adaptivity", "--c", "1e200"], None, id="c-square-overflows"),
+        pytest.param(["risk", "--lambda", "1e200"], None, id="lambda-square-overflows"),
+        pytest.param(["sure", "--lambda", "1e200"], None, id="sure-lambda-square-overflows"),
+        # a theta with a non-finite entry or an ||theta||^2 that overflows
+        pytest.param(["risk", "--theta", "scaled:nan"], None, id="theta-nan"),
+        pytest.param(["risk", "--theta", "scaled:inf"], None, id="theta-inf"),
+        pytest.param(["risk", "--theta", "scaled:1e300"], None, id="theta-norm-square-overflows"),
+        pytest.param(["risk", "--theta", "nan.theta"], None, id="theta-file-nan"),
+        pytest.param(["risk", "--theta", "text.theta"], None, id="theta-file-not-numbers"),
+        pytest.param(["sure", "--theta", "scaled:nan"], None, id="sure-theta-nan"),
+        # a dimension above the cap: refused before theta, or anything of its size, exists
+        pytest.param(["risk", "--d", "1000000000", "--reps", "10"], None, id="d-above-cap"),
+        pytest.param(["adaptivity", "--d-list", "1000000000", "--reps", "10"], None,
+                     id="adaptivity-d-above-cap"),
+        pytest.param(["sure", "--select-lambda", "--d", "100000000", "--reps", "2"], None,
+                     id="select-lambda-d-above-cap"),
     ],
 )
-def test_bad_parameters_exit_two(tmp_path, capsys, args, config):
+def test_bad_parameters_exit_two(tmp_path, capsys, monkeypatch, args, config):
+    monkeypatch.chdir(tmp_path)  # for the theta files of the cases above
+    (tmp_path / "nan.theta").write_text("1\nnan\n1\n1\n1\n")
+    (tmp_path / "text.theta").write_text("1\n1\none\n1\n1\n")
     out = tmp_path / "bad.csv"
     if config is not None:
         (tmp_path / "bad.cfg").write_text(config)
@@ -311,6 +338,12 @@ def test_nonpositive_dimension_message(tmp_path, capsys, d):
         pytest.param(["risk", "--reps"], id="missing-value"),
         pytest.param(["no-such-command"], id="unknown-command"),
         pytest.param([], id="no-command"),
+        pytest.param(["risk", "--bounds=yes"], id="switch-with-value"),
+        pytest.param(["risk", "--theta", "--d", "5"], id="flag-read-as-value"),
+        pytest.param(["risk", "--config"], id="config-missing-value"),
+        pytest.param(["risk", "stray"], id="positional"),
+        pytest.param(["risk", "-d", "5"], id="single-dash"),
+        pytest.param(["risk", "--lamb", "3"], id="abbreviation"),
     ],
 )
 def test_argparse_usage_errors_print_one_line(capsys, args):
@@ -322,6 +355,58 @@ def test_argparse_usage_errors_print_one_line(capsys, args):
 def test_help_still_exits_zero(capsys):
     assert main(["risk", "--help"]) == 0
     assert "--lambda" in capsys.readouterr().out
+
+
+def test_help_lists_every_command_and_each_of_its_flags(capsys):
+    import steinshrink.cli as cli
+
+    assert main(["--help"]) == 0
+    listed = capsys.readouterr().out
+    assert all(command in listed for command in cli._COMMAND_OPTIONS)
+    for command, defaults in cli._COMMAND_OPTIONS.items():
+        for argv in ([command, "--help"], [command, "--seed", "5", "-h"]):
+            assert main(argv) == 0, argv
+            listed = capsys.readouterr()
+            flags = {line.split()[0] for line in listed.out.splitlines() if line.startswith("  --")}
+            assert flags == {"--config"} | {cli._OPTIONS[key].flag for key in defaults}, argv
+            assert listed.err == ""
+
+
+def test_every_flag_reads_as_flag_value_and_flag_equals_value(capsys):
+    from steinshrink.cli import Args, parse_args
+
+    for command, keys in _READS.items():
+        options = {**_EVERY_OPTION, "out": ("--out", "a=b.csv")}
+        options = {key: options[key] for key in options if key in keys}
+        spaced = [command, "--config", "run.cfg", *_as_flags(options)]
+        joined = [command, "--config=run.cfg", *(flag if key in _SWITCHES else f"{flag}={text}"
+                                                 for key, (flag, text) in options.items())]
+        texts = {key: "true" if key in _SWITCHES else text for key, (_, text) in options.items()}
+        assert parse_args(spaced) == parse_args(joined) == Args(command, "run.cfg", texts)
+        for key in keys & _SWITCHES:  # a switch takes no value
+            assert main([command, f"{options[key][0]}={options[key][1]}"]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), (command, key)
+
+
+def test_cli_imports_no_argparse_gettext_or_locale(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).parents[1] / "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import steinshrink.cli\n"
+        "argv = ['risk', '--bounds', '--model', 'laplace', '--d', '8', '--lambda', '6',\n"
+        f"        '--reps', '200', '--out', {str(tmp_path / 'r.csv')!r}]\n"
+        "assert steinshrink.cli.main(argv) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["risk", "sure"])
@@ -399,11 +484,11 @@ def test_every_blank_bound_cell_says_why(tmp_path, args, notes):
 
 def test_excess_follows_the_estimator(tmp_path):
     from steinshrink import Identity, SoftThreshold, mc_excess_risk, mc_risk
-    from steinshrink.cli import build_model, build_parser, resolve_config
+    from steinshrink.cli import build_model, parse_args, resolve_config
 
     args = ["risk", "--model", "laplace", "--d", "20", "--lambda", "1", "--excess",
             "--reps", "2000", "--seed", "1"]
-    model = build_model(resolve_config(build_parser().parse_args(args)))
+    model = build_model(resolve_config(parse_args(args)))
     soft = SoftThreshold(1.0)
     excess = mc_excess_risk(model, soft, 2000, 1)
     difference = mc_risk(model, soft, 2000, 1).mean - mc_risk(model, Identity(), 2000, 1).mean

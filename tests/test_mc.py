@@ -61,9 +61,9 @@ from steinshrink._mc import Accumulator, chunk_plan, chunk_rows, run, substream
 from steinshrink.cli import (
     _fmt,
     build_model,
-    build_parser,
     main,
     model_kernel,
+    parse_args,
     resolve_config,
 )
 from steinshrink.risk_lab import b_star_values, guarded_pass, inverse_moment, sure_pass
@@ -363,7 +363,7 @@ def test_risk_bounds_csv_matches_one_run_by_hand(tmp_path, monkeypatch, family, 
     bounded = _risk_csv(tmp_path, "bounded", args + ["--bounds"])
     assert (bounded["mean"], bounded["stderr"]) == (plain["mean"], plain["stderr"])
 
-    model = build_model(resolve_config(build_parser().parse_args(args)))
+    model = build_model(resolve_config(parse_args(args)))
     kernel, coupling = model_kernel(model), coupling_for(model)
     theta, sigma = model.theta, full_matrix(kernel.sigma)
 
@@ -860,7 +860,7 @@ def test_kernel_rows_keep_their_bits_across_task_heights(tmp_path, monkeypatch, 
             "--lambda", "9", "--reps", "50", "--seed", "3", "--out", str(tmp_path / "r.csv")]
     args += ["--k", "6"] if family == "student" else []
     values = _statistic_of(monkeypatch, lambda: main(args))
-    model = build_model(resolve_config(build_parser().parse_args(args)))
+    model = build_model(resolve_config(parse_args(args)))
     names = ["risk", "e_inv2", "e_d2_inv4", "trace", "frob"]
     if family == "gaussian":
         X, part = model.sample(37, 4), (lambda rows: rows)

@@ -91,9 +91,10 @@ def _zb_reference(law, rng, size):
         shape = rows[r : r + step].shape
         u1, u2 = rng.random(shape), rng.random(shape)
         if isinstance(law, ss.Laplace1D):
-            # a Laplace variate (numpy's inversion) plus a signed Exp(b) half the time
-            x = np.copysign(law.b * np.log(np.minimum(u1 + u1, (2.0 - u1) - u1)), u1 - 0.5)
-            rows[r : r + step] = x + np.copysign(law.b * np.maximum(0.0, -np.log(u2 + u2)), x)
+            # a Laplace variate (numpy's inversion) plus a signed Exp(b) half
+            # the time, with one log of the product of their two uniforms
+            w = np.minimum(u1 + u1, (2.0 - u1) - u1)
+            rows[r : r + step] = np.copysign(-law.b * np.log(w * np.minimum(u2 + u2, 1.0)), u1 - 0.5)
         else:
             rows[r : r + step] = (u1 * (2.0 * law.a) - law.a) * np.cbrt(u2)
     return out
