@@ -4,19 +4,21 @@
 package is a mean of per-row statistics over one seeded stream, whether
 its rows are plain draws X or joint draws (X, X^i) of a zero-bias coupling
 or a Stein kernel (`zero_bias.JointChunk`).  A stream is a `draw(rng, rows,
-empty)` over a chunk partition fixed by (n, width).  Each chunk's rows are
-cut into draw tasks of about `_DRAW_TASK` doubles, a layout fixed by (rows,
-d), and task k draws from its own substream, spawn key (chunk index, k),
-task 0 from the chunk's own: a chunk of one task draws what a serial draw
-of the chunk would.  `_DRAW_TASK` is part of the stream's definition, not
-a tuning constant.  `draw_parts` draws the same parts for the callers that
-keep the draws.
+empty)` over the chunks `chunk_plan(n, d)`, fixed by (n, d) whatever the
+stream holds per row.  Each chunk's rows are cut into draw tasks of about
+`_DRAW_TASK` doubles, a layout fixed by (rows, d), and task k draws from
+its own substream, spawn key (chunk index, k), task 0 from the chunk's
+own: a chunk of one task draws what a serial draw of the chunk would.
+`_DRAW_TASK` is part of the stream's definition, not a tuning constant.
+`draw_parts` draws the same parts for the callers that keep the draws.
 
 The tasks run in turn on threads started by `_in_turn`.  A statistic that
 builds several `(rows, d)` temporaries per row is wrapped by `in_blocks`,
 which evaluates it one row block of `_BLOCK` doubles (for a joint chunk or
 a statistic of many numpy calls, at least `_JOINT_BLOCK_ROWS` rows) at a
-time, so its temporaries stay near cache and no task-sized one is made.
+time, so its temporaries stay near cache and no task-sized one is made;
+terms wider than a row of d (a dense kernel's `(rows, d, d)` matrices) are
+made afresh from each block's rows.
 """
 
 from __future__ import annotations
@@ -252,13 +254,13 @@ class RiskReport:
             raise ValueError("stderr must be nonnegative")
 
 
-def run(n: int, seed: int, d: int, draw, values, width: int | None = None) -> dict:
+def run(n: int, seed: int, d: int, draw, values) -> dict:
     """One pass over n rows of the stream `seed`: the accumulators, by name,
     of the per-row values `values(part)` of every draw task's part.
 
-    The chunks are `chunk_plan(n, width)` (width d if None), each cut into
-    the draw tasks of (rows, d).  Task k of chunk i draws its part, an array
-    or a `JointChunk`, by `draw(substream(seed, i, k), rows, empty)` and
+    The chunks are `chunk_plan(n, d)`, each cut into the draw tasks of
+    (rows, d).  Task k of chunk i draws its part, an array or a
+    `JointChunk`, by `draw(substream(seed, i, k), rows, empty)` and
     evaluates `values` on it at once; `empty(shape)` hands out the buffers
     of a finished task, so a pass holds one task's rows per thread, never a
     chunk, and a statistic wrapped by `in_blocks` adds one row block of its
@@ -297,7 +299,7 @@ def run(n: int, seed: int, d: int, draw, values, width: int | None = None) -> di
         free.append(taken)
         return part
 
-    for idx, rows in chunk_plan(n, width or d):
+    for idx, rows in chunk_plan(n, d):
         parts = draw_tasks(seed, idx, rows, d, task)
         for name in parts[0]:
             accs.setdefault(name, Accumulator()).add(np.concatenate([part[name] for part in parts]))
@@ -348,11 +350,11 @@ def _block_cuts(rows: int, d: int, least: int = 1) -> list[int]:
     return cuts + [cuts[-1] + half, rows]
 
 
-def draw_parts(n: int, seed: int, d: int, draw, width: int | None = None) -> list:
+def draw_parts(n: int, seed: int, d: int, draw) -> list:
     """Every draw task's part of n rows of the stream `seed`, in row order,
     each `draw(rng, rows, np.empty)` in memory of its own: the draws of
     `run`, for callers that keep them."""
-    return [part for idx, rows in chunk_plan(n, width or d)
+    return [part for idx, rows in chunk_plan(n, d)
             for part in draw_tasks(seed, idx, rows, d, lambda rng, a, b: draw(rng, b - a, np.empty))]
 
 

@@ -7,13 +7,15 @@ metadata header carrying the artifact version, the command's fully resolved
 options and the seed, so a rerun with the same seed is byte-identical.
 
 Exit codes: 0 success; 2 usage error, bad parameters or an unavailable
-moment; 3 numerical-guard abort or an evaluation outside the domain.
+moment; 3 numerical-guard abort, an evaluation outside the domain or a
+statistic that overflows to a non-finite cell.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -86,9 +88,14 @@ class CsvWriter:
         self.path = path
 
     def header(self, columns):
+        self.columns = columns
         self.lines.append(",".join(columns))
 
     def row(self, values):
+        """A data row; a cell that is not finite is refused, a blank (None) one kept."""
+        for column, value in zip(self.columns, values):
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise EvaluationError(f"{column} is {float(value)!r}: the statistic overflows")
         self.lines.append(",".join(_fmt(v) for v in values))
 
     def comment(self, text):
@@ -485,11 +492,11 @@ def cmd_risk(cfg: dict) -> CsvWriter:
             values.update(discrepancy(X))
         return values
 
+    mom = model.moments() if bounds else None  # refused before anything is drawn
     accs = guarded_pass(model, n, seed, stat, est, coupling)
     rep = report_from(accs["risk"], seed, label)
     cells = dict.fromkeys(_BOUND_COLUMNS)
     if bounds:
-        mom = model.moments()
         inputs = BoundInputs(lam=lam, d=model.d, trace_sigma=mom.trace_cov, kappa=mom.kappa,
                              e_inv2=accs["e_inv2"].mean)
         if "bound_thm31" not in why:
@@ -544,8 +551,8 @@ def cmd_identity_check(cfg: dict) -> CsvWriter:
         fams = [linear_map(rng.normal(size=(model.d, model.d))), coordinate_quadratic(0)]
         fams.append(shrink_direction())
         valid = model.validity(kind).ok
-        draw, width = obj.stream(model) if kind == "kernel" else (obj._centered, obj.width)
-        reps = identity_residual(n, seed, draw, width, model.theta,
+        draw = obj.stream(model) if kind == "kernel" else obj._centered
+        reps = identity_residual(n, seed, draw, model.theta,
                                  [fn for fn in fams if valid or not fn.needs_origin_guard],
                                  "stein" if kind == "kernel" else "zb")
         for fn in fams:
@@ -714,7 +721,11 @@ def main(argv=None) -> int:
             sys.stdout.write(_help(args.command))
             return 0
         cfg = resolve_config(args)
-        writer = _COMMANDS[args.command](cfg)
+        # a statistic that overflows reaches a cell and is refused there
+        # (`CsvWriter.row`), so numpy's warnings on the way add only lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            writer = _COMMANDS[args.command](cfg)
         writer.finish()
     except (ParameterError, MomentUnavailableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

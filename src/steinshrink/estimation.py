@@ -297,7 +297,7 @@ def sure_zero_bias_mean(
         vals = trace_sigma + np.einsum("mi,mi->m", fx, fx)
         return {"risk": vals + 2.0 * chunk.weighted_partials(estimator)}
 
-    acc = run(n, seed, coupling.d, coupling._centered, in_blocks(risk), coupling.width)["risk"]
+    acc = run(n, seed, coupling.d, coupling._centered, in_blocks(risk))["risk"]
     return report_from(acc, seed, label=f"sure-zb:{estimator.kind}")
 
 

@@ -115,14 +115,13 @@ class NoiseModel:
         cov = self.cov()
         M = cov.matrix  # a diagonal's largest eigenvalue is its largest entry
         kappa = float(M.max() if M.ndim == 1 else np.linalg.eigvalsh(M)[-1])
-        return MomentSummary(
-            mean=self.theta,
-            cov=cov,
-            trace_cov=cov.trace(),
-            kappa=kappa,
-            c4=self.coordinate_moment(4),
-            c8=self.coordinate_moment(8),
-        )
+        try:
+            c4, c8 = self.coordinate_moment(4), self.coordinate_moment(8)
+        except OverflowError:
+            raise ParameterError(f"{self.family}: a coordinate moment of order 4 or 8 "
+                                 "overflows a double at this scale") from None
+        return MomentSummary(mean=self.theta, cov=cov, trace_cov=cov.trace(), kappa=kappa,
+                             c4=c4, c8=c8)
 
     # -- validity ---------------------------------------------------------
     def has_density(self) -> bool:

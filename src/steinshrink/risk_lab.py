@@ -253,15 +253,14 @@ def b_star_report(accs: dict, lam: float, n: int, seed: int) -> RiskReport:
 def bound_b_star(coupling: ZeroBiasCoupling, lam: float, n: int, seed: int) -> RiskReport:
     """MC estimate of B*_lam = lam |sum_ij sigma_ij E[d_j g0_i(X^ij) - d_j g0_i(X)]|,
     with the weights sigma_ij of the coupling, from its own stream: n rows
-    of `b_star_values` over the coupling's chunks.  The CLI scores the same
-    statistic in the pass that draws X (`guarded_pass`)."""
+    of `b_star_values` over the chunks of (n, d).  The CLI scores the same
+    statistic on the same stream in the pass that draws X (`guarded_pass`)."""
     if n < 1:
         raise ParameterError("replicate count must be >= 1")
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
     values = b_star_values(coupling)
-    accs = {} if values is None else run(n, seed, coupling.d, coupling._centered, values,
-                                         coupling.width)
+    accs = {} if values is None else run(n, seed, coupling.d, coupling._centered, values)
     return b_star_report(accs, lam, n, seed)
 
 

@@ -4,7 +4,9 @@ Kernels come in structured representations (constant, scalar profile times a
 fixed matrix, diagonal, linear images of these) and hand them to the test
 functions as `Weights`, so a contraction <T, grad f> costs O(rows * d) and
 no per-row (d, d) matrix is built.  Only the mixture and average kernels,
-which have no such structure, keep per-row dense matrices.
+which have no such structure, build per-row dense matrices, from the pick
+or the copies their identity chunks keep, one row block of `_mc.in_blocks`
+at a time, so no pass holds a draw task's.
 
 In zero-bias terms a kernel is one shared term whose point is X and whose
 weights are T(X - theta): `SteinKernel.stream` draws the same identity
@@ -27,14 +29,13 @@ from .laws1d import Law1D
 from .noise_models import NoiseModel
 from .quadrature import RadialProfile
 from .testfns import DenseWeights, DiagonalWeights, FixedWeights, TestFn, Weights, _as_matrix, _per_row
-from .zero_bias import JointChunk, Shared, identity_residual
+from .zero_bias import JointChunk, Shared, _Lazy, identity_residual
 
 
 class SteinKernel:
     """Base kernel; subclasses fill in one of the structured evaluations."""
 
     construction = "abstract"
-    joint_only = False  # T is a function of X - theta alone, built by `at`
 
     def __init__(self, sigma: FixedWeights):
         self.sigma = sigma  # the kernel's mean, held as its diagonal where it is diagonal
@@ -56,13 +57,13 @@ class SteinKernel:
         return W.frob_sq() - 2.0 * W.inner(_as_matrix(self.sigma.matrix)) + self.sigma.frob_sq()
 
     def stream(self, model: NoiseModel):
-        """(draw, width) of `_mc.run` for identity chunks of the model's
-        draws (`at`)."""
+        """The draw of `_mc.run` for identity chunks of the model's draws
+        (`at`)."""
 
         def draw(rng, rows, empty):
             return self.at(model.draw(rng, rows, empty), model.theta, empty)
 
-        return draw, None
+        return draw
 
     def at(self, X, theta, empty=np.empty) -> JointChunk:
         """The identity chunk of draws X: one shared term at X, weighted
@@ -285,7 +286,24 @@ def transform_kernel(kernel: SteinKernel, A) -> TransformedKernel:
     return TransformedKernel(kernel, A)
 
 
-class AverageKernel(SteinKernel):
+class _JointKernel(SteinKernel):
+    """A kernel of joint samples, with no pointwise `matrices`: a draw
+    task's identity chunk keeps X and the sources of its T (`_joint_draw`),
+    and `_terms(X, *sources)` makes the `(rows, d, d)` matrices afresh from
+    a row block's rows (`zero_bias._Lazy`)."""
+
+    def matrices(self, Y):
+        raise ParameterError(f"{self.construction} kernel is defined on joint samples only")
+
+    def stream(self, model: NoiseModel):
+        def draw(rng, rows, empty):
+            X, *sources = self._joint_draw(model, rng, rows, empty)
+            return JointChunk(X, _Lazy(self._terms, X, *sources))
+
+        return draw
+
+
+class AverageKernel(_JointKernel):
     """Kernel (1/n) sum T_i at the joint draw, paired with the
     variance-preserving standardized mean theta + n^(-1/2) sum (X_i - theta).
 
@@ -297,7 +315,6 @@ class AverageKernel(SteinKernel):
     """
 
     construction = "average"
-    joint_only = True
 
     def __init__(self, kernels):
         if not kernels:
@@ -309,25 +326,23 @@ class AverageKernel(SteinKernel):
         super().__init__(FixedWeights(_symmetric(sigma)))
         self.kernels = list(kernels)
 
-    def matrices(self, Y):
-        raise ParameterError("average kernel is defined on joint samples only")
+    def _joint_draw(self, model, rng, rows, empty):
+        """The standardized mean X of the copies, and the copies."""
+        draws = [model._fill(rng, empty((rows, self.d))) for _ in self.kernels]
+        X = np.divide(sum(draws), math.sqrt(len(draws)), out=empty((rows, self.d)))
+        X += model.theta
+        return X, *draws
 
-    def stream(self, model: NoiseModel):
-        ncopies = len(self.kernels)
-
-        def fill(rng, Y, mats):
-            draws = [model._draw(rng, len(Y)) for _ in range(ncopies)]
-            np.divide(sum(draws), math.sqrt(ncopies), out=Y)
-            np.divide(sum(k.matrices(y) for k, y in zip(self.kernels, draws)), ncopies, out=mats)
-
-        return _dense_stream(model, fill, ncopies)
+    def _terms(self, X, *draws):
+        mats = sum(k.matrices(y) for k, y in zip(self.kernels, draws))
+        mats /= len(draws)
+        yield Shared(X, DenseWeights(mats))
 
 
-class MixtureKernel(SteinKernel):
+class MixtureKernel(_JointKernel):
     """Paired sampler (Y_s, T_s(Y_s)) over mixture components."""
 
     construction = "mixture"
-    joint_only = True
 
     def __init__(self, pairs, weights):
         if not pairs:
@@ -343,37 +358,23 @@ class MixtureKernel(SteinKernel):
         self.pairs = list(pairs)
         self.weights = w
 
-    def matrices(self, Y):
-        raise ParameterError("mixture kernel is defined on joint samples only")
+    def _joint_draw(self, model, rng, rows, empty):
+        """X = theta + Y, the picked components' draws Y, and the pick."""
+        pick = rng.choice(len(self.pairs), size=rows, p=self.weights)
+        Y = empty((rows, self.d))
+        for s, (comp, _) in enumerate(self.pairs):
+            sel = np.flatnonzero(pick == s)
+            if sel.size:
+                Y[sel] = comp._draw(rng, sel.size)
+        return np.add(Y, model.theta, out=empty((rows, self.d))), Y, pick
 
-    def stream(self, model: NoiseModel):
-        def fill(rng, Y, mats):
-            pick = rng.choice(len(self.pairs), size=len(Y), p=self.weights)
-            for s, (comp, kern) in enumerate(self.pairs):
-                sel = np.flatnonzero(pick == s)
-                if sel.size:
-                    ys = comp._draw(rng, sel.size)
-                    Y[sel] = ys
-                    mats[sel] = kern.matrices(ys)
-
-        return _dense_stream(model, fill)
-
-
-def _dense_stream(model: NoiseModel, fill, copies: int = 1):
-    """(draw, width) of identity chunks of X with one shared term at X
-    weighted by per-row dense kernel matrices T, the width being what a
-    chunk allocates: `copies` draws of (rows, d) and the (rows, d, d)
-    matrices.  `fill(rng, Y, mats)` writes a draw task's centered rows Y
-    and their T in place; theta is added here."""
-    d = model.d
-
-    def draw(rng, rows, empty):
-        X, mats = empty((rows, d)), empty((rows, d, d))
-        fill(rng, X, mats)
-        X += model.theta
-        return JointChunk(X, (Shared(X, DenseWeights(mats)),))
-
-    return draw, d * max(d, copies)
+    def _terms(self, X, Y, pick):
+        mats = np.empty((len(Y), self.d, self.d))
+        for s, (_, kern) in enumerate(self.pairs):
+            sel = np.flatnonzero(pick == s)
+            if sel.size:
+                mats[sel] = kern.matrices(Y[sel])
+        yield Shared(X, DenseWeights(mats))
 
 
 def average_kernel(kernels) -> AverageKernel:
@@ -411,7 +412,7 @@ class DiscrepancyStats:
 def discrepancy_values(kernel: SteinKernel, chunk) -> dict:
     """Tr T and ||T - Sigma||_F^2 per row of one of the kernel's identity
     chunks (`kernel.at`, or `kernel.stream` for a kernel defined on joint
-    samples only), read off the weights the chunk already carries."""
+    samples only), read off the weights the chunk carries or makes."""
     (term,) = chunk.terms
     rows = chunk.X.shape[0]
     return {"trace": _per_row(term.W.trace(), rows),
@@ -451,10 +452,10 @@ def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int)
     """DiscrepancyStats over n draws of the model from `seed`: T(X - theta)
     on the model's draws X, as the CLI's passes score it (`discrepancy_of`),
     or, for a kernel defined on joint samples only, on its own identity
-    chunks (`stream`)."""
-    if kernel.joint_only:
-        draw, width = kernel.stream(model)
-        accs = run(n, seed, model.d, draw, lambda chunk: discrepancy_values(kernel, chunk), width)
+    chunks (`stream`), whose T is made one row block at a time."""
+    if isinstance(kernel, _JointKernel):
+        accs = run(n, seed, model.d, kernel.stream(model),
+                   in_blocks(lambda chunk: discrepancy_values(kernel, chunk)))
     else:
         accs = run(n, seed, model.d, model.draw, discrepancy_of(kernel, model.theta))
     return discrepancy_from(accs, seed)
@@ -464,5 +465,5 @@ def stein_identity_residual(
     model: NoiseModel, kernel: SteinKernel, test_fn: TestFn, n: int, seed: int
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - E<T, grad f(X)>; 0 for a true kernel."""
-    reps = identity_residual(n, seed, *kernel.stream(model), model.theta, [test_fn], "stein")
+    reps = identity_residual(n, seed, kernel.stream(model), model.theta, [test_fn], "stein")
     return reps[test_fn.name]

@@ -67,8 +67,9 @@ def _moved(term, move, weights):
 
 class _Lazy:
     """Terms made afresh on each pass, one at a time, so no chunk holds d of
-    them: `make(*sources)` yields them from the arrays and joint chunks they
-    are built of, and a row block's terms are made from the block's rows."""
+    them, nor a dense kernel's `(rows, d, d)` matrices: `make(*sources)`
+    yields them from the arrays and joint chunks they are built of, and a
+    row block's terms are made from the block's rows (`JointChunk.rows`)."""
 
     def __init__(self, make, *sources):
         self._make = make
@@ -76,10 +77,6 @@ class _Lazy:
 
     def __iter__(self):
         return self._make(*self._sources)
-
-    def rows(self, a: int, b: int) -> "_Lazy":
-        return _Lazy(self._make, *(src.rows(a, b) if isinstance(src, JointChunk) else src[a:b]
-                                   for src in self._sources))
 
 
 class JointChunk:
@@ -114,15 +111,18 @@ class JointChunk:
         return isinstance(self.terms, tuple) and all(isinstance(t, Shared) for t in self.terms)
 
     def rows(self, a: int, b: int) -> "JointChunk":
-        """Rows a:b: X, every term's arrays and its per-row weights.  A shared
-        point that is X stays X, so `weighted_partials` still skips its guard."""
+        """Rows a:b: X, every term's arrays and its per-row weights, or the
+        sources of terms made afresh.  A shared point or source that is X
+        stays X, so `weighted_partials` still skips its guard."""
         X = self.X[a:b]
-        if isinstance(self.terms, _Lazy):
-            return JointChunk(X, self.terms.rows(a, b))
 
         def cut(points):
+            if isinstance(points, JointChunk):
+                return points.rows(a, b)
             return X if points is self.X else points[a:b]
 
+        if isinstance(self.terms, _Lazy):
+            return JointChunk(X, _Lazy(self.terms._make, *map(cut, self.terms._sources)))
         return JointChunk(X, tuple(
             Shared(cut(term.P), term.W.rows(a, b)) if isinstance(term, Shared)
             else Replaced(cut(term.B), cut(term.R), term.w) for term in self.terms))
@@ -175,9 +175,9 @@ def _merged(pick, arrays) -> np.ndarray:
 class ZeroBiasCoupling:
     """Base class.  `_centered(rng, rows, empty)` is a fresh joint chunk of
     `rows` rows (theta included) whose arrays it may take from `empty(shape)`:
-    the coupling's stream for `_mc.run`, over chunks `width` doubles a row
-    wide.  By default it draws X with the base model's own calls (`_fill`,
-    then theta), so X has the bytes of `base.draw` on the same generator, and
+    the coupling's stream for `_mc.run`, chunked by (n, d) as every stream.
+    By default it draws X with the base model's own calls (`_fill`, then
+    theta), so X has the bytes of `base.draw` on the same generator, and
     then the companions, by the hook `_companions(rng, Y, empty)`: the terms
     of a centered draw Y of the base law, their points shifted by theta, a
     point that is Y itself becoming X.  A coupling whose X is not its base
@@ -205,10 +205,6 @@ class ZeroBiasCoupling:
     def theta(self):
         return self.base.theta
 
-    @property
-    def width(self) -> int:
-        return 4 * self.d
-
     _companions = None
 
     @property
@@ -228,7 +224,7 @@ class ZeroBiasCoupling:
         M = self.sigma.matrix
         if (M[i, j] if M.ndim == 2 else M[i] * (i == j)) == 0.0:
             raise ParameterError(f"sigma_{i}{j} = 0: the companion X^{{{i}{j}}} is undefined")
-        chunks = draw_parts(n, seed, self.d, self._centered, self.width)
+        chunks = draw_parts(n, seed, self.d, self._centered)
         return (np.concatenate([chunk.X for chunk in chunks]),
                 np.concatenate([chunk.companion(i, j) for chunk in chunks]))
 
@@ -372,10 +368,6 @@ class SumCoupling(ZeroBiasCoupling):
         if not self.replaces:
             self.term_weights = tuple(w for comp in components for w in comp.term_weights)
 
-    @property
-    def width(self) -> int:
-        return 4 * self.d * (len(self.components) + 1)
-
     def _centered(self, rng, rows, empty):
         chunks = [comp._centered(rng, rows, empty) for comp in self.components]
         total = sum(chunk.X for chunk in chunks)  # components are centered
@@ -439,10 +431,6 @@ class MixtureCoupling(ZeroBiasCoupling):
             self.term_weights = tuple(
                 _scaled(cw, ws) for ws, comp in zip(w, components) for cw in comp.term_weights
             )
-
-    @property
-    def width(self) -> int:
-        return 8 * self.d
 
     @property
     def draws_base(self) -> bool:
@@ -516,10 +504,6 @@ class LinearMapCoupling(ZeroBiasCoupling):
                 self.term_weights += [DiagonalWeights([[wk]], A[:, [k]]) for k, wk in enumerate(w)]
             else:
                 self.term_weights.append(w.transformed(A))
-
-    @property
-    def width(self) -> int:
-        return 8 * self.d
 
     def _centered(self, rng, rows, empty):
         chunk = self.base_coupling._centered(rng, rows, empty)
@@ -614,7 +598,10 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     zero-bias sampler of their coordinate law (`Law1D.zb_sample`) and the
     other coordinates from the law itself; laws
     without a product structure fall back to sampling-importance-resampling
-    with a pool factor of 64, reporting the effective sample size.
+    with a pool factor of 64.  With `return_ess` it also returns the
+    effective sample size, a count of at most n: each draw task's Kish
+    fraction 1 / (m sum p^2) of its m weighted candidates (Kish 1965), in
+    (0, 1], times the task's rows, summed; n for the exact samplers.
     """
     if not model.satisfies_conditional_mean_zero():
         raise ParameterError("square-bias construction needs the conditional-mean-zero condition")
@@ -626,7 +613,7 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
     pool = 64
 
     def part(rng, rows, empty):
-        """`rows` draws and their fraction of effective samples."""
+        """`rows` draws and the effective fraction of their candidates."""
         if exact:
             Y = law.sample(rng, (rows, model.d))
             Y[:, i] = law.zb_sample(rng, rows)
@@ -639,9 +626,9 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
         p = w / total
         picked = cand[rng.choice(cand.shape[0], size=rows, p=p)]
         picked[:, i] *= rng.uniform(0.0, 1.0, rows)
-        return model.theta + picked, 1.0 / np.sum(p * p) / pool
+        return model.theta + picked, 1.0 / np.sum(p * p) / p.size
 
-    parts = draw_parts(n, seed, model.d, part, width=model.d if exact else 8 * model.d)
+    parts = draw_parts(n, seed, model.d, part)
     draws = np.concatenate([draw for draw, _ in parts])
     if return_ess:  # each task's fraction weighted by its rows
         return draws, sum(len(draw) * ess for draw, ess in parts)
@@ -652,7 +639,7 @@ def zb_construct(model: NoiseModel, i: int, n: int, seed: int, *, return_ess: bo
 # identity residuals
 
 
-def identity_residual(n: int, seed: int, draw, width, theta, test_fns: list[TestFn],
+def identity_residual(n: int, seed: int, draw, theta, test_fns: list[TestFn],
                       kind: str) -> dict:
     """MC estimates of E<X-theta, f(X)> minus the mean of the weighted
     partials of the joint chunks `draw` makes (a coupling's `_centered`, a
@@ -670,7 +657,7 @@ def identity_residual(n: int, seed: int, draw, width, theta, test_fns: list[Test
             out[fn.name] = lhs - chunk.weighted_partials(fn)
         return out
 
-    accs = run(n, seed, len(theta), draw, in_blocks(residuals), width)
+    accs = run(n, seed, len(theta), draw, in_blocks(residuals))
     return {fn.name: report_from(accs[fn.name], seed, f"{kind}-residual:{fn.name}")
             for fn in test_fns}
 
@@ -679,7 +666,7 @@ def zb_identity_residual(
     model: NoiseModel, coupling: ZeroBiasCoupling, test_fn: TestFn, n: int, seed: int
 ) -> RiskReport:
     """MC estimate of E<X-theta, f(X)> - sum_ij sigma_ij E d_j f_i(X^{ij})."""
-    reps = identity_residual(n, seed, coupling._centered, coupling.width, model.theta, [test_fn], "zb")
+    reps = identity_residual(n, seed, coupling._centered, model.theta, [test_fn], "zb")
     return reps[test_fn.name]
 
 
@@ -709,5 +696,5 @@ def coordinate_sum_residual(
         return {"residual": W * f(W) - chunk.weighted_partials(field)}
 
     acc = run(n, seed, coupling.d, coupling._centered,
-              in_blocks(residual, lambda chunk: not chunk.shared_only), coupling.width)["residual"]
+              in_blocks(residual, lambda chunk: not chunk.shared_only))["residual"]
     return report_from(acc, seed, label="zb-residual:coordinate-sum")

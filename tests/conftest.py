@@ -7,14 +7,13 @@ from steinshrink import _mc
 def joint_parts(coupling, n, seed):
     """The joint chunks of a coupling's stream of n rows: each draw task's
     part, in row order, as `_mc.run` draws them."""
-    return _mc.draw_parts(n, seed, coupling.d, coupling._centered, coupling.width)
+    return _mc.draw_parts(n, seed, coupling.d, coupling._centered)
 
 
 def kernel_parts(kernel, model, n, seed):
     """The identity chunks of a Stein kernel on the model's n draws: each
     draw task's part, in row order, as `_mc.run` draws them."""
-    draw, width = kernel.stream(model)
-    return _mc.draw_parts(n, seed, model.d, draw, width)
+    return _mc.draw_parts(n, seed, model.d, kernel.stream(model))
 
 
 def assert_zero_within(report, k=3.0, floor=1e-12):

@@ -100,10 +100,10 @@ def test_identity_check_rows_equal_single_function_residuals(tmp_path):
 
 @pytest.mark.parametrize("label, chunks", [("gaussian", 3), ("sphere-shifted", 12)])
 def test_identity_check_draws_each_row_once(tmp_path, monkeypatch, label, chunks):
-    # one Stein-kernel row (chunks of 3000 draws of d = 6, 12 draw tasks
-    # each) and one coupling row (750 joint draws, sized for 4 d, 3 tasks
-    # each): one pass feeds all three test functions of the row, so each
-    # draw task of each chunk of its stream is drawn once
+    # one Stein-kernel row and one coupling row, each over chunks of 3000
+    # draws of d = 6, 12 draw tasks each, the plan of (n, d) that every
+    # stream has: one pass feeds all three test functions of the row, so
+    # each draw task of each chunk of its stream is drawn once
     from steinshrink import _mc
 
     monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 3000 * 6)
@@ -116,12 +116,12 @@ def test_identity_check_draws_each_row_once(tmp_path, monkeypatch, label, chunks
         return real(stream, index, task)
 
     monkeypatch.setattr(_mc, "substream", counted)
-    code, out = _run(tmp_path, label, "identity-check", "--model", label, "--reps", "9000",
-                     "--seed", "5")
+    code, out = _run(tmp_path, label, "identity-check", "--model", label,
+                     "--reps", str(3000 * chunks), "--seed", "5")
     assert code == 0
     assert len(_data_rows(out)[2]) == 3
-    tasks = len(_mc._draw_cuts(9000 // chunks, 6)) - 1
-    assert tasks == {3: 12, 12: 3}[chunks]
+    tasks = len(_mc._draw_cuts(3000, 6)) - 1
+    assert tasks == 12
     assert sorted(calls) == [(5, i, k) for i in range(chunks) for k in range(tasks)]
 
 
@@ -308,6 +308,12 @@ def test_usage_errors_exit_two(tmp_path):
                      id="adaptivity-d-above-cap"),
         pytest.param(["sure", "--select-lambda", "--d", "100000000", "--reps", "2"], None,
                      id="select-lambda-d-above-cap"),
+        # a coordinate moment of the bounds that overflows a double, refused where
+        # `NoiseModel.moments` takes it, before anything is drawn
+        *(pytest.param(["risk", "--model", model, "--sigma", sigma, "--bounds", "--d", "8",
+                        "--lambda", "6", "--reps", "50"], None, id=f"{model}-moment-overflows")
+          for model, sigma in (("laplace", "1e50"), ("uniform", "1e80"), ("gaussian", "1e50"),
+                               ("smoothed-rademacher", "1e50"))),
     ],
 )
 def test_bad_parameters_exit_two(tmp_path, capsys, monkeypatch, args, config):
@@ -322,6 +328,35 @@ def test_bad_parameters_exit_two(tmp_path, capsys, monkeypatch, args, config):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, column",
+    [
+        pytest.param(["risk", "--sigma", "1e154"], "mean", id="risk-mean-inf"),
+        pytest.param(["sure", "--model", "laplace", "--sigma", "1e100", "--d", "8",
+                      "--lambda", "6"], "sure_mean", id="sure-mean-nan"),
+        pytest.param(["risk", "--theta", "scaled:1e154", "--d", "5"], "mean",
+                     id="risk-mean-minus-inf"),
+    ],
+)
+def test_non_finite_cells_exit_three(tmp_path, capsys, args, column):
+    # a statistic that overflows a double is refused where its row is
+    # written: exit 3, one stderr line, and no output file
+    out = tmp_path / "inf.csv"
+    assert main(args + ["--reps", "50", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {column} is ")
+    assert not out.exists()
+
+
+def test_blank_cells_are_kept(tmp_path):
+    # a bound that does not apply is a blank cell, not a non-finite one
+    code, out = _run(tmp_path, "blank", "risk", "--model", "laplace", "--bounds", "--d", "8",
+                     "--lambda", "6", "--reps", "50")
+    assert code == 0
+    _, header, rows = _data_rows(out)
+    assert rows[0].split(",")[header.index("bound_thm31")] == ""
 
 
 @pytest.mark.parametrize("d", ["0", "-2"])

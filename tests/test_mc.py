@@ -556,8 +556,8 @@ def test_gaussian_and_student_chunks_are_drawn_in_tasks(monkeypatch, model):
 
 
 def _library_stream(name, n, seed):
-    """(arrays drawn, chunk width) of a dense kernel's identity chunks or of
-    the square-bias construction, at d = 5."""
+    """The arrays drawn for a dense kernel's identity chunks or by the
+    square-bias construction, at d = 5."""
     d, k = 5, 6
     student = StudentT(d, k, "scaled:1")
     if name in ("average-kernel", "mixture-kernel"):
@@ -568,33 +568,31 @@ def _library_stream(name, n, seed):
             gauss = GaussianIso(d, student.sigma2)
             kernel = mixture_kernel([(gauss, gaussian_kernel(gauss.cov())),
                                      (StudentT(d, k), student_kernel(k, d))], [0.7, 0.3])
-        draw, width = kernel.stream(model)
-        chunks = _mc.draw_parts(n, seed, d, draw, width)
-        assert width == d * d
-        return [a for c in chunks for a in (c.X, c.terms[0].W.mats)], width
+        chunks = _mc.draw_parts(n, seed, d, kernel.stream(model))
+        return [a for c in chunks for a in (c.X, *(term.W.mats for term in c.terms))]
     if name == "construct-product":
-        return [zb_construct(ProductIID(d, Uniform1D(1.3), "scaled:1"), 2, n, seed)], d
+        return [zb_construct(ProductIID(d, Uniform1D(1.3), "scaled:1"), 2, n, seed)]
     draws, ess = zb_construct(SphereUniform(d, 1.0, "scaled:1"), 2, n, seed, return_ess=True)
-    return [draws, np.float64(ess)], 8 * d
+    return [draws, np.float64(ess)]
 
 
 @pytest.mark.parametrize("name", ["average-kernel", "mixture-kernel", "construct-product",
                                   "construct-sir"])
 def test_dense_kernels_and_construction_are_drawn_in_tasks(monkeypatch, name):
     # the mixture and average kernels' chunks and the square-bias
-    # construction are drawn in draw tasks: task k of chunk i from
-    # substream(seed, i, k) and no other stream, with the same bytes on 1
-    # and 3 threads
+    # construction are drawn in draw tasks of the chunks of (n, d), as every
+    # stream: task k of chunk i from substream(seed, i, k) and no other
+    # stream, with the same bytes on 1 and 3 threads
     n, seed = 300, 8
-    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 3000)  # 120 rows of width 25 a chunk
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 120 * 5)  # 120 rows of d = 5 a chunk
     outputs = []
     for threads in (1, 3):
         _force_tasks(monkeypatch, threads)
         made = _task_streams(monkeypatch)
-        arrays, width = _library_stream(name, n, seed)
-        keys = [(seed, i, k) for i, rows in chunk_plan(n, width)
+        arrays = _library_stream(name, n, seed)
+        keys = [(seed, i, k) for i, rows in chunk_plan(n, 5)
                 for k in range(len(_mc._draw_cuts(rows, 5)) - 1)]
-        assert len(keys) > len(list(chunk_plan(n, width)))
+        assert len(list(chunk_plan(n, 5))) == 3 and len(keys) > 3
         assert sorted(made) == keys
         outputs.append(b"".join(a.tobytes() for a in arrays))
     assert outputs[0] == outputs[1]
@@ -758,9 +756,9 @@ def _statistic_of(monkeypatch, call):
     """The `values` function that `call()` hands to `_mc.run` first."""
     seen = []
 
-    def recording(n, seed, d, draw, values, width=None):
+    def recording(n, seed, d, draw, values):
         seen.append(values)
-        return run(n, seed, d, draw, values, width)
+        return run(n, seed, d, draw, values)
 
     for module in (risk_lab, cli):
         monkeypatch.setattr(module, "run", recording)
@@ -788,7 +786,7 @@ def _drawing_rows_of(monkeypatch, X, part=lambda rows: rows):
 def _identity_chunk(kernel, theta):
     """The kernel's identity chunk of some rows, made by its stream's draw
     on a model that draws those rows."""
-    draw, _ = kernel.stream(SimpleNamespace(theta=theta, draw=lambda rows, _, empty: rows))
+    draw = kernel.stream(SimpleNamespace(theta=theta, draw=lambda rows, _, empty: rows))
     return lambda rows: draw(rows, len(rows), np.empty)
 
 
@@ -1049,8 +1047,8 @@ def _joint_passes(d, n, seed):
         "b-star-laplace": lambda: bound_b_star(coupling, 6.0, n, seed),
         "b-star-corrupt-mix": lambda: bound_b_star(coupling_for(corrupt), 6.0, n, seed),
         "discrepancy-mixture-kernel": lambda: discrepancy_stats(mixed, kernel, n, seed),
-        "identity-residual": lambda: identity_residual(n, seed, coupling._centered, coupling.width,
-                                                       laplace.theta, fns, "zb"),
+        "identity-residual": lambda: identity_residual(n, seed, coupling._centered, laplace.theta,
+                                                       fns, "zb"),
     }
 
 
@@ -1060,7 +1058,7 @@ def test_joint_results_do_not_depend_on_the_core_count(monkeypatch, name):
     # are cores for it: 1 and 2 usable cores give the same accumulators, bit
     # for bit, for the statistics of joint draws run in the draw tasks
     d, n, seed = 8, 700, 5
-    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 300 * 4 * d)  # B*: 300 rows a chunk
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 300 * d)  # 300 rows a chunk
     monkeypatch.setattr(_mc, "_DRAW_TASKS_PER_THREAD", 1)
     results = []
     for cores in (1, 2):
@@ -1090,13 +1088,23 @@ def _blocked_passes(d, n, seed):
     for name, model in (("student", student), ("laplace", laplace), ("corrupt-mix", corrupt)):
         coupling = coupling_for(model)
         passes[f"zb-{name}"] = (lambda c=coupling, m=model: identity_residual(
-            n, seed, c._centered, c.width, m.theta, fns, "zb"))
+            n, seed, c._centered, m.theta, fns, "zb"))
     for name, model in (("student", student), ("laplace", laplace)):
         passes[f"stein-{name}"] = (lambda m=model: identity_residual(
-            n, seed, *model_kernel(m).stream(m), m.theta, fns, "stein"))
+            n, seed, model_kernel(m).stream(m), m.theta, fns, "stein"))
     for name, coupling in (("mixture-unequal", unequal), ("sum-student", summed)):
         passes[f"zb-{name}"] = (lambda c=coupling: identity_residual(
-            n, seed, c._centered, c.width, c.theta, fns, "zb"))
+            n, seed, c._centered, c.theta, fns, "zb"))
+    # dense kernels, whose (rows, d, d) matrices are made from a block's rows
+    mixed = MixingCorruption(0.3, StudentT(d, 6), "scaled:1")
+    gauss_d = GaussianIso(d, student.sigma2)
+    pairs = [(gauss_d, gaussian_kernel(gauss_d.cov())), (StudentT(d, 6), student_kernel(6, d))]
+    dense = {"mixture-kernel": (mixed, mixture_kernel(pairs, [0.7, 0.3])),
+             "average-kernel": (student, average_kernel([student_kernel(6, d)] * 3))}
+    for name, (model, kernel) in dense.items():
+        passes[f"stein-{name}"] = (lambda m=model, k=kernel: identity_residual(
+            n, seed, k.stream(m), m.theta, fns, "stein"))
+        passes[f"discrepancy-{name}"] = (lambda m=model, k=kernel: discrepancy_stats(m, k, n, seed))
     passes.update({
         "b-star-laplace": lambda: bound_b_star(coupling_for(laplace), 6.0, n, seed),
         "b-star-student": lambda: bound_b_star(coupling_for(student), 6.0, n, seed),
@@ -1145,12 +1153,11 @@ def test_linear_map_rows_keep_their_bits_in_the_blocks_of_a_pass(monkeypatch, d,
     fn = linear_map(np.random.default_rng(d).normal(size=(d, d)))
     rows = max(_mc._BLOCK // d, _mc._JOINT_BLOCK_ROWS)
     n = 3 * rows + rows // 3 + 1
-    draw, width = ((*model_kernel(model).stream(model),) if kind == "stein"
-                   else (coupling_for(model)._centered, coupling_for(model).width))
+    draw = model_kernel(model).stream(model) if kind == "stein" else coupling_for(model)._centered
     monkeypatch.setattr(_mc, "_DRAW_TASK", (n // 2 + 3) * d)  # two tasks
 
     def call():
-        return identity_residual(n, 4, draw, width, model.theta, [fn], kind)
+        return identity_residual(n, 4, draw, model.theta, [fn], kind)
 
     blocked = _accumulators_of(monkeypatch, call)
     monkeypatch.setattr(_mc, "_BLOCK", 1 << 40)

@@ -183,7 +183,7 @@ def test_b_star_gaussian_fixed_point_draws_nothing(monkeypatch):
         g0.guard(chunk.X)
         return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)}
 
-    acc = _mc.run(n, seed, coupling.d, coupling._centered, difference, coupling.width)["b_star"]
+    acc = _mc.run(n, seed, coupling.d, coupling._centered, difference)["b_star"]
     want = ss.RiskReport(lam * abs(acc.mean), lam * acc.stderr, acc.n, seed, "b_star:lam=198")
 
     def no_draw(self, rng, rows, empty):
@@ -196,6 +196,23 @@ def test_b_star_gaussian_fixed_point_draws_nothing(monkeypatch):
     for bad in (0, -3):
         with pytest.raises(ParameterError):
             ss.bound_b_star(coupling, lam, bad, seed)
+
+
+def test_bound_b_star_draws_the_cli_pass_stream():
+    # the library's B* and the CLI's pass chunk the coupling's stream by
+    # (n, d) alike, so they score the same rows: equal bits, and the
+    # coupling's X is the model's draw
+    from steinshrink.estimation import JamesStein
+    from steinshrink.risk_lab import b_star_report, sure_pass
+
+    model = ss.ProductIID(200, ss.Laplace1D(1.0 / math.sqrt(2.0)))
+    coupling = ss.coupling_for(model)
+    n, seed, lam = 20000, 3, 198.0
+    got = ss.bound_b_star(coupling, lam, n, seed)
+    want = b_star_report(sure_pass(model, JamesStein(lam), n, seed, coupling), lam, n, seed)
+    assert got == want and got.mean > 0
+    X, _ = coupling.pair_sampler(0, 0, n, seed)
+    assert X.tobytes() == model.sample(n, seed).tobytes()
 
 
 def test_b_star_student_nonzero_theta_bound():

@@ -389,11 +389,12 @@ def test_zb_construct_sphere_matches_ball():
 
 def test_zb_construct_weighs_each_task_ess_by_its_rows(monkeypatch):
     # two chunks of two 64-row draw tasks and a 3-row remainder task: the
-    # effective sample size is each task's Kish fraction 1 / (pool sum p^2),
-    # computed here from the SIR weights p ~ x_i^2 of the candidates its
-    # substream draws first, times that task's rows, summed
+    # effective sample size is each task's Kish fraction 1 / (m sum p^2) of
+    # its m = rows * pool candidates, computed here from the SIR weights
+    # p ~ x_i^2 of the candidates its substream draws first, times that
+    # task's rows, summed; each fraction is in (0, 1], so it is at most n
     d, i, n, seed, pool = 8, 2, 2 * 128 + 3, 17, 64
-    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 128 * 8 * d)  # 128 rows a chunk
+    monkeypatch.setattr(_mc, "_CHUNK_BUDGET", 128 * d)  # 128 rows a chunk
     monkeypatch.setattr(_mc, "_DRAW_TASK", 64 * d)  # 64 rows a task
     model = ss.SphereUniform(d, 1.0, "scaled:1")
     _, ess = ss.zb_construct(model, i, n, seed, return_ess=True)
@@ -402,10 +403,22 @@ def test_zb_construct_weighs_each_task_ess_by_its_rows(monkeypatch):
     for chunk, task, m in rows:
         w = model._draw(_mc.substream(seed, chunk, task), m * pool)[:, i] ** 2
         p = w / w.sum()
-        fractions.append(1.0 / np.sum(p * p) / pool)
+        fractions.append(1.0 / np.sum(p * p) / (m * pool))
+    assert all(0.0 < f <= 1.0 for f in fractions)
     assert ess == pytest.approx(sum(m * f for (_, _, m), f in zip(rows, fractions)), rel=1e-12)
+    assert ess <= n
     # the 3-row task weighs 3/259, not a fifth as in a plain mean of fractions
     assert ess != pytest.approx(np.mean(fractions) * n, rel=1e-3)
+
+
+@pytest.mark.parametrize("d, n", [(4, 60_000), (6, 30_000)])
+def test_zb_construct_ess_of_the_sphere_is_a_count_below_n(d, n):
+    # on the sphere x_i^2 / ||x||^2 ~ Beta(1/2, (d-1)/2), whose weights give a
+    # Kish fraction (E w)^2 / E w^2 = (d + 2) / (3 d), so the ESS is about
+    # that share of the n draws
+    _, ess = ss.zb_construct(ss.SphereUniform(d, 1.0), 2, n, 21, return_ess=True)
+    assert ess <= n
+    assert ess == pytest.approx((d + 2) / (3 * d) * n, rel=0.02)
 
 
 def test_square_bias_oracle_identity():
@@ -481,7 +494,7 @@ def test_identity_residual_needs_distinct_test_function_names():
     coupling = ss.couple_student(6, 6)
     fns = [linear_map(np.eye(6)), linear_map(2.0 * np.eye(6))]
     with pytest.raises(ParameterError, match="distinct names"):
-        identity_residual(100, 1, coupling._centered, coupling.width, coupling.theta, fns, "zb")
+        identity_residual(100, 1, coupling._centered, coupling.theta, fns, "zb")
 
 
 def test_residual_product_laplace_g0_high_dimension(monkeypatch):
@@ -569,7 +582,7 @@ def test_student_coupling_tasks_keep_the_formula_bits(monkeypatch, threads):
         (term,) = chunk.terms
         assert chunk.X.tobytes() == X_rows[-1].tobytes() and term.P.tobytes() == P_rows[-1].tobytes()
     accs = _mc.run(rows, 3, 9, coupling._centered,
-                   lambda chunk: {"x": chunk.X[:, 1], "p": chunk.terms[0].P[:, 2]}, coupling.width)
+                   lambda chunk: {"x": chunk.X[:, 1], "p": chunk.terms[0].P[:, 2]})
     for name, want in (("x", np.concatenate(X_rows)[:, 1]), ("p", np.concatenate(P_rows)[:, 2])):
         ref = _mc.Accumulator()
         ref.add(want)
@@ -584,7 +597,7 @@ def test_student_coupling_splits_g_by_an_independent_beta():
     d, k, n, seed = 64, 6, 32_000, 61
     model = ss.StudentT(d, k, "scaled:1")
     coupling = StudentGammaCoupling(model)
-    assert len(list(_mc.chunk_plan(n, coupling.width))) == 1  # each task on substream (seed, 0, t)
+    assert len(list(_mc.chunk_plan(n, d))) == 1  # each task on substream (seed, 0, t)
     parts = joint_parts(coupling, n, seed)
     cuts = np.cumsum([0] + [len(part.X) for part in parts])
     gs, Bs = [], []
