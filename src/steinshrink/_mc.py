@@ -16,9 +16,10 @@ The tasks run in turn on threads started by `_in_turn`.  A statistic that
 builds several `(rows, d)` temporaries per row is wrapped by `in_blocks`,
 which evaluates it one row block of `_BLOCK` doubles (for a joint chunk or
 a statistic of many numpy calls, at least `_JOINT_BLOCK_ROWS` rows) at a
-time, so its temporaries stay near cache and no task-sized one is made;
-terms wider than a row of d (a dense kernel's `(rows, d, d)` matrices) are
-made afresh from each block's rows.
+time, so its temporaries stay near cache and no task-sized one is made.
+A kernel's weights, and terms wider than a row of d (a dense kernel's
+`(rows, d, d)` matrices), are made afresh from each block's rows, so a
+kernel's draw holds X alone.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ from .stein_kernels import (
     student_kernel,
 )
 from .testfns import coordinate_quadratic, linear_map, shrink_direction
-from .theta import parse_theta
+from .theta import MAX_DIM, parse_theta
 from .zero_bias import FourPointCoupling, coupling_for, identity_residual
 
 
@@ -156,6 +156,8 @@ def _dims(text: str) -> list[int]:
         dims = []
     if not dims or min(dims) < 1:
         raise ValueError("expected comma-separated integers >= 1")
+    if max(dims) > MAX_DIM:
+        raise ValueError(f"dimension {max(dims)} is above the cap of 2^26 = {MAX_DIM}")
     return dims
 
 
@@ -334,10 +336,18 @@ def resolve_config(args: Args) -> dict:
 def _unread_model_options(cfg: dict) -> set:
     """The options of `_MODEL` that `build_model` does not read for this model:
     --eps and --outlier but for the corrupt models, --k but for Student noise,
-    a Student outlier included."""
-    corrupt = cfg["model"] in ("corrupt-add", "corrupt-mix")
-    student = cfg["model"] == "student" or (corrupt and cfg["outlier"] == "student")
-    return (set() if corrupt else {"eps", "outlier"}) | (set() if student else {"k"})
+    a Student outlier included, --sigma for Student and four-point noise, a
+    Student outlier included, and --pinsker but for Gaussian noise and the
+    product laws."""
+    model = cfg["model"]
+    corrupt = model in ("corrupt-add", "corrupt-mix")
+    student = model == "student" or (corrupt and cfg["outlier"] == "student")
+    unread = (set() if corrupt else {"eps", "outlier"}) | (set() if student else {"k"})
+    if student or model == "four-point":
+        unread.add("sigma")
+    if corrupt or model in ("student", "sphere", "ball", "four-point"):
+        unread.add("pinsker")
+    return unread
 
 
 def _refuse(given: set, unread: set, what: str) -> None:
@@ -348,26 +358,13 @@ def _refuse(given: set, unread: set, what: str) -> None:
 
 
 def build_model(cfg: dict) -> NoiseModel:
+    """The noise model of `cfg`, which reads --sigma and --pinsker only for
+    the laws that take them (`_unread_model_options`)."""
     d = cfg["d"]
     theta = parse_theta(cfg["theta"], d)
-    sigma, sigma2 = cfg["sigma"], _squared(cfg, "sigma")
-    scaling = "pinsker" if cfg["pinsker"] else None
     name = cfg["model"]
-    if name == "gaussian":
-        return GaussianIso(d, sigma2, theta, scaling=scaling)
     if name == "student":
         return StudentT(d, cfg["k"], theta)
-    if name == "sphere":
-        return SphereUniform(d, sigma, theta)
-    if name == "ball":
-        return BallUniform(d, sigma, theta)
-    if name == "laplace":
-        return ProductIID(d, Laplace1D(sigma / math.sqrt(2.0)), theta, scaling=scaling)
-    if name == "uniform":
-        return ProductIID(d, Uniform1D(sigma * math.sqrt(3.0)), theta, scaling=scaling)
-    if name == "smoothed-rademacher":
-        c = sigma * math.sqrt(0.99)
-        return ProductIID(d, SmoothedRademacher1D(c, 0.1 * sigma), theta, scaling=scaling)
     if name == "corrupt-add":
         return AdditiveCorruption(cfg["eps"], _outlier(cfg), theta)
     if name == "corrupt-mix":
@@ -376,6 +373,21 @@ def build_model(cfg: dict) -> NoiseModel:
         if d != 2:
             raise ParameterError(f"the four-point model is two-dimensional; got --d {d}, pass --d 2")
         return FourPointDegenerate(theta)
+    sigma, sigma2 = cfg["sigma"], _squared(cfg, "sigma")
+    if name == "sphere":
+        return SphereUniform(d, sigma, theta)
+    if name == "ball":
+        return BallUniform(d, sigma, theta)
+    scaling = "pinsker" if cfg["pinsker"] else None
+    if name == "gaussian":
+        return GaussianIso(d, sigma2, theta, scaling=scaling)
+    if name == "laplace":
+        return ProductIID(d, Laplace1D(sigma / math.sqrt(2.0)), theta, scaling=scaling)
+    if name == "uniform":
+        return ProductIID(d, Uniform1D(sigma * math.sqrt(3.0)), theta, scaling=scaling)
+    if name == "smoothed-rademacher":
+        c = sigma * math.sqrt(0.99)
+        return ProductIID(d, SmoothedRademacher1D(c, 0.1 * sigma), theta, scaling=scaling)
     raise ParameterError(f"unknown model {name!r}")
 
 
@@ -384,10 +396,11 @@ def _outlier(cfg: dict) -> NoiseModel:
     d = cfg["d"]
     if kind == "student":
         return StudentT(d, cfg["k"])
+    sigma2 = _squared(cfg, "sigma")
     if kind == "laplace":
         return ProductIID(d, Laplace1D(cfg["sigma"] / math.sqrt(2.0)))
     if kind == "gaussian":
-        return GaussianIso(d, _squared(cfg, "sigma"))
+        return GaussianIso(d, sigma2)
     raise ParameterError(f"unknown outlier {kind!r}")
 
 
@@ -417,12 +430,17 @@ def _zb_coupling(model: NoiseModel, kind: str):
 
 def _squared(cfg: dict, key: str) -> float:
     """cfg[key] ** 2, for a noise scale, a norm or a lambda; a usage error
-    where the square overflows, as it does from about 1.3e154 on."""
+    where the square overflows, as it does from about 1.3e154 on, or where a
+    nonzero value's square underflows to 0, which would run the law of 0."""
     try:
-        return cfg[key] ** 2
+        square = cfg[key] ** 2
     except OverflowError:
         raise ParameterError(f"{_OPTIONS[key].flag} {cfg[key]!r} is too large: "
                              "its square overflows") from None
+    if square == 0.0 and cfg[key] != 0.0:
+        raise ParameterError(f"{_OPTIONS[key].flag} {cfg[key]!r} is too small: "
+                             "its square underflows to 0")
+    return square
 
 
 def _parse_grid(spec: str):
@@ -641,13 +659,20 @@ def cmd_sphere_demo(cfg: dict) -> CsvWriter:
     c_low, c_high, sigma2 = cfg["c_low"], cfg["c_high"], _squared(cfg, "sigma")
     if c_low <= 1:
         raise ParameterError("the lower norm ratio must exceed 1")
+    try:
+        low = (math.sqrt(c_low) - 1.0) ** 3
+    except OverflowError:
+        raise ParameterError(f"--c-low {c_low!r} is too large: "
+                             "(sqrt(c_low) - 1)^3 overflows") from None
+    if low == 0.0:
+        raise ParameterError(f"--c-low {c_low!r} is too close to 1: sqrt(c_low) rounds to 1")
     w = CsvWriter(cfg["out"], cfg, cfg["seed"])
-    crossing = 4.0 * (math.sqrt(c_high) + 1.0) ** 2 / (math.sqrt(c_low) - 1.0) ** 3
+    crossing = 4.0 * (math.sqrt(c_high) + 1.0) ** 2 / low
     w.comment(f"certified improvement for d > {crossing:.17g}")
     w.header(["d", "gain_term", "two_b_star_closed", "improves"])
     for d in cfg["d_list"]:
         gain = -sigma2 * (d - 2.0) ** 2 / ((math.sqrt(c_high) + 1.0) ** 2 * d)
-        two_bstar = 4.0 * sigma2 * (d - 2.0) ** 2 / ((math.sqrt(c_low) - 1.0) ** 3 * d**2)
+        two_bstar = 4.0 * sigma2 * (d - 2.0) ** 2 / (low * d**2)
         w.row([d, gain, two_bstar, gain + two_bstar < 0.0])
     return w
 

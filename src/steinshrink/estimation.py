@@ -278,7 +278,7 @@ def sure_kernel(x, estimator: EstimatorSpec, kernel: SteinKernel, theta) -> floa
         x,
         estimator,
         kernel.sigma.trace(),
-        lambda X, sq: estimator.contract(X, kernel.as_weights(X - theta)),
+        lambda X, sq: kernel.at(X, theta).weighted_partials(estimator)[0],
     )
 
 
@@ -295,7 +295,7 @@ def sure_zero_bias_mean(
     def risk(chunk):
         fx = estimator.f(chunk.X, define_zero=True)
         vals = trace_sigma + np.einsum("mi,mi->m", fx, fx)
-        return {"risk": vals + 2.0 * chunk.weighted_partials(estimator)}
+        return {"risk": vals + 2.0 * chunk.weighted_partials(estimator)[0]}
 
     acc = run(n, seed, coupling.d, coupling._centered, in_blocks(risk))["risk"]
     return report_from(acc, seed, label=f"sure-zb:{estimator.kind}")

@@ -233,7 +233,7 @@ def b_star_values(coupling: ZeroBiasCoupling):
 
     def difference(chunk):
         g0.guard(chunk.X)
-        return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, coupling.sigma)}
+        return {"b_star": chunk.weighted_partials(g0)[0] - g0.contract(chunk.X, coupling.sigma)}
 
     return in_blocks(difference, lambda chunk: not chunk.shared_only)
 

@@ -5,21 +5,23 @@ fixed matrix, diagonal, linear images of these) and hand them to the test
 functions as `Weights`, so a contraction <T, grad f> costs O(rows * d) and
 no per-row (d, d) matrix is built.  Only the mixture and average kernels,
 which have no such structure, build per-row dense matrices, from the pick
-or the copies their identity chunks keep, one row block of `_mc.in_blocks`
-at a time, so no pass holds a draw task's.
+or the copies their identity chunks keep.
 
 In zero-bias terms a kernel is one shared term whose point is X and whose
 weights are T(X - theta): `SteinKernel.stream` draws the same identity
 chunks (`zero_bias.JointChunk`) as a coupling, and one residual serves both
-identities.  `discrepancy_stats` measures how far a kernel sits from its
-covariance, the quantity that drives the non-Gaussian risk and SURE-bias
-bounds.
+identities.  A kernel's identity chunk holds X and the sources of T, and
+one hook, `_terms(theta, X, *sources)`, makes the weights from a row
+block's rows (`zero_bias._Lazy`), once for every test function of the block.
+`discrepancy_stats` measures how far a kernel sits from its covariance, the
+quantity that drives the non-Gaussian risk and SURE-bias bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,9 +49,8 @@ class SteinKernel:
         raise NotImplementedError
 
     def as_weights(self, Y: np.ndarray) -> Weights:
-        """T(y) per row in structured form, which may overwrite Y; subclasses
-        with structure override this dense fallback."""
-        return DenseWeights(self.matrices(Y))
+        """T(y) per row in structured form, which may overwrite Y."""
+        raise NotImplementedError
 
     def frob_dev(self, W: Weights):
         """||W - Sigma||_F^2 = ||W||^2 - 2 <W, Sigma> + ||Sigma||^2, rowwise,
@@ -58,22 +59,27 @@ class SteinKernel:
 
     def stream(self, model: NoiseModel):
         """The draw of `_mc.run` for identity chunks of the model's draws
-        (`at`)."""
+        (`_joint_draw`, then `at`)."""
 
         def draw(rng, rows, empty):
-            return self.at(model.draw(rng, rows, empty), model.theta, empty)
+            X, *sources = self._joint_draw(model, rng, rows, empty)
+            return self.at(X, model.theta, *sources)
 
         return draw
 
-    def at(self, X, theta, empty=np.empty) -> JointChunk:
-        """The identity chunk of draws X: one shared term at X, weighted
-        T(X - theta), built in buffers of `empty`."""
-        return JointChunk(X, (Shared(X, self._weights_at(X, theta, empty)),))
+    def _joint_draw(self, model, rng, rows, empty):
+        """X, drawn in buffers of `empty`, and the sources of T beside X:
+        none for a pointwise kernel, whose X is the model's draw."""
+        return (model.draw(rng, rows, empty),)
 
-    def _weights_at(self, X, theta, empty) -> Weights:
-        """T(X - theta) of a draw task's rows, X - theta written into a buffer
-        of `empty` that the weights may keep or overwrite."""
-        return self.as_weights(np.subtract(X, theta, out=empty(X.shape)))
+    def at(self, X, theta, *sources) -> JointChunk:
+        """The identity chunk of draws X: one shared term at X, weighted T,
+        made by `_terms` from the rows of each block it is scored on."""
+        return JointChunk(X, _Lazy(partial(self._terms, theta), X, *sources))
+
+    def _terms(self, theta, X):
+        """The shared term of rows X: T(X - theta) at X."""
+        yield Shared(X, self.as_weights(X - theta))
 
 
 def _symmetric(matrix) -> np.ndarray:
@@ -98,8 +104,8 @@ class ConstantKernel(SteinKernel):
     def as_weights(self, Y):
         return self.sigma
 
-    def _weights_at(self, X, theta, empty):
-        return self.sigma  # T does not depend on X - theta, so it is not formed
+    def _terms(self, theta, X):
+        yield Shared(X, self.sigma)  # T does not depend on X - theta, so it is not formed
 
     def frob_dev(self, W):
         return 0.0  # T is Sigma
@@ -287,20 +293,18 @@ def transform_kernel(kernel: SteinKernel, A) -> TransformedKernel:
 
 
 class _JointKernel(SteinKernel):
-    """A kernel of joint samples, with no pointwise `matrices`: a draw
-    task's identity chunk keeps X and the sources of its T (`_joint_draw`),
-    and `_terms(X, *sources)` makes the `(rows, d, d)` matrices afresh from
-    a row block's rows (`zero_bias._Lazy`)."""
+    """A kernel of joint samples, with no pointwise `matrices` or weights: a
+    draw task's identity chunk keeps X and the copies or the pick its T is
+    made of (`_joint_draw`), and `_terms` makes the `(rows, d, d)` matrices
+    from a row block's rows."""
 
     def matrices(self, Y):
         raise ParameterError(f"{self.construction} kernel is defined on joint samples only")
 
-    def stream(self, model: NoiseModel):
-        def draw(rng, rows, empty):
-            X, *sources = self._joint_draw(model, rng, rows, empty)
-            return JointChunk(X, _Lazy(self._terms, X, *sources))
-
-        return draw
+    def at(self, X, theta, *sources):
+        if not sources:  # draws alone, as `sure_kernel` and `discrepancy_of` pass them
+            raise ParameterError(f"{self.construction} kernel is defined on joint samples only")
+        return super().at(X, theta, *sources)
 
 
 class AverageKernel(_JointKernel):
@@ -333,7 +337,7 @@ class AverageKernel(_JointKernel):
         X += model.theta
         return X, *draws
 
-    def _terms(self, X, *draws):
+    def _terms(self, theta, X, *draws):
         mats = sum(k.matrices(y) for k, y in zip(self.kernels, draws))
         mats /= len(draws)
         yield Shared(X, DenseWeights(mats))
@@ -368,7 +372,7 @@ class MixtureKernel(_JointKernel):
                 Y[sel] = comp._draw(rng, sel.size)
         return np.add(Y, model.theta, out=empty((rows, self.d))), Y, pick
 
-    def _terms(self, X, Y, pick):
+    def _terms(self, theta, X, Y, pick):
         mats = np.empty((len(Y), self.d, self.d))
         for s, (_, kern) in enumerate(self.pairs):
             sel = np.flatnonzero(pick == s)
@@ -411,24 +415,25 @@ class DiscrepancyStats:
 
 def discrepancy_values(kernel: SteinKernel, chunk) -> dict:
     """Tr T and ||T - Sigma||_F^2 per row of one of the kernel's identity
-    chunks (`kernel.at`, or `kernel.stream` for a kernel defined on joint
-    samples only), read off the weights the chunk carries or makes."""
+    chunks (`kernel.at`, `kernel.stream`), read off the weights it makes."""
     (term,) = chunk.terms
     rows = chunk.X.shape[0]
     return {"trace": _per_row(term.W.trace(), rows),
             "frob": _per_row(kernel.frob_dev(term.W), rows)}
 
 
-def discrepancy_of(kernel: SteinKernel, theta):
-    """`discrepancy_values` as a per-row statistic of draws X: the weights
-    T(X - theta) are built one row block of at least 64 rows at a time
-    (`_mc.in_blocks`), so they hold one block, not a draw task's rows; a
-    constant kernel builds no weights and is scored whole."""
-
-    def values(X):
-        return discrepancy_values(kernel, kernel.at(X, theta))
-
+def _blocked(kernel: SteinKernel, values):
+    """`values` of a part, scored one row block of at least 64 rows at a
+    time (`_mc.in_blocks`), so the kernel's weights hold one block, not a
+    draw task's rows; a constant kernel builds no weights and is scored
+    whole."""
     return values if isinstance(kernel, ConstantKernel) else in_blocks(values)
+
+
+def discrepancy_of(kernel: SteinKernel, theta):
+    """`discrepancy_values` as a per-row statistic of draws X, in the
+    blocks of `_blocked`."""
+    return _blocked(kernel, lambda X: discrepancy_values(kernel, kernel.at(X, theta)))
 
 
 def discrepancy_from(accs: dict, seed: int) -> DiscrepancyStats:
@@ -449,15 +454,11 @@ def discrepancy_from(accs: dict, seed: int) -> DiscrepancyStats:
 
 
 def discrepancy_stats(model: NoiseModel, kernel: SteinKernel, n: int, seed: int) -> DiscrepancyStats:
-    """DiscrepancyStats over n draws of the model from `seed`: T(X - theta)
-    on the model's draws X, as the CLI's passes score it (`discrepancy_of`),
-    or, for a kernel defined on joint samples only, on its own identity
-    chunks (`stream`), whose T is made one row block at a time."""
-    if isinstance(kernel, _JointKernel):
-        accs = run(n, seed, model.d, kernel.stream(model),
-                   in_blocks(lambda chunk: discrepancy_values(kernel, chunk)))
-    else:
-        accs = run(n, seed, model.d, model.draw, discrepancy_of(kernel, model.theta))
+    """DiscrepancyStats over n draws of the model from `seed`: T on the
+    kernel's identity chunks (`stream`), in the blocks the CLI's passes
+    score them in (`discrepancy_of`)."""
+    accs = run(n, seed, model.d, kernel.stream(model),
+               _blocked(kernel, lambda chunk: discrepancy_values(kernel, chunk)))
     return discrepancy_from(accs, seed)
 
 

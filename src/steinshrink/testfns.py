@@ -37,7 +37,9 @@ def _per_row(value, rows: int) -> np.ndarray:
 class Weights:
     """Per-row weight matrices W_m, seen only through O(rows * d) reductions.
 
-    Reductions may return a scalar when W does not vary with the row.
+    Reductions may return a scalar when W does not vary with the row.  A
+    kernel's weights are made for the rows of one block and are never
+    sliced: a block of other rows makes its own (`SteinKernel._terms`).
     """
 
     def trace(self):
@@ -66,10 +68,6 @@ class Weights:
 
     def scaled(self, a: float) -> "Weights":
         """The weights a W_m."""
-        raise NotImplementedError
-
-    def rows(self, a: int, b: int) -> "Weights":
-        """The weights of rows a:b."""
         raise NotImplementedError
 
 
@@ -116,9 +114,6 @@ class FixedWeights(Weights):
 
     def scaled(self, a):
         return FixedWeights(a * self.matrix, self.scale)
-
-    def rows(self, a, b):
-        return self if self.scale is None else self.rescaled(self.scale[a:b])
 
     def rescaled(self, scale) -> "FixedWeights":
         """The weights scale_m M of this M."""
@@ -172,9 +167,6 @@ class DiagonalWeights(Weights):
     def scaled(self, a):
         return DiagonalWeights(a * self.diag, self.basis)
 
-    def rows(self, a, b):
-        return self if len(self.diag) == 1 else DiagonalWeights(self.diag[a:b], self.basis)
-
 
 class DenseWeights(Weights):
     """Per-row dense matrices (rows, d, d), for kernels without structure."""
@@ -196,9 +188,6 @@ class DenseWeights(Weights):
 
     def frob_sq(self):
         return np.einsum("mij,mij->m", self.mats, self.mats)
-
-    def rows(self, a, b):
-        return DenseWeights(self.mats[a:b])
 
 
 # ---------------------------------------------------------------------------

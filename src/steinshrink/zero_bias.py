@@ -16,11 +16,12 @@ without a special structure.
 A `JointChunk` carries X and those terms.  It is the one identity chunk of
 the package: a coupling's draw (`_centered`) makes one per draw task of
 `_mc.run`, and so does a Stein kernel's draw, as one shared term at X with
-weights T(X - theta) (`SteinKernel.stream`), so `identity_residual` serves
-the Stein and the zero-bias identities alike.  The couplings of the CLI's
-models draw X with the model's own calls before the companions, so their
-joint chunks over the model's chunk plan hold the model's draws of X, and
-one pass scores a statistic of X beside B* (`risk_lab.guarded_pass`).
+weights T, made from each row block's rows (`SteinKernel.stream`), so
+`identity_residual` serves the Stein and the zero-bias identities alike.
+The couplings of the CLI's models draw X with the model's own calls before
+the companions, so their joint chunks over the model's chunk plan hold the
+model's draws of X, and one pass scores a statistic of X beside B*
+(`risk_lab.guarded_pass`).
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ def _moved(term, move, weights):
 
 class _Lazy:
     """Terms made afresh on each pass, one at a time, so no chunk holds d of
-    them, nor a dense kernel's `(rows, d, d)` matrices: `make(*sources)`
-    yields them from the arrays and joint chunks they are built of, and a
-    row block's terms are made from the block's rows (`JointChunk.rows`)."""
+    them, nor a kernel's weights: `make(*sources)` yields them from the
+    arrays and joint chunks they are built of, and a row block's terms are
+    made from the block's rows (`JointChunk.rows`).  A pass that contracts
+    several fields walks them once (`JointChunk.weighted_partials`)."""
 
     def __init__(self, make, *sources):
         self._make = make
@@ -86,22 +88,24 @@ class JointChunk:
         self.X = X
         self.terms = terms
 
-    def weighted_partials(self, field) -> np.ndarray:
-        """sum_ij sigma_ij d_j f_i(X^{ij}) rowwise, for a field with `guard`,
-        `contract` and `contract_replaced` (a TestFn or an estimator).
+    def weighted_partials(self, *fields) -> list:
+        """sum_ij sigma_ij d_j f_i(X^{ij}) rowwise for each field with
+        `guard`, `contract` and `contract_replaced` (a TestFn or an
+        estimator), in the order given, from one walk over the terms.
 
         A shared point is guarded unless it is X itself: every caller guards
         X once per chunk already."""
-        total = None
+        totals = [None] * len(fields)
         for term in self.terms:
-            if isinstance(term, Shared):
-                if term.P is not self.X:
-                    field.guard(term.P)
-                value = field.contract(*term)
-            else:
-                value = field.contract_replaced(*term)
-            total = value if total is None else total + value
-        return _per_row(total, self.X.shape[0])
+            for k, field in enumerate(fields):
+                if isinstance(term, Shared):
+                    if term.P is not self.X:
+                        field.guard(term.P)
+                    value = field.contract(*term)
+                else:
+                    value = field.contract_replaced(*term)
+                totals[k] = value if totals[k] is None else totals[k] + value
+        return [_per_row(total, self.X.shape[0]) for total in totals]
 
     @property
     def shared_only(self) -> bool:
@@ -111,9 +115,10 @@ class JointChunk:
         return isinstance(self.terms, tuple) and all(isinstance(t, Shared) for t in self.terms)
 
     def rows(self, a: int, b: int) -> "JointChunk":
-        """Rows a:b: X, every term's arrays and its per-row weights, or the
-        sources of terms made afresh.  A shared point or source that is X
-        stays X, so `weighted_partials` still skips its guard."""
+        """Rows a:b: X and every term's arrays, or the sources of terms made
+        afresh; a drawn term's weights are the same on every row.  A shared
+        point or source that is X stays X, so `weighted_partials` still
+        skips its guard."""
         X = self.X[a:b]
 
         def cut(points):
@@ -124,7 +129,7 @@ class JointChunk:
         if isinstance(self.terms, _Lazy):
             return JointChunk(X, _Lazy(self.terms._make, *map(cut, self.terms._sources)))
         return JointChunk(X, tuple(
-            Shared(cut(term.P), term.W.rows(a, b)) if isinstance(term, Shared)
+            Shared(cut(term.P), term.W) if isinstance(term, Shared)
             else Replaced(cut(term.B), cut(term.R), term.w) for term in self.terms))
 
     def _single(self):
@@ -644,18 +649,19 @@ def identity_residual(n: int, seed: int, draw, theta, test_fns: list[TestFn],
     """MC estimates of E<X-theta, f(X)> minus the mean of the weighted
     partials of the joint chunks `draw` makes (a coupling's `_centered`, a
     kernel's `stream`), the residual of the identity they carry (0 when it
-    holds), for each test function from one pass; reports by function name,
-    labelled `<kind>-residual:<name>`."""
+    holds), for each test function from one pass, which makes a row block's
+    terms once for all of them; reports by function name, labelled
+    `<kind>-residual:<name>`."""
     if len({fn.name for fn in test_fns}) < len(test_fns):
         raise ParameterError("test functions in one pass need distinct names")
 
     def residuals(chunk):
-        X, out = chunk.X, {}
+        X = chunk.X
         for fn in test_fns:
             fn.guard(X)
-            lhs = np.einsum("mi,mi->m", X - theta, fn.f(X))
-            out[fn.name] = lhs - chunk.weighted_partials(fn)
-        return out
+        rhs = chunk.weighted_partials(*test_fns)
+        return {fn.name: np.einsum("mi,mi->m", X - theta, fn.f(X)) - partials
+                for fn, partials in zip(test_fns, rhs)}
 
     accs = run(n, seed, len(theta), draw, in_blocks(residuals))
     return {fn.name: report_from(accs[fn.name], seed, f"{kind}-residual:{fn.name}")
@@ -693,7 +699,7 @@ def coordinate_sum_residual(
 
     def residual(chunk):
         W = wsum(chunk.X)
-        return {"residual": W * f(W) - chunk.weighted_partials(field)}
+        return {"residual": W * f(W) - chunk.weighted_partials(field)[0]}
 
     acc = run(n, seed, coupling.d, coupling._centered,
               in_blocks(residual, lambda chunk: not chunk.shared_only))["residual"]

@@ -295,6 +295,18 @@ def test_usage_errors_exit_two(tmp_path):
         pytest.param(["adaptivity", "--c", "1e200"], None, id="c-square-overflows"),
         pytest.param(["risk", "--lambda", "1e200"], None, id="lambda-square-overflows"),
         pytest.param(["sure", "--lambda", "1e200"], None, id="sure-lambda-square-overflows"),
+        # a nonzero number whose square underflows to 0, which would run the law of 0
+        pytest.param(["risk", "--sigma", "1e-200", "--reps", "10"], None,
+                     id="sigma-square-underflows"),
+        pytest.param(["adaptivity", "--model", "laplace", "--sigma", "1e-200"], None,
+                     id="adaptivity-sigma-square-underflows"),
+        # a lower norm ratio whose (sqrt(c_low) - 1)^3 overflows or is 0, and a
+        # dimension above the cap
+        pytest.param(["sphere-demo", "--c-low", "1e206"], None, id="sphere-c-low-overflows"),
+        pytest.param(["sphere-demo", "--c-low", "1.0000000000000002"], None,
+                     id="sphere-c-low-rounds-to-1"),
+        pytest.param(["sphere-demo", "--d-list", "1" + "0" * 160], None,
+                     id="sphere-d-list-above-cap"),
         # a theta with a non-finite entry or an ||theta||^2 that overflows
         pytest.param(["risk", "--theta", "scaled:nan"], None, id="theta-nan"),
         pytest.param(["risk", "--theta", "scaled:inf"], None, id="theta-inf"),
@@ -679,20 +691,26 @@ def test_config_file_and_flags_give_the_same_bytes(tmp_path):
     assert set(_EVERY_OPTION) | {"out"} == set(cli._OPTIONS)
     assert set().union(*_READS.values()) == set(cli._OPTIONS)  # every option is run below
     echoes = {}
-    # `sure` runs twice: --select-lambda reads no --lambda or --estimator,
-    # and plain `sure` no --lambda-grid; neither echoes what it does not read
-    unread = {command: set() for command in _READS}
-    runs = [(command, keys) for command, keys in _READS.items() if command != "sure"]
-    runs += [("sure", _READS["sure"] - {"select_lambda", "lambda_grid"}),
-             ("sure", _READS["sure"] - {"lam", "estimator"})]
-    for command, keys in runs:
-        if command == "sure":
-            unread["sure"] = _READS["sure"] - keys - {"select_lambda"}
+    # `risk` and `sure` run twice: on a model that reads --k, --eps and
+    # --outlier (corrupt-add, a Student outlier), which reads no --sigma or
+    # --pinsker, and on one that reads those two (Laplace noise).  Plain `sure`
+    # reads no --lambda-grid, and --select-lambda no --lambda or --estimator.
+    # No run echoes what it does not read
+    corrupt = {"model": ("--model", "corrupt-add"), "outlier": ("--outlier", "student")}
+    laplace = {"model": ("--model", "laplace")}
+    noise, corrupt_keys = {"sigma", "pinsker"}, {"k", "eps", "outlier"}
+    runs = [(command, keys, {}) for command, keys in _READS.items()
+            if command not in ("risk", "sure")]
+    runs += [("risk", _READS["risk"] - noise, corrupt),
+             ("risk", _READS["risk"] - corrupt_keys, laplace),
+             ("sure", _READS["sure"] - {"select_lambda", "lambda_grid"} - noise, corrupt),
+             ("sure", _READS["sure"] - {"lam", "estimator"} - corrupt_keys, laplace)]
+    for command, keys, model in runs:
+        unread = _READS[command] - keys - {"select_lambda"}
         options = {key: _EVERY_OPTION[key] for key in _EVERY_OPTION if key in keys}
+        options.update(model)
         if command == "identity-check":
             options["model"] = ("--model", "student")  # a suite row
-        if command in ("risk", "sure"):  # a model that reads --k, --eps and --outlier
-            options.update(model=("--model", "corrupt-add"), outlier=("--outlier", "student"))
         by_file, by_flags = tmp_path / f"{command}-file.csv", tmp_path / f"{command}-flags.csv"
         cfg = tmp_path / f"{command}.cfg"
         # '-' and '_' are interchangeable in config keys
@@ -703,7 +721,7 @@ def test_config_file_and_flags_give_the_same_bytes(tmp_path):
         assert by_file.read_bytes() == by_flags.read_bytes(), command
         echoes[command] = _data_rows(by_file)[0][1].split()[2:]
         echoed = {item.split("=")[0] for item in echoes[command]}
-        assert echoed == _READS[command] - {"out"} - unread[command] | {"command"}
+        assert echoed == _READS[command] - {"out"} - unread | {"command"}, command
     assert {"lam=3.5", "bounds=true"} <= set(echoes["risk"])
     assert "c_high=10.0" in echoes["sphere-demo"]
 
@@ -789,14 +807,20 @@ def test_each_command_reads_every_option_it_takes(tmp_path, monkeypatch):
     pytest.param("sure", "lambda_grid", id="sure-lambda_grid"),
 ] + [
     # `build_model` reads --k for Student noise only, a Student outlier
-    # included, and --eps and --outlier for the corrupt models only
+    # included, --eps and --outlier for the corrupt models only, --sigma but
+    # for Student and four-point noise, a Student outlier included, and
+    # --pinsker for the Gaussian and product laws only
     pytest.param(command, key, id=f"{command.replace(' --', '-').replace(' ', '-')}-{key}")
     for command, keys in [
         ("risk", ("k", "eps", "outlier")),
-        ("sure --model student", ("eps", "outlier")),
+        ("sure --model student", ("eps", "outlier", "sigma", "pinsker")),
         ("sure --select-lambda --model laplace", ("k", "eps", "outlier")),
-        ("risk --model corrupt-mix --outlier laplace", ("k",)),
-        ("sure --model corrupt-add --outlier gaussian", ("k",)),
+        ("risk --model corrupt-mix --outlier laplace", ("k", "pinsker")),
+        ("sure --model corrupt-add --outlier gaussian", ("k", "pinsker")),
+        ("risk --model corrupt-add", ("sigma", "pinsker")),
+        ("risk --model four-point --d 2", ("sigma", "pinsker")),
+        ("risk --model sphere", ("pinsker",)),
+        ("sure --model ball", ("pinsker",)),
     ]
     for key in keys
 ])

@@ -112,7 +112,7 @@ def test_kernel_contraction_matches_dense(name, model, kernel):
     for fn in _test_fns():
         dense = np.einsum("mij,mij->m", mats, jacobian(fn, chunk.X))
         assert_rows_close(fn.contract(chunk.X, W), dense)
-        assert_rows_close(chunk.weighted_partials(fn), dense)
+        assert_rows_close(chunk.weighted_partials(fn)[0], dense)
 
 
 @pytest.mark.parametrize("name,model,kernel", CASES, ids=[c[0] for c in CASES])
@@ -149,7 +149,8 @@ def test_gaussian_kernel_and_fixed_point_coupling_stream_the_same_chunks():
     (k_chunk,), (c_chunk,) = by_kernel, by_coupling
     np.testing.assert_array_equal(k_chunk.X, c_chunk.X)
     for fn in _test_fns():
-        np.testing.assert_array_equal(k_chunk.weighted_partials(fn), c_chunk.weighted_partials(fn))
+        np.testing.assert_array_equal(k_chunk.weighted_partials(fn)[0],
+                                      c_chunk.weighted_partials(fn)[0])
 
 
 @pytest.mark.parametrize("name,model,kernel", CASES[:7], ids=[c[0] for c in CASES[:7]])
@@ -188,7 +189,7 @@ def test_zb_shared_branch_matches_dense(make_coupling):
     for fn in _test_fns():
         dense = np.einsum("ij,mij->m", full_matrix(coupling.sigma), jacobian(fn, term.P))
         assert_rows_close(fn.contract(term.P, weights), dense)
-        assert_rows_close(chunk.weighted_partials(fn), dense)
+        assert_rows_close(chunk.weighted_partials(fn)[0], dense)
 
 
 def test_zb_residual_shared_branch_matches_dense_mean():
@@ -270,7 +271,7 @@ def test_replacement_closed_form_matches_partial_loop(name, coupling):
         loop = np.zeros(ROWS)
         for i, j in zip(*np.nonzero(sigma)):
             loop += sigma[i, j] * jacobian(field, chunk.companion(i, j))[:, i, j]
-        assert_rows_close(chunk.weighted_partials(field), loop)
+        assert_rows_close(chunk.weighted_partials(field)[0], loop)
 
 
 def test_replacement_guard_raises_near_the_origin():
@@ -281,9 +282,9 @@ def test_replacement_guard_raises_near_the_origin():
     R[0, 0] = 1e-8
     chunk = JointChunk(X, (Replaced(X, R, np.ones(D)),))
     with pytest.raises(EvaluationError, match="origin"):
-        chunk.weighted_partials(shrink_direction())
+        chunk.weighted_partials(shrink_direction())[0]
     R[0, 0] = 1e-3
-    assert np.all(np.isfinite(chunk.weighted_partials(shrink_direction())))
+    assert np.all(np.isfinite(chunk.weighted_partials(shrink_direction())[0]))
 
 
 # -- averaged companions ---------------------------------------------------------
@@ -351,7 +352,7 @@ def test_a_chunks_rows_carry_the_rows_of_its_terms(name, coupling):
         A = np.random.default_rng(20240517).normal(size=(2, 2))
         fields = [linear_map(A), coordinate_quadratic(1), ss.JamesStein(2.5), ss.SoftThreshold(0.8)]
     for field in fields:
-        whole, rows = chunk.weighted_partials(field)[5:12], block.weighted_partials(field)
+        whole, rows = chunk.weighted_partials(field)[0][5:12], block.weighted_partials(field)[0]
         if name == "linear-replacement":
             assert_rows_close(rows, whole)
         else:
@@ -424,7 +425,7 @@ def test_averaged_closed_form_matches_dense_oracle(name, coupling):
         with pytest.raises(ParameterError, match="averages"):
             chunk.companion(0, 0)
     for field in fields:
-        assert_rows_close(chunk.weighted_partials(field), _averaged_oracle(coupling, field, 9))
+        assert_rows_close(chunk.weighted_partials(field)[0], _averaged_oracle(coupling, field, 9))
 
 
 def _raises(*args):

@@ -52,6 +52,7 @@ from steinshrink import (
     student_kernel,
     sure_bias,
     sure_zero_bias_mean,
+    transform_kernel,
     zb_construct,
     zb_mixture,
     zb_sum,
@@ -1139,13 +1140,15 @@ def test_blocked_statistics_keep_their_bits_across_block_heights(monkeypatch, na
     assert len(results[0]) == 1 and results[0] == results[2] and results[1] == results[2]
 
 
-@pytest.mark.parametrize("d", [6, 8, 32, 600, 1600])
-@pytest.mark.parametrize("kind", ["stein", "zb"])
+@pytest.mark.parametrize("kind, d", [(kind, d) for d in (6, 8, 32, 600, 1600)
+                                     for kind in ("stein", "zb")]
+                         + [("transformed", d) for d in (6, 32, 100)], ids=str)
 def test_linear_map_rows_keep_their_bits_in_the_blocks_of_a_pass(monkeypatch, d, kind):
     # linear_map's X A' is a BLAS product, whose last bits depend on the
     # product's height where BLAS takes another kernel (below 38 rows at
     # d = 32) or a matrix-vector path (1 row), so a 1-row block does change
-    # them.  The blocks of a pass are aligned and at least about half of
+    # them; so is a transformed kernel's Y A^-T, made from each block's rows.
+    # The blocks of a pass are aligned and at least about half of
     # `_BLOCK // d` rows tall, or of `_JOINT_BLOCK_ROWS` at large d: there the
     # residual has the bits of one block a task, on tasks of a few blocks and
     # a short remainder
@@ -1153,7 +1156,14 @@ def test_linear_map_rows_keep_their_bits_in_the_blocks_of_a_pass(monkeypatch, d,
     fn = linear_map(np.random.default_rng(d).normal(size=(d, d)))
     rows = max(_mc._BLOCK // d, _mc._JOINT_BLOCK_ROWS)
     n = 3 * rows + rows // 3 + 1
-    draw = model_kernel(model).stream(model) if kind == "stein" else coupling_for(model)._centered
+    if kind == "zb":
+        draw = coupling_for(model)._centered
+    else:
+        kernel = model_kernel(model)
+        if kind == "transformed":
+            A = np.eye(d) + np.random.default_rng(d + 1).uniform(size=(d, d)) / d
+            kernel = transform_kernel(kernel, A)
+        draw = kernel.stream(model)
     monkeypatch.setattr(_mc, "_DRAW_TASK", (n // 2 + 3) * d)  # two tasks
 
     def call():
@@ -1218,8 +1228,10 @@ def test_in_blocks_joins_the_rows_of_plain_and_joint_parts(monkeypatch):
     assert [len(block) for block in seen] == [3, 2, 3]
     draw = lambda model: coupling_for(model)._centered(substream(1, 0), 8, np.empty)  # noqa: E731
     assert draw(StudentT(5, 6)).shared_only and not draw(ProductIID(5, Laplace1D(1.0))).shared_only
+    # a kernel's block makes its weights from the block's rows, with the bits
+    # of the whole chunk's weights on those rows
     chunk = _identity_chunk(student_kernel(6, 5), np.zeros(5))(X)
     block = chunk.rows(2, 6)
-    (term,) = block.terms
+    (term,), (whole,) = block.terms, chunk.terms
     assert term.P is block.X and np.array_equal(block.X, X[2:6])
-    assert np.array_equal(term.W.scale, chunk.terms[0].W.scale[2:6])
+    assert _same_bits(term.W.scale, whole.W.scale[2:6])

@@ -181,7 +181,7 @@ def test_b_star_gaussian_fixed_point_draws_nothing(monkeypatch):
 
     def difference(chunk):
         g0.guard(chunk.X)
-        return {"b_star": chunk.weighted_partials(g0) - g0.contract(chunk.X, weights)}
+        return {"b_star": chunk.weighted_partials(g0)[0] - g0.contract(chunk.X, weights)}
 
     acc = _mc.run(n, seed, coupling.d, coupling._centered, difference)["b_star"]
     want = ss.RiskReport(lam * abs(acc.mean), lam * acc.stderr, acc.n, seed, "b_star:lam=198")

@@ -9,7 +9,9 @@ import steinshrink as ss
 from steinshrink import _mc
 from steinshrink.errors import ParameterError
 from steinshrink.quadrature import RadialProfile, tail_integral
+from steinshrink.stein_kernels import MixtureKernel, discrepancy_of
 from steinshrink.testfns import coordinate_quadratic, linear_map, shrink_direction
+from steinshrink.zero_bias import identity_residual
 from conftest import assert_close_within, assert_zero_within
 from oracles import full_matrix
 
@@ -391,17 +393,55 @@ def test_gaussian_kernel_stream_forms_no_array_besides_x():
 
 
 def test_product_kernel_stream_makes_its_diagonal_in_place():
-    # X - theta goes into a second buffer, and the Laplace diagonal
-    # b (|y| + b) is made over it with the bits of `Law1D.kernel`
+    # the draw takes one buffer, X, and makes no weights; a row block's
+    # Laplace diagonal b (|y| + b) is made over the block's X - theta, with
+    # the bits of `Law1D.kernel` on its rows
     rows, d = 2000, 200
     model = ss.ProductIID(d, ss.Laplace1D(0.8), "scaled:1")
     kernel = ss.product_kernel([model.law] * d)
     chunk, taken, peak = _stream_buffers(kernel, model, rows)
-    (term,) = chunk.terms
-    assert len(taken) == 2 and chunk.X is taken[0] and term.W.diag is taken[1]
-    want = model.law.kernel(chunk.X - model.theta)
-    assert np.array_equal(term.W.diag.view(np.uint64), want.view(np.uint64))
+    assert len(taken) == 1 and chunk.X is taken[0]
     assert peak < rows * d * 8 / 4
+    (term,) = chunk.rows(64, 128).terms
+    want = model.law.kernel(chunk.X[64:128] - model.theta)
+    assert np.array_equal(term.W.diag.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_pass_makes_a_dense_kernels_matrices_once_for_every_test_function(monkeypatch):
+    # every test function of an identity pass contracts the same weights of a
+    # row block, so a mixture kernel's (rows, d, d) matrices are made once a row
+    d, k, n = 8, 6, 3000
+    gauss = ss.GaussianIso(d, ss.StudentT(d, k).sigma2)
+    kernel = ss.mixture_kernel([(gauss, ss.gaussian_kernel(gauss.cov())),
+                                (ss.StudentT(d, k), ss.student_kernel(k, d))], [0.7, 0.3])
+    model = ss.MixingCorruption(0.3, ss.StudentT(d, k), "scaled:1")
+    fns = [linear_map(np.random.default_rng(3).normal(size=(d, d))), coordinate_quadratic(0),
+           shrink_direction()]
+    rows = []
+    terms = MixtureKernel._terms
+
+    def counted(self, *args):
+        rows.append(len(args[-1]))  # the pick of the block's rows
+        return terms(self, *args)
+
+    monkeypatch.setattr(MixtureKernel, "_terms", counted)
+    reps = identity_residual(n, 4, kernel.stream(model), model.theta, fns, "stein")
+    assert len(reps) == 3 and len(rows) > 1
+    assert sum(rows) == n
+
+
+def test_a_joint_kernel_refuses_draws_without_its_sources():
+    # a mixture or average kernel is a function of the joint draw, so the
+    # pointwise callers, which pass the draws X alone, are refused
+    d = 4
+    kernels = [ss.average_kernel([ss.student_kernel(6, d)] * 2),
+               ss.mixture_kernel([(ss.StudentT(d, 6), ss.student_kernel(6, d))], [1.0])]
+    X = ss.StudentT(d, 6).sample(10, 1)
+    for kernel in kernels:
+        with pytest.raises(ParameterError, match="joint samples only"):
+            ss.sure_kernel(X, ss.JamesStein(2.0), kernel, np.zeros(d))
+        with pytest.raises(ParameterError, match="joint samples only"):
+            discrepancy_of(kernel, np.zeros(d))(X)
 
 
 @pytest.mark.parametrize("name", ["mixture", "average"])

@@ -214,7 +214,8 @@ def test_linear_map_identity_matrix_preserves_base():
         assert np.array_equal(chunk.X, base_chunk.X)
         for fn in fields:
             np.testing.assert_allclose(
-                chunk.weighted_partials(fn), base_chunk.weighted_partials(fn), rtol=1e-10, atol=1e-12
+                chunk.weighted_partials(fn)[0], base_chunk.weighted_partials(fn)[0],
+                rtol=1e-10, atol=1e-12
             )
 
 
