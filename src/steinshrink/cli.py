@@ -431,15 +431,17 @@ def _zb_coupling(model: NoiseModel, kind: str):
 def _squared(cfg: dict, key: str) -> float:
     """cfg[key] ** 2, for a noise scale, a norm or a lambda; a usage error
     where the square overflows, as it does from about 1.3e154 on, or where a
-    nonzero value's square underflows to 0, which would run the law of 0."""
+    nonzero value's square is below the smallest normal double, as it is
+    below about 1.5e-154: a subnormal square loses its digits, and one that
+    underflows to 0 would run the law of 0."""
     try:
         square = cfg[key] ** 2
     except OverflowError:
         raise ParameterError(f"{_OPTIONS[key].flag} {cfg[key]!r} is too large: "
                              "its square overflows") from None
-    if square == 0.0 and cfg[key] != 0.0:
+    if square < sys.float_info.min and cfg[key] != 0.0:
         raise ParameterError(f"{_OPTIONS[key].flag} {cfg[key]!r} is too small: "
-                             "its square underflows to 0")
+                             "its square is below the smallest normal double")
     return square
 
 
@@ -636,6 +638,9 @@ def cmd_adaptivity(cfg: dict) -> CsvWriter:
     c = cfg["c"]
     sigma2 = _squared(cfg, "sigma")
     limit = pinsker_limit(sigma2, _squared(cfg, "c"))
+    if min(cfg["d_list"]) < 2:
+        raise ParameterError(f"--d-list entry {min(cfg['d_list'])} is below 2: "
+                             "lambda = (d - 2) sigma^2 / d is negative at d = 1")
     thetas = [(d, parse_theta(f"scaled:{c:.17g}", d)) for d in cfg["d_list"]]  # before any draw
     w = CsvWriter(cfg["out"], cfg, seed)
     w.header(["d", "risk_mean", "stderr", "pinsker_limit", "thm45_bound"])
@@ -666,8 +671,14 @@ def cmd_sphere_demo(cfg: dict) -> CsvWriter:
                              "(sqrt(c_low) - 1)^3 overflows") from None
     if low == 0.0:
         raise ParameterError(f"--c-low {c_low!r} is too close to 1: sqrt(c_low) rounds to 1")
-    w = CsvWriter(cfg["out"], cfg, cfg["seed"])
+    if c_high < c_low:
+        raise ParameterError(f"--c-high {c_high!r} is below --c-low {c_low!r}: "
+                             "the norm range is empty")
     crossing = 4.0 * (math.sqrt(c_high) + 1.0) ** 2 / low
+    if not math.isfinite(crossing):
+        raise ParameterError(f"--c-high {c_high!r} is too large: the crossing "
+                             "4 (sqrt(c_high) + 1)^2 / (sqrt(c_low) - 1)^3 overflows")
+    w = CsvWriter(cfg["out"], cfg, cfg["seed"])
     w.comment(f"certified improvement for d > {crossing:.17g}")
     w.header(["d", "gain_term", "two_b_star_closed", "improves"])
     for d in cfg["d_list"]:

@@ -1,16 +1,20 @@
 """Symmetric one-dimensional noise laws used as product-model coordinates.
 
-Each law exposes exact moments (variance, c4, c6, c8), its rescaled copy
-(`scaled`), a density, the tail integral tail(y) = integral_y^inf u p(u) du,
-its one-dimensional Stein kernel T(y) = tail(y) / p(y), and an exact sampler
-of its zero-bias law.  The zero-bias density is tail(y) / var, so the tail
-integral is the one closed form of both.
+Each law exposes its exact even moments (`moment(p)`, p up to 8), its
+rescaled copy (`scaled`), a density, the tail integral
+tail(y) = integral_y^inf u p(u) du, its one-dimensional Stein kernel
+T(y) = tail(y) / p(y), and an exact sampler of its zero-bias law.  The
+zero-bias density is tail(y) / var, so the tail integral is the one closed
+form of both.
 
-Laplace and uniform variates are inversions of one uniform each, and their
-zero-bias variates take one more; both are written in place one sub-block
-at a time (`_Inversion`).  A law draws serially on the generator it is
-given; a chunk is drawn on the usable cores one level up, in draw tasks
-that each have their own generator (`_mc.draw_tasks`).
+Every law writes its variates (`_fill`) and its zero-bias variates
+(`_zb_fill`) in place, one sub-block at a time (`_sub_blocks`).  Gaussian,
+Laplace and uniform variates take their outputs in the order a whole-array
+draw would, so their bytes do not depend on the sub-block; a
+smoothed-Rademacher sub-block takes all its coins, then all its normals,
+so its bytes do, as every zero-bias stream's do.  A law draws serially on
+the generator it is given; a chunk is drawn on the usable cores one level
+up, in draw tasks that each have their own generator (`_mc.draw_tasks`).
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ import numpy as np
 
 from .errors import EvaluationError, ParameterError
 
-# Variates per `_Inversion` fill call: the sub-block and its scratch (256 KB
-# each; a zero-bias fill has two) stay in cache through the fill's passes and
-# the shift.  A zero-bias sub-block takes all its first uniforms, then all its
-# second ones, so this constant is part of the companion stream's definition
-# (changing it changes the bytes of every zero-bias draw), as `_mc._DRAW_TASK`
-# is of every stream.
+# Variates per fill call: the sub-block and its scratch (256 KB each; a
+# zero-bias fill has two) stay in cache through the fill's passes and the
+# shift.  A zero-bias sub-block takes all its first uniforms, then all its
+# second ones, and a smoothed-Rademacher one all its coins, then all its
+# normals, so this constant is part of those streams' definition (changing
+# it changes the bytes of every zero-bias draw and of smoothed-Rademacher
+# X, not of Gaussian, Laplace or uniform X), as `_mc._DRAW_TASK` is of
+# every stream.
 _SUB_BLOCK = 1 << 15
+_DOUBLE_FACT = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}  # E Z^p = (p - 1)!!
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
 
@@ -57,21 +64,13 @@ class Law1D:
 
     name: str = ""
 
+    def moment(self, p: int) -> float:
+        """E Y^p, for even p up to 8."""
+        raise NotImplementedError
+
     @property
     def variance(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def c4(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def c6(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def c8(self) -> float:
-        raise NotImplementedError
+        return self.moment(2)
 
     def scaled(self, factor: float) -> "Law1D":
         """The law of `factor` times a variate."""
@@ -81,19 +80,28 @@ class Law1D:
     support_radius: float | None = None
 
     def sample(self, rng: np.random.Generator, size, shift=None, *, out=None) -> np.ndarray:
-        """`size` variates, plus `shift` if given, written into the array
-        `out` (of shape `size`) if given."""
-        return _placed(self._variates(rng, size), shift, out)
-
-    def _variates(self, rng: np.random.Generator, size) -> np.ndarray:
-        raise NotImplementedError
+        """`size` variates (+ `shift` on each row of size[1:]), written into
+        `out` (of shape `size`) if given, one sub-block at a time: Gaussian,
+        Laplace and uniform bytes do not depend on the sub-block,
+        smoothed-Rademacher's do (`_SUB_BLOCK`)."""
+        return _sub_blocks(self._fill, rng, size, shift, out)
 
     def zb_sample(self, rng: np.random.Generator, size, shift=None, *, out=None) -> np.ndarray:
         """`size` exact draws of the zero-bias law, density tail(y) / var,
-        placed as `sample` places its variates."""
-        return _placed(self._zb_variates(rng, size), shift, out)
+        placed as by `sample`; a sub-block takes its first uniforms before
+        its second ones, so the bytes depend on the sub-block, but for the
+        Gaussian's, which are its `sample`'s."""
+        return _sub_blocks(self._zb_fill, rng, size, shift, out, scratches=2)
 
-    def _zb_variates(self, rng: np.random.Generator, size) -> np.ndarray:
+    def _fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write len(out) variates from `g` into the flat array `out`;
+        `scratch` (as long) may be overwritten."""
+        raise NotImplementedError
+
+    def _zb_fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray,
+                 second: np.ndarray) -> None:
+        """`_fill`, but zero-bias variates; `scratch` and `second` (each as
+        long) may be overwritten."""
         raise NotImplementedError
 
     def pdf(self, y) -> np.ndarray:
@@ -113,46 +121,7 @@ class Law1D:
         p = self.pdf(y)
         if np.any(p <= 0.0):
             raise EvaluationError(f"{self.name}: kernel evaluated where the density vanishes")
-        return _placed(self.tail_first_moment(y) / p, None, out)
-
-
-def _placed(x, shift, out) -> np.ndarray:
-    """x + `shift` if given, written into `out` if given."""
-    if shift is not None:
-        x += shift
-    if out is None:
-        return x
-    out[...] = x
-    return out
-
-
-class _Inversion(Law1D):
-    """A law whose variate is the inverse CDF of one uniform, one 64-bit
-    generator output (Devroye 1986, *Non-Uniform Random Variate Generation*,
-    section 2.1), written in place by `_fill`; its zero-bias variate takes
-    two outputs, written in place by `_zb_fill`."""
-
-    def sample(self, rng, size, shift=None, *, out=None):
-        """`size` variates (+ `shift` on each row of size[1:]), written into
-        `out` if given; the bytes do not depend on the sub-block."""
-        return _sub_blocks(self._fill, rng, size, shift, out)
-
-    def zb_sample(self, rng, size, shift=None, *, out=None):
-        """`size` zero-bias variates, placed as by `sample`: per sub-block,
-        all their first uniforms, then all their second ones (`_SUB_BLOCK`)."""
-        return _sub_blocks(self._zb_fill, rng, size, shift, out, scratches=2)
-
-    def _fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Write len(out) variates from `g` into the flat array `out`, one
-        64-bit output each; `scratch` (as long) may be overwritten."""
-        raise NotImplementedError
-
-    def _zb_fill(self, g: np.random.Generator, out: np.ndarray, scratch: np.ndarray,
-                 second: np.ndarray) -> None:
-        """`_fill`, but zero-bias variates, two 64-bit outputs each: the
-        `_fill` outputs of all of them, then one more for each; `scratch`
-        and `second` (each as long) may be overwritten."""
-        raise NotImplementedError
+        return np.divide(self.tail_first_moment(y), p, out=out)
 
 
 def _sub_blocks(fill, rng, size, shift=None, out=None, scratches=1) -> np.ndarray:
@@ -181,27 +150,16 @@ class Gaussian1D(Law1D):
         if self.sigma <= 0:
             raise ParameterError("sigma must be positive")
 
-    @property
-    def variance(self):
-        return self.sigma**2
-
-    @property
-    def c4(self):
-        return 3.0 * self.sigma**4
-
-    @property
-    def c6(self):
-        return 15.0 * self.sigma**6
-
-    @property
-    def c8(self):
-        return 105.0 * self.sigma**8
+    def moment(self, p):
+        return _DOUBLE_FACT[p] * self.sigma**p
 
     def scaled(self, factor):
         return Gaussian1D(self.sigma * factor)
 
-    def _variates(self, rng, size):
-        return rng.normal(0.0, self.sigma, size)
+    def _fill(self, g, out, scratch):
+        # the bits of g.normal(0, sigma): 0 + sigma Z is sigma Z
+        g.standard_normal(out=out)
+        out *= self.sigma
 
     def log_pdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -217,12 +175,12 @@ class Gaussian1D(Law1D):
         out.fill(self.sigma**2)
         return out
 
-    def _zb_variates(self, rng, size):
-        return rng.normal(0.0, self.sigma, size)  # the Gaussian is the fixed point
+    def _zb_fill(self, g, out, scratch, second):
+        self._fill(g, out, scratch)  # the Gaussian is the fixed point
 
 
 @dataclass(frozen=True)
-class Laplace1D(_Inversion):
+class Laplace1D(Law1D):
     b: float = 1.0
     name = "laplace"
 
@@ -230,27 +188,16 @@ class Laplace1D(_Inversion):
         if self.b <= 0:
             raise ParameterError("scale b must be positive")
 
-    @property
-    def variance(self):
-        return 2.0 * self.b**2
-
-    @property
-    def c4(self):
-        return 24.0 * self.b**4
-
-    @property
-    def c6(self):
-        return math.factorial(6) * self.b**6
-
-    @property
-    def c8(self):
-        return math.factorial(8) * self.b**8
+    def moment(self, p):
+        return math.factorial(p) * self.b**p
 
     def scaled(self, factor):
         return Laplace1D(self.b * factor)
 
     def _fill(self, g, out, scratch):
-        # numpy's C `random_laplace` on the same uniform U, as array passes:
+        # the inverse CDF of one uniform, one 64-bit output (Devroye 1986,
+        # *Non-Uniform Random Variate Generation*, section 2.1): numpy's C
+        # `random_laplace` on the same uniform U, as array passes:
         # b log(U + U) below 1/2, -b log((2 - U) - U) from 1/2 on, so
         # copysign(b log(min(U + U, (2 - U) - U)), U - 1/2)
         _uniform_and_w(g, out, scratch)
@@ -312,7 +259,7 @@ def _uniform_and_w(g, out, scratch) -> None:
 
 
 @dataclass(frozen=True)
-class Uniform1D(_Inversion):
+class Uniform1D(Law1D):
     a: float = 1.0
     name = "uniform"
 
@@ -320,21 +267,8 @@ class Uniform1D(_Inversion):
         if self.a <= 0:
             raise ParameterError("half-width a must be positive")
 
-    @property
-    def variance(self):
-        return self.a**2 / 3.0
-
-    @property
-    def c4(self):
-        return self.a**4 / 5.0
-
-    @property
-    def c6(self):
-        return self.a**6 / 7.0
-
-    @property
-    def c8(self):
-        return self.a**8 / 9.0
+    def moment(self, p):
+        return self.a**p / (p + 1.0)
 
     def scaled(self, factor):
         return Uniform1D(self.a * factor)
@@ -388,31 +322,25 @@ class SmoothedRademacher1D(Law1D):
         if self.c <= 0 or self.h <= 0:
             raise ParameterError("c and h must be positive")
 
-    @property
-    def variance(self):
-        return self.c**2 + self.h**2
-
-    @property
-    def c4(self):
+    def moment(self, p):
+        # E (cS + hZ)^p, the binomial sum over the even moments of Z, summed
+        # term by term in order (sum() compensates on Python 3.12)
         c2, h2 = self.c**2, self.h**2
-        return c2**2 + 6.0 * c2 * h2 + 3.0 * h2**2
-
-    @property
-    def c6(self):
-        c2, h2 = self.c**2, self.h**2
-        return c2**3 + 15 * c2**2 * h2 + 45 * c2 * h2**2 + 15 * h2**3
-
-    @property
-    def c8(self):
-        c2, h2 = self.c**2, self.h**2
-        return c2**4 + 28 * c2**3 * h2 + 210 * c2**2 * h2**2 + 420 * c2 * h2**3 + 105 * h2**4
+        total = 0.0
+        for j in range(p // 2 + 1):
+            total += math.comb(p, 2 * j) * _DOUBLE_FACT[2 * j] * c2 ** (p // 2 - j) * h2**j
+        return total
 
     def scaled(self, factor):
         return SmoothedRademacher1D(self.c * factor, self.h * factor)
 
-    def _variates(self, rng, size):
-        signs = rng.choice([-1.0, 1.0], size)
-        return self.c * signs + rng.normal(0.0, self.h, size)
+    def _fill(self, g, out, scratch):
+        # a fair +-c coin per variate, c with the sign of U - 1/2, then
+        # an N(0, h^2) variate per variate added to it
+        g.random(out=out)
+        out -= 0.5
+        np.copysign(self.c, out, out=out)
+        _add_normal(g, out, scratch, self.h)
 
     def log_pdf(self, y):
         lp = _normal_logpdf(y, self.c, self.h)
@@ -425,11 +353,23 @@ class SmoothedRademacher1D(Law1D):
         dn = -self.c * _normal_sf(y, -self.c, self.h) + h2 * _normal_pdf(y, -self.c, self.h)
         return 0.5 * (up + dn)
 
-    def _zb_variates(self, rng, size):
+    def _zb_fill(self, g, out, scratch, second):
         # zero-bias of a sum: resample the coin summand with probability
-        # c^2/var (its zero-bias is uniform on [-c, c]), else keep the law
-        signs = rng.choice([-1.0, 1.0], size)
-        z = rng.normal(0.0, self.h, size)
-        u = rng.uniform(-self.c, self.c, size)
-        pick = rng.uniform(0.0, 1.0, size) < self.c**2 / self.variance
-        return np.where(pick, u + z, self.c * signs + z)
+        # c^2/var (its zero-bias is uniform on [-c, c]), else keep the law.
+        # All the uniforms U1, then all the picks U2, then the normals: the
+        # coin and the uniform -c + 2c U1 both read U1, and one is kept
+        g.random(out=out)
+        np.multiply(out, 2.0 * self.c, out=scratch)
+        scratch -= self.c
+        out -= 0.5
+        np.copysign(self.c, out, out=out)
+        g.random(out=second)
+        np.copyto(out, scratch, where=second < self.c**2 / self.variance)
+        _add_normal(g, out, scratch, self.h)
+
+
+def _add_normal(g, out, scratch, h) -> None:
+    """Add h Z to `out`, Z standard normals from `g` drawn into `scratch`."""
+    g.standard_normal(out=scratch)
+    scratch *= h
+    out += scratch

@@ -30,12 +30,10 @@ import numpy as np
 
 from ._mc import draw_parts
 from .errors import MomentUnavailableError, ParameterError
-from .laws1d import Law1D
+from .laws1d import _DOUBLE_FACT, Law1D
 from .quadrature import elliptical_second_moment
 from .testfns import FixedWeights, _as_matrix
 from .theta import parse_theta
-
-_DOUBLE_FACT = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
 
 
 @dataclass(frozen=True)
@@ -351,17 +349,9 @@ class ProductIID(NoiseModel):
         return self.law.sample(rng, (rows, self.d), self.theta, out=empty((rows, self.d)))
 
     def coordinate_moment(self, p):
-        if p == 0:
-            return 1.0
-        if p == 2:
-            return self.sigma2
-        if p == 4:
-            return self.law.c4
-        if p == 6:
-            return self.law.c6
-        if p == 8:
-            return self.law.c8
-        raise ParameterError(f"unsupported moment order {p}")
+        if p not in _DOUBLE_FACT:
+            raise ParameterError(f"unsupported moment order {p}")
+        return self.law.moment(p)
 
     def has_density(self):
         return True

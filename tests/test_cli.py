@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from steinshrink import _mc
 from steinshrink.cli import _identity_suite, main
 from steinshrink.errors import MomentUnavailableError
 from steinshrink.stein_kernels import stein_identity_residual
@@ -295,7 +296,8 @@ def test_usage_errors_exit_two(tmp_path):
         pytest.param(["adaptivity", "--c", "1e200"], None, id="c-square-overflows"),
         pytest.param(["risk", "--lambda", "1e200"], None, id="lambda-square-overflows"),
         pytest.param(["sure", "--lambda", "1e200"], None, id="sure-lambda-square-overflows"),
-        # a nonzero number whose square underflows to 0, which would run the law of 0
+        # a nonzero number whose square underflows to 0, which would run the law of
+        # 0, or is subnormal, which loses the digits of every cell it enters
         pytest.param(["risk", "--sigma", "1e-200", "--reps", "10"], None,
                      id="sigma-square-underflows"),
         pytest.param(["adaptivity", "--model", "laplace", "--sigma", "1e-200"], None,
@@ -307,6 +309,23 @@ def test_usage_errors_exit_two(tmp_path):
                      id="sphere-c-low-rounds-to-1"),
         pytest.param(["sphere-demo", "--d-list", "1" + "0" * 160], None,
                      id="sphere-d-list-above-cap"),
+        pytest.param(["risk", "--model", "gaussian", "--sigma", "1e-160", "--reps", "10"], None,
+                     id="sigma-square-subnormal"),
+        pytest.param(["sphere-demo", "--sigma", "1e-160"], None, id="sphere-sigma-square-subnormal"),
+        pytest.param(["adaptivity", "--c", "1e-160", "--d-list", "10", "--reps", "10"], None,
+                     id="c-square-subnormal"),
+        pytest.param(["risk", "--lambda", "1e-160", "--reps", "10"], None,
+                     id="lambda-square-subnormal"),
+        # an upper norm ratio below the lower one (an empty range), and one whose
+        # crossing 4 (sqrt(c_high) + 1)^2 / (sqrt(c_low) - 1)^3 is not finite
+        pytest.param(["sphere-demo", "--c-high", "-1"], None, id="sphere-c-high-negative"),
+        pytest.param(["sphere-demo", "--c-low", "9", "--c-high", "8"], None,
+                     id="sphere-c-high-below-c-low"),
+        pytest.param(["sphere-demo", "--c-high", "1e308"], None, id="sphere-crossing-overflows"),
+        # a sweep dimension below 2, where lambda = (d - 2) sigma^2 / d < 0, refused
+        # before the entries ahead of it are drawn
+        pytest.param(["adaptivity", "--d-list", "1600,1", "--reps", "20000"], None,
+                     id="adaptivity-d-list-below-2"),
         # a theta with a non-finite entry or an ||theta||^2 that overflows
         pytest.param(["risk", "--theta", "scaled:nan"], None, id="theta-nan"),
         pytest.param(["risk", "--theta", "scaled:inf"], None, id="theta-inf"),
@@ -330,6 +349,11 @@ def test_usage_errors_exit_two(tmp_path):
 )
 def test_bad_parameters_exit_two(tmp_path, capsys, monkeypatch, args, config):
     monkeypatch.chdir(tmp_path)  # for the theta files of the cases above
+
+    def drawn(*args):
+        raise AssertionError("a draw was started before the refusal")
+
+    monkeypatch.setattr(_mc, "substream", drawn)  # every stream's generators
     (tmp_path / "nan.theta").write_text("1\nnan\n1\n1\n1\n")
     (tmp_path / "text.theta").write_text("1\n1\none\n1\n1\n")
     out = tmp_path / "bad.csv"

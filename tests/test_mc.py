@@ -16,6 +16,7 @@ from steinshrink import (
     DiscrepancyStats,
     Elliptical,
     FourPointDegenerate,
+    Gaussian1D,
     GaussianIso,
     GuardAbort,
     Identity,
@@ -458,8 +459,9 @@ def _laplace_inverse_cdf(u, b):
     [
         (Laplace1D(0.7), lambda g, size: _laplace_inverse_cdf(g.random(size), 0.7)),
         (Uniform1D(1.3), lambda g, size: g.uniform(-1.3, 1.3, size)),
+        (Gaussian1D(0.7), lambda g, size: g.normal(0.0, 0.7, size)),
     ],
-    ids=["laplace", "uniform"],
+    ids=["laplace", "uniform", "gaussian"],
 )
 def test_split_draws_keep_bytes_and_end_state(monkeypatch, law, serial, workers):
     # a chunk drawn in 14 tasks on 1, 2 or 3 threads holds, in row order,

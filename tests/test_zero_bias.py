@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -81,38 +82,76 @@ def test_zb1d_samplers_match_densities():
         assert np.max(np.abs(emp - cdf)) < 0.01, law.name
 
 
-def _zb_reference(law, rng, size):
-    """Zero-bias draws as plain array formulas, a sub-block of rows at a time
-    (`laws1d._SUB_BLOCK` variates): all its first uniforms, then its second."""
+def _by_sub_blocks(block, rng, size):
+    """Draws of the array formula `block(rng, shape)`, a sub-block of rows at
+    a time (`laws1d._SUB_BLOCK` variates), as `Law1D.sample` places them."""
     out = np.empty(size)
     rows = out.reshape(len(out), -1)
     step = max(1, min(len(rows), laws1d._SUB_BLOCK // rows.shape[1]))
     for r in range(0, len(rows), step):
-        shape = rows[r : r + step].shape
-        u1, u2 = rng.random(shape), rng.random(shape)
-        if isinstance(law, ss.Laplace1D):
-            # a Laplace variate (numpy's inversion) plus a signed Exp(b) half
-            # the time, with one log of the product of their two uniforms
-            w = np.minimum(u1 + u1, (2.0 - u1) - u1)
-            rows[r : r + step] = np.copysign(-law.b * np.log(w * np.minimum(u2 + u2, 1.0)), u1 - 0.5)
-        else:
-            rows[r : r + step] = (u1 * (2.0 * law.a) - law.a) * np.cbrt(u2)
+        rows[r : r + step] = block(rng, rows[r : r + step].shape)
     return out
 
 
-@pytest.mark.parametrize("law", [ss.Laplace1D(1.3), ss.Uniform1D(2.1)], ids=lambda law: law.name)
+def _zb_block(law, rng, shape):
+    """One sub-block of zero-bias draws as plain array formulas: all its
+    first uniforms, then its second, then (smoothed Rademacher) its normals."""
+    if isinstance(law, ss.Gaussian1D):
+        return rng.normal(0.0, law.sigma, shape)  # the fixed point
+    u1, u2 = rng.random(shape), rng.random(shape)
+    if isinstance(law, ss.Laplace1D):
+        # a Laplace variate (numpy's inversion) plus a signed Exp(b) half
+        # the time, with one log of the product of their two uniforms
+        w = np.minimum(u1 + u1, (2.0 - u1) - u1)
+        return np.copysign(-law.b * np.log(w * np.minimum(u2 + u2, 1.0)), u1 - 0.5)
+    if isinstance(law, ss.Uniform1D):
+        return (u1 * (2.0 * law.a) - law.a) * np.cbrt(u2)
+    # with probability c^2 / var the coin's zero-bias, uniform on [-c, c],
+    # else the coin, both read from U1; then h Z
+    pick = u2 < law.c**2 / (law.c**2 + law.h**2)
+    coin_or_uniform = np.where(pick, u1 * (2.0 * law.c) - law.c, np.copysign(law.c, u1 - 0.5))
+    return coin_or_uniform + rng.normal(0.0, law.h, shape)
+
+
+def _smoothed_rademacher_block(law, rng, shape):
+    """One sub-block of smoothed-Rademacher variates: all its coins, c with
+    the sign of U - 1/2, then all its N(0, h^2) normals."""
+    return np.copysign(law.c, rng.random(shape) - 0.5) + rng.normal(0.0, law.h, shape)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [ss.Gaussian1D(0.7), ss.Laplace1D(1.3), ss.Uniform1D(2.1), ss.SmoothedRademacher1D(1.0, 0.2)],
+    ids=lambda law: law.name,
+)
 def test_zero_bias_fills_match_array_formulas_bit_for_bit(law):
     # (3000, 17) spans two sub-blocks of 1927 rows
     for size in (5, (300, 17), (3000, 17)):
         ref, new = np.random.default_rng(23), np.random.default_rng(23)
-        want = _zb_reference(law, ref, size)
+        want = _by_sub_blocks(partial(_zb_block, law), ref, size)
         got = law.zb_sample(new, size)
         assert got.shape == np.empty(size).shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # two 64-bit outputs per variate, and the generator stays in step
-        ahead = np.random.default_rng(23)
-        ahead.bit_generator.advance(2 * got.size)
-        assert ref.random() == new.random() == ahead.random()
+        assert ref.bit_generator.state == new.bit_generator.state
+        if isinstance(law, (ss.Laplace1D, ss.Uniform1D)):
+            # two 64-bit outputs per variate
+            ahead = np.random.default_rng(23)
+            ahead.bit_generator.advance(2 * got.size)
+            assert ahead.bit_generator.state == new.bit_generator.state
+
+
+def test_smoothed_rademacher_fill_matches_array_formulas_bit_for_bit():
+    law = ss.SmoothedRademacher1D(0.8, 0.15)
+    for size in (5, (300, 17), (3000, 17)):
+        ref, new = np.random.default_rng(29), np.random.default_rng(29)
+        want = _by_sub_blocks(partial(_smoothed_rademacher_block, law), ref, size)
+        shift = np.linspace(-1.0, 1.0, 17) if want.ndim == 2 else None
+        if shift is not None:
+            want += shift
+        out = np.empty(size)
+        assert law.sample(new, size, shift, out=out) is out
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert ref.bit_generator.state == new.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -124,7 +163,8 @@ def test_zero_bias_moments(law):
     # E X*^k = E X^(k+2) / ((k + 1) sigma^2): k = 2 and 4
     n = 1_000_000
     x2 = law.zb_sample(np.random.default_rng(61), n) ** 2
-    for power, want in ((x2, law.c4 / (3.0 * law.variance)), (x2 * x2, law.c6 / (5.0 * law.variance))):
+    for power, want in ((x2, law.moment(4) / (3.0 * law.variance)),
+                        (x2 * x2, law.moment(6) / (5.0 * law.variance))):
         se = power.std() / math.sqrt(n)
         assert abs(power.mean() - want) < 4.0 * se, (law.name, power.mean(), want, se)
 
